@@ -1,10 +1,9 @@
-//! Microbenchmarks of the trace FIFO: the lock-free SPSC ring against the
-//! seed Mutex+Condvar queue, message-at-a-time against batched hand-off.
+//! Microbenchmarks of the trace FIFO: the lock-free SPSC ring,
+//! message-at-a-time against batched hand-off.
 //!
 //! The pipeline pushes one message per failure-point interval through this
 //! channel, so per-message synchronization cost is directly on the
-//! detection critical path. The CI perf gate holds the lock-free ring to a
-//! throughput floor relative to the Mutex ablation.
+//! detection critical path.
 //!
 //! ```sh
 //! cargo bench -p xfd-bench --bench ring_throughput
@@ -13,14 +12,14 @@
 use std::thread;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use xfstream::{channel_with, spsc, RingImpl};
+use xfstream::channel;
 
 const MSGS: u64 = 10_000;
 
-/// One full producer/consumer run: `MSGS` messages through a fresh channel
-/// of the given implementation, message-at-a-time on both sides.
-fn run_single(ring: RingImpl, capacity: usize) -> u64 {
-    let (tx, rx) = channel_with(capacity, ring);
+/// One full producer/consumer run: `MSGS` messages through a fresh
+/// channel, message-at-a-time on both sides.
+fn run_single(capacity: usize) -> u64 {
+    let (tx, rx) = channel(capacity);
     let consumer = thread::spawn(move || {
         let mut n = 0u64;
         while let Some(v) = rx.recv() {
@@ -37,8 +36,8 @@ fn run_single(ring: RingImpl, capacity: usize) -> u64 {
 
 /// As [`run_single`], but draining in batches of up to 32 per cursor
 /// release on the consumer side.
-fn run_batched_drain(ring: RingImpl, capacity: usize) -> u64 {
-    let (tx, rx) = channel_with(capacity, ring);
+fn run_batched_drain(capacity: usize) -> u64 {
+    let (tx, rx) = channel(capacity);
     let consumer = thread::spawn(move || {
         let mut n = 0u64;
         let mut buf = Vec::with_capacity(32);
@@ -57,7 +56,7 @@ fn run_batched_drain(ring: RingImpl, capacity: usize) -> u64 {
 /// Batched on both sides: the producer publishes bursts of 32 with one
 /// `Release` store each, the consumer drains likewise.
 fn run_batched_both(capacity: usize) -> u64 {
-    let (tx, rx) = spsc::channel(capacity);
+    let (tx, rx) = channel(capacity);
     let consumer = thread::spawn(move || {
         let mut n = 0u64;
         let mut buf = Vec::with_capacity(32);
@@ -82,22 +81,15 @@ fn bench_ring(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
 
-    // The ablation pair the BENCH gate compares: same 10k messages, same
-    // capacity (the pipeline default of 64), only the implementation varies.
-    group.bench_function("mutex_single_10k", |b| {
-        b.iter(|| std::hint::black_box(run_single(RingImpl::Mutex, 64)));
-    });
+    // 10k messages at the pipeline's default capacity of 64.
     group.bench_function("lockfree_single_10k", |b| {
-        b.iter(|| std::hint::black_box(run_single(RingImpl::LockFree, 64)));
+        b.iter(|| std::hint::black_box(run_single(64)));
     });
 
-    // Batching amortizes the consumer's cursor release (and the mutex
-    // queue's lock) over up to 32 messages.
-    group.bench_function("mutex_batched_drain_10k", |b| {
-        b.iter(|| std::hint::black_box(run_batched_drain(RingImpl::Mutex, 64)));
-    });
+    // Batching amortizes the consumer's cursor release over up to 32
+    // messages.
     group.bench_function("lockfree_batched_drain_10k", |b| {
-        b.iter(|| std::hint::black_box(run_batched_drain(RingImpl::LockFree, 64)));
+        b.iter(|| std::hint::black_box(run_batched_drain(64)));
     });
     group.bench_function("lockfree_batched_both_10k", |b| {
         b.iter(|| std::hint::black_box(run_batched_both(64)));
@@ -106,7 +98,7 @@ fn bench_ring(c: &mut Criterion) {
     // Capacity 1 maximizes hand-off pressure: every message is a full
     // producer/consumer rendezvous.
     group.bench_function("lockfree_single_cap1_10k", |b| {
-        b.iter(|| std::hint::black_box(run_single(RingImpl::LockFree, 1)));
+        b.iter(|| std::hint::black_box(run_single(1)));
     });
 
     group.finish();

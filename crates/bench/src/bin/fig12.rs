@@ -14,9 +14,9 @@ use xfd_bench::{
     geo_mean, run_baseline, run_concurrent_detection, run_detection, run_detection_with,
     run_parallel_detection, run_streaming_detection, secs, trace_sizes, Baseline,
 };
-use xfd_workloads::bugs::WorkloadKind;
-use xfd_workloads::{all_workloads, concurrent_workloads};
-use xfdetector::{ScheduleSpec, XfConfig};
+use xfd_workloads::bugs::{BugSet, WorkloadKind};
+use xfd_workloads::{all_workloads, build, concurrent_workloads};
+use xfdetector::{ScheduleSpec, Workload, XfConfig};
 
 fn main() {
     // The paper uses 1 test transaction/query; a few init ops make the
@@ -81,27 +81,32 @@ fn main() {
         geo_mean(&over_orig)
     );
     println!();
-    println!("Snapshot traffic: copy-on-write crash images vs the seed engine");
+    println!(
+        "Snapshot traffic: copy-on-write crash images vs one full pool copy per failure point"
+    );
     println!(
         "{:<16} {:>14} {:>14} {:>10}",
-        "workload", "seed[KiB]", "cow[KiB]", "reduction"
+        "workload", "full[KiB]", "cow[KiB]", "reduction"
     );
-    let seed_cfg = XfConfig {
-        cow_snapshots: false,
-        dedup_images: false,
-        ..XfConfig::default()
-    };
     for kind in [WorkloadKind::Btree, WorkloadKind::HashmapTx] {
-        let seed = run_detection_with(kind, OPS, seed_cfg.clone())
-            .stats
-            .snapshot_bytes_copied;
-        let cow = run_detection(kind, OPS).stats.snapshot_bytes_copied;
+        let s = run_detection_with(
+            kind,
+            OPS,
+            XfConfig {
+                dedup_images: false,
+                ..XfConfig::default()
+            },
+        )
+        .stats;
+        // A flat snapshot copies the whole pool at least once per failure
+        // point; the seed engine paid three copies (capture, fork, image).
+        let full = build(kind, OPS, BugSet::none()).pool_size() * s.failure_points;
         println!(
             "{:<16} {:>14.1} {:>14.1} {:>9.1}x",
             kind.to_string(),
-            seed as f64 / 1024.0,
-            cow as f64 / 1024.0,
-            seed as f64 / cow.max(1) as f64,
+            full as f64 / 1024.0,
+            s.snapshot_bytes_copied as f64 / 1024.0,
+            full as f64 / s.snapshot_bytes_copied.max(1) as f64,
         );
     }
 

@@ -1,30 +1,13 @@
 //! Detector performance baseline: the sequential engine, the parallel
-//! engine with serial (merge-stage) checking, and the fully parallel
-//! replay/checking pipeline, on the Figure 12 workloads. Writes the
+//! engine and equivalence pruning on the Figure 12 workloads. Writes the
 //! results to `BENCH_detector.json` at the repository root so the perf
 //! trajectory is tracked in-tree.
 //!
-//! Every row records the measured wall-clock times on this host plus the
-//! measured *work* components: `exec_work_s` (post-failure executions, from
-//! the sequential run's `post_exec_time`) and `serial_check_work_s` (the
-//! merge-stage checking the serial path serializes, from the serial-mode
-//! run's `check_time`).
-//!
-//! The headline `speedup_parallel_checking` compares the serial-checking
-//! path against the parallel-checking pipeline at `WORKERS` workers:
-//!
-//! - On hosts with more CPUs than workers the measured walls already embody
-//!   the parallelism and the speedup is their plain ratio
-//!   (`speedup_method: "measured-wall"`).
-//! - On smaller hosts (CI containers are often single-CPU, where every
-//!   "parallel" configuration time-slices one core and wall-clock ratios
-//!   are meaningless) the speedup is computed on the critical path from the
-//!   measured components (`speedup_method: "critical-path"`): each mode's
-//!   measured wall minus the work its pipeline moves off the critical path,
-//!   `work × (1 - 1/WORKERS)` — serial checking only offloads execution,
-//!   parallel checking offloads execution *and* checking. This is
-//!   conservative: it assumes nothing else overlaps and worker-side
-//!   per-unit cost equals main-thread cost.
+//! Every row records measured wall-clock times on this host (best of
+//! `REPS`) plus `exec_work_s`, the sequential run's summed post-failure
+//! execution time. No speedup is modelled: on a host with fewer CPUs than
+//! `WORKERS` the parallel wall time-slices the available cores and says
+//! nothing about scaling, which is what the `--wall` rows measure.
 //!
 //! With `--wall` the harness additionally sweeps the fully parallel
 //! pipeline across 1/2/4/8 workers and records the *measured* wall-clock
@@ -77,16 +60,8 @@ struct Row {
     sequential_s: f64,
     /// Post-failure execution work (sequential `post_exec_time`).
     exec_work_s: f64,
-    /// Merge-stage checking work the serial path serializes.
-    serial_check_work_s: f64,
-    /// Measured wall times on this host.
-    parallel_serial_checking_wall_s: f64,
-    parallel_checking_wall_s: f64,
-    /// Critical-path times at `workers` (equal to the walls when
-    /// `speedup_method` is `measured-wall`).
-    parallel_serial_checking_s: f64,
-    parallel_checking_s: f64,
-    speedup_parallel_checking: f64,
+    /// Parallel-engine wall time at `workers` workers on this host.
+    parallel_wall_s: f64,
     /// Sequential wall time under `Pruning::Equivalence`.
     pruned_s: f64,
     /// Persistence-state equivalence classes among the failure points.
@@ -105,9 +80,6 @@ struct Row {
     trace_json_bytes: u64,
     /// JSON-over-`.xft` compression ratio.
     trace_json_over_xft: f64,
-    /// How `speedup_parallel_checking` was computed for this row:
-    /// `"measured-wall"` or `"critical-path"`.
-    speedup_method: &'static str,
 }
 
 /// One measured wall-clock point of the `--wall` multicore sweep.
@@ -210,7 +182,6 @@ struct Doc {
     workers: usize,
     reps: u32,
     host_cpus: usize,
-    speedup_method: &'static str,
     results: Vec<Row>,
     /// `--wall` multicore sweep; empty when the flag was not passed.
     scaling: Vec<ScalingRow>,
@@ -555,37 +526,21 @@ fn main() {
         (WorkloadKind::Ctree, 100),
     ];
     let cfg = XfConfig::default();
-    let serial_check_cfg = XfConfig {
-        parallel_checking: false,
-        ..XfConfig::default()
-    };
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let measured = host_cpus > WORKERS;
-    let method = if measured {
-        "measured-wall"
-    } else {
-        "critical-path"
-    };
-    // Fraction of offloaded work that leaves the critical path at WORKERS.
-    let off = 1.0 - 1.0 / WORKERS as f64;
-
     let pruned_cfg = XfConfig {
         pruning: Pruning::Equivalence,
         ..XfConfig::default()
     };
 
-    println!("detector perf baseline ({WORKERS} workers, best of {REPS}, {host_cpus} host cpus, {method})");
+    println!("detector perf baseline ({WORKERS} workers, best of {REPS}, {host_cpus} host cpus)");
     println!(
-        "{:<14} {:>6} {:>8} {:>9} {:>9} {:>9} {:>14} {:>13} {:>8} {:>9} {:>8} {:>12} {:>11} {:>7}",
+        "{:<14} {:>6} {:>8} {:>9} {:>9} {:>9} {:>9} {:>8} {:>12} {:>11} {:>7}",
         "workload",
         "ops",
         "#fp",
         "seq[s]",
         "exec[s]",
-        "check[s]",
-        "par-serial[s]",
-        "par-check[s]",
-        "speedup",
+        "par[s]",
         "pruned[s]",
         "prune",
         "shadow[KiB]",
@@ -603,11 +558,7 @@ fn main() {
                 (o.stats.failure_points, o.stats.post_exec_time),
             )
         });
-        let (par_serial_wall, check_work) = best_of(|| {
-            let o = run_parallel_detection(kind, ops, serial_check_cfg.clone(), WORKERS);
-            (o.stats.total_time, o.stats.check_time)
-        });
-        let (par_checked_wall, (shadow_cloned, shadow_resident)) = best_of(|| {
+        let (parallel, (shadow_cloned, shadow_resident)) = best_of(|| {
             let o = run_parallel_detection(kind, ops, cfg.clone(), WORKERS);
             (
                 o.stats.total_time,
@@ -626,34 +577,15 @@ fn main() {
             )
         });
 
-        let exec = exec_work.as_secs_f64();
-        let check = check_work.as_secs_f64();
-        let ps_wall = par_serial_wall.as_secs_f64();
-        let pc_wall = par_checked_wall.as_secs_f64();
-        // Critical path: the serial-checking pipeline only moves execution
-        // off the main thread; the parallel-checking pipeline moves
-        // execution and checking. Floored at perfect WORKERS-way scaling.
-        let (ps, pc) = if measured {
-            (ps_wall, pc_wall)
-        } else {
-            (
-                (ps_wall - exec * off).max(ps_wall / WORKERS as f64),
-                (pc_wall - (exec + check) * off).max(pc_wall / WORKERS as f64),
-            )
-        };
-        let speedup = ps / pc.max(f64::MIN_POSITIVE);
         let trace = trace_sizes(kind, ops);
         println!(
-            "{:<14} {:>6} {:>8} {:>9} {:>9} {:>9} {:>14} {:>13} {:>7.2}x {:>9} {:>7.2}x {:>12.1} {:>11.1} {:>6.1}x",
+            "{:<14} {:>6} {:>8} {:>9} {:>9} {:>9} {:>9} {:>7.2}x {:>12.1} {:>11.1} {:>6.1}x",
             kind.to_string(),
             ops,
             failure_points,
             secs(sequential),
             secs(exec_work),
-            secs(check_work),
-            format!("{ps:.3}"),
-            format!("{pc:.3}"),
-            speedup,
+            secs(parallel),
             secs(pruned_wall),
             pruning_ratio,
             shadow_cloned as f64 / 1024.0,
@@ -666,13 +598,8 @@ fn main() {
             workers: WORKERS,
             failure_points,
             sequential_s: sequential.as_secs_f64(),
-            exec_work_s: exec,
-            serial_check_work_s: check,
-            parallel_serial_checking_wall_s: ps_wall,
-            parallel_checking_wall_s: pc_wall,
-            parallel_serial_checking_s: ps,
-            parallel_checking_s: pc,
-            speedup_parallel_checking: speedup,
+            exec_work_s: exec_work.as_secs_f64(),
+            parallel_wall_s: parallel.as_secs_f64(),
             pruned_s: pruned_wall.as_secs_f64(),
             classes_total,
             fps_pruned,
@@ -683,7 +610,6 @@ fn main() {
             trace_xft_bytes: trace.xft_bytes,
             trace_json_bytes: trace.json_bytes,
             trace_json_over_xft: trace.ratio(),
-            speedup_method: method,
         });
 
         if wall {
@@ -737,7 +663,6 @@ fn main() {
         workers: WORKERS,
         reps: REPS,
         host_cpus,
-        speedup_method: method,
         results: rows,
         scaling,
         ingest,

@@ -65,9 +65,8 @@ pub fn run_concurrent_detection(
         .expect("detection run failed")
 }
 
-/// Runs detection with post-failure execution (and, per
-/// [`XfConfig::parallel_checking`], checking) spread over `workers`
-/// threads, bug-free variant of `kind`.
+/// Runs detection with post-failure execution and checking spread over
+/// `workers` threads, bug-free variant of `kind`.
 ///
 /// # Panics
 ///

@@ -19,10 +19,6 @@ use crate::engine::EngineError;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {
-    /// `dedup_images` requires `cow_snapshots`: content hashing is defined
-    /// on copy-on-write images only. (The free-field struct silently
-    /// ignored the combination; the builder rejects it.)
-    DedupRequiresCow,
     /// The streaming FIFO capacity must be at least one batch.
     ZeroStreamCapacity,
     /// An execution budget was supplied with no limit on any axis.
@@ -83,11 +79,12 @@ pub enum ConfigError {
 impl ConfigError {
     /// A small stable numeric code for this rejection, used by the server
     /// protocol's REJECTED frame and mirrored in the README's exit-code
-    /// table. Codes are append-only: new variants take new numbers.
+    /// table. Codes are append-only: new variants take new numbers, and a
+    /// removed variant's number is never reused (1 belonged to the retired
+    /// dedup-requires-COW rejection).
     #[must_use]
     pub fn code(&self) -> u32 {
         match self {
-            ConfigError::DedupRequiresCow => 1,
             ConfigError::ZeroStreamCapacity => 2,
             ConfigError::EmptyBudget => 3,
             ConfigError::InvalidSamplingRate => 4,
@@ -108,9 +105,6 @@ impl ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::DedupRequiresCow => {
-                write!(f, "dedup_images requires cow_snapshots (content hashing is defined on copy-on-write images)")
-            }
             ConfigError::ZeroStreamCapacity => {
                 write!(f, "stream capacity must be at least 1 batch")
             }
@@ -313,13 +307,13 @@ mod tests {
 
     #[test]
     fn config_errors_render_guidance() {
-        let msg = XfError::from(ConfigError::DedupRequiresCow).to_string();
-        assert!(msg.contains("cow_snapshots"), "{msg}");
+        let msg = XfError::from(ConfigError::CacheNeedsEquivalence).to_string();
+        assert!(msg.contains("pruning=equivalence"), "{msg}");
     }
 
     #[test]
     fn codes_are_stable_and_exit_codes_split_usage_from_runtime() {
-        assert_eq!(ConfigError::DedupRequiresCow.code(), 1);
+        assert_eq!(ConfigError::ZeroStreamCapacity.code(), 2);
         assert_eq!(ConfigError::CacheNeedsEquivalence.code(), 7);
         assert_eq!(ConfigError::MissingValue("--job").code(), 10);
         assert_eq!(

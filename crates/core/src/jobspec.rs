@@ -86,12 +86,8 @@ pub struct JobSpec {
     pub fire_on_every_write: Option<bool>,
     /// Catch post-failure panics as findings (default true).
     pub catch_panics: Option<bool>,
-    /// Copy-on-write crash snapshots (default true).
-    pub cow: Option<bool>,
     /// Crash-image deduplication (default true).
     pub dedup: Option<bool>,
-    /// In-worker post-failure checking for parallel mode (default true).
-    pub parallel_checking: Option<bool>,
     /// Write a resumable run journal to this path.
     pub journal: Option<String>,
     /// Resume a killed run from this journal.
@@ -131,9 +127,7 @@ const FIELDS: &[&str] = &[
     "completion_fp",
     "fire_on_every_write",
     "catch_panics",
-    "cow",
     "dedup",
-    "parallel_checking",
     "journal",
     "resume",
     "metrics_out",
@@ -187,9 +181,7 @@ impl Deserialize for JobSpec {
             completion_fp: opt(v, "completion_fp")?,
             fire_on_every_write: opt(v, "fire_on_every_write")?,
             catch_panics: opt(v, "catch_panics")?,
-            cow: opt(v, "cow")?,
             dedup: opt(v, "dedup")?,
-            parallel_checking: opt(v, "parallel_checking")?,
             journal: opt(v, "journal")?,
             resume: opt(v, "resume")?,
             metrics_out: opt(v, "metrics_out")?,
@@ -372,14 +364,8 @@ impl JobSpec {
         if let Some(on) = self.catch_panics {
             b = b.catch_post_panics(on);
         }
-        if let Some(on) = self.cow {
-            b = b.cow_snapshots(on);
-        }
         if let Some(on) = self.dedup {
             b = b.dedup_images(on);
-        }
-        if let Some(on) = self.parallel_checking {
-            b = b.parallel_checking(on);
         }
         if let Some(seed) = self.seed {
             b = b.rng_seed(seed);

@@ -22,7 +22,9 @@
 //! - [`XfDetector`] drives a [`Workload`]: it injects a failure point before
 //!   every ordering point of the pre-failure stage (§4.2), snapshots the PM
 //!   image, runs the post-failure stage on the snapshot and checks every
-//!   post-failure read against the shadow state,
+//!   post-failure read against the shadow state. The per-failure-point
+//!   decision — elide or execute — is the [`Planner`]'s, shared by the
+//!   batch, parallel and streaming drivers,
 //! - [`DetectionReport`] collects deduplicated [`Finding`]s with the source
 //!   locations of the racing reader and the last writer.
 //!
@@ -46,6 +48,7 @@ mod error;
 pub mod jobspec;
 pub mod offline;
 mod parallel;
+pub mod plan;
 mod prune;
 mod report;
 mod shadow;
@@ -55,11 +58,12 @@ mod xfrun;
 pub use arena::{Arena, Span};
 pub use concurrent::{ConcurrentWorkload, Scheduled};
 pub use engine::{
-    DynError, EngineError, RingImpl, RunOutcome, Workload, XfConfig, XfConfigBuilder, XfDetector,
+    DynError, EngineError, RunOutcome, Workload, XfConfig, XfConfigBuilder, XfDetector,
     MAX_SCHEDULE_PLANS,
 };
 pub use error::{ConfigError, XfError};
 pub use jobspec::JobSpec;
+pub use plan::{Planner, PostOutcome};
 pub use prune::{PruneCache, Pruning};
 pub use report::{BugCategory, BugKind, DetectionReport, FailurePoint, Finding};
 pub use shadow::{PersistState, PostChecker, ShadowPm};

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use pmem::PersistDomain;
 use serde::{Deserialize, Serialize};
-use xftrace::{OwnedTraceEntry, SourceLoc};
+use xftrace::{OwnedTraceEntry, SourceLoc, TraceEntry};
 
 use crate::report::{DetectionReport, FailurePoint};
 use crate::shadow::ShadowPm;
@@ -28,6 +28,20 @@ pub struct RecordedFailurePoint {
     pub line: u32,
     /// The post-failure trace of this failure point.
     pub post: Vec<OwnedTraceEntry>,
+}
+
+impl RecordedFailurePoint {
+    /// Records the failure point at `loc`, fired after `pre_len`
+    /// pre-failure entries, with its post-failure trace.
+    #[must_use]
+    pub fn new(pre_len: usize, loc: SourceLoc, post: &[TraceEntry]) -> Self {
+        RecordedFailurePoint {
+            pre_len,
+            file: loc.file.to_owned(),
+            line: loc.line,
+            post: post.iter().copied().map(Into::into).collect(),
+        }
+    }
 }
 
 /// A complete recorded detection run: the pre-failure trace plus every

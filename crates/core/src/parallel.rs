@@ -5,56 +5,47 @@
 //! parallelized. We leave the parallelized detection as a future work."
 //!
 //! [`XfDetector::run_parallel`] does exactly that: the pre-failure stage
-//! runs on the main thread as usual, but instead of executing each
-//! post-failure continuation inline at its failure point, the engine ships
-//! `(failure point, PM image, shadow checkpoint)` jobs over a bounded
-//! channel to a pool of worker threads. Each worker runs the recovery *and*
-//! — with [`XfConfig::parallel_checking`] — replays the resulting
-//! post-failure trace against the shipped O(1) copy-on-write checkpoint of
-//! the shadow PM, returning a per-failure-point fragment of findings. The
-//! main thread merges fragments in failure-point order (interleaved with
-//! the pre-failure findings at the positions where the sequential engine
-//! would have discovered them), so the resulting report is deterministic
-//! and byte-identical to [`XfDetector::run`]'s, post-failure *outcome*
-//! findings included.
-//!
-//! With `parallel_checking: false`, workers only execute recoveries; the
-//! frontend still takes a shadow checkpoint per failure point, and the
-//! merge stage replays each post-failure trace against its checkpoint
-//! serially — the PR-1-era pipeline, kept as an ablation.
+//! runs on the main thread as usual, and the shared [`Planner`] decides per
+//! failure point whether to elide or execute. Instead of executing inline,
+//! the driver ships `(failure point, PM image, shadow checkpoint)` jobs
+//! over a bounded queue to a pool of worker threads. Each worker runs the
+//! recovery *and* replays the resulting post-failure trace against the
+//! shipped O(1) copy-on-write checkpoint of the shadow PM, returning a
+//! per-failure-point fragment of findings. The main thread merges
+//! fragments in failure-point order (interleaved with the pre-failure
+//! findings at the positions where the batch driver would have discovered
+//! them, and with the elided failure points it checks itself), so the
+//! resulting report is deterministic and byte-identical to
+//! [`XfDetector::run`]'s, post-failure *outcome* findings included.
 //!
 //! Requirements: the workload must be [`Send`] + [`Sync`] (each worker calls
-//! `post_failure` on its own forked context). The bounded channel keeps at
+//! `post_failure` on its own forked context). The bounded queue keeps at
 //! most `2 × workers` PM images alive, so memory stays proportional to the
 //! worker count, not to the failure-point count. Shadow checkpoints are
 //! `Arc`-shared with the live shadow and cost no copying up front; the
 //! pre-failure replay pays per-line copy-on-write faults only for lines it
 //! mutates while checkpoints are in flight (see
 //! [`RunStats::shadow_bytes_cloned`]).
+//!
+//! [`Planner`]: crate::Planner
+//! [`RunStats::shadow_bytes_cloned`]: crate::RunStats::shadow_bytes_cloned
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use pmem::{
-    BudgetOverrun, CowImage, EngineHook, ImageHash, OrderingPointInfo, PmCtx, PmImage, PmPool,
-};
+use pmem::{CowImage, EngineHook, OrderingPointInfo, PmCtx, PmPool};
 use xftrace::{SourceLoc, TraceEntry};
 
-use crate::engine::{EngineError, RunOutcome, Workload, XfConfig, XfDetector};
+use crate::engine::{EngineError, RunOutcome, Workload, XfDetector};
 use crate::offline::{RecordedFailurePoint, RecordedRun};
-use crate::prune::PruneCache;
-use crate::report::{BugKind, DetectionReport, FailurePoint, Finding};
+use crate::plan::{check, Plan, Planner, PostOutcome};
+use crate::report::{DetectionReport, FailurePoint, Finding};
 use crate::shadow::ShadowPm;
 use crate::stats::RunStats;
-use crate::xfrun::cache::CachedOutcome;
 use crate::xfrun::RunCtl;
 
 /// A bounded single-producer multi-consumer work queue with chunked,
@@ -209,121 +200,74 @@ impl<T> WorkQueue<T> {
     }
 }
 
-/// The crash snapshot shipped with a job: copy-on-write (cheap to send,
-/// shares the base across all in-flight jobs) or flat (the seed engine's
-/// representation, kept for the `cow_snapshots: false` configuration).
-enum JobImage {
-    Cow(CowImage),
-    Flat(PmImage),
-}
-
-/// A failure-point job shipped to a worker.
+/// A failure-point job shipped to a worker: the crash image to recover
+/// from and the shadow checkpoint to check the recovery against.
 struct Job {
-    id: u64,
-    loc: SourceLoc,
-    pre_len: usize,
-    image: JobImage,
-    /// Shadow checkpoint at this failure point, when the worker is to do
-    /// the checking itself ([`XfConfig::parallel_checking`]).
-    shadow: Option<ShadowPm>,
+    fp: FailurePoint,
+    image: CowImage,
+    shadow: ShadowPm,
 }
 
 /// A worker's result for one failure point.
 struct JobResult {
-    id: u64,
-    loc: SourceLoc,
-    pre_len: usize,
+    fp: FailurePoint,
     post: Vec<TraceEntry>,
-    outcome: Result<(), String>,
-    panicked: bool,
-    /// The budget watchdog killed this job's post-failure execution
-    /// (`outcome` then carries the deterministic overrun message).
-    budget_exceeded: bool,
+    outcome: PostOutcome,
     /// Snapshot bytes copied building this job's post-failure pool.
     bytes: u64,
-    /// The worker's checking fragment (`None` when checking is left to the
-    /// merge stage).
-    findings: Option<Vec<Finding>>,
+    /// The worker's checked fragment: checking findings, then the outcome
+    /// finding.
+    findings: Vec<Finding>,
     /// Wall-clock time the worker spent checking.
     check_time: Duration,
 }
 
-/// A deduplicated failure point: its crash image was byte-identical to the
-/// one job `src_id` executed on, so no job was shipped — the backend
-/// replays `src_id`'s post-failure trace re-anchored at this failure point.
-/// An identical crash *image* does not imply identical *shadow* state, so
-/// the reference carries its own checkpoint and is always checked at merge.
-struct DedupRef {
-    id: u64,
-    loc: SourceLoc,
-    pre_len: usize,
-    src_id: u64,
-    shadow: ShadowPm,
+/// How the merge stage completes one failure point.
+enum Step {
+    /// A worker executed and checked it: splice the fragment.
+    Executed,
+    /// Replay job `src`'s trace (a pruned class member or a deduplicated
+    /// image) against this failure point's own checkpoint.
+    Replay { src: u64, shadow: ShadowPm },
+    /// Replay the warm class `key` from the cross-run cache against this
+    /// failure point's own checkpoint.
+    Warm { key: u64, shadow: ShadowPm },
+    /// Merge the resumed journal's report delta verbatim.
+    Journaled,
 }
 
-/// A failure point elided by the resumed run journal: no job is shipped;
-/// the merge stage pushes its journaled report delta verbatim.
-struct JournaledRef {
-    id: u64,
-    loc: SourceLoc,
+/// One planned failure point, in failure-point order.
+struct Planned {
+    fp: FailurePoint,
+    /// Pre-failure entries replayed before the failure point fired.
     pre_len: usize,
-}
-
-/// A failure point served warm from the cross-run class cache: no image is
-/// captured and no job is shipped. The merge stage replays the persisted
-/// representative trace (re-resolved by `key`) against this member's own
-/// checkpoint, exactly like a [`DedupRef`] whose source ran last campaign.
-struct WarmRef {
-    id: u64,
-    loc: SourceLoc,
-    pre_len: usize,
-    key: u64,
-    shadow: ShadowPm,
+    step: Step,
 }
 
 /// The frontend hook for parallel mode: replays the pre-failure trace
 /// incrementally and ships snapshot jobs instead of running recoveries
 /// inline.
 struct ParallelFrontend {
-    config: XfConfig,
-    rng: RefCell<StdRng>,
-    jobs: RefCell<Option<Arc<WorkQueue<Job>>>>,
-    stats: RefCell<RunStats>,
+    planner: RefCell<Planner<u64>>,
+    queue: Arc<WorkQueue<Job>>,
     shadow: RefCell<ShadowPm>,
     /// Pre-failure entries replayed into the shadow so far.
     pre_replayed: RefCell<usize>,
     /// Pre-failure findings (performance bugs, annotation conflicts) with
     /// the 1-based index of the entry that produced each — the merge stage
-    /// interleaves them at the exact positions the sequential engine would
-    /// have pushed them. The scratch report keeps the sequential engine's
-    /// first-wins dedup; `taken` marks findings already moved out.
+    /// interleaves them at the exact positions the batch driver would have
+    /// pushed them. The scratch report keeps the batch driver's first-wins
+    /// dedup; `taken` marks findings already moved out.
     pre_findings: RefCell<Vec<(usize, Finding)>>,
     pre_scratch: RefCell<(DetectionReport, usize)>,
-    /// Per-failure-point shadow checkpoints for the serial-checking mode
-    /// (`parallel_checking: false`).
-    checkpoints: RefCell<HashMap<u64, ShadowPm>>,
-    /// Content hash → (job id that executed the image, the image itself
-    /// for exact confirmation).
-    dedup: RefCell<HashMap<ImageHash, (u64, CowImage)>>,
-    /// Persistence-state equivalence classes ([`XfConfig::pruning`]): class
-    /// fingerprint → the job id of the representative that executed it.
-    /// Class hits become [`DedupRef`]s, so no image is captured and no job
-    /// is shipped for them.
-    prune: RefCell<PruneCache<u64>>,
-    refs: RefCell<Vec<DedupRef>>,
-    journaled: RefCell<Vec<JournaledRef>>,
-    warm_refs: RefCell<Vec<WarmRef>>,
-    /// `(class key, representative job id)` pairs to export into the
-    /// cross-run cache once the representative's result is in.
-    pending_exports: RefCell<Vec<(u64, u64)>>,
+    planned: RefCell<Vec<Planned>>,
     recorded: RefCell<Option<RecordedRun>>,
-    ctl: RunCtl,
 }
 
 impl ParallelFrontend {
     /// Replays freshly drained pre-failure entries into the shadow,
     /// recording any findings with the entry index that produced them.
-    fn replay_pre(&self, drained: Vec<TraceEntry>) {
+    fn replay_pre(&self, drained: Vec<TraceEntry>, stats: &mut RunStats) {
         let mut shadow = self.shadow.borrow_mut();
         let mut replayed = self.pre_replayed.borrow_mut();
         let mut scratch = self.pre_scratch.borrow_mut();
@@ -337,7 +281,7 @@ impl ParallelFrontend {
             }
             *taken = report.findings().len();
         }
-        self.stats.borrow_mut().pre_entries += drained.len() as u64;
+        stats.pre_entries += drained.len() as u64;
         if let Some(rec) = self.recorded.borrow_mut().as_mut() {
             rec.pre.extend(drained.into_iter().map(Into::into));
         }
@@ -346,175 +290,54 @@ impl ParallelFrontend {
 
 impl EngineHook for ParallelFrontend {
     fn on_ordering_point(&self, ctx: &mut PmCtx, loc: SourceLoc, info: OrderingPointInfo) {
-        {
-            let mut stats = self.stats.borrow_mut();
-            stats.ordering_points += 1;
-            // Multi-threaded fences are never "empty": the per-thread drain
-            // and cross-thread marking change the exposed crash state.
-            if !info.forced
-                && self.config.skip_empty_failure_points
-                && !info.had_pm_mutation
-                && self.config.threads <= 1
-            {
-                stats.skipped_empty += 1;
-                return;
-            }
-            if let Some(max) = self.config.max_failure_points {
-                if stats.failure_points >= max {
-                    return;
-                }
-            }
-        }
+        let mut planner = self.planner.borrow_mut();
+        let Some(fp) = planner.gate(loc, info) else {
+            return;
+        };
         // Keep the shadow up to date on the main thread: replaying
         // incrementally here overlaps with the workers, like the paper's
         // overlapped tracing/detection.
-        self.replay_pre(ctx.trace().drain());
-        let id = {
-            let mut stats = self.stats.borrow_mut();
-            let id = stats.failure_points;
-            stats.failure_points += 1;
-            id
-        };
+        self.replay_pre(ctx.trace().drain(), planner.stats());
         let pre_len = *self.pre_replayed.borrow();
-        // Resume elision: a journaled failure point ships no job at all.
-        // Its recorded report delta is merged verbatim, in order, by the
-        // merge stage.
-        if self.ctl.journaled(id).is_some() {
-            self.journaled
-                .borrow_mut()
-                .push(JournaledRef { id, loc, pre_len });
-            self.stats.borrow_mut().journal_skipped += 1;
-            self.ctl.obs().journal_skip();
-            self.ctl.obs().fp_done();
-            return;
-        }
-        // Equivalence-class pruning: a failure point whose persistence
-        // fingerprint matches an already-explored class captures no image
-        // and ships no job — the merge stage replays the representative's
-        // post-failure trace against this member's own checkpoint, exactly
-        // like an image-dedup reference.
-        let fingerprint = self
-            .prune
-            .borrow()
-            .is_enabled()
-            .then(|| self.shadow.borrow_mut().persistence_fingerprint());
-        // O(1) copy-on-write checkpoint of the shadow at this failure
-        // point — the line slabs are shared until the continuing replay
-        // mutates them.
-        let checkpoint = self.shadow.borrow().clone();
-        // Cross-run cache: a class a previous campaign already executed is
-        // served from the persisted store — no image, no job. Checked
-        // before the in-run prune cache so a fully warm run ships nothing.
-        if let Some(key) = fingerprint {
-            if self.ctl.cache_lookup(key).is_some() {
-                self.warm_refs.borrow_mut().push(WarmRef {
-                    id,
-                    loc,
-                    pre_len,
-                    key,
-                    shadow: checkpoint,
-                });
-                self.ctl.obs().cache_hit();
-                self.ctl.obs().fp_done();
-                return;
+        let mut shadow = self.shadow.borrow_mut();
+        // Everything but a journal skip is checked against an O(1)
+        // copy-on-write checkpoint of the shadow at this failure point —
+        // the line slabs are shared until the continuing replay mutates
+        // them.
+        let step = match planner.plan(ctx.pool(), fp.id, &mut shadow) {
+            Plan::Journaled => Step::Journaled,
+            Plan::Warm(key) => Step::Warm {
+                key,
+                shadow: shadow.clone(),
+            },
+            Plan::Replay(src) => Step::Replay {
+                src,
+                shadow: shadow.clone(),
+            },
+            Plan::Execute(exec) => {
+                let job = Job {
+                    fp,
+                    image: exec.image.clone(),
+                    shadow: shadow.clone(),
+                };
+                planner.represent(exec, || fp.id);
+                // Blocks when the bounded queue is full: backpressure
+                // bounds the number of in-flight PM images.
+                self.queue.push(job);
+                Step::Executed
             }
-        }
-        if let Some(key) = fingerprint {
-            if let Some(&src_id) = self.prune.borrow_mut().lookup(key, id) {
-                self.refs.borrow_mut().push(DedupRef {
-                    id,
-                    loc,
-                    pre_len,
-                    src_id,
-                    shadow: checkpoint,
-                });
-                self.ctl.obs().prune_hit();
-                self.ctl.obs().fp_done();
-                return;
-            }
-        }
-        let image = if self.config.cow_snapshots {
-            let image = self
-                .config
-                .crash_policy
-                .cow_image(ctx.pool(), &mut *self.rng.borrow_mut());
-            if self.config.dedup_images {
-                let hash = image.content_hash();
-                let mut dedup = self.dedup.borrow_mut();
-                let hit = dedup
-                    .get(&hash)
-                    .filter(|(_, cached)| cached.same_content(&image))
-                    .map(|(src_id, _)| *src_id);
-                if let Some(src_id) = hit {
-                    // Already explored: record a reference instead of
-                    // shipping (and executing) a redundant job. It keeps
-                    // its own checkpoint — the image may repeat while the
-                    // shadow state differs.
-                    self.refs.borrow_mut().push(DedupRef {
-                        id,
-                        loc,
-                        pre_len,
-                        src_id,
-                        shadow: checkpoint,
-                    });
-                    // The image's executor stands in as this class's
-                    // representative: later class hits replay its trace.
-                    if let Some(key) = fingerprint {
-                        self.prune.borrow_mut().insert(key, src_id);
-                        if self.ctl.cache_enabled() {
-                            self.pending_exports.borrow_mut().push((key, src_id));
-                        }
-                    }
-                    self.stats.borrow_mut().images_deduped += 1;
-                    self.ctl.obs().dedup_hit();
-                    self.ctl.obs().fp_done();
-                    return;
-                }
-                dedup.insert(hash, (id, image.clone()));
-            }
-            JobImage::Cow(image)
-        } else {
-            JobImage::Flat(
-                self.config
-                    .crash_policy
-                    .image(ctx.pool(), &mut *self.rng.borrow_mut()),
-            )
         };
-        // This job becomes its class's representative. On an audit run
-        // (`Pruning::Sampled`) the class already has one; `insert` keeps it.
-        if let Some(key) = fingerprint {
-            self.prune.borrow_mut().insert(key, id);
-            if self.ctl.cache_enabled() {
-                self.pending_exports.borrow_mut().push((key, id));
-            }
-        }
-        self.stats.borrow_mut().post_runs += 1;
-        let shadow = if self.config.parallel_checking {
-            Some(checkpoint)
-        } else {
-            self.checkpoints.borrow_mut().insert(id, checkpoint);
-            None
-        };
-        let job = Job {
-            id,
-            loc,
-            pre_len,
-            image,
-            shadow,
-        };
-        // Blocks when the bounded queue is full: backpressure bounds the
-        // number of in-flight PM images.
-        if let Some(queue) = self.jobs.borrow().as_ref() {
-            queue.push(job);
-        }
+        self.planned
+            .borrow_mut()
+            .push(Planned { fp, pre_len, step });
     }
 }
 
 impl XfDetector {
-    /// Runs the detection procedure with post-failure executions — and,
-    /// with [`XfConfig::parallel_checking`], post-failure trace checking —
-    /// spread over `workers` threads. Produces the same report as
-    /// [`XfDetector::run`], in deterministic (failure-point) order.
+    /// Runs the detection procedure with post-failure executions and their
+    /// trace checking spread over `workers` threads. Produces the same
+    /// report as [`XfDetector::run`], in deterministic (failure-point)
+    /// order.
     ///
     /// `workers == 0` means "use all available parallelism"
     /// ([`std::thread::available_parallelism`]).
@@ -546,7 +369,7 @@ impl XfDetector {
         } else {
             workers
         };
-        let config = self.config().clone();
+        let config = self.config();
         let pool = PmPool::new(workload.pool_size()).map_err(EngineError::Pm)?;
         let mut ctx = PmCtx::new(pool);
 
@@ -557,47 +380,29 @@ impl XfDetector {
 
         let queue = Arc::new(WorkQueue::<Job>::new(workers));
         let (res_tx, res_rx) = mpsc::channel::<JobResult>();
-
-        let frontend = std::rc::Rc::new(ParallelFrontend {
-            config: config.clone(),
-            rng: RefCell::new(StdRng::seed_from_u64(config.rng_seed)),
-            jobs: RefCell::new(Some(Arc::clone(&queue))),
-            stats: RefCell::new(RunStats::default()),
-            shadow: RefCell::new({
-                let mut shadow = ShadowPm::with_domain(config.domain);
-                if config.pruning.is_enabled() {
-                    shadow.enable_fingerprinting();
-                }
-                shadow
-            }),
+        let mut shadow = ShadowPm::with_domain(config.domain);
+        if config.pruning.is_enabled() {
+            shadow.enable_fingerprinting();
+        }
+        let frontend = Rc::new(ParallelFrontend {
+            planner: RefCell::new(Planner::new(config, ctl.clone())),
+            queue: Arc::clone(&queue),
+            shadow: RefCell::new(shadow),
             pre_replayed: RefCell::new(0),
             pre_findings: RefCell::new(Vec::new()),
             pre_scratch: RefCell::new((DetectionReport::new(), 0)),
-            checkpoints: RefCell::new(HashMap::new()),
-            dedup: RefCell::new(HashMap::new()),
-            prune: RefCell::new(PruneCache::new(config.pruning)),
-            refs: RefCell::new(Vec::new()),
-            journaled: RefCell::new(Vec::new()),
-            warm_refs: RefCell::new(Vec::new()),
-            pending_exports: RefCell::new(Vec::new()),
-            recorded: RefCell::new(if config.record_trace {
-                Some(RecordedRun {
-                    domain: config.domain,
-                    ..RecordedRun::default()
-                })
-            } else {
-                None
-            }),
-            ctl: ctl.clone(),
+            planned: RefCell::new(Vec::new()),
+            recorded: RefCell::new(config.record_trace.then(|| RecordedRun {
+                domain: config.domain,
+                ..RecordedRun::default()
+            })),
         });
 
         let workload_ref = &workload;
-        let first_read_only = config.first_read_only;
-        let (pre_result, results, post_exec_time) = std::thread::scope(|scope| {
+        let (pre_result, mut results, post_exec_time) = std::thread::scope(|scope| {
             for worker_idx in 0..workers {
                 let queue = Arc::clone(&queue);
                 let res_tx = res_tx.clone();
-                let budget = config.post_budget.clone();
                 let obs = ctl.obs().clone();
                 scope.spawn(move || {
                     let mut batch = Vec::with_capacity(WorkQueue::<Job>::MAX_CHUNK as usize);
@@ -605,70 +410,41 @@ impl XfDetector {
                         for job in batch.drain(..) {
                             // Each worker builds its own post context from the
                             // image; nothing non-Send crosses threads.
-                            let mut post_ctx = match &job.image {
-                                JobImage::Cow(img) => PmCtx::new_post(PmPool::from_cow(img)),
-                                JobImage::Flat(img) => PmCtx::new_post(PmPool::from_image(img)),
-                            };
-                            if let Some(b) = &budget {
-                                post_ctx.arm_budget(b.clone());
-                            }
-                            // Workers always quarantine: a panic (or a budget
-                            // watchdog kill, delivered by unwinding) is
-                            // confined to this failure point and reported as
-                            // a finding — it never takes down the pool, so
-                            // the run continues past the failing job even
-                            // with `catch_post_panics` off.
-                            let (outcome, panicked, budget_exceeded) =
-                                match catch_unwind(AssertUnwindSafe(|| {
-                                    workload_ref.post_failure(&mut post_ctx)
-                                })) {
-                                    Ok(Ok(())) => (Ok(()), false, false),
-                                    Ok(Err(e)) => (Err(e.to_string()), false, false),
-                                    Err(p) => match p.downcast::<BudgetOverrun>() {
-                                        Ok(overrun) => (Err(overrun.to_string()), false, true),
-                                        Err(p) => {
-                                            (Err(crate::engine::panic_message(&*p)), true, false)
-                                        }
-                                    },
-                                };
-                            let bytes = post_ctx.pool().snapshot_bytes_copied();
+                            let mut post_ctx = PmCtx::new_post(PmPool::from_cow(&job.image));
+                            // Workers always quarantine: a panic is confined
+                            // to this failure point and reported as a finding
+                            // — it never takes down the pool, so the run
+                            // continues past the failing job even with
+                            // `catch_post_panics` off.
+                            let outcome = PostOutcome::execute(
+                                &mut post_ctx,
+                                config.post_budget.as_ref(),
+                                true,
+                                |c| workload_ref.post_failure(c),
+                            );
                             let post = post_ctx.trace().drain();
-                            // Worker-side checking: replay the post trace
-                            // against the shipped shadow checkpoint into a
-                            // fragment. Pre- and post-stage bug kinds are
-                            // disjoint, so fragment-local dedup composes with
-                            // the merge report's global dedup.
-                            let (findings, check_time) = match &job.shadow {
-                                Some(shadow) => {
-                                    let t1 = Instant::now();
-                                    let fp = FailurePoint {
-                                        id: job.id,
-                                        loc: job.loc,
-                                    };
-                                    let mut checker = shadow.begin_post(first_read_only);
-                                    let mut frag = DetectionReport::new();
-                                    for e in &post {
-                                        checker.apply_post(e, fp, &mut frag);
-                                    }
-                                    (Some(frag.into_findings()), t1.elapsed())
-                                }
-                                None => (None, Duration::ZERO),
-                            };
-                            obs.post_run();
-                            if budget_exceeded {
-                                obs.budget_kill();
-                            }
-                            obs.fp_done();
+                            // Worker-side checking into a fragment. Pre- and
+                            // post-stage bug kinds are disjoint, so
+                            // fragment-local dedup composes with the merge
+                            // report's global dedup.
+                            let t_check = Instant::now();
+                            let mut fragment = DetectionReport::new();
+                            check(
+                                &job.shadow,
+                                config.first_read_only,
+                                job.fp,
+                                &post,
+                                &outcome,
+                                &mut fragment,
+                            );
+                            let check_time = t_check.elapsed();
+                            obs.executed(&outcome);
                             let _ = res_tx.send(JobResult {
-                                id: job.id,
-                                loc: job.loc,
-                                pre_len: job.pre_len,
+                                fp: job.fp,
+                                bytes: post_ctx.pool().snapshot_bytes_copied(),
                                 post,
                                 outcome,
-                                panicked,
-                                budget_exceeded,
-                                bytes,
-                                findings,
+                                findings: fragment.into_findings(),
                                 check_time,
                             });
                         }
@@ -687,288 +463,127 @@ impl XfDetector {
                 ctx.add_failure_point_at(SourceLoc::synthetic("<completion>"));
             }
             ctx.clear_hook();
-            // Hang up the job queue so the workers drain and exit.
-            frontend.jobs.borrow_mut().take();
+            // Close the job queue so the workers drain and exit.
             queue.close();
-            let mut results: Vec<JobResult> = Vec::new();
-            let expected = frontend.stats.borrow().post_runs;
-            while (results.len() as u64) < expected {
-                match res_rx.recv() {
-                    Ok(r) => results.push(r),
-                    Err(_) => break,
-                }
-            }
-            let post_exec_time = t_post.elapsed();
-            (pre_result, results, post_exec_time)
+            let expected = frontend.planner.borrow_mut().stats().post_runs;
+            let results: Vec<JobResult> = res_rx.iter().take(expected as usize).collect();
+            (pre_result, results, t_post.elapsed())
         });
 
         // Trailing pre entries (after the last failure point): tail-end
         // performance bugs are still reported.
-        frontend.replay_pre(ctx.trace().drain());
+        frontend.replay_pre(ctx.trace().drain(), frontend.planner.borrow_mut().stats());
         pre_result.map_err(|e| EngineError::PreFailure(e.to_string()))?;
+        let frontend = Rc::try_unwrap(frontend).ok().expect("the hook was cleared");
 
-        // Deterministic merge in failure-point order. Fragments checked by
-        // workers are spliced in as-is; serial-checking jobs and dedup
-        // references are checked here against their own checkpoints. Dedup
-        // references replay the source job's post-failure trace (the post
-        // run is a pure function of the crash image) but against their own
-        // shadow state and failure point, exactly as the sequential engine
-        // does, so the merged report stays byte-identical.
-        let mut results = results;
-        results.sort_by_key(|r| r.id);
-        let by_id: HashMap<u64, usize> =
-            results.iter().enumerate().map(|(i, r)| (r.id, i)).collect();
-        // Export this run's class representatives into the cross-run cache,
-        // now that their results (trace + outcome) are in.
-        for &(key, src_id) in frontend.pending_exports.borrow().iter() {
-            let Some(&i) = by_id.get(&src_id) else {
-                continue;
-            };
-            let r = &results[i];
-            let msg = r.outcome.as_ref().err().cloned().unwrap_or_default();
-            let outcome = if r.budget_exceeded {
-                CachedOutcome::BudgetExceeded(msg)
-            } else if r.panicked {
-                CachedOutcome::Panicked(msg)
-            } else {
-                match &r.outcome {
-                    Ok(()) => CachedOutcome::Completed,
-                    Err(m) => CachedOutcome::Failed(m.clone()),
-                }
-            };
-            frontend.ctl.cache_export(key, &r.post, outcome);
+        // Deterministic merge in failure-point order. Worker fragments are
+        // spliced in as-is; elided failure points replay their source's
+        // post-failure trace (the post run is a pure function of the crash
+        // image) against their own shadow checkpoint, exactly as the batch
+        // driver does, so the merged report stays byte-identical.
+        results.sort_by_key(|r| r.fp.id);
+        let result = |id: u64| {
+            results
+                .binary_search_by_key(&id, |r| r.fp.id)
+                .ok()
+                .map(|i| &results[i])
+        };
+        let planner = frontend.planner.into_inner();
+        for &(key, src) in planner.exports() {
+            if let Some(r) = result(src) {
+                ctl.cache_export(key, &r.post, &r.outcome);
+            }
         }
-        let checkpoints = frontend.checkpoints.borrow();
-        let refs = frontend.refs.borrow();
-        let journaled_refs = frontend.journaled.borrow();
-        let warm_refs = frontend.warm_refs.borrow();
-        let warm_classes: Vec<_> = warm_refs
-            .iter()
-            .filter_map(|w| frontend.ctl.cache_peek(w.key).map(|class| (w, class)))
-            .collect();
-        let warm_outcomes: Vec<Result<(), String>> = warm_classes
-            .iter()
-            .map(|(_, class)| match &class.outcome {
-                CachedOutcome::Completed => Ok(()),
-                CachedOutcome::Failed(m)
-                | CachedOutcome::Panicked(m)
-                | CachedOutcome::BudgetExceeded(m) => Err(m.clone()),
-            })
-            .collect();
-        let ok_outcome: Result<(), String> = Ok(());
-        enum Work<'a> {
-            /// The worker already checked; splice its fragment in.
-            Checked(&'a [Finding]),
-            /// Check here: replay `post` against `shadow`.
-            Check {
-                shadow: &'a ShadowPm,
-                post: &'a [TraceEntry],
-            },
-        }
-        struct Item<'a> {
-            id: u64,
-            loc: SourceLoc,
-            pre_len: usize,
-            outcome: &'a Result<(), String>,
-            panicked: bool,
-            budget_exceeded: bool,
-            /// Came from the resumed journal: its findings are merged
-            /// verbatim and it must not be re-appended.
-            from_journal: bool,
-            post: &'a [TraceEntry],
-            work: Work<'a>,
-        }
-        let mut items: Vec<Item<'_>> = results
-            .iter()
-            .map(|r| Item {
-                id: r.id,
-                loc: r.loc,
-                pre_len: r.pre_len,
-                outcome: &r.outcome,
-                panicked: r.panicked,
-                budget_exceeded: r.budget_exceeded,
-                from_journal: false,
-                post: &r.post,
-                work: match (&r.findings, checkpoints.get(&r.id)) {
-                    (Some(f), _) => Work::Checked(f),
-                    (None, Some(shadow)) => Work::Check {
-                        shadow,
-                        post: &r.post,
-                    },
-                    // Unreachable in practice: every unchecked job left a
-                    // checkpoint behind. Degrade to an empty fragment.
-                    (None, None) => Work::Checked(&[]),
-                },
-            })
-            .collect();
-        for d in refs.iter() {
-            // The source job always precedes its references; it can only
-            // be missing if a worker died mid-run, in which case the
-            // reference is dropped along with the lost result.
-            let Some(&src) = by_id.get(&d.src_id) else {
-                continue;
-            };
-            let src = &results[src];
-            items.push(Item {
-                id: d.id,
-                loc: d.loc,
-                pre_len: d.pre_len,
-                outcome: &src.outcome,
-                panicked: src.panicked,
-                budget_exceeded: src.budget_exceeded,
-                from_journal: false,
-                post: &src.post,
-                work: Work::Check {
-                    shadow: &d.shadow,
-                    post: &src.post,
-                },
-            });
-        }
-        for j in journaled_refs.iter() {
-            let Some(rec) = frontend.ctl.journaled(j.id) else {
-                continue;
-            };
-            items.push(Item {
-                id: j.id,
-                loc: j.loc,
-                pre_len: j.pre_len,
-                outcome: &ok_outcome,
-                panicked: false,
-                budget_exceeded: false,
-                from_journal: true,
-                post: &[],
-                work: Work::Checked(&rec.findings),
-            });
-        }
-        for (i, (w, class)) in warm_classes.iter().enumerate() {
-            // A warm item replays the persisted trace against its own
-            // checkpoint and re-emits the representative's outcome finding;
-            // the budget flag stays out of `stats.budget_exceeded`, which
-            // counts executed results only.
-            items.push(Item {
-                id: w.id,
-                loc: w.loc,
-                pre_len: w.pre_len,
-                outcome: &warm_outcomes[i],
-                panicked: matches!(class.outcome, CachedOutcome::Panicked(_)),
-                budget_exceeded: matches!(class.outcome, CachedOutcome::BudgetExceeded(_)),
-                from_journal: false,
-                post: &class.post,
-                work: Work::Check {
-                    shadow: &w.shadow,
-                    post: &class.post,
-                },
-            });
-        }
-        items.sort_by_key(|r| r.id);
-
-        let pre_findings = frontend.pre_findings.borrow();
-        let mut pf_cursor = 0usize;
+        let pre_findings = frontend.pre_findings.into_inner();
+        let mut pre_findings = pre_findings.into_iter().peekable();
+        let mut recorded = frontend.recorded.into_inner();
         let mut report = DetectionReport::new();
         let mut post_entries = 0u64;
-        let mut main_check_time = Duration::ZERO;
+        let mut check_time: Duration = results.iter().map(|r| r.check_time).sum();
+        let fro = config.first_read_only;
         let t_detect = Instant::now();
-        for it in &items {
+        for p in frontend.planned.into_inner() {
             // Pre-failure findings discovered up to this failure point go
-            // first, as in the sequential engine's incremental replay.
-            while pf_cursor < pre_findings.len() && pre_findings[pf_cursor].0 <= it.pre_len {
-                report.push(pre_findings[pf_cursor].1.clone());
-                pf_cursor += 1;
+            // first, as in the batch driver's incremental replay.
+            while let Some((_, f)) = pre_findings.next_if(|(at, _)| *at <= p.pre_len) {
+                report.push(f);
             }
-            let fp = FailurePoint {
-                id: it.id,
-                loc: it.loc,
-            };
             let delta_start = report.findings().len();
-            match it.work {
-                Work::Checked(fragment) => {
-                    for f in fragment {
+            let t_check = Instant::now();
+            let post: &[TraceEntry] = match &p.step {
+                Step::Journaled => {
+                    // Already on disk: merged verbatim, never re-appended.
+                    for f in ctl.journaled(p.fp.id).iter().flat_map(|j| &j.findings) {
                         report.push(f.clone());
                     }
-                }
-                Work::Check { shadow, post } => {
-                    let t1 = Instant::now();
-                    let mut checker = shadow.begin_post(config.first_read_only);
-                    for e in post {
-                        checker.apply_post(e, fp, &mut report);
+                    if let Some(rec) = recorded.as_mut() {
+                        rec.failure_points.push(RecordedFailurePoint::new(
+                            p.pre_len,
+                            p.fp.loc,
+                            &[],
+                        ));
                     }
-                    main_check_time += t1.elapsed();
+                    continue;
                 }
-            }
-            post_entries += it.post.len() as u64;
-            if let Err(msg) = it.outcome {
-                report.push(Finding {
-                    kind: if it.budget_exceeded {
-                        BugKind::BudgetExceeded
-                    } else if it.panicked {
-                        BugKind::PostFailurePanic
-                    } else {
-                        BugKind::PostFailureError
-                    },
-                    addr: 0,
-                    size: 0,
-                    reader: Some(it.loc),
-                    writer: None,
-                    failure_point: Some(fp),
-                    message: Some(msg.clone()),
-                });
+                Step::Executed => {
+                    let Some(r) = result(p.fp.id) else { continue };
+                    for f in &r.findings {
+                        report.push(f.clone());
+                    }
+                    &r.post
+                }
+                Step::Replay { src, shadow } => {
+                    let Some(r) = result(*src) else { continue };
+                    check(shadow, fro, p.fp, &r.post, &r.outcome, &mut report);
+                    check_time += t_check.elapsed();
+                    &r.post
+                }
+                Step::Warm { key, shadow } => {
+                    let Some(class) = ctl.cache_peek(*key) else {
+                        continue;
+                    };
+                    check(shadow, fro, p.fp, &class.post, &class.outcome, &mut report);
+                    check_time += t_check.elapsed();
+                    &class.post
+                }
+            };
+            post_entries += post.len() as u64;
+            if let Some(rec) = recorded.as_mut() {
+                rec.failure_points
+                    .push(RecordedFailurePoint::new(p.pre_len, p.fp.loc, post));
             }
             // Journal appends happen here, in id order, so the journal is
-            // as deterministic as the report. A journaled item is already
-            // on disk and is not re-appended.
-            if !it.from_journal {
-                frontend
-                    .ctl
-                    .append_fp(it.id, it.loc, &report.findings()[delta_start..]);
-            }
+            // as deterministic as the report.
+            ctl.append_fp(p.fp.id, p.fp.loc, &report.findings()[delta_start..]);
         }
-        while pf_cursor < pre_findings.len() {
-            report.push(pre_findings[pf_cursor].1.clone());
-            pf_cursor += 1;
+        for (_, f) in pre_findings {
+            report.push(f);
         }
         let detect_time = t_detect.elapsed();
 
-        let mut stats = frontend.stats.borrow().clone();
+        let mut stats = planner.finish();
         stats.total_time = t_start.elapsed();
         stats.post_exec_time = post_exec_time;
         // `detect_time` is the residual serial merge; `check_time` is the
         // summed checking time wherever it ran.
         stats.detect_time = detect_time;
-        stats.check_time = results.iter().map(|r| r.check_time).sum::<Duration>() + main_check_time;
-        stats.checks_parallelized = results.iter().filter(|r| r.findings.is_some()).count() as u64;
+        stats.check_time = check_time;
+        stats.checks_parallelized = results.len() as u64;
         stats.jobs_stolen = queue.jobs_stolen();
         stats.post_entries = post_entries;
-        {
-            let shadow = frontend.shadow.borrow();
-            stats.shadow_bytes_cloned = shadow.bytes_cloned();
-            stats.shadow_resident_bytes = shadow.resident_bytes();
-        }
+        let shadow = frontend.shadow.into_inner();
+        stats.shadow_bytes_cloned = shadow.bytes_cloned();
+        stats.shadow_resident_bytes = shadow.resident_bytes();
         // Workers accounted their post-failure pools; the frontend pool's
         // capture and COW-fault traffic is read off at the end.
         stats.snapshot_bytes_copied +=
             results.iter().map(|r| r.bytes).sum::<u64>() + ctx.pool().snapshot_bytes_copied();
-        // Budget kills count per *executed* representative only — dedup and
-        // pruning references inherit the representative's overrun finding
-        // but not its kill, matching the sequential engine's accounting.
-        stats.budget_exceeded = results.iter().filter(|r| r.budget_exceeded).count() as u64;
-        {
-            let prune = frontend.prune.borrow();
-            stats.finish_pruning(prune.classes_total(), prune.fps_pruned());
-        }
-        // Assemble the recorded run from the merged items: the frontend
-        // accumulated the pre trace, each item contributes its (possibly
-        // shared) post trace in failure-point order.
-        let recorded = frontend.recorded.borrow_mut().take().map(|mut rec| {
-            for it in &items {
-                rec.failure_points.push(RecordedFailurePoint {
-                    pre_len: it.pre_len,
-                    file: it.loc.file.to_owned(),
-                    line: it.loc.line,
-                    post: it.post.iter().copied().map(Into::into).collect(),
-                });
-            }
-            rec
-        });
+        // Budget kills count executions only — replays inherit the
+        // representative's overrun finding but not its kill.
+        stats.budget_exceeded = results
+            .iter()
+            .filter(|r| r.outcome.is_budget_kill())
+            .count() as u64;
         Ok(RunOutcome {
             report,
             stats,
@@ -980,6 +595,7 @@ impl XfDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BugKind;
 
     /// A workload with a reliable race, safe to share across threads.
     struct Racy;
@@ -1041,18 +657,6 @@ mod tests {
                 "every executed job must have been checked by its worker"
             );
         }
-    }
-
-    #[test]
-    fn serial_checking_mode_matches_parallel_checking() {
-        let cfg = XfConfig {
-            parallel_checking: false,
-            ..XfConfig::default()
-        };
-        let serial = XfDetector::new(cfg).run_parallel(Racy, 4).unwrap();
-        let parallel = XfDetector::with_defaults().run_parallel(Racy, 4).unwrap();
-        assert_eq!(finding_keys(&serial), finding_keys(&parallel));
-        assert_eq!(serial.stats.checks_parallelized, 0);
     }
 
     #[test]

@@ -14,14 +14,15 @@ use serde::Serialize;
 pub struct RunStats {
     /// Ordering points observed in the pre-failure stage.
     pub ordering_points: u64,
-    /// Failure points actually injected (each spawns one post-failure run).
+    /// Failure points actually injected. Each one either executes its own
+    /// post-failure run or is elided; see [`RunStats::accounting_holds`].
     pub failure_points: u64,
     /// Ordering points elided because no PM activity preceded them (§5.4
     /// optimization 2).
     pub skipped_empty: u64,
-    /// Post-failure executions actually performed. Equals `failure_points`
-    /// unless image deduplication elided some
-    /// (`failure_points == post_runs + images_deduped`).
+    /// Post-failure executions actually performed. Every other failure
+    /// point was elided by image deduplication, pruning, the resume journal
+    /// or the cross-run class cache ([`RunStats::accounting_holds`]).
     pub post_runs: u64,
     /// Failure points whose crash image was byte-identical to one already
     /// explored: the post-failure execution was skipped and the cached
@@ -36,9 +37,7 @@ pub struct RunStats {
     /// program and configuration already executed a representative of the
     /// failure point's equivalence class, and its persisted trace was
     /// replayed against this failure point's own shadow checkpoint instead
-    /// of executing anything. With the cache armed the accounting becomes
-    /// `failure_points == post_runs + images_deduped + fps_pruned +
-    /// journal_skipped + cache_hits`.
+    /// of executing anything.
     ///
     /// [`SessionBuilder::class_cache`]: crate::SessionBuilder::class_cache
     pub cache_hits: u64,
@@ -90,8 +89,8 @@ pub struct RunStats {
     /// the per-failure-point cost a deep-copying checkpoint would pay.
     pub shadow_resident_bytes: u64,
     /// Failure points whose post-failure replay + checking ran inside a
-    /// worker thread instead of the merge stage (zero for sequential runs
-    /// and for `parallel_checking: false`).
+    /// worker thread instead of the merge stage (zero for sequential and
+    /// streaming runs).
     pub checks_parallelized: u64,
     /// Batches handed from the streaming frontend to the detection backend
     /// through the bounded trace FIFO (zero outside
@@ -104,8 +103,7 @@ pub struct RunStats {
     /// traced program when detection falls behind (§5.1).
     pub stream_stall_time: Duration,
     /// Bounded spin-loop iterations the streaming ring's producer and
-    /// consumer burned waiting for the other side before parking (zero for
-    /// the Mutex+Condvar ablation ring, which blocks immediately).
+    /// consumer burned waiting for the other side before parking.
     pub ring_spins: u64,
     /// Times a ring side exhausted its spin budget and parked its thread
     /// until the other side woke it.
@@ -167,6 +165,20 @@ impl RunStats {
             return 0.0;
         }
         (self.post_exec_time + self.detect_time).as_secs_f64() / self.total_time.as_secs_f64()
+    }
+
+    /// The failure-point accounting identity: every failure point either
+    /// executed or was elided by exactly one mechanism,
+    /// `post_runs + images_deduped + fps_pruned + journal_skipped +
+    /// cache_hits == failure_points`.
+    #[must_use]
+    pub fn accounting_holds(&self) -> bool {
+        self.post_runs
+            + self.images_deduped
+            + self.fps_pruned
+            + self.journal_skipped
+            + self.cache_hits
+            == self.failure_points
     }
 
     /// Fills the pruning counters and derives [`RunStats::pruning_ratio`]
@@ -240,6 +252,22 @@ mod tests {
         assert!(json.contains("cache_misses"), "{json}");
         assert!(json.contains("cache_classes_loaded"), "{json}");
         assert!(json.contains("cache_bytes"), "{json}");
+    }
+
+    #[test]
+    fn accounting_counts_every_elision_once() {
+        let s = RunStats {
+            failure_points: 10,
+            post_runs: 3,
+            images_deduped: 1,
+            fps_pruned: 2,
+            journal_skipped: 1,
+            cache_hits: 3,
+            ..RunStats::default()
+        };
+        assert!(s.accounting_holds());
+        let short = RunStats { cache_hits: 2, ..s };
+        assert!(!short.accounting_holds());
     }
 
     #[test]

@@ -36,59 +36,11 @@ use serde::{Deserialize, Serialize};
 use xftrace::{OwnedTraceEntry, TraceEntry};
 
 use crate::error::XfError;
+use crate::plan::PostOutcome;
 
 /// Schema version of the on-disk cache document. Bumping it invalidates
 /// every existing cache file (readers treat a mismatch as a cold start).
 const CACHE_SCHEMA_VERSION: u32 = 1;
-
-/// Outcome of a cached class representative's post-failure execution,
-/// replayed verbatim on a warm hit so outcome findings (errors, panics,
-/// budget kills) stay byte-identical across runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum CachedOutcome {
-    /// The post-failure stage completed normally.
-    Completed,
-    /// The post-failure stage returned an error.
-    Failed(String),
-    /// The post-failure stage panicked.
-    Panicked(String),
-    /// The budget watchdog killed the execution. A warm replay re-emits
-    /// the finding but never counts as a kill ([`RunStats::budget_exceeded`]
-    /// tallies executed representatives only).
-    ///
-    /// [`RunStats::budget_exceeded`]: crate::RunStats::budget_exceeded
-    BudgetExceeded(String),
-}
-
-impl CachedOutcome {
-    fn kind(&self) -> &'static str {
-        match self {
-            CachedOutcome::Completed => "completed",
-            CachedOutcome::Failed(_) => "failed",
-            CachedOutcome::Panicked(_) => "panicked",
-            CachedOutcome::BudgetExceeded(_) => "budget",
-        }
-    }
-
-    fn message(&self) -> &str {
-        match self {
-            CachedOutcome::Completed => "",
-            CachedOutcome::Failed(m)
-            | CachedOutcome::Panicked(m)
-            | CachedOutcome::BudgetExceeded(m) => m,
-        }
-    }
-
-    fn from_parts(kind: &str, message: String) -> Option<CachedOutcome> {
-        Some(match kind {
-            "completed" => CachedOutcome::Completed,
-            "failed" => CachedOutcome::Failed(message),
-            "panicked" => CachedOutcome::Panicked(message),
-            "budget" => CachedOutcome::BudgetExceeded(message),
-            _ => return None,
-        })
-    }
-}
 
 /// One warmed equivalence class: the representative's post-failure trace
 /// and outcome, ready to replay against a warm member's own shadow
@@ -96,7 +48,10 @@ impl CachedOutcome {
 #[derive(Debug)]
 pub(crate) struct WarmClass {
     pub(crate) post: Vec<TraceEntry>,
-    pub(crate) outcome: CachedOutcome,
+    /// Replayed verbatim on a warm hit, so outcome findings (errors,
+    /// panics, budget kills) stay byte-identical across runs. A replayed
+    /// budget kill never counts as a kill.
+    pub(crate) outcome: PostOutcome,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -117,7 +72,7 @@ struct CacheDoc {
 }
 
 /// A class discovered (executed) this run, staged for [`ClassCache::save`].
-type ExportedClass = (Vec<OwnedTraceEntry>, CachedOutcome);
+type ExportedClass = (Vec<OwnedTraceEntry>, PostOutcome);
 
 /// A persistent cross-run class cache bound to one cache file.
 ///
@@ -158,7 +113,7 @@ impl ClassCache {
                 {
                     bytes_read = raw.len() as u64;
                     for c in doc.classes {
-                        let Some(outcome) = CachedOutcome::from_parts(&c.outcome, c.message) else {
+                        let Some(outcome) = PostOutcome::from_parts(&c.outcome, c.message) else {
                             continue;
                         };
                         warm.insert(
@@ -280,14 +235,17 @@ impl CacheHandle {
     /// Registers a newly executed class representative for export. Classes
     /// already warm (or already exported) are left alone — first wins,
     /// like the in-run prune cache.
-    pub(crate) fn export(&self, key: u64, post: &[TraceEntry], outcome: CachedOutcome) {
+    pub(crate) fn export(&self, key: u64, post: &[TraceEntry], outcome: &PostOutcome) {
         if self.store.warm.contains_key(&(self.ns, key)) {
             return;
         }
         let mut export = self.store.export.lock().expect("cache export lock");
-        export
-            .entry((self.ns, key))
-            .or_insert_with(|| (post.iter().copied().map(Into::into).collect(), outcome));
+        export.entry((self.ns, key)).or_insert_with(|| {
+            (
+                post.iter().copied().map(Into::into).collect(),
+                outcome.clone(),
+            )
+        });
     }
 
     pub(crate) fn hits(&self) -> u64 {
@@ -341,7 +299,7 @@ mod tests {
         assert_eq!(cold.loaded(), 0);
         let h = CacheHandle::new(Arc::new(cold), 0);
         assert!(h.lookup(42).is_none());
-        h.export(42, &[entry()], CachedOutcome::Failed("boom".into()));
+        h.export(42, &[entry()], &PostOutcome::Failed("boom".into()));
         h.store.save().unwrap();
 
         let warm = ClassCache::open(&path, "fp", "digest");
@@ -350,7 +308,7 @@ mod tests {
         let h = CacheHandle::new(Arc::new(warm), 0);
         let class = h.lookup(42).expect("warm class");
         assert_eq!(class.post.len(), 1);
-        assert_eq!(class.outcome, CachedOutcome::Failed("boom".into()));
+        assert_eq!(class.outcome, PostOutcome::Failed("boom".into()));
         assert_eq!(h.hits(), 1);
         std::fs::remove_file(&path).ok();
     }
@@ -360,7 +318,7 @@ mod tests {
         let path = tmp("mismatch.json");
         std::fs::remove_file(&path).ok();
         let cache = Arc::new(ClassCache::open(&path, "fp-a", "d1"));
-        CacheHandle::new(Arc::clone(&cache), 0).export(1, &[], CachedOutcome::Completed);
+        CacheHandle::new(Arc::clone(&cache), 0).export(1, &[], &PostOutcome::Completed);
         cache.save().unwrap();
 
         assert_eq!(ClassCache::open(&path, "fp-b", "d1").loaded(), 0);
@@ -374,7 +332,7 @@ mod tests {
         let path = tmp("ns.json");
         std::fs::remove_file(&path).ok();
         let cache = Arc::new(ClassCache::open(&path, "fp", "d"));
-        CacheHandle::new(Arc::clone(&cache), 0).export(9, &[], CachedOutcome::Completed);
+        CacheHandle::new(Arc::clone(&cache), 0).export(9, &[], &PostOutcome::Completed);
         cache.save().unwrap();
 
         let warm = Arc::new(ClassCache::open(&path, "fp", "d"));
@@ -396,14 +354,14 @@ mod tests {
         let path = tmp("no-reexport.json");
         std::fs::remove_file(&path).ok();
         let cache = Arc::new(ClassCache::open(&path, "fp", "d"));
-        CacheHandle::new(Arc::clone(&cache), 0).export(5, &[entry()], CachedOutcome::Completed);
+        CacheHandle::new(Arc::clone(&cache), 0).export(5, &[entry()], &PostOutcome::Completed);
         cache.save().unwrap();
         let first = std::fs::read(&path).unwrap();
 
         let warm = Arc::new(ClassCache::open(&path, "fp", "d"));
         let h = CacheHandle::new(Arc::clone(&warm), 0);
         assert!(h.lookup(5).is_some());
-        h.export(5, &[], CachedOutcome::Failed("late".into()));
+        h.export(5, &[], &PostOutcome::Failed("late".into()));
         warm.save().unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), first, "first wins");
         std::fs::remove_file(&path).ok();

@@ -106,15 +106,15 @@ fn kind_from_code(code: u8) -> Option<BugKind> {
 /// is rejected instead of silently merging incompatible findings.
 ///
 /// Deliberately excluded: `max_failure_points` (so a truncated run resumes
-/// under the full configuration), `record_trace`, `parallel_checking` and
-/// the execution mode (all report-neutral — a journal written by a batch
-/// run can resume in parallel or stream mode).
+/// under the full configuration), `record_trace` and the execution mode
+/// (all report-neutral — a journal written by a batch run can resume in
+/// parallel or stream mode).
 #[must_use]
 pub(crate) fn fingerprint(workload: &str, config: &XfConfig) -> String {
     format!(
         "workload={workload};skip_empty={};first_read_only={};inject_at_completion={};\
          fire_on_every_write={};catch_post_panics={};crash_policy={:?};rng_seed={:#x};\
-         cow_snapshots={};dedup_images={};post_budget={:?};threads={};schedule={};domain={}",
+         dedup_images={};post_budget={:?};threads={};schedule={};domain={}",
         config.skip_empty_failure_points,
         config.first_read_only,
         config.inject_at_completion,
@@ -122,7 +122,6 @@ pub(crate) fn fingerprint(workload: &str, config: &XfConfig) -> String {
         config.catch_post_panics,
         config.crash_policy,
         config.rng_seed,
-        config.cow_snapshots,
         config.dedup_images,
         config.post_budget,
         config.threads,
@@ -633,7 +632,6 @@ mod tests {
         let capped = XfConfig {
             max_failure_points: Some(3),
             record_trace: true,
-            parallel_checking: false,
             ..XfConfig::default()
         };
         assert_eq!(a, fingerprint("w", &capped));

@@ -56,7 +56,7 @@ use pmem::Budget;
 use xftrace::{SourceLoc, TraceEntry};
 
 use crate::concurrent::{ConcurrentWorkload, Scheduled};
-use crate::engine::{RunOutcome, Workload, XfConfig, XfDetector, MAX_SCHEDULE_PLANS};
+use crate::engine::{RunOutcome, Workload, XfConfig, XfDetector};
 use crate::error::{ConfigError, XfError};
 use crate::prune::Pruning;
 use crate::report::{BugKind, Finding};
@@ -201,12 +201,7 @@ impl RunCtl {
 
     /// Registers a newly executed class representative for cross-run
     /// export (no-op without a cache).
-    pub(crate) fn cache_export(
-        &self,
-        key: u64,
-        post: &[TraceEntry],
-        outcome: cache::CachedOutcome,
-    ) {
+    pub(crate) fn cache_export(&self, key: u64, post: &[TraceEntry], outcome: &crate::PostOutcome) {
         if let Some(c) = &self.cache {
             c.export(key, post, outcome);
         }
@@ -417,41 +412,17 @@ impl SessionBuilder {
     ///
     /// # Errors
     ///
-    /// The same invariants as [`XfConfigBuilder::build`]
-    /// ([`ConfigError::DedupRequiresCow`], [`ConfigError::EmptyBudget`],
-    /// [`ConfigError::InvalidSamplingRate`]), plus
+    /// Any [`XfConfig::validate`] error, plus
     /// [`ConfigError::ZeroStreamCapacity`] for an explicit zero stream
-    /// capacity.
-    ///
-    /// [`XfConfigBuilder::build`]: crate::XfConfigBuilder::build
+    /// capacity and [`ConfigError::CacheNeedsEquivalence`] for a class
+    /// cache without equivalence pruning.
     pub fn build(self) -> Result<Session, ConfigError> {
-        if self.config.dedup_images && !self.config.cow_snapshots {
-            return Err(ConfigError::DedupRequiresCow);
-        }
-        if let Some(b) = &self.config.post_budget {
-            if b.is_unlimited() {
-                return Err(ConfigError::EmptyBudget);
-            }
-        }
+        self.config.validate()?;
         if self.stream_capacity == Some(0) {
             return Err(ConfigError::ZeroStreamCapacity);
         }
-        self.config.pruning.validate()?;
         if self.class_cache.is_some() && !matches!(self.config.pruning, Pruning::Equivalence) {
             return Err(ConfigError::CacheNeedsEquivalence);
-        }
-        if self.config.threads == 0 {
-            return Err(ConfigError::ZeroThreads);
-        }
-        if self.config.schedule.plan_count(self.config.threads) > MAX_SCHEDULE_PLANS {
-            return Err(ConfigError::ScheduleTooLarge);
-        }
-        if self.config.domain.validate().is_err() {
-            return Err(ConfigError::Invalid {
-                what: "--domain",
-                value: self.config.domain.to_string(),
-                expected: pmem::DOMAIN_EXPECTED,
-            });
         }
         let workers = if self.workers == 0 {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)

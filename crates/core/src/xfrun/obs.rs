@@ -81,6 +81,15 @@ impl ObsHandle {
         self.inner.budget_exceeded.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// A post-failure execution finished with `outcome`.
+    pub(crate) fn executed(&self, outcome: &crate::PostOutcome) {
+        self.post_run();
+        if outcome.is_budget_kill() {
+            self.budget_kill();
+        }
+        self.fp_done();
+    }
+
     /// Reads the current counter values.
     #[must_use]
     pub fn snapshot(&self) -> ObsCounts {

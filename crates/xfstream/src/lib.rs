@@ -6,11 +6,9 @@
 //! Figure 8). The core crates reproduce the *algorithms*; this crate
 //! reproduces that *deployment shape*, in three layers:
 //!
-//! - [`ring`] — a bounded SPSC FIFO channel with blocking hand-off,
-//!   backpressure and occupancy/stall instrumentation: the in-process
-//!   analogue of the paper's shared-memory queue. The default transport is
-//!   the lock-free ring of [`spsc`]; the seed Mutex+Condvar queue stays
-//!   available as an ablation ([`xfdetector::RingImpl`]),
+//! - [`spsc`] — a bounded lock-free SPSC FIFO channel with blocking
+//!   hand-off, backpressure and occupancy/stall instrumentation: the
+//!   in-process analogue of the paper's shared-memory queue,
 //! - [`pipeline`] — [`run_pipelined`], which runs the workload/injection
 //!   frontend and the shadow-PM/checking backend as concurrent stages over
 //!   that FIFO, producing a byte-identical [`xfdetector::DetectionReport`]
@@ -36,7 +34,6 @@
 pub mod codec;
 pub mod pipeline;
 pub mod repro;
-pub mod ring;
 pub mod spsc;
 
 pub use codec::{
@@ -45,7 +42,7 @@ pub use codec::{
 };
 pub use pipeline::{run_pipelined, run_pipelined_with_ctl, PipelinedEngine, StreamOptions};
 pub use repro::write_repro_artifacts;
-pub use ring::{channel, channel_with, Receiver, RingImpl, RingStats, Sender};
+pub use spsc::{channel, Receiver, RingStats, Sender};
 
 /// An [`xfdetector::SessionBuilder`] with this crate's [`PipelinedEngine`]
 /// injected, so [`xfdetector::Mode::Stream`] works out of the box:

@@ -9,31 +9,29 @@
 //! falls behind, the FIFO fills and the frontend blocks (backpressure),
 //! exactly like the paper's 2 GB shared-memory queue.
 //!
-//! [`run_pipelined`] is report-equivalent to [`xfdetector::XfDetector::run`]:
-//! batches arrive in program order and a single backend thread owns the
-//! shadow PM and the report, so the findings are pushed in exactly the
-//! sequential engine's order — the serialized [`DetectionReport`]s are
-//! byte-identical (enforced by the equivalence tests).
+//! The per-failure-point decision is the shared [`Planner`]'s, made on the
+//! frontend. [`run_pipelined`] is report-equivalent to
+//! [`xfdetector::XfDetector::run`]: batches arrive in program order and a
+//! single backend thread owns the shadow PM and the report, so the findings
+//! are pushed in exactly the batch driver's order — the serialized
+//! [`DetectionReport`]s are byte-identical (enforced by the equivalence
+//! tests).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use pmem::{BudgetOverrun, CowImage, EngineHook, ImageHash, OrderingPointInfo, PmCtx, PmPool};
+use pmem::{EngineHook, OrderingPointInfo, PmCtx, PmPool};
 use xfdetector::offline::{RecordedFailurePoint, RecordedRun};
+use xfdetector::plan::{check, Plan, Planner};
 use xfdetector::{
-    BugKind, DetectionReport, DynError, EngineError, FailurePoint, Finding, PruneCache, RunCtl,
-    RunOutcome, RunStats, ShadowPm, Workload, XfConfig,
+    DetectionReport, EngineError, FailurePoint, PostOutcome, RunCtl, RunOutcome, RunStats,
+    ShadowPm, Workload, XfConfig,
 };
 use xftrace::{SourceLoc, TraceEntry};
 
-use crate::ring::{self, Receiver, RingStats, Sender};
+use crate::spsc::{channel, Receiver, RingStats, Sender};
 
 /// Tuning knobs of the streaming pipeline.
 #[derive(Debug, Clone)]
@@ -56,302 +54,94 @@ enum Msg {
     Pre(Vec<TraceEntry>),
     /// A failure point: its identity, the post-failure trace it produced
     /// and how the post-failure execution ended. The trace is `Arc`-shared
-    /// with the dedup and pruning caches, so shipping a cache hit is a
+    /// with the planner's representatives, so shipping a replay is a
     /// refcount bump instead of a clone of the whole entry vector.
     FailurePoint {
         fp: FailurePoint,
         post: Arc<[TraceEntry]>,
         outcome: PostOutcome,
     },
-    /// A failure point elided on resume: the journal's report delta is
-    /// merged verbatim by the backend instead of re-running anything.
-    Journaled {
-        fp: FailurePoint,
-        findings: Vec<Finding>,
-    },
-}
-
-/// How a post-failure execution ended (mirror of the engine's private
-/// enum; the outcome is a *finding*, never an error).
-#[derive(Clone)]
-enum PostOutcome {
-    Completed,
-    Failed(String),
-    Panicked(String),
-    BudgetExceeded(String),
-}
-
-impl From<Result<(), DynError>> for PostOutcome {
-    fn from(r: Result<(), DynError>) -> Self {
-        match r {
-            Ok(()) => PostOutcome::Completed,
-            Err(e) => PostOutcome::Failed(e.to_string()),
-        }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
-/// Cached result of one post-failure execution, keyed by crash-image
-/// content hash (same scheme as the sequential engine: the image is kept
-/// so a hash collision degrades to a miss, never a wrong reuse).
-struct CachedPost {
-    image: CowImage,
-    post: Arc<[TraceEntry]>,
-    outcome: PostOutcome,
+    /// A failure point elided on resume: the backend merges the journal's
+    /// report delta verbatim instead of re-running anything.
+    Journaled(FailurePoint),
 }
 
 /// The frontend half: runs on the workload thread as the ordering-point
-/// hook. It mirrors the sequential engine's injection logic exactly —
-/// skip-empty elision, failure-point budget, crash snapshotting, image
-/// dedup, post-failure execution — but hands every trace batch to the
-/// backend instead of replaying it inline.
-struct StreamFrontend {
+/// hook, executing what the planner decides but handing every trace batch
+/// to the backend instead of replaying it inline.
+struct StreamFrontend<W> {
     tx: Sender<Msg>,
-    stats: RefCell<RunStats>,
-    dedup: RefCell<HashMap<ImageHash, CachedPost>>,
-    /// Persistence-state equivalence classes ([`XfConfig::pruning`]). The
-    /// authoritative shadow lives on the backend thread, so the frontend
-    /// keeps its own fingerprint replica (`fp_shadow`), replaying each pre
-    /// batch into it before shipping. A class hit skips the image capture
-    /// and the post-failure execution; the representative's cached trace is
-    /// shipped downstream and checked by the backend against this failure
-    /// point's own shadow state, exactly like an image-dedup hit.
-    prune: RefCell<PruneCache<(Arc<[TraceEntry]>, PostOutcome)>>,
+    planner: RefCell<Planner<(Arc<[TraceEntry]>, PostOutcome)>>,
+    /// The authoritative shadow lives on the backend thread, so with
+    /// pruning on the frontend keeps its own fingerprint replica, replaying
+    /// each pre batch into it before shipping.
     fp_shadow: RefCell<ShadowPm>,
     /// Sink for the replica's pre-replay findings: the backend owns the
     /// real report; the replica's copy is discarded.
     fp_scratch: RefCell<DetectionReport>,
-    rng: RefCell<StdRng>,
     config: XfConfig,
-    ctl: RunCtl,
-    post: PostFn,
+    workload: W,
 }
 
-/// Where a failure point's post-failure trace came from.
-#[derive(PartialEq, Eq, Clone, Copy)]
-enum PostSource {
-    Executed,
-    ImageDedup,
-    Pruned,
-}
-
-/// The boxed post-failure continuation the frontend re-executes at every
-/// failure point.
-type PostFn = Box<dyn Fn(&mut PmCtx) -> Result<(), DynError>>;
-
-impl StreamFrontend {
-    fn execute_post(&self, post_ctx: &mut PmCtx) -> PostOutcome {
-        if let Some(budget) = &self.config.post_budget {
-            post_ctx.arm_budget(budget.clone());
-        }
-        // A budget overrun unwinds out of the traced operation, so a
-        // budgeted run must always catch — genuine workload panics are
-        // still re-raised when `catch_post_panics` is off (same policy as
-        // the sequential engine).
-        if self.config.catch_post_panics || self.config.post_budget.is_some() {
-            match catch_unwind(AssertUnwindSafe(|| (self.post)(post_ctx))) {
-                Ok(r) => PostOutcome::from(r),
-                Err(payload) => match payload.downcast::<BudgetOverrun>() {
-                    Ok(overrun) => PostOutcome::BudgetExceeded(overrun.to_string()),
-                    Err(payload) if self.config.catch_post_panics => {
-                        PostOutcome::Panicked(panic_message(&*payload))
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                },
-            }
-        } else {
-            PostOutcome::from((self.post)(post_ctx))
-        }
-    }
-
+impl<W: Workload> StreamFrontend<W> {
     /// Ships a message to the backend. A send only fails when the backend
     /// died mid-run; the join below surfaces its panic, so the error is
     /// swallowed here.
     fn ship(&self, msg: Msg) {
         let _ = self.tx.send(msg);
     }
+
+    /// Hands the pre-failure entries produced since the last failure point
+    /// to the backend (one batch per interval, as §5.4's incremental
+    /// tracing batches them).
+    fn ship_pre(&self, pre: Vec<TraceEntry>, stats: &mut RunStats) {
+        stats.pre_entries += pre.len() as u64;
+        if self.config.pruning.is_enabled() {
+            let mut shadow = self.fp_shadow.borrow_mut();
+            let mut scratch = self.fp_scratch.borrow_mut();
+            for e in &pre {
+                shadow.apply_pre(e, &mut scratch);
+            }
+        }
+        if !pre.is_empty() {
+            self.ship(Msg::Pre(pre));
+        }
+    }
 }
 
-impl EngineHook for StreamFrontend {
+impl<W: Workload> EngineHook for StreamFrontend<W> {
     fn on_ordering_point(&self, ctx: &mut PmCtx, loc: SourceLoc, info: OrderingPointInfo) {
-        {
-            let mut stats = self.stats.borrow_mut();
-            stats.ordering_points += 1;
-            // Multi-threaded fences are never "empty": the per-thread drain
-            // and cross-thread marking change the exposed crash state.
-            if !info.forced
-                && self.config.skip_empty_failure_points
-                && !info.had_pm_mutation
-                && self.config.threads <= 1
-            {
-                stats.skipped_empty += 1;
-                return;
-            }
-            if let Some(max) = self.config.max_failure_points {
-                if stats.failure_points >= max {
-                    return;
-                }
-            }
-        }
-
-        // Hand the pre-failure entries produced since the last failure
-        // point to the backend (one batch per interval, as §5.4's
-        // incremental tracing batches them).
-        {
-            let pre = ctx.trace().drain();
-            self.stats.borrow_mut().pre_entries += pre.len() as u64;
-            if self.prune.borrow().is_enabled() {
-                let mut shadow = self.fp_shadow.borrow_mut();
-                let mut scratch = self.fp_scratch.borrow_mut();
-                for e in &pre {
-                    shadow.apply_pre(e, &mut scratch);
-                }
-            }
-            if !pre.is_empty() {
-                self.ship(Msg::Pre(pre));
-            }
-        }
-
-        let fp = {
-            let mut stats = self.stats.borrow_mut();
-            let id = stats.failure_points;
-            stats.failure_points += 1;
-            FailurePoint { id, loc }
-        };
-
-        // Resume elision: a journaled failure point ships its recorded
-        // report delta downstream instead of re-running the post-failure
-        // stage. The dedup cache is deliberately left unpopulated, exactly
-        // as in the sequential engine.
-        if let Some(rec) = self.ctl.journaled(fp.id) {
-            self.stats.borrow_mut().journal_skipped += 1;
-            self.ctl.obs().journal_skip();
-            self.ctl.obs().fp_done();
-            self.ship(Msg::Journaled {
-                fp,
-                findings: rec.findings.clone(),
-            });
+        let mut planner = self.planner.borrow_mut();
+        let Some(fp) = planner.gate(loc, info) else {
             return;
-        }
-
-        // Equivalence-class pruning: a failure point whose persistence
-        // fingerprint matches an already-explored class skips both the
-        // image capture and the post-failure execution, shipping the
-        // representative's cached trace instead (checked by the backend
-        // against this failure point's own shadow state).
-        let fingerprint = self
-            .prune
-            .borrow()
-            .is_enabled()
-            .then(|| self.fp_shadow.borrow_mut().persistence_fingerprint());
-        let pruned = fingerprint.and_then(|key| {
-            self.prune
-                .borrow_mut()
-                .lookup(key, fp.id)
-                .map(|(post, outcome)| (post.clone(), outcome.clone()))
-        });
-
-        // Snapshot the PM image and run the post-failure stage — identical
-        // to the sequential engine, including COW capture and image dedup.
-        let t_post = Instant::now();
-        let (post_entries, outcome, source) = if let Some((post, outcome)) = pruned {
-            (post, outcome, PostSource::Pruned)
-        } else if self.config.cow_snapshots {
-            let image = self
-                .config
-                .crash_policy
-                .cow_image(ctx.pool(), &mut *self.rng.borrow_mut());
-            let hash = self.config.dedup_images.then(|| image.content_hash());
-            let cached = hash.and_then(|h| {
-                self.dedup
-                    .borrow()
-                    .get(&h)
-                    .filter(|c| c.image.same_content(&image))
-                    .map(|c| (c.post.clone(), c.outcome.clone()))
-            });
-            if let Some((post, outcome)) = cached {
-                (post, outcome, PostSource::ImageDedup)
-            } else {
-                let mut post_ctx = ctx.fork_post_cow(&image);
-                let outcome = self.execute_post(&mut post_ctx);
-                let post: Arc<[TraceEntry]> = post_ctx.trace().drain().into();
-                self.stats.borrow_mut().snapshot_bytes_copied +=
-                    post_ctx.pool().snapshot_bytes_copied();
-                if let Some(h) = hash {
-                    self.dedup.borrow_mut().insert(
-                        h,
-                        CachedPost {
-                            image,
-                            post: Arc::clone(&post),
-                            outcome: outcome.clone(),
-                        },
-                    );
-                }
-                (post, outcome, PostSource::Executed)
-            }
-        } else {
-            let image = self
-                .config
-                .crash_policy
-                .image(ctx.pool(), &mut *self.rng.borrow_mut());
-            let mut post_ctx = ctx.fork_post(&image);
-            let outcome = self.execute_post(&mut post_ctx);
-            let post: Arc<[TraceEntry]> = post_ctx.trace().drain().into();
-            self.stats.borrow_mut().snapshot_bytes_copied +=
-                post_ctx.pool().snapshot_bytes_copied();
-            (post, outcome, PostSource::Executed)
         };
-        let post_time = t_post.elapsed();
+        self.ship_pre(ctx.trace().drain(), planner.stats());
 
-        // An image-dedup'd result is as good a class representative as an
-        // executed one (the post run is a pure function of the image);
-        // first member in wins either way.
-        if source != PostSource::Pruned {
-            if let Some(key) = fingerprint {
-                self.prune
-                    .borrow_mut()
-                    .insert(key, (post_entries.clone(), outcome.clone()));
+        let t_post = Instant::now();
+        let plan = planner.plan(ctx.pool(), fp.id, &mut self.fp_shadow.borrow_mut());
+        let (post, outcome) = match plan {
+            Plan::Journaled => return self.ship(Msg::Journaled(fp)),
+            Plan::Warm(_) => unreachable!("sessions reject the class cache in stream mode"),
+            Plan::Replay(rep) => rep,
+            Plan::Execute(exec) => {
+                let mut post_ctx = ctx.fork_post_cow(&exec.image);
+                let outcome = PostOutcome::execute(
+                    &mut post_ctx,
+                    self.config.post_budget.as_ref(),
+                    self.config.catch_post_panics,
+                    |c| self.workload.post_failure(c),
+                );
+                let post: Arc<[TraceEntry]> = post_ctx.trace().drain().into();
+                planner.stats().snapshot_bytes_copied += post_ctx.pool().snapshot_bytes_copied();
+                planner.executed(&outcome);
+                planner.represent(exec, || (Arc::clone(&post), outcome.clone()));
+                (post, outcome)
             }
-        }
-
-        let mut stats = self.stats.borrow_mut();
-        match source {
-            PostSource::Executed => stats.post_runs += 1,
-            PostSource::ImageDedup => stats.images_deduped += 1,
-            PostSource::Pruned => {} // tallied via the prune cache
-        }
-        // The watchdog only fired on representative *executions*;
-        // dedup/prune replays of a killed run re-emit the finding but must
-        // not inflate the kill counter.
-        if source == PostSource::Executed && matches!(outcome, PostOutcome::BudgetExceeded(_)) {
-            stats.budget_exceeded += 1;
-            self.ctl.obs().budget_kill();
-        }
-        stats.post_entries += post_entries.len() as u64;
-        stats.post_exec_time += post_time;
-        drop(stats);
-
-        match source {
-            PostSource::Executed => self.ctl.obs().post_run(),
-            PostSource::ImageDedup => self.ctl.obs().dedup_hit(),
-            PostSource::Pruned => self.ctl.obs().prune_hit(),
-        }
-        self.ctl.obs().fp_done();
-
-        self.ship(Msg::FailurePoint {
-            fp,
-            post: post_entries,
-            outcome,
-        });
+        };
+        let stats = planner.stats();
+        stats.post_entries += post.len() as u64;
+        stats.post_exec_time += t_post.elapsed();
+        self.ship(Msg::FailurePoint { fp, post, outcome });
     }
 }
 
@@ -367,9 +157,9 @@ struct BackendResult {
 
 /// The backend half: owns the shadow PM and the report, drains the FIFO
 /// until the frontend hangs up. Single-threaded ownership of both is what
-/// makes the report byte-identical to the sequential engine's. It also
-/// owns the journal-append side of the [`RunCtl`]: only the backend knows
-/// each failure point's report delta.
+/// makes the report byte-identical to the batch driver's. It also owns the
+/// journal side of the [`RunCtl`]: only the backend knows each failure
+/// point's report delta.
 fn backend_loop(
     rx: Receiver<Msg>,
     first_read_only: bool,
@@ -401,74 +191,30 @@ fn backend_loop(
                         rec.pre.extend(batch.into_iter().map(Into::into));
                     }
                 }
-                Msg::Journaled { fp, findings } => {
+                Msg::Journaled(fp) => {
                     if let Some(rec) = recorded.as_mut() {
-                        rec.failure_points.push(RecordedFailurePoint {
-                            pre_len: rec.pre.len(),
-                            file: fp.loc.file.to_owned(),
-                            line: fp.loc.line,
-                            post: Vec::new(),
-                        });
+                        rec.failure_points.push(RecordedFailurePoint::new(
+                            rec.pre.len(),
+                            fp.loc,
+                            &[],
+                        ));
                     }
-                    for f in findings {
-                        report.push(f);
+                    for f in ctl.journaled(fp.id).iter().flat_map(|j| &j.findings) {
+                        report.push(f.clone());
                     }
                 }
                 Msg::FailurePoint { fp, post, outcome } => {
                     if let Some(rec) = recorded.as_mut() {
-                        rec.failure_points.push(RecordedFailurePoint {
-                            pre_len: rec.pre.len(),
-                            file: fp.loc.file.to_owned(),
-                            line: fp.loc.line,
-                            post: post.iter().copied().map(Into::into).collect(),
-                        });
+                        rec.failure_points.push(RecordedFailurePoint::new(
+                            rec.pre.len(),
+                            fp.loc,
+                            &post,
+                        ));
                     }
                     let delta_start = report.findings().len();
                     let t_detect = Instant::now();
-                    {
-                        let mut checker = shadow.begin_post(first_read_only);
-                        for e in post.iter() {
-                            checker.apply_post(e, fp, &mut report);
-                        }
-                    }
+                    check(&shadow, first_read_only, fp, &post, &outcome, &mut report);
                     detect_time += t_detect.elapsed();
-
-                    match outcome {
-                        PostOutcome::Completed => {}
-                        PostOutcome::Failed(msg) => {
-                            report.push(Finding {
-                                kind: BugKind::PostFailureError,
-                                addr: 0,
-                                size: 0,
-                                reader: Some(fp.loc),
-                                writer: None,
-                                failure_point: Some(fp),
-                                message: Some(msg),
-                            });
-                        }
-                        PostOutcome::Panicked(msg) => {
-                            report.push(Finding {
-                                kind: BugKind::PostFailurePanic,
-                                addr: 0,
-                                size: 0,
-                                reader: Some(fp.loc),
-                                writer: None,
-                                failure_point: Some(fp),
-                                message: Some(msg),
-                            });
-                        }
-                        PostOutcome::BudgetExceeded(msg) => {
-                            report.push(Finding {
-                                kind: BugKind::BudgetExceeded,
-                                addr: 0,
-                                size: 0,
-                                reader: Some(fp.loc),
-                                writer: None,
-                                failure_point: Some(fp),
-                                message: Some(msg),
-                            });
-                        }
-                    }
                     ctl.append_fp(fp.id, fp.loc, &report.findings()[delta_start..]);
                 }
             }
@@ -517,6 +263,8 @@ pub fn run_pipelined<W: Workload + 'static>(
 /// This is the entry point `xfstream`'s [`StreamEngine`] implementation
 /// uses; [`run_pipelined`] itself passes an inert handle.
 ///
+/// [`StreamEngine`]: xfdetector::StreamEngine
+///
 /// # Errors
 ///
 /// As [`run_pipelined`].
@@ -528,7 +276,6 @@ pub fn run_pipelined_with_ctl<W: Workload + 'static>(
 ) -> Result<RunOutcome, EngineError> {
     let pool = PmPool::new(workload.pool_size()).map_err(EngineError::Pm)?;
     let mut ctx = PmCtx::new(pool);
-    let workload = Rc::new(workload);
 
     let t_start = Instant::now();
     workload
@@ -539,59 +286,45 @@ pub fn run_pipelined_with_ctl<W: Workload + 'static>(
     let record_trace = config.record_trace;
     let domain = config.domain;
     let (pre_result, mut stats, backend) = std::thread::scope(|s| {
-        let (tx, rx) = ring::channel_with(opts.capacity, config.ring_impl);
+        let (tx, rx) = channel(opts.capacity);
         let backend_ctl = ctl.clone();
         let handle =
             s.spawn(move || backend_loop(rx, first_read_only, record_trace, domain, backend_ctl));
 
-        let post_workload = Rc::clone(&workload);
+        let mut fp_shadow = ShadowPm::with_domain(config.domain);
+        if config.pruning.is_enabled() {
+            fp_shadow.enable_fingerprinting();
+        }
         let frontend = Rc::new(StreamFrontend {
             tx,
-            stats: RefCell::new(RunStats::default()),
-            dedup: RefCell::new(HashMap::new()),
-            prune: RefCell::new(PruneCache::new(config.pruning)),
-            fp_shadow: RefCell::new({
-                let mut shadow = ShadowPm::with_domain(config.domain);
-                if config.pruning.is_enabled() {
-                    shadow.enable_fingerprinting();
-                }
-                shadow
-            }),
+            planner: RefCell::new(Planner::new(config, ctl)),
+            fp_shadow: RefCell::new(fp_shadow),
             fp_scratch: RefCell::new(DetectionReport::new()),
-            rng: RefCell::new(StdRng::seed_from_u64(config.rng_seed)),
             config: config.clone(),
-            ctl,
-            post: Box::new(move |ctx| post_workload.post_failure(ctx)),
+            workload,
         });
 
         ctx.set_hook(Rc::clone(&frontend) as Rc<dyn EngineHook>);
         if config.fire_on_every_write {
             ctx.set_failure_point_on_writes(true);
         }
-        let pre_result = workload.pre_failure(&mut ctx);
+        let pre_result = frontend.workload.pre_failure(&mut ctx);
         if pre_result.is_ok() && config.inject_at_completion && !ctx.is_detection_complete() {
             ctx.add_failure_point_at(SourceLoc::synthetic("<completion>"));
         }
         ctx.clear_hook();
 
         // Ship any trailing pre-failure entries so tail-end performance
-        // bugs are still reported (mirrors the sequential engine).
+        // bugs are still reported (mirrors the batch driver).
         if pre_result.is_ok() {
-            let tail = ctx.trace().drain();
-            frontend.stats.borrow_mut().pre_entries += tail.len() as u64;
-            if !tail.is_empty() {
-                frontend.ship(Msg::Pre(tail));
-            }
+            frontend.ship_pre(ctx.trace().drain(), frontend.planner.borrow_mut().stats());
         }
 
-        let mut stats = frontend.stats.borrow().clone();
-        {
-            let prune = frontend.prune.borrow();
-            stats.finish_pruning(prune.classes_total(), prune.fps_pruned());
-        }
         // Dropping the frontend drops the Sender: the backend drains the
         // FIFO, observes end-of-stream and returns.
-        drop(frontend);
+        let frontend = Rc::try_unwrap(frontend).ok().expect("the hook was cleared");
+        let stats = frontend.planner.into_inner().finish();
+        drop(frontend.tx);
         let backend = handle.join().expect("detection backend panicked");
         (pre_result, stats, backend)
     });
@@ -642,7 +375,7 @@ impl xfdetector::StreamEngine for PipelinedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xfdetector::XfDetector;
+    use xfdetector::{BugKind, DynError, XfDetector};
 
     /// The engine test's valid-flag workload: data at `base`, commit flag
     /// at `base + 64`; the buggy variant skips the data persist barrier.

@@ -1,9 +1,18 @@
-//! A lock-free bounded SPSC ring: the fast path behind [`crate::ring`].
+//! The trace FIFO: a bounded lock-free SPSC channel, the reproduction of
+//! the paper's shared-memory trace FIFO.
 //!
-//! The seed channel guarded a `VecDeque` with a `Mutex` + two `Condvar`s:
-//! every message cost both sides a lock acquisition, and a blocked side woke
-//! through the kernel even when the other side was about to catch up. This
-//! module replaces it with a classic bounded SPSC ring buffer:
+//! XFDetector's Pin frontend and detection backend are separate processes
+//! coupled by a 2 GB shared-memory FIFO (§5.1, Figure 8): the frontend
+//! blocks when the FIFO is full, the backend blocks when it is empty, and
+//! detection overlaps program execution instead of following it. This
+//! module is the in-process analogue, with instrumentation ([`RingStats`])
+//! for the queue-depth high-water mark and the time either side spent
+//! stalled. Capacity is counted in *messages*, not bytes; the pipeline
+//! batches trace entries into messages (one batch per failure-point
+//! interval) so a small message capacity still bounds a large number of
+//! in-flight entries.
+//!
+//! The channel is a classic bounded SPSC ring buffer:
 //!
 //! - a power-of-two slot array indexed by monotonically increasing `head`
 //!   (consumer) and `tail` (producer) cursors, masked into the array,
@@ -32,8 +41,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
-
-use crate::ring::RingStats;
 
 /// Bounded spin iterations before a waiting side parks.
 const SPIN_LIMIT: u32 = 128;
@@ -93,6 +100,26 @@ impl ParkSide {
     fn cancel_park(&self) {
         self.parked.store(false, Ordering::SeqCst);
     }
+}
+
+/// Instrumentation counters of one channel, mirroring what the paper's FIFO
+/// would expose: occupancy high-water mark and stall time on either side.
+#[derive(Debug, Clone, Default)]
+pub struct RingStats {
+    /// Messages successfully enqueued.
+    pub sends: u64,
+    /// Messages successfully dequeued.
+    pub recvs: u64,
+    /// Highest queue occupancy observed (messages).
+    pub max_depth: u64,
+    /// Total time the producer spent blocked on a full queue.
+    pub producer_stall: Duration,
+    /// Total time the consumer spent blocked on an empty queue.
+    pub consumer_stall: Duration,
+    /// Bounded spin-loop iterations either side burned before parking.
+    pub spins: u64,
+    /// Times a side exhausted its spin budget and parked its thread.
+    pub parks: u64,
 }
 
 struct Stats {

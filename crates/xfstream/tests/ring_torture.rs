@@ -1,25 +1,19 @@
 //! Concurrency torture tests for the trace FIFO.
 //!
-//! The unit tests in `ring`/`spsc` cover the happy paths; these tests hammer
-//! the publish/drain index protocol from two real threads with randomized
-//! batch sizes and adversarial capacities (1 = maximal cursor contention,
-//! 64 = the pipeline default), and tear the channel down mid-stream from
-//! both ends. Every run asserts the three invariants the detection pipeline
-//! depends on: FIFO order, no lost or duplicated entries, and clean
-//! shutdown (no deadlock, no leaked message). Both implementations behind
-//! [`RingImpl`] are swept — the ablation switch must never change channel
-//! semantics.
+//! The unit tests in `spsc` cover the happy paths; these tests hammer the
+//! publish/drain index protocol from two real threads with randomized batch
+//! sizes and adversarial capacities (1 = maximal cursor contention, 64 = the
+//! pipeline default), and tear the channel down mid-stream from both ends.
+//! Every run asserts the three invariants the detection pipeline depends
+//! on: FIFO order, no lost or duplicated entries, and clean shutdown (no
+//! deadlock, no leaked message).
 
 use std::thread;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xfstream::{channel_with, spsc, RingImpl};
-
-fn impls() -> [RingImpl; 2] {
-    [RingImpl::LockFree, RingImpl::Mutex]
-}
+use xfstream::{channel, spsc};
 
 /// Randomized producer/consumer torture: bursts of random length against
 /// drains of random length, across capacities 1 and 64, asserting the
@@ -28,54 +22,52 @@ fn impls() -> [RingImpl; 2] {
 fn torture_random_batches_preserve_fifo_without_loss_or_duplication() {
     const N: u64 = 20_000;
     for capacity in [1usize, 64] {
-        for ring in impls() {
-            let (tx, rx) = channel_with(capacity, ring);
-            let seed = 0x5eed_0000 + capacity as u64;
-            let producer = thread::spawn(move || {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut next = 0u64;
-                while next < N {
-                    let burst = rng.gen_range_u64(1, 8).min(N - next);
-                    for _ in 0..burst {
-                        tx.send(next).expect("receiver alive until join");
-                        next += 1;
-                    }
-                    if rng.gen_bool(0.05) {
-                        thread::yield_now();
-                    }
+        let (tx, rx) = channel(capacity);
+        let seed = 0x5eed_0000 + capacity as u64;
+        let producer = thread::spawn(move || {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut next = 0u64;
+            while next < N {
+                let burst = rng.gen_range_u64(1, 8).min(N - next);
+                for _ in 0..burst {
+                    tx.send(next).expect("receiver alive until join");
+                    next += 1;
                 }
-            });
-
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xffff);
-            let mut got: Vec<u64> = Vec::with_capacity(N as usize);
-            let mut buf = Vec::new();
-            loop {
-                let max = rng.gen_range_u64(1, 10) as usize;
-                if !rx.recv_batch(&mut buf, max) {
-                    break;
-                }
-                assert!(buf.len() <= max, "drain respects the requested max");
-                got.append(&mut buf);
                 if rng.gen_bool(0.05) {
                     thread::yield_now();
                 }
             }
-            producer.join().unwrap();
+        });
 
-            assert_eq!(got.len() as u64, N, "cap={capacity} {ring:?}: lost entries");
-            assert!(
-                got.windows(2).all(|w| w[1] == w[0] + 1) && got.first() == Some(&0),
-                "cap={capacity} {ring:?}: order violated or entries duplicated"
-            );
-            let stats = rx.stats();
-            assert_eq!(stats.sends, N);
-            assert_eq!(stats.recvs, N);
-            assert!(
-                stats.max_depth <= capacity as u64,
-                "cap={capacity} {ring:?}: depth {} exceeds bound",
-                stats.max_depth
-            );
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xffff);
+        let mut got: Vec<u64> = Vec::with_capacity(N as usize);
+        let mut buf = Vec::new();
+        loop {
+            let max = rng.gen_range_u64(1, 10) as usize;
+            if !rx.recv_batch(&mut buf, max) {
+                break;
+            }
+            assert!(buf.len() <= max, "drain respects the requested max");
+            got.append(&mut buf);
+            if rng.gen_bool(0.05) {
+                thread::yield_now();
+            }
         }
+        producer.join().unwrap();
+
+        assert_eq!(got.len() as u64, N, "cap={capacity}: lost entries");
+        assert!(
+            got.windows(2).all(|w| w[1] == w[0] + 1) && got.first() == Some(&0),
+            "cap={capacity}: order violated or entries duplicated"
+        );
+        let stats = rx.stats();
+        assert_eq!(stats.sends, N);
+        assert_eq!(stats.recvs, N);
+        assert!(
+            stats.max_depth <= capacity as u64,
+            "cap={capacity}: depth {} exceeds bound",
+            stats.max_depth
+        );
     }
 }
 
@@ -110,54 +102,50 @@ fn torture_batched_sends_survive_index_wraparound() {
 /// full ring and fail the remaining sends instead of deadlocking.
 #[test]
 fn torture_dropping_receiver_mid_stream_unblocks_the_producer() {
-    for ring in impls() {
-        let (tx, rx) = channel_with(2, ring);
-        let producer = thread::spawn(move || {
-            let mut sent = 0u64;
-            loop {
-                if tx.send(sent).is_err() {
-                    break sent;
-                }
-                sent += 1;
+    let (tx, rx) = channel(2);
+    let producer = thread::spawn(move || {
+        let mut sent = 0u64;
+        loop {
+            if tx.send(sent).is_err() {
+                break sent;
             }
-        });
-        for _ in 0..20 {
-            if rx.recv().is_none() {
-                break;
-            }
+            sent += 1;
         }
-        // The producer is now likely parked on a full ring; dropping the
-        // receiver must wake it and fail its pending send.
-        thread::sleep(Duration::from_millis(5));
-        drop(rx);
-        let sent = producer.join().unwrap();
-        assert!(sent >= 20, "{ring:?}: producer made progress before close");
+    });
+    for _ in 0..20 {
+        if rx.recv().is_none() {
+            break;
+        }
     }
+    // The producer is now likely parked on a full ring; dropping the
+    // receiver must wake it and fail its pending send.
+    thread::sleep(Duration::from_millis(5));
+    drop(rx);
+    let sent = producer.join().unwrap();
+    assert!(sent >= 20, "producer made progress before close");
 }
 
 /// Dropping the sender mid-stream delivers exactly the published prefix:
 /// the consumer drains the backlog, then observes end-of-stream.
 #[test]
 fn torture_dropping_sender_mid_stream_delivers_the_exact_prefix() {
-    for ring in impls() {
-        let (tx, rx) = channel_with(64, ring);
-        let producer = thread::spawn(move || {
-            for i in 0..1000u64 {
-                tx.send(i).expect("receiver alive until join");
-            }
-            // Sender dropped here: 1000 is the authoritative count.
-            1000u64
-        });
-        let mut got = Vec::new();
-        let mut buf = Vec::new();
-        while rx.recv_batch(&mut buf, 32) {
-            got.append(&mut buf);
+    let (tx, rx) = channel(64);
+    let producer = thread::spawn(move || {
+        for i in 0..1000u64 {
+            tx.send(i).expect("receiver alive until join");
         }
-        let sent = producer.join().unwrap();
-        assert_eq!(got.len() as u64, sent, "{ring:?}: prefix not exact");
-        assert!(got.windows(2).all(|w| w[1] == w[0] + 1));
-        assert!(!rx.recv_batch(&mut buf, 1), "{ring:?}: stays closed");
+        // Sender dropped here: 1000 is the authoritative count.
+        1000u64
+    });
+    let mut got = Vec::new();
+    let mut buf = Vec::new();
+    while rx.recv_batch(&mut buf, 32) {
+        got.append(&mut buf);
     }
+    let sent = producer.join().unwrap();
+    assert_eq!(got.len() as u64, sent, "prefix not exact");
+    assert!(got.windows(2).all(|w| w[1] == w[0] + 1));
+    assert!(!rx.recv_batch(&mut buf, 1), "stays closed");
 }
 
 /// Deterministic single-threaded walk of the lock-free publish/drain index

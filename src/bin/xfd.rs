@@ -167,9 +167,7 @@ CONFIG FLAGS (detector axes; defaults reproduce the paper's setup):
     --max-failure-points N  Stop injecting failures after N failure points
     --fire-on-every-write Failure point before every PM store (ablation)
     --no-catch-panics     Let post-failure panics propagate
-    --no-cow              Full-copy crash snapshots instead of copy-on-write
     --no-dedup            Re-execute post-failure runs on identical images
-    --no-parallel-checking  Keep checking on the merge thread (parallel mode)
     --pruning MODE        off | equivalence | sampled:RATE[:SEED] — collapse
                           failure points into persistence-state equivalence
                           classes and run one representative post-failure
@@ -394,9 +392,7 @@ fn parse_work_opts(args: &[String]) -> Result<WorkOpts, XfError> {
             }
             "--fire-on-every-write" => o.spec.fire_on_every_write = Some(true),
             "--no-catch-panics" => o.spec.catch_panics = Some(false),
-            "--no-cow" => o.spec.cow = Some(false),
             "--no-dedup" => o.spec.dedup = Some(false),
-            "--no-parallel-checking" => o.spec.parallel_checking = Some(false),
             "--pruning" => {
                 let v = next_value("--pruning", &mut it)?;
                 parse_pruning(v)?;

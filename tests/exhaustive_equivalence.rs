@@ -158,38 +158,27 @@ fn report_json(outcome: &RunOutcome) -> String {
     serde_json::to_string(&outcome.report).expect("reports serialize")
 }
 
+/// COW snapshots with image dedup off: every failure point executes its
+/// own post-failure run, the reference the optimized configurations are
+/// held to.
+fn baseline_config() -> XfConfig {
+    XfConfig {
+        dedup_images: false,
+        ..XfConfig::default()
+    }
+}
+
 #[test]
 fn every_engine_configuration_produces_the_identical_report() {
     // Acceptance criterion: sequential, parallel, and dedup-enabled runs
-    // all yield byte-identical `DetectionReport`s — the snapshot
-    // representation and the dedup cache are pure optimizations.
+    // all yield byte-identical `DetectionReport`s — the dedup cache and
+    // the worker pool are pure optimizations.
     for persist_data in [true, false] {
         let w = Publish { persist_data };
-        let baseline_cfg = XfConfig {
-            cow_snapshots: false,
-            dedup_images: false,
-            ..XfConfig::default()
-        };
-        let baseline = XfDetector::new(baseline_cfg.clone()).run(w).unwrap();
+        let baseline = XfDetector::new(baseline_config()).run(w).unwrap();
         let expected = report_json(&baseline);
         assert_eq!(baseline.stats.images_deduped, 0);
-
-        let cow_only_cfg = XfConfig {
-            dedup_images: false,
-            ..XfConfig::default()
-        };
-        let cow_only = XfDetector::new(cow_only_cfg.clone()).run(w).unwrap();
-        assert_eq!(
-            report_json(&cow_only),
-            expected,
-            "COW snapshots changed the report (persist_data={persist_data})"
-        );
-        assert!(
-            baseline.stats.snapshot_bytes_copied > cow_only.stats.snapshot_bytes_copied,
-            "COW must copy fewer bytes (persist_data={persist_data}): {} !> {}",
-            baseline.stats.snapshot_bytes_copied,
-            cow_only.stats.snapshot_bytes_copied
-        );
+        assert_eq!(baseline.stats.post_runs, baseline.stats.failure_points);
 
         let dedup = XfDetector::with_defaults().run(w).unwrap();
         assert_eq!(
@@ -203,38 +192,23 @@ fn every_engine_configuration_produces_the_identical_report() {
              so dedup must fire (persist_data={persist_data}): {:?}",
             dedup.stats
         );
-        assert_eq!(
-            dedup.stats.post_runs + dedup.stats.images_deduped,
-            dedup.stats.failure_points
-        );
+        assert_accounting(&dedup, "sequential dedup");
 
         for workers in [1, 3] {
-            for base in [&baseline_cfg, &cow_only_cfg, &XfConfig::default()] {
-                for parallel_checking in [false, true] {
-                    let cfg = XfConfig {
-                        parallel_checking,
-                        ..base.clone()
-                    };
-                    let par = XfDetector::new(cfg.clone())
-                        .run_parallel(w, workers)
-                        .unwrap();
-                    assert_eq!(
-                        report_json(&par),
-                        expected,
-                        "parallel run diverged (persist_data={persist_data}, workers={workers}, \
-                         cow={}, dedup={}, parallel_checking={parallel_checking})",
-                        cfg.cow_snapshots,
-                        cfg.dedup_images
-                    );
-                    if parallel_checking {
-                        assert_eq!(
-                            par.stats.checks_parallelized, par.stats.post_runs,
-                            "every executed post run must be checked by its worker"
-                        );
-                    } else {
-                        assert_eq!(par.stats.checks_parallelized, 0);
-                    }
-                }
+            for cfg in [baseline_config(), XfConfig::default()] {
+                let par = XfDetector::new(cfg.clone())
+                    .run_parallel(w, workers)
+                    .unwrap();
+                let label = format!(
+                    "parallel, persist_data={persist_data}, workers={workers}, dedup={}",
+                    cfg.dedup_images
+                );
+                assert_eq!(report_json(&par), expected, "{label}");
+                assert_accounting(&par, &label);
+                assert_eq!(
+                    par.stats.checks_parallelized, par.stats.post_runs,
+                    "every executed post run must be checked by its worker"
+                );
             }
         }
     }
@@ -243,96 +217,72 @@ fn every_engine_configuration_produces_the_identical_report() {
 #[test]
 fn streaming_pipeline_matches_every_configuration_byte_for_byte() {
     // The pipelined engine (frontend and backend as concurrent stages over
-    // the bounded trace FIFO) is a pure transport change: for every
-    // snapshot/dedup configuration, FIFO capacity, FIFO implementation
-    // (lock-free ring vs the Mutex ablation) and recording mode it must
-    // produce the byte-identical report — and the byte-identical recorded
-    // run — of the sequential engine.
-    use xfd::xfdetector::RingImpl;
+    // the bounded trace FIFO) is a pure transport change: for every dedup
+    // configuration, FIFO capacity and recording mode it must produce the
+    // byte-identical report — and the byte-identical recorded run — of the
+    // sequential engine.
     use xfd::xfstream::{
         analyze_xft, analyze_xft_path, encode_recorded_run, run_pipelined, StreamOptions,
     };
 
     for persist_data in [true, false] {
         let w = Publish { persist_data };
-        for base in [
-            XfConfig {
-                cow_snapshots: false,
-                dedup_images: false,
-                ..XfConfig::default()
-            },
-            XfConfig {
-                dedup_images: false,
-                ..XfConfig::default()
-            },
-            XfConfig::default(),
-        ] {
+        for base in [baseline_config(), XfConfig::default()] {
             for record_trace in [false, true] {
-                for ring_impl in [RingImpl::LockFree, RingImpl::Mutex] {
-                    let cfg = XfConfig {
-                        record_trace,
-                        ring_impl,
-                        ..base.clone()
-                    };
-                    let seq = XfDetector::new(cfg.clone()).run(w).unwrap();
-                    for capacity in [1, 64] {
-                        let pipe = run_pipelined(&cfg, w, &StreamOptions { capacity }).unwrap();
-                        assert_eq!(
-                            report_json(&pipe),
-                            report_json(&seq),
-                            "pipelined run diverged (persist_data={persist_data}, cow={}, \
-                             dedup={}, record={record_trace}, ring={ring_impl:?}, \
-                             capacity={capacity})",
-                            cfg.cow_snapshots,
-                            cfg.dedup_images
-                        );
-                        assert!(pipe.stats.stream_batches > 0);
-                        assert!(pipe.stats.stream_max_depth as usize <= capacity);
-                        assert_eq!(pipe.stats.failure_points, seq.stats.failure_points);
-                        assert_eq!(pipe.stats.pre_entries, seq.stats.pre_entries);
-                        assert_eq!(pipe.stats.post_entries, seq.stats.post_entries);
-                        if ring_impl == RingImpl::Mutex {
-                            assert_eq!(
-                                pipe.stats.ring_spins + pipe.stats.ring_parks,
-                                0,
-                                "the Mutex ablation never spins or parks"
-                            );
-                        }
+                let cfg = XfConfig {
+                    record_trace,
+                    ..base.clone()
+                };
+                let seq = XfDetector::new(cfg.clone()).run(w).unwrap();
+                for capacity in [1, 64] {
+                    let pipe = run_pipelined(&cfg, w, &StreamOptions { capacity }).unwrap();
+                    assert_eq!(
+                        report_json(&pipe),
+                        report_json(&seq),
+                        "pipelined run diverged (persist_data={persist_data}, dedup={}, \
+                         record={record_trace}, capacity={capacity})",
+                        cfg.dedup_images
+                    );
+                    assert!(pipe.stats.stream_batches > 0);
+                    assert!(pipe.stats.stream_max_depth as usize <= capacity);
+                    assert_eq!(pipe.stats.failure_points, seq.stats.failure_points);
+                    assert_eq!(pipe.stats.pre_entries, seq.stats.pre_entries);
+                    assert_eq!(pipe.stats.post_entries, seq.stats.post_entries);
+                    assert_accounting(&pipe, "streaming");
 
-                        if record_trace {
-                            let rec_json = |o: &RunOutcome| {
-                                serde_json::to_string(o.recorded.as_ref().unwrap()).unwrap()
-                            };
-                            assert_eq!(rec_json(&pipe), rec_json(&seq));
-                            // Publish's recovery never errors, so the offline
-                            // replay of the recorded trace — via the compact
-                            // .xft encoding — reproduces the full report,
-                            // through the streaming ingest path and the
-                            // mapped zero-copy one alike.
-                            let bytes =
-                                encode_recorded_run(pipe.recorded.as_ref().unwrap()).unwrap();
-                            let offline = analyze_xft(&bytes[..], cfg.first_read_only).unwrap();
-                            assert_eq!(
-                                serde_json::to_string(&offline).unwrap(),
-                                report_json(&seq),
-                                "offline .xft replay diverged (persist_data={persist_data})"
-                            );
-                            let mut path = std::env::temp_dir();
-                            path.push(format!(
-                                "xfd-equiv-{}-{persist_data}-{record_trace}-{ring_impl:?}-{capacity}.xft",
-                                std::process::id()
-                            ));
-                            std::fs::write(&path, &bytes).unwrap();
-                            let mapped = analyze_xft_path(&path, cfg.first_read_only).unwrap();
-                            std::fs::remove_file(&path).ok();
-                            assert_eq!(
-                                serde_json::to_string(&mapped).unwrap(),
-                                report_json(&seq),
-                                "mapped .xft replay diverged (persist_data={persist_data})"
-                            );
-                        } else {
-                            assert!(pipe.recorded.is_none());
-                        }
+                    if record_trace {
+                        let rec_json = |o: &RunOutcome| {
+                            serde_json::to_string(o.recorded.as_ref().unwrap()).unwrap()
+                        };
+                        assert_eq!(rec_json(&pipe), rec_json(&seq));
+                        // Publish's recovery never errors, so the offline
+                        // replay of the recorded trace — via the compact
+                        // .xft encoding — reproduces the full report,
+                        // through the streaming ingest path and the mapped
+                        // zero-copy one alike.
+                        let bytes = encode_recorded_run(pipe.recorded.as_ref().unwrap()).unwrap();
+                        let offline = analyze_xft(&bytes[..], cfg.first_read_only).unwrap();
+                        assert_eq!(
+                            serde_json::to_string(&offline).unwrap(),
+                            report_json(&seq),
+                            "offline .xft replay diverged (persist_data={persist_data})"
+                        );
+                        let mut path = std::env::temp_dir();
+                        path.push(format!(
+                            "xfd-equiv-{}-{persist_data}-{}-{capacity}.xft",
+                            std::process::id(),
+                            cfg.dedup_images
+                        ));
+                        std::fs::write(&path, &bytes).unwrap();
+                        let mapped = analyze_xft_path(&path, cfg.first_read_only).unwrap();
+                        std::fs::remove_file(&path).ok();
+                        assert_eq!(
+                            serde_json::to_string(&mapped).unwrap(),
+                            report_json(&seq),
+                            "mapped .xft replay diverged (persist_data={persist_data})"
+                        );
+                    } else {
+                        assert!(pipe.recorded.is_none());
                     }
                 }
             }
@@ -340,14 +290,14 @@ fn streaming_pipeline_matches_every_configuration_byte_for_byte() {
     }
 }
 
-/// Every post-failure execution must be accounted for exactly once: it
-/// either ran (representative), reused a deduped image's trace, was pruned
-/// into an equivalence class, or was elided by the resume journal.
+/// Every failure point must be accounted for exactly once: it either ran
+/// (representative), reused a deduped image's trace, was pruned into an
+/// equivalence class, was elided by the resume journal, or was served warm
+/// from the cross-run class cache.
 fn assert_accounting(outcome: &RunOutcome, label: &str) {
     let s = &outcome.stats;
-    assert_eq!(
-        s.post_runs + s.images_deduped + s.fps_pruned + s.journal_skipped,
-        s.failure_points,
+    assert!(
+        s.accounting_holds(),
         "failure-point accounting broke ({label}): {s:?}"
     );
     if s.fps_pruned > 0 {
@@ -361,11 +311,10 @@ fn assert_accounting(outcome: &RunOutcome, label: &str) {
 #[test]
 fn pruned_runs_match_exhaustive_byte_for_byte_across_every_engine() {
     // The tentpole acceptance criterion: persistence-state equivalence
-    // pruning is report-invariant. For every pruning mode, engine, snapshot
-    // representation, checking mode and FIFO capacity, the merged report
-    // must be byte-identical to the exhaustive sequential run — pruning
-    // only changes *how many* post-failure executions happen, never what
-    // the detector concludes.
+    // pruning is report-invariant. For every pruning mode, engine, dedup
+    // setting and FIFO capacity, the merged report must be byte-identical
+    // to the exhaustive sequential run — pruning only changes *how many*
+    // post-failure executions happen, never what the detector concludes.
     use xfd::xfstream::{run_pipelined, StreamOptions};
 
     let modes = [
@@ -385,23 +334,15 @@ fn pruned_runs_match_exhaustive_byte_for_byte_across_every_engine() {
         assert_eq!(exhaustive.stats.classes_total, 0);
 
         for pruning in modes {
-            for base in [
-                XfConfig {
-                    cow_snapshots: false,
-                    dedup_images: false,
-                    ..XfConfig::default()
-                },
-                XfConfig::default(),
-            ] {
+            for base in [baseline_config(), XfConfig::default()] {
                 let cfg = XfConfig {
                     pruning,
                     ..base.clone()
                 };
                 let label = |engine: &str| {
                     format!(
-                        "{engine}, persist_data={persist_data}, pruning={pruning:?}, \
-                         cow={}, dedup={}",
-                        cfg.cow_snapshots, cfg.dedup_images
+                        "{engine}, persist_data={persist_data}, pruning={pruning:?}, dedup={}",
+                        cfg.dedup_images
                     )
                 };
 
@@ -417,47 +358,68 @@ fn pruned_runs_match_exhaustive_byte_for_byte_across_every_engine() {
                 }
 
                 for workers in [1, 3] {
-                    for parallel_checking in [false, true] {
-                        let pcfg = XfConfig {
-                            parallel_checking,
-                            ..cfg.clone()
-                        };
-                        let par = XfDetector::new(pcfg).run_parallel(w, workers).unwrap();
-                        let l = format!(
-                            "{} workers={workers} parallel_checking={parallel_checking}",
-                            label("parallel")
-                        );
-                        assert_eq!(report_json(&par), expected, "{l}");
-                        assert_accounting(&par, &l);
-                        // Class structure is a function of the trace alone,
-                        // so every engine must agree on it.
-                        assert_eq!(par.stats.classes_total, seq.stats.classes_total, "{l}");
-                        assert_eq!(par.stats.fps_pruned, seq.stats.fps_pruned, "{l}");
-                    }
+                    let par = XfDetector::new(cfg.clone())
+                        .run_parallel(w, workers)
+                        .unwrap();
+                    let l = format!("{} workers={workers}", label("parallel"));
+                    assert_eq!(report_json(&par), expected, "{l}");
+                    assert_accounting(&par, &l);
+                    // Class structure is a function of the trace alone,
+                    // so every engine must agree on it.
+                    assert_eq!(par.stats.classes_total, seq.stats.classes_total, "{l}");
+                    assert_eq!(par.stats.fps_pruned, seq.stats.fps_pruned, "{l}");
                 }
 
                 for capacity in [1, 64] {
-                    for ring_impl in [
-                        xfd::xfdetector::RingImpl::LockFree,
-                        xfd::xfdetector::RingImpl::Mutex,
-                    ] {
-                        let scfg = XfConfig {
-                            ring_impl,
-                            ..cfg.clone()
-                        };
-                        let pipe = run_pipelined(&scfg, w, &StreamOptions { capacity }).unwrap();
-                        let l = format!(
-                            "{} capacity={capacity} ring={ring_impl:?}",
-                            label("streaming")
-                        );
-                        assert_eq!(report_json(&pipe), expected, "{l}");
-                        assert_accounting(&pipe, &l);
-                        assert_eq!(pipe.stats.classes_total, seq.stats.classes_total, "{l}");
-                        assert_eq!(pipe.stats.fps_pruned, seq.stats.fps_pruned, "{l}");
-                    }
+                    let pipe = run_pipelined(&cfg, w, &StreamOptions { capacity }).unwrap();
+                    let l = format!("{} capacity={capacity}", label("streaming"));
+                    assert_eq!(report_json(&pipe), expected, "{l}");
+                    assert_accounting(&pipe, &l);
+                    assert_eq!(pipe.stats.classes_total, seq.stats.classes_total, "{l}");
+                    assert_eq!(pipe.stats.fps_pruned, seq.stats.fps_pruned, "{l}");
                 }
             }
         }
+    }
+}
+
+#[test]
+fn warm_cache_runs_account_for_every_failure_point() {
+    // A warm run elides through the cross-run class cache, the one link of
+    // the chain the in-run engines never exercise: batch and parallel warm
+    // runs must reproduce the exhaustive report and keep the accounting
+    // identity with `cache_hits` in it.
+    use xfd::xfdetector::{Mode, Session};
+
+    for persist_data in [true, false] {
+        let w = Publish { persist_data };
+        let expected = report_json(&XfDetector::with_defaults().run(w).unwrap());
+        let mut path = std::env::temp_dir();
+        path.push(format!(
+            "xfd-equiv-cache-{}-{persist_data}.json",
+            std::process::id()
+        ));
+        std::fs::remove_file(&path).ok();
+        let session = || {
+            Session::builder()
+                .pruning(Pruning::Equivalence)
+                .class_cache(&path)
+                .workers(2)
+                .build()
+                .unwrap()
+        };
+        let cold = session().run(w, Mode::Batch).unwrap();
+        assert_eq!(cold.stats.cache_hits, 0);
+        assert_accounting(&cold, "cold batch");
+        for mode in [Mode::Batch, Mode::Parallel] {
+            let warm = session().run(w, mode).unwrap();
+            let label = format!("warm {mode:?}, persist_data={persist_data}");
+            assert_eq!(report_json(&warm), expected, "{label}");
+            assert!(warm.stats.cache_hits > 0, "{label}: {:?}", warm.stats);
+            assert_eq!(warm.stats.post_runs, 0, "{label}: {:?}", warm.stats);
+            assert_accounting(&warm, &label);
+        }
+        std::fs::remove_file(&path).ok();
     }
 }
 

@@ -1,45 +1,48 @@
 //! Acceptance test for the copy-on-write snapshot subsystem: on the
-//! `btree` and `hashmap_tx` workloads from Figure 12, the COW engine must
-//! copy at least 2× fewer snapshot bytes than the seed engine (which
-//! materialized three full pool copies per failure point), while producing
-//! a byte-identical `DetectionReport`.
+//! `btree` and `hashmap_tx` workloads from Figure 12, a run must copy at
+//! most half a pool per failure point. One full copy per failure point is
+//! the least a flat snapshot can cost (the seed engine paid three: capture,
+//! fork and image), so the bound holds COW to at least a 2× saving over
+//! any flat scheme — with image dedup off, and the dedup cache must not
+//! change the report.
 
 use xfd::workloads::bugs::{BugSet, WorkloadKind};
 use xfd::workloads::{build, validation_ops};
-use xfd::xfdetector::{XfConfig, XfDetector};
+use xfd::xfdetector::{RunOutcome, Workload, XfConfig, XfDetector};
 
-fn bytes_copied(kind: WorkloadKind, config: XfConfig) -> (u64, String, u64) {
+fn run(kind: WorkloadKind, config: XfConfig) -> (u64, RunOutcome) {
     let w = build(kind, validation_ops(kind), BugSet::none());
-    let outcome = XfDetector::new(config).run(w).unwrap();
-    let report = serde_json::to_string(&outcome.report).unwrap();
-    (
-        outcome.stats.snapshot_bytes_copied,
-        report,
-        outcome.stats.images_deduped,
-    )
+    let pool_size = w.pool_size();
+    (pool_size, XfDetector::new(config).run(w).unwrap())
 }
 
 #[test]
 fn cow_halves_snapshot_traffic_on_the_figure_12_workloads() {
     for kind in [WorkloadKind::Btree, WorkloadKind::HashmapTx] {
-        let seed_cfg = XfConfig {
-            cow_snapshots: false,
+        let no_dedup = XfConfig {
             dedup_images: false,
             ..XfConfig::default()
         };
-        let (seed_bytes, seed_report, seed_deduped) = bytes_copied(kind, seed_cfg);
-        let (cow_bytes, cow_report, _) = bytes_copied(kind, XfConfig::default());
+        let (pool_size, cow) = run(kind, no_dedup);
+        let (_, dedup) = run(kind, XfConfig::default());
 
-        assert_eq!(seed_deduped, 0);
+        assert_eq!(cow.stats.images_deduped, 0);
         assert_eq!(
-            seed_report, cow_report,
-            "{kind:?}: COW+dedup must not change the report"
+            serde_json::to_string(&cow.report).unwrap(),
+            serde_json::to_string(&dedup.report).unwrap(),
+            "{kind:?}: dedup must not change the report"
         );
-        assert!(
-            seed_bytes >= 2 * cow_bytes,
-            "{kind:?}: expected >= 2x reduction, got seed={seed_bytes} cow={cow_bytes} \
-             ({:.2}x)",
-            seed_bytes as f64 / cow_bytes.max(1) as f64
-        );
+        for (label, outcome) in [("cow", &cow), ("cow+dedup", &dedup)] {
+            let s = &outcome.stats;
+            let one_copy_each = pool_size * s.failure_points;
+            assert!(
+                2 * s.snapshot_bytes_copied <= one_copy_each,
+                "{kind:?} {label}: copied {} bytes over {} failure points of a \
+                 {pool_size}-byte pool ({:.2} pools each, bound 0.5)",
+                s.snapshot_bytes_copied,
+                s.failure_points,
+                s.snapshot_bytes_copied as f64 / one_copy_each.max(1) as f64
+            );
+        }
     }
 }
