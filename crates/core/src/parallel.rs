@@ -32,9 +32,9 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use pmem::{CowImage, EngineHook, OrderingPointInfo, PmCtx, PmPool};
@@ -67,7 +67,13 @@ use crate::xfrun::RunCtl;
 /// producer only writes a slot after `taken` proves it empty, and exactly
 /// one worker wins the CAS covering it — it exists to move `T` across
 /// threads without `unsafe` (the crate forbids it). Waiting sides spin
-/// briefly, then park on a timeout; there is no per-item lock handoff.
+/// briefly, then sleep on a condition variable until the other side
+/// publishes, claims or closes. That side takes the sleep lock only when
+/// someone is asleep, so there is no per-item lock handoff, and an idle
+/// worker costs no CPU. That matters because with pruning most failure
+/// points ship no job: workers are idle for most of a run, while the
+/// frontend that feeds them (and any other detection on the host) needs
+/// the CPU.
 struct WorkQueue<T> {
     slots: Box<[Mutex<Option<T>>]>,
     mask: u64,
@@ -87,13 +93,17 @@ struct WorkQueue<T> {
     /// worker instead of waiting for its "assigned" one.
     stolen: AtomicU64,
     workers: u64,
+    /// Threads asleep (or about to sleep) on `wake`, producer included.
+    sleepers: AtomicU64,
+    sleep: Mutex<()>,
+    wake: Condvar,
 }
 
 impl<T> WorkQueue<T> {
     /// Upper bound on a single claim: keeps the tail of the run balanced
     /// (a worker never hoards jobs another could start on).
     const MAX_CHUNK: u64 = 4;
-    /// Spin iterations before a waiting side parks.
+    /// Spin iterations before a waiting side sleeps.
     const SPIN: u32 = 64;
 
     fn new(workers: usize) -> Self {
@@ -110,37 +120,63 @@ impl<T> WorkQueue<T> {
             closed: AtomicBool::new(false),
             stolen: AtomicU64::new(0),
             workers: workers.max(1) as u64,
+            sleepers: AtomicU64::new(0),
+            sleep: Mutex::new(()),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Blocks until `ready` holds: spins briefly, then sleeps until a
+    /// [`WorkQueue::notify`] after a state change.
+    fn wait_until(&self, ready: impl Fn() -> bool) {
+        for _ in 0..Self::SPIN {
+            if ready() {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        let mut guard = self.sleep.lock().expect("queue sleep lock poisoned");
+        self.sleepers.fetch_add(1, Ordering::Relaxed);
+        // Pairs with the fence in `notify`: either `ready` below sees the
+        // state change, or the notifier sees this sleeper and signals it
+        // (it can only take the lock once this thread is waiting).
+        fence(Ordering::SeqCst);
+        while !ready() {
+            guard = self.wake.wait(guard).expect("queue sleep lock poisoned");
+        }
+        self.sleepers.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Wakes the sleepers after a state change; free when nobody sleeps.
+    fn notify(&self) {
+        fence(Ordering::SeqCst);
+        if self.sleepers.load(Ordering::Relaxed) != 0 {
+            drop(self.sleep.lock().expect("queue sleep lock poisoned"));
+            self.wake.notify_all();
         }
     }
 
     /// Publishes one item, blocking while `bound` items are in flight.
     fn push(&self, item: T) {
         let tail = self.tail.load(Ordering::Relaxed);
-        let mut spins = 0u32;
-        while tail - self.taken.load(Ordering::Acquire) >= self.bound {
-            spins += 1;
-            if spins <= Self::SPIN {
-                std::hint::spin_loop();
-            } else {
-                std::thread::park_timeout(Duration::from_micros(50));
-            }
-        }
+        self.wait_until(|| tail - self.taken.load(Ordering::Acquire) < self.bound);
         let idx = (tail & self.mask) as usize;
         *self.slots[idx].lock().expect("queue slot poisoned") = Some(item);
         self.tail.store(tail + 1, Ordering::Release);
+        self.notify();
     }
 
     /// Marks the queue closed; workers drain the backlog and then see
     /// `None` from [`WorkQueue::claim`].
     fn close(&self) {
         self.closed.store(true, Ordering::Release);
+        self.notify();
     }
 
     /// Claims the next chunk of jobs for `worker`, blocking while the queue
     /// is empty and open. Returns `None` once the queue is closed and
     /// drained.
     fn claim(&self, worker: usize, out: &mut Vec<T>) -> bool {
-        let mut spins = 0u32;
         loop {
             let claim = self.claim.load(Ordering::Relaxed);
             let tail = self.tail.load(Ordering::Acquire);
@@ -152,12 +188,10 @@ impl<T> WorkQueue<T> {
                     }
                     continue;
                 }
-                spins += 1;
-                if spins <= Self::SPIN {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::park_timeout(Duration::from_micros(50));
-                }
+                self.wait_until(|| {
+                    self.tail.load(Ordering::Acquire) != self.claim.load(Ordering::Relaxed)
+                        || self.closed.load(Ordering::Acquire)
+                });
                 continue;
             }
             let backlog = tail - claim;
@@ -191,6 +225,7 @@ impl<T> WorkQueue<T> {
                 self.stolen.fetch_add(stolen, Ordering::Relaxed);
             }
             self.taken.fetch_add(end - claim, Ordering::Release);
+            self.notify();
             return true;
         }
     }
@@ -741,7 +776,7 @@ mod tests {
     fn work_queue_bounds_in_flight_items() {
         // With no consumer, the producer must be able to publish exactly
         // `bound` items without blocking; verified indirectly by pushing
-        // from a thread and asserting it parks rather than overruns.
+        // from a thread and asserting it blocks rather than overruns.
         let queue = Arc::new(WorkQueue::<u64>::new(2)); // bound = 4
         let q2 = Arc::clone(&queue);
         let producer = std::thread::spawn(move || {
@@ -749,7 +784,18 @@ mod tests {
                 q2.push(i);
             }
         });
-        std::thread::sleep(Duration::from_millis(50));
+        // Wait for the producer to fill the queue however long a loaded
+        // host takes to schedule it, then give an overrunning producer a
+        // moment to show itself: a correct one is blocked at the bound.
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while queue.tail.load(Ordering::Acquire) < 4 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "producer never filled the queue"
+            );
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(20));
         // Only `bound` published so far.
         assert_eq!(queue.tail.load(Ordering::Acquire), 4);
         let mut got = Vec::new();

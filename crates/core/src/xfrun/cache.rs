@@ -90,6 +90,10 @@ pub(crate) struct ClassCache {
     /// Classes discovered (executed) this run, merged into the file on
     /// [`ClassCache::save`].
     export: Mutex<HashMap<(u64, u64), ExportedClass>>,
+    /// The file already holds exactly the warm set: its header matched and
+    /// every class in it loaded. A save with nothing exported would write
+    /// the same bytes back, so it is skipped.
+    in_sync: bool,
     loaded: u64,
     bytes_read: u64,
 }
@@ -105,6 +109,7 @@ impl ClassCache {
         let mut warm = HashMap::new();
         let mut loaded = 0;
         let mut bytes_read = 0;
+        let mut in_sync = false;
         if let Ok(raw) = std::fs::read_to_string(path) {
             if let Ok(doc) = serde_json::from_str::<CacheDoc>(&raw) {
                 if doc.schema_version == CACHE_SCHEMA_VERSION
@@ -112,6 +117,7 @@ impl ClassCache {
                     && doc.digest == digest
                 {
                     bytes_read = raw.len() as u64;
+                    let in_file = doc.classes.len();
                     for c in doc.classes {
                         let Some(outcome) = PostOutcome::from_parts(&c.outcome, c.message) else {
                             continue;
@@ -125,6 +131,7 @@ impl ClassCache {
                         );
                     }
                     loaded = warm.len() as u64;
+                    in_sync = warm.len() == in_file;
                 }
             }
         }
@@ -134,6 +141,7 @@ impl ClassCache {
             digest: digest.to_owned(),
             warm,
             export: Mutex::new(HashMap::new()),
+            in_sync,
             loaded,
             bytes_read,
         }
@@ -141,9 +149,13 @@ impl ClassCache {
 
     /// Writes the merged (warm ∪ newly discovered) class set back to the
     /// cache file, classes sorted by `(ns, key)` so repeated saves of the
-    /// same state are byte-identical.
+    /// same state are byte-identical. A fully warm run that discovered
+    /// nothing leaves the file untouched: it already holds these bytes.
     pub(crate) fn save(&self) -> Result<(), XfError> {
         let export = self.export.lock().expect("cache export lock");
+        if export.is_empty() && self.in_sync {
+            return Ok(());
+        }
         let mut classes: Vec<CacheClassDoc> = self
             .warm
             .iter()
@@ -364,6 +376,51 @@ mod tests {
         h.export(5, &[], &PostOutcome::Failed("late".into()));
         warm.save().unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), first, "first wins");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn warm_runs_that_discover_nothing_leave_the_file_alone() {
+        let path = tmp("untouched.json");
+        std::fs::remove_file(&path).ok();
+        let cache = Arc::new(ClassCache::open(&path, "fp", "d"));
+        CacheHandle::new(Arc::clone(&cache), 0).export(5, &[entry()], &PostOutcome::Completed);
+        cache.save().unwrap();
+
+        let warm = Arc::new(ClassCache::open(&path, "fp", "d"));
+        assert!(CacheHandle::new(Arc::clone(&warm), 0).lookup(5).is_some());
+        // Had the warm save written at all, it would replace this marker.
+        std::fs::write(&path, b"marker").unwrap();
+        warm.save().unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            b"marker",
+            "nothing new, no write"
+        );
+
+        // A class discovered on top of the warm set is merged and written.
+        CacheHandle::new(Arc::clone(&warm), 0).export(6, &[entry()], &PostOutcome::Completed);
+        warm.save().unwrap();
+        assert_eq!(ClassCache::open(&path, "fp", "d").loaded(), 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn cold_starts_overwrite_a_stale_file_even_with_nothing_to_export() {
+        let path = tmp("stale.json");
+        std::fs::remove_file(&path).ok();
+        let cache = Arc::new(ClassCache::open(&path, "fp-a", "d"));
+        CacheHandle::new(Arc::clone(&cache), 0).export(1, &[], &PostOutcome::Completed);
+        cache.save().unwrap();
+
+        let other = ClassCache::open(&path, "fp-b", "d");
+        assert_eq!(other.loaded(), 0);
+        other.save().unwrap();
+        assert_eq!(
+            ClassCache::open(&path, "fp-a", "d").loaded(),
+            0,
+            "stale header replaced"
+        );
         std::fs::remove_file(&path).ok();
     }
 }

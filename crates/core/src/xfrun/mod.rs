@@ -48,8 +48,7 @@ mod obs;
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use pmem::Budget;
@@ -387,8 +386,10 @@ impl SessionBuilder {
     }
 
     /// Installs a live progress callback, invoked from a ticker thread
-    /// roughly every `interval` while the run is in flight (and once
-    /// when it ends).
+    /// once when the run starts, roughly every `interval` while it is in
+    /// flight, and once more when it ends, with the finished counters. The
+    /// ticker stops as soon as the run does: a run shorter than `interval`
+    /// is not held back to it.
     #[must_use]
     pub fn on_progress<F>(mut self, interval: Duration, f: F) -> Self
     where
@@ -698,24 +699,29 @@ impl Session {
             cache: cache.clone(),
         };
 
-        // Progress ticker: a detached observer thread over the shared
-        // counters, stopped (and given a final tick) when the run ends.
-        let stop = Arc::new(AtomicBool::new(false));
+        // Progress ticker: an observer thread over the shared counters. It
+        // waits on a channel whose sender is dropped when the run ends, so
+        // the end interrupts the wait and the final tick follows at once.
+        let (stop, stopped) = mpsc::channel::<()>();
         let ticker = self.progress.clone().map(|cb| {
             let obs = ctl.obs().clone();
-            let stop = Arc::clone(&stop);
             let clock = RunClock::start();
             let interval = self.progress_interval;
-            std::thread::spawn(move || loop {
-                cb(&Progress {
-                    counts: obs.snapshot(),
-                    total_hint,
-                    elapsed: clock.elapsed(),
-                });
-                if stop.load(Ordering::Relaxed) {
-                    break;
+            std::thread::spawn(move || {
+                let tick = || {
+                    cb(&Progress {
+                        counts: obs.snapshot(),
+                        total_hint,
+                        elapsed: clock.elapsed(),
+                    });
+                };
+                tick();
+                // Nothing is ever sent: the wait ends by timeout (a periodic
+                // tick) or by disconnection (the run is over).
+                while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                    tick();
                 }
-                std::thread::sleep(interval);
+                tick();
             })
         });
 
@@ -737,7 +743,7 @@ impl Session {
             },
         };
 
-        stop.store(true, Ordering::Relaxed);
+        drop(stop);
         if let Some(t) = ticker {
             let _ = t.join();
         }
@@ -840,7 +846,7 @@ fn write_json<T: serde::Serialize>(path: &Path, value: &T) -> Result<(), XfError
 mod tests {
     use super::*;
     use pmem::PmCtx;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     struct Racy;
     impl Workload for Racy {
@@ -1003,6 +1009,30 @@ mod tests {
             .unwrap();
         session.run(Racy, Mode::Batch).unwrap();
         assert!(ticks.load(Ordering::Relaxed) >= 1);
+    }
+
+    #[test]
+    fn progress_ticker_stops_with_the_run_and_ticks_the_final_counters() {
+        let ticks = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&ticks);
+        let session = Session::builder()
+            .on_progress(Duration::from_secs(30), move |p| {
+                seen.lock().unwrap().push(p.counts.failure_points_done);
+            })
+            .build()
+            .unwrap();
+        let start = std::time::Instant::now();
+        let outcome = session.run(Racy, Mode::Batch).unwrap();
+        // Loose on purpose: this catches a ticker that sleeps out its
+        // interval, not scheduling jitter.
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "run held for {:?} by the progress ticker",
+            start.elapsed()
+        );
+        let ticks = ticks.lock().unwrap();
+        assert!(ticks.len() >= 2, "first and final tick, got {ticks:?}");
+        assert_eq!(ticks.last().copied(), Some(outcome.stats.failure_points));
     }
 
     #[test]

@@ -146,17 +146,18 @@ fn counts_of(stats: &RunStats) -> ObsCounts {
 }
 
 /// Runs one job to completion, emitting `Progress`/`Report`/`Metrics`
-/// events, and returns its exit code. Runtime errors propagate to the
+/// events, and returns its exit code. The uploaded artifact, if any, is
+/// moved in and dropped when the job ends. Runtime errors propagate to the
 /// executor, which converts them into `Error` + `Done` frames.
 pub(crate) fn run_job<E: Emitter>(
     spec: &JobSpec,
-    artifact: Option<&(ArtifactKind, Vec<u8>)>,
+    artifact: Option<(ArtifactKind, Vec<u8>)>,
     emit: &E,
 ) -> Result<u8, XfError> {
     match artifact {
-        Some((ArtifactKind::Xft, bytes)) => return run_xft_bytes(spec, bytes, emit),
+        Some((ArtifactKind::Xft, bytes)) => return run_xft_bytes(spec, &bytes, emit),
         Some((ArtifactKind::Fuzz, bytes)) => {
-            let text = String::from_utf8(bytes.clone())
+            let text = String::from_utf8(bytes)
                 .map_err(|e| XfError::Codec(format!("fuzz program is not UTF-8: {e}")))?;
             return run_fuzz_text(spec, &text, emit);
         }
@@ -232,7 +233,10 @@ fn run_workload<E: Emitter>(spec: &JobSpec, emit: &E) -> Result<u8, XfError> {
 
 /// Builds the session for a live job: the spec's full config (journal,
 /// budget, class cache) plus a progress tap that forwards snapshots to
-/// the job's watchers every half second.
+/// the job's watchers: one when the run starts, one every half second
+/// while it runs, and a final one with the finished counters. The ticker
+/// stops with the run, so a job shorter than half a second is not held
+/// back to it.
 fn session_for<E: Emitter>(spec: &JobSpec, emit: &E) -> Result<xfdetector::Session, XfError> {
     let emit = emit.clone();
     let builder =

@@ -138,6 +138,7 @@ impl AnyListener {
 /// history every watcher replays from.
 struct JobRecord {
     spec: JobSpec,
+    /// The upload, until an executor takes it to run the job.
     artifact: Option<(ArtifactKind, Vec<u8>)>,
     /// Raw `(tag, payload)` frames, retained for late watchers.
     events: Vec<(u8, Vec<u8>)>,
@@ -317,16 +318,19 @@ fn executor_loop(shared: &Arc<Shared>) {
                 st = shared.cv.wait(st).expect("server state poisoned");
             }
         };
+        // The executor is the artifact's only reader, so it moves the
+        // upload out of the record rather than copying it: the server
+        // keeps no upload bytes once a job is dispatched.
         let (spec, artifact) = {
-            let st = shared.state.lock().expect("server state poisoned");
-            let job = &st.jobs[&id];
-            (job.spec.clone(), job.artifact.clone())
+            let mut st = shared.state.lock().expect("server state poisoned");
+            let job = st.jobs.get_mut(&id).expect("queued job has a record");
+            (job.spec.clone(), job.artifact.take())
         };
         let emitter = JobEmitter {
             shared: Arc::clone(shared),
             id,
         };
-        let exit_code = match run_job(&spec, artifact.as_ref(), &emitter) {
+        let exit_code = match run_job(&spec, artifact, &emitter) {
             Ok(code) => code,
             Err(e) => {
                 emitter.emit(JobEvent::Error {

@@ -4,8 +4,9 @@
 use std::path::PathBuf;
 use std::thread;
 
-use xfdetector::{JobSpec, XfError};
-use xfserve::{AnyStream, Client, JobEvent, Server, ServerOptions};
+use xfd_workloads::bugs::{BugSet, WorkloadKind};
+use xfdetector::{JobSpec, Mode, XfError};
+use xfserve::{AnyStream, ArtifactKind, Client, JobEvent, Server, ServerOptions};
 
 /// Binds a server on an ephemeral port and runs it on its own thread.
 /// Returns the endpoint and the join handle for the accept loop.
@@ -115,6 +116,75 @@ fn watch_replays_a_finished_job_from_the_start() {
         .expect("stream");
     assert_eq!(code, 0);
     assert_eq!(report_of(&replayed), first);
+
+    client(&ep).shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("server run");
+}
+
+/// A recorded btree run, encoded as an `.xft` upload.
+fn xft_upload() -> Vec<u8> {
+    let session = xfstream::session()
+        .record_repro(true)
+        .build()
+        .expect("recording session");
+    let w = xfd_workloads::build(WorkloadKind::Btree, 8, BugSet::default());
+    let run = session
+        .run(w, Mode::Batch)
+        .expect("recording run")
+        .recorded
+        .expect("trace recorded");
+    xfstream::encode_recorded_run(&run).expect("encode")
+}
+
+#[test]
+fn uploads_replay_identically_after_the_job_has_run() {
+    let (ep, handle) = start_server(ServerOptions::default());
+    let xft = xft_upload();
+    let fuzz = xffuzz::generate(1, 0, 12).to_text();
+    let uploads = [
+        (
+            JobSpec {
+                trace: Some("upload.xft".to_owned()),
+                ..JobSpec::default()
+            },
+            ArtifactKind::Xft,
+            xft.as_slice(),
+        ),
+        (
+            JobSpec {
+                program: Some("upload.fuzz".to_owned()),
+                ..JobSpec::default()
+            },
+            ArtifactKind::Fuzz,
+            fuzz.as_bytes(),
+        ),
+    ];
+
+    for (spec, kind, bytes) in uploads {
+        let mut c = client(&ep);
+        let id = c.submit(&spec, Some((kind, bytes))).expect("submit");
+        let mut events = Vec::new();
+        let code = c
+            .stream_job(&mut |ev: &JobEvent| events.push(ev.clone()))
+            .expect("stream");
+        assert_eq!(code, 0, "{kind:?} upload: {events:?}");
+
+        // The server dropped the upload once the job ran; a late watcher
+        // still sees the same history, REPORT bytes included.
+        let mut w = client(&ep);
+        w.watch(id).expect("watch");
+        let mut replayed = Vec::new();
+        let replay_code = w
+            .stream_job(&mut |ev: &JobEvent| replayed.push(ev.clone()))
+            .expect("stream");
+        assert_eq!(replay_code, code);
+        assert_eq!(report_of(&replayed), report_of(&events), "{kind:?} upload");
+        assert_eq!(replayed, events, "{kind:?} upload");
+    }
+
+    let status = client(&ep).status().expect("status");
+    assert!(status.contains("\"jobs\":2"), "status: {status}");
+    assert!(status.contains("\"done\":2"), "status: {status}");
 
     client(&ep).shutdown().expect("shutdown");
     handle.join().expect("server thread").expect("server run");
