@@ -69,8 +69,8 @@ pub use report::{BugCategory, BugKind, DetectionReport, FailurePoint, Finding};
 pub use shadow::{PersistState, PostChecker, ShadowPm};
 pub use stats::RunStats;
 pub use xfrun::{
-    JournalFp, Mode, ObsCounts, ObsHandle, Progress, RunCtl, RunMetrics, Session, SessionBuilder,
-    StageMillis, StreamEngine,
+    run_fingerprint, JournalFp, Mode, ObsCounts, ObsHandle, Progress, RunCtl, RunMetrics, Session,
+    SessionBuilder, StageMillis, StreamEngine,
 };
 pub use xfsched::{OpSequence, SchedulePlan, ScheduleSpec, StepFn, ThreadProgram};
 

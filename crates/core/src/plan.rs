@@ -113,35 +113,6 @@ impl PostOutcome {
             message: Some(msg.clone()),
         })
     }
-
-    /// The class cache's on-disk name of the outcome kind.
-    pub(crate) fn kind(&self) -> &'static str {
-        match self {
-            PostOutcome::Completed => "completed",
-            PostOutcome::Failed(_) => "failed",
-            PostOutcome::Panicked(_) => "panicked",
-            PostOutcome::BudgetExceeded(_) => "budget",
-        }
-    }
-
-    /// The outcome's message (empty for [`PostOutcome::Completed`]).
-    pub(crate) fn message(&self) -> &str {
-        match self {
-            PostOutcome::Completed => "",
-            PostOutcome::Failed(m) | PostOutcome::Panicked(m) | PostOutcome::BudgetExceeded(m) => m,
-        }
-    }
-
-    /// Inverse of [`PostOutcome::kind`] and [`PostOutcome::message`].
-    pub(crate) fn from_parts(kind: &str, message: String) -> Option<PostOutcome> {
-        Some(match kind {
-            "completed" => PostOutcome::Completed,
-            "failed" => PostOutcome::Failed(message),
-            "panicked" => PostOutcome::Panicked(message),
-            "budget" => PostOutcome::BudgetExceeded(message),
-            _ => return None,
-        })
-    }
 }
 
 impl From<Result<(), DynError>> for PostOutcome {

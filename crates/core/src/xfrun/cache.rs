@@ -9,14 +9,38 @@
 //! program produces the same classes every time, and every run re-executes
 //! one representative per class.
 //!
-//! [`ClassCache`] persists the representatives. The on-disk document is
-//! keyed by the **config fingerprint** (the journal fingerprint: workload
-//! name plus every report-affecting configuration axis) and a caller-
-//! supplied **program digest** (operation counts and injected bugs for
-//! named workloads, a content hash for uploaded artifacts). A warm run
-//! whose header matches serves each known class straight from the cache —
-//! zero post-failure executions for an unchanged program — while a header
+//! [`ClassCache`] persists the representatives. The file is keyed by the
+//! **config fingerprint** (the journal fingerprint: workload name plus
+//! every report-affecting configuration axis) and a caller-supplied
+//! **program digest** (operation counts and injected bugs for named
+//! workloads, a content hash for uploaded artifacts). A warm run whose
+//! header matches serves each known class straight from the cache — zero
+//! post-failure executions for an unchanged program — while a header
 //! mismatch silently invalidates the file and the run starts cold.
+//!
+//! # Format
+//!
+//! The file is binary and stores each class's post-failure trace in the
+//! entry records of [`xftrace::codec`], the codec the `.xft` trace format
+//! uses (one string table and one delta state for the whole file, thread
+//! ids included). Integers are LEB128 varints, strings are
+//! varint-length-prefixed UTF-8.
+//!
+//! ```text
+//! file    := "XFC1" version:u8 fingerprint:string digest:string
+//!            n_classes:varint class* fnv1a:u64le
+//! class   := ns:varint key:varint outcome:u8 message:string
+//!            n_post:varint entry-record*
+//! outcome := 0 completed | 1 failed | 2 panicked | 3 budget exceeded
+//! ```
+//!
+//! The header is checked before any class is decoded, then the FNV-1a
+//! trailer over every preceding byte. A header mismatch, a trailer
+//! mismatch, a short file, any decode error, or a file in another format
+//! (such as the JSON documents of earlier builds) is a clean cold start.
+//! Saves write a temporary file next to the cache and `rename` it into
+//! place, so a reader sees either the old file or the new one, never a
+//! torn write, and concurrent savers of one path never interleave.
 //!
 //! Soundness is exactly the in-run pruning invariant: an equal persistence
 //! fingerprint implies an equal crash state, so the stored representative
@@ -32,15 +56,20 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use serde::{Deserialize, Serialize};
-use xftrace::{OwnedTraceEntry, TraceEntry};
+use xftrace::codec::{EntryCursor, EntryWriter, REC_POST};
+use xftrace::fnv::fnv1a;
+use xftrace::varint::{write_str, write_varint};
+use xftrace::TraceEntry;
 
 use crate::error::XfError;
 use crate::plan::PostOutcome;
 
-/// Schema version of the on-disk cache document. Bumping it invalidates
-/// every existing cache file (readers treat a mismatch as a cold start).
-const CACHE_SCHEMA_VERSION: u32 = 1;
+const MAGIC: &[u8; 4] = b"XFC1";
+/// Format version behind [`MAGIC`]. Bumping it invalidates every existing
+/// cache file (readers treat a mismatch as a cold start).
+const VERSION: u8 = 1;
+/// Bytes of the FNV-1a trailer.
+const TRAILER: usize = 8;
 
 /// One warmed equivalence class: the representative's post-failure trace
 /// and outcome, ready to replay against a warm member's own shadow
@@ -54,25 +83,9 @@ pub(crate) struct WarmClass {
     pub(crate) outcome: PostOutcome,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct CacheClassDoc {
-    ns: u64,
-    key: u64,
-    outcome: String,
-    message: String,
-    post: Vec<OwnedTraceEntry>,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct CacheDoc {
-    schema_version: u32,
-    fingerprint: String,
-    digest: String,
-    classes: Vec<CacheClassDoc>,
-}
-
-/// A class discovered (executed) this run, staged for [`ClassCache::save`].
-type ExportedClass = (Vec<OwnedTraceEntry>, PostOutcome);
+/// Classes by `(ns, key)`: schedule-plan namespace and persistence
+/// fingerprint.
+type Classes = HashMap<(u64, u64), WarmClass>;
 
 /// A persistent cross-run class cache bound to one cache file.
 ///
@@ -86,55 +99,31 @@ pub(crate) struct ClassCache {
     fingerprint: String,
     digest: String,
     /// Classes loaded from a matching cache file, immutable for the run.
-    warm: HashMap<(u64, u64), WarmClass>,
+    warm: Classes,
     /// Classes discovered (executed) this run, merged into the file on
     /// [`ClassCache::save`].
-    export: Mutex<HashMap<(u64, u64), ExportedClass>>,
-    /// The file already holds exactly the warm set: its header matched and
-    /// every class in it loaded. A save with nothing exported would write
-    /// the same bytes back, so it is skipped.
+    export: Mutex<Classes>,
+    /// The file already holds exactly the warm set: it decoded cleanly. A
+    /// save with nothing exported would write the same bytes back, so it
+    /// is skipped.
     in_sync: bool,
-    loaded: u64,
     bytes_read: u64,
 }
 
 impl ClassCache {
-    /// Opens the cache at `path`. A missing file, a parse failure, or a
-    /// header mismatch (different schema version, config fingerprint or
-    /// program digest) all start cold — the stale file is simply
-    /// overwritten on save. Invalidation is therefore automatic: any
-    /// change to the program or to a report-affecting configuration axis
-    /// changes the header, and the old classes are never consulted.
+    /// Opens the cache at `path`. A missing or unreadable file, a header
+    /// mismatch (different format version, config fingerprint or program
+    /// digest), a trailer mismatch or a decode error all start cold — the
+    /// stale file is simply overwritten on save. Invalidation is therefore
+    /// automatic: any change to the program or to a report-affecting
+    /// configuration axis changes the header, and the old classes are
+    /// never consulted.
     pub(crate) fn open(path: &Path, fingerprint: &str, digest: &str) -> ClassCache {
-        let mut warm = HashMap::new();
-        let mut loaded = 0;
-        let mut bytes_read = 0;
-        let mut in_sync = false;
-        if let Ok(raw) = std::fs::read_to_string(path) {
-            if let Ok(doc) = serde_json::from_str::<CacheDoc>(&raw) {
-                if doc.schema_version == CACHE_SCHEMA_VERSION
-                    && doc.fingerprint == fingerprint
-                    && doc.digest == digest
-                {
-                    bytes_read = raw.len() as u64;
-                    let in_file = doc.classes.len();
-                    for c in doc.classes {
-                        let Some(outcome) = PostOutcome::from_parts(&c.outcome, c.message) else {
-                            continue;
-                        };
-                        warm.insert(
-                            (c.ns, c.key),
-                            WarmClass {
-                                post: c.post.iter().map(OwnedTraceEntry::to_entry).collect(),
-                                outcome,
-                            },
-                        );
-                    }
-                    loaded = warm.len() as u64;
-                    in_sync = warm.len() == in_file;
-                }
-            }
-        }
+        let warm = std::fs::read(path)
+            .ok()
+            .and_then(|buf| Some((decode(&buf, fingerprint, digest)?, buf.len() as u64)));
+        let in_sync = warm.is_some();
+        let (warm, bytes_read) = warm.unwrap_or_default();
         ClassCache {
             path: path.to_owned(),
             fingerprint: fingerprint.to_owned(),
@@ -142,7 +131,6 @@ impl ClassCache {
             warm,
             export: Mutex::new(HashMap::new()),
             in_sync,
-            loaded,
             bytes_read,
         }
     }
@@ -156,50 +144,135 @@ impl ClassCache {
         if export.is_empty() && self.in_sync {
             return Ok(());
         }
-        let mut classes: Vec<CacheClassDoc> = self
-            .warm
-            .iter()
-            .map(|(&(ns, key), class)| CacheClassDoc {
-                ns,
-                key,
-                outcome: class.outcome.kind().to_owned(),
-                message: class.outcome.message().to_owned(),
-                post: class.post.iter().copied().map(Into::into).collect(),
-            })
-            .chain(
-                export
-                    .iter()
-                    .map(|(&(ns, key), (post, outcome))| CacheClassDoc {
-                        ns,
-                        key,
-                        outcome: outcome.kind().to_owned(),
-                        message: outcome.message().to_owned(),
-                        post: post.clone(),
-                    }),
-            )
-            .collect();
-        classes.sort_by_key(|c| (c.ns, c.key));
-        let doc = CacheDoc {
-            schema_version: CACHE_SCHEMA_VERSION,
-            fingerprint: self.fingerprint.clone(),
-            digest: self.digest.clone(),
-            classes,
-        };
-        let json = serde_json::to_string(&doc)
-            .map_err(|e| XfError::Codec(format!("class cache serialization failed: {e}")))?;
-        std::fs::write(&self.path, json)?;
+        let mut classes: Vec<(&(u64, u64), &WarmClass)> =
+            self.warm.iter().chain(export.iter()).collect();
+        classes.sort_by_key(|(k, _)| **k);
+        let bytes = encode(&self.fingerprint, &self.digest, &classes);
+        write_atomically(&self.path, &bytes)?;
         Ok(())
     }
 
     /// Classes loaded warm from the file at open.
     pub(crate) fn loaded(&self) -> u64 {
-        self.loaded
+        self.warm.len() as u64
     }
 
     /// Bytes of cache file consumed at open (zero on a cold start).
     pub(crate) fn bytes_read(&self) -> u64 {
         self.bytes_read
     }
+}
+
+/// The on-disk code and message of an outcome.
+fn outcome_parts(outcome: &PostOutcome) -> (u8, &str) {
+    match outcome {
+        PostOutcome::Completed => (0, ""),
+        PostOutcome::Failed(m) => (1, m),
+        PostOutcome::Panicked(m) => (2, m),
+        PostOutcome::BudgetExceeded(m) => (3, m),
+    }
+}
+
+/// Inverse of [`outcome_parts`].
+fn outcome_from(code: u8, message: &str) -> Option<PostOutcome> {
+    let message = message.to_owned();
+    Some(match code {
+        0 => PostOutcome::Completed,
+        1 => PostOutcome::Failed(message),
+        2 => PostOutcome::Panicked(message),
+        3 => PostOutcome::BudgetExceeded(message),
+        _ => return None,
+    })
+}
+
+/// Serializes `classes` (already in `(ns, key)` order) into a cache file.
+fn encode(fingerprint: &str, digest: &str, classes: &[(&(u64, u64), &WarmClass)]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(MAGIC);
+    buf.push(VERSION);
+    write_str(&mut buf, fingerprint).expect("vec write");
+    write_str(&mut buf, digest).expect("vec write");
+    write_varint(&mut buf, classes.len() as u64).expect("vec write");
+    let mut entries = EntryWriter::new(true);
+    for (&(ns, key), class) in classes {
+        let (code, message) = outcome_parts(&class.outcome);
+        write_varint(&mut buf, ns).expect("vec write");
+        write_varint(&mut buf, key).expect("vec write");
+        buf.push(code);
+        write_str(&mut buf, message).expect("vec write");
+        write_varint(&mut buf, class.post.len() as u64).expect("vec write");
+        for e in &class.post {
+            entries
+                .write_entry(&mut buf, REC_POST, e)
+                .expect("vec write");
+        }
+    }
+    let sum = fnv1a(&buf);
+    buf.extend_from_slice(&sum.to_le_bytes());
+    buf
+}
+
+/// Parses a cache file into its classes, or `None` (a cold start) on any
+/// mismatch or malformation.
+fn decode(buf: &[u8], fingerprint: &str, digest: &str) -> Option<Classes> {
+    let body = buf.get(..buf.len().checked_sub(TRAILER)?)?;
+    let mut cur = EntryCursor::new(body);
+    let header_matches = cur.take(MAGIC.len()).ok()? == MAGIC
+        && cur.u8().ok()? == VERSION
+        && cur.str("fingerprint").ok()? == fingerprint
+        && cur.str("digest").ok()? == digest;
+    let trailer = u64::from_le_bytes(buf[body.len()..].try_into().ok()?);
+    if !header_matches || trailer != fnv1a(body) {
+        return None;
+    }
+    cur.set_tids(true);
+    let in_file = cur.varint().ok()?;
+    let mut warm = HashMap::new();
+    for _ in 0..in_file {
+        let ns = cur.varint().ok()?;
+        let key = cur.varint().ok()?;
+        let code = cur.u8().ok()?;
+        let outcome = outcome_from(code, cur.str("message").ok()?)?;
+        let n = cur.varint().ok()?;
+        // A count larger than the bytes left is corrupt, not an
+        // allocation request.
+        if n > cur.remaining() as u64 {
+            return None;
+        }
+        let mut post = Vec::with_capacity(n as usize);
+        for _ in 0..n {
+            if cur.next_tag().ok()? != REC_POST {
+                return None;
+            }
+            post.push(cur.read_entry().ok()?);
+        }
+        if warm
+            .insert((ns, key), WarmClass { post, outcome })
+            .is_some()
+        {
+            return None;
+        }
+    }
+    (cur.remaining() == 0).then_some(warm)
+}
+
+/// Replaces `path` with `bytes` through a uniquely named temporary file in
+/// the same directory and a `rename`, so readers and concurrent savers
+/// only ever see complete files.
+fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let mut name = path.file_name().unwrap_or_default().to_owned();
+    name.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = path.with_file_name(name);
+    let result = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if result.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    result
 }
 
 /// The engine-facing handle: one per engine run, namespacing class keys by
@@ -252,11 +325,9 @@ impl CacheHandle {
             return;
         }
         let mut export = self.store.export.lock().expect("cache export lock");
-        export.entry((self.ns, key)).or_insert_with(|| {
-            (
-                post.iter().copied().map(Into::into).collect(),
-                outcome.clone(),
-            )
+        export.entry((self.ns, key)).or_insert_with(|| WarmClass {
+            post: post.to_vec(),
+            outcome: outcome.clone(),
         });
     }
 
@@ -304,7 +375,7 @@ mod tests {
 
     #[test]
     fn round_trips_classes_through_the_file() {
-        let path = tmp("roundtrip.json");
+        let path = tmp("roundtrip.xfc");
         std::fs::remove_file(&path).ok();
 
         let cold = ClassCache::open(&path, "fp", "digest");
@@ -327,7 +398,7 @@ mod tests {
 
     #[test]
     fn header_mismatch_starts_cold() {
-        let path = tmp("mismatch.json");
+        let path = tmp("mismatch.xfc");
         std::fs::remove_file(&path).ok();
         let cache = Arc::new(ClassCache::open(&path, "fp-a", "d1"));
         CacheHandle::new(Arc::clone(&cache), 0).export(1, &[], &PostOutcome::Completed);
@@ -341,7 +412,7 @@ mod tests {
 
     #[test]
     fn namespaces_keep_plans_apart() {
-        let path = tmp("ns.json");
+        let path = tmp("ns.xfc");
         std::fs::remove_file(&path).ok();
         let cache = Arc::new(ClassCache::open(&path, "fp", "d"));
         CacheHandle::new(Arc::clone(&cache), 0).export(9, &[], &PostOutcome::Completed);
@@ -355,15 +426,61 @@ mod tests {
 
     #[test]
     fn corrupt_files_start_cold() {
-        let path = tmp("corrupt.json");
-        std::fs::write(&path, b"{ not json").unwrap();
-        assert_eq!(ClassCache::open(&path, "fp", "d").loaded(), 0);
+        let path = tmp("corrupt.xfc");
+        // Foreign bytes, and the JSON document earlier builds wrote.
+        for junk in [
+            &b"{ not json"[..],
+            br#"{"schema_version":1,"fingerprint":"fp","digest":"d","classes":[]}"#,
+        ] {
+            std::fs::write(&path, junk).unwrap();
+            let cache = ClassCache::open(&path, "fp", "d");
+            assert_eq!((cache.loaded(), cache.bytes_read()), (0, 0));
+        }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
+    fn a_bad_trailer_or_a_short_file_starts_cold() {
+        let path = tmp("trailer.xfc");
+        std::fs::remove_file(&path).ok();
+        let cache = Arc::new(ClassCache::open(&path, "fp", "d"));
+        CacheHandle::new(Arc::clone(&cache), 0).export(3, &[entry()], &PostOutcome::Completed);
+        cache.save().unwrap();
+        let good = std::fs::read(&path).unwrap();
+        assert_eq!(&good[..4], MAGIC);
+        assert_eq!(ClassCache::open(&path, "fp", "d").loaded(), 1);
+
+        let mut bad = good.clone();
+        *bad.last_mut().unwrap() ^= 1;
+        std::fs::write(&path, &bad).unwrap();
+        assert_eq!(ClassCache::open(&path, "fp", "d").loaded(), 0);
+        for cut in [0, 4, good.len() - TRAILER, good.len() - 1] {
+            std::fs::write(&path, &good[..cut]).unwrap();
+            assert_eq!(ClassCache::open(&path, "fp", "d").loaded(), 0, "cut {cut}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn saves_leave_no_temporary_files_behind() {
+        let dir = tmp("atomic-dir");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("c.xfc");
+        let cache = Arc::new(ClassCache::open(&path, "fp", "d"));
+        CacheHandle::new(Arc::clone(&cache), 0).export(1, &[entry()], &PostOutcome::Completed);
+        cache.save().unwrap();
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["c.xfc"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn warm_classes_are_never_re_exported() {
-        let path = tmp("no-reexport.json");
+        let path = tmp("no-reexport.xfc");
         std::fs::remove_file(&path).ok();
         let cache = Arc::new(ClassCache::open(&path, "fp", "d"));
         CacheHandle::new(Arc::clone(&cache), 0).export(5, &[entry()], &PostOutcome::Completed);
@@ -381,7 +498,7 @@ mod tests {
 
     #[test]
     fn warm_runs_that_discover_nothing_leave_the_file_alone() {
-        let path = tmp("untouched.json");
+        let path = tmp("untouched.xfc");
         std::fs::remove_file(&path).ok();
         let cache = Arc::new(ClassCache::open(&path, "fp", "d"));
         CacheHandle::new(Arc::clone(&cache), 0).export(5, &[entry()], &PostOutcome::Completed);
@@ -407,7 +524,7 @@ mod tests {
 
     #[test]
     fn cold_starts_overwrite_a_stale_file_even_with_nothing_to_export() {
-        let path = tmp("stale.json");
+        let path = tmp("stale.xfc");
         std::fs::remove_file(&path).ok();
         let cache = Arc::new(ClassCache::open(&path, "fp-a", "d"));
         CacheHandle::new(Arc::clone(&cache), 0).export(1, &[], &PostOutcome::Completed);

@@ -41,7 +41,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use xftrace::varint::{read_varint, write_varint};
+use xftrace::fnv::fnv1a;
+use xftrace::varint::{read_varint, write_str, write_varint};
 use xftrace::SourceLoc;
 
 use crate::engine::XfConfig;
@@ -52,14 +53,6 @@ const MAGIC: &[u8; 4] = b"XFJ1";
 const VERSION: u8 = 2;
 const REC_FP_DONE: u8 = 0x01;
 const REC_END: u8 = 0xFF;
-
-/// FNV-1a over a record payload: cheap, dependency-free corruption
-/// detection for records whose findings are merged verbatim on resume.
-fn payload_checksum(payload: &[u8]) -> u64 {
-    payload.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
-}
 
 const FLAG_READER: u8 = 1 << 0;
 const FLAG_WRITER: u8 = 1 << 1;
@@ -101,16 +94,18 @@ fn kind_from_code(code: u8) -> Option<BugKind> {
     })
 }
 
-/// The journal fingerprint: the workload plus every configuration axis
-/// that affects the final report. A resumed run whose fingerprint differs
-/// is rejected instead of silently merging incompatible findings.
+/// The run fingerprint: the workload plus every configuration axis that
+/// affects the final report. The run journal and the cross-run class cache
+/// bind their files to it: a resumed run whose fingerprint differs is
+/// rejected instead of silently merging incompatible findings, and a cache
+/// whose header differs starts cold.
 ///
 /// Deliberately excluded: `max_failure_points` (so a truncated run resumes
 /// under the full configuration), `record_trace` and the execution mode
 /// (all report-neutral — a journal written by a batch run can resume in
 /// parallel or stream mode).
 #[must_use]
-pub(crate) fn fingerprint(workload: &str, config: &XfConfig) -> String {
+pub fn run_fingerprint(workload: &str, config: &XfConfig) -> String {
     format!(
         "workload={workload};skip_empty={};first_read_only={};inject_at_completion={};\
          fire_on_every_write={};catch_post_panics={};crash_policy={:?};rng_seed={:#x};\
@@ -145,13 +140,8 @@ pub struct JournalFp {
     pub findings: Vec<Finding>,
 }
 
-fn write_string(buf: &mut Vec<u8>, s: &str) {
-    write_varint(buf, s.len() as u64).expect("vec write");
-    buf.extend_from_slice(s.as_bytes());
-}
-
 fn write_loc(buf: &mut Vec<u8>, loc: SourceLoc) {
-    write_string(buf, loc.file);
+    write_str(buf, loc.file).expect("vec write");
     write_varint(buf, u64::from(loc.line)).expect("vec write");
 }
 
@@ -184,7 +174,7 @@ fn encode_finding(buf: &mut Vec<u8>, f: &Finding) {
         write_loc(buf, fp.loc);
     }
     if let Some(msg) = &f.message {
-        write_string(buf, msg);
+        write_str(buf, msg).expect("vec write");
     }
 }
 
@@ -264,8 +254,7 @@ impl JournalWriter {
         let mut w = BufWriter::new(File::create(path)?);
         w.write_all(MAGIC)?;
         w.write_all(&[VERSION])?;
-        write_varint(&mut w, fingerprint.len() as u64)?;
-        w.write_all(fingerprint.as_bytes())?;
+        write_str(&mut w, fingerprint)?;
         w.flush()?;
         Ok(JournalWriter { w })
     }
@@ -283,7 +272,7 @@ impl JournalWriter {
         self.w.write_all(&[tag])?;
         write_varint(&mut self.w, payload.len() as u64)?;
         self.w.write_all(payload)?;
-        write_varint(&mut self.w, payload_checksum(payload))?;
+        write_varint(&mut self.w, fnv1a(payload))?;
         self.w.flush()
     }
 
@@ -373,7 +362,7 @@ pub(crate) fn read_journal(path: &Path) -> Result<JournalContents, XfError> {
         let Ok(checksum) = read_varint(&mut r) else {
             break;
         };
-        if checksum != payload_checksum(&payload) {
+        if checksum != fnv1a(&payload) {
             return Err(XfError::Journal(
                 "record checksum mismatch (corrupt journal)".into(),
             ));
@@ -628,18 +617,18 @@ mod tests {
 
     #[test]
     fn fingerprint_excludes_report_neutral_axes() {
-        let a = fingerprint("w", &XfConfig::default());
+        let a = run_fingerprint("w", &XfConfig::default());
         let capped = XfConfig {
             max_failure_points: Some(3),
             record_trace: true,
             ..XfConfig::default()
         };
-        assert_eq!(a, fingerprint("w", &capped));
+        assert_eq!(a, run_fingerprint("w", &capped));
         let differs = XfConfig {
             first_read_only: false,
             ..XfConfig::default()
         };
-        assert_ne!(a, fingerprint("w", &differs));
-        assert_ne!(a, fingerprint("other", &XfConfig::default()));
+        assert_ne!(a, run_fingerprint("w", &differs));
+        assert_ne!(a, run_fingerprint("other", &XfConfig::default()));
     }
 }

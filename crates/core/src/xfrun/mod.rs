@@ -61,7 +61,7 @@ use crate::prune::Pruning;
 use crate::report::{BugKind, Finding};
 use crate::stats::RunStats;
 
-pub use journal::JournalFp;
+pub use journal::{run_fingerprint, JournalFp};
 pub use obs::{ObsCounts, ObsHandle, Progress, RunMetrics, StageMillis};
 
 use cache::{CacheHandle, ClassCache};
@@ -629,7 +629,7 @@ impl Session {
     /// completes.
     fn open_cache(&self, workload_name: &str) -> Option<Arc<ClassCache>> {
         let path = self.class_cache.as_ref()?;
-        let fingerprint = journal::fingerprint(workload_name, &self.config);
+        let fingerprint = journal::run_fingerprint(workload_name, &self.config);
         Some(Arc::new(ClassCache::open(
             path,
             &fingerprint,
@@ -660,7 +660,7 @@ impl Session {
         let workload_name = workload.name().to_owned();
 
         // Journal: read the skip-set when resuming, then open for append.
-        let fingerprint = journal::fingerprint(&workload_name, &config);
+        let fingerprint = journal::run_fingerprint(&workload_name, &config);
         let mut skip = None;
         let mut total_hint = config.max_failure_points;
         let writer = match self.journal_path.as_ref().filter(|_| !inner) {
@@ -1152,14 +1152,14 @@ mod tests {
     #[test]
     fn class_cache_requires_equivalence_pruning() {
         assert!(matches!(
-            Session::builder().class_cache(tmp("nope.json")).build(),
+            Session::builder().class_cache(tmp("nope.xfc")).build(),
             Err(ConfigError::CacheNeedsEquivalence)
         ));
     }
 
     #[test]
     fn stream_mode_rejects_the_class_cache() {
-        let path = tmp("cache-stream.json");
+        let path = tmp("cache-stream.xfc");
         let err = cached_session(&path).run(Racy, Mode::Stream).unwrap_err();
         assert!(
             matches!(err, XfError::Config(ConfigError::CacheStreamUnsupported)),
@@ -1169,7 +1169,7 @@ mod tests {
 
     #[test]
     fn second_run_is_served_warm_with_byte_identical_report() {
-        let path = tmp("cache-batch.json");
+        let path = tmp("cache-batch.xfc");
         std::fs::remove_file(&path).ok();
 
         let reference = Session::builder()
@@ -1200,7 +1200,7 @@ mod tests {
 
     #[test]
     fn warm_cache_crosses_execution_modes() {
-        let path = tmp("cache-modes.json");
+        let path = tmp("cache-modes.xfc");
         std::fs::remove_file(&path).ok();
         let first = cached_session(&path).run(Racy, Mode::Batch).unwrap();
         // A batch-written cache serves a parallel run (and vice versa): the
@@ -1221,7 +1221,7 @@ mod tests {
 
     #[test]
     fn config_change_invalidates_the_cache() {
-        let path = tmp("cache-invalidate.json");
+        let path = tmp("cache-invalidate.xfc");
         std::fs::remove_file(&path).ok();
         cached_session(&path).run(Racy, Mode::Batch).unwrap();
         // A report-affecting config change (first_read_only) must start
@@ -1247,7 +1247,7 @@ mod tests {
 
     #[test]
     fn digest_change_invalidates_the_cache() {
-        let path = tmp("cache-digest.json");
+        let path = tmp("cache-digest.xfc");
         std::fs::remove_file(&path).ok();
         let mk = |digest: &str| {
             Session::builder()
@@ -1268,7 +1268,7 @@ mod tests {
 
     #[test]
     fn warm_cache_covers_schedule_sweeps() {
-        let path = tmp("cache-sweep.json");
+        let path = tmp("cache-sweep.xfc");
         std::fs::remove_file(&path).ok();
         let spec: crate::ScheduleSpec = "exhaustive:2".parse().unwrap();
         let mk = || {
@@ -1304,7 +1304,7 @@ mod tests {
         // re-emit the BudgetExceeded finding (byte-identical report) while
         // `budget_exceeded` counts executed representatives only — a cache
         // hit never consumes an entry budget.
-        let path = tmp("cache-budget.json");
+        let path = tmp("cache-budget.xfc");
         std::fs::remove_file(&path).ok();
         let mk = || {
             Session::builder()

@@ -29,6 +29,7 @@ use std::path::PathBuf;
 use pmem::PersistDomain;
 use xfdetector::offline::{analyze, analyze_in, RecordedRun};
 use xfdetector::{BugCategory, BugKind, DetectionReport, Finding, Mode, Pruning, Session, XfError};
+use xftrace::fnv;
 
 use crate::gen::{generate, generate_concurrent};
 use crate::oracle::{oracle_report, oracle_report_in};
@@ -196,15 +197,6 @@ pub struct CampaignOutcome<P = FuzzProgram> {
     /// same `(seed, iters, max_ops, domain)` yields the same digest on
     /// every run.
     pub digest: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
 /// The online findings a trace replay can reproduce (execution outcomes —
@@ -576,14 +568,14 @@ where
 {
     // The domain is folded in unconditionally, so campaigns differing only
     // in domain never collide even when their reports happen to agree.
-    let mut digest = fnv1a(FNV_OFFSET, cfg.domain.to_string().as_bytes());
+    let mut digest = fnv::fnv1a(cfg.domain.to_string().as_bytes());
     let mut divergences = Vec::new();
 
     for iter in 0..cfg.iters {
         let program = gen_one(iter);
         let outcome = check(&program, cfg)?;
-        digest = fnv1a(digest, program.text().as_bytes());
-        digest = fnv1a(digest, outcome.batch_json.as_bytes());
+        digest = fnv::fold(digest, program.text().as_bytes());
+        digest = fnv::fold(digest, outcome.batch_json.as_bytes());
 
         let diverged = outcome.divergence.is_some();
         if let Some(info) = outcome.divergence {

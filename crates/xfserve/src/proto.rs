@@ -21,6 +21,7 @@
 
 use std::io::{self, Read, Write};
 
+use xftrace::fnv::fnv1a;
 use xftrace::varint::{read_varint, write_varint};
 
 /// Client request: submit a job (spec JSON + optional artifact upload).
@@ -54,18 +55,6 @@ pub const TAG_ERR: u8 = 0x88;
 /// Refuse to allocate for frames beyond this size (64 MiB): a corrupt
 /// length prefix must not look like an allocation request.
 const MAX_FRAME: u64 = 64 << 20;
-
-/// FNV-1a 64-bit — the frame checksum. Also used by the server to derive
-/// cache file names from job digests.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Writes one frame: tag, varint length, payload, checksum.
 pub fn write_frame<W: Write>(w: &mut W, tag: u8, payload: &[u8]) -> io::Result<()> {

@@ -20,16 +20,18 @@
 //! # Cross-run cache
 //!
 //! With a `--cache-dir`, the server arms the [`xfdetector`] class cache
-//! on every eligible job: the cache file is keyed by the FNV-1a hash of
+//! on every eligible job. The cache file is named by the FNV-1a hash of
 //! the job's *program digest* (workload + ops + init + bugs, or the
-//! content hash of an uploaded artifact), so a repeat campaign loads the
-//! previous run's persistence-state equivalence classes and skips their
-//! representatives. Config changes are handled below the file name: the
-//! cache header carries the (workload, config) journal fingerprint and a
-//! mismatch falls back to a cold start, overwriting on save. Two jobs
-//! with the same digest racing to save is benign — last writer wins, a
-//! torn file fails the header parse and reads as a cold start, and
-//! reports are unaffected either way.
+//! content hash of an uploaded artifact) together with its run
+//! fingerprint ([`xfdetector::run_fingerprint`]: every report-affecting
+//! configuration axis, the same axes the cache header checks). A repeat
+//! campaign therefore loads the previous run's persistence-state
+//! equivalence classes and skips their representatives, and the same
+//! program under two configurations (ADR and eADR, say) keeps two files
+//! instead of overwriting one header with the other on every alternation.
+//! A header mismatch still falls back to a cold start. Two jobs racing to
+//! save one file is benign: each save renames a complete file into place,
+//! the last one wins, and reports are unaffected either way.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -43,9 +45,11 @@ use std::thread;
 use xfdetector::JobSpec;
 
 use crate::job::{resolve_bugs, resolve_workload, run_job, Emitter};
+use xftrace::fnv::fnv1a;
+
 use crate::proto::{
-    decode_submit, encode_rejected, fnv1a, read_frame, write_frame, ArtifactKind, JobEvent,
-    TAG_REJECTED, TAG_SHUTDOWN, TAG_STATUS, TAG_STATUS_REPLY, TAG_SUBMIT, TAG_WATCH,
+    decode_submit, encode_rejected, read_frame, write_frame, ArtifactKind, JobEvent, TAG_REJECTED,
+    TAG_SHUTDOWN, TAG_STATUS, TAG_STATUS_REPLY, TAG_SUBMIT, TAG_WATCH,
 };
 
 /// Server tuning knobs, from `xfd serve` flags.
@@ -379,9 +383,10 @@ fn prepare(
         resolve_bugs(&spec, kind)?;
     }
     // Arm the cross-run cache: keyed by the program digest (or uploaded
-    // content), salted per schedule plan inside the cache layer. Streams
-    // check entries as they arrive and cannot skip ahead, and explicit
-    // cache/journal choices in the spec win over the server default.
+    // content) and the run fingerprint, salted per schedule plan inside
+    // the cache layer. Streams check entries as they arrive and cannot
+    // skip ahead, and explicit cache/journal choices in the spec win over
+    // the server default.
     if let Some(dir) = &opts.cache_dir {
         let eligible = spec.mode() == Ok(xfdetector::Mode::Batch)
             || spec.mode() == Ok(xfdetector::Mode::Parallel);
@@ -391,7 +396,12 @@ fn prepare(
                 Some((_, bytes)) => format!("content:{:016x}", fnv1a(bytes)),
                 None => spec.digest(),
             };
-            let file = dir.join(format!("{:016x}.xfc", fnv1a(digest.as_bytes())));
+            let fingerprint = xfdetector::run_fingerprint(
+                spec.workload.as_deref().unwrap_or(""),
+                &spec.config()?,
+            );
+            let key = format!("{digest}\n{fingerprint}");
+            let file = dir.join(format!("{:016x}.xfc", fnv1a(key.as_bytes())));
             spec.class_cache = Some(file.to_string_lossy().into_owned());
             spec.cache_digest = Some(digest);
         }

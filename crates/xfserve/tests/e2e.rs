@@ -244,9 +244,62 @@ fn repeat_submissions_hit_the_cross_run_cache() {
         "expected >=5x fewer post runs: cold {cold_posts}, warm {warm_posts}"
     );
 
+    // The same program under another persistence domain runs cold into a
+    // file of its own: it must not evict the ADR classes.
+    let eadr_spec = JobSpec {
+        domain: Some("eadr".to_owned()),
+        ..btree_spec()
+    };
+    let (_, eadr, code3) = run_to_done(&mut client(&ep), &eadr_spec);
+    let (_, adr_again, code4) = run_to_done(&mut client(&ep), &btree_spec());
+    assert_eq!((code3, code4), (0, 0));
+    assert_eq!(json_u64(metrics_of(&eadr), "cache_hits"), 0);
+    let adr_again_metrics = metrics_of(&adr_again);
+    assert!(
+        json_u64(adr_again_metrics, "cache_hits") > 0,
+        "ADR after eADR must still be warm: {adr_again_metrics}"
+    );
+    assert_eq!(report_of(&adr_again), report_of(&first));
+
     client(&ep).shutdown().expect("shutdown");
     handle.join().expect("server thread").expect("server run");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_oversize_length_prefix_fails_its_job_and_the_server_keeps_serving() {
+    let (ep, handle) = start_server(ServerOptions::default());
+    // `XFT1`, version 1, no flags, then a `FileDef` record whose varint
+    // length claims 2^45 bytes of file name.
+    let hostile = b"XFT1\x01\x00\x01\x80\x80\x80\x80\x80\x80\x08";
+    let spec = JobSpec {
+        trace: Some("hostile.xft".to_owned()),
+        ..JobSpec::default()
+    };
+    let mut c = client(&ep);
+    c.submit(&spec, Some((ArtifactKind::Xft, hostile)))
+        .expect("submit");
+    let mut events = Vec::new();
+    let code = c
+        .stream_job(&mut |ev: &JobEvent| events.push(ev.clone()))
+        .expect("stream");
+    assert_eq!(
+        code,
+        XfError::Codec(String::new()).exit_code(),
+        "{events:?}"
+    );
+    assert!(
+        events
+            .iter()
+            .any(|ev| matches!(ev, JobEvent::Error { message } if message.contains("codec"))),
+        "{events:?}"
+    );
+
+    let (_, _, next) = run_to_done(&mut client(&ep), &btree_spec());
+    assert_eq!(next, 0, "the server must survive a hostile upload");
+
+    client(&ep).shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("server run");
 }
 
 #[test]

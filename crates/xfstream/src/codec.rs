@@ -10,13 +10,10 @@
 //!   when known up front — v2 additionally carries the thread count and the
 //!   serialized schedule so a recorded concurrent run replays under the
 //!   exact interleaving that produced it),
-//! - a **string table** built incrementally: the first reference to a
-//!   source file emits a `FileDef` record and assigns the next id; every
-//!   later reference is a small varint,
-//! - **varint + delta encoding** for the hot fields: addresses are
-//!   zigzag-encoded deltas against the previous address (PM traces are
-//!   strongly local), line numbers are deltas against the previous line,
-//!   sizes are plain varints,
+//! - the **entry records** of [`xftrace::codec`]: an incremental string
+//!   table (`FileDef` records) and varint + delta encoding for the hot
+//!   fields — the same entry codec the cross-run class cache stores its
+//!   post-failure traces in,
 //! - an **`End` record** carrying the authoritative entry/failure-point
 //!   counts, so streaming writers (which cannot know counts up front) stay
 //!   valid and readers can verify they saw the whole trace.
@@ -33,20 +30,22 @@
 //! every tid defaulting to 0; v2 is only emitted for runs stamped with
 //! thread metadata, so single-threaded traces stay byte-identical to v1.
 //!
-//! [`XftWriter`]/[`XftReader`] stream entry-by-entry — a recorded run never
-//! has to be fully resident — and [`analyze_xft`] runs the detection
-//! backend directly off a reader, mirroring [`xfdetector::offline::analyze`].
+//! [`XftWriter`] streams entry-by-entry, so a recorded run never has to be
+//! fully resident while it is written. Every trace is decoded by
+//! [`XftMmapReader`], a bounds-checked cursor over the loaded bytes, and
+//! [`analyze_xft`] runs the detection backend directly off it, mirroring
+//! [`xfdetector::offline::analyze`].
 
-use std::collections::HashMap;
 use std::fmt;
-use std::fs::File;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 use pmem::PersistDomain;
 use xfdetector::offline::{RecordedFailurePoint, RecordedRun};
 use xfdetector::{DetectionReport, FailurePoint, ShadowPm};
-use xftrace::{FenceKind, FlushKind, Op, OwnedTraceEntry, SourceLoc, Stage, TraceEntry};
+use xftrace::codec::{DecodeError, EntryCursor, EntryWriter, REC_POST, REC_PRE};
+use xftrace::varint::{write_str, write_varint};
+use xftrace::{OwnedTraceEntry, SourceLoc, TraceEntry};
 
 /// File magic: `XFT` + format generation `1` (single-threaded traces).
 pub const MAGIC: [u8; 4] = *b"XFT1";
@@ -69,38 +68,16 @@ const FLAG_COUNTS_IN_HEADER: u8 = 0b0000_0001;
 /// ADR.
 const FLAG_DOMAIN: u8 = 0b0000_0010;
 
-// Record tags.
-const REC_FILE_DEF: u8 = 0x01;
-const REC_PRE: u8 = 0x02;
+// Framing record tags; the entry and `FileDef` tags belong to
+// `xftrace::codec`.
 const REC_FAILURE_POINT: u8 = 0x03;
-const REC_POST: u8 = 0x04;
 const REC_END: u8 = 0xFF;
-
-// Op codes (bits 0..=3 of the entry head byte).
-const OP_WRITE: u8 = 0;
-const OP_READ: u8 = 1;
-const OP_NT_WRITE: u8 = 2;
-const OP_FLUSH: u8 = 3;
-const OP_FENCE: u8 = 4;
-const OP_TX_BEGIN: u8 = 5;
-const OP_TX_COMMIT: u8 = 6;
-const OP_TX_ABORT: u8 = 7;
-const OP_TX_ADD: u8 = 8;
-const OP_ALLOC: u8 = 9;
-const OP_FREE: u8 = 10;
-const OP_COMMIT_VAR: u8 = 11;
-const OP_COMMIT_RANGE: u8 = 12;
-
-// Entry head-byte flags (bits 4..=6).
-const ENT_STAGE_POST: u8 = 0b0001_0000;
-const ENT_INTERNAL: u8 = 0b0010_0000;
-const ENT_CHECKED: u8 = 0b0100_0000;
 
 /// Errors produced while encoding or decoding `.xft` data.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum XftError {
-    /// An underlying I/O error.
+    /// An underlying I/O error (a truncated trace is `UnexpectedEof`).
     Io(io::Error),
     /// The input does not start with the `XFT1`/`XFT2` magic.
     BadMagic([u8; 4]),
@@ -111,8 +88,8 @@ pub enum XftError {
     /// writer — rejecting is safer than silently analyzing under the wrong
     /// semantics.
     UnknownDomain(u8),
-    /// Structurally invalid input (truncated, unknown tags, count
-    /// mismatches, invalid UTF-8 in the string table, …).
+    /// Structurally invalid input (unknown tags, count mismatches, invalid
+    /// UTF-8 in the string table, …).
     Corrupt(String),
 }
 
@@ -150,6 +127,18 @@ impl From<io::Error> for XftError {
     }
 }
 
+impl From<DecodeError> for XftError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Eof => XftError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "unexpected end of mapped .xft buffer",
+            )),
+            DecodeError::Corrupt(msg) => XftError::Corrupt(msg),
+        }
+    }
+}
+
 impl From<XftError> for xfdetector::XfError {
     fn from(e: XftError) -> Self {
         match e {
@@ -159,20 +148,6 @@ impl From<XftError> for xfdetector::XfError {
             other => xfdetector::XfError::Codec(other.to_string()),
         }
     }
-}
-
-use xftrace::varint::{unzigzag, write_varint, zigzag};
-
-/// [`xftrace::varint::read_varint`], with decode failures mapped into this
-/// format's error type.
-fn read_varint<R: Read>(r: &mut R) -> Result<u64, XftError> {
-    xftrace::varint::read_varint(r).map_err(|e| {
-        if e.kind() == io::ErrorKind::InvalidData {
-            XftError::Corrupt(e.to_string())
-        } else {
-            XftError::Io(e)
-        }
-    })
 }
 
 /// The decoded `.xft` header.
@@ -191,6 +166,14 @@ pub struct XftHeader {
     /// The persistence domain the trace was recorded under. v1 files and
     /// v2 files without a domain stamp decode as [`PersistDomain::Adr`].
     pub domain: PersistDomain,
+}
+
+impl XftHeader {
+    /// Whether entries carry per-entry thread ids (format v2).
+    #[must_use]
+    pub fn is_concurrent(&self) -> bool {
+        self.version >= VERSION2
+    }
 }
 
 /// Decodes a header domain stamp from its code byte; `window` supplies the
@@ -216,14 +199,6 @@ fn decode_domain(
     Ok(domain)
 }
 
-impl XftHeader {
-    /// Whether entries carry per-entry thread ids (format v2).
-    #[must_use]
-    pub fn is_concurrent(&self) -> bool {
-        self.version >= VERSION2
-    }
-}
-
 /// Checks that `version` is one this build decodes behind `magic`; the
 /// magic byte names the generation, the version byte must agree.
 fn check_version(magic: [u8; 4], version: u8) -> Result<(), XftError> {
@@ -239,49 +214,6 @@ fn check_version(magic: [u8; 4], version: u8) -> Result<(), XftError> {
     }
 }
 
-/// Shared delta-coding state between writer and reader.
-#[derive(Debug, Default)]
-struct DeltaState {
-    prev_addr: u64,
-    prev_line: i64,
-}
-
-impl DeltaState {
-    fn addr_delta(&mut self, addr: u64) -> u64 {
-        let d = zigzag(addr.wrapping_sub(self.prev_addr) as i64);
-        self.prev_addr = addr;
-        d
-    }
-
-    fn addr_undelta(&mut self, raw: u64) -> u64 {
-        let addr = self.prev_addr.wrapping_add(unzigzag(raw) as u64);
-        self.prev_addr = addr;
-        addr
-    }
-
-    fn line_delta(&mut self, line: u32) -> u64 {
-        let d = zigzag(i64::from(line) - self.prev_line);
-        self.prev_line = i64::from(line);
-        d
-    }
-
-    fn line_undelta(&mut self, raw: u64) -> Result<u32, XftError> {
-        let line = self.prev_line + unzigzag(raw);
-        self.prev_line = line;
-        u32::try_from(line)
-            .map_err(|_| XftError::Corrupt(format!("line delta out of range ({line})")))
-    }
-}
-
-/// The per-entry head-byte modifiers shared by the owned and borrowed
-/// entry forms.
-#[derive(Debug, Clone, Copy)]
-struct EntryFlags {
-    stage: Stage,
-    internal: bool,
-    checked: bool,
-}
-
 /// A streaming `.xft` encoder.
 ///
 /// Emit pre-failure entries with [`XftWriter::write_pre`], start each
@@ -292,96 +224,34 @@ struct EntryFlags {
 #[derive(Debug)]
 pub struct XftWriter<W: Write> {
     w: W,
-    files: HashMap<String, u64>,
-    delta: DeltaState,
+    enc: EntryWriter,
     entries: u64,
     fps: u64,
-    /// Format v2: entries carry a trailing thread-id varint.
-    concurrent: bool,
 }
 
 impl<W: Write> XftWriter<W> {
-    /// Starts a streaming single-threaded (v1) trace: the header carries no
-    /// counts; readers rely on the `End` record.
+    /// Writes the header and returns the writer.
+    ///
+    /// `counts` are the `(entries, failure points)` totals when known up
+    /// front (the reader cross-checks them against the `End` record);
+    /// streaming writers pass `None`. A trace stamped with thread metadata
+    /// (`threads != 0` or a non-empty `schedule`) or a non-ADR `domain`
+    /// goes out as v2, and every entry then records its thread id; a plain
+    /// ADR trace is v1, byte-identical to the pre-domain format.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from writing the header.
-    pub fn new(w: W) -> Result<Self, XftError> {
-        Self::start(w, None, None, PersistDomain::Adr)
-    }
-
-    /// Starts a v1 trace whose totals are known up front; the header carries
-    /// the counts and the reader cross-checks them against the `End` record.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from writing the header.
-    pub fn with_counts(w: W, entry_count: u64, fp_count: u64) -> Result<Self, XftError> {
-        Self::start(w, Some((entry_count, fp_count)), None, PersistDomain::Adr)
-    }
-
-    /// Starts a streaming concurrent (v2) trace carrying the thread count
-    /// and the serialized schedule; every entry records its thread id.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from writing the header.
-    pub fn new_concurrent(w: W, threads: u32, schedule: &str) -> Result<Self, XftError> {
-        Self::start(w, None, Some((threads, schedule)), PersistDomain::Adr)
-    }
-
-    /// Starts a concurrent (v2) trace whose totals are known up front.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from writing the header.
-    pub fn with_counts_concurrent(
-        w: W,
-        entry_count: u64,
-        fp_count: u64,
-        threads: u32,
-        schedule: &str,
-    ) -> Result<Self, XftError> {
-        Self::start(
-            w,
-            Some((entry_count, fp_count)),
-            Some((threads, schedule)),
-            PersistDomain::Adr,
-        )
-    }
-
-    /// Starts a trace recorded under `domain`, with known totals. A non-ADR
-    /// domain forces the v2 framing (with `threads = 0` and an empty
-    /// schedule when the trace is single-threaded) and stamps the domain in
-    /// the header; ADR delegates to the exact pre-domain byte stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from writing the header.
-    pub fn with_counts_domain(
-        w: W,
-        entry_count: u64,
-        fp_count: u64,
-        threads: u32,
-        schedule: &str,
-        domain: PersistDomain,
-    ) -> Result<Self, XftError> {
-        let meta = if threads != 0 || !schedule.is_empty() || domain != PersistDomain::Adr {
-            Some((threads, schedule))
-        } else {
-            None
-        };
-        Self::start(w, Some((entry_count, fp_count)), meta, domain)
-    }
-
-    fn start(
+    pub fn new(
         mut w: W,
         counts: Option<(u64, u64)>,
-        meta: Option<(u32, &str)>,
+        threads: u32,
+        schedule: &str,
         domain: PersistDomain,
     ) -> Result<Self, XftError> {
-        let (magic, version) = if meta.is_some() {
+        let stamp_domain = domain != PersistDomain::Adr;
+        let concurrent = threads != 0 || !schedule.is_empty() || stamp_domain;
+        let (magic, version) = if concurrent {
             (MAGIC2, VERSION2)
         } else {
             (MAGIC, VERSION)
@@ -392,11 +262,6 @@ impl<W: Write> XftWriter<W> {
         } else {
             0
         };
-        let stamp_domain = domain != PersistDomain::Adr;
-        debug_assert!(
-            meta.is_some() || !stamp_domain,
-            "non-ADR domains require the v2 framing"
-        );
         if stamp_domain {
             flags |= FLAG_DOMAIN;
         }
@@ -405,10 +270,9 @@ impl<W: Write> XftWriter<W> {
             write_varint(&mut w, entries)?;
             write_varint(&mut w, fps)?;
         }
-        if let Some((threads, schedule)) = meta {
+        if concurrent {
             write_varint(&mut w, u64::from(threads))?;
-            write_varint(&mut w, schedule.len() as u64)?;
-            w.write_all(schedule.as_bytes())?;
+            write_str(&mut w, schedule)?;
         }
         if stamp_domain {
             w.write_all(&[domain.code()])?;
@@ -418,146 +282,21 @@ impl<W: Write> XftWriter<W> {
         }
         Ok(XftWriter {
             w,
-            files: HashMap::new(),
-            delta: DeltaState::default(),
+            enc: EntryWriter::new(concurrent),
             entries: 0,
             fps: 0,
-            concurrent: meta.is_some(),
         })
     }
 
-    /// Packs the per-entry head-byte modifiers of the two entry forms.
-    fn flags(stage: Stage, internal: bool, checked: bool) -> EntryFlags {
-        EntryFlags {
-            stage,
-            internal,
-            checked,
-        }
-    }
-
-    /// Interns `file` into the string table, emitting a `FileDef` record on
-    /// first sight.
-    fn file_id(&mut self, file: &str) -> Result<u64, XftError> {
-        if let Some(&id) = self.files.get(file) {
-            return Ok(id);
-        }
-        let id = self.files.len() as u64;
-        self.w.write_all(&[REC_FILE_DEF])?;
-        write_varint(&mut self.w, file.len() as u64)?;
-        self.w.write_all(file.as_bytes())?;
-        self.files.insert(file.to_owned(), id);
-        Ok(id)
-    }
-
-    fn write_entry(
-        &mut self,
-        tag: u8,
-        op: Op,
-        file: &str,
-        line: u32,
-        tid: u32,
-        flags: EntryFlags,
-    ) -> Result<(), XftError> {
-        let EntryFlags {
-            stage,
-            internal,
-            checked,
-        } = flags;
-        let file_id = self.file_id(file)?;
-        let (code, payload_addr) = match op {
-            Op::Write { .. } => (OP_WRITE, true),
-            Op::Read { .. } => (OP_READ, true),
-            Op::NtWrite { .. } => (OP_NT_WRITE, true),
-            Op::Flush { .. } => (OP_FLUSH, true),
-            Op::Fence { .. } => (OP_FENCE, false),
-            Op::TxBegin => (OP_TX_BEGIN, false),
-            Op::TxCommit => (OP_TX_COMMIT, false),
-            Op::TxAbort => (OP_TX_ABORT, false),
-            Op::TxAdd { .. } => (OP_TX_ADD, true),
-            Op::Alloc { .. } => (OP_ALLOC, true),
-            Op::Free { .. } => (OP_FREE, true),
-            Op::RegisterCommitVar { .. } => (OP_COMMIT_VAR, true),
-            Op::RegisterCommitRange { .. } => (OP_COMMIT_RANGE, true),
-        };
-        let mut head = code;
-        if stage == Stage::Post {
-            head |= ENT_STAGE_POST;
-        }
-        if internal {
-            head |= ENT_INTERNAL;
-        }
-        if checked {
-            head |= ENT_CHECKED;
-        }
-        self.w.write_all(&[tag, head])?;
-        if payload_addr {
-            match op {
-                Op::Write { addr, size }
-                | Op::Read { addr, size }
-                | Op::NtWrite { addr, size }
-                | Op::TxAdd { addr, size }
-                | Op::Free { addr, size }
-                | Op::RegisterCommitVar { addr, size } => {
-                    let d = self.delta.addr_delta(addr);
-                    write_varint(&mut self.w, d)?;
-                    write_varint(&mut self.w, u64::from(size))?;
-                }
-                Op::Flush { addr, kind } => {
-                    let d = self.delta.addr_delta(addr);
-                    write_varint(&mut self.w, d)?;
-                    self.w.write_all(&[flush_kind_code(kind)])?;
-                }
-                Op::Alloc { addr, size, zeroed } => {
-                    let d = self.delta.addr_delta(addr);
-                    write_varint(&mut self.w, d)?;
-                    write_varint(&mut self.w, u64::from(size))?;
-                    self.w.write_all(&[u8::from(zeroed)])?;
-                }
-                Op::RegisterCommitRange {
-                    var_addr,
-                    addr,
-                    size,
-                } => {
-                    let dv = self.delta.addr_delta(var_addr);
-                    write_varint(&mut self.w, dv)?;
-                    let da = self.delta.addr_delta(addr);
-                    write_varint(&mut self.w, da)?;
-                    write_varint(&mut self.w, u64::from(size))?;
-                }
-                _ => unreachable!("payload_addr implies an addressed op"),
-            }
-        } else if let Op::Fence { kind } = op {
-            self.w.write_all(&[fence_kind_code(kind)])?;
-        }
-        write_varint(&mut self.w, file_id)?;
-        let dl = self.delta.line_delta(line);
-        write_varint(&mut self.w, dl)?;
-        if self.concurrent {
-            write_varint(&mut self.w, u64::from(tid))?;
-        }
-        self.entries += 1;
-        Ok(())
-    }
-
-    /// Appends one pre-failure entry (owned form).
+    /// Appends one pre-failure entry.
     ///
     /// # Errors
     ///
     /// Returns any underlying I/O error.
     pub fn write_pre(&mut self, e: &OwnedTraceEntry) -> Result<(), XftError> {
-        let flags = Self::flags(e.stage, e.internal, e.checked);
-        self.write_entry(REC_PRE, e.op, &e.file, e.line, e.tid, flags)
-    }
-
-    /// Appends one pre-failure entry (borrowed form, as produced live by
-    /// [`xftrace::TraceBuf`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns any underlying I/O error.
-    pub fn write_pre_entry(&mut self, e: &TraceEntry) -> Result<(), XftError> {
-        let flags = Self::flags(e.stage, e.internal, e.checked);
-        self.write_entry(REC_PRE, e.op, e.loc.file, e.loc.line, e.tid, flags)
+        self.enc.write_owned(&mut self.w, REC_PRE, e)?;
+        self.entries += 1;
+        Ok(())
     }
 
     /// Starts a failure point at the ordering point `file:line`. Subsequent
@@ -567,7 +306,7 @@ impl<W: Write> XftWriter<W> {
     ///
     /// Returns any underlying I/O error.
     pub fn begin_failure_point(&mut self, file: &str, line: u32) -> Result<(), XftError> {
-        let file_id = self.file_id(file)?;
+        let file_id = self.enc.file_id(&mut self.w, file)?;
         self.w.write_all(&[REC_FAILURE_POINT])?;
         write_varint(&mut self.w, file_id)?;
         write_varint(&mut self.w, u64::from(line))?;
@@ -575,25 +314,15 @@ impl<W: Write> XftWriter<W> {
         Ok(())
     }
 
-    /// Appends one post-failure entry of the current failure point (owned
-    /// form).
+    /// Appends one post-failure entry of the current failure point.
     ///
     /// # Errors
     ///
     /// Returns any underlying I/O error.
     pub fn write_post(&mut self, e: &OwnedTraceEntry) -> Result<(), XftError> {
-        let flags = Self::flags(e.stage, e.internal, e.checked);
-        self.write_entry(REC_POST, e.op, &e.file, e.line, e.tid, flags)
-    }
-
-    /// Appends one post-failure entry (borrowed form).
-    ///
-    /// # Errors
-    ///
-    /// Returns any underlying I/O error.
-    pub fn write_post_entry(&mut self, e: &TraceEntry) -> Result<(), XftError> {
-        let flags = Self::flags(e.stage, e.internal, e.checked);
-        self.write_entry(REC_POST, e.op, e.loc.file, e.loc.line, e.tid, flags)
+        self.enc.write_owned(&mut self.w, REC_POST, e)?;
+        self.entries += 1;
+        Ok(())
     }
 
     /// Entries written so far.
@@ -617,329 +346,9 @@ impl<W: Write> XftWriter<W> {
     }
 }
 
-fn flush_kind_code(kind: FlushKind) -> u8 {
-    match kind {
-        FlushKind::Clwb => 0,
-        FlushKind::Clflush => 1,
-        FlushKind::Clflushopt => 2,
-    }
-}
-
-fn flush_kind_from(code: u8) -> Result<FlushKind, XftError> {
-    match code {
-        0 => Ok(FlushKind::Clwb),
-        1 => Ok(FlushKind::Clflush),
-        2 => Ok(FlushKind::Clflushopt),
-        other => Err(XftError::Corrupt(format!("unknown flush kind {other}"))),
-    }
-}
-
-fn fence_kind_code(kind: FenceKind) -> u8 {
-    match kind {
-        FenceKind::Sfence => 0,
-        FenceKind::Mfence => 1,
-        FenceKind::Drain => 2,
-    }
-}
-
-fn fence_kind_from(code: u8) -> Result<FenceKind, XftError> {
-    match code {
-        0 => Ok(FenceKind::Sfence),
-        1 => Ok(FenceKind::Mfence),
-        2 => Ok(FenceKind::Drain),
-        other => Err(XftError::Corrupt(format!("unknown fence kind {other}"))),
-    }
-}
-
-/// One decoded event of an `.xft` stream, in execution order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum XftEvent {
-    /// A pre-failure trace entry.
-    Pre(OwnedTraceEntry),
-    /// A failure point injected at the ordering point `file:line`;
-    /// subsequent [`XftEvent::Post`] events belong to it.
-    FailurePoint {
-        /// Source file of the ordering point.
-        file: String,
-        /// Source line of the ordering point.
-        line: u32,
-    },
-    /// A post-failure trace entry of the most recent failure point.
-    Post(OwnedTraceEntry),
-}
-
-/// A streaming `.xft` decoder.
-#[derive(Debug)]
-pub struct XftReader<R: Read> {
-    r: R,
-    header: XftHeader,
-    files: Vec<String>,
-    delta: DeltaState,
-    entries_read: u64,
-    fps_read: u64,
-    done: bool,
-}
-
-impl<R: Read> XftReader<R> {
-    /// Parses the header and prepares to stream events.
-    ///
-    /// # Errors
-    ///
-    /// [`XftError::BadMagic`] / [`XftError::UnsupportedVersion`] for foreign
-    /// input, or any I/O error.
-    pub fn new(mut r: R) -> Result<Self, XftError> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if magic != MAGIC && magic != MAGIC2 {
-            return Err(XftError::BadMagic(magic));
-        }
-        let mut vf = [0u8; 2];
-        r.read_exact(&mut vf)?;
-        let (version, flags) = (vf[0], vf[1]);
-        check_version(magic, version)?;
-        let (entry_count, fp_count) = if flags & FLAG_COUNTS_IN_HEADER != 0 {
-            (Some(read_varint(&mut r)?), Some(read_varint(&mut r)?))
-        } else {
-            (None, None)
-        };
-        let (threads, schedule) = if magic == MAGIC2 {
-            let threads = u32::try_from(read_varint(&mut r)?)
-                .map_err(|_| XftError::Corrupt("thread count exceeds u32".into()))?;
-            let len = read_varint(&mut r)? as usize;
-            let mut buf = vec![0u8; len];
-            r.read_exact(&mut buf)?;
-            let schedule = String::from_utf8(buf)
-                .map_err(|_| XftError::Corrupt("schedule is not UTF-8".into()))?;
-            (threads, schedule)
-        } else {
-            (0, String::new())
-        };
-        let domain = if magic == MAGIC2 && flags & FLAG_DOMAIN != 0 {
-            let mut code = [0u8; 1];
-            r.read_exact(&mut code)?;
-            decode_domain(code[0], || read_varint(&mut r))?
-        } else {
-            PersistDomain::Adr
-        };
-        Ok(XftReader {
-            r,
-            header: XftHeader {
-                version,
-                entry_count,
-                fp_count,
-                threads,
-                schedule,
-                domain,
-            },
-            files: Vec::new(),
-            delta: DeltaState::default(),
-            entries_read: 0,
-            fps_read: 0,
-            done: false,
-        })
-    }
-
-    /// The decoded header.
-    #[must_use]
-    pub fn header(&self) -> XftHeader {
-        self.header.clone()
-    }
-
-    /// The string table seen so far (complete once the stream is drained).
-    #[must_use]
-    pub fn files(&self) -> &[String] {
-        &self.files
-    }
-
-    /// Entries decoded so far.
-    #[must_use]
-    pub fn entries_read(&self) -> u64 {
-        self.entries_read
-    }
-
-    /// Failure points decoded so far.
-    #[must_use]
-    pub fn failure_points_read(&self) -> u64 {
-        self.fps_read
-    }
-
-    fn read_entry(&mut self) -> Result<OwnedTraceEntry, XftError> {
-        let mut head = [0u8; 1];
-        self.r.read_exact(&mut head)?;
-        let head = head[0];
-        let code = head & 0x0f;
-        let stage = if head & ENT_STAGE_POST != 0 {
-            Stage::Post
-        } else {
-            Stage::Pre
-        };
-        let internal = head & ENT_INTERNAL != 0;
-        let checked = head & ENT_CHECKED != 0;
-        let size_of = |v: u64| -> Result<u32, XftError> {
-            u32::try_from(v).map_err(|_| XftError::Corrupt(format!("size {v} exceeds u32")))
-        };
-        let op = match code {
-            OP_WRITE | OP_READ | OP_NT_WRITE | OP_TX_ADD | OP_FREE | OP_COMMIT_VAR => {
-                let addr = {
-                    let raw = read_varint(&mut self.r)?;
-                    self.delta.addr_undelta(raw)
-                };
-                let size = size_of(read_varint(&mut self.r)?)?;
-                match code {
-                    OP_WRITE => Op::Write { addr, size },
-                    OP_READ => Op::Read { addr, size },
-                    OP_NT_WRITE => Op::NtWrite { addr, size },
-                    OP_TX_ADD => Op::TxAdd { addr, size },
-                    OP_FREE => Op::Free { addr, size },
-                    _ => Op::RegisterCommitVar { addr, size },
-                }
-            }
-            OP_FLUSH => {
-                let raw = read_varint(&mut self.r)?;
-                let addr = self.delta.addr_undelta(raw);
-                let mut k = [0u8; 1];
-                self.r.read_exact(&mut k)?;
-                Op::Flush {
-                    addr,
-                    kind: flush_kind_from(k[0])?,
-                }
-            }
-            OP_FENCE => {
-                let mut k = [0u8; 1];
-                self.r.read_exact(&mut k)?;
-                Op::Fence {
-                    kind: fence_kind_from(k[0])?,
-                }
-            }
-            OP_TX_BEGIN => Op::TxBegin,
-            OP_TX_COMMIT => Op::TxCommit,
-            OP_TX_ABORT => Op::TxAbort,
-            OP_ALLOC => {
-                let raw = read_varint(&mut self.r)?;
-                let addr = self.delta.addr_undelta(raw);
-                let size = size_of(read_varint(&mut self.r)?)?;
-                let mut z = [0u8; 1];
-                self.r.read_exact(&mut z)?;
-                Op::Alloc {
-                    addr,
-                    size,
-                    zeroed: z[0] != 0,
-                }
-            }
-            OP_COMMIT_RANGE => {
-                let raw_v = read_varint(&mut self.r)?;
-                let var_addr = self.delta.addr_undelta(raw_v);
-                let raw_a = read_varint(&mut self.r)?;
-                let addr = self.delta.addr_undelta(raw_a);
-                let size = size_of(read_varint(&mut self.r)?)?;
-                Op::RegisterCommitRange {
-                    var_addr,
-                    addr,
-                    size,
-                }
-            }
-            other => return Err(XftError::Corrupt(format!("unknown op code {other}"))),
-        };
-        let file_id = read_varint(&mut self.r)?;
-        let file = self
-            .files
-            .get(file_id as usize)
-            .ok_or_else(|| XftError::Corrupt(format!("undefined file id {file_id}")))?
-            .clone();
-        let raw_line = read_varint(&mut self.r)?;
-        let line = self.delta.line_undelta(raw_line)?;
-        let tid = if self.header.is_concurrent() {
-            u32::try_from(read_varint(&mut self.r)?)
-                .map_err(|_| XftError::Corrupt("thread id exceeds u32".into()))?
-        } else {
-            0
-        };
-        self.entries_read += 1;
-        Ok(OwnedTraceEntry {
-            op,
-            file,
-            line,
-            tid,
-            stage,
-            internal,
-            checked,
-        })
-    }
-
-    /// Decodes the next event, or `None` once the `End` record is reached.
-    ///
-    /// # Errors
-    ///
-    /// [`XftError::Corrupt`] on malformed input or when the `End` counts do
-    /// not match what was decoded; I/O errors (including unexpected EOF,
-    /// which surfaces as [`XftError::Io`]) otherwise.
-    pub fn next_event(&mut self) -> Result<Option<XftEvent>, XftError> {
-        if self.done {
-            return Ok(None);
-        }
-        loop {
-            let mut tag = [0u8; 1];
-            self.r.read_exact(&mut tag)?;
-            match tag[0] {
-                REC_FILE_DEF => {
-                    let len = read_varint(&mut self.r)? as usize;
-                    let mut buf = vec![0u8; len];
-                    self.r.read_exact(&mut buf)?;
-                    let name = String::from_utf8(buf)
-                        .map_err(|_| XftError::Corrupt("file name is not UTF-8".into()))?;
-                    self.files.push(name);
-                }
-                REC_PRE => return Ok(Some(XftEvent::Pre(self.read_entry()?))),
-                REC_POST => return Ok(Some(XftEvent::Post(self.read_entry()?))),
-                REC_FAILURE_POINT => {
-                    let file_id = read_varint(&mut self.r)?;
-                    let file = self
-                        .files
-                        .get(file_id as usize)
-                        .ok_or_else(|| XftError::Corrupt(format!("undefined file id {file_id}")))?
-                        .clone();
-                    let line = u32::try_from(read_varint(&mut self.r)?)
-                        .map_err(|_| XftError::Corrupt("failure-point line exceeds u32".into()))?;
-                    self.fps_read += 1;
-                    return Ok(Some(XftEvent::FailurePoint { file, line }));
-                }
-                REC_END => {
-                    let entries = read_varint(&mut self.r)?;
-                    let fps = read_varint(&mut self.r)?;
-                    if entries != self.entries_read || fps != self.fps_read {
-                        return Err(XftError::Corrupt(format!(
-                            "End record counts ({entries} entries, {fps} failure points) \
-                             disagree with decoded stream ({}, {})",
-                            self.entries_read, self.fps_read
-                        )));
-                    }
-                    if let (Some(h), e) = (self.header.entry_count, entries) {
-                        if h != e {
-                            return Err(XftError::Corrupt(format!(
-                                "header claims {h} entries, End record has {e}"
-                            )));
-                        }
-                    }
-                    if let (Some(h), p) = (self.header.fp_count, fps) {
-                        if h != p {
-                            return Err(XftError::Corrupt(format!(
-                                "header claims {h} failure points, End record has {p}"
-                            )));
-                        }
-                    }
-                    self.done = true;
-                    return Ok(None);
-                }
-                other => return Err(XftError::Corrupt(format!("unknown record tag {other:#x}"))),
-            }
-        }
-    }
-}
-
-/// One decoded `.xft` event in the borrowed form produced by the mapped
-/// zero-copy reader: source files resolve to interned `&'static str` once
-/// per `FileDef` record, so decoding an entry allocates nothing at all —
-/// no `String` clone, no intermediate buffer.
+/// One decoded `.xft` event, in execution order. Source files resolve to
+/// interned `&'static str` once per `FileDef` record, so decoding an entry
+/// allocates nothing at all — no `String` clone, no intermediate buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum XftRefEvent {
     /// A pre-failure trace entry.
@@ -956,42 +365,23 @@ pub enum XftRefEvent {
     Post(TraceEntry),
 }
 
-impl XftRefEvent {
-    /// Lowers an owned event into the borrowed form (interning the file
-    /// through the same global table the mapped reader uses, so both ingest
-    /// paths produce identical entries).
-    fn from_owned(ev: XftEvent) -> Self {
-        match ev {
-            XftEvent::Pre(e) => XftRefEvent::Pre(e.to_entry()),
-            XftEvent::Post(e) => XftRefEvent::Post(e.to_entry()),
-            XftEvent::FailurePoint { file, line } => XftRefEvent::FailurePoint {
-                file: xftrace::intern_file(&file),
-                line,
-            },
-        }
-    }
-}
-
-/// The zero-copy `.xft` decoder: the whole trace sits in one contiguous
-/// in-memory buffer and decode is a cursor walk over the flat bytes, with
-/// the varint loop inlined instead of funneled through per-field
-/// [`Read::read_exact`] calls.
+/// The `.xft` decoder: the whole trace sits in one contiguous in-memory
+/// buffer (owned, `B = Vec<u8>`, or borrowed, `B = &[u8]`) and decode is a
+/// bounds-checked cursor walk over the flat bytes
+/// ([`xftrace::codec::EntryCursor`]).
 ///
 /// This is the in-crate analogue of an `mmap`-backed read: the workspace
 /// forbids `unsafe` (so a true `mmap(2)` region is off the table), but the
 /// costs the syscall would eliminate — per-field reader dispatch, bounded
-/// 8 KiB buffer refills, and a `String` allocation per entry for the source
+/// buffer refills, and a `String` allocation per entry for the source
 /// file — are eliminated here the same way: one upfront load, then pure
-/// slice indexing and interned `&'static str` file names.
-/// [`XftReader::open_mmap`] picks this path whenever the file fits in
-/// memory and falls back to the streaming reader otherwise.
+/// slice indexing and interned `&'static str` file names. Every length
+/// prefix is checked against the bytes present before anything is
+/// allocated, so hostile input fails with a typed error.
 #[derive(Debug)]
-pub struct XftMmapReader {
-    buf: Vec<u8>,
-    pos: usize,
+pub struct XftMmapReader<B = Vec<u8>> {
+    cur: EntryCursor<B>,
     header: XftHeader,
-    files: Vec<&'static str>,
-    delta: DeltaState,
     entries_read: u64,
     fps_read: u64,
     done: bool,
@@ -1003,138 +393,61 @@ impl XftMmapReader {
     /// # Errors
     ///
     /// [`XftError::BadMagic`] / [`XftError::UnsupportedVersion`] for foreign
-    /// input, or any I/O error from reading the file.
+    /// input, or any I/O error from reading the file (a missing file is
+    /// [`io::ErrorKind::NotFound`]).
     pub fn open(path: &Path) -> Result<Self, XftError> {
         Self::from_bytes(std::fs::read(path)?)
     }
+}
 
+impl<B: AsRef<[u8]>> XftMmapReader<B> {
     /// Wraps an already-loaded `.xft` buffer and parses the header.
     ///
     /// # Errors
     ///
     /// As [`XftMmapReader::open`], minus the file I/O.
-    pub fn from_bytes(buf: Vec<u8>) -> Result<Self, XftError> {
-        let mut rd = XftMmapReader {
-            buf,
-            pos: 0,
-            header: XftHeader {
-                version: 0,
-                entry_count: None,
-                fp_count: None,
-                threads: 0,
-                schedule: String::new(),
-                domain: PersistDomain::Adr,
-            },
-            files: Vec::new(),
-            delta: DeltaState::default(),
-            entries_read: 0,
-            fps_read: 0,
-            done: false,
-        };
-        let magic: [u8; 4] = rd.take(4)?.try_into().expect("length checked");
+    pub fn from_bytes(buf: B) -> Result<Self, XftError> {
+        let mut cur = EntryCursor::new(buf);
+        let magic: [u8; 4] = cur.take(4)?.try_into().expect("length checked");
         if magic != MAGIC && magic != MAGIC2 {
             return Err(XftError::BadMagic(magic));
         }
-        let version = rd.u8()?;
-        let flags = rd.u8()?;
+        let version = cur.u8()?;
+        let flags = cur.u8()?;
         check_version(magic, version)?;
         let (entry_count, fp_count) = if flags & FLAG_COUNTS_IN_HEADER != 0 {
-            (Some(rd.varint()?), Some(rd.varint()?))
+            (Some(cur.varint()?), Some(cur.varint()?))
         } else {
             (None, None)
         };
         let (threads, schedule) = if magic == MAGIC2 {
-            let threads = u32::try_from(rd.varint()?)
+            let threads = u32::try_from(cur.varint()?)
                 .map_err(|_| XftError::Corrupt("thread count exceeds u32".into()))?;
-            let len = rd.varint()? as usize;
-            let bytes = rd.take(len)?;
-            let schedule = std::str::from_utf8(bytes)
-                .map_err(|_| XftError::Corrupt("schedule is not UTF-8".into()))?
-                .to_owned();
-            (threads, schedule)
+            (threads, cur.str("schedule")?.to_owned())
         } else {
             (0, String::new())
         };
         let domain = if magic == MAGIC2 && flags & FLAG_DOMAIN != 0 {
-            let code = rd.u8()?;
-            decode_domain(code, || rd.varint())?
+            let code = cur.u8()?;
+            decode_domain(code, || Ok(cur.varint()?))?
         } else {
             PersistDomain::Adr
         };
-        rd.header = XftHeader {
-            version,
-            entry_count,
-            fp_count,
-            threads,
-            schedule,
-            domain,
-        };
-        Ok(rd)
-    }
-
-    fn eof() -> XftError {
-        XftError::Io(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "unexpected end of mapped .xft buffer",
-        ))
-    }
-
-    #[inline]
-    fn u8(&mut self) -> Result<u8, XftError> {
-        match self.buf.get(self.pos) {
-            Some(&b) => {
-                self.pos += 1;
-                Ok(b)
-            }
-            None => Err(Self::eof()),
-        }
-    }
-
-    #[inline]
-    fn take(&mut self, n: usize) -> Result<&[u8], XftError> {
-        let end = self.pos.checked_add(n).ok_or_else(Self::eof)?;
-        let s = self.buf.get(self.pos..end).ok_or_else(Self::eof)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// The varint loop of [`xftrace::varint::read_varint`], inlined over the
-    /// flat buffer (no `Read` dispatch, no 1-byte scratch array). Delta
-    /// encoding makes single-byte varints the overwhelmingly common case,
-    /// so that case is a straight-line load-test-increment.
-    #[inline]
-    fn varint(&mut self) -> Result<u64, XftError> {
-        if let Some(rest) = self.buf.get(self.pos..) {
-            match *rest {
-                [b0, ..] if b0 < 0x80 => {
-                    self.pos += 1;
-                    return Ok(u64::from(b0));
-                }
-                [b0, b1, ..] if b1 < 0x80 => {
-                    self.pos += 2;
-                    return Ok(u64::from(b0 & 0x7f) | u64::from(b1) << 7);
-                }
-                _ => {}
-            }
-        }
-        self.varint_multi()
-    }
-
-    /// Multi-byte (or EOF) continuation of [`Self::varint`].
-    fn varint_multi(&mut self) -> Result<u64, XftError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.u8()?;
-            if shift >= 64 {
-                return Err(XftError::Corrupt("varint longer than 10 bytes".into()));
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
+        cur.set_tids(version >= VERSION2);
+        Ok(XftMmapReader {
+            cur,
+            header: XftHeader {
+                version,
+                entry_count,
+                fp_count,
+                threads,
+                schedule,
+                domain,
+            },
+            entries_read: 0,
+            fps_read: 0,
+            done: false,
+        })
     }
 
     /// The decoded header.
@@ -1146,7 +459,7 @@ impl XftMmapReader {
     /// The (interned) string table seen so far.
     #[must_use]
     pub fn files(&self) -> &[&'static str] {
-        &self.files
+        self.cur.files()
     }
 
     /// Entries decoded so far.
@@ -1161,233 +474,61 @@ impl XftMmapReader {
         self.fps_read
     }
 
-    #[inline]
-    fn read_entry(&mut self) -> Result<TraceEntry, XftError> {
-        let head = self.u8()?;
-        let code = head & 0x0f;
-        let stage = if head & ENT_STAGE_POST != 0 {
-            Stage::Post
-        } else {
-            Stage::Pre
-        };
-        let internal = head & ENT_INTERNAL != 0;
-        let checked = head & ENT_CHECKED != 0;
-        let size_of = |v: u64| -> Result<u32, XftError> {
-            u32::try_from(v).map_err(|_| XftError::Corrupt(format!("size {v} exceeds u32")))
-        };
-        let op = match code {
-            OP_WRITE | OP_READ | OP_NT_WRITE | OP_TX_ADD | OP_FREE | OP_COMMIT_VAR => {
-                let raw = self.varint()?;
-                let addr = self.delta.addr_undelta(raw);
-                let size = size_of(self.varint()?)?;
-                match code {
-                    OP_WRITE => Op::Write { addr, size },
-                    OP_READ => Op::Read { addr, size },
-                    OP_NT_WRITE => Op::NtWrite { addr, size },
-                    OP_TX_ADD => Op::TxAdd { addr, size },
-                    OP_FREE => Op::Free { addr, size },
-                    _ => Op::RegisterCommitVar { addr, size },
-                }
-            }
-            OP_FLUSH => {
-                let raw = self.varint()?;
-                let addr = self.delta.addr_undelta(raw);
-                Op::Flush {
-                    addr,
-                    kind: flush_kind_from(self.u8()?)?,
-                }
-            }
-            OP_FENCE => Op::Fence {
-                kind: fence_kind_from(self.u8()?)?,
-            },
-            OP_TX_BEGIN => Op::TxBegin,
-            OP_TX_COMMIT => Op::TxCommit,
-            OP_TX_ABORT => Op::TxAbort,
-            OP_ALLOC => {
-                let raw = self.varint()?;
-                let addr = self.delta.addr_undelta(raw);
-                let size = size_of(self.varint()?)?;
-                Op::Alloc {
-                    addr,
-                    size,
-                    zeroed: self.u8()? != 0,
-                }
-            }
-            OP_COMMIT_RANGE => {
-                let raw_v = self.varint()?;
-                let var_addr = self.delta.addr_undelta(raw_v);
-                let raw_a = self.varint()?;
-                let addr = self.delta.addr_undelta(raw_a);
-                let size = size_of(self.varint()?)?;
-                Op::RegisterCommitRange {
-                    var_addr,
-                    addr,
-                    size,
-                }
-            }
-            other => return Err(XftError::Corrupt(format!("unknown op code {other}"))),
-        };
-        let file_id = self.varint()?;
-        let file = *self
-            .files
-            .get(file_id as usize)
-            .ok_or_else(|| XftError::Corrupt(format!("undefined file id {file_id}")))?;
-        let raw_line = self.varint()?;
-        let line = self.delta.line_undelta(raw_line)?;
-        let tid = if self.header.version >= VERSION2 {
-            u32::try_from(self.varint()?)
-                .map_err(|_| XftError::Corrupt("thread id exceeds u32".into()))?
-        } else {
-            0
-        };
-        self.entries_read += 1;
-        Ok(TraceEntry {
-            op,
-            loc: SourceLoc { file, line },
-            tid,
-            stage,
-            internal,
-            checked,
-        })
-    }
-
     /// Decodes the next event, or `None` once the `End` record is reached.
     ///
     /// # Errors
     ///
-    /// As [`XftReader::next_event`] (truncation surfaces as an
-    /// `UnexpectedEof` I/O error, exactly like the streaming reader).
+    /// [`XftError::Corrupt`] on malformed input or when the `End` counts do
+    /// not match what was decoded; truncation surfaces as an
+    /// [`io::ErrorKind::UnexpectedEof`] [`XftError::Io`].
     #[inline]
     pub fn next_event(&mut self) -> Result<Option<XftRefEvent>, XftError> {
         if self.done {
             return Ok(None);
         }
-        loop {
-            match self.u8()? {
-                REC_FILE_DEF => {
-                    let len = self.varint()? as usize;
-                    let bytes = self.take(len)?;
-                    let name = std::str::from_utf8(bytes)
-                        .map_err(|_| XftError::Corrupt("file name is not UTF-8".into()))?;
-                    let interned = xftrace::intern_file(name);
-                    self.files.push(interned);
-                }
-                REC_PRE => return Ok(Some(XftRefEvent::Pre(self.read_entry()?))),
-                REC_POST => return Ok(Some(XftRefEvent::Post(self.read_entry()?))),
-                REC_FAILURE_POINT => {
-                    let file_id = self.varint()?;
-                    let file = *self
-                        .files
-                        .get(file_id as usize)
-                        .ok_or_else(|| XftError::Corrupt(format!("undefined file id {file_id}")))?;
-                    let line = u32::try_from(self.varint()?)
-                        .map_err(|_| XftError::Corrupt("failure-point line exceeds u32".into()))?;
-                    self.fps_read += 1;
-                    return Ok(Some(XftRefEvent::FailurePoint { file, line }));
-                }
-                REC_END => {
-                    let entries = self.varint()?;
-                    let fps = self.varint()?;
-                    if entries != self.entries_read || fps != self.fps_read {
-                        return Err(XftError::Corrupt(format!(
-                            "End record counts ({entries} entries, {fps} failure points) \
-                             disagree with decoded stream ({}, {})",
-                            self.entries_read, self.fps_read
-                        )));
-                    }
-                    if let Some(h) = self.header.entry_count {
-                        if h != entries {
-                            return Err(XftError::Corrupt(format!(
-                                "header claims {h} entries, End record has {entries}"
-                            )));
-                        }
-                    }
-                    if let Some(h) = self.header.fp_count {
-                        if h != fps {
-                            return Err(XftError::Corrupt(format!(
-                                "header claims {h} failure points, End record has {fps}"
-                            )));
-                        }
-                    }
-                    self.done = true;
-                    return Ok(None);
-                }
-                other => return Err(XftError::Corrupt(format!("unknown record tag {other:#x}"))),
+        match self.cur.next_tag()? {
+            REC_PRE => {
+                let e = self.cur.read_entry()?;
+                self.entries_read += 1;
+                Ok(Some(XftRefEvent::Pre(e)))
             }
-        }
-    }
-}
-
-/// A `.xft` ingest source: the mapped zero-copy decoder when the file could
-/// be loaded whole, or the streaming buffered reader as the fallback. Both
-/// variants produce identical [`XftRefEvent`] streams.
-#[derive(Debug)]
-pub enum XftSource {
-    /// Whole-file buffer decoded by [`XftMmapReader`].
-    Mapped(XftMmapReader),
-    /// Buffered streaming fallback ([`XftReader`] over the open file).
-    Buffered(XftReader<BufReader<File>>),
-}
-
-impl XftSource {
-    /// Decodes the next event, or `None` at end of stream.
-    ///
-    /// # Errors
-    ///
-    /// As the underlying reader.
-    pub fn next_event(&mut self) -> Result<Option<XftRefEvent>, XftError> {
-        match self {
-            XftSource::Mapped(r) => r.next_event(),
-            XftSource::Buffered(r) => Ok(r.next_event()?.map(XftRefEvent::from_owned)),
-        }
-    }
-
-    /// The decoded header.
-    #[must_use]
-    pub fn header(&self) -> XftHeader {
-        match self {
-            XftSource::Mapped(r) => r.header(),
-            XftSource::Buffered(r) => r.header(),
-        }
-    }
-
-    /// Entries decoded so far.
-    #[must_use]
-    pub fn entries_read(&self) -> u64 {
-        match self {
-            XftSource::Mapped(r) => r.entries_read(),
-            XftSource::Buffered(r) => r.entries_read(),
-        }
-    }
-
-    /// Failure points decoded so far.
-    #[must_use]
-    pub fn failure_points_read(&self) -> u64 {
-        match self {
-            XftSource::Mapped(r) => r.failure_points_read(),
-            XftSource::Buffered(r) => r.failure_points_read(),
-        }
-    }
-}
-
-impl XftReader<BufReader<File>> {
-    /// Opens `path` for ingest, preferring the mapped zero-copy decode path
-    /// ([`XftMmapReader`]) and falling back to buffered streaming I/O when
-    /// the file cannot be loaded into memory in one piece.
-    ///
-    /// # Errors
-    ///
-    /// Format errors ([`XftError::BadMagic`], …) always propagate — only
-    /// whole-file-load I/O trouble triggers the fallback. A missing file is
-    /// an error on either path.
-    pub fn open_mmap(path: &Path) -> Result<XftSource, XftError> {
-        match std::fs::read(path) {
-            Ok(buf) => Ok(XftSource::Mapped(XftMmapReader::from_bytes(buf)?)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Err(XftError::Io(e)),
-            Err(_) => {
-                let file = File::open(path)?;
-                Ok(XftSource::Buffered(XftReader::new(BufReader::new(file))?))
+            REC_POST => {
+                let e = self.cur.read_entry()?;
+                self.entries_read += 1;
+                Ok(Some(XftRefEvent::Post(e)))
             }
+            REC_FAILURE_POINT => {
+                let file_id = self.cur.varint()?;
+                let file = self.cur.file(file_id)?;
+                let line = u32::try_from(self.cur.varint()?)
+                    .map_err(|_| XftError::Corrupt("failure-point line exceeds u32".into()))?;
+                self.fps_read += 1;
+                Ok(Some(XftRefEvent::FailurePoint { file, line }))
+            }
+            REC_END => {
+                let entries = self.cur.varint()?;
+                let fps = self.cur.varint()?;
+                if entries != self.entries_read || fps != self.fps_read {
+                    return Err(XftError::Corrupt(format!(
+                        "End record counts ({entries} entries, {fps} failure points) \
+                         disagree with decoded stream ({}, {})",
+                        self.entries_read, self.fps_read
+                    )));
+                }
+                if let Some(h) = self.header.entry_count.filter(|&h| h != entries) {
+                    return Err(XftError::Corrupt(format!(
+                        "header claims {h} entries, End record has {entries}"
+                    )));
+                }
+                if let Some(h) = self.header.fp_count.filter(|&h| h != fps) {
+                    return Err(XftError::Corrupt(format!(
+                        "header claims {h} failure points, End record has {fps}"
+                    )));
+                }
+                self.done = true;
+                Ok(None)
+            }
+            other => Err(XftError::Corrupt(format!("unknown record tag {other:#x}"))),
         }
     }
 }
@@ -1400,16 +541,8 @@ impl XftReader<BufReader<File>> {
 ///
 /// Returns any underlying I/O error.
 pub fn write_recorded_run<W: Write>(w: W, run: &RecordedRun) -> Result<W, XftError> {
-    let (entries, fps) = (run.entry_count() as u64, run.failure_points.len() as u64);
-    // Runs stamped with thread metadata (even a one-thread schedule) or a
-    // non-ADR domain go out as v2 so the stamp round-trips; plain ADR runs
-    // stay v1.
-    let mut wr = if run.threads != 0 || !run.schedule.is_empty() || run.domain != PersistDomain::Adr
-    {
-        XftWriter::with_counts_domain(w, entries, fps, run.threads, &run.schedule, run.domain)?
-    } else {
-        XftWriter::with_counts(w, entries, fps)?
-    };
+    let counts = (run.entry_count() as u64, run.failure_points.len() as u64);
+    let mut wr = XftWriter::new(w, Some(counts), run.threads, &run.schedule, run.domain)?;
     let mut cursor = 0usize;
     for rfp in &run.failure_points {
         let upto = rfp.pre_len.min(run.pre.len());
@@ -1438,14 +571,14 @@ pub fn encode_recorded_run(run: &RecordedRun) -> Result<Vec<u8>, XftError> {
     write_recorded_run(Vec::new(), run)
 }
 
-/// Decodes a complete `.xft` stream back into a [`RecordedRun`].
+/// Decodes a complete `.xft` buffer back into a [`RecordedRun`].
 ///
 /// # Errors
 ///
 /// Any decode error; post-failure entries before the first failure point
 /// are [`XftError::Corrupt`].
-pub fn read_recorded_run<R: Read>(r: R) -> Result<RecordedRun, XftError> {
-    let mut reader = XftReader::new(r)?;
+pub fn read_recorded_run(bytes: &[u8]) -> Result<RecordedRun, XftError> {
+    let mut reader = XftMmapReader::from_bytes(bytes)?;
     let mut run = RecordedRun {
         threads: reader.header.threads,
         schedule: reader.header.schedule.clone(),
@@ -1454,79 +587,48 @@ pub fn read_recorded_run<R: Read>(r: R) -> Result<RecordedRun, XftError> {
     };
     while let Some(ev) = reader.next_event()? {
         match ev {
-            XftEvent::Pre(e) => run.pre.push(e),
-            XftEvent::FailurePoint { file, line } => {
+            XftRefEvent::Pre(e) => run.pre.push(e.into()),
+            XftRefEvent::FailurePoint { file, line } => {
                 run.failure_points.push(RecordedFailurePoint {
                     pre_len: run.pre.len(),
-                    file,
+                    file: file.to_owned(),
                     line,
                     post: Vec::new(),
                 });
             }
-            XftEvent::Post(e) => match run.failure_points.last_mut() {
-                Some(fp) => fp.post.push(e),
-                None => {
-                    return Err(XftError::Corrupt(
-                        "post-failure entry before any failure point".into(),
-                    ))
-                }
+            XftRefEvent::Post(e) => match run.failure_points.last_mut() {
+                Some(fp) => fp.post.push(e.into()),
+                None => return Err(post_before_failure_point()),
             },
         }
     }
     Ok(run)
 }
 
-/// Runs the detection backend directly off an `.xft` stream — the
+fn post_before_failure_point() -> XftError {
+    XftError::Corrupt("post-failure entry before any failure point".into())
+}
+
+/// Runs the detection backend directly off an `.xft` buffer — the
 /// file-driven form of [`xfdetector::offline::analyze`], with the same
-/// findings in the same order. The trace is never fully resident: entries
-/// stream through the shadow PM one at a time.
+/// findings in the same order. Entries stream through the shadow PM as
+/// they decode; no [`RecordedRun`] is ever built. The shadow PM checks
+/// under the domain stamped in the trace header.
 ///
 /// # Errors
 ///
 /// Any decode error.
-pub fn analyze_xft<R: Read>(r: R, first_read_only: bool) -> Result<DetectionReport, XftError> {
-    let mut reader = XftReader::new(r)?;
-    let domain = reader.header.domain;
-    analyze_events(
-        || Ok(reader.next_event()?.map(XftRefEvent::from_owned)),
-        first_read_only,
-        domain,
-    )
-}
-
-/// [`analyze_xft`] by path, through [`XftReader::open_mmap`]: the trace is
-/// decoded by the zero-copy mapped reader when it fits in memory (no
-/// per-entry allocation, no `Read` dispatch) and by the buffered streaming
-/// reader otherwise. Same findings in the same order either way.
-///
-/// # Errors
-///
-/// Any decode or I/O error.
-pub fn analyze_xft_path(path: &Path, first_read_only: bool) -> Result<DetectionReport, XftError> {
-    let mut src = XftReader::open_mmap(path)?;
-    let domain = src.header().domain;
-    analyze_events(|| src.next_event(), first_read_only, domain)
-}
-
-/// The shared replay-and-check loop behind both ingest paths. The shadow PM
-/// checks under the domain stamped in the trace header.
-fn analyze_events<F>(
-    mut next: F,
-    first_read_only: bool,
-    domain: PersistDomain,
-) -> Result<DetectionReport, XftError>
-where
-    F: FnMut() -> Result<Option<XftRefEvent>, XftError>,
-{
+pub fn analyze_xft(bytes: &[u8], first_read_only: bool) -> Result<DetectionReport, XftError> {
+    let mut reader = XftMmapReader::from_bytes(bytes)?;
     let mut report = DetectionReport::new();
-    let mut shadow = ShadowPm::with_domain(domain);
+    let mut shadow = ShadowPm::with_domain(reader.header.domain);
     let mut fp_id = 0u64;
-    let mut pending = next()?;
+    let mut pending = reader.next_event()?;
     while let Some(ev) = pending.take() {
         match ev {
             XftRefEvent::Pre(e) => {
                 shadow.apply_pre(&e, &mut report);
-                pending = next()?;
+                pending = reader.next_event()?;
             }
             XftRefEvent::FailurePoint { file, line } => {
                 let fp = FailurePoint {
@@ -1536,10 +638,8 @@ where
                 fp_id += 1;
                 let mut checker = shadow.begin_post(first_read_only);
                 loop {
-                    match next()? {
-                        Some(XftRefEvent::Post(e)) => {
-                            checker.apply_post(&e, fp, &mut report);
-                        }
+                    match reader.next_event()? {
+                        Some(XftRefEvent::Post(e)) => checker.apply_post(&e, fp, &mut report),
                         other => {
                             pending = other;
                             break;
@@ -1547,19 +647,25 @@ where
                     }
                 }
             }
-            XftRefEvent::Post(_) => {
-                return Err(XftError::Corrupt(
-                    "post-failure entry before any failure point".into(),
-                ))
-            }
+            XftRefEvent::Post(_) => return Err(post_before_failure_point()),
         }
     }
     Ok(report)
 }
 
+/// [`analyze_xft`] on the file at `path`, loaded whole.
+///
+/// # Errors
+///
+/// Any decode or I/O error.
+pub fn analyze_xft_path(path: &Path, first_read_only: bool) -> Result<DetectionReport, XftError> {
+    analyze_xft(&std::fs::read(path)?, first_read_only)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xftrace::{FenceKind, FlushKind, Op, Stage};
 
     fn entry(op: Op, file: &str, line: u32, stage: Stage) -> OwnedTraceEntry {
         OwnedTraceEntry {
@@ -1664,28 +770,16 @@ mod tests {
         serde_json::to_string(run).unwrap()
     }
 
-    #[test]
-    fn round_trip_is_lossless() {
-        let run = sample_run();
-        let bytes = encode_recorded_run(&run).unwrap();
-        let back = read_recorded_run(&bytes[..]).unwrap();
-        assert_eq!(run_json(&run), run_json(&back));
+    fn header(bytes: &[u8]) -> Result<XftHeader, XftError> {
+        XftMmapReader::from_bytes(bytes).map(|r| r.header())
     }
 
-    #[test]
-    fn header_carries_counts_for_complete_runs() {
-        let run = sample_run();
-        let bytes = encode_recorded_run(&run).unwrap();
-        let reader = XftReader::new(&bytes[..]).unwrap();
-        assert_eq!(reader.header().version, VERSION);
-        assert_eq!(reader.header().entry_count, Some(7));
-        assert_eq!(reader.header().fp_count, Some(1));
-    }
-
-    #[test]
-    fn streaming_writer_round_trips_without_header_counts() {
-        let run = sample_run();
-        let mut wr = XftWriter::new(Vec::new()).unwrap();
+    /// Streams `run` through a writer built with `counts`, splitting the
+    /// pre entries around the single failure point exactly like
+    /// [`write_recorded_run`] does.
+    fn stream(run: &RecordedRun, counts: Option<(u64, u64)>) -> Vec<u8> {
+        let mut wr =
+            XftWriter::new(Vec::new(), counts, run.threads, &run.schedule, run.domain).unwrap();
         for e in &run.pre[..3] {
             wr.write_pre(e).unwrap();
         }
@@ -1696,71 +790,113 @@ mod tests {
         for e in &run.pre[3..] {
             wr.write_pre(e).unwrap();
         }
-        let bytes = wr.finish().unwrap();
-        let mut reader = XftReader::new(&bytes[..]).unwrap();
-        assert_eq!(reader.header().entry_count, None);
-        let back = read_recorded_run(&bytes[..]).unwrap();
-        assert_eq!(run_json(&sample_run()), run_json(&back));
-        // Drain the first reader too: events must match the run's order.
-        let first = reader.next_event().unwrap().unwrap();
-        assert!(matches!(first, XftEvent::Pre(_)));
+        wr.finish().unwrap()
+    }
+
+    /// The `.xft` bytes of [`sample_run`]. Pinned: every `.xft` file on
+    /// disk was written with these encodings.
+    const GOLDEN_V1: &str = "58465431010107010104612e727302408080808002080014024300000002024400000003000b0451000800120104622e7273024980014001012101066c69622e7273022502c001024c7f80014000ad01ff0701";
+    /// The pre-domain bytes of [`concurrent_run`].
+    const GOLDEN_V2: &str = "5846543202010701020a74323a302c312c312c300104612e727302408080808002080014000243000000020102440000000003000b045100080012000104622e727302498001400101210101066c69622e7273022502c00100024c7f80014000ad0101ff0701";
+    /// [`concurrent_run`] stamped `cxl:7`.
+    const GOLDEN_V2_CXL: &str = "5846543202030701020a74323a302c312c312c3002070104612e727302408080808002080014000243000000020102440000000003000b045100080012000104622e727302498001400101210101066c69622e7273022502c00100024c7f80014000ad0101ff0701";
+
+    fn hex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
     }
 
     #[test]
-    fn string_table_interns_each_file_once() {
+    fn round_trip_is_lossless() {
         let run = sample_run();
         let bytes = encode_recorded_run(&run).unwrap();
-        let mut reader = XftReader::new(&bytes[..]).unwrap();
-        while reader.next_event().unwrap().is_some() {}
-        assert_eq!(reader.files(), &["a.rs", "b.rs", "lib.rs"]);
-        assert_eq!(reader.entries_read(), 7);
-        assert_eq!(reader.failure_points_read(), 1);
+        let back = read_recorded_run(&bytes).unwrap();
+        assert_eq!(run_json(&run), run_json(&back));
+    }
+
+    #[test]
+    fn header_carries_counts_for_complete_runs() {
+        let bytes = encode_recorded_run(&sample_run()).unwrap();
+        let h = header(&bytes).unwrap();
+        assert_eq!(h.version, VERSION);
+        assert_eq!(h.entry_count, Some(7));
+        assert_eq!(h.fp_count, Some(1));
+    }
+
+    #[test]
+    fn streaming_writer_round_trips_without_header_counts() {
+        let bytes = stream(&sample_run(), None);
+        let mut reader = XftMmapReader::from_bytes(&bytes[..]).unwrap();
+        assert_eq!(reader.header().entry_count, None);
+        let first = reader.next_event().unwrap().unwrap();
+        assert!(matches!(first, XftRefEvent::Pre(_)));
+        let back = read_recorded_run(&bytes).unwrap();
+        assert_eq!(run_json(&sample_run()), run_json(&back));
+    }
+
+    #[test]
+    fn reader_parses_the_string_table_and_counts_events() {
+        let bytes = encode_recorded_run(&sample_run()).unwrap();
+        let mut rd = XftMmapReader::from_bytes(bytes).unwrap();
+        let mut events = 0;
+        while rd.next_event().unwrap().is_some() {
+            events += 1;
+        }
+        assert_eq!(events, 8, "7 entries + 1 failure point");
+        assert_eq!(rd.files(), &["a.rs", "b.rs", "lib.rs"]);
+        assert_eq!(rd.entries_read(), 7);
+        assert_eq!(rd.failure_points_read(), 1);
+        assert_eq!(rd.next_event().unwrap(), None, "drained stays drained");
     }
 
     #[test]
     fn empty_run_round_trips() {
         let bytes = encode_recorded_run(&RecordedRun::default()).unwrap();
-        let back = read_recorded_run(&bytes[..]).unwrap();
+        let back = read_recorded_run(&bytes).unwrap();
         assert_eq!(back.entry_count(), 0);
         assert!(back.failure_points.is_empty());
     }
 
     #[test]
-    fn bad_magic_is_rejected() {
-        let err = XftReader::new(&b"JSON{}xx"[..]).unwrap_err();
-        assert!(matches!(err, XftError::BadMagic(_)), "{err}");
+    fn foreign_and_future_input_is_rejected() {
+        assert!(matches!(header(b"JSON{}xx"), Err(XftError::BadMagic(_))));
+        let mut future = encode_recorded_run(&RecordedRun::default()).unwrap();
+        future[4] = VERSION + 1;
+        assert!(matches!(
+            header(&future),
+            Err(XftError::UnsupportedVersion(_))
+        ));
     }
 
     #[test]
-    fn future_version_is_rejected() {
-        let mut bytes = encode_recorded_run(&RecordedRun::default()).unwrap();
-        bytes[4] = VERSION + 1;
-        let err = XftReader::new(&bytes[..]).unwrap_err();
-        assert!(matches!(err, XftError::UnsupportedVersion(_)), "{err}");
-    }
-
-    #[test]
-    fn truncated_stream_is_an_error() {
-        let run = sample_run();
-        let bytes = encode_recorded_run(&run).unwrap();
-        let cut = &bytes[..bytes.len() - 3];
-        assert!(read_recorded_run(cut).is_err());
+    fn truncated_stream_is_an_eof_error() {
+        let bytes = encode_recorded_run(&sample_run()).unwrap();
+        let err = read_recorded_run(&bytes[..bytes.len() - 3]).unwrap_err();
+        assert!(
+            matches!(&err, XftError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
+            "{err}"
+        );
     }
 
     #[test]
     fn tampered_end_counts_are_detected() {
-        let run = sample_run();
-        let mut bytes = encode_recorded_run(&run).unwrap();
+        let mut bytes = encode_recorded_run(&sample_run()).unwrap();
         // The End record trailer is `REC_END, entries, fps`; bump entries.
         let n = bytes.len();
         bytes[n - 2] = bytes[n - 2].wrapping_add(1);
-        let err = read_recorded_run(&bytes[..]).unwrap_err();
+        let err = read_recorded_run(&bytes).unwrap_err();
         assert!(matches!(err, XftError::Corrupt(_)), "{err}");
+        assert!(matches!(
+            analyze_xft(&bytes, true),
+            Err(XftError::Corrupt(_))
+        ));
     }
 
     #[test]
     fn post_entry_without_failure_point_is_corrupt() {
-        let mut wr = XftWriter::new(Vec::new()).unwrap();
+        let mut wr = XftWriter::new(Vec::new(), None, 0, "", PersistDomain::Adr).unwrap();
         wr.write_post(&entry(
             Op::Read { addr: 0, size: 8 },
             "a.rs",
@@ -1769,128 +905,48 @@ mod tests {
         ))
         .unwrap();
         let bytes = wr.finish().unwrap();
-        assert!(read_recorded_run(&bytes[..]).is_err());
-        assert!(analyze_xft(&bytes[..], true).is_err());
-    }
-
-    /// Drains the streaming reader and the mapped reader over the same
-    /// bytes and returns both event streams in the borrowed form.
-    fn both_decodes(bytes: &[u8]) -> (Vec<XftRefEvent>, Vec<XftRefEvent>) {
-        let mut streamed = Vec::new();
-        let mut reader = XftReader::new(bytes).unwrap();
-        while let Some(ev) = reader.next_event().unwrap() {
-            streamed.push(XftRefEvent::from_owned(ev));
-        }
-        let mut mapped = Vec::new();
-        let mut rd = XftMmapReader::from_bytes(bytes.to_vec()).unwrap();
-        while let Some(ev) = rd.next_event().unwrap() {
-            mapped.push(ev);
-        }
-        (streamed, mapped)
+        assert!(read_recorded_run(&bytes).is_err());
+        assert!(analyze_xft(&bytes, true).is_err());
     }
 
     #[test]
-    fn mapped_decode_matches_streaming_decode() {
+    fn analyze_by_path_matches_analyze_and_errors_on_missing_files() {
         let bytes = encode_recorded_run(&sample_run()).unwrap();
-        let (streamed, mapped) = both_decodes(&bytes);
-        assert_eq!(streamed, mapped);
-        assert_eq!(streamed.len(), 8, "7 entries + 1 failure point");
-    }
-
-    #[test]
-    fn mapped_reader_parses_header_and_string_table() {
-        let bytes = encode_recorded_run(&sample_run()).unwrap();
-        let mut rd = XftMmapReader::from_bytes(bytes).unwrap();
-        assert_eq!(rd.header().entry_count, Some(7));
-        assert_eq!(rd.header().fp_count, Some(1));
-        while rd.next_event().unwrap().is_some() {}
-        assert_eq!(rd.files(), &["a.rs", "b.rs", "lib.rs"]);
-        assert_eq!(rd.entries_read(), 7);
-        assert_eq!(rd.failure_points_read(), 1);
-    }
-
-    #[test]
-    fn mapped_reader_rejects_foreign_and_corrupt_input() {
-        assert!(matches!(
-            XftMmapReader::from_bytes(b"JSON{}xx".to_vec()),
-            Err(XftError::BadMagic(_))
-        ));
-
-        let mut future = encode_recorded_run(&RecordedRun::default()).unwrap();
-        future[4] = VERSION + 1;
-        assert!(matches!(
-            XftMmapReader::from_bytes(future),
-            Err(XftError::UnsupportedVersion(_))
-        ));
-
-        let bytes = encode_recorded_run(&sample_run()).unwrap();
-        let mut truncated = bytes.clone();
-        truncated.truncate(bytes.len() - 3);
-        let mut rd = XftMmapReader::from_bytes(truncated).unwrap();
-        let err = loop {
-            match rd.next_event() {
-                Ok(Some(_)) => {}
-                Ok(None) => panic!("truncated stream decoded cleanly"),
-                Err(e) => break e,
-            }
-        };
-        assert!(
-            matches!(err, XftError::Io(_) | XftError::Corrupt(_)),
-            "{err}"
-        );
-
-        let mut tampered = bytes;
-        let n = tampered.len();
-        tampered[n - 2] = tampered[n - 2].wrapping_add(1);
-        let mut rd = XftMmapReader::from_bytes(tampered).unwrap();
-        let err = loop {
-            match rd.next_event() {
-                Ok(Some(_)) => {}
-                Ok(None) => panic!("tampered End counts decoded cleanly"),
-                Err(e) => break e,
-            }
-        };
-        assert!(matches!(err, XftError::Corrupt(_)), "{err}");
-    }
-
-    #[test]
-    fn analyze_by_path_matches_streaming_analyze() {
-        let run = sample_run();
-        let bytes = encode_recorded_run(&run).unwrap();
         let mut path = std::env::temp_dir();
-        path.push(format!("xft-mmap-analyze-{}.xft", std::process::id()));
+        path.push(format!("xft-analyze-path-{}.xft", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
 
-        let streamed = analyze_xft(&bytes[..], true).unwrap();
-        let mapped = analyze_xft_path(&path, true).unwrap();
-        std::fs::remove_file(&path).ok();
+        let in_memory = analyze_xft(&bytes, true).unwrap();
+        let by_path = analyze_xft_path(&path, true).unwrap();
         assert_eq!(
-            serde_json::to_string(&streamed).unwrap(),
-            serde_json::to_string(&mapped).unwrap()
+            serde_json::to_string(&in_memory).unwrap(),
+            serde_json::to_string(&by_path).unwrap()
         );
-    }
-
-    #[test]
-    fn open_mmap_prefers_the_mapped_source_and_errors_on_missing_files() {
-        let bytes = encode_recorded_run(&sample_run()).unwrap();
-        let mut path = std::env::temp_dir();
-        path.push(format!("xft-open-mmap-{}.xft", std::process::id()));
-        std::fs::write(&path, &bytes).unwrap();
-        let src = XftReader::open_mmap(&path).unwrap();
-        assert!(matches!(src, XftSource::Mapped(_)));
+        assert_eq!(
+            XftMmapReader::open(&path).unwrap().header().version,
+            VERSION
+        );
         std::fs::remove_file(&path).ok();
-        assert!(XftReader::open_mmap(&path).is_err());
+        for err in [
+            analyze_xft_path(&path, true).unwrap_err(),
+            XftMmapReader::open(&path).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, XftError::Io(e) if e.kind() == io::ErrorKind::NotFound),
+                "{err}"
+            );
+        }
     }
 
     #[test]
     fn single_threaded_runs_still_encode_as_v1() {
         let bytes = encode_recorded_run(&sample_run()).unwrap();
         assert_eq!(&bytes[..4], &MAGIC);
-        let header = XftReader::new(&bytes[..]).unwrap().header();
-        assert_eq!(header.version, VERSION);
-        assert!(!header.is_concurrent());
-        assert_eq!(header.threads, 0);
-        assert!(header.schedule.is_empty());
+        let h = header(&bytes).unwrap();
+        assert_eq!(h.version, VERSION);
+        assert!(!h.is_concurrent());
+        assert_eq!(h.threads, 0);
+        assert!(h.schedule.is_empty());
     }
 
     #[test]
@@ -1898,23 +954,13 @@ mod tests {
         let run = concurrent_run();
         let bytes = encode_recorded_run(&run).unwrap();
         assert_eq!(&bytes[..4], &MAGIC2);
-        let header = XftReader::new(&bytes[..]).unwrap().header();
-        assert_eq!(header.version, VERSION2);
-        assert!(header.is_concurrent());
-        assert_eq!(header.threads, 2);
-        assert_eq!(header.schedule, "t2:0,1,1,0");
-        let back = read_recorded_run(&bytes[..]).unwrap();
+        let h = header(&bytes).unwrap();
+        assert_eq!(h.version, VERSION2);
+        assert!(h.is_concurrent());
+        assert_eq!(h.threads, 2);
+        assert_eq!(h.schedule, "t2:0,1,1,0");
+        let back = read_recorded_run(&bytes).unwrap();
         assert_eq!(run_json(&run), run_json(&back));
-    }
-
-    #[test]
-    fn mapped_decode_matches_streaming_decode_for_v2() {
-        let bytes = encode_recorded_run(&concurrent_run()).unwrap();
-        let (streamed, mapped) = both_decodes(&bytes);
-        assert_eq!(streamed, mapped);
-        let rd = XftMmapReader::from_bytes(bytes).unwrap();
-        assert_eq!(rd.header().threads, 2);
-        assert_eq!(rd.header().schedule, "t2:0,1,1,0");
     }
 
     #[test]
@@ -1928,26 +974,14 @@ mod tests {
             &MAGIC2,
             "a stamped run must not lose its stamp to v1"
         );
-        let back = read_recorded_run(&bytes[..]).unwrap();
+        let back = read_recorded_run(&bytes).unwrap();
         assert_eq!(run_json(&run), run_json(&back));
     }
 
     #[test]
     fn streaming_v2_writer_round_trips() {
         let run = concurrent_run();
-        let mut wr = XftWriter::new_concurrent(Vec::new(), run.threads, &run.schedule).unwrap();
-        for e in &run.pre[..3] {
-            wr.write_pre(e).unwrap();
-        }
-        wr.begin_failure_point("a.rs", 11).unwrap();
-        for e in &run.failure_points[0].post {
-            wr.write_post(e).unwrap();
-        }
-        for e in &run.pre[3..] {
-            wr.write_pre(e).unwrap();
-        }
-        let bytes = wr.finish().unwrap();
-        let back = read_recorded_run(&bytes[..]).unwrap();
+        let back = read_recorded_run(&stream(&run, None)).unwrap();
         assert_eq!(run_json(&run), run_json(&back));
     }
 
@@ -1955,19 +989,10 @@ mod tests {
     fn v2_magic_with_wrong_version_is_rejected() {
         let mut bytes = encode_recorded_run(&concurrent_run()).unwrap();
         bytes[4] = VERSION; // XFT2 magic must carry version 2
-        let err = XftReader::new(&bytes[..]).unwrap_err();
-        assert!(matches!(err, XftError::UnsupportedVersion(_)), "{err}");
         assert!(matches!(
-            XftMmapReader::from_bytes(bytes),
+            header(&bytes),
             Err(XftError::UnsupportedVersion(_))
         ));
-    }
-
-    #[test]
-    fn zigzag_round_trips() {
-        for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
     }
 
     #[test]
@@ -1983,12 +1008,10 @@ mod tests {
             run.domain = domain;
             let bytes = encode_recorded_run(&run).unwrap();
             assert_eq!(&bytes[..4], &MAGIC2, "non-ADR runs must go out as v2");
-            let header = XftReader::new(&bytes[..]).unwrap().header();
-            assert_eq!(header.domain, domain);
-            assert_eq!(header.threads, 0, "single-threaded stamp stays zero");
-            let mapped = XftMmapReader::from_bytes(bytes.clone()).unwrap().header();
-            assert_eq!(mapped.domain, domain);
-            let back = read_recorded_run(&bytes[..]).unwrap();
+            let h = header(&bytes).unwrap();
+            assert_eq!(h.domain, domain);
+            assert_eq!(h.threads, 0, "single-threaded stamp stays zero");
+            let back = read_recorded_run(&bytes).unwrap();
             assert_eq!(run_json(&run), run_json(&back));
         }
     }
@@ -1998,66 +1021,49 @@ mod tests {
         let mut run = concurrent_run();
         run.domain = PersistDomain::CxlGpf { reorder_window: 7 };
         let bytes = encode_recorded_run(&run).unwrap();
-        let header = XftReader::new(&bytes[..]).unwrap().header();
-        assert_eq!(header.threads, 2);
-        assert_eq!(header.schedule, "t2:0,1,1,0");
-        assert_eq!(header.domain, PersistDomain::CxlGpf { reorder_window: 7 });
-        let back = read_recorded_run(&bytes[..]).unwrap();
+        let h = header(&bytes).unwrap();
+        assert_eq!(h.threads, 2);
+        assert_eq!(h.schedule, "t2:0,1,1,0");
+        assert_eq!(h.domain, PersistDomain::CxlGpf { reorder_window: 7 });
+        let back = read_recorded_run(&bytes).unwrap();
         assert_eq!(run_json(&run), run_json(&back));
     }
 
     #[test]
     fn adr_runs_encode_byte_identically_to_the_pre_domain_format() {
-        // Plain ADR: the v1 byte stream, domain-free.
+        // Plain ADR is the domain-free v1 stream, concurrent ADR the
+        // pre-domain v2 stream, and a CXL stamp the v2 stream plus its
+        // stamp, each byte for byte.
         let run = sample_run();
         assert_eq!(run.domain, PersistDomain::Adr);
         let bytes = encode_recorded_run(&run).unwrap();
-        assert_eq!(&bytes[..4], &MAGIC);
         assert_eq!(bytes[5] & FLAG_DOMAIN, 0);
-        let header = XftReader::new(&bytes[..]).unwrap().header();
-        assert_eq!(header.domain, PersistDomain::Adr);
-        // Concurrent ADR: identical to the pre-domain concurrent writer.
+        assert_eq!(header(&bytes).unwrap().domain, PersistDomain::Adr);
+        assert_eq!(bytes, hex(GOLDEN_V1));
         let crun = concurrent_run();
-        let bytes = encode_recorded_run(&crun).unwrap();
-        let mut wr = XftWriter::with_counts_concurrent(
-            Vec::new(),
-            crun.entry_count() as u64,
-            crun.failure_points.len() as u64,
-            crun.threads,
-            &crun.schedule,
-        )
-        .unwrap();
-        for e in &crun.pre[..3] {
-            wr.write_pre(e).unwrap();
-        }
-        wr.begin_failure_point("a.rs", 11).unwrap();
-        for e in &crun.failure_points[0].post {
-            wr.write_post(e).unwrap();
-        }
-        for e in &crun.pre[3..] {
-            wr.write_pre(e).unwrap();
-        }
-        assert_eq!(bytes, wr.finish().unwrap());
+        assert_eq!(encode_recorded_run(&crun).unwrap(), hex(GOLDEN_V2));
+        let mut cxl = concurrent_run();
+        cxl.domain = PersistDomain::CxlGpf { reorder_window: 7 };
+        assert_eq!(encode_recorded_run(&cxl).unwrap(), hex(GOLDEN_V2_CXL));
+        // Entry-by-entry writes with the same header fields agree.
+        let streamed = stream(&crun, Some((7, 1)));
+        assert_eq!(streamed, hex(GOLDEN_V2));
     }
 
     #[test]
-    fn unknown_domain_code_is_a_typed_error_on_both_readers() {
+    fn unknown_domain_code_is_a_typed_error() {
         let mut run = sample_run();
         run.domain = PersistDomain::Eadr;
         let mut bytes = encode_recorded_run(&run).unwrap();
-        // v2, counts in header (2 varint bytes here), threads varint 0,
-        // schedule len varint 0, then the domain code byte.
-        let reader = XftReader::new(&bytes[..]).unwrap();
-        assert_eq!(reader.header().domain, PersistDomain::Eadr);
+        assert_eq!(header(&bytes).unwrap().domain, PersistDomain::Eadr);
         // magic(4) + version/flags(2) + entries/fps varints(2) +
         // threads/schedule-len varints(2) put the code byte at offset 10.
         let code_pos = 10;
         assert_eq!(bytes[code_pos], PersistDomain::Eadr.code());
         bytes[code_pos] = 9;
-        let err = XftReader::new(&bytes[..]).unwrap_err();
-        assert!(matches!(err, XftError::UnknownDomain(9)), "{err}");
+        assert!(matches!(header(&bytes), Err(XftError::UnknownDomain(9))));
         assert!(matches!(
-            XftMmapReader::from_bytes(bytes),
+            analyze_xft(&bytes, true),
             Err(XftError::UnknownDomain(9))
         ));
     }
@@ -2077,14 +1083,7 @@ mod tests {
             .expect("window varint present");
         let mut bad = bytes.clone();
         bad[pos + 1] = 0x21;
-        assert!(matches!(
-            XftReader::new(&bad[..]),
-            Err(XftError::Corrupt(_))
-        ));
-        assert!(matches!(
-            XftMmapReader::from_bytes(bad),
-            Err(XftError::Corrupt(_))
-        ));
+        assert!(matches!(header(&bad), Err(XftError::Corrupt(_))));
     }
 
     #[test]
@@ -2117,10 +1116,10 @@ mod tests {
             }],
             ..RecordedRun::default()
         };
-        let adr = analyze_xft(&encode_recorded_run(&run).unwrap()[..], false).unwrap();
+        let adr = analyze_xft(&encode_recorded_run(&run).unwrap(), false).unwrap();
         assert_eq!(adr.findings().len(), 1, "{adr:?}");
         run.domain = PersistDomain::Eadr;
-        let eadr = analyze_xft(&encode_recorded_run(&run).unwrap()[..], false).unwrap();
+        let eadr = analyze_xft(&encode_recorded_run(&run).unwrap(), false).unwrap();
         assert!(eadr.findings().is_empty(), "{eadr:?}");
     }
 }

@@ -14,9 +14,10 @@
 //!   that FIFO, producing a byte-identical [`xfdetector::DetectionReport`]
 //!   to the sequential engine,
 //! - [`codec`] — the compact `.xft` binary trace format (varint + delta
-//!   encoding, string-tabled source locations, streaming reader/writer),
-//!   so recorded runs persist at a fraction of their JSON size and can be
-//!   re-analyzed by [`analyze_xft`] without ever being fully resident.
+//!   encoding, string-tabled source locations, a streaming writer and one
+//!   bounds-checked slice decoder), so recorded runs persist at a fraction
+//!   of their JSON size and are re-analyzed by [`analyze_xft`] straight
+//!   off the decoded bytes.
 //!
 //! The session layer rides on top: [`session`] returns an
 //! [`xfdetector::SessionBuilder`] with the [`PipelinedEngine`] pre-wired,
@@ -38,7 +39,7 @@ pub mod spsc;
 
 pub use codec::{
     analyze_xft, analyze_xft_path, encode_recorded_run, read_recorded_run, write_recorded_run,
-    XftError, XftEvent, XftHeader, XftMmapReader, XftReader, XftRefEvent, XftSource, XftWriter,
+    XftError, XftHeader, XftMmapReader, XftRefEvent, XftWriter,
 };
 pub use pipeline::{run_pipelined, run_pipelined_with_ctl, PipelinedEngine, StreamOptions};
 pub use repro::write_repro_artifacts;

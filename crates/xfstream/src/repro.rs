@@ -11,6 +11,7 @@
 
 use std::collections::BTreeSet;
 use std::fs::File;
+use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
 use xfdetector::offline::RecordedRun;
@@ -72,8 +73,7 @@ pub fn write_repro_artifacts(outcome: &RunOutcome, dir: &Path) -> Result<Vec<Pat
         slice.failure_points.push(one);
 
         let path = dir.join(format!("repro-fp{id}.xft"));
-        let file = File::create(&path)?;
-        write_recorded_run(file, &slice)?;
+        write_recorded_run(BufWriter::new(File::create(&path)?), &slice)?;
         written.push(path);
     }
     Ok(written)
@@ -134,12 +134,13 @@ mod tests {
         let paths = write_repro_artifacts(&outcome, &dir).unwrap();
         assert!(!paths.is_empty());
         for p in &paths {
-            let run = crate::read_recorded_run(File::open(p).unwrap()).unwrap();
+            let bytes = std::fs::read(p).unwrap();
+            let run = crate::read_recorded_run(&bytes).unwrap();
             assert_eq!(run.failure_points.len(), 1);
             assert!(run.failure_points[0].pre_len <= run.pre.len());
             // The truncated trace replays cleanly through the offline
             // backend (the panic outcome itself is not trace-derived).
-            crate::analyze_xft(File::open(p).unwrap(), true).unwrap();
+            crate::analyze_xft(&bytes, true).unwrap();
         }
         std::fs::remove_dir_all(&dir).ok();
     }

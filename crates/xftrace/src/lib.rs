@@ -44,6 +44,8 @@ use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
+pub mod codec;
+pub mod fnv;
 pub mod varint;
 
 /// A source-code location attached to every trace entry.

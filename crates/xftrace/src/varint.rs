@@ -1,11 +1,11 @@
-//! LEB128-style varint and zigzag primitives shared by the binary trace
-//! formats.
+//! LEB128-style varint and zigzag primitives shared by the binary formats.
 //!
-//! The `.xft` trace codec (crate `xfstream`) and the `.xfj` run journal
-//! (crate `xfdetector`) both encode their hot integer fields as
-//! little-endian base-128 varints, with signed deltas zigzag-mapped into
-//! unsigned space first. The primitives live here, in the lowest layer of
-//! the workspace, so both formats share one implementation.
+//! The trace entry codec ([`crate::codec`], framed by the `.xft` format and
+//! the class cache), the `.xfj` run journal and the server's wire protocol
+//! all encode their integer fields as little-endian base-128 varints, with
+//! signed deltas zigzag-mapped into unsigned space first. The primitives
+//! live here, in the lowest layer of the workspace, so every format shares
+//! one implementation.
 
 use std::io::{self, Read, Write};
 
@@ -36,6 +36,18 @@ pub fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
         }
         w.write_all(&[byte | 0x80])?;
     }
+}
+
+/// Writes `s` as its varint byte length followed by its UTF-8 bytes, the
+/// string form of every binary format here
+/// ([`crate::codec::EntryCursor::str`] reads it back).
+///
+/// # Errors
+///
+/// Returns any underlying I/O error.
+pub fn write_str<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
+    write_varint(w, s.len() as u64)?;
+    w.write_all(s.as_bytes())
 }
 
 /// Reads a varint written by [`write_varint`].

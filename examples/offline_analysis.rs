@@ -21,12 +21,12 @@
 //! ```
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufWriter;
 
 use xfd_workloads::bugs::BugId;
 use xfd_workloads::hashmap_atomic::HashmapAtomic;
 use xfdetector::{offline, XfConfig, XfDetector};
-use xfstream::{read_recorded_run, write_recorded_run, XftReader};
+use xfstream::{read_recorded_run, write_recorded_run, XftMmapReader};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Frontend: run the buggy workload with trace recording enabled.
@@ -57,7 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Peek at the container header before committing to a full decode.
-    let xft = XftReader::new(BufReader::new(File::open(&path)?))?;
+    let bytes = std::fs::read(&path)?;
+    let xft = XftMmapReader::from_bytes(&bytes[..])?;
     println!(
         "header: version {}, {:?} entries, {:?} failure points",
         xft.header().version,
@@ -66,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Backend: decode and analyze, no workload code involved.
-    let reloaded = read_recorded_run(BufReader::new(File::open(&path)?))?;
+    let reloaded = read_recorded_run(&bytes)?;
     let report = offline::analyze(&reloaded, true);
     println!("\nbackend replay:");
     println!("{report}");

@@ -12,18 +12,18 @@ and fails (exit 1) when the pruning trajectory regresses:
   floor (5x) on every measured workload.
 
 Wall-clock columns in the main table are host-dependent and are printed
-for information only; they never gate. The rows produced by
-`perf_baseline --wall` and the ingest section gate on the *fresh*
-measurements alone:
+for information only; they never gate. The `ingest` rows gate exactly
+against the committed ones: `entries` and `xft_bytes` are functions of the
+recorded trace and the `.xft` encoder alone, so a drift means the encoder's
+bytes changed (entries/s is printed for information only). The rows
+produced by `perf_baseline --wall` and the server section gate on the
+*fresh* measurements alone:
 
 - `scaling` rows (tagged `speedup_method: "wall"`) gate only when the
   fresh run's `host_cpus >= 2` — on a single-CPU host every "parallel"
   configuration time-slices one core and wall ratios are meaningless.
   On multicore hosts, the fully parallel pipeline must beat the
   sequential wall at every swept worker count >= 2.
-- `ingest` rows always gate (single-thread decode is not CPU-count
-  dependent): the mapped reader must stay >= INGEST_FLOOR times the
-  seed buffered reader's entries/s.
 - the `server` section always gates on its deterministic counters: every
   warm (repeat-submission) row must record cache hits and at least
   SERVER_REDUCTION_FLOOR times fewer post-failure executions than its
@@ -41,7 +41,6 @@ import json
 import sys
 
 RATIO_FLOOR = 5.0
-INGEST_FLOOR = 5.0
 SERVER_REDUCTION_FLOOR = 5.0
 
 
@@ -72,20 +71,26 @@ def check_scaling(fresh_doc, errors):
             )
 
 
-def check_ingest(fresh_doc, errors):
-    """Gates the mapped-over-buffered ingest throughput ratio."""
-    for r in fresh_doc.get("ingest", []):
-        name = f"ingest {r['workload']} (ops={r['ops']})"
+def check_ingest(committed_doc, fresh_doc, errors):
+    """Pins the ingest rows' trace size to the committed baseline."""
+    key = lambda r: (r["workload"], r["ops"])
+    committed = {key(r): r for r in committed_doc.get("ingest", [])}
+    fresh = {key(r): r for r in fresh_doc.get("ingest", [])}
+    for k in sorted(set(committed) - set(fresh)):
+        errors.append(f"ingest {k[0]} (ops={k[1]}): row missing from fresh baseline")
+    for k in sorted(set(committed) & set(fresh)):
+        old, new = committed[k], fresh[k]
+        name = f"ingest {k[0]} (ops={k[1]})"
+        for field in ("entries", "xft_bytes"):
+            if old[field] != new[field]:
+                errors.append(
+                    f"{name}: {field} drifted: committed {old[field]}, "
+                    f"fresh {new[field]} (encoder-deterministic, must match exactly)"
+                )
         print(
-            f"{name}: buffered {r['buffered_entries_per_s']:.0f} e/s, "
-            f"mapped {r['mapped_entries_per_s']:.0f} e/s "
-            f"({r['speedup_mapped']:.2f}x, floor {INGEST_FLOOR:.0f}x)"
+            f"{name}: {new['entries']} entries in {new['xft_bytes']} bytes | "
+            f"decode [info only]: {new.get('entries_per_s', 0.0):.0f} e/s"
         )
-        if r["speedup_mapped"] < INGEST_FLOOR:
-            errors.append(
-                f"{name}: mapped reader only {r['speedup_mapped']:.2f}x the "
-                f"buffered reader (floor {INGEST_FLOOR:.0f}x)"
-            )
 
 
 def check_domains(committed_doc, fresh_doc, errors):
@@ -225,7 +230,7 @@ def main():
         )
 
     check_scaling(fresh_doc, errors)
-    check_ingest(fresh_doc, errors)
+    check_ingest(committed_doc, fresh_doc, errors)
     check_domains(committed_doc, fresh_doc, errors)
     check_server(fresh_doc, errors)
 

@@ -31,7 +31,7 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufWriter};
 use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -41,12 +41,12 @@ use serde::Serialize;
 use xfd::workloads::bugs::{BugId, BugSet, WorkloadKind};
 use xfd::workloads::{build_concurrent, build_with_init, validation_ops};
 use xfd::xfdetector::jobspec::{parse_domain, parse_mode, parse_pruning, parse_schedule};
-use xfd::xfdetector::offline::pruning_census;
+use xfd::xfdetector::offline::{self, pruning_census};
 use xfd::xfdetector::{
     BugKind, ConfigError, DetectionReport, JobSpec, Mode, Progress, RunOutcome, RunStats, XfError,
 };
 use xfd::xffuzz::{self, ConcurrentFuzzProgram, DiffConfig, FuzzProgram, FuzzSource};
-use xfd::xfstream::{self, XftReader};
+use xfd::xfstream::{self, XftMmapReader};
 
 const USAGE: &str = "\
 xfd — cross-failure bug detection for persistent-memory programs
@@ -660,20 +660,23 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, XfError> {
     let o = parse_work_opts(&rest)?;
     let cfg = o.spec.config()?;
 
-    // Zero-copy ingest: the trace is loaded whole and decoded by the
-    // mapped reader (falling back to buffered streaming I/O internally).
-    let report = xfstream::analyze_xft_path(std::path::Path::new(&path), cfg.first_read_only)
-        .map_err(|e| codec_at(&path, e))?;
-
-    // `--pruning`: fingerprint the persistence state at every recorded
-    // failure point and report how the trace collapses into equivalence
+    // The trace is loaded once. Without `--pruning` it streams straight
+    // through the detection backend as it decodes; with it, it decodes
+    // once into a recorded run that both the backend and the census read:
+    // the census fingerprints the persistence state at every recorded
+    // failure point and reports how the trace collapses into equivalence
     // classes — the reduction a pruned live run would see.
-    let census = if cfg.pruning.is_enabled() {
-        let bytes = fs::read(&path).map_err(|e| io_at(&path, e))?;
-        let run = xfstream::read_recorded_run(&bytes[..]).map_err(|e| codec_at(&path, e))?;
-        Some(pruning_census(&run))
+    let bytes = fs::read(&path).map_err(|e| io_at(&path, e))?;
+    let (report, census) = if cfg.pruning.is_enabled() {
+        let run = xfstream::read_recorded_run(&bytes).map_err(|e| codec_at(&path, e))?;
+        (
+            offline::analyze(&run, cfg.first_read_only),
+            Some(pruning_census(&run)),
+        )
     } else {
-        None
+        let report =
+            xfstream::analyze_xft(&bytes, cfg.first_read_only).map_err(|e| codec_at(&path, e))?;
+        (report, None)
     };
 
     #[derive(Serialize)]
@@ -1194,9 +1197,9 @@ fn cmd_info(args: &[String]) -> Result<ExitCode, XfError> {
         return Ok(ExitCode::SUCCESS);
     };
 
-    let file = fs::File::open(path).map_err(|e| io_at(path, e))?;
-    let size = fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-    let mut reader = XftReader::new(BufReader::new(file)).map_err(|e| codec_at(path, e))?;
+    let bytes = fs::read(path).map_err(|e| io_at(path, e))?;
+    let size = bytes.len();
+    let mut reader = XftMmapReader::from_bytes(bytes).map_err(|e| codec_at(path, e))?;
     let header = reader.header();
     while reader
         .next_event()

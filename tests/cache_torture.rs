@@ -1,0 +1,194 @@
+//! Torture tests for the cross-run class-cache file: a session pointed at
+//! a cache truncated at *every* byte offset, with *every* single bit
+//! flipped, or written by two racing savers must either start cold or
+//! serve warm classes — and in both cases produce the byte-identical
+//! report of a run without any cache. It must never panic and never
+//! produce a different report.
+
+use std::path::{Path, PathBuf};
+use std::thread;
+
+use xfd::pmem::PmCtx;
+use xfd::xfdetector::{DynError, Mode, Pruning, RunOutcome, Session, Workload};
+
+/// A small workload whose cache stays small enough to flip every bit of:
+/// a few persisted and unpersisted words, and a recovery that fails on
+/// some crash states, so the cache holds both completed and failed
+/// outcomes with messages.
+#[derive(Clone, Copy)]
+struct Torture;
+
+impl Workload for Torture {
+    fn name(&self) -> &str {
+        "cache-torture"
+    }
+    fn pool_size(&self) -> u64 {
+        64 * 1024
+    }
+    fn setup(&self, _ctx: &mut PmCtx) -> Result<(), DynError> {
+        Ok(())
+    }
+    fn pre_failure(&self, ctx: &mut PmCtx) -> Result<(), DynError> {
+        let a = ctx.pool().base();
+        for i in 0..3 {
+            ctx.write_u64(a + i * 128, i + 1)?; // never flushed: races
+            ctx.write_u64(a + i * 128 + 64, i + 1)?;
+            ctx.persist_barrier(a + i * 128 + 64, 8)?;
+        }
+        Ok(())
+    }
+    fn post_failure(&self, ctx: &mut PmCtx) -> Result<(), DynError> {
+        let a = ctx.pool().base();
+        let mut persisted = 0;
+        for i in 0..3 {
+            let _ = ctx.read_u64(a + i * 128)?;
+            persisted += ctx.read_u64(a + i * 128 + 64)?;
+        }
+        if persisted == 1 {
+            return Err(format!("recovery found a torn prefix ({persisted})").into());
+        }
+        Ok(())
+    }
+}
+
+fn tmp(name: &str) -> PathBuf {
+    let mut p = std::env::temp_dir();
+    p.push(format!("xfc-torture-{}-{name}", std::process::id()));
+    p
+}
+
+fn report_json(o: &RunOutcome) -> String {
+    serde_json::to_string(&o.report).unwrap()
+}
+
+fn run(cache: Option<(&Path, &str)>) -> RunOutcome {
+    let mut builder = Session::builder().pruning(Pruning::Equivalence);
+    if let Some((path, digest)) = cache {
+        builder = builder.class_cache(path).cache_digest(digest);
+    }
+    builder.build().unwrap().run(Torture, Mode::Batch).unwrap()
+}
+
+/// The uncached reference report and the bytes of a complete cache file.
+fn reference_and_cache() -> (String, Vec<u8>) {
+    let reference = run(None);
+    let path = tmp("source.xfc");
+    std::fs::remove_file(&path).ok();
+    let cold = run(Some((&path, "d")));
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(report_json(&cold), report_json(&reference));
+    assert!(cold.stats.post_runs >= 2, "want several classes");
+    assert!(
+        reference
+            .report
+            .findings()
+            .iter()
+            .any(|f| f.message.is_some()),
+        "want a failed outcome in the cache"
+    );
+    (report_json(&reference), bytes)
+}
+
+/// Runs with `bytes` as the cache file and checks the outcome: either a
+/// cold start or a warm hit, with the reference report either way.
+/// Returns whether the run was served warm.
+fn check(path: &Path, bytes: &[u8], reference: &str, what: &str) -> bool {
+    std::fs::write(path, bytes).unwrap();
+    let outcome = run(Some((path, "d")));
+    assert_eq!(
+        report_json(&outcome),
+        reference,
+        "{what} changed the report"
+    );
+    let s = &outcome.stats;
+    let warm = s.cache_classes_loaded > 0;
+    if !warm {
+        assert_eq!(s.cache_hits, 0, "{what}: hits without loaded classes");
+    }
+    warm
+}
+
+#[test]
+fn truncation_at_every_offset_starts_cold_or_serves_the_reference() {
+    let (reference, cache) = reference_and_cache();
+    let path = tmp("cut.xfc");
+    let mut warm = 0;
+    for cut in 0..=cache.len() {
+        let what = format!("truncation at {cut}/{}", cache.len());
+        warm += usize::from(check(&path, &cache[..cut], &reference, &what));
+    }
+    std::fs::remove_file(&path).ok();
+    // Only the untruncated file may load: the trailer covers every byte.
+    assert_eq!(warm, 1, "exactly the complete file serves warm");
+}
+
+#[test]
+fn every_single_bit_flip_starts_cold_or_serves_the_reference() {
+    let (reference, cache) = reference_and_cache();
+    let path = tmp("flip.xfc");
+    for at in 0..cache.len() {
+        for bit in 0..8 {
+            let mut mutated = cache.clone();
+            mutated[at] ^= 1 << bit;
+            check(
+                &path,
+                &mutated,
+                &reference,
+                &format!("bit {bit} of byte {at}"),
+            );
+        }
+    }
+    assert!(check(&path, &cache, &reference, "the intact file"));
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn racing_savers_leave_one_complete_file() {
+    let (reference, _) = reference_and_cache();
+    let dir = tmp("race");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("shared.xfc");
+    for round in 0..8 {
+        std::fs::remove_file(&path).ok();
+        // Two cold runs under different program digests save to one path
+        // at once; whichever rename lands last owns the file.
+        let savers: Vec<_> = ["a", "b"]
+            .into_iter()
+            .map(|digest| {
+                let path = path.clone();
+                thread::spawn(move || report_json(&run(Some((&path, digest)))))
+            })
+            .collect();
+        for saver in savers {
+            assert_eq!(saver.join().unwrap(), reference, "round {round}");
+        }
+        // The file is complete, never torn or interleaved, so it belongs
+        // to exactly one saver. Each digest probes its own copy, because a
+        // cold probe rewrites the file it opened.
+        let raced = std::fs::read(&path).unwrap();
+        let warm: Vec<bool> = ["a", "b"]
+            .into_iter()
+            .map(|digest| {
+                let probe = dir.join(format!("probe-{digest}"));
+                std::fs::write(&probe, &raced).unwrap();
+                let outcome = run(Some((&probe, digest)));
+                std::fs::remove_file(&probe).ok();
+                assert_eq!(report_json(&outcome), reference, "round {round}");
+                outcome.stats.cache_classes_loaded > 0
+            })
+            .collect();
+        assert_eq!(
+            warm.iter().filter(|&&w| w).count(),
+            1,
+            "round {round}: the raced file must belong to exactly one saver"
+        );
+    }
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(leftovers, ["shared.xfc"], "temporary files left behind");
+    std::fs::remove_dir_all(&dir).ok();
+}

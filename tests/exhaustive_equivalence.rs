@@ -258,8 +258,7 @@ fn streaming_pipeline_matches_every_configuration_byte_for_byte() {
                         // Publish's recovery never errors, so the offline
                         // replay of the recorded trace — via the compact
                         // .xft encoding — reproduces the full report,
-                        // through the streaming ingest path and the mapped
-                        // zero-copy one alike.
+                        // from memory and from a file alike.
                         let bytes = encode_recorded_run(pipe.recorded.as_ref().unwrap()).unwrap();
                         let offline = analyze_xft(&bytes[..], cfg.first_read_only).unwrap();
                         assert_eq!(
@@ -274,12 +273,12 @@ fn streaming_pipeline_matches_every_configuration_byte_for_byte() {
                             cfg.dedup_images
                         ));
                         std::fs::write(&path, &bytes).unwrap();
-                        let mapped = analyze_xft_path(&path, cfg.first_read_only).unwrap();
+                        let from_file = analyze_xft_path(&path, cfg.first_read_only).unwrap();
                         std::fs::remove_file(&path).ok();
                         assert_eq!(
-                            serde_json::to_string(&mapped).unwrap(),
+                            serde_json::to_string(&from_file).unwrap(),
                             report_json(&seq),
-                            "mapped .xft replay diverged (persist_data={persist_data})"
+                            "file .xft replay diverged (persist_data={persist_data})"
                         );
                     } else {
                         assert!(pipe.recorded.is_none());
@@ -396,7 +395,7 @@ fn warm_cache_runs_account_for_every_failure_point() {
         let expected = report_json(&XfDetector::with_defaults().run(w).unwrap());
         let mut path = std::env::temp_dir();
         path.push(format!(
-            "xfd-equiv-cache-{}-{persist_data}.json",
+            "xfd-equiv-cache-{}-{persist_data}.xfc",
             std::process::id()
         ));
         std::fs::remove_file(&path).ok();

@@ -3,13 +3,13 @@
 //! `serde_json` fallback representation.
 
 use std::fs;
-use std::io::{BufReader, BufWriter};
+use std::io::BufWriter;
 
 use xfd::workloads::bugs::{BugSet, WorkloadKind};
 use xfd::workloads::{build, validation_ops};
 use xfd::xfdetector::offline::RecordedRun;
 use xfd::xfdetector::{XfConfig, XfDetector};
-use xfd::xfstream::{encode_recorded_run, read_recorded_run, write_recorded_run, XftReader};
+use xfd::xfstream::{encode_recorded_run, read_recorded_run, write_recorded_run, XftMmapReader};
 
 fn record(kind: WorkloadKind) -> RecordedRun {
     let cfg = XfConfig {
@@ -65,14 +65,13 @@ fn xft_round_trips_through_a_real_file() {
     let file = fs::File::create(&path).unwrap();
     write_recorded_run(BufWriter::new(file), &run).unwrap();
 
-    let reader = BufReader::new(fs::File::open(&path).unwrap());
-    let mut xft = XftReader::new(reader).unwrap();
+    let mut xft = XftMmapReader::open(&path).unwrap();
     assert_eq!(xft.header().entry_count, Some(run.entry_count() as u64));
     while xft.next_event().unwrap().is_some() {}
     assert_eq!(xft.entries_read(), run.entry_count() as u64);
     assert_eq!(xft.failure_points_read(), run.failure_points.len() as u64);
 
-    let back = read_recorded_run(BufReader::new(fs::File::open(&path).unwrap())).unwrap();
+    let back = read_recorded_run(&fs::read(&path).unwrap()).unwrap();
     assert_eq!(
         serde_json::to_string(&run).unwrap(),
         serde_json::to_string(&back).unwrap()

@@ -238,3 +238,32 @@ fn unknown_domain_code_is_a_typed_error_at_exactly_one_offset() {
         "exactly one header byte is the domain stamp: {stamp_offsets:?}"
     );
 }
+
+/// Hostile length prefixes: a `FileDef` record claiming a 2^45-byte file
+/// name, and a v2 header claiming a 2^45-byte schedule. Each must fail as
+/// a typed truncation error before anything is allocated.
+fn oversize_inputs() -> [(&'static str, Vec<u8>); 2] {
+    let len_2_45 = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x08];
+    let mut file_def = b"XFT1\x01\x00\x01".to_vec();
+    file_def.extend_from_slice(&len_2_45);
+    let mut schedule = b"XFT2\x02\x00\x00".to_vec();
+    schedule.extend_from_slice(&len_2_45);
+    [("file name", file_def), ("schedule", schedule)]
+}
+
+fn is_eof(e: &XftError) -> bool {
+    matches!(e, XftError::Io(io) if io.kind() == std::io::ErrorKind::UnexpectedEof)
+}
+
+#[test]
+fn oversize_length_prefixes_are_typed_errors_not_allocations() {
+    for (what, bytes) in oversize_inputs() {
+        let err = analyze_xft(&bytes, true).unwrap_err();
+        assert!(is_eof(&err), "analyze_xft on an oversize {what}: {err}");
+        let err = decode(&bytes).unwrap_err();
+        assert!(
+            is_eof(&err),
+            "read_recorded_run on an oversize {what}: {err}"
+        );
+    }
+}
