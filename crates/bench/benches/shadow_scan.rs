@@ -5,7 +5,9 @@
 //! The per-byte baseline is expressed through the public one-byte probe
 //! (`ShadowPm::persist_state`), which is exactly what the old hot loops
 //! did internally 64 times per line; the word-wise path is the production
-//! `is_range_persisted` / `persistence_fingerprint` code.
+//! `is_range_persisted` code. The fingerprint rows set the indexed query
+//! (`persistence_fingerprint`, O(distinct records)) beside the full rescan
+//! it is tested against (`fingerprint_from_scratch`, O(tracked bytes)).
 //!
 //! ```sh
 //! cargo bench -p xfd-bench --bench shadow_scan
@@ -48,6 +50,18 @@ fn persisted_shadow() -> ShadowPm {
     shadow
 }
 
+/// A shadow with `LINES` written but never flushed cache lines: every line
+/// is suspect, all with the same record.
+fn suspect_shadow() -> ShadowPm {
+    let mut shadow = ShadowPm::new();
+    let mut report = DetectionReport::new();
+    for li in 0..LINES {
+        let addr = BASE + li * 64;
+        shadow.apply_pre(&entry(Op::Write { addr, size: 64 }), &mut report);
+    }
+    shadow
+}
+
 /// The per-byte census the word-wise scan replaced: probe all 64 bytes of
 /// every line individually.
 fn per_byte_range_persisted(shadow: &ShadowPm, addr: u64, size: u64) -> bool {
@@ -78,9 +92,9 @@ fn bench_scan(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(shadow.is_range_persisted(BASE, SPAN)));
     });
 
-    // The pruning fingerprint's incremental re-fold: dirty one line, then
-    // fold the indexed lines word-wise.
-    group.bench_function("fingerprint_refold_one_dirty_line", |b| {
+    // The pruning fingerprint's upkeep: dirty one line, which re-derives
+    // that line's records, then query the index.
+    group.bench_function("fingerprint_update_one_dirty_line", |b| {
         let mut shadow = persisted_shadow();
         shadow.enable_fingerprinting();
         let _ = shadow.persistence_fingerprint();
@@ -93,6 +107,13 @@ fn bench_scan(c: &mut Criterion) {
             shadow.apply_pre(&write, &mut report);
             std::hint::black_box(shadow.persistence_fingerprint())
         });
+    });
+    // A query folds only the distinct records, however many lines are
+    // suspect; the full rescan below walks every tracked byte.
+    group.bench_function("fingerprint_query_1024_suspect_lines", |b| {
+        let mut shadow = suspect_shadow();
+        shadow.enable_fingerprinting();
+        b.iter(|| std::hint::black_box(shadow.persistence_fingerprint()));
     });
     group.bench_function("fingerprint_from_scratch_1024_lines", |b| {
         let shadow = persisted_shadow();

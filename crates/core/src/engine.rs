@@ -608,9 +608,12 @@ impl<W: Workload> EngineHook for BatchDriver<W> {
         // Suspend / snapshot the PM image / spawn the post-failure
         // execution (Figure 8a steps ②–⑤), unless the planner elides it.
         // The capture is part of the post-failure cost, as in the paper's
-        // breakdown (Figure 12a).
+        // breakdown (Figure 12a); the fingerprint is not, so the span's
+        // start moves past it.
+        let fingerprinted = planner.stats().fingerprint_time;
         let t_post = Instant::now();
         let plan = planner.plan(ctx.pool(), fp.id, &mut self.shadow.borrow_mut());
+        let t_post = t_post + (planner.stats().fingerprint_time - fingerprinted);
         let stats = planner.stats();
         match plan {
             Plan::Journaled => {
@@ -966,6 +969,22 @@ mod tests {
         assert!(s.post_entries > 0);
         assert!(s.total_time >= s.post_exec_time + s.detect_time);
         assert!(s.pre_exec_time() <= s.total_time);
+    }
+
+    #[test]
+    fn fingerprint_time_is_split_from_post_exec_time() {
+        for pruning in [Pruning::Off, Pruning::Equivalence] {
+            let cfg = XfConfig {
+                pruning,
+                ..XfConfig::default()
+            };
+            let s = XfDetector::new(cfg)
+                .run(Flag { persist: true })
+                .unwrap()
+                .stats;
+            assert_eq!(s.fingerprint_time.is_zero(), pruning == Pruning::Off);
+            assert!(s.post_exec_time + s.detect_time <= s.total_time);
+        }
     }
 
     /// Repeatedly publishes the same value: every failure point after the

@@ -70,7 +70,7 @@ pub use shadow::{PersistState, PostChecker, ShadowPm};
 pub use stats::RunStats;
 pub use xfrun::{
     run_fingerprint, JournalFp, Mode, ObsCounts, ObsHandle, Progress, RunCtl, RunMetrics, Session,
-    SessionBuilder, StageMillis, StreamEngine,
+    SessionBuilder, StageMillis, StreamEngine, DEFAULT_STREAM_CAPACITY,
 };
 pub use xfsched::{OpSequence, SchedulePlan, ScheduleSpec, StepFn, ThreadProgram};
 

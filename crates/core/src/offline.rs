@@ -158,23 +158,35 @@ impl PruningCensus {
     }
 }
 
-/// Computes the [`PruningCensus`] of a recorded run by replaying its
-/// pre-failure trace and fingerprinting the persistence state at each
-/// recorded failure point.
+/// The persistence fingerprint ([`ShadowPm::persistence_fingerprint`]) of
+/// every recorded failure point, in failure-point order: the class keys a
+/// pruned live run of the same trace would compute.
 #[must_use]
-pub fn pruning_census(run: &RecordedRun) -> PruningCensus {
+pub fn failure_point_fingerprints(run: &RecordedRun) -> Vec<u64> {
     let mut shadow = ShadowPm::with_domain(run.domain);
     shadow.enable_fingerprinting();
     let mut scratch = DetectionReport::new();
     let mut cursor = 0usize;
-    let mut classes: HashMap<u64, u64> = HashMap::new();
+    let mut keys = Vec::with_capacity(run.failure_points.len());
     for rfp in &run.failure_points {
         let upto = rfp.pre_len.min(run.pre.len());
         while cursor < upto {
             shadow.apply_pre(&run.pre[cursor].to_entry(), &mut scratch);
             cursor += 1;
         }
-        *classes.entry(shadow.persistence_fingerprint()).or_insert(0) += 1;
+        keys.push(shadow.persistence_fingerprint());
+    }
+    keys
+}
+
+/// Computes the [`PruningCensus`] of a recorded run by replaying its
+/// pre-failure trace and fingerprinting the persistence state at each
+/// recorded failure point.
+#[must_use]
+pub fn pruning_census(run: &RecordedRun) -> PruningCensus {
+    let mut classes: HashMap<u64, u64> = HashMap::new();
+    for key in failure_point_fingerprints(run) {
+        *classes.entry(key).or_insert(0) += 1;
     }
     PruningCensus {
         failure_points: run.failure_points.len() as u64,

@@ -63,10 +63,12 @@ use crate::xfrun::RunCtl;
 /// backpressure bound: at most `bound` items are in flight, keeping the
 /// memory profile of the old bounded channel (`2 × workers` PM images).
 ///
-/// The per-slot `Mutex<Option<T>>` is uncontended by construction — the
-/// producer only writes a slot after `taken` proves it empty, and exactly
-/// one worker wins the CAS covering it — it exists to move `T` across
-/// threads without `unsafe` (the crate forbids it). Waiting sides spin
+/// The per-slot `Mutex<Option<T>>` is nearly uncontended — the producer
+/// only writes a slot it has seen empty, and exactly one worker wins the
+/// CAS covering it — it exists to move `T` across threads without `unsafe`
+/// (the crate forbids it). `taken` alone cannot prove a slot empty: workers
+/// empty their chunks in completion order, so a stalled worker can still
+/// hold an older index in the slot the producer would reuse. Waiting sides spin
 /// briefly, then sleep on a condition variable until the other side
 /// publishes, claims or closes. That side takes the sleep lock only when
 /// someone is asleep, so there is no per-item lock handoff, and an idle
@@ -156,12 +158,16 @@ impl<T> WorkQueue<T> {
         }
     }
 
-    /// Publishes one item, blocking while `bound` items are in flight.
+    /// Publishes one item, blocking while `bound` items are in flight or
+    /// its slot still holds an item a worker claimed but has not taken.
     fn push(&self, item: T) {
         let tail = self.tail.load(Ordering::Relaxed);
-        self.wait_until(|| tail - self.taken.load(Ordering::Acquire) < self.bound);
-        let idx = (tail & self.mask) as usize;
-        *self.slots[idx].lock().expect("queue slot poisoned") = Some(item);
+        let slot = &self.slots[(tail & self.mask) as usize];
+        self.wait_until(|| {
+            tail - self.taken.load(Ordering::Acquire) < self.bound
+                && slot.lock().expect("queue slot poisoned").is_none()
+        });
+        *slot.lock().expect("queue slot poisoned") = Some(item);
         self.tail.store(tail + 1, Ordering::Release);
         self.notify();
     }
@@ -812,6 +818,39 @@ mod tests {
         );
         got.sort_unstable();
         assert_eq!(got, (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn push_waits_for_a_claimed_slot_to_be_emptied() {
+        // Worker 0 claims indices 0..2 and stalls before emptying them,
+        // while worker 1 drains 2..4: `taken` reaches 2 although slots 0
+        // and 1 still hold their items.
+        let queue = Arc::new(WorkQueue::<u64>::new(2)); // bound = slots = 4
+        for i in 0..4 {
+            queue.push(i);
+        }
+        queue.claim.store(2, Ordering::Relaxed);
+        let mut batch = Vec::new();
+        while queue.taken.load(Ordering::Acquire) < 2 {
+            assert!(queue.claim(1, &mut batch));
+        }
+        assert_eq!(batch, vec![2, 3]);
+        let q2 = Arc::clone(&queue);
+        let producer = std::thread::spawn(move || q2.push(4));
+        // Index 4 maps to slot 0, which still holds item 0.
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(
+            queue.tail.load(Ordering::Acquire),
+            4,
+            "push overwrote a claimed slot"
+        );
+        for (i, slot) in queue.slots.iter().take(2).enumerate() {
+            assert_eq!(slot.lock().unwrap().take(), Some(i as u64));
+        }
+        queue.taken.fetch_add(2, Ordering::Release);
+        queue.notify();
+        producer.join().unwrap();
+        assert_eq!(queue.slots[0].lock().unwrap().take(), Some(4));
     }
 
     #[test]

@@ -25,6 +25,7 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -246,7 +247,8 @@ impl<H: Clone> Planner<H> {
 
     /// Decides how failure point `id` obtains its post-failure trace.
     /// `shadow` must hold every pre-failure entry up to the failure point;
-    /// it is fingerprinted once when pruning is on. `pool` is the live
+    /// it is fingerprinted once when pruning is on, timed into
+    /// [`RunStats::fingerprint_time`]. `pool` is the live
     /// pre-failure pool the crash image is captured from, unless an
     /// earlier link of the chain elides the capture.
     pub fn plan(&mut self, pool: &PmPool, id: u64, shadow: &mut ShadowPm) -> Plan<H> {
@@ -256,10 +258,12 @@ impl<H: Clone> Planner<H> {
             self.ctl.obs().fp_done();
             return Plan::Journaled;
         }
-        let class = self
-            .prune
-            .is_enabled()
-            .then(|| shadow.persistence_fingerprint());
+        let class = self.prune.is_enabled().then(|| {
+            let t = Instant::now();
+            let key = shadow.persistence_fingerprint();
+            self.stats.fingerprint_time += t.elapsed();
+            key
+        });
         if let Some(key) = class {
             // A class a previous run executed is served from the persisted
             // store. It is deliberately not seeded into the in-run prune

@@ -19,6 +19,13 @@
 //! the identical replayed entry stream, so their pruning decisions — and
 //! therefore their merged reports — stay in lockstep.
 //!
+//! The shadow keeps each suspect line's distinct records and a counted
+//! record set up to date as it replays, so keying a failure point costs
+//! O(distinct records), not a rescan of every suspect byte. The planner
+//! times each key into [`RunStats::fingerprint_time`].
+//!
+//! [`RunStats::fingerprint_time`]: crate::RunStats::fingerprint_time
+//!
 //! Because members are still *checked* (only the redundant execution and
 //! image capture are skipped), recorded runs contain a full post trace per
 //! failure point and the offline replayer, the fuzz oracle and journal

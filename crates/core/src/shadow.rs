@@ -21,8 +21,22 @@
 //! the slabs it actually touches while a checkpoint is alive get deep-copied
 //! (counted in [`ShadowPm::bytes_cloned`]). The `WritebackPending` set is a
 //! per-slab bitmask plus a volatile set of pending line indices.
+//!
+//! # Fingerprint upkeep
+//!
+//! With pruning on, the replaying shadow keeps an index of every suspect
+//! line's distinct byte records and a count of how many lines hold each
+//! record ([`ShadowPm::enable_fingerprinting`]). A mutation re-derives the
+//! records of the lines it touches, so [`ShadowPm::persistence_fingerprint`]
+//! folds the distinct records without scanning a byte. The index is
+//! re-seeded in full only when a change reaches lines the mutation never
+//! touched: a commit-variable registration, a write to the sole range-less
+//! commit variable, or a fence under [`PersistDomain::CxlGpf`]. The fold
+//! is the one [`ShadowPm::fingerprint_from_scratch`] computes over the
+//! sorted, deduplicated records, so fingerprint values, class-cache files
+//! and journals do not depend on which path computed them.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use pmem::PersistDomain;
@@ -199,11 +213,58 @@ fn fnv_u64(h: u64, v: u64) -> u64 {
 fn fold_records(records: &mut Vec<u64>) -> u64 {
     records.sort_unstable();
     records.dedup();
-    let mut h = fnv_u64(FNV_OFFSET, records.len() as u64);
-    for &r in records.iter() {
-        h = fnv_u64(h, r);
+    fold_distinct(records.len(), records.iter().copied())
+}
+
+/// The fold behind [`fold_records`], over `count` distinct records given
+/// in ascending order.
+fn fold_distinct(count: usize, ascending: impl Iterator<Item = u64>) -> u64 {
+    ascending.fold(fnv_u64(FNV_OFFSET, count as u64), fnv_u64)
+}
+
+/// The incremental fingerprint index (see
+/// [`ShadowPm::enable_fingerprinting`]): the distinct record hashes of
+/// every suspect line, and how many lines hold each record. The keys of
+/// `counts` are exactly the sorted, deduplicated record set
+/// [`fold_records`] folds, so a query folds them without touching a byte.
+#[derive(Debug, Default)]
+struct FpIndex {
+    /// Suspect line → its distinct records, ascending (usually 1–3).
+    lines: HashMap<u64, Box<[u64]>>,
+    /// Record → number of suspect lines holding it.
+    counts: BTreeMap<u64, u32>,
+}
+
+impl FpIndex {
+    /// Replaces line `li`'s records with `records` (ascending, distinct;
+    /// empty when the line is no longer suspect), adjusting the counts by
+    /// the difference.
+    fn set_line(&mut self, li: u64, records: &[u64]) {
+        let old = self.lines.get(&li).map_or(&[][..], |r| &r[..]);
+        if old == records {
+            return;
+        }
+        for r in old {
+            match self.counts.get_mut(r) {
+                Some(n) if *n > 1 => *n -= 1,
+                _ => {
+                    self.counts.remove(r);
+                }
+            }
+        }
+        for &r in records {
+            *self.counts.entry(r).or_insert(0) += 1;
+        }
+        if records.is_empty() {
+            self.lines.remove(&li);
+        } else {
+            self.lines.insert(li, records.into());
+        }
     }
-    h
+
+    fn fold(&self) -> u64 {
+        fold_distinct(self.counts.len(), self.counts.keys().copied())
+    }
 }
 
 /// Bitmask of bits `0..=i` — the bytes of a line up to and including
@@ -333,14 +394,13 @@ pub struct ShadowPm {
     entries_replayed: u64,
     /// Bytes deep-copied by copy-on-write faults against live checkpoints.
     bytes_cloned: u64,
-    /// Incremental index of suspect lines (see
+    /// Incremental record index of the suspect lines (see
     /// [`ShadowPm::enable_fingerprinting`]); `None` until enabled.
-    fp_lines: Option<HashSet<u64>>,
-    /// The index needs a re-seed: commit-variable verdicts moved under lines
-    /// that were never themselves mutated.
+    fp: Option<FpIndex>,
+    /// The index needs a re-seed: records moved on lines the mutation never
+    /// touched (see [`ShadowPm::fp_mark_stale`]).
     fp_stale: bool,
-    /// Reusable record scratch for fingerprint folds (the re-fold used to
-    /// allocate a fresh `Vec` per failure point).
+    /// Reusable scratch for one line's records.
     fp_records: Vec<u64>,
     /// The persistence domain findings are classified under. The replay
     /// itself (the FSM transitions) is domain-independent; the domain is
@@ -362,7 +422,7 @@ impl Clone for ShadowPm {
             // The fingerprint index is a volatile acceleration structure for
             // the *replaying* shadow only: checkpoints never compute
             // fingerprints, so dropping it keeps `begin_post` lean.
-            fp_lines: None,
+            fp: None,
             fp_stale: false,
             fp_records: Vec::new(),
             domain: self.domain,
@@ -496,63 +556,106 @@ impl ShadowPm {
             || (st.written && st.persist != PersistState::Persisted && self.is_commit_var_byte(b))
     }
 
-    fn line_contributes(&self, li: u64, slab: &Slab) -> bool {
-        // Word-wise: only walk the tracked bytes, one `trailing_zeros` per
-        // set bit instead of 64 per-byte probes.
-        let mut bits = slab.present;
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            if self.byte_contributes(li * LINE + i as u64, &slab.states[i]) {
-                return true;
-            }
-            bits &= bits - 1;
-        }
-        false
-    }
-
-    /// Enables the incremental suspect-line index used by
+    /// Enables the incremental record index used by
     /// [`ShadowPm::persistence_fingerprint`], seeding it from the current
     /// state. Engines running with pruning enabled call this once before
     /// replay; without the index a fingerprint query falls back to a full
     /// scan of every tracked line.
+    ///
+    /// The index caches each suspect line's distinct byte records and a
+    /// count of how many lines hold each record, so a query folds only the
+    /// distinct records. Every mutation of a line's own bytes (write,
+    /// flush, fence drain, `TX_ADD`, alloc, free) re-derives that line's
+    /// records (`fp_update_line`); a commit write re-derives the lines of
+    /// the moved variable's explicit ranges. Mutations whose effect reaches
+    /// lines they never touch re-seed the whole index (`fp_mark_stale`).
+    /// The records and their fold are the ones
+    /// [`ShadowPm::fingerprint_from_scratch`] computes, so the values are
+    /// identical whichever path produced them.
     pub fn enable_fingerprinting(&mut self) {
-        let index = self
-            .lines
-            .iter()
-            .filter(|&(&li, slab)| self.line_contributes(li, slab))
-            .map(|(&li, _)| li)
-            .collect();
-        self.fp_lines = Some(index);
+        let mut index = FpIndex::default();
+        let mut records = std::mem::take(&mut self.fp_records);
+        for (&li, slab) in self.lines.iter() {
+            self.line_records(li, slab, &mut records);
+            index.set_line(li, &records);
+        }
+        self.fp_records = records;
+        self.fp = Some(index);
         self.fp_stale = false;
     }
 
-    /// Re-evaluates line `li`'s membership in the suspect-line index after a
-    /// mutation of that line's own bytes. No-op while fingerprinting is
-    /// disabled. Mutations that shift commit-variable verdicts move
-    /// membership of lines *not* written to — those mark the whole index
-    /// stale ([`ShadowPm::fp_mark_stale`]) and it is re-seeded at the next
-    /// fingerprint query.
+    /// Re-derives line `li`'s records in the index after a mutation that
+    /// may have changed them. No-op while fingerprinting is disabled or the
+    /// index awaits a re-seed anyway.
     fn fp_update_line(&mut self, li: u64) {
-        if self.fp_lines.is_none() {
+        if self.fp.is_none() || self.fp_stale {
             return;
         }
-        let suspect = self
+        let mut records = std::mem::take(&mut self.fp_records);
+        match self.lines.get(&li) {
+            Some(slab) => self.line_records(li, slab, &mut records),
+            None => records.clear(),
+        }
+        self.fp
+            .as_mut()
+            .expect("checked above")
+            .set_line(li, &records);
+        self.fp_records = records;
+    }
+
+    /// [`ShadowPm::fp_update_line`] over lines `first..=last`, walking the
+    /// tracked lines instead when the span is wider than the line map.
+    fn fp_update_lines(&mut self, first: u64, last: u64) {
+        if last - first < self.lines.len() as u64 {
+            for li in first..=last {
+                self.fp_update_line(li);
+            }
+            return;
+        }
+        let tracked: Vec<u64> = self
             .lines
-            .get(&li)
-            .is_some_and(|s| self.line_contributes(li, s));
-        let index = self.fp_lines.as_mut().expect("checked above");
-        if suspect {
-            index.insert(li);
-        } else {
-            index.remove(&li);
+            .keys()
+            .copied()
+            .filter(|li| (first..=last).contains(li))
+            .collect();
+        for li in tracked {
+            self.fp_update_line(li);
         }
     }
 
-    /// Marks the suspect-line index stale: a commit-variable write or
-    /// registration changed consistency verdicts of bytes on lines the
-    /// mutation never touched.
+    /// A commit write moved the variables overlapping `[addr, addr +
+    /// size)`: the consistency verdict of every byte they govern may have
+    /// flipped. A variable with explicit ranges governs only those, so only
+    /// their lines are re-derived. The sole range-less variable governs all
+    /// of PM, so moving it re-seeds the whole index.
+    fn fp_commit_moved(&mut self, addr: u64, size: u64) {
+        if let [only] = self.commit_vars.as_slice() {
+            if only.ranges.is_empty() {
+                self.fp_mark_stale();
+                return;
+            }
+        }
+        for vi in 0..self.commit_vars.len() {
+            if !self.commit_vars[vi].overlaps_own(addr, size) {
+                continue;
+            }
+            for ri in 0..self.commit_vars[vi].ranges.len() {
+                let (a, s) = self.commit_vars[vi].ranges[ri];
+                if s > 0 {
+                    self.fp_update_lines(a / LINE, (a + s - 1) / LINE);
+                }
+            }
+        }
+    }
+
+    /// Marks the whole index stale, to be re-seeded at the next fingerprint
+    /// query: a commit-variable registration, a write to the sole
+    /// range-less commit variable, or a CXL fence (which ages persisted
+    /// bytes out of the reorder window everywhere) changed records on lines
+    /// the mutation never touched. Until the re-seed, per-line updates are
+    /// skipped.
     fn fp_mark_stale(&mut self) {
-        if self.fp_lines.is_some() {
+        if self.fp.is_some() {
             self.fp_stale = true;
         }
     }
@@ -572,26 +675,18 @@ impl ShadowPm {
     /// fingerprints present recovery with the same set of reportable
     /// (kind, writer) outcomes, wherever it reads them — any novel in-flight
     /// writer location forces a new class.
+    ///
+    /// With the index enabled a query costs O(distinct records), whatever
+    /// the number of suspect bytes.
     #[must_use]
     pub fn persistence_fingerprint(&mut self) -> u64 {
         if self.fp_stale {
             self.enable_fingerprinting();
         }
-        if self.fp_lines.is_none() {
-            return self.fingerprint_from_scratch();
+        match &self.fp {
+            Some(index) => self.fold_domain(index.fold()),
+            None => self.fingerprint_from_scratch(),
         }
-        let mut records = std::mem::take(&mut self.fp_records);
-        records.clear();
-        if let Some(index) = &self.fp_lines {
-            for &li in index {
-                if let Some(slab) = self.lines.get(&li) {
-                    self.byte_records(li, slab, &mut records);
-                }
-            }
-        }
-        let h = fold_records(&mut records);
-        self.fp_records = records;
-        self.fold_domain(h)
     }
 
     /// Folds the persistence domain into a finished fingerprint: two crash
@@ -617,11 +712,17 @@ impl ShadowPm {
     pub fn fingerprint_from_scratch(&self) -> u64 {
         let mut records = Vec::new();
         for (&li, slab) in self.lines.iter() {
-            if self.line_contributes(li, slab) {
-                self.byte_records(li, slab, &mut records);
-            }
+            self.byte_records(li, slab, &mut records);
         }
         self.fold_domain(fold_records(&mut records))
+    }
+
+    /// Line `li`'s distinct records, ascending, into `out` (cleared first).
+    fn line_records(&self, li: u64, slab: &Slab, out: &mut Vec<u64>) {
+        out.clear();
+        self.byte_records(li, slab, out);
+        out.sort_unstable();
+        out.dedup();
     }
 
     /// Appends one record hash per contributing byte of line `li`
@@ -631,7 +732,12 @@ impl ShadowPm {
     /// [`ShadowPm::persistence_fingerprint`]) — a finding is identified by
     /// (kind, reader, writer) locations alone, so two bytes with equal
     /// records have equal finding potential wherever they live.
+    ///
+    /// A run of bytes with the same flags, threads and writer (compared by
+    /// the interned file pointer) shares one record, so it is hashed once
+    /// and appended once; callers deduplicate anyway.
     fn byte_records(&self, li: u64, slab: &Slab, out: &mut Vec<u64>) {
+        let mut prev = None;
         let mut bits = slab.present;
         while bits != 0 {
             let i = bits.trailing_zeros() as usize;
@@ -663,16 +769,20 @@ impl ShadowPm {
                 | u64::from(self.is_commit_var_byte(b)) << 9
                 | u64::from(st.xthread) << 10
                 | u64::from(self.byte_buffered(st)) << 11;
-            let mut h = fnv_u64(FNV_OFFSET, flags);
             // Thread facts participate unconditionally: constant (zero) in
             // single-threaded traces, so classes there are unaffected, but
             // two crash states differing only in which thread's fence must
             // still land may report different kinds and must not collapse.
-            h = fnv_u64(
-                h,
-                u64::from(st.writer_tid) << 32 | u64::from(st.flusher_tid),
-            );
-            h = fnv_bytes(h, st.writer.file.as_bytes());
+            let tids = u64::from(st.writer_tid) << 32 | u64::from(st.flusher_tid);
+            let file = st.writer.file;
+            let key = (flags, tids, file.as_ptr(), file.len(), st.writer.line);
+            if prev == Some(key) {
+                continue;
+            }
+            prev = Some(key);
+            let mut h = fnv_u64(FNV_OFFSET, flags);
+            h = fnv_u64(h, tids);
+            h = fnv_bytes(h, file.as_bytes());
             h = fnv_u64(h, u64::from(st.writer.line));
             out.push(h);
         }
@@ -809,7 +919,7 @@ impl ShadowPm {
         if commit_moved {
             // Every governed byte's consistency verdict may have flipped,
             // on lines this store never touches.
-            self.fp_mark_stale();
+            self.fp_commit_moved(addr, size);
         }
         let in_tx = self.tx.is_some();
         let protected = match &self.tx {
@@ -924,6 +1034,9 @@ impl ShadowPm {
             let slab = self.slab_mut(li);
             slab.mark_writeback_pending(modified, tid);
             self.pending_lines.insert(li);
+            // Membership is unchanged, but the records are not: the persist
+            // code and the pending bit both moved.
+            self.fp_update_line(li);
         } else if checked {
             // Yellow edges of Figure 9: flushing a line with no modified
             // data is wasted work.
@@ -948,6 +1061,12 @@ impl ShadowPm {
     /// kinds report. With every operation on thread 0 (the single-threaded
     /// case) this is exactly the classic drain-everything fence.
     fn on_fence(&mut self, tid: u32) {
+        if matches!(self.domain, PersistDomain::CxlGpf { .. }) {
+            // Advancing the epoch ages persisted bytes out of the reorder
+            // window on lines this fence never drained: the index cannot be
+            // patched line by line.
+            self.fp_mark_stale();
+        }
         let ts = self.ts;
         let lines: Vec<u64> = self.pending_lines.iter().copied().collect();
         for li in lines {
@@ -976,12 +1095,6 @@ impl ShadowPm {
             self.fp_update_line(li);
         }
         self.ts += 1;
-        if matches!(self.domain, PersistDomain::CxlGpf { .. }) {
-            // Advancing the epoch ages persisted bytes out of the reorder
-            // window on lines this fence never drained: the suspect-line
-            // index cannot be patched incrementally.
-            self.fp_mark_stale();
-        }
     }
 
     fn on_tx_add(
@@ -2188,7 +2301,7 @@ mod tests {
         s.enable_fingerprinting();
         let _ = replay(&mut s, &[write(A, 8, 1)]);
         let cp = s.clone();
-        assert!(cp.fp_lines.is_none(), "checkpoints shed the volatile index");
+        assert!(cp.fp.is_none(), "checkpoints shed the volatile index");
         assert_eq!(
             cp.fingerprint_from_scratch(),
             s.persistence_fingerprint(),
@@ -2217,6 +2330,19 @@ mod tests {
             clean,
             "an uninitialized allocation changes what recovery can observe"
         );
+    }
+
+    #[test]
+    fn flushing_a_modified_line_refreshes_its_records() {
+        let mut s = ShadowPm::new();
+        s.enable_fingerprinting();
+        let _ = replay(&mut s, &[write(A, 8, 1)]);
+        let modified = s.persistence_fingerprint();
+        // The line stays suspect either way; only its records move.
+        let _ = replay(&mut s, &[flush(A, 2)]);
+        let pending = s.persistence_fingerprint();
+        assert_ne!(pending, modified, "a write-back in flight is a new state");
+        assert_eq!(pending, s.fingerprint_from_scratch());
     }
 
     #[test]

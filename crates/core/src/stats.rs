@@ -9,7 +9,8 @@ use serde::Serialize;
 /// The wall-clock split mirrors Figure 12a: `post_exec_time` is the summed
 /// duration of all post-failure executions, `detect_time` the summed trace
 /// replay/checking time, and [`RunStats::pre_exec_time`] the remainder of
-/// the total (the pre-failure execution including tracing).
+/// the total (the pre-failure execution including tracing, and the
+/// pruning fingerprint, which [`RunStats::fingerprint_time`] breaks out).
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct RunStats {
     /// Ordering points observed in the pre-failure stage.
@@ -132,7 +133,8 @@ pub struct RunStats {
     pub arena_bytes: u64,
     /// Total wall-clock time of the detection run.
     pub total_time: Duration,
-    /// Summed wall-clock time of post-failure executions.
+    /// Summed wall-clock time of post-failure executions, including the
+    /// crash-image capture (as in Figure 12a) but not the fingerprint.
     pub post_exec_time: Duration,
     /// Summed wall-clock time of backend trace replay and checking. For
     /// parallel runs with worker-side checking this is the residual serial
@@ -145,6 +147,12 @@ pub struct RunStats {
     /// component; comparing it against `detect_time` shows how much
     /// checking left the critical path.
     pub check_time: Duration,
+    /// Summed wall-clock time of the persistence fingerprints that key the
+    /// pruning classes (zero with pruning off). It is part of
+    /// [`RunStats::pre_exec_time`]'s remainder, not of `post_exec_time`.
+    /// Not serialized: the `RunMetrics` schema predates it.
+    #[serde(skip)]
+    pub fingerprint_time: Duration,
 }
 
 impl RunStats {

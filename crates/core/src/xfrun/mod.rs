@@ -99,6 +99,20 @@ impl Mode {
     }
 }
 
+/// Trace-FIFO capacity, in batches, of a [`Mode::Stream`] run that sets
+/// none ([`SessionBuilder::stream_capacity`]).
+///
+/// A failure-point interval ships up to two batches (its pre-failure
+/// entries, then the failure point), so with pruning on, where most
+/// failure points skip their post-failure run, 1024 batches are ~10 ms of
+/// frontend work on the bundled workloads at ~100 ops: enough to ride out
+/// a backend thread that loses its CPU for a scheduler time slice. 64
+/// batches hold under a millisecond, which stalls the frontend whenever
+/// the backend is descheduled. A post-failure trace travels as an `Arc`
+/// shared with the planner's representatives, so a deeper FIFO holds only
+/// more pre-failure entries in flight.
+pub const DEFAULT_STREAM_CAPACITY: usize = 1024;
+
 /// The streaming engine seam.
 ///
 /// `xfdetector` cannot depend on `xfstream` (the dependency points the
@@ -736,7 +750,7 @@ impl Session {
                 Some(engine) => engine.run_stream(
                     &config,
                     Box::new(workload),
-                    self.stream_capacity.unwrap_or(64),
+                    self.stream_capacity.unwrap_or(DEFAULT_STREAM_CAPACITY),
                     ctl.clone(),
                 ),
                 None => Err(XfError::StreamEngineMissing),
@@ -828,6 +842,7 @@ fn add_stats(acc: &mut RunStats, o: &RunStats) {
     acc.post_exec_time += o.post_exec_time;
     acc.detect_time += o.detect_time;
     acc.check_time += o.check_time;
+    acc.fingerprint_time += o.fingerprint_time;
     let classes = acc.classes_total + o.classes_total;
     let pruned = acc.fps_pruned + o.fps_pruned;
     acc.finish_pruning(classes, pruned);

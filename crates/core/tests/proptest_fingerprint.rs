@@ -1,47 +1,88 @@
 //! Property-based tests of the persistence-state fingerprint that keys the
 //! equivalence-class pruning layer: the incrementally indexed fingerprint
 //! must equal a from-scratch hash of the shadow's suspect-line state after
-//! *any* operation sequence, and the fingerprint must abstract addresses
-//! (translating a whole program does not change its class keys).
+//! *any* operation sequence, under every persistence domain, and the
+//! fingerprint must abstract addresses (translating a whole program does
+//! not change its class keys).
+//!
+//! The steps reach every path that patches the index: per-line mutations on
+//! two threads, commit writes to variables with and without explicit
+//! ranges, registrations, and CXL fences.
 
 use proptest::prelude::*;
 
+use pmem::PersistDomain;
 use xfdetector::{DetectionReport, ShadowPm};
 use xftrace::{FenceKind, FlushKind, Op, SourceLoc, Stage, TraceEntry};
 
 const LINES: u64 = 16;
 const POOL: u64 = LINES * 64;
 
+/// Commit variables live at one of a few fixed slots, so commit ranges
+/// find a registered variable and writes hit variables often enough to
+/// move them.
+const VAR_SLOTS: u64 = 4;
+const VAR_STRIDE: u64 = POOL / VAR_SLOTS;
+
 #[derive(Debug, Clone)]
 enum Step {
-    Write { off: u64, size: u8 },
-    NtWrite { off: u64, size: u8 },
-    Flush { off: u64 },
-    Fence,
+    Write { off: u64, size: u8, tid: u32 },
+    NtWrite { off: u64, size: u8, tid: u32 },
+    Flush { off: u64, tid: u32 },
+    Fence { tid: u32 },
     TxBegin,
     TxAdd { off: u64, size: u8 },
     TxCommit,
     Alloc { off: u64, size: u8, zeroed: bool },
     Free { off: u64, size: u8 },
     RegisterCommitVar { off: u64 },
+    RegisterCommitRange { var: u64, off: u64, size: u8 },
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
     let off = 0..(POOL / 8);
     let size = 1..=32u8;
+    let tid = 0..2u32;
+    let slot = 0..VAR_SLOTS;
     prop_oneof![
-        5 => (off.clone(), size.clone()).prop_map(|(o, s)| Step::Write { off: o * 8, size: s }),
-        1 => (off.clone(), size.clone()).prop_map(|(o, s)| Step::NtWrite { off: o * 8, size: s }),
-        3 => off.clone().prop_map(|o| Step::Flush { off: o * 8 }),
-        3 => Just(Step::Fence),
+        5 => ((off.clone(), size.clone()), tid.clone())
+            .prop_map(|((o, s), t)| Step::Write { off: o * 8, size: s, tid: t }),
+        1 => ((off.clone(), size.clone()), tid.clone())
+            .prop_map(|((o, s), t)| Step::NtWrite { off: o * 8, size: s, tid: t }),
+        3 => (off.clone(), tid.clone()).prop_map(|(o, t)| Step::Flush { off: o * 8, tid: t }),
+        3 => tid.prop_map(|t| Step::Fence { tid: t }),
         1 => Just(Step::TxBegin),
         1 => (off.clone(), size.clone()).prop_map(|(o, s)| Step::TxAdd { off: o * 8, size: s }),
         1 => Just(Step::TxCommit),
         1 => (off.clone(), size.clone(), any::<bool>())
             .prop_map(|(o, s, z)| Step::Alloc { off: o * 8, size: s, zeroed: z }),
         1 => (off.clone(), size).prop_map(|(o, s)| Step::Free { off: o * 8, size: s }),
-        1 => off.prop_map(|o| Step::RegisterCommitVar { off: o * 8 }),
+        1 => off.clone().prop_map(|o| Step::RegisterCommitVar { off: o * 8 }),
+        1 => slot.clone().prop_map(|v| Step::RegisterCommitVar { off: v * VAR_STRIDE }),
+        2 => (slot, off, 1..=128u8)
+            .prop_map(|(v, o, s)| Step::RegisterCommitRange { var: v, off: o * 8, size: s }),
     ]
+}
+
+fn domain_strategy() -> impl Strategy<Value = PersistDomain> {
+    prop_oneof![
+        Just(PersistDomain::Adr),
+        Just(PersistDomain::Eadr),
+        Just(PersistDomain::CxlGpf { reorder_window: 3 }),
+    ]
+}
+
+impl Step {
+    /// The issuing thread (0 for the steps that carry none).
+    fn tid(&self) -> u32 {
+        match *self {
+            Step::Write { tid, .. }
+            | Step::NtWrite { tid, .. }
+            | Step::Flush { tid, .. }
+            | Step::Fence { tid } => tid,
+            _ => 0,
+        }
+    }
 }
 
 fn entry_for(step: &Step, base: u64, line: u32) -> TraceEntry {
@@ -50,19 +91,19 @@ fn entry_for(step: &Step, base: u64, line: u32) -> TraceEntry {
         line,
     };
     let op = match *step {
-        Step::Write { off, size } => Op::Write {
+        Step::Write { off, size, .. } => Op::Write {
             addr: base + off,
             size: u32::from(size),
         },
-        Step::NtWrite { off, size } => Op::NtWrite {
+        Step::NtWrite { off, size, .. } => Op::NtWrite {
             addr: base + off,
             size: u32::from(size),
         },
-        Step::Flush { off } => Op::Flush {
+        Step::Flush { off, .. } => Op::Flush {
             addr: base + off,
             kind: FlushKind::Clwb,
         },
-        Step::Fence => Op::Fence {
+        Step::Fence { .. } => Op::Fence {
             kind: FenceKind::Sfence,
         },
         Step::TxBegin => Op::TxBegin,
@@ -84,8 +125,13 @@ fn entry_for(step: &Step, base: u64, line: u32) -> TraceEntry {
             addr: base + off,
             size: 8,
         },
+        Step::RegisterCommitRange { var, off, size } => Op::RegisterCommitRange {
+            var_addr: base + var * VAR_STRIDE,
+            addr: base + off,
+            size: u32::from(size),
+        },
     };
-    TraceEntry::new(op, loc, Stage::Pre, false, true)
+    TraceEntry::new(op, loc, Stage::Pre, false, true).with_tid(step.tid())
 }
 
 proptest! {
@@ -96,9 +142,10 @@ proptest! {
     /// fingerprint a full scan of the shadow state produces.
     #[test]
     fn incremental_fingerprint_equals_from_scratch(
-        steps in prop::collection::vec(step_strategy(), 0..200)
+        steps in prop::collection::vec(step_strategy(), 0..200),
+        domain in domain_strategy(),
     ) {
-        let mut shadow = ShadowPm::new();
+        let mut shadow = ShadowPm::with_domain(domain);
         shadow.enable_fingerprinting();
         let mut report = DetectionReport::new();
         for (i, step) in steps.iter().enumerate() {
@@ -107,7 +154,8 @@ proptest! {
             prop_assert_eq!(
                 shadow.persistence_fingerprint(),
                 shadow.fingerprint_from_scratch(),
-                "index diverged from ground truth after step {} ({:?})", i, step
+                "index diverged from ground truth after step {} ({:?}) under {:?}",
+                i, step, domain
             );
         }
     }
@@ -119,9 +167,10 @@ proptest! {
     fn fingerprint_is_translation_invariant(
         steps in prop::collection::vec(step_strategy(), 0..150),
         shift_lines in 1..64u64,
+        domain in domain_strategy(),
     ) {
         let run = |base: u64| {
-            let mut shadow = ShadowPm::new();
+            let mut shadow = ShadowPm::with_domain(domain);
             shadow.enable_fingerprinting();
             let mut report = DetectionReport::new();
             for (i, step) in steps.iter().enumerate() {
@@ -137,11 +186,12 @@ proptest! {
     /// indexed from the start.
     #[test]
     fn late_enable_matches_indexed_from_start(
-        steps in prop::collection::vec(step_strategy(), 0..150)
+        steps in prop::collection::vec(step_strategy(), 0..150),
+        domain in domain_strategy(),
     ) {
-        let mut indexed = ShadowPm::new();
+        let mut indexed = ShadowPm::with_domain(domain);
         indexed.enable_fingerprinting();
-        let mut late = ShadowPm::new();
+        let mut late = ShadowPm::with_domain(domain);
         let mut report = DetectionReport::new();
         for (i, step) in steps.iter().enumerate() {
             let e = entry_for(step, 0x1000, i as u32 + 1);

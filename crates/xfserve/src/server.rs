@@ -13,9 +13,12 @@
 //!
 //! Every connection gets its own handler thread; every job's events are
 //! retained in order, so a late `WATCH` replays the full history before
-//! tailing live frames. Executors drain the queue on shutdown (finishing
-//! the job they hold) and are joined before `run` returns — no orphaned
-//! workers.
+//! tailing live frames. Finished jobs are retained up to
+//! [`RETAINED_DONE_JOBS`]; older ones are forgotten (a `WATCH` of one is
+//! rejected as unknown), unless a watcher is still streaming them, so a
+//! long-lived server's memory does not grow with the jobs it has served.
+//! Executors drain the queue on shutdown (finishing the job they hold) and
+//! are joined before `run` returns — no orphaned workers.
 //!
 //! # Cross-run cache
 //!
@@ -138,6 +141,11 @@ impl AnyListener {
     }
 }
 
+/// Finished jobs whose records (spec and event history, ~2.4 KB each) a
+/// server keeps for late `WATCH`es and `STATUS`. Without a bound a
+/// long-lived server grew by every job it had ever served.
+const RETAINED_DONE_JOBS: usize = 256;
+
 /// One submitted job: its spec, optional artifact, and the ordered event
 /// history every watcher replays from.
 struct JobRecord {
@@ -147,14 +155,37 @@ struct JobRecord {
     /// Raw `(tag, payload)` frames, retained for late watchers.
     events: Vec<(u8, Vec<u8>)>,
     done: bool,
+    /// Connections streaming this job; a watched record is never evicted.
+    watchers: usize,
 }
 
 #[derive(Default)]
 struct SharedState {
     queue: VecDeque<u64>,
     jobs: BTreeMap<u64, JobRecord>,
+    /// Finished job ids, oldest first: the eviction order.
+    finished: VecDeque<u64>,
+    /// Finished jobs whose records were evicted (still counted by
+    /// `STATUS`).
+    evicted: usize,
     next_id: u64,
     shutdown: bool,
+}
+
+impl SharedState {
+    /// Forgets the oldest finished jobs beyond [`RETAINED_DONE_JOBS`],
+    /// stopping at the first one a watcher is still streaming.
+    fn evict_finished(&mut self) {
+        while self.finished.len() > RETAINED_DONE_JOBS {
+            let oldest = self.finished[0];
+            if self.jobs.get(&oldest).is_some_and(|j| j.watchers > 0) {
+                return;
+            }
+            self.finished.pop_front();
+            self.jobs.remove(&oldest);
+            self.evicted += 1;
+        }
+    }
 }
 
 struct Shared {
@@ -352,6 +383,8 @@ fn executor_loop(shared: &Arc<Shared>) {
             job.events.push(frame);
             job.done = true;
         }
+        st.finished.push_back(id);
+        st.evict_finished();
         drop(st);
         shared.cv.notify_all();
     }
@@ -464,25 +497,32 @@ fn handle_submit(conn: &mut AnyStream, shared: &Arc<Shared>, payload: &[u8]) -> 
                 artifact,
                 events: Vec::new(),
                 done: false,
+                // The submitting connection streams the job.
+                watchers: 1,
             },
         );
         st.queue.push_back(id);
         id
     };
     shared.cv.notify_all();
-    let (tag, p) = JobEvent::Accepted { id }.to_frame();
-    write_frame(conn, tag, &p)?;
     stream_events(conn, shared, id)
 }
 
 fn handle_watch(conn: &mut AnyStream, shared: &Arc<Shared>, payload: &[u8]) -> io::Result<()> {
     let id = crate::proto::Dec::new(payload).u64()?;
-    let known = shared
+    let known = match shared
         .state
         .lock()
         .expect("server state poisoned")
         .jobs
-        .contains_key(&id);
+        .get_mut(&id)
+    {
+        Some(job) => {
+            job.watchers += 1;
+            true
+        }
+        None => false,
+    };
     if !known {
         return write_frame(
             conn,
@@ -490,15 +530,27 @@ fn handle_watch(conn: &mut AnyStream, shared: &Arc<Shared>, payload: &[u8]) -> i
             &encode_rejected(12, &format!("unknown job id {id}")),
         );
     }
-    let (tag, p) = JobEvent::Accepted { id }.to_frame();
-    write_frame(conn, tag, &p)?;
     stream_events(conn, shared, id)
+}
+
+/// Acknowledges and streams job `id` to a registered watcher
+/// ([`JobRecord::watchers`]), then releases the record for eviction,
+/// whether or not the stream completed.
+fn stream_events(conn: &mut AnyStream, shared: &Arc<Shared>, id: u64) -> io::Result<()> {
+    let (tag, p) = JobEvent::Accepted { id }.to_frame();
+    let streamed = write_frame(conn, tag, &p).and_then(|()| tail_events(conn, shared, id));
+    let mut st = shared.state.lock().expect("server state poisoned");
+    if let Some(job) = st.jobs.get_mut(&id) {
+        job.watchers -= 1;
+    }
+    st.evict_finished();
+    streamed
 }
 
 /// Replays a job's retained events from the start, then tails live
 /// frames until the job is done. The cursor walks the shared event log
 /// under the state lock; frame writes happen outside it.
-fn stream_events(conn: &mut AnyStream, shared: &Arc<Shared>, id: u64) -> io::Result<()> {
+fn tail_events(conn: &mut AnyStream, shared: &Arc<Shared>, id: u64) -> io::Result<()> {
     let mut cursor = 0usize;
     loop {
         let (batch, done) = {
@@ -530,8 +582,9 @@ fn handle_status(conn: &mut AnyStream, shared: &Arc<Shared>) -> io::Result<()> {
     let done = st.jobs.values().filter(|j| j.done).count();
     let running = st.jobs.len().saturating_sub(queued).saturating_sub(done);
     let json = format!(
-        "{{\"jobs\":{},\"queued\":{queued},\"running\":{running},\"done\":{done}}}",
-        st.jobs.len(),
+        "{{\"jobs\":{},\"queued\":{queued},\"running\":{running},\"done\":{}}}",
+        st.jobs.len() + st.evicted,
+        done + st.evicted,
     );
     drop(st);
     write_frame(conn, TAG_STATUS_REPLY, json.as_bytes())
@@ -555,4 +608,39 @@ fn handle_shutdown(conn: &mut AnyStream, shared: &Arc<Shared>) -> io::Result<()>
     }
     let (tag, p) = JobEvent::Done { exit_code: 0 }.to_frame();
     write_frame(conn, tag, &p)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn finished(watchers: usize) -> JobRecord {
+        JobRecord {
+            spec: JobSpec::default(),
+            artifact: None,
+            events: vec![(0, vec![0; 16])],
+            done: true,
+            watchers,
+        }
+    }
+
+    #[test]
+    fn finished_jobs_are_bounded_but_watched_ones_stay() {
+        let mut st = SharedState::default();
+        let total = RETAINED_DONE_JOBS as u64 + 10;
+        for id in 0..total {
+            // Job 3 still has a watcher streaming it.
+            st.jobs.insert(id, finished(usize::from(id == 3)));
+            st.finished.push_back(id);
+            st.evict_finished();
+        }
+        // Eviction stops at the watched job: 0..3 went, 3.. stayed.
+        assert_eq!(st.evicted, 3);
+        assert!(st.jobs.contains_key(&3));
+        st.jobs.get_mut(&3).unwrap().watchers = 0;
+        st.evict_finished();
+        assert_eq!(st.evicted, 10);
+        assert_eq!(st.jobs.len(), RETAINED_DONE_JOBS);
+        assert_eq!(st.jobs.keys().next(), Some(&10), "the oldest go first");
+    }
 }

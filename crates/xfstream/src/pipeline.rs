@@ -44,7 +44,9 @@ pub struct StreamOptions {
 
 impl Default for StreamOptions {
     fn default() -> Self {
-        StreamOptions { capacity: 64 }
+        StreamOptions {
+            capacity: xfdetector::DEFAULT_STREAM_CAPACITY,
+        }
     }
 }
 
@@ -117,8 +119,12 @@ impl<W: Workload> EngineHook for StreamFrontend<W> {
         };
         self.ship_pre(ctx.trace().drain(), planner.stats());
 
+        // As in the batch driver: the capture counts as post-failure time,
+        // the fingerprint does not.
+        let fingerprinted = planner.stats().fingerprint_time;
         let t_post = Instant::now();
         let plan = planner.plan(ctx.pool(), fp.id, &mut self.fp_shadow.borrow_mut());
+        let t_post = t_post + (planner.stats().fingerprint_time - fingerprinted);
         let (post, outcome) = match plan {
             Plan::Journaled => return self.ship(Msg::Journaled(fp)),
             Plan::Warm(_) => unreachable!("sessions reject the class cache in stream mode"),

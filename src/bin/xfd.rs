@@ -183,7 +183,8 @@ CONFIG FLAGS (detector axes; defaults reproduce the paper's setup):
                           Recorded traces carry the domain in the .xft
                           header and `xfd analyze` replays under it
     --seed N              RNG seed for randomized crash policies
-    --capacity N          Trace-FIFO capacity in batches (stream mode)
+    --capacity N          Trace-FIFO capacity in batches (stream mode;
+                          default 1024)
     --workers N           Worker threads (parallel mode; 0 = all cores)
 
 EXIT CODES (CLI; the server's REJECTED frames carry the same error codes):

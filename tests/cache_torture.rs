@@ -69,10 +69,11 @@ fn run(cache: Option<(&Path, &str)>) -> RunOutcome {
     builder.build().unwrap().run(Torture, Mode::Batch).unwrap()
 }
 
-/// The uncached reference report and the bytes of a complete cache file.
-fn reference_and_cache() -> (String, Vec<u8>) {
+/// The uncached reference report and the bytes of a complete cache file,
+/// built at a path of the caller's own (the tests run concurrently).
+fn reference_and_cache(name: &str) -> (String, Vec<u8>) {
     let reference = run(None);
-    let path = tmp("source.xfc");
+    let path = tmp(&format!("{name}-source.xfc"));
     std::fs::remove_file(&path).ok();
     let cold = run(Some((&path, "d")));
     let bytes = std::fs::read(&path).unwrap();
@@ -111,7 +112,7 @@ fn check(path: &Path, bytes: &[u8], reference: &str, what: &str) -> bool {
 
 #[test]
 fn truncation_at_every_offset_starts_cold_or_serves_the_reference() {
-    let (reference, cache) = reference_and_cache();
+    let (reference, cache) = reference_and_cache("cut");
     let path = tmp("cut.xfc");
     let mut warm = 0;
     for cut in 0..=cache.len() {
@@ -125,7 +126,7 @@ fn truncation_at_every_offset_starts_cold_or_serves_the_reference() {
 
 #[test]
 fn every_single_bit_flip_starts_cold_or_serves_the_reference() {
-    let (reference, cache) = reference_and_cache();
+    let (reference, cache) = reference_and_cache("flip");
     let path = tmp("flip.xfc");
     for at in 0..cache.len() {
         for bit in 0..8 {
@@ -145,7 +146,7 @@ fn every_single_bit_flip_starts_cold_or_serves_the_reference() {
 
 #[test]
 fn racing_savers_leave_one_complete_file() {
-    let (reference, _) = reference_and_cache();
+    let (reference, _) = reference_and_cache("race");
     let dir = tmp("race");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
