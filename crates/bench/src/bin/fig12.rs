@@ -131,22 +131,19 @@ fn main() {
     }
 
     println!();
-    println!("Hot-path counters: arena reuse, work-stealing dispatch, lock-free stream ring");
+    println!("Hot-path counters: work-stealing dispatch, lock-free stream ring");
     println!(
-        "{:<16} {:>11} {:>10} {:>11} {:>11} {:>9}",
-        "workload", "arena[KiB]", "stolen@4w", "ring-spins", "ring-parks", "batches"
+        "{:<16} {:>10} {:>11} {:>11} {:>9}",
+        "workload", "stolen@4w", "ring-spins", "ring-parks", "batches"
     );
     for kind in [WorkloadKind::Btree, WorkloadKind::HashmapTx] {
-        // Arena bytes come from the sequential engine (the dedup/prune
-        // caches it backs), stolen jobs from the 4-worker parallel
-        // dispatch, ring counters from the streaming pipeline's FIFO.
-        let seq = run_detection(kind, OPS).stats;
+        // Stolen jobs come from the 4-worker parallel dispatch, ring
+        // counters from the streaming pipeline's FIFO.
         let par = run_parallel_detection(kind, OPS, XfConfig::default(), 4).stats;
         let stream = run_streaming_detection(kind, OPS, XfConfig::default()).stats;
         println!(
-            "{:<16} {:>11.1} {:>10} {:>11} {:>11} {:>9}",
+            "{:<16} {:>10} {:>11} {:>11} {:>9}",
             kind.to_string(),
-            seq.arena_bytes as f64 / 1024.0,
             par.jobs_stolen,
             stream.ring_spins,
             stream.ring_parks,

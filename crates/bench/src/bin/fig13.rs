@@ -14,7 +14,7 @@ fn main() {
     let sweep = [1u64, 10, 20, 30, 40, 50];
     println!("Figure 13: execution time and #failure points vs #pre-failure transactions");
     println!(
-        "{:<16} {:>6} {:>12} {:>10} {:>10} {:>8} {:>12} {:>12} {:>12} {:>12} {:>11} {:>11}",
+        "{:<16} {:>6} {:>12} {:>10} {:>10} {:>8} {:>12} {:>12} {:>12} {:>12} {:>11}",
         "workload",
         "#tx",
         "time[s]",
@@ -25,8 +25,7 @@ fn main() {
         "post-entries",
         "snap[KiB]",
         "shadow[KiB]",
-        "trace[KiB]",
-        "arena[KiB]"
+        "trace[KiB]"
     );
     for kind in microbenchmarks() {
         let mut prev_fp = 0u64;
@@ -35,7 +34,7 @@ fn main() {
             let s = &outcome.stats;
             let trace = trace_sizes(kind, n);
             println!(
-                "{:<16} {:>6} {:>12} {:>10} {:>10} {:>8} {:>12} {:>12} {:>12.1} {:>12.1} {:>11.1} {:>11.1}",
+                "{:<16} {:>6} {:>12} {:>10} {:>10} {:>8} {:>12} {:>12} {:>12.1} {:>12.1} {:>11.1}",
                 kind.to_string(),
                 n,
                 secs(s.total_time),
@@ -47,7 +46,6 @@ fn main() {
                 s.snapshot_bytes_copied as f64 / 1024.0,
                 s.shadow_bytes_cloned as f64 / 1024.0,
                 trace.xft_bytes as f64 / 1024.0,
-                s.arena_bytes as f64 / 1024.0,
             );
             assert!(
                 s.failure_points >= prev_fp,

@@ -1,35 +1,26 @@
-//! The detection engine: failure injection, post-failure execution and
-//! trace replay (the frontend/backend pair of Figure 8).
+//! The detection engine's public face: the [`Workload`] model, the
+//! configuration and the batch driver.
 //!
 //! [`XfDetector::run`] executes a [`Workload`] under test:
 //!
 //! 1. `setup` runs without failure injection (pool initialization, like the
 //!    paper's pre-RoI initialization),
-//! 2. `pre_failure` runs with an [`pmem::EngineHook`] installed: before every
-//!    ordering point inside the region of interest the engine drains and
-//!    replays the new pre-failure trace into the [`ShadowPm`], snapshots the
-//!    PM image, runs `post_failure` on a forked context, and replays the
-//!    post-failure trace against a clone of the shadow to detect
-//!    cross-failure bugs,
+//! 2. `pre_failure` runs with the detection loop of [`crate::detect`]
+//!    installed as the ordering-point hook: before every ordering point
+//!    inside the region of interest it replays the new pre-failure trace
+//!    into the [`crate::ShadowPm`], snapshots the PM image, runs
+//!    `post_failure` on a forked context, and checks the post-failure trace
+//!    against the shadow to detect cross-failure bugs,
 //! 3. a final failure point at completion covers failures after the last
 //!    operation finished.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::time::Instant;
+use pmem::{Budget, CrashPolicy, PersistDomain, PmCtx, PmError};
 
-use pmem::{
-    Budget, CrashPolicy, EngineHook, OrderingPointInfo, PersistDomain, PmCtx, PmError, PmPool,
-};
-use xftrace::{SourceLoc, TraceEntry};
-
-use crate::arena::{Arena, Span};
+use crate::detect::Checker;
 use crate::error::ConfigError;
-use crate::offline::{RecordedFailurePoint, RecordedRun};
-use crate::plan::{check, Plan, Planner, PostOutcome};
+use crate::plan::planner_shadow;
 use crate::prune::Pruning;
-use crate::report::{DetectionReport, FailurePoint};
-use crate::shadow::ShadowPm;
+use crate::report::DetectionReport;
 use crate::stats::RunStats;
 
 /// Boxed error type returned by workload stages.
@@ -457,201 +448,18 @@ impl XfDetector {
     }
 
     /// [`XfDetector::run`] with an orchestration control handle attached:
-    /// journal skip/append per failure point and live counters. The
-    /// [`crate::Session`] layer drives this; the public entry point passes
-    /// an inert handle.
+    /// journal skip/append, the class cache and live counters. The
+    /// [`crate::Session`] layer drives this. The checker runs inline, on the
+    /// shadow the planner fingerprints.
     pub(crate) fn run_with_ctl<W: Workload + 'static>(
         &self,
         workload: W,
         ctl: crate::xfrun::RunCtl,
     ) -> Result<RunOutcome, EngineError> {
-        let pool = PmPool::new(workload.pool_size()).map_err(EngineError::Pm)?;
-        let mut ctx = PmCtx::new(pool);
-        let mut shadow = ShadowPm::with_domain(self.config.domain);
-        if self.config.pruning.is_enabled() {
-            shadow.enable_fingerprinting();
-        }
-        let state = Rc::new(BatchDriver {
-            planner: RefCell::new(Planner::new(&self.config, ctl.clone())),
-            shadow: RefCell::new(shadow),
-            report: RefCell::new(DetectionReport::new()),
-            arena: RefCell::new(Arena::new()),
-            recorded: RefCell::new(self.config.record_trace.then(|| RecordedRun {
-                domain: self.config.domain,
-                ..RecordedRun::default()
-            })),
-            config: self.config.clone(),
-            ctl,
-            workload,
-        });
-
-        let t_start = Instant::now();
-        state
-            .workload
-            .setup(&mut ctx)
-            .map_err(|e| EngineError::Setup(e.to_string()))?;
-
-        ctx.set_hook(Rc::clone(&state) as Rc<dyn EngineHook>);
-        if self.config.fire_on_every_write {
-            ctx.set_failure_point_on_writes(true);
-        }
-        let pre_result = state.workload.pre_failure(&mut ctx);
-        if pre_result.is_ok() && self.config.inject_at_completion && !ctx.is_detection_complete() {
-            // One final failure point after the last operation: covers bugs
-            // like the Figure 2 "failure after update() completed" scenario.
-            ctx.add_failure_point_at(SourceLoc::synthetic("<completion>"));
-        }
-        ctx.clear_hook();
-        pre_result.map_err(|e| EngineError::PreFailure(e.to_string()))?;
-
-        // Replay any trailing pre-failure entries so tail-end performance
-        // bugs are still reported.
-        state.replay_pre(ctx.trace().drain(), state.planner.borrow_mut().stats());
-
-        let state = Rc::try_unwrap(state).ok().expect("the hook was cleared");
-        let planner = state.planner.into_inner();
-        let arena = state.arena.into_inner();
-        for (key, (span, outcome)) in planner.exports() {
-            state.ctl.cache_export(*key, arena.get(*span), outcome);
-        }
-        let mut stats = planner.finish();
-        // The hook accounted each post-failure pool; the pre-failure pool's
-        // copying (image capture + COW faults) is read off at the end.
-        stats.snapshot_bytes_copied += ctx.pool().snapshot_bytes_copied();
-        let shadow = state.shadow.into_inner();
-        stats.shadow_bytes_cloned = shadow.bytes_cloned();
-        stats.shadow_resident_bytes = shadow.resident_bytes();
-        stats.arena_bytes = arena.bytes();
-        // Sequentially, `detect_time` is exactly the per-failure-point
-        // checking time; nothing ran in workers.
-        stats.check_time = stats.detect_time;
-        stats.total_time = t_start.elapsed();
-        Ok(RunOutcome {
-            report: state.report.into_inner(),
-            stats,
-            recorded: state.recorded.into_inner(),
+        let config = &self.config;
+        crate::detect::run(config, workload, ctl.clone(), || {
+            Checker::new(config, planner_shadow(config), ctl)
         })
-    }
-}
-
-/// The batch driver, installed as the ordering-point hook: everything runs
-/// inline on the workload thread. Representatives are arena spans (plus
-/// their outcome), so a replay borrows a slice instead of cloning a trace.
-struct BatchDriver<W> {
-    planner: RefCell<Planner<(Span, PostOutcome)>>,
-    shadow: RefCell<ShadowPm>,
-    report: RefCell<DetectionReport>,
-    arena: RefCell<Arena<TraceEntry>>,
-    recorded: RefCell<Option<RecordedRun>>,
-    config: XfConfig,
-    ctl: crate::xfrun::RunCtl,
-    workload: W,
-}
-
-impl<W: Workload> BatchDriver<W> {
-    /// Replays freshly drained pre-failure entries into the shadow.
-    fn replay_pre(&self, pre: Vec<TraceEntry>, stats: &mut RunStats) {
-        let mut shadow = self.shadow.borrow_mut();
-        let mut report = self.report.borrow_mut();
-        for e in &pre {
-            shadow.apply_pre(e, &mut report);
-        }
-        stats.pre_entries += pre.len() as u64;
-        if let Some(rec) = self.recorded.borrow_mut().as_mut() {
-            rec.pre.extend(pre.into_iter().map(Into::into));
-        }
-    }
-
-    /// Checks failure point `fp` against the live shadow and journals its
-    /// report delta (the pre-failure findings regenerate on resume).
-    fn check(
-        &self,
-        fp: FailurePoint,
-        post: &[TraceEntry],
-        outcome: &PostOutcome,
-        t_post: Instant,
-        stats: &mut RunStats,
-    ) {
-        stats.post_exec_time += t_post.elapsed();
-        if let Some(rec) = self.recorded.borrow_mut().as_mut() {
-            rec.failure_points
-                .push(RecordedFailurePoint::new(rec.pre.len(), fp.loc, post));
-        }
-        let mut report = self.report.borrow_mut();
-        let delta_start = report.findings().len();
-        let t_detect = Instant::now();
-        check(
-            &self.shadow.borrow(),
-            self.config.first_read_only,
-            fp,
-            post,
-            outcome,
-            &mut report,
-        );
-        stats.detect_time += t_detect.elapsed();
-        stats.post_entries += post.len() as u64;
-        self.ctl
-            .append_fp(fp.id, fp.loc, &report.findings()[delta_start..]);
-    }
-}
-
-impl<W: Workload> EngineHook for BatchDriver<W> {
-    fn on_ordering_point(&self, ctx: &mut PmCtx, loc: SourceLoc, info: OrderingPointInfo) {
-        let mut planner = self.planner.borrow_mut();
-        let Some(fp) = planner.gate(loc, info) else {
-            return;
-        };
-        // Replay the pre-failure entries produced since the last failure
-        // point (§5.4: incremental tracing).
-        self.replay_pre(ctx.trace().drain(), planner.stats());
-
-        // Suspend / snapshot the PM image / spawn the post-failure
-        // execution (Figure 8a steps ②–⑤), unless the planner elides it.
-        // The capture is part of the post-failure cost, as in the paper's
-        // breakdown (Figure 12a); the fingerprint is not, so the span's
-        // start moves past it.
-        let fingerprinted = planner.stats().fingerprint_time;
-        let t_post = Instant::now();
-        let plan = planner.plan(ctx.pool(), fp.id, &mut self.shadow.borrow_mut());
-        let t_post = t_post + (planner.stats().fingerprint_time - fingerprinted);
-        let stats = planner.stats();
-        match plan {
-            Plan::Journaled => {
-                // The pre-failure replay above already regenerated everything
-                // that precedes the journaled delta, so the report stays
-                // byte-identical to an uninterrupted run.
-                let journaled = self.ctl.journaled(fp.id).expect("planned from the journal");
-                let mut report = self.report.borrow_mut();
-                for f in &journaled.findings {
-                    report.push(f.clone());
-                }
-                if let Some(rec) = self.recorded.borrow_mut().as_mut() {
-                    rec.failure_points
-                        .push(RecordedFailurePoint::new(rec.pre.len(), fp.loc, &[]));
-                }
-            }
-            Plan::Warm(key) => {
-                let class = self.ctl.cache_peek(key).expect("planned from the cache");
-                self.check(fp, &class.post, &class.outcome, t_post, stats);
-            }
-            Plan::Replay((span, outcome)) => {
-                self.check(fp, self.arena.borrow().get(span), &outcome, t_post, stats);
-            }
-            Plan::Execute(exec) => {
-                let mut post_ctx = ctx.fork_post_cow(&exec.image);
-                let outcome = PostOutcome::execute(
-                    &mut post_ctx,
-                    self.config.post_budget.as_ref(),
-                    self.config.catch_post_panics,
-                    |c| self.workload.post_failure(c),
-                );
-                let post = post_ctx.trace().drain();
-                stats.snapshot_bytes_copied += post_ctx.pool().snapshot_bytes_copied();
-                self.check(fp, &post, &outcome, t_post, stats);
-                planner.executed(&outcome);
-                planner.represent(exec, || (self.arena.borrow_mut().intern(&post), outcome));
-            }
-        }
     }
 }
 

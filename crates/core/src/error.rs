@@ -41,10 +41,6 @@ pub enum ConfigError {
     /// [`SessionBuilder::class_cache`]: crate::SessionBuilder::class_cache
     /// [`Pruning::Equivalence`]: crate::Pruning::Equivalence
     CacheNeedsEquivalence,
-    /// A cross-run class cache was armed on a streaming-mode run; the
-    /// stream engine owns its own failure-point loop and does not consult
-    /// the cache.
-    CacheStreamUnsupported,
     /// A flag or job field that requires a value was given none.
     MissingValue(&'static str),
     /// A flag or job field value failed to parse.
@@ -81,7 +77,8 @@ impl ConfigError {
     /// protocol's REJECTED frame and mirrored in the README's exit-code
     /// table. Codes are append-only: new variants take new numbers, and a
     /// removed variant's number is never reused (1 belonged to the retired
-    /// dedup-requires-COW rejection).
+    /// dedup-requires-COW rejection, 8 to the retired rejection of a class
+    /// cache in stream mode).
     #[must_use]
     pub fn code(&self) -> u32 {
         match self {
@@ -91,7 +88,6 @@ impl ConfigError {
             ConfigError::ZeroThreads => 5,
             ConfigError::ScheduleTooLarge => 6,
             ConfigError::CacheNeedsEquivalence => 7,
-            ConfigError::CacheStreamUnsupported => 8,
             ConfigError::MissingValue(_) => 10,
             ConfigError::Invalid { .. } => 11,
             ConfigError::Unknown { .. } => 12,
@@ -128,9 +124,6 @@ impl fmt::Display for ConfigError {
                     f,
                     "class_cache requires pruning=equivalence (cross-run reuse is keyed by exact persistence fingerprints)"
                 )
-            }
-            ConfigError::CacheStreamUnsupported => {
-                write!(f, "class_cache is not supported in stream mode")
             }
             ConfigError::MissingValue(what) => {
                 write!(f, "{what} requires a value")

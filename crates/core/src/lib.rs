@@ -24,7 +24,8 @@
 //!   image, runs the post-failure stage on the snapshot and checks every
 //!   post-failure read against the shadow state. The per-failure-point
 //!   decision — elide or execute — is the [`Planner`]'s, shared by the
-//!   batch, parallel and streaming drivers,
+//!   batch, parallel and streaming drivers; the batch and streaming drivers
+//!   also share one frontend and one checker ([`detect`]),
 //! - [`DetectionReport`] collects deduplicated [`Finding`]s with the source
 //!   locations of the racing reader and the last writer.
 //!
@@ -41,8 +42,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 mod concurrent;
+pub mod detect;
 mod engine;
 mod error;
 pub mod jobspec;
@@ -55,7 +56,6 @@ mod shadow;
 mod stats;
 mod xfrun;
 
-pub use arena::{Arena, Span};
 pub use concurrent::{ConcurrentWorkload, Scheduled};
 pub use engine::{
     DynError, EngineError, RunOutcome, Workload, XfConfig, XfConfigBuilder, XfDetector,

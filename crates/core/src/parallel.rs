@@ -42,7 +42,7 @@ use xftrace::{SourceLoc, TraceEntry};
 
 use crate::engine::{EngineError, RunOutcome, Workload, XfDetector};
 use crate::offline::{RecordedFailurePoint, RecordedRun};
-use crate::plan::{check, Plan, Planner, PostOutcome};
+use crate::plan::{check, planner_shadow, pre_failure, setup, Plan, Planner, PostOutcome};
 use crate::report::{DetectionReport, FailurePoint, Finding};
 use crate::shadow::ShadowPm;
 use crate::stats::RunStats;
@@ -411,24 +411,14 @@ impl XfDetector {
             workers
         };
         let config = self.config();
-        let pool = PmPool::new(workload.pool_size()).map_err(EngineError::Pm)?;
-        let mut ctx = PmCtx::new(pool);
-
-        let t_start = Instant::now();
-        workload
-            .setup(&mut ctx)
-            .map_err(|e| EngineError::Setup(e.to_string()))?;
+        let (mut ctx, t_start) = setup(&workload)?;
 
         let queue = Arc::new(WorkQueue::<Job>::new(workers));
         let (res_tx, res_rx) = mpsc::channel::<JobResult>();
-        let mut shadow = ShadowPm::with_domain(config.domain);
-        if config.pruning.is_enabled() {
-            shadow.enable_fingerprinting();
-        }
         let frontend = Rc::new(ParallelFrontend {
             planner: RefCell::new(Planner::new(config, ctl.clone())),
             queue: Arc::clone(&queue),
-            shadow: RefCell::new(shadow),
+            shadow: RefCell::new(planner_shadow(config)),
             pre_replayed: RefCell::new(0),
             pre_findings: RefCell::new(Vec::new()),
             pre_scratch: RefCell::new((DetectionReport::new(), 0)),
@@ -494,16 +484,8 @@ impl XfDetector {
             }
             drop(res_tx);
 
-            ctx.set_hook(frontend.clone());
-            if config.fire_on_every_write {
-                ctx.set_failure_point_on_writes(true);
-            }
             let t_post = Instant::now();
-            let pre_result = workload.pre_failure(&mut ctx);
-            if pre_result.is_ok() && config.inject_at_completion && !ctx.is_detection_complete() {
-                ctx.add_failure_point_at(SourceLoc::synthetic("<completion>"));
-            }
-            ctx.clear_hook();
+            let pre_result = pre_failure(&mut ctx, config, frontend.clone(), &workload);
             // Close the job queue so the workers drain and exit.
             queue.close();
             let expected = frontend.planner.borrow_mut().stats().post_runs;

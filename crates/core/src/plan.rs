@@ -15,27 +15,29 @@
 //!    dedup).
 //!
 //! [`Planner`] owns that chain and its accounting ([`RunStats`] counters
-//! and the live observability counters). The batch, parallel and streaming
-//! drivers differ only in *where* they run what the planner hands back: the
-//! pre-failure replay feeding the fingerprint, the post-failure execution
-//! of a [`Plan::Execute`], and the checking of the trace. Each driver caches
-//! its own representative handle `H` — an arena span plus outcome (batch),
-//! a job id (parallel), a shared trace plus outcome (stream) — so a replay
-//! never clones a trace.
+//! and the live observability counters). The drivers differ only in
+//! *where* they run what the planner hands back. The batch and stream
+//! drivers share one loop ([`crate::detect`]) whose representative is the
+//! shared trace plus its outcome, so a replay never clones a trace; the
+//! parallel driver's representative is the job id of the executed failure
+//! point. All three drivers set up through `setup`, run the pre-failure
+//! stage through `pre_failure` and fingerprint a [`planner_shadow`].
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use pmem::{
-    Budget, BudgetOverrun, CowImage, CrashPolicy, ImageHash, OrderingPointInfo, PmCtx, PmPool,
+    Budget, BudgetOverrun, CowImage, CrashPolicy, EngineHook, ImageHash, OrderingPointInfo, PmCtx,
+    PmPool,
 };
 use xftrace::{SourceLoc, TraceEntry};
 
-use crate::engine::{DynError, XfConfig};
+use crate::engine::{DynError, EngineError, Workload, XfConfig};
 use crate::prune::PruneCache;
 use crate::report::{BugKind, DetectionReport, FailurePoint, Finding};
 use crate::shadow::ShadowPm;
@@ -133,6 +135,51 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_owned()
     }
+}
+
+/// Creates `workload`'s pool and runs its setup stage. The run's clock
+/// starts just before setup.
+pub(crate) fn setup<W: Workload + ?Sized>(workload: &W) -> Result<(PmCtx, Instant), EngineError> {
+    let mut ctx = PmCtx::new(PmPool::new(workload.pool_size()).map_err(EngineError::Pm)?);
+    let t_start = Instant::now();
+    workload
+        .setup(&mut ctx)
+        .map_err(|e| EngineError::Setup(e.to_string()))?;
+    Ok((ctx, t_start))
+}
+
+/// Runs `workload`'s pre-failure stage on `ctx` with `hook` called at every
+/// ordering point, then injects the final `<completion>` failure point and
+/// removes the hook.
+pub(crate) fn pre_failure<W: Workload + ?Sized>(
+    ctx: &mut PmCtx,
+    config: &XfConfig,
+    hook: Rc<dyn EngineHook>,
+    workload: &W,
+) -> Result<(), DynError> {
+    ctx.set_hook(hook);
+    if config.fire_on_every_write {
+        ctx.set_failure_point_on_writes(true);
+    }
+    let result = workload.pre_failure(ctx);
+    if result.is_ok() && config.inject_at_completion && !ctx.is_detection_complete() {
+        // One final failure point after the last operation: covers bugs
+        // like the Figure 2 "failure after update() completed" scenario.
+        ctx.add_failure_point_at(SourceLoc::synthetic("<completion>"));
+    }
+    ctx.clear_hook();
+    result
+}
+
+/// The shadow [`Planner::plan`] fingerprints: fingerprinting is on when
+/// `config` prunes.
+#[must_use]
+pub fn planner_shadow(config: &XfConfig) -> ShadowPm {
+    let mut shadow = ShadowPm::with_domain(config.domain);
+    if config.pruning.is_enabled() {
+        shadow.enable_fingerprinting();
+    }
+    shadow
 }
 
 /// Checks one failure point (Figure 8b step ⑧): replays its post-failure

@@ -127,10 +127,6 @@ pub struct RunStats {
     /// [`BugKind::CrossThreadRace`]: crate::BugKind::CrossThreadRace
     /// [`BugKind::CrossThreadSemantic`]: crate::BugKind::CrossThreadSemantic
     pub cross_thread_findings: u64,
-    /// Bytes retained by the post-trace arena backing the dedup/prune
-    /// caches: cache hits replay arena spans instead of cloning whole
-    /// per-failure-point trace vectors.
-    pub arena_bytes: u64,
     /// Total wall-clock time of the detection run.
     pub total_time: Duration,
     /// Summed wall-clock time of post-failure executions, including the
@@ -253,7 +249,6 @@ mod tests {
         assert!(json.contains("ring_spins"), "{json}");
         assert!(json.contains("ring_parks"), "{json}");
         assert!(json.contains("jobs_stolen"), "{json}");
-        assert!(json.contains("arena_bytes"), "{json}");
         assert!(json.contains("schedules_explored"), "{json}");
         assert!(json.contains("cross_thread_findings"), "{json}");
         assert!(json.contains("cache_hits"), "{json}");

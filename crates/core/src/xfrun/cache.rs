@@ -76,7 +76,8 @@ const TRAILER: usize = 8;
 /// checkpoint.
 #[derive(Debug)]
 pub(crate) struct WarmClass {
-    pub(crate) post: Vec<TraceEntry>,
+    /// Shared, so a warm hit ships the trace by refcount.
+    pub(crate) post: Arc<[TraceEntry]>,
     /// Replayed verbatim on a warm hit, so outcome findings (errors,
     /// panics, budget kills) stay byte-identical across runs. A replayed
     /// budget kill never counts as a kill.
@@ -201,7 +202,7 @@ fn encode(fingerprint: &str, digest: &str, classes: &[(&(u64, u64), &WarmClass)]
         buf.push(code);
         write_str(&mut buf, message).expect("vec write");
         write_varint(&mut buf, class.post.len() as u64).expect("vec write");
-        for e in &class.post {
+        for e in class.post.iter() {
             entries
                 .write_entry(&mut buf, REC_POST, e)
                 .expect("vec write");
@@ -246,6 +247,7 @@ fn decode(buf: &[u8], fingerprint: &str, digest: &str) -> Option<Classes> {
             }
             post.push(cur.read_entry().ok()?);
         }
+        let post = post.into();
         if warm
             .insert((ns, key), WarmClass { post, outcome })
             .is_some()
@@ -326,7 +328,7 @@ impl CacheHandle {
         }
         let mut export = self.store.export.lock().expect("cache export lock");
         export.entry((self.ns, key)).or_insert_with(|| WarmClass {
-            post: post.to_vec(),
+            post: post.into(),
             outcome: outcome.clone(),
         });
     }

@@ -664,9 +664,6 @@ impl Session {
     where
         W: Workload + Send + Sync + 'static,
     {
-        if cache.is_some() && matches!(mode, Mode::Stream) {
-            return Err(ConfigError::CacheStreamUnsupported.into());
-        }
         let mut config = self.config.clone();
         if self.record_repro {
             config.record_trace = true;
@@ -837,7 +834,6 @@ fn add_stats(acc: &mut RunStats, o: &RunStats) {
     acc.ring_spins += o.ring_spins;
     acc.ring_parks += o.ring_parks;
     acc.jobs_stolen += o.jobs_stolen;
-    acc.arena_bytes += o.arena_bytes;
     acc.total_time += o.total_time;
     acc.post_exec_time += o.post_exec_time;
     acc.detect_time += o.detect_time;
@@ -1170,16 +1166,6 @@ mod tests {
             Session::builder().class_cache(tmp("nope.xfc")).build(),
             Err(ConfigError::CacheNeedsEquivalence)
         ));
-    }
-
-    #[test]
-    fn stream_mode_rejects_the_class_cache() {
-        let path = tmp("cache-stream.xfc");
-        let err = cached_session(&path).run(Racy, Mode::Stream).unwrap_err();
-        assert!(
-            matches!(err, XfError::Config(ConfigError::CacheStreamUnsupported)),
-            "{err:?}"
-        );
     }
 
     #[test]

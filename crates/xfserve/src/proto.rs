@@ -79,8 +79,16 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<(u8, Vec<u8>)>> {
             format!("frame length {len} exceeds the {MAX_FRAME}-byte cap"),
         ));
     }
-    let mut payload = vec![0u8; usize::try_from(len).expect("frame length fits usize")];
-    r.read_exact(&mut payload)?;
+    // The buffer grows only as payload bytes arrive: a header that claims
+    // `MAX_FRAME` and then hangs up costs nothing.
+    let mut payload = Vec::new();
+    r.by_ref().take(len).read_to_end(&mut payload)?;
+    if payload.len() as u64 != len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame payload ends after {} of {len} bytes", payload.len()),
+        ));
+    }
     let mut sum = [0u8; 8];
     r.read_exact(&mut sum)?;
     if u64::from_le_bytes(sum) != fnv1a(&payload) {

@@ -417,14 +417,11 @@ fn prepare(
     }
     // Arm the cross-run cache: keyed by the program digest (or uploaded
     // content) and the run fingerprint, salted per schedule plan inside
-    // the cache layer. Streams check entries as they arrive and cannot
-    // skip ahead, and explicit cache/journal choices in the spec win over
-    // the server default.
+    // the cache layer. Every mode serves it, since the batch, stream and
+    // parallel drivers share one planner. Explicit cache/journal choices
+    // in the spec win over the server default.
     if let Some(dir) = &opts.cache_dir {
-        let eligible = spec.mode() == Ok(xfdetector::Mode::Batch)
-            || spec.mode() == Ok(xfdetector::Mode::Parallel);
-        if eligible && spec.class_cache.is_none() && spec.journal.is_none() && spec.resume.is_none()
-        {
+        if spec.class_cache.is_none() && spec.journal.is_none() && spec.resume.is_none() {
             let digest = match artifact {
                 Some((_, bytes)) => format!("content:{:016x}", fnv1a(bytes)),
                 None => spec.digest(),

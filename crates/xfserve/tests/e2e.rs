@@ -1,12 +1,16 @@
 //! End-to-end campaign-server tests over loopback TCP: submit, watch,
 //! rejection, the cross-run class cache, and clean shutdown.
 
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::thread;
 
 use xfd_workloads::bugs::{BugSet, WorkloadKind};
 use xfdetector::{JobSpec, Mode, XfError};
+use xfserve::proto::{encode_submit, read_frame, write_frame, TAG_STATUS, TAG_SUBMIT};
 use xfserve::{AnyStream, ArtifactKind, Client, JobEvent, Server, ServerOptions};
+use xftrace::varint::write_varint;
 
 /// Binds a server on an ephemeral port and runs it on its own thread.
 /// Returns the endpoint and the join handle for the accept loop.
@@ -261,6 +265,21 @@ fn repeat_submissions_hit_the_cross_run_cache() {
     );
     assert_eq!(report_of(&adr_again), report_of(&first));
 
+    // A stream job of the same program is served from the same file.
+    let stream_spec = JobSpec {
+        mode: Some("stream".to_owned()),
+        ..btree_spec()
+    };
+    let (_, stream, code5) = run_to_done(&mut client(&ep), &stream_spec);
+    assert_eq!(code5, 0);
+    let stream_metrics = metrics_of(&stream);
+    assert!(
+        json_u64(stream_metrics, "cache_hits") > 0,
+        "{stream_metrics}"
+    );
+    assert_eq!(json_u64(stream_metrics, "post_runs"), 0, "{stream_metrics}");
+    assert_eq!(report_of(&stream), report_of(&first));
+
     client(&ep).shutdown().expect("shutdown");
     handle.join().expect("server thread").expect("server run");
     let _ = std::fs::remove_dir_all(&dir);
@@ -313,6 +332,80 @@ fn status_counts_jobs_and_shutdown_drains_the_queue() {
     let status = client(&ep).status().expect("status");
     assert!(status.contains("\"jobs\":1"), "status: {status}");
     assert!(status.contains("\"done\":1"), "status: {status}");
+
+    client(&ep).shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("server run");
+}
+
+/// Sends `bytes` as a raw request. With `hang_up` the connection drops
+/// mid-frame; otherwise it half-closes and the server must close the
+/// connection without answering.
+fn send_raw(ep: &str, bytes: &[u8], hang_up: bool) {
+    let mut s = TcpStream::connect(ep).expect("connect");
+    s.write_all(bytes).expect("write");
+    if hang_up {
+        return;
+    }
+    s.shutdown(Shutdown::Write).expect("half-close");
+    let mut reply = Vec::new();
+    match s.read_to_end(&mut reply) {
+        Ok(_) => assert!(reply.is_empty(), "answered a bad frame: {reply:?}"),
+        Err(e) => assert_eq!(e.kind(), ErrorKind::ConnectionReset, "{e}"),
+    }
+}
+
+#[test]
+fn malformed_frames_close_the_connection_and_the_server_keeps_serving() {
+    let (ep, handle) = start_server(ServerOptions::default());
+    let header = |tag: u8, len: u64| {
+        let mut b = vec![tag];
+        write_varint(&mut b, len).unwrap();
+        b
+    };
+    let mut submit = Vec::new();
+    let payload = encode_submit(&btree_spec().to_json(), None);
+    write_frame(&mut submit, TAG_SUBMIT, &payload).unwrap();
+    let mut flipped = Vec::new();
+    write_frame(&mut flipped, TAG_STATUS, b"").unwrap();
+    *flipped.last_mut().unwrap() ^= 0x10;
+    let mut overlong = vec![TAG_STATUS];
+    overlong.extend_from_slice(&[0x80; 11]);
+    let mut truncated = header(TAG_SUBMIT, 4096);
+    truncated.extend_from_slice(&[0; 100]);
+    let cases: [(&str, &[u8], ErrorKind, bool); 5] = [
+        (
+            "malformed length varint",
+            &overlong,
+            ErrorKind::InvalidData,
+            false,
+        ),
+        (
+            "length over the cap",
+            &header(TAG_SUBMIT, (64 << 20) + 1),
+            ErrorKind::InvalidData,
+            false,
+        ),
+        ("flipped checksum", &flipped, ErrorKind::InvalidData, false),
+        (
+            "truncated payload",
+            &truncated,
+            ErrorKind::UnexpectedEof,
+            false,
+        ),
+        (
+            "disconnect mid-SUBMIT",
+            &submit[..submit.len() / 2],
+            ErrorKind::UnexpectedEof,
+            true,
+        ),
+    ];
+    for (what, bytes, kind, hang_up) in cases {
+        let err = read_frame(&mut &bytes[..]).expect_err(what);
+        assert_eq!(err.kind(), kind, "{what}: {err}");
+        send_raw(&ep, bytes, hang_up);
+        let status = client(&ep).status().expect("status after a bad frame");
+        assert!(status.contains("\"jobs\":0"), "{what}: {status}");
+    }
 
     client(&ep).shutdown().expect("shutdown");
     handle.join().expect("server thread").expect("server run");

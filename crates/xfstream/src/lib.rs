@@ -9,10 +9,10 @@
 //! - [`spsc`] — a bounded lock-free SPSC FIFO channel with blocking
 //!   hand-off, backpressure and occupancy/stall instrumentation: the
 //!   in-process analogue of the paper's shared-memory queue,
-//! - [`pipeline`] — [`run_pipelined`], which runs the workload/injection
-//!   frontend and the shadow-PM/checking backend as concurrent stages over
-//!   that FIFO, producing a byte-identical [`xfdetector::DetectionReport`]
-//!   to the sequential engine,
+//! - [`pipeline`] — [`run_pipelined`], which runs the batch driver's
+//!   detection loop ([`xfdetector::detect`]) with its checker on a thread
+//!   of its own behind that FIFO, producing a byte-identical
+//!   [`xfdetector::DetectionReport`] to the sequential engine,
 //! - [`codec`] — the compact `.xft` binary trace format (varint + delta
 //!   encoding, string-tabled source locations, a streaming writer and one
 //!   bounds-checked slice decoder), so recorded runs persist at a fraction
@@ -21,8 +21,8 @@
 //!
 //! The session layer rides on top: [`session`] returns an
 //! [`xfdetector::SessionBuilder`] with the [`PipelinedEngine`] pre-wired,
-//! so `Mode::Stream` runs get budgets, journaling and live progress like
-//! the in-process modes, and [`write_repro_artifacts`] exports failing
+//! so `Mode::Stream` runs get budgets, journaling, the class cache and
+//! live progress like the in-process modes, and [`write_repro_artifacts`] exports failing
 //! failure points as standalone `.xft` repro traces.
 //!
 //! The `xfd` CLI binary wires these together: `xfd record` writes `.xft`

@@ -1,37 +1,28 @@
-//! The pipelined detection engine: frontend and backend as concurrent
-//! stages coupled by the bounded trace FIFO.
+//! The pipelined detection engine, the paper's deployment shape (§5.1,
+//! Figure 8): the frontend — workload execution, failure injection,
+//! post-failure runs — and the checker — shadow-PM replay and
+//! cross-failure checking — run on two threads joined by a bounded FIFO.
+//! Detection overlaps program execution; when the checker falls behind,
+//! the FIFO fills and the frontend blocks (backpressure), like the paper's
+//! 2 GB shared-memory queue.
 //!
-//! This is the reproduction of the paper's deployment shape (§5.1,
-//! Figure 8): the *frontend* — workload execution, failure injection,
-//! post-failure runs — produces trace batches, and the *backend* — shadow-PM
-//! replay and cross-failure checking — consumes them from a bounded FIFO on
-//! its own thread. Detection overlaps program execution; when the backend
-//! falls behind, the FIFO fills and the frontend blocks (backpressure),
-//! exactly like the paper's 2 GB shared-memory queue.
-//!
-//! The per-failure-point decision is the shared [`Planner`]'s, made on the
-//! frontend. [`run_pipelined`] is report-equivalent to
-//! [`xfdetector::XfDetector::run`]: batches arrive in program order and a
-//! single backend thread owns the shadow PM and the report, so the findings
-//! are pushed in exactly the batch driver's order — the serialized
-//! [`DetectionReport`]s are byte-identical (enforced by the equivalence
-//! tests).
+//! The frontend and the checker are [`xfdetector::detect`]'s, the ones the
+//! batch driver runs inline; this module adds the ring, the thread and the
+//! ring statistics. Messages arrive in program order and one thread owns
+//! the shadow PM and the report, so [`run_pipelined`]'s serialized
+//! [`DetectionReport`]s are byte-identical to
+//! [`xfdetector::XfDetector::run`]'s (enforced by the equivalence tests).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::thread::JoinHandle;
 
-use pmem::{EngineHook, OrderingPointInfo, PmCtx, PmPool};
-use xfdetector::offline::{RecordedFailurePoint, RecordedRun};
-use xfdetector::plan::{check, Plan, Planner};
+use xfdetector::detect::{self, Checked, Checker, Msg, Sink};
+use xfdetector::offline::RecordedRun;
+use xfdetector::plan::planner_shadow;
 use xfdetector::{
-    DetectionReport, EngineError, FailurePoint, PostOutcome, RunCtl, RunOutcome, RunStats,
-    ShadowPm, Workload, XfConfig,
+    DetectionReport, EngineError, RunCtl, RunOutcome, RunStats, ShadowPm, Workload, XfConfig,
 };
-use xftrace::{SourceLoc, TraceEntry};
 
-use crate::spsc::{channel, Receiver, RingStats, Sender};
+use crate::spsc::{channel, RingStats, Sender};
 
 /// Tuning knobs of the streaming pipeline.
 #[derive(Debug, Clone)]
@@ -50,194 +41,52 @@ impl Default for StreamOptions {
     }
 }
 
-/// One message through the trace FIFO, in program order.
-enum Msg {
-    /// Pre-failure entries produced since the previous message.
-    Pre(Vec<TraceEntry>),
-    /// A failure point: its identity, the post-failure trace it produced
-    /// and how the post-failure execution ended. The trace is `Arc`-shared
-    /// with the planner's representatives, so shipping a replay is a
-    /// refcount bump instead of a clone of the whole entry vector.
-    FailurePoint {
-        fp: FailurePoint,
-        post: Arc<[TraceEntry]>,
-        outcome: PostOutcome,
-    },
-    /// A failure point elided on resume: the backend merges the journal's
-    /// report delta verbatim instead of re-running anything.
-    Journaled(FailurePoint),
-}
-
-/// The frontend half: runs on the workload thread as the ordering-point
-/// hook, executing what the planner decides but handing every trace batch
-/// to the backend instead of replaying it inline.
-struct StreamFrontend<W> {
+/// The frontend's end of the FIFO: the sink the stream driver hands the
+/// detection loop. `finish` joins the checker. A frontend that unwinds
+/// drops the sender first, so the checker drains the FIFO and ends on its
+/// own.
+struct Ring {
     tx: Sender<Msg>,
-    planner: RefCell<Planner<(Arc<[TraceEntry]>, PostOutcome)>>,
-    /// The authoritative shadow lives on the backend thread, so with
-    /// pruning on the frontend keeps its own fingerprint replica, replaying
-    /// each pre batch into it before shipping.
-    fp_shadow: RefCell<ShadowPm>,
-    /// Sink for the replica's pre-replay findings: the backend owns the
-    /// real report; the replica's copy is discarded.
-    fp_scratch: RefCell<DetectionReport>,
-    config: XfConfig,
-    workload: W,
+    /// With pruning on, the planner fingerprints this replica of the
+    /// checker's shadow, fed each pre batch before it ships.
+    replica: ShadowPm,
+    /// The replica's findings, discarded: the checker owns the report.
+    scratch: DetectionReport,
+    pruning: bool,
+    checker: JoinHandle<(Checked, RingStats)>,
 }
 
-impl<W: Workload> StreamFrontend<W> {
-    /// Ships a message to the backend. A send only fails when the backend
-    /// died mid-run; the join below surfaces its panic, so the error is
-    /// swallowed here.
-    fn ship(&self, msg: Msg) {
+impl Sink for Ring {
+    fn send(&mut self, msg: Msg) {
+        if let (true, Msg::Pre(pre)) = (self.pruning, &msg) {
+            for e in pre {
+                self.replica.apply_pre(e, &mut self.scratch);
+            }
+        }
+        // A send only fails when the checker died mid-run; `finish`
+        // surfaces its panic, so the error is swallowed here.
         let _ = self.tx.send(msg);
     }
 
-    /// Hands the pre-failure entries produced since the last failure point
-    /// to the backend (one batch per interval, as §5.4's incremental
-    /// tracing batches them).
-    fn ship_pre(&self, pre: Vec<TraceEntry>, stats: &mut RunStats) {
-        stats.pre_entries += pre.len() as u64;
-        if self.config.pruning.is_enabled() {
-            let mut shadow = self.fp_shadow.borrow_mut();
-            let mut scratch = self.fp_scratch.borrow_mut();
-            for e in &pre {
-                shadow.apply_pre(e, &mut scratch);
-            }
-        }
-        if !pre.is_empty() {
-            self.ship(Msg::Pre(pre));
-        }
+    fn fp_shadow(&mut self) -> &mut ShadowPm {
+        &mut self.replica
+    }
+
+    fn finish(self, stats: &mut RunStats) -> (DetectionReport, Option<RecordedRun>) {
+        // Dropping the sender ends the stream: the checker drains the FIFO
+        // and returns.
+        drop(self.tx);
+        let (checked, ring) = self.checker.join().expect("detection checker panicked");
+        stats.stream_batches = ring.sends;
+        stats.stream_max_depth = ring.max_depth;
+        stats.stream_stall_time = ring.producer_stall;
+        stats.ring_spins = ring.spins;
+        stats.ring_parks = ring.parks;
+        checked.stamp(stats)
     }
 }
 
-impl<W: Workload> EngineHook for StreamFrontend<W> {
-    fn on_ordering_point(&self, ctx: &mut PmCtx, loc: SourceLoc, info: OrderingPointInfo) {
-        let mut planner = self.planner.borrow_mut();
-        let Some(fp) = planner.gate(loc, info) else {
-            return;
-        };
-        self.ship_pre(ctx.trace().drain(), planner.stats());
-
-        // As in the batch driver: the capture counts as post-failure time,
-        // the fingerprint does not.
-        let fingerprinted = planner.stats().fingerprint_time;
-        let t_post = Instant::now();
-        let plan = planner.plan(ctx.pool(), fp.id, &mut self.fp_shadow.borrow_mut());
-        let t_post = t_post + (planner.stats().fingerprint_time - fingerprinted);
-        let (post, outcome) = match plan {
-            Plan::Journaled => return self.ship(Msg::Journaled(fp)),
-            Plan::Warm(_) => unreachable!("sessions reject the class cache in stream mode"),
-            Plan::Replay(rep) => rep,
-            Plan::Execute(exec) => {
-                let mut post_ctx = ctx.fork_post_cow(&exec.image);
-                let outcome = PostOutcome::execute(
-                    &mut post_ctx,
-                    self.config.post_budget.as_ref(),
-                    self.config.catch_post_panics,
-                    |c| self.workload.post_failure(c),
-                );
-                let post: Arc<[TraceEntry]> = post_ctx.trace().drain().into();
-                planner.stats().snapshot_bytes_copied += post_ctx.pool().snapshot_bytes_copied();
-                planner.executed(&outcome);
-                planner.represent(exec, || (Arc::clone(&post), outcome.clone()));
-                (post, outcome)
-            }
-        };
-        let stats = planner.stats();
-        stats.post_entries += post.len() as u64;
-        stats.post_exec_time += t_post.elapsed();
-        self.ship(Msg::FailurePoint { fp, post, outcome });
-    }
-}
-
-/// What the backend thread hands back after draining the FIFO.
-struct BackendResult {
-    report: DetectionReport,
-    recorded: Option<RecordedRun>,
-    detect_time: Duration,
-    shadow_bytes_cloned: u64,
-    shadow_resident_bytes: u64,
-    ring: RingStats,
-}
-
-/// The backend half: owns the shadow PM and the report, drains the FIFO
-/// until the frontend hangs up. Single-threaded ownership of both is what
-/// makes the report byte-identical to the batch driver's. It also owns the
-/// journal side of the [`RunCtl`]: only the backend knows each failure
-/// point's report delta.
-fn backend_loop(
-    rx: Receiver<Msg>,
-    first_read_only: bool,
-    record: bool,
-    domain: pmem::PersistDomain,
-    ctl: RunCtl,
-) -> BackendResult {
-    let mut shadow = ShadowPm::with_domain(domain);
-    let mut report = DetectionReport::new();
-    let mut recorded = record.then(|| RecordedRun {
-        domain,
-        ..RecordedRun::default()
-    });
-    let mut detect_time = Duration::ZERO;
-
-    // Drain in batches: one wakeup (and one head-cursor release) can hand
-    // over a whole run of messages when the backend lags, instead of one
-    // synchronization round-trip per message.
-    const DRAIN_BATCH: usize = 32;
-    let mut batch_buf = Vec::with_capacity(DRAIN_BATCH);
-    while rx.recv_batch(&mut batch_buf, DRAIN_BATCH) {
-        for msg in batch_buf.drain(..) {
-            match msg {
-                Msg::Pre(batch) => {
-                    for e in &batch {
-                        shadow.apply_pre(e, &mut report);
-                    }
-                    if let Some(rec) = recorded.as_mut() {
-                        rec.pre.extend(batch.into_iter().map(Into::into));
-                    }
-                }
-                Msg::Journaled(fp) => {
-                    if let Some(rec) = recorded.as_mut() {
-                        rec.failure_points.push(RecordedFailurePoint::new(
-                            rec.pre.len(),
-                            fp.loc,
-                            &[],
-                        ));
-                    }
-                    for f in ctl.journaled(fp.id).iter().flat_map(|j| &j.findings) {
-                        report.push(f.clone());
-                    }
-                }
-                Msg::FailurePoint { fp, post, outcome } => {
-                    if let Some(rec) = recorded.as_mut() {
-                        rec.failure_points.push(RecordedFailurePoint::new(
-                            rec.pre.len(),
-                            fp.loc,
-                            &post,
-                        ));
-                    }
-                    let delta_start = report.findings().len();
-                    let t_detect = Instant::now();
-                    check(&shadow, first_read_only, fp, &post, &outcome, &mut report);
-                    detect_time += t_detect.elapsed();
-                    ctl.append_fp(fp.id, fp.loc, &report.findings()[delta_start..]);
-                }
-            }
-        }
-    }
-
-    BackendResult {
-        report,
-        recorded,
-        detect_time,
-        shadow_bytes_cloned: shadow.bytes_cloned(),
-        shadow_resident_bytes: shadow.resident_bytes(),
-        ring: rx.stats(),
-    }
-}
-
-/// Runs the full detection procedure with frontend and backend as
+/// Runs the full detection procedure with frontend and checker as
 /// concurrent pipeline stages over a bounded trace FIFO.
 ///
 /// Report-equivalent to [`xfdetector::XfDetector::run`] with the same
@@ -253,7 +102,7 @@ fn backend_loop(
 ///
 /// # Panics
 ///
-/// Propagates a panic of the backend thread (which only panics on internal
+/// Propagates a panic of the checker thread (which only panics on internal
 /// invariant violations, never on workload behavior).
 pub fn run_pipelined<W: Workload + 'static>(
     config: &XfConfig,
@@ -264,10 +113,11 @@ pub fn run_pipelined<W: Workload + 'static>(
 }
 
 /// [`run_pipelined`] with an orchestration handle threaded through both
-/// stages: the frontend honors the resume skip-set and drives the live
-/// counters, the backend appends completed failure points to the journal.
-/// This is the entry point `xfstream`'s [`StreamEngine`] implementation
-/// uses; [`run_pipelined`] itself passes an inert handle.
+/// stages: the frontend honors the resume skip-set, serves the class cache
+/// and drives the live counters, the checker appends completed failure
+/// points to the journal. This is the entry point `xfstream`'s
+/// [`StreamEngine`] implementation uses; [`run_pipelined`] itself passes an
+/// inert handle.
 ///
 /// [`StreamEngine`]: xfdetector::StreamEngine
 ///
@@ -280,78 +130,34 @@ pub fn run_pipelined_with_ctl<W: Workload + 'static>(
     opts: &StreamOptions,
     ctl: RunCtl,
 ) -> Result<RunOutcome, EngineError> {
-    let pool = PmPool::new(workload.pool_size()).map_err(EngineError::Pm)?;
-    let mut ctx = PmCtx::new(pool);
-
-    let t_start = Instant::now();
-    workload
-        .setup(&mut ctx)
-        .map_err(|e| EngineError::Setup(e.to_string()))?;
-
-    let first_read_only = config.first_read_only;
-    let record_trace = config.record_trace;
-    let domain = config.domain;
-    let (pre_result, mut stats, backend) = std::thread::scope(|s| {
+    detect::run(config, workload, ctl.clone(), || {
         let (tx, rx) = channel(opts.capacity);
-        let backend_ctl = ctl.clone();
-        let handle =
-            s.spawn(move || backend_loop(rx, first_read_only, record_trace, domain, backend_ctl));
-
-        let mut fp_shadow = ShadowPm::with_domain(config.domain);
-        if config.pruning.is_enabled() {
-            fp_shadow.enable_fingerprinting();
-        }
-        let frontend = Rc::new(StreamFrontend {
-            tx,
-            planner: RefCell::new(Planner::new(config, ctl)),
-            fp_shadow: RefCell::new(fp_shadow),
-            fp_scratch: RefCell::new(DetectionReport::new()),
-            config: config.clone(),
-            workload,
+        let checker_config = config.clone();
+        // The checker's shadow and report are allocated and freed on its
+        // thread, never on the frontend's heap: freeing them on the
+        // frontend thread measurably slowed the set-up of later runs.
+        let checker = std::thread::spawn(move || {
+            let shadow = ShadowPm::with_domain(checker_config.domain);
+            let mut checker = Checker::new(&checker_config, shadow, ctl);
+            // Drain in batches: one wakeup (and one head-cursor release)
+            // can hand over a whole run of messages when the checker lags,
+            // instead of one synchronization round-trip per message.
+            const DRAIN_BATCH: usize = 32;
+            let mut batch = Vec::with_capacity(DRAIN_BATCH);
+            while rx.recv_batch(&mut batch, DRAIN_BATCH) {
+                for msg in batch.drain(..) {
+                    checker.send(msg);
+                }
+            }
+            (checker.close(), rx.stats())
         });
-
-        ctx.set_hook(Rc::clone(&frontend) as Rc<dyn EngineHook>);
-        if config.fire_on_every_write {
-            ctx.set_failure_point_on_writes(true);
+        Ring {
+            tx,
+            replica: planner_shadow(config),
+            scratch: DetectionReport::new(),
+            pruning: config.pruning.is_enabled(),
+            checker,
         }
-        let pre_result = frontend.workload.pre_failure(&mut ctx);
-        if pre_result.is_ok() && config.inject_at_completion && !ctx.is_detection_complete() {
-            ctx.add_failure_point_at(SourceLoc::synthetic("<completion>"));
-        }
-        ctx.clear_hook();
-
-        // Ship any trailing pre-failure entries so tail-end performance
-        // bugs are still reported (mirrors the batch driver).
-        if pre_result.is_ok() {
-            frontend.ship_pre(ctx.trace().drain(), frontend.planner.borrow_mut().stats());
-        }
-
-        // Dropping the frontend drops the Sender: the backend drains the
-        // FIFO, observes end-of-stream and returns.
-        let frontend = Rc::try_unwrap(frontend).ok().expect("the hook was cleared");
-        let stats = frontend.planner.into_inner().finish();
-        drop(frontend.tx);
-        let backend = handle.join().expect("detection backend panicked");
-        (pre_result, stats, backend)
-    });
-    pre_result.map_err(|e| EngineError::PreFailure(e.to_string()))?;
-
-    stats.snapshot_bytes_copied += ctx.pool().snapshot_bytes_copied();
-    stats.shadow_bytes_cloned = backend.shadow_bytes_cloned;
-    stats.shadow_resident_bytes = backend.shadow_resident_bytes;
-    stats.detect_time = backend.detect_time;
-    stats.check_time = backend.detect_time;
-    stats.stream_batches = backend.ring.sends;
-    stats.stream_max_depth = backend.ring.max_depth;
-    stats.stream_stall_time = backend.ring.producer_stall;
-    stats.ring_spins = backend.ring.spins;
-    stats.ring_parks = backend.ring.parks;
-    stats.total_time = t_start.elapsed();
-
-    Ok(RunOutcome {
-        report: backend.report,
-        stats,
-        recorded: backend.recorded,
     })
 }
 
@@ -360,6 +166,7 @@ pub fn run_pipelined_with_ctl<W: Workload + 'static>(
 /// [`SessionBuilder::stream_engine`] or use [`crate::session`], which
 /// returns a builder with it pre-wired.
 ///
+/// [`StreamEngine`]: xfdetector::StreamEngine
 /// [`Mode::Stream`]: xfdetector::Mode::Stream
 /// [`SessionBuilder::stream_engine`]: xfdetector::SessionBuilder::stream_engine
 #[derive(Debug, Clone, Copy, Default)]
@@ -381,6 +188,7 @@ impl xfdetector::StreamEngine for PipelinedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmem::PmCtx;
     use xfdetector::{BugKind, DynError, XfDetector};
 
     /// The engine test's valid-flag workload: data at `base`, commit flag
@@ -543,6 +351,40 @@ mod tests {
 
         assert_eq!(outcome.stats.journal_skipped, 1, "{:?}", outcome.stats);
         assert_eq!(report_json(&reference), report_json(&outcome));
+    }
+
+    #[test]
+    fn stream_mode_serves_the_class_cache() {
+        use xfdetector::{Mode, Pruning};
+        let mut path = std::env::temp_dir();
+        path.push(format!("xfstream-cache-{}.xfc", std::process::id()));
+        std::fs::remove_file(&path).ok();
+
+        let batch = crate::session()
+            .pruning(Pruning::Equivalence)
+            .build()
+            .unwrap()
+            .run(Flag { persist: false }, Mode::Batch)
+            .unwrap();
+        let cached = || {
+            crate::session()
+                .pruning(Pruning::Equivalence)
+                .class_cache(&path)
+                .build()
+                .unwrap()
+                .run(Flag { persist: false }, Mode::Stream)
+                .unwrap()
+        };
+        let cold = cached();
+        let warm = cached();
+        std::fs::remove_file(&path).ok();
+
+        assert_eq!(report_json(&cold), report_json(&batch));
+        assert_eq!(report_json(&warm), report_json(&batch));
+        assert_eq!(cold.stats.cache_hits, 0, "{:?}", cold.stats);
+        assert!(cold.stats.post_runs > 0, "{:?}", cold.stats);
+        assert!(warm.stats.cache_hits > 0, "{:?}", warm.stats);
+        assert_eq!(warm.stats.post_runs, 0, "{:?}", warm.stats);
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //! flipped, or written by two racing savers must either start cold or
 //! serve warm classes — and in both cases produce the byte-identical
 //! report of a run without any cache. It must never panic and never
-//! produce a different report.
+//! produce a different report. The truncation and bit-flip sweeps run
+//! every mutated file through the batch and the stream driver.
 
 use std::path::{Path, PathBuf};
 use std::thread;
 
 use xfd::pmem::PmCtx;
 use xfd::xfdetector::{DynError, Mode, Pruning, RunOutcome, Session, Workload};
+use xfd::xfstream;
 
 /// A small workload whose cache stays small enough to flip every bit of:
 /// a few persisted and unpersisted words, and a recovery that fails on
@@ -61,25 +63,40 @@ fn report_json(o: &RunOutcome) -> String {
     serde_json::to_string(&o.report).unwrap()
 }
 
-fn run(cache: Option<(&Path, &str)>) -> RunOutcome {
-    let mut builder = Session::builder().pruning(Pruning::Equivalence);
+fn run_in(cache: Option<(&Path, &str)>, mode: Mode) -> RunOutcome {
+    let mut builder = xfstream::session().pruning(Pruning::Equivalence);
     if let Some((path, digest)) = cache {
         builder = builder.class_cache(path).cache_digest(digest);
     }
-    builder.build().unwrap().run(Torture, Mode::Batch).unwrap()
+    builder.build().unwrap().run(Torture, mode).unwrap()
+}
+
+fn run(cache: Option<(&Path, &str)>) -> RunOutcome {
+    run_in(cache, Mode::Batch)
 }
 
 /// The uncached reference report and the bytes of a complete cache file,
-/// built at a path of the caller's own (the tests run concurrently).
+/// built at a path of the caller's own (the tests run concurrently). A
+/// cold stream run must write the same file as a cold batch run.
 fn reference_and_cache(name: &str) -> (String, Vec<u8>) {
-    let reference = run(None);
+    let reference = Session::builder()
+        .pruning(Pruning::Equivalence)
+        .build()
+        .unwrap()
+        .run(Torture, Mode::Batch)
+        .unwrap();
     let path = tmp(&format!("{name}-source.xfc"));
+    let mut files = Vec::new();
+    for mode in [Mode::Batch, Mode::Stream] {
+        std::fs::remove_file(&path).ok();
+        let cold = run_in(Some((&path, "d")), mode);
+        files.push(std::fs::read(&path).unwrap());
+        assert_eq!(report_json(&cold), report_json(&reference), "{mode:?}");
+        assert!(cold.stats.post_runs >= 2, "want several classes");
+    }
     std::fs::remove_file(&path).ok();
-    let cold = run(Some((&path, "d")));
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    assert_eq!(report_json(&cold), report_json(&reference));
-    assert!(cold.stats.post_runs >= 2, "want several classes");
+    assert_eq!(files[0], files[1], "stream wrote a different cache");
+    let bytes = files.swap_remove(0);
     assert!(
         reference
             .report
@@ -91,23 +108,32 @@ fn reference_and_cache(name: &str) -> (String, Vec<u8>) {
     (report_json(&reference), bytes)
 }
 
-/// Runs with `bytes` as the cache file and checks the outcome: either a
-/// cold start or a warm hit, with the reference report either way.
-/// Returns whether the run was served warm.
+/// Runs with `bytes` as the cache file, in batch and in stream mode, and
+/// checks each outcome: either a cold start or a warm hit, with the
+/// reference report either way. Returns whether the runs were served
+/// warm.
 fn check(path: &Path, bytes: &[u8], reference: &str, what: &str) -> bool {
-    std::fs::write(path, bytes).unwrap();
-    let outcome = run(Some((path, "d")));
-    assert_eq!(
-        report_json(&outcome),
-        reference,
-        "{what} changed the report"
-    );
-    let s = &outcome.stats;
-    let warm = s.cache_classes_loaded > 0;
-    if !warm {
-        assert_eq!(s.cache_hits, 0, "{what}: hits without loaded classes");
-    }
-    warm
+    let warm = [Mode::Batch, Mode::Stream].map(|mode| {
+        // A cold run saves a fresh file, so each mode gets the bytes anew.
+        std::fs::write(path, bytes).unwrap();
+        let outcome = run_in(Some((path, "d")), mode);
+        assert_eq!(
+            report_json(&outcome),
+            reference,
+            "{what} changed the {mode:?} report"
+        );
+        let s = &outcome.stats;
+        let warm = s.cache_classes_loaded > 0;
+        if !warm {
+            assert_eq!(
+                s.cache_hits, 0,
+                "{what}: {mode:?} hits without loaded classes"
+            );
+        }
+        warm
+    });
+    assert_eq!(warm[0], warm[1], "{what}: the modes disagree on the file");
+    warm[0]
 }
 
 #[test]
