@@ -8,6 +8,8 @@
 //! `is_range_persisted` code. The fingerprint rows set the indexed query
 //! (`persistence_fingerprint`, O(distinct records)) beside the full rescan
 //! it is tested against (`fingerprint_from_scratch`, O(tracked bytes)).
+//! The replay rows time one failure-point interval of the pre-failure
+//! replay, with and without the fingerprint index and its query.
 //!
 //! ```sh
 //! cargo bench -p xfd-bench --bench shadow_scan
@@ -120,7 +122,56 @@ fn bench_scan(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(shadow.fingerprint_from_scratch()));
     });
 
+    // One failure-point interval as the pruned engines replay it: 32
+    // eight-byte stores over 4 lines, their flushes and a fence, then the
+    // class-key query when the index is on.
+    let interval = replay_interval();
+    group.bench_function("replay_interval_fingerprinted", |b| {
+        let mut shadow = persisted_shadow();
+        shadow.enable_fingerprinting();
+        let mut report = DetectionReport::new();
+        b.iter(|| {
+            for e in &interval {
+                shadow.apply_pre(e, &mut report);
+            }
+            std::hint::black_box(shadow.persistence_fingerprint())
+        });
+    });
+    group.bench_function("replay_interval_unindexed", |b| {
+        let mut shadow = persisted_shadow();
+        let mut report = DetectionReport::new();
+        b.iter(|| {
+            for e in &interval {
+                shadow.apply_pre(e, &mut report);
+            }
+            std::hint::black_box(shadow.entries_replayed())
+        });
+    });
+
     group.finish();
+}
+
+/// 32 eight-byte stores filling 4 cache lines, one flush per line and a
+/// closing fence.
+fn replay_interval() -> Vec<TraceEntry> {
+    let mut entries: Vec<TraceEntry> = (0..32)
+        .map(|i| {
+            entry(Op::Write {
+                addr: BASE + i * 8,
+                size: 8,
+            })
+        })
+        .collect();
+    entries.extend((0..4).map(|li| {
+        entry(Op::Flush {
+            addr: BASE + li * 64,
+            kind: FlushKind::Clwb,
+        })
+    }));
+    entries.push(entry(Op::Fence {
+        kind: FenceKind::Sfence,
+    }));
+    entries
 }
 
 criterion_group!(benches, bench_scan);

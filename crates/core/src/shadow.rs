@@ -26,18 +26,29 @@
 //!
 //! With pruning on, the replaying shadow keeps an index of every suspect
 //! line's distinct byte records and a count of how many lines hold each
-//! record ([`ShadowPm::enable_fingerprinting`]). A mutation re-derives the
-//! records of the lines it touches, so [`ShadowPm::persistence_fingerprint`]
-//! folds the distinct records without scanning a byte. The index is
-//! re-seeded in full only when a change reaches lines the mutation never
-//! touched: a commit-variable registration, a write to the sole range-less
-//! commit variable, or a fence under [`PersistDomain::CxlGpf`]. The fold
-//! is the one [`ShadowPm::fingerprint_from_scratch`] computes over the
-//! sorted, deduplicated records, so fingerprint values, class-cache files
-//! and journals do not depend on which path computed them.
+//! record ([`ShadowPm::enable_fingerprinting`]). A mutation only marks the
+//! lines it touches dirty; [`ShadowPm::persistence_fingerprint`] re-derives
+//! each dirty line's records once, then folds the distinct records without
+//! scanning another byte. The index is re-seeded in full only when a change
+//! reaches lines the mutation never touched: a commit-variable
+//! registration, a write to the sole range-less commit variable, or a
+//! fence under [`PersistDomain::CxlGpf`]. The fold is the one
+//! [`ShadowPm::fingerprint_from_scratch`] computes over the sorted,
+//! deduplicated records, so fingerprint values, class-cache files and
+//! journals do not depend on which path computed them.
+//!
+//! # Line hashing
+//!
+//! The line-keyed maps hash with `LineHasher`, one folded multiply per
+//! probe instead of SipHash. Its seed is drawn once per process from
+//! [`std::collections::hash_map::RandomState`]: the server replays uploaded
+//! traces, and with a fixed seed an upload could choose line addresses that
+//! all share a bucket and make its replay quadratic.
 
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::{Arc, OnceLock};
 
 use pmem::PersistDomain;
 use xftrace::{Op, SourceLoc, TraceEntry};
@@ -54,6 +65,62 @@ const SLAB_BYTES: u64 = std::mem::size_of::<Slab>() as u64;
 /// Bytes accounted per spine entry when the line map itself is detached
 /// from a shared checkpoint (key plus `Arc` pointer).
 const SPINE_ENTRY_BYTES: u64 = (std::mem::size_of::<u64>() + std::mem::size_of::<usize>()) as u64;
+
+/// A map keyed by cache-line index.
+type LineMap<V> = HashMap<u64, V, LineHasher>;
+
+/// A set of cache-line indices.
+type LineSet = HashSet<u64, LineHasher>;
+
+/// Odd multiplier of [`LineHash`] (the 64-bit golden ratio).
+const LINE_HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The hasher of the line-keyed maps: one 64×64→128-bit multiply of
+/// `key ^ seed`, its two halves folded by XOR. The seed defaults to a
+/// random per-process value (see the module's "Line hashing").
+#[derive(Debug, Clone, Copy)]
+struct LineHasher {
+    seed: u64,
+}
+
+impl Default for LineHasher {
+    fn default() -> Self {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        LineHasher {
+            seed: *SEED.get_or_init(|| RandomState::new().hash_one(0u64)),
+        }
+    }
+}
+
+impl BuildHasher for LineHasher {
+    type Hasher = LineHash;
+
+    fn build_hasher(&self) -> LineHash {
+        LineHash(self.seed)
+    }
+}
+
+/// The running state of one [`LineHasher`] hash.
+struct LineHash(u64);
+
+impl Hasher for LineHash {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let product = u128::from(key ^ self.0) * u128::from(LINE_HASH_MUL);
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Persistence state of one PM byte (Figure 9).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -230,7 +297,7 @@ fn fold_distinct(count: usize, ascending: impl Iterator<Item = u64>) -> u64 {
 #[derive(Debug, Default)]
 struct FpIndex {
     /// Suspect line → its distinct records, ascending (usually 1–3).
-    lines: HashMap<u64, Box<[u64]>>,
+    lines: LineMap<Box<[u64]>>,
     /// Record → number of suspect lines holding it.
     counts: BTreeMap<u64, u32>,
 }
@@ -384,9 +451,9 @@ impl TxShadow {
 pub struct ShadowPm {
     /// Line index → dense per-line byte states, doubly `Arc`-shared so a
     /// clone is an O(1) checkpoint and mutation faults only touched slabs.
-    lines: Arc<HashMap<u64, Arc<Slab>>>,
+    lines: Arc<LineMap<Arc<Slab>>>,
     /// Lines whose slab has a non-empty `pending` bitmask.
-    pending_lines: HashSet<u64>,
+    pending_lines: LineSet,
     /// Global timestamp, incremented after each ordering point (§5.4).
     ts: u32,
     commit_vars: Vec<CommitVar>,
@@ -400,6 +467,9 @@ pub struct ShadowPm {
     /// The index needs a re-seed: records moved on lines the mutation never
     /// touched (see [`ShadowPm::fp_mark_stale`]).
     fp_stale: bool,
+    /// Lines mutated since the last query, whose records the index has not
+    /// re-derived yet (see [`ShadowPm::fp_mark_dirty`]).
+    fp_dirty: Vec<u64>,
     /// Reusable scratch for one line's records.
     fp_records: Vec<u64>,
     /// The persistence domain findings are classified under. The replay
@@ -424,6 +494,7 @@ impl Clone for ShadowPm {
             // fingerprints, so dropping it keeps `begin_post` lean.
             fp: None,
             fp_stale: false,
+            fp_dirty: Vec::new(),
             fp_records: Vec::new(),
             domain: self.domain,
         }
@@ -565,11 +636,12 @@ impl ShadowPm {
     /// The index caches each suspect line's distinct byte records and a
     /// count of how many lines hold each record, so a query folds only the
     /// distinct records. Every mutation of a line's own bytes (write,
-    /// flush, fence drain, `TX_ADD`, alloc, free) re-derives that line's
-    /// records (`fp_update_line`); a commit write re-derives the lines of
-    /// the moved variable's explicit ranges. Mutations whose effect reaches
-    /// lines they never touch re-seed the whole index (`fp_mark_stale`).
-    /// The records and their fold are the ones
+    /// flush, fence drain, `TX_ADD`, alloc, free) marks that line dirty
+    /// (`fp_mark_dirty`); a commit write marks the lines of the moved
+    /// variable's explicit ranges. The next query re-derives each dirty
+    /// line's records once, however often it was mutated since. Mutations
+    /// whose effect reaches lines they never touch re-seed the whole index
+    /// (`fp_mark_stale`). The records and their fold are the ones
     /// [`ShadowPm::fingerprint_from_scratch`] computes, so the values are
     /// identical whichever path produced them.
     pub fn enable_fingerprinting(&mut self) {
@@ -582,33 +654,48 @@ impl ShadowPm {
         self.fp_records = records;
         self.fp = Some(index);
         self.fp_stale = false;
+        self.fp_dirty.clear();
     }
 
-    /// Re-derives line `li`'s records in the index after a mutation that
-    /// may have changed them. No-op while fingerprinting is disabled or the
-    /// index awaits a re-seed anyway.
-    fn fp_update_line(&mut self, li: u64) {
+    /// Marks line `li`'s records for re-derivation at the next query. No-op
+    /// while fingerprinting is disabled or the index awaits a re-seed
+    /// anyway. Records are a pure function of the state at query time, so
+    /// deferring the re-derivation changes no value.
+    ///
+    /// The list stays within [`ShadowPm::fp_dirty_bound`]: past it, it is
+    /// sorted and deduplicated in place, and if that leaves more than half
+    /// the bound (many lines freed since the last query) the lines are
+    /// re-derived now.
+    fn fp_mark_dirty(&mut self, li: u64) {
         if self.fp.is_none() || self.fp_stale {
             return;
         }
-        let mut records = std::mem::take(&mut self.fp_records);
-        match self.lines.get(&li) {
-            Some(slab) => self.line_records(li, slab, &mut records),
-            None => records.clear(),
+        if self.fp_dirty.last() != Some(&li) {
+            self.fp_dirty.push(li);
         }
-        self.fp
-            .as_mut()
-            .expect("checked above")
-            .set_line(li, &records);
-        self.fp_records = records;
+        // Checked even without a push: freeing a line shrinks the bound.
+        let bound = self.fp_dirty_bound();
+        if self.fp_dirty.len() > bound {
+            self.fp_dirty.sort_unstable();
+            self.fp_dirty.dedup();
+            if self.fp_dirty.len() > bound / 2 {
+                self.fp_refresh();
+            }
+        }
     }
 
-    /// [`ShadowPm::fp_update_line`] over lines `first..=last`, walking the
+    /// Most entries the dirty-line list holds between queries: twice the
+    /// tracked lines, and never less than 128.
+    fn fp_dirty_bound(&self) -> usize {
+        2 * self.lines.len().max(64)
+    }
+
+    /// [`ShadowPm::fp_mark_dirty`] over lines `first..=last`, walking the
     /// tracked lines instead when the span is wider than the line map.
-    fn fp_update_lines(&mut self, first: u64, last: u64) {
+    fn fp_mark_dirty_lines(&mut self, first: u64, last: u64) {
         if last - first < self.lines.len() as u64 {
             for li in first..=last {
-                self.fp_update_line(li);
+                self.fp_mark_dirty(li);
             }
             return;
         }
@@ -619,14 +706,36 @@ impl ShadowPm {
             .filter(|li| (first..=last).contains(li))
             .collect();
         for li in tracked {
-            self.fp_update_line(li);
+            self.fp_mark_dirty(li);
         }
+    }
+
+    /// Re-derives the index records of every dirty line, once each, and
+    /// empties the list.
+    fn fp_refresh(&mut self) {
+        let mut dirty = std::mem::take(&mut self.fp_dirty);
+        dirty.sort_unstable();
+        dirty.dedup();
+        let mut records = std::mem::take(&mut self.fp_records);
+        for &li in &dirty {
+            match self.lines.get(&li) {
+                Some(slab) => self.line_records(li, slab, &mut records),
+                None => records.clear(),
+            }
+            self.fp
+                .as_mut()
+                .expect("lines are marked dirty only while indexing")
+                .set_line(li, &records);
+        }
+        self.fp_records = records;
+        dirty.clear();
+        self.fp_dirty = dirty;
     }
 
     /// A commit write moved the variables overlapping `[addr, addr +
     /// size)`: the consistency verdict of every byte they govern may have
     /// flipped. A variable with explicit ranges governs only those, so only
-    /// their lines are re-derived. The sole range-less variable governs all
+    /// their lines are marked dirty. The sole range-less variable governs all
     /// of PM, so moving it re-seeds the whole index.
     fn fp_commit_moved(&mut self, addr: u64, size: u64) {
         if let [only] = self.commit_vars.as_slice() {
@@ -642,7 +751,7 @@ impl ShadowPm {
             for ri in 0..self.commit_vars[vi].ranges.len() {
                 let (a, s) = self.commit_vars[vi].ranges[ri];
                 if s > 0 {
-                    self.fp_update_lines(a / LINE, (a + s - 1) / LINE);
+                    self.fp_mark_dirty_lines(a / LINE, (a + s - 1) / LINE);
                 }
             }
         }
@@ -652,8 +761,8 @@ impl ShadowPm {
     /// query: a commit-variable registration, a write to the sole
     /// range-less commit variable, or a CXL fence (which ages persisted
     /// bytes out of the reorder window everywhere) changed records on lines
-    /// the mutation never touched. Until the re-seed, per-line updates are
-    /// skipped.
+    /// the mutation never touched. Until the re-seed, no line is marked
+    /// dirty.
     fn fp_mark_stale(&mut self) {
         if self.fp.is_some() {
             self.fp_stale = true;
@@ -676,12 +785,15 @@ impl ShadowPm {
     /// (kind, writer) outcomes, wherever it reads them — any novel in-flight
     /// writer location forces a new class.
     ///
-    /// With the index enabled a query costs O(distinct records), whatever
-    /// the number of suspect bytes.
+    /// With the index enabled a query costs one re-derivation per line
+    /// mutated since the last query plus O(distinct records), whatever the
+    /// number of suspect bytes.
     #[must_use]
     pub fn persistence_fingerprint(&mut self) -> u64 {
         if self.fp_stale {
             self.enable_fingerprinting();
+        } else if !self.fp_dirty.is_empty() {
+            self.fp_refresh();
         }
         match &self.fp {
             Some(index) => self.fold_domain(index.fold()),
@@ -990,7 +1102,7 @@ impl ShadowPm {
             } else {
                 self.pending_lines.remove(&li);
             }
-            self.fp_update_line(li);
+            self.fp_mark_dirty(li);
             b = chunk_end;
         }
         if non_temporal {
@@ -1011,7 +1123,7 @@ impl ShadowPm {
                 let slab = self.slab_mut(li);
                 slab.mark_writeback_pending(modified, tid);
                 self.pending_lines.insert(li);
-                self.fp_update_line(li);
+                self.fp_mark_dirty(li);
             }
         }
     }
@@ -1036,7 +1148,7 @@ impl ShadowPm {
             self.pending_lines.insert(li);
             // Membership is unchanged, but the records are not: the persist
             // code and the pending bit both moved.
-            self.fp_update_line(li);
+            self.fp_mark_dirty(li);
         } else if checked {
             // Yellow edges of Figure 9: flushing a line with no modified
             // data is wasted work.
@@ -1092,7 +1204,7 @@ impl ShadowPm {
             if slab.pending == 0 {
                 self.pending_lines.remove(&li);
             }
-            self.fp_update_line(li);
+            self.fp_mark_dirty(li);
         }
         self.ts += 1;
     }
@@ -1157,7 +1269,7 @@ impl ShadowPm {
                 }
             }
             // Newly protected bytes lose their finding potential.
-            self.fp_update_line(li);
+            self.fp_mark_dirty(li);
             b = chunk_end;
         }
     }
@@ -1193,7 +1305,7 @@ impl ShadowPm {
             if pending_now == 0 {
                 self.pending_lines.remove(&li);
             }
-            self.fp_update_line(li);
+            self.fp_mark_dirty(li);
             b = chunk_end;
         }
         if let Some(tx) = self.tx.as_mut() {
@@ -1228,7 +1340,7 @@ impl ShadowPm {
                     self.pending_lines.remove(&li);
                 }
             }
-            self.fp_update_line(li);
+            self.fp_mark_dirty(li);
             b = chunk_end;
         }
     }
@@ -1327,8 +1439,8 @@ impl ShadowPm {
     pub fn begin_post(&self, first_read_only: bool) -> PostChecker {
         PostChecker {
             shadow: self.clone(),
-            post_written: HashMap::new(),
-            checked_reads: HashMap::new(),
+            post_written: LineMap::default(),
+            checked_reads: LineMap::default(),
             first_read_only,
         }
     }
@@ -1346,10 +1458,10 @@ pub struct PostChecker {
     shadow: ShadowPm,
     /// Line → mask of bytes overwritten by the post-failure stage: reading
     /// them afterwards is consistent by construction.
-    post_written: HashMap<u64, u64>,
+    post_written: LineMap<u64>,
     /// Line → mask of bytes already checked in this post-failure run (§5.4
     /// optimization 1: only the first read of a location needs checking).
-    checked_reads: HashMap<u64, u64>,
+    checked_reads: LineMap<u64>,
     first_read_only: bool,
 }
 
@@ -2343,6 +2455,88 @@ mod tests {
         let pending = s.persistence_fingerprint();
         assert_ne!(pending, modified, "a write-back in flight is a new state");
         assert_eq!(pending, s.fingerprint_from_scratch());
+    }
+
+    #[test]
+    fn a_store_loop_over_one_line_marks_it_dirty_once() {
+        let mut s = ShadowPm::new();
+        s.enable_fingerprinting();
+        let stores: Vec<TraceEntry> = (0..8).map(|i| write(A + i * 8, 8, 1)).collect();
+        let _ = replay(&mut s, &stores);
+        assert_eq!(s.fp_dirty, [A / LINE]);
+        assert_eq!(s.persistence_fingerprint(), s.fingerprint_from_scratch());
+        assert!(
+            s.fp_dirty.is_empty(),
+            "a query re-derives and empties the list"
+        );
+    }
+
+    #[test]
+    fn query_free_replay_keeps_the_dirty_list_bounded() {
+        let mut s = ShadowPm::new();
+        s.enable_fingerprinting();
+        let mut out = DetectionReport::new();
+        let mut step = |s: &mut ShadowPm, e: TraceEntry| {
+            s.apply_pre(&e, &mut out);
+            assert!(s.fp_dirty.len() <= s.fp_dirty_bound());
+        };
+        // Thousands of failure-point intervals over 8 lines, never queried.
+        for round in 0..2000u64 {
+            let li = round % 8;
+            for i in 0..8 {
+                step(&mut s, write(A + li * LINE + i * 8, 8, 1));
+            }
+            step(&mut s, flush(A + li * LINE, 2));
+            if round % 3 == 0 {
+                step(&mut s, fence(3));
+            }
+        }
+        // Many lines allocated, then all freed: the lines leave the map but
+        // stay dirty until their index records are dropped.
+        let far = A + 0x10_0000;
+        for li in 0..300 {
+            let alloc = Op::Alloc {
+                addr: far + li * LINE,
+                size: LINE as u32,
+                zeroed: false,
+            };
+            step(&mut s, entry(alloc, 4));
+        }
+        assert_eq!(s.persistence_fingerprint(), s.fingerprint_from_scratch());
+        for li in 0..300 {
+            let free = Op::Free {
+                addr: far + li * LINE,
+                size: LINE as u32,
+            };
+            step(&mut s, entry(free, 5));
+        }
+        assert_eq!(s.persistence_fingerprint(), s.fingerprint_from_scratch());
+    }
+
+    #[test]
+    fn line_hasher_spreads_keys_that_share_their_low_bits() {
+        // `k << 32` keys agree in their low 32 bits, so a multiply without
+        // the folded high half would put all 4096 in one low-12-bit bucket.
+        for hasher in [
+            LineHasher::default(),
+            LineHasher { seed: 0 },
+            LineHasher { seed: 1 },
+        ] {
+            let buckets: HashSet<u64> = (0..4096u64)
+                .map(|k| hasher.hash_one(k << 32) & 0xfff)
+                .collect();
+            assert!(
+                buckets.len() >= 1024,
+                "{} buckets under {hasher:?}",
+                buckets.len()
+            );
+        }
+        let key = 0x1234_5678_9abc_def0u64;
+        assert_ne!(
+            LineHasher { seed: 1 }.hash_one(key),
+            LineHasher { seed: 2 }.hash_one(key),
+            "the seed must change the hash"
+        );
     }
 
     #[test]

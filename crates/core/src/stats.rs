@@ -144,9 +144,12 @@ pub struct RunStats {
     /// checking left the critical path.
     pub check_time: Duration,
     /// Summed wall-clock time of the persistence fingerprints that key the
-    /// pruning classes (zero with pruning off). It is part of
-    /// [`RunStats::pre_exec_time`]'s remainder, not of `post_exec_time`.
-    /// Not serialized: the `RunMetrics` schema predates it.
+    /// pruning classes (zero with pruning off). It includes re-deriving the
+    /// records of the lines mutated since the previous query, which the
+    /// shadow defers from the replay to the query, as well as the fold. It
+    /// is part of [`RunStats::pre_exec_time`]'s remainder, not of
+    /// `post_exec_time`. Not serialized: the `RunMetrics` schema predates
+    /// it.
     #[serde(skip)]
     pub fingerprint_time: Duration,
 }

@@ -7,7 +7,9 @@
 //!
 //! The steps reach every path that patches the index: per-line mutations on
 //! two threads, commit writes to variables with and without explicit
-//! ranges, registrations, and CXL fences.
+//! ranges, registrations, and CXL fences. Queries come after every step
+//! and, separately, only every few dozen steps, so the deferred per-line
+//! refresh is tested with many lines pending at once.
 
 use proptest::prelude::*;
 
@@ -158,6 +160,33 @@ proptest! {
                 i, step, domain
             );
         }
+    }
+
+    /// Sparse queries: a query re-derives every line mutated since the
+    /// previous one, so many steps' lines are pending at once. The dense
+    /// property above never has more than one step's lines pending.
+    #[test]
+    fn sparsely_queried_fingerprint_equals_from_scratch(
+        steps in prop::collection::vec(step_strategy(), 0..400),
+        interval in 1..=50usize,
+        domain in domain_strategy(),
+    ) {
+        let mut shadow = ShadowPm::with_domain(domain);
+        shadow.enable_fingerprinting();
+        let mut report = DetectionReport::new();
+        for (i, step) in steps.iter().enumerate() {
+            let e = entry_for(step, 0x1000, i as u32 + 1);
+            shadow.apply_pre(&e, &mut report);
+            if (i + 1) % interval == 0 {
+                prop_assert_eq!(
+                    shadow.persistence_fingerprint(),
+                    shadow.fingerprint_from_scratch(),
+                    "index diverged from ground truth at step {} (every {}) under {:?}",
+                    i, interval, domain
+                );
+            }
+        }
+        prop_assert_eq!(shadow.persistence_fingerprint(), shadow.fingerprint_from_scratch());
     }
 
     /// Address abstraction: running the identical program at a translated
