@@ -12,7 +12,7 @@
 use std::thread;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use xfstream::channel;
+use xfdetector::spsc::channel;
 
 const MSGS: u64 = 10_000;
 

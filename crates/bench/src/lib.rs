@@ -117,7 +117,7 @@ pub fn run_parallel_detection(
 }
 
 /// Runs detection through the streaming frontend/backend pipeline
-/// (`xfstream::run_pipelined`) with the default FIFO options, bug-free
+/// (`xfdetector::run_pipelined`) with the default FIFO options, bug-free
 /// variant of `kind`.
 ///
 /// # Panics
@@ -125,32 +125,32 @@ pub fn run_parallel_detection(
 /// Panics if the detection run itself fails.
 #[must_use]
 pub fn run_streaming_detection(kind: WorkloadKind, ops: u64, cfg: XfConfig) -> RunOutcome {
-    let opts = xfstream::StreamOptions::default();
+    let opts = xfdetector::StreamOptions::default();
     match kind {
         WorkloadKind::Btree => {
-            xfstream::run_pipelined(&cfg, xfd_workloads::btree::Btree::new(ops), &opts)
+            xfdetector::run_pipelined(&cfg, xfd_workloads::btree::Btree::new(ops), &opts)
         }
         WorkloadKind::Ctree => {
-            xfstream::run_pipelined(&cfg, xfd_workloads::ctree::Ctree::new(ops), &opts)
+            xfdetector::run_pipelined(&cfg, xfd_workloads::ctree::Ctree::new(ops), &opts)
         }
         WorkloadKind::Rbtree => {
-            xfstream::run_pipelined(&cfg, xfd_workloads::rbtree::Rbtree::new(ops), &opts)
+            xfdetector::run_pipelined(&cfg, xfd_workloads::rbtree::Rbtree::new(ops), &opts)
         }
         WorkloadKind::HashmapTx => {
-            xfstream::run_pipelined(&cfg, xfd_workloads::hashmap_tx::HashmapTx::new(ops), &opts)
+            xfdetector::run_pipelined(&cfg, xfd_workloads::hashmap_tx::HashmapTx::new(ops), &opts)
         }
-        WorkloadKind::HashmapAtomic => xfstream::run_pipelined(
+        WorkloadKind::HashmapAtomic => xfdetector::run_pipelined(
             &cfg,
             xfd_workloads::hashmap_atomic::HashmapAtomic::new(ops),
             &opts,
         ),
         WorkloadKind::Redis => {
-            xfstream::run_pipelined(&cfg, xfd_workloads::redis::Redis::new(ops), &opts)
+            xfdetector::run_pipelined(&cfg, xfd_workloads::redis::Redis::new(ops), &opts)
         }
         WorkloadKind::Memcached => {
-            xfstream::run_pipelined(&cfg, xfd_workloads::memcached::Memcached::new(ops), &opts)
+            xfdetector::run_pipelined(&cfg, xfd_workloads::memcached::Memcached::new(ops), &opts)
         }
-        WorkloadKind::TreiberStack => xfstream::run_pipelined(
+        WorkloadKind::TreiberStack => xfdetector::run_pipelined(
             &cfg,
             Scheduled::new(
                 xfd_workloads::treiber::TreiberStack::new(ops),
@@ -158,7 +158,7 @@ pub fn run_streaming_detection(kind: WorkloadKind, ops: u64, cfg: XfConfig) -> R
             ),
             &opts,
         ),
-        WorkloadKind::MsQueue => xfstream::run_pipelined(
+        WorkloadKind::MsQueue => xfdetector::run_pipelined(
             &cfg,
             Scheduled::new(
                 xfd_workloads::msqueue::MsQueue::new(ops),

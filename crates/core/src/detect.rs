@@ -1,23 +1,29 @@
-//! The detection loop the batch and stream drivers share: a tracing
-//! frontend and a checking backend joined by a message stream (§5.1,
-//! Figure 8).
+//! The detection loop every driver shares: a tracing frontend and a
+//! checking backend joined by a message stream (§5.1, Figure 8).
 //!
 //! The frontend is the ordering-point hook [`run`] installs: it ships the
-//! new pre-failure entries, plans the failure point, then executes,
-//! replays, warm-replays or journals it, and sends every result as a
-//! [`Msg`] to a [`Sink`]. The [`Checker`] owns the shadow PM, the report,
-//! the recording, the journal appends and the checking time, and consumes
-//! the messages in program order, so the report does not depend on where
-//! it runs (§5.5). The batch driver uses the checker itself as the sink
-//! and fingerprints its shadow; the stream driver (`xfstream`) sends the
-//! messages over a ring to a checker thread and fingerprints a replica.
+//! new pre-failure entries, plans the failure point, then journals,
+//! warm-replays, replays or executes it, and hands every result to a
+//! [`Sink`]. The [`Checker`] owns the shadow PM, the report, the
+//! recording, the journal appends and the checking time. It splits each
+//! [`Msg`] into *finding* (against the shadow as of the message) and
+//! *committing* (to the report, in program order), so the report does not
+//! depend on where or when the finding ran (§5.5).
+//!
+//! There are three sinks. The batch driver uses the checker itself. The
+//! stream driver ([`crate::run_pipelined`]) sends the messages over a ring
+//! to a checker thread. The parallel driver ([`crate::XfDetector::run_parallel`])
+//! queues each failure point that must execute to a worker pool (§6.2.1)
+//! and commits the workers' findings in order. Only [`Sink::execute`]
+//! tells them apart: the batch and stream sinks run the post-failure stage
+//! inline, the pool ships it.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pmem::{EngineHook, OrderingPointInfo, PmCtx};
+use pmem::{CowImage, EngineHook, OrderingPointInfo, PmCtx};
 use xftrace::{SourceLoc, TraceEntry};
 
 use crate::engine::{EngineError, RunOutcome, Workload, XfConfig};
@@ -28,13 +34,16 @@ use crate::shadow::ShadowPm;
 use crate::stats::RunStats;
 use crate::xfrun::RunCtl;
 
+/// A post-failure trace (shared with the planner and the class cache, so a
+/// replay ships a refcount) and how its execution ended.
+pub type Traced = (Arc<[TraceEntry]>, PostOutcome);
+
 /// One message from the frontend to the checker, in program order.
 #[derive(Debug)]
 pub enum Msg {
     /// Pre-failure entries produced since the previous message.
     Pre(Vec<TraceEntry>),
-    /// A failure point, its post-failure trace (shared with the planner and
-    /// the class cache, so a replay ships a refcount) and its outcome.
+    /// A failure point, its post-failure trace and its outcome.
     FailurePoint {
         /// The failure point.
         fp: FailurePoint,
@@ -48,9 +57,13 @@ pub enum Msg {
     Journaled(FailurePoint),
 }
 
-/// Where the frontend sends its messages: the [`Checker`] itself, or a
-/// channel to a checker on another thread.
+/// Where the frontend hands its work: the [`Checker`] itself, a ring to a
+/// checker on another thread, or the parallel driver's worker pool.
 pub trait Sink {
+    /// What the planner keeps of an executed failure point, for the later
+    /// failure points that replay its trace.
+    type Rep: Clone;
+
     /// Hands `msg` to the checker.
     fn send(&mut self, msg: Msg);
 
@@ -58,9 +71,24 @@ pub trait Sink {
     /// entry sent so far.
     fn fp_shadow(&mut self) -> &mut ShadowPm;
 
-    /// Ends the stream once every message is checked; the checker's
-    /// counters go into `stats`.
-    fn finish(self, stats: &mut RunStats) -> (DetectionReport, Option<RecordedRun>);
+    /// Failure point `fp` must execute on the crash `image`. An inline
+    /// sink calls `run`, which executes it on the workload thread, and
+    /// checks the result; the pool queues a job instead.
+    fn execute(
+        &mut self,
+        fp: FailurePoint,
+        image: &CowImage,
+        run: impl FnOnce() -> Traced,
+    ) -> Self::Rep;
+
+    /// Failure point `fp` replays the trace of the execution `rep`.
+    fn replay(&mut self, fp: FailurePoint, rep: Self::Rep);
+
+    /// Ends the stream once every message is checked, after handing the
+    /// run's class representatives (`exports`, in failure-point order) to
+    /// `ctl`'s cross-run cache: the outcome, with the checker's counters
+    /// added to the frontend's `stats`.
+    fn finish(self, stats: RunStats, exports: &[(u64, Self::Rep)], ctl: &RunCtl) -> RunOutcome;
 }
 
 /// The checking backend (Figure 8b): replays pre-failure entries into the
@@ -73,6 +101,7 @@ pub struct Checker {
     first_read_only: bool,
     ctl: RunCtl,
     detect_time: Duration,
+    post_entries: u64,
 }
 
 impl Checker {
@@ -91,6 +120,72 @@ impl Checker {
             first_read_only: config.first_read_only,
             ctl,
             detect_time: Duration::ZERO,
+            post_entries: 0,
+        }
+    }
+
+    /// The findings of `msg` against the shadow as of the message: a
+    /// pre-failure message advances the shadow, a failure point is checked
+    /// against it.
+    pub fn find(&mut self, msg: &Msg) -> DetectionReport {
+        let mut found = DetectionReport::new();
+        match msg {
+            Msg::Pre(pre) => {
+                for e in pre {
+                    self.shadow.apply_pre(e, &mut found);
+                }
+            }
+            Msg::FailurePoint { fp, post, outcome } => return self.check(None, *fp, post, outcome),
+            Msg::Journaled(_) => {}
+        }
+        found
+    }
+
+    /// The findings of failure point `fp` against `shadow`, or against the
+    /// checker's own shadow when `None`.
+    pub fn check(
+        &mut self,
+        shadow: Option<&ShadowPm>,
+        fp: FailurePoint,
+        post: &[TraceEntry],
+        outcome: &PostOutcome,
+    ) -> DetectionReport {
+        let t_detect = Instant::now();
+        let mut found = DetectionReport::new();
+        let shadow = shadow.unwrap_or(&self.shadow);
+        check(shadow, self.first_read_only, fp, post, outcome, &mut found);
+        self.detect_time += t_detect.elapsed();
+        found
+    }
+
+    /// Commits `msg` and its findings `found` to the report, in program
+    /// order, and records and journals it.
+    pub fn commit(&mut self, msg: Msg, found: DetectionReport) {
+        let delta_start = self.report.findings().len();
+        for f in found.into_findings() {
+            self.report.push(f);
+        }
+        match msg {
+            Msg::Pre(pre) => {
+                if let Some(rec) = self.recorded.as_mut() {
+                    rec.pre.extend(pre.into_iter().map(Into::into));
+                }
+            }
+            Msg::Journaled(fp) => {
+                // The pre-failure replay already regenerated everything
+                // that precedes the journaled delta, so the report stays
+                // byte-identical to an uninterrupted run.
+                for f in self.ctl.journaled(fp.id).iter().flat_map(|j| &j.findings) {
+                    self.report.push(f.clone());
+                }
+                self.record(fp, &[]);
+            }
+            Msg::FailurePoint { fp, post, .. } => {
+                self.record(fp, &post);
+                self.post_entries += post.len() as u64;
+                self.ctl
+                    .append_fp(fp.id, fp.loc, &self.report.findings()[delta_start..]);
+            }
         }
     }
 
@@ -102,6 +197,7 @@ impl Checker {
             shadow_bytes_cloned: self.shadow.bytes_cloned(),
             shadow_resident_bytes: self.shadow.resident_bytes(),
             detect_time: self.detect_time,
+            post_entries: self.post_entries,
             report: self.report,
             recorded: self.recorded,
         }
@@ -116,43 +212,31 @@ impl Checker {
 }
 
 impl Sink for Checker {
+    type Rep = Traced;
+
     fn send(&mut self, msg: Msg) {
-        match msg {
-            Msg::Pre(pre) => {
-                for e in &pre {
-                    self.shadow.apply_pre(e, &mut self.report);
-                }
-                if let Some(rec) = self.recorded.as_mut() {
-                    rec.pre.extend(pre.into_iter().map(Into::into));
-                }
-            }
-            Msg::Journaled(fp) => {
-                // The pre-failure replay already regenerated everything
-                // that precedes the journaled delta, so the report stays
-                // byte-identical to an uninterrupted run.
-                for f in self.ctl.journaled(fp.id).iter().flat_map(|j| &j.findings) {
-                    self.report.push(f.clone());
-                }
-                self.record(fp, &[]);
-            }
-            Msg::FailurePoint { fp, post, outcome } => {
-                self.record(fp, &post);
-                let (shadow, report) = (&self.shadow, &mut self.report);
-                let delta_start = report.findings().len();
-                let t_detect = Instant::now();
-                check(shadow, self.first_read_only, fp, &post, &outcome, report);
-                self.detect_time += t_detect.elapsed();
-                self.ctl
-                    .append_fp(fp.id, fp.loc, &report.findings()[delta_start..]);
-            }
-        }
+        let found = self.find(&msg);
+        self.commit(msg, found);
     }
 
     fn fp_shadow(&mut self) -> &mut ShadowPm {
         &mut self.shadow
     }
 
-    fn finish(self, stats: &mut RunStats) -> (DetectionReport, Option<RecordedRun>) {
+    fn execute(&mut self, fp: FailurePoint, _: &CowImage, run: impl FnOnce() -> Traced) -> Traced {
+        let rep = run();
+        self.replay(fp, rep.clone());
+        rep
+    }
+
+    fn replay(&mut self, fp: FailurePoint, (post, outcome): Traced) {
+        self.send(Msg::FailurePoint { fp, post, outcome });
+    }
+
+    fn finish(self, stats: RunStats, exports: &[(u64, Traced)], ctl: &RunCtl) -> RunOutcome {
+        for (key, (post, outcome)) in exports {
+            ctl.cache_export(*key, post, outcome);
+        }
         self.close().stamp(stats)
     }
 }
@@ -165,30 +249,36 @@ pub struct Checked {
     shadow_bytes_cloned: u64,
     shadow_resident_bytes: u64,
     detect_time: Duration,
+    post_entries: u64,
 }
 
 impl Checked {
-    /// Writes the checker's counters into `stats`; returns the report and
-    /// the recording.
-    pub fn stamp(self, stats: &mut RunStats) -> (DetectionReport, Option<RecordedRun>) {
+    /// The run's outcome: the report, the recording, and `stats` with the
+    /// checker's counters written in.
+    pub fn stamp(self, mut stats: RunStats) -> RunOutcome {
         stats.shadow_bytes_cloned = self.shadow_bytes_cloned;
         stats.shadow_resident_bytes = self.shadow_resident_bytes;
-        // No worker checked anything: `detect_time` is exactly the
-        // per-failure-point checking time.
+        stats.post_entries = self.post_entries;
+        // `detect_time` is the checker's own checking time; a pool adds
+        // its workers' share to `check_time`.
         stats.detect_time = self.detect_time;
         stats.check_time = self.detect_time;
-        (self.report, self.recorded)
+        RunOutcome {
+            report: self.report,
+            stats,
+            recorded: self.recorded,
+        }
     }
 }
 
 /// The frontend, installed as the ordering-point hook on the workload
 /// thread.
-struct Frontend<W, S> {
-    planner: RefCell<Planner<(Arc<[TraceEntry]>, PostOutcome)>>,
+struct Frontend<W, S: Sink> {
+    planner: RefCell<Planner<S::Rep>>,
     sink: RefCell<S>,
     config: XfConfig,
     ctl: RunCtl,
-    workload: W,
+    workload: Arc<W>,
 }
 
 /// Ships the pre-failure entries produced since the last failure point
@@ -213,68 +303,75 @@ impl<W: Workload, S: Sink> EngineHook for Frontend<W, S> {
         // Suspend / snapshot the PM image / spawn the post-failure
         // execution (Figure 8a steps ②–⑤), unless the planner elides it.
         // The capture is part of the post-failure cost, as in the paper's
-        // breakdown (Figure 12a); the fingerprint is not, so the span's
-        // start moves past it.
+        // breakdown (Figure 12a); the fingerprint is not.
         let fingerprinted = planner.stats().fingerprint_time;
-        let t_post = Instant::now();
+        let t_capture = Instant::now();
         let plan = planner.plan(ctx.pool(), fp.id, sink.fp_shadow());
-        let t_post = t_post + (planner.stats().fingerprint_time - fingerprinted);
-        let (post, outcome) = match plan {
-            Plan::Journaled => return sink.send(Msg::Journaled(fp)),
+        let stats = planner.stats();
+        stats.post_exec_time += t_capture
+            .elapsed()
+            .saturating_sub(stats.fingerprint_time - fingerprinted);
+        match plan {
+            Plan::Journaled => sink.send(Msg::Journaled(fp)),
             Plan::Warm(key) => {
                 let class = self.ctl.cache_peek(key).expect("planned from the cache");
-                (Arc::clone(&class.post), class.outcome.clone())
+                let (post, outcome) = (Arc::clone(&class.post), class.outcome.clone());
+                sink.send(Msg::FailurePoint { fp, post, outcome });
             }
-            Plan::Replay(rep) => rep,
+            Plan::Replay(rep) => sink.replay(fp, rep),
             Plan::Execute(exec) => {
-                let mut post_ctx = ctx.fork_post_cow(&exec.image);
-                let outcome = PostOutcome::execute(
-                    &mut post_ctx,
-                    self.config.post_budget.as_ref(),
-                    self.config.catch_post_panics,
-                    |c| self.workload.post_failure(c),
-                );
-                let post: Arc<[TraceEntry]> = post_ctx.trace().drain().into();
-                planner.stats().snapshot_bytes_copied += post_ctx.pool().snapshot_bytes_copied();
-                planner.executed(&outcome);
-                planner.represent(exec, || (Arc::clone(&post), outcome.clone()));
-                (post, outcome)
+                let rep = sink.execute(fp, &exec.image, || {
+                    let t_exec = Instant::now();
+                    let mut post_ctx = ctx.fork_post_cow(&exec.image);
+                    let outcome = PostOutcome::execute(
+                        &mut post_ctx,
+                        self.config.post_budget.as_ref(),
+                        self.config.catch_post_panics,
+                        |c| self.workload.post_failure(c),
+                    );
+                    let post: Arc<[TraceEntry]> = post_ctx.trace().drain().into();
+                    planner.executed(&outcome);
+                    let stats = planner.stats();
+                    stats.snapshot_bytes_copied += post_ctx.pool().snapshot_bytes_copied();
+                    stats.post_exec_time += t_exec.elapsed();
+                    (post, outcome)
+                });
+                planner.represent(exec, || rep);
             }
-        };
-        let stats = planner.stats();
-        stats.post_entries += post.len() as u64;
-        stats.post_exec_time += t_post.elapsed();
-        sink.send(Msg::FailurePoint { fp, post, outcome });
+        }
     }
 }
 
-/// Runs the full detection procedure against `workload`, sending every
-/// message to the sink `open` returns once setup has succeeded.
+/// Runs the full detection procedure against `workload`, handing every
+/// failure point to the sink `open` returns once setup has succeeded.
+/// `open` gets the shared workload, for sinks that execute it elsewhere.
 ///
 /// # Errors
 ///
 /// [`EngineError`] if the pool cannot be created or the setup or
 /// pre-failure stage fails. A pre-failure failure finishes the sink first,
-/// so a checker thread has ended by the time the error returns.
+/// so a checker thread or worker pool has ended by the time the error
+/// returns.
 pub fn run<W, S>(
     config: &XfConfig,
     workload: W,
     ctl: RunCtl,
-    open: impl FnOnce() -> S,
+    open: impl FnOnce(&Arc<W>) -> S,
 ) -> Result<RunOutcome, EngineError>
 where
     W: Workload + 'static,
     S: Sink + 'static,
 {
     let (mut ctx, t_start) = setup(&workload)?;
+    let workload = Arc::new(workload);
     let frontend = Rc::new(Frontend {
         planner: RefCell::new(Planner::new(config, ctl.clone())),
-        sink: RefCell::new(open()),
+        sink: RefCell::new(open(&workload)),
         config: config.clone(),
         ctl,
         workload,
     });
-    let pre_result = pre_failure(&mut ctx, config, frontend.clone(), &frontend.workload);
+    let pre_result = pre_failure(&mut ctx, config, frontend.clone(), &*frontend.workload);
 
     let frontend = Rc::try_unwrap(frontend).ok().expect("the hook was cleared");
     let mut planner = frontend.planner.into_inner();
@@ -283,20 +380,13 @@ where
         // Trailing pre-failure entries: tail-end performance bugs are
         // still reported.
         ship_pre(&mut sink, &mut ctx, planner.stats());
-        for (key, (post, outcome)) in planner.exports() {
-            frontend.ctl.cache_export(*key, post, outcome);
-        }
     }
-    let mut stats = planner.finish();
-    // The hook accounted each post-failure pool; the pre-failure pool's
-    // copying (image capture + COW faults) is read off at the end.
+    let (mut stats, exports) = planner.finish();
+    // The post-failure pools were accounted as they ran; the pre-failure
+    // pool's copying (image capture + COW faults) is read off at the end.
     stats.snapshot_bytes_copied += ctx.pool().snapshot_bytes_copied();
-    let (report, recorded) = sink.finish(&mut stats);
+    let mut outcome = sink.finish(stats, &exports, &frontend.ctl);
     pre_result.map_err(|e| EngineError::PreFailure(e.to_string()))?;
-    stats.total_time = t_start.elapsed();
-    Ok(RunOutcome {
-        report,
-        stats,
-        recorded,
-    })
+    outcome.stats.total_time = t_start.elapsed();
+    Ok(outcome)
 }

@@ -457,7 +457,7 @@ impl XfDetector {
         ctl: crate::xfrun::RunCtl,
     ) -> Result<RunOutcome, EngineError> {
         let config = &self.config;
-        crate::detect::run(config, workload, ctl.clone(), || {
+        crate::detect::run(config, workload, ctl.clone(), |_| {
             Checker::new(config, planner_shadow(config), ctl)
         })
     }

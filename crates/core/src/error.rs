@@ -170,11 +170,6 @@ pub enum XfError {
     /// The run journal is malformed or does not belong to this run
     /// (fingerprint mismatch, foreign magic, corrupt record).
     Journal(String),
-    /// [`Mode::Stream`](crate::Mode::Stream) was requested on a session
-    /// without a stream engine. Build the session through
-    /// `xfstream::session()` (or inject an engine with
-    /// [`SessionBuilder::stream_engine`](crate::SessionBuilder::stream_engine)).
-    StreamEngineMissing,
     /// A trace codec failure, reported by the codec crate.
     Codec(String),
     /// A job was rejected by a campaign server (`xfd serve`). Carries the
@@ -191,7 +186,10 @@ pub enum XfError {
 impl XfError {
     /// A small stable numeric code for this error, used by the server
     /// protocol's REJECTED frame. Configuration rejections forward the
-    /// [`ConfigError::code`]; runtime failures use the 100-block.
+    /// [`ConfigError::code`]; runtime failures use the 100-block. Codes are
+    /// append-only and never reused: 105 belonged to the retired error for
+    /// a stream run on a session without a stream engine, which every
+    /// session now has.
     #[must_use]
     pub fn code(&self) -> u32 {
         match self {
@@ -201,7 +199,6 @@ impl XfError {
             XfError::PreFailure(_) => 102,
             XfError::Io(_) => 103,
             XfError::Journal(_) => 104,
-            XfError::StreamEngineMissing => 105,
             XfError::Codec(_) => 106,
             XfError::Rejected { code, .. } => *code,
         }
@@ -233,12 +230,6 @@ impl fmt::Display for XfError {
             XfError::Config(e) => write!(f, "invalid configuration: {e}"),
             XfError::Io(e) => write!(f, "i/o error: {e}"),
             XfError::Journal(m) => write!(f, "run journal error: {m}"),
-            XfError::StreamEngineMissing => {
-                write!(
-                    f,
-                    "stream mode requires a stream engine (use xfstream::session())"
-                )
-            }
             XfError::Codec(m) => write!(f, "trace codec error: {m}"),
             XfError::Rejected { code, message } => {
                 write!(f, "job rejected by server (code {code}): {message}")

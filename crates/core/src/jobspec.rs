@@ -471,9 +471,7 @@ impl JobSpec {
     }
 }
 
-/// Builds a runnable [`Session`] straight from a spec. Stream mode still
-/// needs the pipelined engine injected — build through `xfstream::session()`
-/// and [`JobSpec::apply`] for that; this conversion covers batch/parallel.
+/// Builds a runnable [`Session`] straight from a spec.
 impl TryFrom<JobSpec> for Session {
     type Error = crate::XfError;
 

@@ -23,9 +23,11 @@
 //!   every ordering point of the pre-failure stage (§4.2), snapshots the PM
 //!   image, runs the post-failure stage on the snapshot and checks every
 //!   post-failure read against the shadow state. The per-failure-point
-//!   decision — elide or execute — is the [`Planner`]'s, shared by the
-//!   batch, parallel and streaming drivers; the batch and streaming drivers
-//!   also share one frontend and one checker ([`detect`]),
+//!   decision — elide or execute — is the [`Planner`]'s, and the batch,
+//!   parallel and streaming drivers share one frontend and one checker
+//!   (`detect.rs`); they differ only in where a post-failure execution runs
+//!   (inline, on a worker pool, or beside a checker thread behind the
+//!   [`spsc`] trace FIFO),
 //! - [`DetectionReport`] collects deduplicated [`Finding`]s with the source
 //!   locations of the racing reader and the last writer.
 //!
@@ -43,7 +45,7 @@
 #![warn(missing_docs)]
 
 mod concurrent;
-pub mod detect;
+mod detect;
 mod engine;
 mod error;
 pub mod jobspec;
@@ -53,7 +55,9 @@ pub mod plan;
 mod prune;
 mod report;
 mod shadow;
+pub mod spsc;
 mod stats;
+mod stream;
 mod xfrun;
 
 pub use concurrent::{ConcurrentWorkload, Scheduled};
@@ -68,9 +72,10 @@ pub use prune::{PruneCache, Pruning};
 pub use report::{BugCategory, BugKind, DetectionReport, FailurePoint, Finding};
 pub use shadow::{PersistState, PostChecker, ShadowPm};
 pub use stats::RunStats;
+pub use stream::{run_pipelined, StreamOptions};
 pub use xfrun::{
     run_fingerprint, JournalFp, Mode, ObsCounts, ObsHandle, Progress, RunCtl, RunMetrics, Session,
-    SessionBuilder, StageMillis, StreamEngine, DEFAULT_STREAM_CAPACITY,
+    SessionBuilder, StageMillis, DEFAULT_STREAM_CAPACITY,
 };
 pub use xfsched::{OpSequence, SchedulePlan, ScheduleSpec, StepFn, ThreadProgram};
 

@@ -4,46 +4,44 @@
 //! operate on a copy of the original PM image, and therefore, can be
 //! parallelized. We leave the parallelized detection as a future work."
 //!
-//! [`XfDetector::run_parallel`] does exactly that: the pre-failure stage
-//! runs on the main thread as usual, and the shared [`Planner`] decides per
-//! failure point whether to elide or execute. Instead of executing inline,
-//! the driver ships `(failure point, PM image, shadow checkpoint)` jobs
-//! over a bounded queue to a pool of worker threads. Each worker runs the
-//! recovery *and* replays the resulting post-failure trace against the
-//! shipped O(1) copy-on-write checkpoint of the shadow PM, returning a
-//! per-failure-point fragment of findings. The main thread merges
-//! fragments in failure-point order (interleaved with the pre-failure
-//! findings at the positions where the batch driver would have discovered
-//! them, and with the elided failure points it checks itself), so the
-//! resulting report is deterministic and byte-identical to
-//! [`XfDetector::run`]'s, post-failure *outcome* findings included.
+//! [`XfDetector::run_parallel`] does exactly that. It runs the detection
+//! loop of [`crate::detect`] with a worker pool as the sink. The frontend
+//! traces, fingerprints and plans on the workload thread as in batch mode,
+//! on the same live shadow, but a failure point that must execute becomes
+//! a `(failure point, crash image, shadow checkpoint)` job on a bounded
+//! queue. A worker runs the recovery *and* checks the resulting trace
+//! against the shipped O(1) copy-on-write checkpoint of the shadow PM.
+//! Everything else (pre-failure entries, journaled, warm and replayed
+//! failure points) is checked on the workload thread against the live
+//! shadow, as in batch mode; only a failure point that replays a job still
+//! running waits, with its own checkpoint, for the job's trace. The pool
+//! commits all of it in failure-point order, so the report is
+//! deterministic and byte-identical to [`XfDetector::run`]'s, post-failure
+//! *outcome* findings included.
 //!
 //! Requirements: the workload must be [`Send`] + [`Sync`] (each worker calls
-//! `post_failure` on its own forked context). The bounded queue keeps at
-//! most `2 × workers` PM images alive, so memory stays proportional to the
+//! `post_failure` on its own context). The bounded queue keeps at most
+//! `2 × workers` PM images alive, so memory stays proportional to the
 //! worker count, not to the failure-point count. Shadow checkpoints are
 //! `Arc`-shared with the live shadow and cost no copying up front; the
 //! pre-failure replay pays per-line copy-on-write faults only for lines it
 //! mutates while checkpoints are in flight (see
 //! [`RunStats::shadow_bytes_cloned`]).
-//!
-//! [`Planner`]: crate::Planner
-//! [`RunStats::shadow_bytes_cloned`]: crate::RunStats::shadow_bytes_cloned
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pmem::{CowImage, EngineHook, OrderingPointInfo, PmCtx, PmPool};
-use xftrace::{SourceLoc, TraceEntry};
+use pmem::{CowImage, PmCtx, PmPool};
+use xftrace::TraceEntry;
 
-use crate::engine::{EngineError, RunOutcome, Workload, XfDetector};
-use crate::offline::{RecordedFailurePoint, RecordedRun};
-use crate::plan::{check, planner_shadow, pre_failure, setup, Plan, Planner, PostOutcome};
-use crate::report::{DetectionReport, FailurePoint, Finding};
+use crate::detect::{self, Checker, Msg, Sink, Traced};
+use crate::engine::{EngineError, RunOutcome, Workload, XfConfig, XfDetector};
+use crate::plan::{check, planner_shadow, PostOutcome};
+use crate::report::{DetectionReport, FailurePoint};
 use crate::shadow::ShadowPm;
 use crate::stats::RunStats;
 use crate::xfrun::RunCtl;
@@ -249,128 +247,219 @@ struct Job {
     shadow: ShadowPm,
 }
 
-/// A worker's result for one failure point.
-struct JobResult {
-    fp: FailurePoint,
-    post: Vec<TraceEntry>,
-    outcome: PostOutcome,
-    /// Snapshot bytes copied building this job's post-failure pool.
-    bytes: u64,
-    /// The worker's checked fragment: checking findings, then the outcome
-    /// finding.
-    findings: Vec<Finding>,
-    /// Wall-clock time the worker spent checking.
-    check_time: Duration,
-}
-
-/// How the merge stage completes one failure point.
-enum Step {
-    /// A worker executed and checked it: splice the fragment.
-    Executed,
-    /// Replay job `src`'s trace (a pruned class member or a deduplicated
-    /// image) against this failure point's own checkpoint.
-    Replay { src: u64, shadow: ShadowPm },
-    /// Replay the warm class `key` from the cross-run cache against this
-    /// failure point's own checkpoint.
-    Warm { key: u64, shadow: ShadowPm },
-    /// Merge the resumed journal's report delta verbatim.
-    Journaled,
-}
-
-/// One planned failure point, in failure-point order.
-struct Planned {
-    fp: FailurePoint,
-    /// Pre-failure entries replayed before the failure point fired.
-    pre_len: usize,
-    step: Step,
-}
-
-/// The frontend hook for parallel mode: replays the pre-failure trace
-/// incrementally and ships snapshot jobs instead of running recoveries
-/// inline.
-struct ParallelFrontend {
-    planner: RefCell<Planner<u64>>,
-    queue: Arc<WorkQueue<Job>>,
-    shadow: RefCell<ShadowPm>,
-    /// Pre-failure entries replayed into the shadow so far.
-    pre_replayed: RefCell<usize>,
-    /// Pre-failure findings (performance bugs, annotation conflicts) with
-    /// the 1-based index of the entry that produced each — the merge stage
-    /// interleaves them at the exact positions the batch driver would have
-    /// pushed them. The scratch report keeps the batch driver's first-wins
-    /// dedup; `taken` marks findings already moved out.
-    pre_findings: RefCell<Vec<(usize, Finding)>>,
-    pre_scratch: RefCell<(DetectionReport, usize)>,
-    planned: RefCell<Vec<Planned>>,
-    recorded: RefCell<Option<RecordedRun>>,
-}
-
-impl ParallelFrontend {
-    /// Replays freshly drained pre-failure entries into the shadow,
-    /// recording any findings with the entry index that produced them.
-    fn replay_pre(&self, drained: Vec<TraceEntry>, stats: &mut RunStats) {
-        let mut shadow = self.shadow.borrow_mut();
-        let mut replayed = self.pre_replayed.borrow_mut();
-        let mut scratch = self.pre_scratch.borrow_mut();
-        let mut tagged = self.pre_findings.borrow_mut();
-        for e in &drained {
-            *replayed += 1;
-            shadow.apply_pre(e, &mut scratch.0);
-            let (report, taken) = &mut *scratch;
-            for f in &report.findings()[*taken..] {
-                tagged.push((*replayed, f.clone()));
-            }
-            *taken = report.findings().len();
-        }
-        stats.pre_entries += drained.len() as u64;
-        if let Some(rec) = self.recorded.borrow_mut().as_mut() {
-            rec.pre.extend(drained.into_iter().map(Into::into));
+impl Job {
+    /// Runs the post-failure stage on the job's crash image and checks the
+    /// trace against its checkpoint, on a worker thread.
+    fn run<W: Workload>(self, workload: &W, config: &XfConfig) -> JobResult {
+        let Job { fp, image, shadow } = self;
+        let t_exec = Instant::now();
+        // Each worker builds its own post context from the image; nothing
+        // non-Send crosses threads.
+        let mut post_ctx = PmCtx::new_post(PmPool::from_cow(&image));
+        // Workers always quarantine: a panic is confined to this failure
+        // point and reported as a finding — it never takes down the pool,
+        // so the run continues past the failing job even with
+        // `catch_post_panics` off.
+        let budget = config.post_budget.as_ref();
+        let outcome =
+            PostOutcome::execute(&mut post_ctx, budget, true, |c| workload.post_failure(c));
+        let post: Arc<[TraceEntry]> = post_ctx.trace().drain().into();
+        let exec_time = t_exec.elapsed();
+        let t_check = Instant::now();
+        let mut found = DetectionReport::new();
+        check(
+            &shadow,
+            config.first_read_only,
+            fp,
+            &post,
+            &outcome,
+            &mut found,
+        );
+        JobResult {
+            fp,
+            bytes: post_ctx.pool().snapshot_bytes_copied(),
+            post,
+            outcome,
+            found,
+            exec_time,
+            check_time: t_check.elapsed(),
         }
     }
 }
 
-impl EngineHook for ParallelFrontend {
-    fn on_ordering_point(&self, ctx: &mut PmCtx, loc: SourceLoc, info: OrderingPointInfo) {
-        let mut planner = self.planner.borrow_mut();
-        let Some(fp) = planner.gate(loc, info) else {
-            return;
-        };
-        // Keep the shadow up to date on the main thread: replaying
-        // incrementally here overlaps with the workers, like the paper's
-        // overlapped tracing/detection.
-        self.replay_pre(ctx.trace().drain(), planner.stats());
-        let pre_len = *self.pre_replayed.borrow();
-        let mut shadow = self.shadow.borrow_mut();
-        // Everything but a journal skip is checked against an O(1)
-        // copy-on-write checkpoint of the shadow at this failure point —
-        // the line slabs are shared until the continuing replay mutates
-        // them.
-        let step = match planner.plan(ctx.pool(), fp.id, &mut shadow) {
-            Plan::Journaled => Step::Journaled,
-            Plan::Warm(key) => Step::Warm {
-                key,
-                shadow: shadow.clone(),
-            },
-            Plan::Replay(src) => Step::Replay {
-                src,
-                shadow: shadow.clone(),
-            },
-            Plan::Execute(exec) => {
-                let job = Job {
-                    fp,
-                    image: exec.image.clone(),
-                    shadow: shadow.clone(),
-                };
-                planner.represent(exec, || fp.id);
-                // Blocks when the bounded queue is full: backpressure
-                // bounds the number of in-flight PM images.
-                self.queue.push(job);
-                Step::Executed
-            }
-        };
-        self.planned
-            .borrow_mut()
-            .push(Planned { fp, pre_len, step });
+/// A worker's result for one job.
+struct JobResult {
+    fp: FailurePoint,
+    post: Arc<[TraceEntry]>,
+    outcome: PostOutcome,
+    /// The worker's findings: checking findings, then the outcome finding.
+    found: DetectionReport,
+    /// Snapshot bytes copied building the job's post-failure pool.
+    bytes: u64,
+    exec_time: Duration,
+    check_time: Duration,
+}
+
+/// A message the pool holds back until the jobs before it are committed.
+enum Held {
+    /// A message and its findings, found when it arrived.
+    Found(Msg, DetectionReport),
+    /// Failure point `fp`, whose trace is job `src`'s, checked against its
+    /// checkpoint `shadow` once the job is in. Without a checkpoint, `fp`
+    /// is the job itself and its worker checked it.
+    Job {
+        fp: FailurePoint,
+        src: u64,
+        shadow: Option<ShadowPm>,
+    },
+}
+
+/// The pool's handle on its queue. Closing the queue on drop lets the
+/// workers drain it and exit even when the frontend unwinds.
+struct Closing(Arc<WorkQueue<Job>>);
+
+impl Drop for Closing {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// The parallel driver's sink: a worker pool in front of a [`Checker`],
+/// whose shadow is the live shadow the planner fingerprints.
+struct Pool {
+    checker: Checker,
+    queue: Closing,
+    results: mpsc::Receiver<JobResult>,
+    workers: Vec<JoinHandle<()>>,
+    /// Every finished job by id: replays and the cache export read its
+    /// trace.
+    done: HashMap<u64, JobResult>,
+    held: VecDeque<Held>,
+}
+
+impl Pool {
+    fn new<W>(config: &XfConfig, ctl: RunCtl, workers: usize, workload: &Arc<W>) -> Self
+    where
+        W: Workload + Send + Sync + 'static,
+    {
+        let queue = Arc::new(WorkQueue::<Job>::new(workers));
+        let (tx, results) = mpsc::channel();
+        let workers = (0..workers)
+            .map(|worker| {
+                let (queue, tx, workload) = (Arc::clone(&queue), tx.clone(), Arc::clone(workload));
+                let (config, obs) = (config.clone(), ctl.obs().clone());
+                std::thread::spawn(move || {
+                    let mut batch = Vec::with_capacity(WorkQueue::<Job>::MAX_CHUNK as usize);
+                    while queue.claim(worker, &mut batch) {
+                        for job in batch.drain(..) {
+                            let result = job.run(&*workload, &config);
+                            obs.executed(&result.outcome);
+                            let _ = tx.send(result);
+                        }
+                    }
+                })
+            })
+            .collect();
+        Pool {
+            checker: Checker::new(config, planner_shadow(config), ctl),
+            queue: Closing(queue),
+            results,
+            workers,
+            done: HashMap::new(),
+            held: VecDeque::new(),
+        }
+    }
+
+    /// Collects the finished jobs and commits the held messages they
+    /// release, in order.
+    fn merge(&mut self) {
+        self.done
+            .extend(self.results.try_iter().map(|r| (r.fp.id, r)));
+        while let Some(held) = self.held.pop_front() {
+            let (msg, found) = match held {
+                Held::Found(msg, found) => (msg, found),
+                Held::Job { fp, src, shadow } => {
+                    let Some(job) = self.done.get_mut(&src) else {
+                        self.held.push_front(Held::Job { fp, src, shadow });
+                        return;
+                    };
+                    let found = match shadow {
+                        None => std::mem::take(&mut job.found),
+                        Some(shadow) => {
+                            self.checker
+                                .check(Some(&shadow), fp, &job.post, &job.outcome)
+                        }
+                    };
+                    let post = Arc::clone(&job.post);
+                    let outcome = job.outcome.clone();
+                    (Msg::FailurePoint { fp, post, outcome }, found)
+                }
+            };
+            self.checker.commit(msg, found);
+        }
+    }
+}
+
+impl Sink for Pool {
+    type Rep = u64;
+
+    fn send(&mut self, msg: Msg) {
+        self.merge();
+        let found = self.checker.find(&msg);
+        if self.held.is_empty() {
+            self.checker.commit(msg, found);
+        } else {
+            self.held.push_back(Held::Found(msg, found));
+        }
+    }
+
+    fn fp_shadow(&mut self) -> &mut ShadowPm {
+        self.checker.fp_shadow()
+    }
+
+    fn execute(&mut self, fp: FailurePoint, image: &CowImage, _: impl FnOnce() -> Traced) -> u64 {
+        let (image, shadow) = (image.clone(), self.checker.fp_shadow().clone());
+        // Blocks when the bounded queue is full: backpressure bounds the
+        // number of in-flight PM images.
+        self.queue.0.push(Job { fp, image, shadow });
+        let (src, shadow) = (fp.id, None);
+        self.held.push_back(Held::Job { fp, src, shadow });
+        fp.id
+    }
+
+    fn replay(&mut self, fp: FailurePoint, src: u64) {
+        self.merge();
+        if let Some(job) = self.done.get(&src) {
+            let (post, outcome) = (Arc::clone(&job.post), job.outcome.clone());
+            return self.send(Msg::FailurePoint { fp, post, outcome });
+        }
+        let shadow = Some(self.checker.fp_shadow().clone());
+        self.held.push_back(Held::Job { fp, src, shadow });
+    }
+
+    fn finish(mut self, stats: RunStats, exports: &[(u64, u64)], ctl: &RunCtl) -> RunOutcome {
+        self.queue.0.close();
+        for worker in self.workers.drain(..) {
+            worker.join().expect("detection worker panicked");
+        }
+        self.merge();
+        for (key, src) in exports {
+            let job = &self.done[src];
+            ctl.cache_export(*key, &job.post, &job.outcome);
+        }
+        let mut outcome = self.checker.close().stamp(stats);
+        let (stats, jobs) = (&mut outcome.stats, self.done.values());
+        // `detect_time` is the checking left on the workload thread;
+        // `check_time` adds the workers' share.
+        stats.check_time += jobs.clone().map(|j| j.check_time).sum();
+        stats.post_exec_time += jobs.clone().map(|j| j.exec_time).sum();
+        stats.snapshot_bytes_copied += jobs.clone().map(|j| j.bytes).sum::<u64>();
+        // Budget kills count executions only — replays inherit the
+        // representative's overrun finding but not its kill.
+        stats.budget_exceeded += jobs.filter(|j| j.outcome.is_budget_kill()).count() as u64;
+        stats.checks_parallelized = self.done.len() as u64;
+        stats.jobs_stolen = self.queue.0.jobs_stolen();
+        outcome
     }
 }
 
@@ -394,8 +483,9 @@ impl XfDetector {
     }
 
     /// [`XfDetector::run_parallel`] with an orchestration control handle:
-    /// journal elision/appends and live counters. Driven by
-    /// [`crate::Session`]; the public entry point passes an inert handle.
+    /// journal elision/appends, the class cache and live counters. Driven
+    /// by [`crate::Session`]; the public entry point passes an inert
+    /// handle.
     pub(crate) fn run_parallel_with_ctl<W>(
         &self,
         workload: W,
@@ -411,206 +501,8 @@ impl XfDetector {
             workers
         };
         let config = self.config();
-        let (mut ctx, t_start) = setup(&workload)?;
-
-        let queue = Arc::new(WorkQueue::<Job>::new(workers));
-        let (res_tx, res_rx) = mpsc::channel::<JobResult>();
-        let frontend = Rc::new(ParallelFrontend {
-            planner: RefCell::new(Planner::new(config, ctl.clone())),
-            queue: Arc::clone(&queue),
-            shadow: RefCell::new(planner_shadow(config)),
-            pre_replayed: RefCell::new(0),
-            pre_findings: RefCell::new(Vec::new()),
-            pre_scratch: RefCell::new((DetectionReport::new(), 0)),
-            planned: RefCell::new(Vec::new()),
-            recorded: RefCell::new(config.record_trace.then(|| RecordedRun {
-                domain: config.domain,
-                ..RecordedRun::default()
-            })),
-        });
-
-        let workload_ref = &workload;
-        let (pre_result, mut results, post_exec_time) = std::thread::scope(|scope| {
-            for worker_idx in 0..workers {
-                let queue = Arc::clone(&queue);
-                let res_tx = res_tx.clone();
-                let obs = ctl.obs().clone();
-                scope.spawn(move || {
-                    let mut batch = Vec::with_capacity(WorkQueue::<Job>::MAX_CHUNK as usize);
-                    while queue.claim(worker_idx, &mut batch) {
-                        for job in batch.drain(..) {
-                            // Each worker builds its own post context from the
-                            // image; nothing non-Send crosses threads.
-                            let mut post_ctx = PmCtx::new_post(PmPool::from_cow(&job.image));
-                            // Workers always quarantine: a panic is confined
-                            // to this failure point and reported as a finding
-                            // — it never takes down the pool, so the run
-                            // continues past the failing job even with
-                            // `catch_post_panics` off.
-                            let outcome = PostOutcome::execute(
-                                &mut post_ctx,
-                                config.post_budget.as_ref(),
-                                true,
-                                |c| workload_ref.post_failure(c),
-                            );
-                            let post = post_ctx.trace().drain();
-                            // Worker-side checking into a fragment. Pre- and
-                            // post-stage bug kinds are disjoint, so
-                            // fragment-local dedup composes with the merge
-                            // report's global dedup.
-                            let t_check = Instant::now();
-                            let mut fragment = DetectionReport::new();
-                            check(
-                                &job.shadow,
-                                config.first_read_only,
-                                job.fp,
-                                &post,
-                                &outcome,
-                                &mut fragment,
-                            );
-                            let check_time = t_check.elapsed();
-                            obs.executed(&outcome);
-                            let _ = res_tx.send(JobResult {
-                                fp: job.fp,
-                                bytes: post_ctx.pool().snapshot_bytes_copied(),
-                                post,
-                                outcome,
-                                findings: fragment.into_findings(),
-                                check_time,
-                            });
-                        }
-                    }
-                });
-            }
-            drop(res_tx);
-
-            let t_post = Instant::now();
-            let pre_result = pre_failure(&mut ctx, config, frontend.clone(), &workload);
-            // Close the job queue so the workers drain and exit.
-            queue.close();
-            let expected = frontend.planner.borrow_mut().stats().post_runs;
-            let results: Vec<JobResult> = res_rx.iter().take(expected as usize).collect();
-            (pre_result, results, t_post.elapsed())
-        });
-
-        // Trailing pre entries (after the last failure point): tail-end
-        // performance bugs are still reported.
-        frontend.replay_pre(ctx.trace().drain(), frontend.planner.borrow_mut().stats());
-        pre_result.map_err(|e| EngineError::PreFailure(e.to_string()))?;
-        let frontend = Rc::try_unwrap(frontend).ok().expect("the hook was cleared");
-
-        // Deterministic merge in failure-point order. Worker fragments are
-        // spliced in as-is; elided failure points replay their source's
-        // post-failure trace (the post run is a pure function of the crash
-        // image) against their own shadow checkpoint, exactly as the batch
-        // driver does, so the merged report stays byte-identical.
-        results.sort_by_key(|r| r.fp.id);
-        let result = |id: u64| {
-            results
-                .binary_search_by_key(&id, |r| r.fp.id)
-                .ok()
-                .map(|i| &results[i])
-        };
-        let planner = frontend.planner.into_inner();
-        for &(key, src) in planner.exports() {
-            if let Some(r) = result(src) {
-                ctl.cache_export(key, &r.post, &r.outcome);
-            }
-        }
-        let pre_findings = frontend.pre_findings.into_inner();
-        let mut pre_findings = pre_findings.into_iter().peekable();
-        let mut recorded = frontend.recorded.into_inner();
-        let mut report = DetectionReport::new();
-        let mut post_entries = 0u64;
-        let mut check_time: Duration = results.iter().map(|r| r.check_time).sum();
-        let fro = config.first_read_only;
-        let t_detect = Instant::now();
-        for p in frontend.planned.into_inner() {
-            // Pre-failure findings discovered up to this failure point go
-            // first, as in the batch driver's incremental replay.
-            while let Some((_, f)) = pre_findings.next_if(|(at, _)| *at <= p.pre_len) {
-                report.push(f);
-            }
-            let delta_start = report.findings().len();
-            let t_check = Instant::now();
-            let post: &[TraceEntry] = match &p.step {
-                Step::Journaled => {
-                    // Already on disk: merged verbatim, never re-appended.
-                    for f in ctl.journaled(p.fp.id).iter().flat_map(|j| &j.findings) {
-                        report.push(f.clone());
-                    }
-                    if let Some(rec) = recorded.as_mut() {
-                        rec.failure_points.push(RecordedFailurePoint::new(
-                            p.pre_len,
-                            p.fp.loc,
-                            &[],
-                        ));
-                    }
-                    continue;
-                }
-                Step::Executed => {
-                    let Some(r) = result(p.fp.id) else { continue };
-                    for f in &r.findings {
-                        report.push(f.clone());
-                    }
-                    &r.post
-                }
-                Step::Replay { src, shadow } => {
-                    let Some(r) = result(*src) else { continue };
-                    check(shadow, fro, p.fp, &r.post, &r.outcome, &mut report);
-                    check_time += t_check.elapsed();
-                    &r.post
-                }
-                Step::Warm { key, shadow } => {
-                    let Some(class) = ctl.cache_peek(*key) else {
-                        continue;
-                    };
-                    check(shadow, fro, p.fp, &class.post, &class.outcome, &mut report);
-                    check_time += t_check.elapsed();
-                    &class.post
-                }
-            };
-            post_entries += post.len() as u64;
-            if let Some(rec) = recorded.as_mut() {
-                rec.failure_points
-                    .push(RecordedFailurePoint::new(p.pre_len, p.fp.loc, post));
-            }
-            // Journal appends happen here, in id order, so the journal is
-            // as deterministic as the report.
-            ctl.append_fp(p.fp.id, p.fp.loc, &report.findings()[delta_start..]);
-        }
-        for (_, f) in pre_findings {
-            report.push(f);
-        }
-        let detect_time = t_detect.elapsed();
-
-        let mut stats = planner.finish();
-        stats.total_time = t_start.elapsed();
-        stats.post_exec_time = post_exec_time;
-        // `detect_time` is the residual serial merge; `check_time` is the
-        // summed checking time wherever it ran.
-        stats.detect_time = detect_time;
-        stats.check_time = check_time;
-        stats.checks_parallelized = results.len() as u64;
-        stats.jobs_stolen = queue.jobs_stolen();
-        stats.post_entries = post_entries;
-        let shadow = frontend.shadow.into_inner();
-        stats.shadow_bytes_cloned = shadow.bytes_cloned();
-        stats.shadow_resident_bytes = shadow.resident_bytes();
-        // Workers accounted their post-failure pools; the frontend pool's
-        // capture and COW-fault traffic is read off at the end.
-        stats.snapshot_bytes_copied +=
-            results.iter().map(|r| r.bytes).sum::<u64>() + ctx.pool().snapshot_bytes_copied();
-        // Budget kills count executions only — replays inherit the
-        // representative's overrun finding but not its kill.
-        stats.budget_exceeded = results
-            .iter()
-            .filter(|r| r.outcome.is_budget_kill())
-            .count() as u64;
-        Ok(RunOutcome {
-            report,
-            stats,
-            recorded,
+        detect::run(config, workload, ctl.clone(), |w| {
+            Pool::new(config, ctl, workers, w)
         })
     }
 }
@@ -619,6 +511,7 @@ impl XfDetector {
 mod tests {
     use super::*;
     use crate::BugKind;
+    use xftrace::SourceLoc;
 
     /// A workload with a reliable race, safe to share across threads.
     struct Racy;
@@ -862,5 +755,46 @@ mod tests {
         // work; the counter must at minimum be wired (not negative — u64 —
         // and bounded by the job count).
         assert!(par.stats.jobs_stolen <= par.stats.post_runs);
+    }
+
+    #[test]
+    fn post_exec_time_excludes_the_pre_failure_stage() {
+        /// `Racy` after a pre-failure pause longer than all of its
+        /// post-failure work.
+        struct Slow;
+        const PAUSE: Duration = Duration::from_millis(50);
+        impl Workload for Slow {
+            fn name(&self) -> &str {
+                "slow"
+            }
+            fn pool_size(&self) -> u64 {
+                Racy.pool_size()
+            }
+            fn setup(&self, _ctx: &mut PmCtx) -> Result<(), crate::DynError> {
+                Ok(())
+            }
+            fn pre_failure(&self, ctx: &mut PmCtx) -> Result<(), crate::DynError> {
+                std::thread::sleep(PAUSE);
+                Racy.pre_failure(ctx)
+            }
+            fn post_failure(&self, ctx: &mut PmCtx) -> Result<(), crate::DynError> {
+                Racy.post_failure(ctx)
+            }
+        }
+        let detector = XfDetector::with_defaults();
+        let runs = [
+            ("batch", detector.run(Slow).unwrap()),
+            ("parallel", detector.run_parallel(Slow, 2).unwrap()),
+            (
+                "stream",
+                crate::run_pipelined(detector.config(), Slow, &Default::default()).unwrap(),
+            ),
+        ];
+        for (mode, run) in runs {
+            let s = &run.stats;
+            assert!(s.post_runs > 0, "{mode}: {s:?}");
+            assert!(s.post_exec_time > Duration::ZERO, "{mode}: {s:?}");
+            assert!(s.post_exec_time < PAUSE, "{mode} counts the pause: {s:?}");
+        }
     }
 }

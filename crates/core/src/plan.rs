@@ -15,13 +15,14 @@
 //!    dedup).
 //!
 //! [`Planner`] owns that chain and its accounting ([`RunStats`] counters
-//! and the live observability counters). The drivers differ only in
-//! *where* they run what the planner hands back. The batch and stream
-//! drivers share one loop ([`crate::detect`]) whose representative is the
-//! shared trace plus its outcome, so a replay never clones a trace; the
-//! parallel driver's representative is the job id of the executed failure
-//! point. All three drivers set up through `setup`, run the pre-failure
-//! stage through `pre_failure` and fingerprint a [`planner_shadow`].
+//! and the live observability counters). All three drivers run one loop
+//! (`detect.rs`) and differ only in *where* an execution runs, so
+//! the representative the planner keeps is the sink's: the shared trace
+//! plus its outcome for the batch and stream sinks, which execute inline
+//! (a replay never clones a trace), and the job id for the parallel
+//! driver's worker pool. The loop sets up through `setup`, runs the
+//! pre-failure stage through `pre_failure` and fingerprints a
+//! [`planner_shadow`].
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -385,19 +386,14 @@ impl<H: Clone> Planner<H> {
         &mut self.stats
     }
 
-    /// This run's class representatives for the cross-run cache, in
+    /// Ends the run: the statistics with the pruning counters filled in,
+    /// and this run's class representatives for the cross-run cache, in
     /// failure-point order (empty without a cache).
     #[must_use]
-    pub fn exports(&self) -> &[(u64, H)] {
-        &self.exports
-    }
-
-    /// Ends the run: the statistics with the pruning counters filled in.
-    #[must_use]
-    pub fn finish(mut self) -> RunStats {
+    pub fn finish(mut self) -> (RunStats, Vec<(u64, H)>) {
         self.stats
             .finish_pruning(self.prune.classes_total(), self.prune.fps_pruned());
-        self.stats
+        (self.stats, self.exports)
     }
 
     fn adopt(&mut self, key: u64, rep: &H) {

@@ -112,9 +112,9 @@ impl Pruning {
 }
 
 /// Per-run equivalence-class cache: fingerprint → representative value
-/// (each engine stores what it needs to replay the representative — the
-/// sequential and streaming frontends cache the post trace and outcome, the
-/// parallel frontend the representative's job id).
+/// (each sink keeps what it needs to replay the representative — the
+/// batch and stream sinks the post trace and outcome, the parallel
+/// driver's worker pool the representative's job id).
 ///
 /// Journaled failure points neither consult nor populate the cache — a
 /// member whose would-be representative was journal-elided simply becomes

@@ -215,9 +215,9 @@ impl DetectionReport {
         &self.findings
     }
 
-    /// Consumes the report, yielding the findings in detection order. Used
-    /// by the parallel pipeline to ship per-failure-point fragments from
-    /// workers to the merge stage.
+    /// Consumes the report, yielding the findings in detection order. The
+    /// checker commits each message's findings to the run's report this
+    /// way.
     #[must_use]
     pub fn into_findings(self) -> Vec<Finding> {
         self.findings

@@ -90,12 +90,12 @@ pub struct RunStats {
     /// the per-failure-point cost a deep-copying checkpoint would pay.
     pub shadow_resident_bytes: u64,
     /// Failure points whose post-failure replay + checking ran inside a
-    /// worker thread instead of the merge stage (zero for sequential and
+    /// worker thread instead of the workload thread (zero for sequential and
     /// streaming runs).
     pub checks_parallelized: u64,
     /// Batches handed from the streaming frontend to the detection backend
     /// through the bounded trace FIFO (zero outside
-    /// `xfstream::run_pipelined`).
+    /// [`crate::run_pipelined`]).
     pub stream_batches: u64,
     /// High-water occupancy of the trace FIFO, in batches.
     pub stream_max_depth: u64,
@@ -133,9 +133,8 @@ pub struct RunStats {
     /// crash-image capture (as in Figure 12a) but not the fingerprint.
     pub post_exec_time: Duration,
     /// Summed wall-clock time of backend trace replay and checking. For
-    /// parallel runs with worker-side checking this is the residual serial
-    /// merge time, not the summed per-failure-point checking time (which
-    /// moves into `check_time`).
+    /// parallel runs this is the checking left on the workload thread, not
+    /// the workers' checking time (which `check_time` adds).
     pub detect_time: Duration,
     /// Summed wall-clock time of post-failure trace checking across all
     /// failure points, wherever it ran (worker threads or the merge

@@ -314,7 +314,7 @@ impl CacheHandle {
     }
 
     /// As [`CacheHandle::lookup`] without touching the counters (used by
-    /// the parallel merge stage to re-resolve a class it already counted).
+    /// the detection frontend to fetch a class the planner already counted).
     pub(crate) fn peek(&self, key: u64) -> Option<&WarmClass> {
         self.store.warm.get(&(self.ns, key))
     }

@@ -1,7 +1,7 @@
 //! Fault-tolerant run orchestration: the [`Session`] API.
 //!
 //! The low-level engines ([`XfDetector::run`], [`XfDetector::run_parallel`]
-//! and `xfstream::run_pipelined`) execute one detection pass and assume
+//! and [`crate::run_pipelined`]) execute one detection pass and assume
 //! nothing goes wrong around them. A [`Session`] wraps them in an
 //! orchestration layer that assumes things *do* go wrong:
 //!
@@ -82,8 +82,7 @@ pub enum Mode {
     /// [`worker`](SessionBuilder::workers) setting).
     Parallel,
     /// Frontend/backend split over a bounded trace FIFO (the paper's §5.1
-    /// deployment; requires a [`StreamEngine`], normally injected by
-    /// `xfstream::session()`).
+    /// deployment, [`crate::run_pipelined`]).
     Stream,
 }
 
@@ -112,28 +111,6 @@ impl Mode {
 /// shared with the planner's representatives, so a deeper FIFO holds only
 /// more pre-failure entries in flight.
 pub const DEFAULT_STREAM_CAPACITY: usize = 1024;
-
-/// The streaming engine seam.
-///
-/// `xfdetector` cannot depend on `xfstream` (the dependency points the
-/// other way), so [`Mode::Stream`] is dispatched through this trait.
-/// `xfstream` implements it for its pipelined engine and provides a
-/// pre-wired `session()` builder; running [`Mode::Stream`] on a session
-/// without an engine fails with [`XfError::StreamEngineMissing`].
-pub trait StreamEngine: Send + Sync {
-    /// Runs the pipelined detection pass.
-    ///
-    /// # Errors
-    ///
-    /// As [`XfDetector::run`], plus any streaming-transport failure.
-    fn run_stream(
-        &self,
-        config: &XfConfig,
-        workload: Box<dyn Workload + Send + Sync>,
-        capacity: usize,
-        ctl: RunCtl,
-    ) -> Result<RunOutcome, XfError>;
-}
 
 #[derive(Debug, Default)]
 struct JournalCell {
@@ -254,7 +231,6 @@ pub struct SessionBuilder {
     cache_digest: Option<String>,
     progress: Option<ProgressFn>,
     progress_interval: Duration,
-    stream_engine: Option<Arc<dyn StreamEngine>>,
 }
 
 impl std::fmt::Debug for SessionBuilder {
@@ -414,15 +390,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Injects the streaming engine used by [`Mode::Stream`]. Normally
-    /// called by `xfstream::session()`, which returns a builder with its
-    /// pipelined engine pre-wired.
-    #[must_use]
-    pub fn stream_engine(mut self, engine: Arc<dyn StreamEngine>) -> Self {
-        self.stream_engine = Some(engine);
-        self
-    }
-
     /// Validates the configuration and builds the session.
     ///
     /// # Errors
@@ -460,7 +427,6 @@ impl SessionBuilder {
             } else {
                 self.progress_interval
             },
-            stream_engine: self.stream_engine,
         })
     }
 }
@@ -483,7 +449,6 @@ pub struct Session {
     cache_digest: Option<String>,
     progress: Option<ProgressFn>,
     progress_interval: Duration,
-    stream_engine: Option<Arc<dyn StreamEngine>>,
 }
 
 impl std::fmt::Debug for Session {
@@ -515,8 +480,7 @@ impl Session {
     /// # Errors
     ///
     /// Any [`XfError`]: engine failures, journal I/O or fingerprint
-    /// mismatches, or [`XfError::StreamEngineMissing`] for
-    /// [`Mode::Stream`] without an injected engine.
+    /// mismatches.
     pub fn run<W>(&self, workload: W, mode: Mode) -> Result<RunOutcome, XfError>
     where
         W: Workload + Send + Sync + 'static,
@@ -736,29 +700,23 @@ impl Session {
             })
         });
 
+        let detector = XfDetector::new(config.clone());
         let result = match mode {
-            Mode::Batch => XfDetector::new(config.clone())
-                .run_with_ctl(workload, ctl.clone())
-                .map_err(XfError::from),
-            Mode::Parallel => XfDetector::new(config.clone())
-                .run_parallel_with_ctl(workload, self.workers, ctl.clone())
-                .map_err(XfError::from),
-            Mode::Stream => match &self.stream_engine {
-                Some(engine) => engine.run_stream(
-                    &config,
-                    Box::new(workload),
-                    self.stream_capacity.unwrap_or(DEFAULT_STREAM_CAPACITY),
-                    ctl.clone(),
-                ),
-                None => Err(XfError::StreamEngineMissing),
-            },
+            Mode::Batch => detector.run_with_ctl(workload, ctl.clone()),
+            Mode::Parallel => detector.run_parallel_with_ctl(workload, self.workers, ctl.clone()),
+            Mode::Stream => crate::stream::run_with_ctl(
+                &config,
+                workload,
+                self.stream_capacity.unwrap_or(DEFAULT_STREAM_CAPACITY),
+                ctl.clone(),
+            ),
         };
 
         drop(stop);
         if let Some(t) = ticker {
             let _ = t.join();
         }
-        let mut outcome = result?;
+        let mut outcome = result.map_err(XfError::from)?;
 
         // The engines only bump the live counter on a warm hit; the
         // authoritative cache statistics are stamped here from the handle.
@@ -915,10 +873,12 @@ mod tests {
     }
 
     #[test]
-    fn stream_without_engine_is_a_structured_error() {
+    fn session_stream_matches_batch() {
         let session = Session::builder().build().unwrap();
-        let err = session.run(Racy, Mode::Stream).unwrap_err();
-        assert!(matches!(err, XfError::StreamEngineMissing), "{err:?}");
+        let b = session.run(Racy, Mode::Batch).unwrap();
+        let s = session.run(Racy, Mode::Stream).unwrap();
+        assert_eq!(report_json(&b), report_json(&s));
+        assert!(s.stats.stream_batches > 0, "{:?}", s.stats);
     }
 
     #[test]

@@ -961,6 +961,9 @@ mod tests {
         ));
     }
 
+    // The rejection is a `debug_assert!`, so release builds have nothing
+    // to test.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "typed PmCtx accessors")]
     fn emit_at_rejects_memory_ops_in_debug() {

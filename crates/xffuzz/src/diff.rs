@@ -225,7 +225,7 @@ fn apply_fault(report: DetectionReport, fault: EngineFault) -> DetectionReport {
 }
 
 fn session(cfg: &DiffConfig, threads: u32) -> Result<Session, XfError> {
-    let mut builder = xfstream::session()
+    let mut builder = Session::builder()
         .record_repro(true)
         .workers(2)
         .pruning(cfg.pruning)

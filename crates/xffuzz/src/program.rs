@@ -794,7 +794,7 @@ mod tests {
         let reports: Vec<String> = [Mode::Batch, Mode::Parallel, Mode::Stream]
             .into_iter()
             .map(|mode| {
-                let outcome = xfstream::session()
+                let outcome = xfdetector::Session::builder()
                     .threads(2)
                     .build()
                     .unwrap()

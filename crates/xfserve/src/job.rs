@@ -239,16 +239,17 @@ fn run_workload<E: Emitter>(spec: &JobSpec, emit: &E) -> Result<u8, XfError> {
 /// back to it.
 fn session_for<E: Emitter>(spec: &JobSpec, emit: &E) -> Result<xfdetector::Session, XfError> {
     let emit = emit.clone();
-    let builder =
-        spec.apply(xfstream::session())?
-            .on_progress(Duration::from_millis(500), move |p| {
-                let counts = serde_json::to_string(&p.counts).unwrap_or_else(|_| "{}".into());
-                emit.emit(JobEvent::Progress {
-                    json: format!(
-                        "{{\"elapsed_ms\":{},\"counts\":{counts}}}",
-                        p.elapsed.as_millis()
-                    ),
-                });
+    let builder = spec.apply(xfdetector::Session::builder())?.on_progress(
+        Duration::from_millis(500),
+        move |p| {
+            let counts = serde_json::to_string(&p.counts).unwrap_or_else(|_| "{}".into());
+            emit.emit(JobEvent::Progress {
+                json: format!(
+                    "{{\"elapsed_ms\":{},\"counts\":{counts}}}",
+                    p.elapsed.as_millis()
+                ),
             });
+        },
+    );
     Ok(builder.build()?)
 }

@@ -127,7 +127,7 @@ fn watch_replays_a_finished_job_from_the_start() {
 
 /// A recorded btree run, encoded as an `.xft` upload.
 fn xft_upload() -> Vec<u8> {
-    let session = xfstream::session()
+    let session = xfdetector::Session::builder()
         .record_repro(true)
         .build()
         .expect("recording session");

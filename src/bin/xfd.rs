@@ -43,7 +43,8 @@ use xfd::workloads::{build_concurrent, build_with_init, validation_ops};
 use xfd::xfdetector::jobspec::{parse_domain, parse_mode, parse_pruning, parse_schedule};
 use xfd::xfdetector::offline::{self, pruning_census};
 use xfd::xfdetector::{
-    BugKind, ConfigError, DetectionReport, JobSpec, Mode, Progress, RunOutcome, RunStats, XfError,
+    BugKind, ConfigError, DetectionReport, JobSpec, Mode, Progress, RunOutcome, RunStats, Session,
+    XfError,
 };
 use xfd::xffuzz::{self, ConcurrentFuzzProgram, DiffConfig, FuzzProgram, FuzzSource};
 use xfd::xfstream::{self, XftMmapReader};
@@ -489,12 +490,11 @@ fn progress_line(p: &Progress) {
 }
 
 /// Runs detection in the requested mode through a [`xfd::xfdetector::Session`]
-/// built from the job spec (with `xfstream`'s pipelined engine wired in for
-/// stream mode). `record` forces the pipelined engine with trace recording
-/// on.
+/// built from the job spec. `record` forces the pipelined engine with trace
+/// recording on.
 fn run_mode(o: &WorkOpts, kind: WorkloadKind, record: bool) -> Result<RunOutcome, XfError> {
     let mode = if record { Mode::Stream } else { o.spec.mode()? };
-    let mut builder = o.spec.apply(xfstream::session())?;
+    let mut builder = o.spec.apply(Session::builder())?;
     if record {
         let mut cfg = o.spec.config()?;
         cfg.record_trace = true;

@@ -8,12 +8,10 @@
 //! - [`xftrace`] — the PM-operation tracing substrate,
 //! - [`pmdk`] — the PMDK-workalike transactional library,
 //! - [`xfdetector`] — the cross-failure bug detector (the paper's
-//!   contribution),
+//!   contribution) and its batch, parallel and streaming drivers,
 //! - [`workloads`] — the evaluated PM programs and the synthetic bug
 //!   registry,
-//! - [`xfstream`] — the streaming frontend/backend transport: bounded trace
-//!   FIFO, pipelined detection and the compact `.xft` trace codec behind
-//!   the `xfd` CLI,
+//! - [`xfstream`] — the compact `.xft` trace codec behind the `xfd` CLI,
 //! - [`xffuzz`] — the differential fuzzer: seeded PM-program generation, a
 //!   per-byte model-checking oracle and delta-debugging repro
 //!   minimization (the `xfd fuzz` subcommand),
@@ -42,7 +40,7 @@ pub use xftrace;
 ///
 /// Pulls in the detector's own prelude (session builder, config, report and
 /// error types), the workload registry needed to name a program and a bug,
-/// and the streaming engine entry point:
+/// and `stream_session`, an alias of `Session::builder`:
 ///
 /// ```no_run
 /// use xfd::prelude::*;
@@ -60,5 +58,5 @@ pub mod prelude {
         build, build_with_bug, build_with_init, validation_config, validation_ops,
     };
     pub use xfdetector::prelude::*;
-    pub use xfstream::{session as stream_session, PipelinedEngine};
+    pub use xfstream::session as stream_session;
 }

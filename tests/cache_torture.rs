@@ -4,14 +4,13 @@
 //! serve warm classes — and in both cases produce the byte-identical
 //! report of a run without any cache. It must never panic and never
 //! produce a different report. The truncation and bit-flip sweeps run
-//! every mutated file through the batch and the stream driver.
+//! every mutated file through the batch, stream and parallel drivers.
 
 use std::path::{Path, PathBuf};
 use std::thread;
 
 use xfd::pmem::PmCtx;
 use xfd::xfdetector::{DynError, Mode, Pruning, RunOutcome, Session, Workload};
-use xfd::xfstream;
 
 /// A small workload whose cache stays small enough to flip every bit of:
 /// a few persisted and unpersisted words, and a recovery that fails on
@@ -64,7 +63,7 @@ fn report_json(o: &RunOutcome) -> String {
 }
 
 fn run_in(cache: Option<(&Path, &str)>, mode: Mode) -> RunOutcome {
-    let mut builder = xfstream::session().pruning(Pruning::Equivalence);
+    let mut builder = Session::builder().pruning(Pruning::Equivalence);
     if let Some((path, digest)) = cache {
         builder = builder.class_cache(path).cache_digest(digest);
     }
@@ -75,9 +74,13 @@ fn run(cache: Option<(&Path, &str)>) -> RunOutcome {
     run_in(cache, Mode::Batch)
 }
 
+/// Every mode, in the order the sweeps run them.
+const MODES: [Mode; 3] = [Mode::Batch, Mode::Stream, Mode::Parallel];
+
 /// The uncached reference report and the bytes of a complete cache file,
 /// built at a path of the caller's own (the tests run concurrently). A
-/// cold stream run must write the same file as a cold batch run.
+/// cold stream or parallel run must write the same file as a cold batch
+/// run.
 fn reference_and_cache(name: &str) -> (String, Vec<u8>) {
     let reference = Session::builder()
         .pruning(Pruning::Equivalence)
@@ -87,7 +90,7 @@ fn reference_and_cache(name: &str) -> (String, Vec<u8>) {
         .unwrap();
     let path = tmp(&format!("{name}-source.xfc"));
     let mut files = Vec::new();
-    for mode in [Mode::Batch, Mode::Stream] {
+    for mode in MODES {
         std::fs::remove_file(&path).ok();
         let cold = run_in(Some((&path, "d")), mode);
         files.push(std::fs::read(&path).unwrap());
@@ -96,6 +99,7 @@ fn reference_and_cache(name: &str) -> (String, Vec<u8>) {
     }
     std::fs::remove_file(&path).ok();
     assert_eq!(files[0], files[1], "stream wrote a different cache");
+    assert_eq!(files[0], files[2], "parallel wrote a different cache");
     let bytes = files.swap_remove(0);
     assert!(
         reference
@@ -108,12 +112,11 @@ fn reference_and_cache(name: &str) -> (String, Vec<u8>) {
     (report_json(&reference), bytes)
 }
 
-/// Runs with `bytes` as the cache file, in batch and in stream mode, and
-/// checks each outcome: either a cold start or a warm hit, with the
-/// reference report either way. Returns whether the runs were served
-/// warm.
+/// Runs with `bytes` as the cache file in every mode and checks each
+/// outcome: either a cold start or a warm hit, with the reference report
+/// either way. Returns whether the runs were served warm.
 fn check(path: &Path, bytes: &[u8], reference: &str, what: &str) -> bool {
-    let warm = [Mode::Batch, Mode::Stream].map(|mode| {
+    let warm = MODES.map(|mode| {
         // A cold run saves a fresh file, so each mode gets the bytes anew.
         std::fs::write(path, bytes).unwrap();
         let outcome = run_in(Some((path, "d")), mode);
@@ -132,7 +135,10 @@ fn check(path: &Path, bytes: &[u8], reference: &str, what: &str) -> bool {
         }
         warm
     });
-    assert_eq!(warm[0], warm[1], "{what}: the modes disagree on the file");
+    assert!(
+        warm.iter().all(|&w| w == warm[0]),
+        "{what}: the modes disagree on the file: {warm:?}"
+    );
     warm[0]
 }
 

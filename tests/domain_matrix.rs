@@ -55,7 +55,7 @@ fn run_under(bug: BugId, domain: PersistDomain, pruning: Pruning, mode: Mode) ->
         let kind = bug.workload();
         let w = build_concurrent(kind, validation_ops(kind), BugSet::single(bug))
             .expect("Concurrent-suite bugs live in concurrent workloads");
-        xfd::xfstream::session()
+        xfd::xfdetector::Session::builder()
             .config(cfg)
             .threads(2)
             .build()
@@ -63,7 +63,7 @@ fn run_under(bug: BugId, domain: PersistDomain, pruning: Pruning, mode: Mode) ->
             .run_concurrent(w, mode)
             .unwrap()
     } else {
-        xfd::xfstream::session()
+        xfd::xfdetector::Session::builder()
             .config(cfg)
             .build()
             .unwrap()

@@ -52,7 +52,7 @@ fn malformed_domains_are_invalid_config_everywhere_in_process() {
         // The session-builder path (`.domain()` takes a parsed value, so
         // only the window range can be wrong at this level).
         if let Some(window) = value.strip_prefix("cxl:").and_then(|w| w.parse().ok()) {
-            let err = xfd::xfstream::session()
+            let err = xfd::xfdetector::Session::builder()
                 .domain(PersistDomain::CxlGpf {
                     reorder_window: window,
                 })

@@ -172,15 +172,31 @@ fn baseline_config() -> XfConfig {
 fn every_engine_configuration_produces_the_identical_report() {
     // Acceptance criterion: sequential, parallel, and dedup-enabled runs
     // all yield byte-identical `DetectionReport`s — the dedup cache and
-    // the worker pool are pure optimizations.
-    for persist_data in [true, false] {
+    // the worker pool are pure optimizations — and, when recording, the
+    // byte-identical recorded run.
+    let rec_json = |o: &RunOutcome| {
+        o.recorded
+            .as_ref()
+            .map(|r| serde_json::to_string(r).unwrap())
+    };
+    for (persist_data, record_trace) in [(true, false), (false, false), (true, true), (false, true)]
+    {
         let w = Publish { persist_data };
-        let baseline = XfDetector::new(baseline_config()).run(w).unwrap();
+        let recording = |cfg: XfConfig| XfConfig {
+            record_trace,
+            ..cfg
+        };
+        let baseline = XfDetector::new(recording(baseline_config()))
+            .run(w)
+            .unwrap();
         let expected = report_json(&baseline);
         assert_eq!(baseline.stats.images_deduped, 0);
         assert_eq!(baseline.stats.post_runs, baseline.stats.failure_points);
+        assert_eq!(baseline.recorded.is_some(), record_trace);
 
-        let dedup = XfDetector::with_defaults().run(w).unwrap();
+        let dedup = XfDetector::new(recording(XfConfig::default()))
+            .run(w)
+            .unwrap();
         assert_eq!(
             report_json(&dedup),
             expected,
@@ -195,15 +211,20 @@ fn every_engine_configuration_produces_the_identical_report() {
         assert_accounting(&dedup, "sequential dedup");
 
         for workers in [1, 3] {
-            for cfg in [baseline_config(), XfConfig::default()] {
-                let par = XfDetector::new(cfg.clone())
+            for (cfg, batch) in [
+                (baseline_config(), &baseline),
+                (XfConfig::default(), &dedup),
+            ] {
+                let par = XfDetector::new(recording(cfg.clone()))
                     .run_parallel(w, workers)
                     .unwrap();
                 let label = format!(
-                    "parallel, persist_data={persist_data}, workers={workers}, dedup={}",
+                    "parallel, persist_data={persist_data}, workers={workers}, dedup={}, \
+                     record={record_trace}",
                     cfg.dedup_images
                 );
                 assert_eq!(report_json(&par), expected, "{label}");
+                assert_eq!(rec_json(&par), rec_json(batch), "{label}");
                 assert_accounting(&par, &label);
                 assert_eq!(
                     par.stats.checks_parallelized, par.stats.post_runs,
@@ -221,9 +242,8 @@ fn streaming_pipeline_matches_every_configuration_byte_for_byte() {
     // configuration, FIFO capacity and recording mode it must produce the
     // byte-identical report — and the byte-identical recorded run — of the
     // sequential engine.
-    use xfd::xfstream::{
-        analyze_xft, analyze_xft_path, encode_recorded_run, run_pipelined, StreamOptions,
-    };
+    use xfd::xfdetector::{run_pipelined, StreamOptions};
+    use xfd::xfstream::{analyze_xft, analyze_xft_path, encode_recorded_run};
 
     for persist_data in [true, false] {
         let w = Publish { persist_data };
@@ -314,7 +334,7 @@ fn pruned_runs_match_exhaustive_byte_for_byte_across_every_engine() {
     // setting and FIFO capacity, the merged report must be byte-identical
     // to the exhaustive sequential run — pruning only changes *how many*
     // post-failure executions happen, never what the detector concludes.
-    use xfd::xfstream::{run_pipelined, StreamOptions};
+    use xfd::xfdetector::{run_pipelined, StreamOptions};
 
     let modes = [
         Pruning::Equivalence,
@@ -430,7 +450,7 @@ fn equivalence_pruning_collapses_repeated_persistence_states() {
     // the pool to the same fully-persisted state, so all three post-barrier
     // failure points share one equivalence class and exactly one
     // representative executes.
-    use xfd::xfstream::{run_pipelined, StreamOptions};
+    use xfd::xfdetector::{run_pipelined, StreamOptions};
 
     struct RepeatedFlush;
     impl Workload for RepeatedFlush {
@@ -534,7 +554,7 @@ fn concurrent_runs_are_engine_equivalent_for_every_thread_and_schedule() {
             (2, ScheduleSpec::Exhaustive(2), 4),
         ] {
             let run = |mode: Mode| {
-                xfd::xfstream::session()
+                xfd::xfdetector::Session::builder()
                     .threads(threads)
                     .schedule(spec)
                     .build()
@@ -578,7 +598,7 @@ fn recorded_concurrent_runs_round_trip_through_xft_v2() {
     use xfd::xfstream::{encode_recorded_run, read_recorded_run};
 
     for kind in concurrent_workloads() {
-        let outcome = xfd::xfstream::session()
+        let outcome = xfd::xfdetector::Session::builder()
             .config(XfConfig {
                 record_trace: true,
                 ..XfConfig::default()
@@ -662,7 +682,7 @@ fn domain_matrix_is_engine_invariant_and_adr_matches_the_domainless_baseline() {
     // byte-identical to the seed's domain-less baseline — the new axis
     // costs existing users nothing.
     use xfd::pmem::PersistDomain;
-    use xfd::xfstream::{run_pipelined, StreamOptions};
+    use xfd::xfdetector::{run_pipelined, StreamOptions};
 
     const DOMAINS: [PersistDomain; 3] = [
         PersistDomain::Adr,

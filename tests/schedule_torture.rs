@@ -7,7 +7,7 @@
 //! concurrent detection mode depends on: a pinned plan is deterministic,
 //! its serialized string form (the one carried in `.xft` v2 headers)
 //! replays to the byte-identical report, and all three engines agree
-//! under every plan. Mirrors `crates/xfstream/tests/ring_torture.rs`.
+//! under every plan. Mirrors `crates/core/tests/ring_torture.rs`.
 
 use std::str::FromStr;
 
@@ -105,10 +105,10 @@ fn torture_every_engine_agrees_on_random_burst_plans() {
                 "{kind}: parallel engine diverged on plan {plan}"
             );
 
-            let pipe = xfd::xfstream::run_pipelined(
+            let pipe = xfd::xfdetector::run_pipelined(
                 &XfConfig::default(),
                 scheduled(),
-                &xfd::xfstream::StreamOptions::default(),
+                &xfd::xfdetector::StreamOptions::default(),
             )
             .expect("pipelined run");
             assert_eq!(

@@ -53,7 +53,7 @@ fn local_report(spec: &JobSpec) -> String {
         })
         .collect();
     let outcome = spec
-        .apply(xfd::xfstream::session())
+        .apply(xfd::xfdetector::Session::builder())
         .unwrap()
         .build()
         .unwrap()
