@@ -1,6 +1,7 @@
 //! Microbenchmarks of the substrates: raw PM-simulator operation
-//! throughput, shadow-PM replay throughput, and the cost ablation of the
-//! §5.4 first-read-only optimization.
+//! throughput, crash-snapshot capture, hashing and forking, shadow-PM
+//! replay throughput, and the cost ablation of the §5.4 first-read-only
+//! optimization.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pmem::{PmCtx, PmPool};
@@ -33,7 +34,36 @@ fn bench_pool_ops(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(ctx.pool().full_image()));
     });
 
+    // The per-failure-point snapshot operations, on a 4 MiB pool with the
+    // layout the shipped workloads leave: a few header lines plus ~300
+    // heap lines from 64 KiB on. Each must cost O(lines touched), not
+    // O(lines in the pool).
+    let pool = touched_pool(4 * 1024 * 1024, 300);
+    group.bench_function("cow_capture_4MiB", |b| {
+        b.iter(|| std::hint::black_box(pool.cow_full_image()));
+    });
+    let image = pool.cow_full_image();
+    group.bench_function("content_hash", |b| {
+        b.iter(|| std::hint::black_box(image.content_hash()));
+    });
+    // Fork plus drop: the post-failure pool lives for one recovery.
+    group.bench_function("from_cow_fork_4MiB", |b| {
+        b.iter(|| std::hint::black_box(PmPool::from_cow(&image)));
+    });
+
     group.finish();
+}
+
+/// A `size`-byte pool with 4 header lines and `heap` consecutive heap
+/// lines from 64 KiB on written, one word each.
+fn touched_pool(size: u64, heap: u64) -> PmPool {
+    let mut pool = PmPool::new(size).unwrap();
+    let base = pool.base();
+    let lines = (0..4).chain((0..heap).map(|i| 1024 + i));
+    for (i, li) in lines.enumerate() {
+        pool.write_u64(base + li * 64, i as u64 + 1).unwrap();
+    }
+    pool
 }
 
 fn synthetic_trace(n: u64) -> Vec<TraceEntry> {

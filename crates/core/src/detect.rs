@@ -84,6 +84,14 @@ pub trait Sink {
     /// Failure point `fp` replays the trace of the execution `rep`.
     fn replay(&mut self, fp: FailurePoint, rep: Self::Rep);
 
+    /// Whether a post-failure run the frontend does not share a context
+    /// with has requested `completeDetection` (Table 2). Inline sinks run
+    /// the post-failure stage on a fork of the frontend's context, which
+    /// shares its flag, so only the pool overrides this.
+    fn detection_complete(&self) -> bool {
+        false
+    }
+
     /// Ends the stream once every message is checked, after handing the
     /// run's class representatives (`exports`, in failure-point order) to
     /// `ctl`'s cross-run cache: the outcome, with the checker's counters
@@ -293,6 +301,12 @@ fn ship_pre<S: Sink>(sink: &mut S, ctx: &mut PmCtx, stats: &mut RunStats) {
 
 impl<W: Workload, S: Sink> EngineHook for Frontend<W, S> {
     fn on_ordering_point(&self, ctx: &mut PmCtx, loc: SourceLoc, info: OrderingPointInfo) {
+        if self.sink.borrow().detection_complete() {
+            // Raised on the frontend's own flag, it stops every later
+            // failure point, the `<completion>` one included.
+            ctx.complete_detection();
+            return;
+        }
         let mut planner = self.planner.borrow_mut();
         let Some(fp) = planner.gate(loc, info) else {
             return;

@@ -853,11 +853,28 @@ mod tests {
 
     #[test]
     fn complete_detection_stops_injection() {
-        use std::cell::Cell;
-        thread_local! {
-            static POSTS: Cell<u32> = const { Cell::new(0) };
-        }
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use xftrace::SourceLoc;
+        /// Post-failure runs, counted across the parallel workers.
+        static POSTS: AtomicU64 = AtomicU64::new(0);
+        /// Ten failure points, each leaving an unflushed line for the
+        /// post-failure stage to race on from a read site of its own, and
+        /// a redundant flush halfway: a pre-failure finding after the
+        /// completing failure point.
         struct Stopper;
+        const SITES: [&str; 11] = [
+            "<read 0>",
+            "<read 1>",
+            "<read 2>",
+            "<read 3>",
+            "<read 4>",
+            "<read 5>",
+            "<read 6>",
+            "<read 7>",
+            "<read 8>",
+            "<read 9>",
+            "<read 10>",
+        ];
         impl Workload for Stopper {
             fn name(&self) -> &str {
                 "stopper"
@@ -871,21 +888,56 @@ mod tests {
             fn pre_failure(&self, ctx: &mut PmCtx) -> Result<(), DynError> {
                 let a = ctx.pool().base();
                 for i in 0..10 {
-                    ctx.write_u64(a + i * 64, i)?;
+                    ctx.write_u64(a + 4096, i)?; // never flushed
+                    ctx.write_u64(a + i * 64, i + 1)?;
                     ctx.persist_barrier(a + i * 64, 8)?;
+                    if i == 5 {
+                        ctx.persist_barrier(a + i * 64, 8)?;
+                    }
                 }
                 Ok(())
             }
             fn post_failure(&self, ctx: &mut PmCtx) -> Result<(), DynError> {
-                POSTS.with(|c| c.set(c.get() + 1));
-                ctx.complete_detection(); // first post run terminates testing
+                POSTS.fetch_add(1, Ordering::Relaxed);
+                let a = ctx.pool().base();
+                let mut persisted = 0;
+                while persisted < 10 && ctx.read_u64(a + persisted * 64)? != 0 {
+                    persisted += 1;
+                }
+                let site = SourceLoc::synthetic(SITES[persisted as usize]);
+                ctx.read_u64_at(a + 4096, site)?;
+                ctx.complete_detection(); // the first post run ends testing
                 Ok(())
             }
         }
-        POSTS.with(|c| c.set(0));
-        let outcome = XfDetector::with_defaults().run(Stopper).unwrap();
-        assert_eq!(outcome.stats.post_runs, 1);
-        POSTS.with(|c| assert_eq!(c.get(), 1));
+        let detector = XfDetector::with_defaults();
+        let json = |o: &RunOutcome| serde_json::to_string(&o.report).unwrap();
+        POSTS.store(0, Ordering::Relaxed);
+        let batch = detector.run(Stopper).unwrap();
+        assert_eq!(batch.stats.failure_points, 1);
+        assert_eq!(batch.stats.post_runs, 1);
+        assert_eq!(POSTS.load(Ordering::Relaxed), 1);
+        assert!(batch.report.race_count() >= 1, "{:?}", batch.report);
+        assert!(batch.report.len() > batch.report.race_count());
+
+        POSTS.store(0, Ordering::Relaxed);
+        let stream = crate::run_pipelined(detector.config(), Stopper, &Default::default()).unwrap();
+        assert_eq!(stream.stats.failure_points, 1);
+        assert_eq!(stream.stats.post_runs, 1);
+        assert_eq!(POSTS.load(Ordering::Relaxed), 1);
+        assert_eq!(json(&stream), json(&batch));
+
+        for workers in [1, 2] {
+            POSTS.store(0, Ordering::Relaxed);
+            let par = detector.run_parallel(Stopper, workers).unwrap();
+            assert_eq!(json(&par), json(&batch), "{workers} workers");
+            assert!(par.stats.accounting_holds(), "{:?}", par.stats);
+            // Eleven ordering points plus `<completion>` unstopped; the
+            // frontend stops once a result reports the completion.
+            assert!(par.stats.failure_points < 12, "{:?}", par.stats);
+            assert_eq!(POSTS.load(Ordering::Relaxed), par.stats.post_runs);
+            assert_eq!(par.stats.post_entries, batch.stats.post_entries);
+        }
     }
 
     /// A recovery loop that polls PM forever: the trace-entry budget is the

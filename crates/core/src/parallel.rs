@@ -264,6 +264,7 @@ impl Job {
         let outcome =
             PostOutcome::execute(&mut post_ctx, budget, true, |c| workload.post_failure(c));
         let post: Arc<[TraceEntry]> = post_ctx.trace().drain().into();
+        let completes = post_ctx.is_detection_complete();
         let exec_time = t_exec.elapsed();
         let t_check = Instant::now();
         let mut found = DetectionReport::new();
@@ -280,6 +281,7 @@ impl Job {
             bytes: post_ctx.pool().snapshot_bytes_copied(),
             post,
             outcome,
+            completes,
             found,
             exec_time,
             check_time: t_check.elapsed(),
@@ -292,6 +294,8 @@ struct JobResult {
     fp: FailurePoint,
     post: Arc<[TraceEntry]>,
     outcome: PostOutcome,
+    /// Whether the post-failure stage requested `completeDetection`.
+    completes: bool,
     /// The worker's findings: checking findings, then the outcome finding.
     found: DetectionReport,
     /// Snapshot bytes copied building the job's post-failure pool.
@@ -335,6 +339,13 @@ struct Pool {
     /// trace.
     done: HashMap<u64, JobResult>,
     held: VecDeque<Held>,
+    /// Some finished job requested `completeDetection`: the frontend
+    /// stops injecting.
+    completing: bool,
+    /// The first failure point in program order whose execution
+    /// requested `completeDetection`. Batch mode injects nothing after
+    /// it, so no later failure point is committed or exported.
+    cut: Option<u64>,
 }
 
 impl Pool {
@@ -367,15 +378,29 @@ impl Pool {
             workers,
             done: HashMap::new(),
             held: VecDeque::new(),
+            completing: false,
+            cut: None,
+        }
+    }
+
+    /// Commits `msg` unless it is a failure point past the cut. The
+    /// pre-failure entries past it are still committed: batch mode traces
+    /// them too and ships them after the last failure point.
+    fn commit(&mut self, msg: Msg, found: DetectionReport) {
+        if self.cut.is_none() || matches!(msg, Msg::Pre(_)) {
+            self.checker.commit(msg, found);
         }
     }
 
     /// Collects the finished jobs and commits the held messages they
     /// release, in order.
     fn merge(&mut self) {
-        self.done
-            .extend(self.results.try_iter().map(|r| (r.fp.id, r)));
+        for result in self.results.try_iter() {
+            self.completing |= result.completes;
+            self.done.insert(result.fp.id, result);
+        }
         while let Some(held) = self.held.pop_front() {
+            let mut completes = None;
             let (msg, found) = match held {
                 Held::Found(msg, found) => (msg, found),
                 Held::Job { fp, src, shadow } => {
@@ -384,7 +409,12 @@ impl Pool {
                         return;
                     };
                     let found = match shadow {
-                        None => std::mem::take(&mut job.found),
+                        None => {
+                            // Only an execution completes: a replay runs
+                            // no post-failure stage.
+                            completes = job.completes.then_some(fp.id);
+                            std::mem::take(&mut job.found)
+                        }
                         Some(shadow) => {
                             self.checker
                                 .check(Some(&shadow), fp, &job.post, &job.outcome)
@@ -395,7 +425,8 @@ impl Pool {
                     (Msg::FailurePoint { fp, post, outcome }, found)
                 }
             };
-            self.checker.commit(msg, found);
+            self.commit(msg, found);
+            self.cut = self.cut.or(completes);
         }
     }
 }
@@ -407,7 +438,7 @@ impl Sink for Pool {
         self.merge();
         let found = self.checker.find(&msg);
         if self.held.is_empty() {
-            self.checker.commit(msg, found);
+            self.commit(msg, found);
         } else {
             self.held.push_back(Held::Found(msg, found));
         }
@@ -437,13 +468,20 @@ impl Sink for Pool {
         self.held.push_back(Held::Job { fp, src, shadow });
     }
 
+    fn detection_complete(&self) -> bool {
+        // Updated by every merge, and every message merges first: no
+        // extra merge per ordering point.
+        self.completing
+    }
+
     fn finish(mut self, stats: RunStats, exports: &[(u64, u64)], ctl: &RunCtl) -> RunOutcome {
         self.queue.0.close();
         for worker in self.workers.drain(..) {
             worker.join().expect("detection worker panicked");
         }
         self.merge();
-        for (key, src) in exports {
+        let cut = self.cut.unwrap_or(u64::MAX);
+        for (key, src) in exports.iter().filter(|(_, src)| *src <= cut) {
             let job = &self.done[src];
             ctl.cache_export(*key, &job.post, &job.outcome);
         }
@@ -471,6 +509,21 @@ impl XfDetector {
     ///
     /// `workers == 0` means "use all available parallelism"
     /// ([`std::thread::available_parallelism`]).
+    ///
+    /// `completeDetection` (Table 2): a worker runs the post-failure stage
+    /// on a context of its own, so the frontend learns of the request
+    /// only when the job's result comes back, and it may have injected
+    /// further failure points by then. Nothing past the first completing
+    /// failure point in program order is committed to the report or
+    /// exported to the class cache, so the report still equals batch
+    /// mode's. The run's counters do count those extra failure points:
+    /// `ordering_points`, `failure_points`, `post_runs`, `fps_pruned`,
+    /// `classes_total`, `pruning_ratio`, `images_deduped`, `cache_hits`,
+    /// `cache_misses`, `journal_skipped`, `skipped_empty`,
+    /// `budget_exceeded`, `checks_parallelized`, `jobs_stolen`,
+    /// `snapshot_bytes_copied` and the times. They count the same failure
+    /// points, so [`RunStats::accounting_holds`] still holds;
+    /// `post_entries` counts committed failure points only.
     ///
     /// # Errors
     ///

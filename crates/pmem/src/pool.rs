@@ -1020,6 +1020,18 @@ mod tests {
     }
 
     #[test]
+    fn from_cow_allocates_only_the_pages_its_deltas_land_in() {
+        let mut p = PmPool::new(4 << 20).unwrap();
+        p.write_u64(p.base(), 1).unwrap();
+        p.write_u64(p.base() + 64, 2).unwrap();
+        p.write_u64(p.base() + (1 << 20), 3).unwrap();
+        let q = PmPool::from_cow(&p.cow_full_image());
+        assert_eq!(q.volatile.page_count(), 2);
+        assert_eq!(q.media.page_count(), 2);
+        assert_eq!(q.read_u64(q.base() + (1 << 20)).unwrap(), 3);
+    }
+
+    #[test]
     fn writes_after_from_cow_do_not_leak_into_the_image() {
         let mut p = pool();
         p.write_u64(p.base(), 7).unwrap();

@@ -11,13 +11,15 @@
 //!   immutable base image ([`Arc<[u8]>`]) plus a sparse overlay of 64-byte
 //!   cache lines that have been written since the base was established.
 //!   Stores fault individual lines into the overlay; everything untouched
-//!   stays shared.
+//!   stays shared. The overlay is paged (64 lines per page, pages
+//!   allocated on first fault), so walking it costs O(lines touched), not
+//!   O(lines in the pool).
 //! - [`CowImage`] is a crash snapshot represented as `{base Arc + sorted
 //!   line deltas}`. Capturing one copies only the lines that differ from
 //!   the base, and forking a post-failure pool from one
 //!   ([`crate::PmPool::from_cow`]) shares the base again instead of cloning
 //!   the pool twice.
-//! - [`ImageHash`] is a content hash over `(generation, deltas)`, letting
+//! - [`ImageHash`] is a word hash over `(generation, deltas)`, letting
 //!   the detection engine recognize crash images it has already explored
 //!   and skip the redundant post-failure execution (image deduplication).
 //!
@@ -48,13 +50,53 @@ fn next_generation() -> u64 {
     GENERATION.fetch_add(1, Ordering::Relaxed)
 }
 
+/// Lines per overlay page (64 lines, 4 KiB): one presence bit each in
+/// [`Page::present`].
+const PAGE_LINES: usize = 64;
+
+/// One page of a [`LineBuf`] overlay: room for [`PAGE_LINES`] lines, of
+/// which those with their `present` bit set have been faulted in. The
+/// other slots are unused (zero) and never read.
+#[derive(Debug, Clone)]
+struct Page {
+    present: u64,
+    lines: [[u8; LINE]; PAGE_LINES],
+}
+
+impl Page {
+    fn new() -> Box<Page> {
+        Box::new(Page {
+            present: 0,
+            lines: [[0; LINE]; PAGE_LINES],
+        })
+    }
+
+    /// The faulted slots, ascending.
+    fn slots(&self) -> impl Iterator<Item = usize> {
+        let mut mask = self.present;
+        std::iter::from_fn(move || {
+            (mask != 0).then(|| {
+                let slot = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                slot
+            })
+        })
+    }
+}
+
 /// A pool view backed by a shared base image plus a sparse overlay of
 /// written cache lines.
+///
+/// The overlay is paged: a page table with one entry per [`PAGE_LINES`]
+/// lines of the pool, each entry allocated on the first fault in its
+/// page. Walking the allocated pages in table order yields the faulted
+/// lines sorted by index, so capture, flattening and forking cost
+/// O(lines touched) rather than O(lines in the pool).
 #[derive(Debug, Clone)]
 pub(crate) struct LineBuf {
     base: Arc<[u8]>,
     generation: u64,
-    overlay: Vec<Option<Box<[u8; LINE]>>>,
+    pages: Vec<Option<Box<Page>>>,
     overlay_count: usize,
 }
 
@@ -63,11 +105,11 @@ impl LineBuf {
     /// views sharing one `Arc` (volatile + media of a fresh pool) also
     /// share the generation.
     pub(crate) fn from_base(base: Arc<[u8]>, generation: u64) -> Self {
-        let lines = base.len() / LINE;
+        let pages = (base.len() / LINE).div_ceil(PAGE_LINES);
         LineBuf {
             base,
             generation,
-            overlay: vec![None; lines],
+            pages: vec![None; pages],
             overlay_count: 0,
         }
     }
@@ -77,7 +119,7 @@ impl LineBuf {
     }
 
     fn line_count(&self) -> usize {
-        self.overlay.len()
+        self.base.len() / LINE
     }
 
     pub(crate) fn generation(&self) -> u64 {
@@ -88,8 +130,25 @@ impl LineBuf {
         &self.base
     }
 
+    /// The overlay copy of line `li`, if it has been faulted in.
+    fn overlay_line(&self, li: usize) -> Option<&[u8; LINE]> {
+        let page = self.pages[li / PAGE_LINES].as_deref()?;
+        let slot = li % PAGE_LINES;
+        (page.present >> slot & 1 != 0).then(|| &page.lines[slot])
+    }
+
     pub(crate) fn overlay_is_none(&self, li: usize) -> bool {
-        self.overlay[li].is_none()
+        self.overlay_line(li).is_none()
+    }
+
+    /// Every faulted line with its index, ascending.
+    fn overlay_lines(&self) -> impl Iterator<Item = (usize, &[u8; LINE])> {
+        self.pages.iter().enumerate().flat_map(|(pi, page)| {
+            page.iter().flat_map(move |page| {
+                page.slots()
+                    .map(move |slot| (pi * PAGE_LINES + slot, &page.lines[slot]))
+            })
+        })
     }
 
     fn base_line(&self, li: usize) -> &[u8] {
@@ -98,23 +157,26 @@ impl LineBuf {
 
     /// The effective 64 bytes of line `li` (overlay if faulted, else base).
     pub(crate) fn line(&self, li: usize) -> &[u8] {
-        match &self.overlay[li] {
-            Some(b) => &b[..],
+        match self.overlay_line(li) {
+            Some(line) => &line[..],
             None => self.base_line(li),
         }
     }
 
-    /// Ensures line `li` is in the overlay; returns the bytes copied to
-    /// fault it in (0 if already present).
-    fn fault(&mut self, li: usize) -> u64 {
-        if self.overlay[li].is_some() {
-            return 0;
+    /// The overlay slot of line `li`, faulted in from the base on first
+    /// touch; with the bytes the fault copied (0 if already present).
+    fn fault(&mut self, li: usize) -> (&mut [u8; LINE], u64) {
+        let (slot, bit) = (li % PAGE_LINES, 1u64 << (li % PAGE_LINES));
+        let page = self.pages[li / PAGE_LINES].get_or_insert_with(Page::new);
+        let present = page.present & bit != 0;
+        page.present |= bit;
+        let line = &mut page.lines[slot];
+        if present {
+            return (line, 0);
         }
-        let mut line = Box::new([0u8; LINE]);
-        line.copy_from_slice(self.base_line(li));
-        self.overlay[li] = Some(line);
+        line.copy_from_slice(&self.base[li * LINE..(li + 1) * LINE]);
         self.overlay_count += 1;
-        CACHE_LINE
+        (line, CACHE_LINE)
     }
 
     /// Copies `buf.len()` bytes starting at byte offset `off` into `buf`.
@@ -138,10 +200,9 @@ impl LineBuf {
             let abs = off + pos;
             let (li, lo) = (abs / LINE, abs % LINE);
             let n = (LINE - lo).min(data.len() - pos);
-            faulted += self.fault(li);
-            if let Some(line) = &mut self.overlay[li] {
-                line[lo..lo + n].copy_from_slice(&data[pos..pos + n]);
-            }
+            let (line, copied) = self.fault(li);
+            line[lo..lo + n].copy_from_slice(&data[pos..pos + n]);
+            faulted += copied;
             pos += n;
         }
         faulted
@@ -150,22 +211,20 @@ impl LineBuf {
     /// Overwrites the full line `li` with `src` (no base fault needed: the
     /// line is completely replaced).
     pub(crate) fn set_line(&mut self, li: usize, src: &[u8; LINE]) {
-        match &mut self.overlay[li] {
-            Some(line) => line.copy_from_slice(src),
-            None => {
-                self.overlay[li] = Some(Box::new(*src));
-                self.overlay_count += 1;
-            }
+        let (slot, bit) = (li % PAGE_LINES, 1u64 << (li % PAGE_LINES));
+        let page = self.pages[li / PAGE_LINES].get_or_insert_with(Page::new);
+        if page.present & bit == 0 {
+            page.present |= bit;
+            self.overlay_count += 1;
         }
+        page.lines[slot] = *src;
     }
 
     /// Flattens overlay + base into a fresh `Vec` (a full materialization).
     pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut bytes = self.base.to_vec();
-        for (li, slot) in self.overlay.iter().enumerate() {
-            if let Some(line) = slot {
-                bytes[li * LINE..(li + 1) * LINE].copy_from_slice(&line[..]);
-            }
+        for (li, line) in self.overlay_lines() {
+            bytes[li * LINE..(li + 1) * LINE].copy_from_slice(line);
         }
         bytes
     }
@@ -180,7 +239,7 @@ impl LineBuf {
         }
         self.base = Arc::from(self.to_bytes());
         self.generation = next_generation();
-        self.overlay.iter_mut().for_each(|slot| *slot = None);
+        self.pages.fill(None);
         self.overlay_count = 0;
         self.base.len() as u64
     }
@@ -189,15 +248,16 @@ impl LineBuf {
     /// entry per line whose effective bytes differ from the base bytes,
     /// sorted by line index.
     fn deltas(&self) -> Vec<(u32, [u8; LINE])> {
-        let mut deltas = Vec::new();
-        for (li, slot) in self.overlay.iter().enumerate() {
-            if let Some(line) = slot {
-                if line[..] != *self.base_line(li) {
-                    deltas.push((li as u32, **line));
-                }
-            }
-        }
-        deltas
+        self.overlay_lines()
+            .filter(|(li, line)| line[..] != *self.base_line(*li))
+            .map(|(li, line)| (li as u32, *line))
+            .collect()
+    }
+
+    /// Overlay pages allocated so far.
+    #[cfg(test)]
+    pub(crate) fn page_count(&self) -> usize {
+        self.pages.iter().flatten().count()
     }
 
     /// Captures this view as a [`CowImage`] at `base_addr`. Returns the
@@ -320,27 +380,34 @@ impl CowImage {
     /// conservative across generations: equal bytes reachable from
     /// different base `Arc`s hash differently, which can only cost a
     /// missed deduplication, never a wrong one.
+    ///
+    /// An in-memory key only: generations are numbered per process, so
+    /// the hash means nothing outside it and is never persisted. That is
+    /// why a fast, unkeyed word hash suffices.
     #[must_use]
     pub fn content_hash(&self) -> ImageHash {
-        // Two independent FNV-1a streams (different offset bases) over the
-        // same feed; 128 collision-resistant-enough bits for a hash-map
-        // key, with `same_content` as the exact confirmation.
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = [OFFSET, OFFSET ^ 0x5bd1_e995_9d1b_899d];
-        let mut feed = |bytes: &[u8]| {
-            for &b in bytes {
-                for x in &mut h {
-                    *x = (*x ^ u64::from(b)).wrapping_mul(PRIME);
-                }
+        // Two independent lanes of folded multiplies over the same u64
+        // words: 128 bits for a hash-map key, with `same_content` as the
+        // exact confirmation. The lanes share no state, so they run in
+        // parallel on the CPU.
+        const MUL: [u64; 2] = [0x9e37_79b9_7f4a_7c15, 0xd6e8_feb8_6659_fd93];
+        let mut h = [0x243f_6a88_85a3_08d3_u64, 0x1319_8a2e_0370_7344];
+        let mut feed = |word: u64| {
+            for (x, mul) in h.iter_mut().zip(MUL) {
+                let product = u128::from(*x ^ word) * u128::from(mul);
+                *x = product as u64 ^ (product >> 64) as u64;
             }
         };
-        feed(&self.base_addr.to_le_bytes());
-        feed(&self.generation.to_le_bytes());
-        feed(&(self.deltas.len() as u64).to_le_bytes());
+        feed(self.base_addr);
+        feed(self.generation);
+        feed(self.deltas.len() as u64);
         for (li, line) in self.deltas.iter() {
-            feed(&li.to_le_bytes());
-            feed(&line[..]);
+            feed(u64::from(*li));
+            for chunk in line.chunks_exact(8) {
+                let mut word = [0u8; 8];
+                word.copy_from_slice(chunk);
+                feed(u64::from_le_bytes(word));
+            }
         }
         ImageHash(h)
     }
@@ -473,6 +540,59 @@ mod tests {
         let mut out = [0u8; 1];
         b.read_into(128, &mut out);
         assert_eq!(out, [3], "contents preserved across rebase");
+    }
+
+    #[test]
+    fn faulting_k_lines_holds_at_most_k_pages() {
+        let mut b = buf(4 << 20);
+        assert_eq!(b.pages.len(), 1024, "64 lines per page");
+        assert_eq!(b.page_count(), 0, "nothing allocated up front");
+        // Scattered: lines far apart fault one page each at most.
+        for k in 1..=300 {
+            let li = (k * 211) % b.line_count();
+            b.write_at(li * LINE + 3, &[1]);
+            assert!(b.page_count() <= k, "{k} lines, {} pages", b.page_count());
+        }
+        // Clustered: 300 adjacent lines share 5 or 6 pages.
+        let mut b = buf(4 << 20);
+        for li in 1024..1324 {
+            b.set_line(li, &[2; LINE]);
+        }
+        assert_eq!(b.page_count(), 300usize.div_ceil(PAGE_LINES));
+        let (img, _) = b.capture(0);
+        assert_eq!(img.delta_count(), 300);
+        assert!(img.delta_lines().windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    #[test]
+    fn writes_straddling_a_page_edge_fault_both_pages() {
+        let mut b = buf(3 * PAGE_LINES * LINE + 5 * LINE); // partial last page
+        let edge = PAGE_LINES * LINE;
+        assert_eq!(b.write_at(edge - 4, &[7; 8]), 2 * CACHE_LINE);
+        assert_eq!(b.page_count(), 2);
+        let last = b.line_count() - 1;
+        b.set_line(last, &[9; LINE]);
+        assert_eq!(b.page_count(), 3);
+        let (img, copied) = b.capture(0);
+        assert_eq!(copied, 3 * CACHE_LINE);
+        let lines: Vec<u32> = img.delta_lines().iter().map(|(li, _)| *li).collect();
+        assert_eq!(
+            lines,
+            vec![PAGE_LINES as u32 - 1, PAGE_LINES as u32, last as u32]
+        );
+        assert_eq!(img.materialize().bytes(), &b.to_bytes()[..]);
+    }
+
+    #[test]
+    fn rebase_drops_every_page() {
+        let mut b = buf(2 * PAGE_LINES * LINE);
+        for li in 0..=PAGE_LINES {
+            b.write_at(li * LINE, &[1]);
+        }
+        assert_eq!(b.page_count(), 2);
+        assert_eq!(b.maybe_rebase(), b.len() as u64);
+        assert_eq!(b.page_count(), 0);
+        assert_eq!(b.line(PAGE_LINES)[0], 1, "contents kept in the new base");
     }
 
     #[test]
