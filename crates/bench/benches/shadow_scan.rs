@@ -9,14 +9,20 @@
 //! (`persistence_fingerprint`, O(distinct records)) beside the full rescan
 //! it is tested against (`fingerprint_from_scratch`, O(tracked bytes)).
 //! The replay rows time one failure-point interval of the pre-failure
-//! replay, with and without the fingerprint index and its query.
+//! replay, with and without the fingerprint index and its query. The
+//! `check_` rows time one failure point's check of a bug-free 170-entry
+//! post-failure trace: the full `PostChecker` replay against the filtered
+//! `plan::check`, whose read index is already built (as for every replay
+//! after a trace's first), with the fingerprint index as a line prefilter
+//! and with the byte scan alone.
 //!
 //! ```sh
 //! cargo bench -p xfd-bench --bench shadow_scan
 //! ```
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use xfdetector::{DetectionReport, PersistState, ShadowPm};
+use xfdetector::plan::check;
+use xfdetector::{DetectionReport, FailurePoint, PersistState, PostOutcome, PostTrace, ShadowPm};
 use xftrace::{FenceKind, FlushKind, Op, SourceLoc, Stage, TraceEntry};
 
 const BASE: u64 = 0x1000;
@@ -148,7 +154,75 @@ fn bench_scan(c: &mut Criterion) {
         });
     });
 
+    // One failure point's check of a bug-free recovery trace.
+    let post = PostTrace::new(recovery_trace(), false);
+    let fp = FailurePoint {
+        id: 0,
+        loc: SourceLoc::synthetic("<bench fp>"),
+    };
+    let mut indexed = persisted_shadow();
+    indexed.enable_fingerprinting();
+    let _ = indexed.persistence_fingerprint();
+    let plain = persisted_shadow();
+    // The filtered check: the elision verdict and the findings.
+    let filtered = |shadow: &ShadowPm| {
+        let mut report = DetectionReport::new();
+        let elided = check(
+            shadow,
+            true,
+            fp,
+            &post,
+            &PostOutcome::Completed,
+            &mut report,
+        );
+        (elided, report)
+    };
+    let (elided, report) = filtered(&plain);
+    assert!(
+        elided && report.is_empty(),
+        "the recovery trace is bug-free"
+    );
+    group.bench_function("check_full_replay_170_entries", |b| {
+        b.iter(|| {
+            let mut report = DetectionReport::new();
+            let mut checker = plain.begin_post(true);
+            for e in post.entries() {
+                checker.apply_post(e, fp, &mut report);
+            }
+            std::hint::black_box(report)
+        });
+    });
+    group.bench_function("check_filtered_170_entries_fp_prefilter", |b| {
+        b.iter(|| std::hint::black_box(filtered(&indexed)));
+    });
+    group.bench_function("check_filtered_170_entries_byte_scan", |b| {
+        b.iter(|| std::hint::black_box(filtered(&plain)));
+    });
+
     group.finish();
+}
+
+/// A recovery-shaped post-failure trace of 170 entries over 13 persisted
+/// lines: eight-byte reads walking the lines again and again, with a
+/// write-back of a header word every tenth entry.
+fn recovery_trace() -> Vec<TraceEntry> {
+    (0..170u64)
+        .map(|i| {
+            let addr = BASE + (i % 13) * 64 * 7 + (i % 8) * 8;
+            let op = if i % 10 == 9 {
+                Op::Write { addr, size: 8 }
+            } else {
+                Op::Read { addr, size: 8 }
+            };
+            TraceEntry::new(
+                op,
+                SourceLoc::synthetic("<recovery>"),
+                Stage::Post,
+                false,
+                true,
+            )
+        })
+        .collect()
 }
 
 /// 32 eight-byte stores filling 4 cache lines, one flush per line and a

@@ -28,7 +28,7 @@ use xftrace::{SourceLoc, TraceEntry};
 
 use crate::engine::{EngineError, RunOutcome, Workload, XfConfig};
 use crate::offline::{RecordedFailurePoint, RecordedRun};
-use crate::plan::{check, pre_failure, setup, Plan, Planner, PostOutcome};
+use crate::plan::{check, pre_failure, setup, Plan, Planner, PostOutcome, PostTrace};
 use crate::report::{DetectionReport, FailurePoint};
 use crate::shadow::ShadowPm;
 use crate::stats::RunStats;
@@ -36,7 +36,7 @@ use crate::xfrun::RunCtl;
 
 /// A post-failure trace (shared with the planner and the class cache, so a
 /// replay ships a refcount) and how its execution ended.
-pub type Traced = (Arc<[TraceEntry]>, PostOutcome);
+pub type Traced = (Arc<PostTrace>, PostOutcome);
 
 /// One message from the frontend to the checker, in program order.
 #[derive(Debug)]
@@ -48,7 +48,7 @@ pub enum Msg {
         /// The failure point.
         fp: FailurePoint,
         /// The post-failure trace.
-        post: Arc<[TraceEntry]>,
+        post: Arc<PostTrace>,
         /// How the post-failure execution ended.
         outcome: PostOutcome,
     },
@@ -110,6 +110,7 @@ pub struct Checker {
     ctl: RunCtl,
     detect_time: Duration,
     post_entries: u64,
+    checks_elided: u64,
 }
 
 impl Checker {
@@ -129,6 +130,7 @@ impl Checker {
             ctl,
             detect_time: Duration::ZERO,
             post_entries: 0,
+            checks_elided: 0,
         }
     }
 
@@ -155,13 +157,14 @@ impl Checker {
         &mut self,
         shadow: Option<&ShadowPm>,
         fp: FailurePoint,
-        post: &[TraceEntry],
+        post: &PostTrace,
         outcome: &PostOutcome,
     ) -> DetectionReport {
         let t_detect = Instant::now();
         let mut found = DetectionReport::new();
         let shadow = shadow.unwrap_or(&self.shadow);
-        check(shadow, self.first_read_only, fp, post, outcome, &mut found);
+        let elided = check(shadow, self.first_read_only, fp, post, outcome, &mut found);
+        self.checks_elided += u64::from(elided);
         self.detect_time += t_detect.elapsed();
         found
     }
@@ -189,8 +192,8 @@ impl Checker {
                 self.record(fp, &[]);
             }
             Msg::FailurePoint { fp, post, .. } => {
-                self.record(fp, &post);
-                self.post_entries += post.len() as u64;
+                self.record(fp, post.entries());
+                self.post_entries += post.entries().len() as u64;
                 self.ctl
                     .append_fp(fp.id, fp.loc, &self.report.findings()[delta_start..]);
             }
@@ -206,6 +209,7 @@ impl Checker {
             shadow_resident_bytes: self.shadow.resident_bytes(),
             detect_time: self.detect_time,
             post_entries: self.post_entries,
+            checks_elided: self.checks_elided,
             report: self.report,
             recorded: self.recorded,
         }
@@ -258,6 +262,7 @@ pub struct Checked {
     shadow_resident_bytes: u64,
     detect_time: Duration,
     post_entries: u64,
+    checks_elided: u64,
 }
 
 impl Checked {
@@ -267,6 +272,8 @@ impl Checked {
         stats.shadow_bytes_cloned = self.shadow_bytes_cloned;
         stats.shadow_resident_bytes = self.shadow_resident_bytes;
         stats.post_entries = self.post_entries;
+        // A pool adds its workers' elisions.
+        stats.checks_elided = self.checks_elided;
         // `detect_time` is the checker's own checking time; a pool adds
         // its workers' share to `check_time`.
         stats.detect_time = self.detect_time;
@@ -329,6 +336,10 @@ impl<W: Workload, S: Sink> EngineHook for Frontend<W, S> {
             Plan::Journaled => sink.send(Msg::Journaled(fp)),
             Plan::Warm(key) => {
                 let class = self.ctl.cache_peek(key).expect("planned from the cache");
+                if class.post.completes() {
+                    // The run that cached the class stopped here.
+                    ctx.complete_detection();
+                }
                 let (post, outcome) = (Arc::clone(&class.post), class.outcome.clone());
                 sink.send(Msg::FailurePoint { fp, post, outcome });
             }
@@ -343,7 +354,8 @@ impl<W: Workload, S: Sink> EngineHook for Frontend<W, S> {
                         self.config.catch_post_panics,
                         |c| self.workload.post_failure(c),
                     );
-                    let post: Arc<[TraceEntry]> = post_ctx.trace().drain().into();
+                    let entries = post_ctx.trace().drain();
+                    let post = Arc::new(PostTrace::new(entries, post_ctx.is_detection_complete()));
                     planner.executed(&outcome);
                     let stats = planner.stats();
                     stats.snapshot_bytes_copied += post_ctx.pool().snapshot_bytes_copied();

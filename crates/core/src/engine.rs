@@ -932,6 +932,7 @@ mod tests {
             let par = detector.run_parallel(Stopper, workers).unwrap();
             assert_eq!(json(&par), json(&batch), "{workers} workers");
             assert!(par.stats.accounting_holds(), "{:?}", par.stats);
+            assert!(par.stats.checks_elided <= par.stats.failure_points);
             // Eleven ordering points plus `<completion>` unstopped; the
             // frontend stops once a result reports the completion.
             assert!(par.stats.failure_points < 12, "{:?}", par.stats);

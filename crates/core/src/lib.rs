@@ -67,10 +67,10 @@ pub use engine::{
 };
 pub use error::{ConfigError, XfError};
 pub use jobspec::JobSpec;
-pub use plan::{Planner, PostOutcome};
+pub use plan::{Planner, PostOutcome, PostTrace};
 pub use prune::{PruneCache, Pruning};
 pub use report::{BugCategory, BugKind, DetectionReport, FailurePoint, Finding};
-pub use shadow::{PersistState, PostChecker, ShadowPm};
+pub use shadow::{PersistState, PostChecker, ReadIndex, ShadowPm};
 pub use stats::RunStats;
 pub use stream::{run_pipelined, StreamOptions};
 pub use xfrun::{

@@ -36,11 +36,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pmem::{CowImage, PmCtx, PmPool};
-use xftrace::TraceEntry;
 
 use crate::detect::{self, Checker, Msg, Sink, Traced};
 use crate::engine::{EngineError, RunOutcome, Workload, XfConfig, XfDetector};
-use crate::plan::{check, planner_shadow, PostOutcome};
+use crate::plan::{check, planner_shadow, PostOutcome, PostTrace};
 use crate::report::{DetectionReport, FailurePoint};
 use crate::shadow::ShadowPm;
 use crate::stats::RunStats;
@@ -263,12 +262,12 @@ impl Job {
         let budget = config.post_budget.as_ref();
         let outcome =
             PostOutcome::execute(&mut post_ctx, budget, true, |c| workload.post_failure(c));
-        let post: Arc<[TraceEntry]> = post_ctx.trace().drain().into();
-        let completes = post_ctx.is_detection_complete();
+        let entries = post_ctx.trace().drain();
+        let post = Arc::new(PostTrace::new(entries, post_ctx.is_detection_complete()));
         let exec_time = t_exec.elapsed();
         let t_check = Instant::now();
         let mut found = DetectionReport::new();
-        check(
+        let elided = check(
             &shadow,
             config.first_read_only,
             fp,
@@ -281,8 +280,8 @@ impl Job {
             bytes: post_ctx.pool().snapshot_bytes_copied(),
             post,
             outcome,
-            completes,
             found,
+            elided,
             exec_time,
             check_time: t_check.elapsed(),
         }
@@ -292,12 +291,12 @@ impl Job {
 /// A worker's result for one job.
 struct JobResult {
     fp: FailurePoint,
-    post: Arc<[TraceEntry]>,
+    post: Arc<PostTrace>,
     outcome: PostOutcome,
-    /// Whether the post-failure stage requested `completeDetection`.
-    completes: bool,
     /// The worker's findings: checking findings, then the outcome finding.
     found: DetectionReport,
+    /// Whether the checking filter skipped the worker's replay.
+    elided: bool,
     /// Snapshot bytes copied building the job's post-failure pool.
     bytes: u64,
     exec_time: Duration,
@@ -396,7 +395,7 @@ impl Pool {
     /// release, in order.
     fn merge(&mut self) {
         for result in self.results.try_iter() {
-            self.completing |= result.completes;
+            self.completing |= result.post.completes();
             self.done.insert(result.fp.id, result);
         }
         while let Some(held) = self.held.pop_front() {
@@ -412,7 +411,7 @@ impl Pool {
                         None => {
                             // Only an execution completes: a replay runs
                             // no post-failure stage.
-                            completes = job.completes.then_some(fp.id);
+                            completes = job.post.completes().then_some(fp.id);
                             std::mem::take(&mut job.found)
                         }
                         Some(shadow) => {
@@ -492,6 +491,7 @@ impl Sink for Pool {
         stats.check_time += jobs.clone().map(|j| j.check_time).sum();
         stats.post_exec_time += jobs.clone().map(|j| j.exec_time).sum();
         stats.snapshot_bytes_copied += jobs.clone().map(|j| j.bytes).sum::<u64>();
+        stats.checks_elided += jobs.clone().filter(|j| j.elided).count() as u64;
         // Budget kills count executions only — replays inherit the
         // representative's overrun finding but not its kill.
         stats.budget_exceeded += jobs.filter(|j| j.outcome.is_budget_kill()).count() as u64;
@@ -808,6 +808,62 @@ mod tests {
         // work; the counter must at minimum be wired (not negative — u64 —
         // and bounded by the job count).
         assert!(par.stats.jobs_stolen <= par.stats.post_runs);
+    }
+
+    #[test]
+    fn every_mode_elides_the_same_checks() {
+        /// Ten persisted lines, then one store left unflushed: only the
+        /// final failure point lets recovery's read of it race.
+        struct LateRace;
+        impl Workload for LateRace {
+            fn name(&self) -> &str {
+                "late-race"
+            }
+            fn pool_size(&self) -> u64 {
+                Racy.pool_size()
+            }
+            fn setup(&self, _ctx: &mut PmCtx) -> Result<(), crate::DynError> {
+                Ok(())
+            }
+            fn pre_failure(&self, ctx: &mut PmCtx) -> Result<(), crate::DynError> {
+                let a = ctx.pool().base();
+                for i in 0..10 {
+                    ctx.write_u64(a + i * 64, i)?;
+                    ctx.persist_barrier(a + i * 64, 8)?;
+                }
+                ctx.write_u64(a + 4096, 1)?; // never flushed
+                Ok(())
+            }
+            fn post_failure(&self, ctx: &mut PmCtx) -> Result<(), crate::DynError> {
+                let a = ctx.pool().base();
+                let _ = ctx.read_u64(a + 4096)?;
+                Ok(())
+            }
+        }
+        for pruning in [crate::Pruning::Off, crate::Pruning::Equivalence] {
+            let config = XfConfig {
+                pruning,
+                ..XfConfig::default()
+            };
+            let detector = XfDetector::new(config.clone());
+            let runs = [
+                ("batch", detector.run(LateRace).unwrap()),
+                ("parallel", detector.run_parallel(LateRace, 2).unwrap()),
+                (
+                    "stream",
+                    crate::run_pipelined(&config, LateRace, &Default::default()).unwrap(),
+                ),
+            ];
+            for (mode, run) in runs {
+                let s = &run.stats;
+                assert_eq!(run.report.race_count(), 1, "{mode} {pruning:?}");
+                assert_eq!(
+                    s.checks_elided,
+                    s.failure_points - 1,
+                    "{mode} {pruning:?}: {s:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -27,6 +27,7 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -41,7 +42,7 @@ use xftrace::{SourceLoc, TraceEntry};
 use crate::engine::{DynError, EngineError, Workload, XfConfig};
 use crate::prune::PruneCache;
 use crate::report::{BugKind, DetectionReport, FailurePoint, Finding};
-use crate::shadow::ShadowPm;
+use crate::shadow::{ReadIndex, ShadowPm};
 use crate::stats::RunStats;
 use crate::xfrun::RunCtl;
 
@@ -183,24 +184,80 @@ pub fn planner_shadow(config: &XfConfig) -> ShadowPm {
     shadow
 }
 
+/// A post-failure trace as the drivers share it: the entries, whether the
+/// run requested `completeDetection` (Table 2), and the trace's
+/// [`ReadIndex`], built by the first [`check`] on the checking thread and
+/// dropped with the trace. Executions, pruned replays, deduped images,
+/// pool jobs and class-cache hits all share it through one
+/// [`Arc`](std::sync::Arc), so a trace is indexed at most once however
+/// many failure points replay it.
+#[derive(Debug)]
+pub struct PostTrace {
+    entries: Box<[TraceEntry]>,
+    completes: bool,
+    index: OnceLock<ReadIndex>,
+}
+
+impl PostTrace {
+    /// A trace of `entries`; `completes` is whether the run requested
+    /// `completeDetection`.
+    #[must_use]
+    pub fn new(entries: Vec<TraceEntry>, completes: bool) -> Self {
+        PostTrace {
+            // A copy of exactly the entries: shrinking the drained trace
+            // buffer in place would keep its slack out of reach of the next
+            // post-failure run's buffer (measurably higher peak RSS).
+            entries: entries.as_slice().into(),
+            completes,
+            index: OnceLock::new(),
+        }
+    }
+
+    /// The post-failure trace entries, in program order.
+    #[must_use]
+    pub fn entries(&self) -> &[TraceEntry] {
+        &self.entries
+    }
+
+    /// Whether the post-failure run requested `completeDetection`.
+    #[must_use]
+    pub fn completes(&self) -> bool {
+        self.completes
+    }
+
+    /// The trace's read index, built on first use.
+    fn read_index(&self) -> &ReadIndex {
+        self.index.get_or_init(|| ReadIndex::new(&self.entries))
+    }
+}
+
 /// Checks one failure point (Figure 8b step ⑧): replays its post-failure
 /// trace against `shadow` — the shadow PM as of the failure point — and
 /// appends the checking findings, then the outcome finding, to `report`.
+///
+/// The replay runs only where it can find something
+/// ([`ShadowPm::may_find`] over the trace's read index); otherwise the
+/// checkpoint and the replay are skipped and only the outcome finding is
+/// appended. Returns whether the replay was skipped.
 pub fn check(
     shadow: &ShadowPm,
     first_read_only: bool,
     fp: FailurePoint,
-    post: &[TraceEntry],
+    post: &PostTrace,
     outcome: &PostOutcome,
     report: &mut DetectionReport,
-) {
-    let mut checker = shadow.begin_post(first_read_only);
-    for e in post {
-        checker.apply_post(e, fp, report);
+) -> bool {
+    let elided = !shadow.may_find(post.read_index());
+    if !elided {
+        let mut checker = shadow.begin_post(first_read_only);
+        for e in post.entries() {
+            checker.apply_post(e, fp, report);
+        }
     }
     if let Some(f) = outcome.finding(fp) {
         report.push(f);
     }
+    elided
 }
 
 /// What a driver does at one failure point, as decided by

@@ -6,9 +6,10 @@
 //! last write, the source location of its last writer, and
 //! consistency-related flags (transaction protection, commit-variable
 //! bookkeeping for the version-based mechanisms of §3.2). At each failure
-//! point the engine checkpoints the shadow into a [`PostChecker`] that
-//! replays the post-failure trace and reports cross-failure races and
-//! semantic bugs.
+//! point where the post-failure trace's reads can find something
+//! ([`ShadowPm::may_find`]), the engine checkpoints the shadow into a
+//! [`PostChecker`] that replays the trace and reports cross-failure races
+//! and semantic bugs.
 //!
 //! # Representation
 //!
@@ -1444,6 +1445,101 @@ impl ShadowPm {
             first_read_only,
         }
     }
+
+    /// Whether replaying a post-failure trace with read index `index`
+    /// against this shadow can report anything: whether some byte the trace
+    /// may check is tracked and has finding potential
+    /// (`ShadowPm::byte_has_potential`, the exact mirror of
+    /// `PostChecker::check_read`). `false` proves the replay finds nothing,
+    /// under `first_read_only` or not.
+    ///
+    /// A fresh fingerprint index (no dirty lines, not stale) prefilters by
+    /// line: its keys are the lines holding a contributing byte, a superset
+    /// of the lines holding a byte with potential. A stale or dirty index
+    /// may miss a line that became suspect since the last query, so then
+    /// every indexed line is scanned byte by byte.
+    #[must_use]
+    pub fn may_find(&self, index: &ReadIndex) -> bool {
+        let suspect = self.fresh_fp_index().map(|fp| &fp.lines);
+        index.lines.iter().any(|&(li, mask)| {
+            if suspect.is_some_and(|s| !s.contains_key(&li)) {
+                return false;
+            }
+            let Some(slab) = self.lines.get(&li) else {
+                return false;
+            };
+            let mut bits = mask & slab.present;
+            while bits != 0 {
+                let i = bits.trailing_zeros() as usize;
+                if self.byte_has_potential(li * LINE + i as u64, &slab.states[i]) {
+                    return true;
+                }
+                bits &= bits - 1;
+            }
+            false
+        })
+    }
+
+    /// The fingerprint index, when it is enabled and reflects the current
+    /// state: no line awaits re-derivation and no re-seed is pending.
+    fn fresh_fp_index(&self) -> Option<&FpIndex> {
+        self.fp
+            .as_ref()
+            .filter(|_| !self.fp_stale && self.fp_dirty.is_empty())
+    }
+}
+
+/// The bytes a post-failure trace's checked reads may check, by line: each
+/// read chunk's mask minus the bytes the trace wrote before the read
+/// (`PostChecker` skips those). It depends on the trace alone, so it is
+/// built once per trace and serves every failure point that replays it
+/// ([`ShadowPm::may_find`]).
+#[derive(Debug, Default)]
+pub struct ReadIndex {
+    /// `(line, mask)`, one entry per line read.
+    lines: Box<[(u64, u64)]>,
+}
+
+impl ReadIndex {
+    /// Indexes the checked reads of the post-failure trace `post`.
+    #[must_use]
+    pub fn new(post: &[TraceEntry]) -> Self {
+        let mut written: LineMap<u64> = LineMap::default();
+        let mut read: LineMap<u64> = LineMap::default();
+        for e in post {
+            let (addr, size, is_read) = match e.op {
+                Op::Read { addr, size } if e.checked => (addr, u64::from(size), true),
+                Op::Write { addr, size } | Op::NtWrite { addr, size } => {
+                    (addr, u64::from(size), false)
+                }
+                Op::Alloc {
+                    addr,
+                    size,
+                    zeroed: true,
+                } => (addr, u64::from(size), false),
+                _ => continue,
+            };
+            let end = addr + size;
+            let mut b = addr;
+            while b < end {
+                let li = b / LINE;
+                let chunk_end = end.min((li + 1) * LINE);
+                let mask = range_mask(b - li * LINE, chunk_end - li * LINE);
+                b = chunk_end;
+                if is_read {
+                    let fresh = mask & !written.get(&li).copied().unwrap_or(0);
+                    if fresh != 0 {
+                        *read.entry(li).or_insert(0) |= fresh;
+                    }
+                } else {
+                    *written.entry(li).or_insert(0) |= mask;
+                }
+            }
+        }
+        ReadIndex {
+            lines: read.into_iter().collect(),
+        }
+    }
 }
 
 /// Replays a post-failure trace against a snapshot of the shadow PM,
@@ -2723,5 +2819,98 @@ mod tests {
             run(1),
             "persisted vs foreign-fence-pending must land in different classes"
         );
+    }
+
+    // --- the checking filter ----------------------------------------------
+
+    #[test]
+    fn read_index_keeps_checked_bytes_not_written_before_the_read() {
+        let unchecked = TraceEntry::new(
+            Op::Read {
+                addr: A + 512,
+                size: 8,
+            },
+            loc(4),
+            Stage::Post,
+            false,
+            false,
+        );
+        let post = [
+            entry(Op::Write { addr: A, size: 4 }, 1),
+            // Spans two lines; its first four bytes were just written.
+            read(A, 72, 2),
+            read(A + 256, 0, 3),
+            unchecked,
+        ];
+        let mut lines = ReadIndex::new(&post).lines.to_vec();
+        lines.sort_unstable();
+        assert_eq!(lines, [(A / LINE, !0xf), (A / LINE + 1, 0xff)]);
+    }
+
+    #[test]
+    fn may_find_mirrors_the_checker_on_a_race() {
+        let mut s = ShadowPm::new();
+        let _ = replay(
+            &mut s,
+            &[
+                write(A, 8, 1),
+                write(A + 64, 8, 2),
+                flush(A + 64, 3),
+                fence(4),
+            ],
+        );
+        assert!(s.may_find(&ReadIndex::new(&[read(A, 8, 10)])));
+        assert!(!s.may_find(&ReadIndex::new(&[read(A + 64, 8, 10)])));
+        // A post-failure write before the read makes it consistent.
+        let overwritten = [entry(Op::Write { addr: A, size: 8 }, 9), read(A, 8, 10)];
+        assert!(!s.may_find(&ReadIndex::new(&overwritten)));
+    }
+
+    #[test]
+    fn a_dirty_fingerprint_index_is_not_used_as_the_prefilter() {
+        let mut s = ShadowPm::new();
+        s.enable_fingerprinting();
+        let _ = replay(&mut s, &[write(A, 8, 1), flush(A, 2), fence(3)]);
+        let _ = s.persistence_fingerprint();
+        let index = ReadIndex::new(&[read(A, 8, 10)]);
+        assert!(s.fresh_fp_index().is_some());
+        assert!(!s.may_find(&index), "a persisted line is not suspect");
+        // The unflushed store dirties the line; the index has not seen it.
+        let _ = replay(&mut s, &[write(A, 8, 4)]);
+        assert!(!s.fp.as_ref().unwrap().lines.contains_key(&(A / LINE)));
+        assert!(s.fresh_fp_index().is_none());
+        assert!(s.may_find(&index));
+        let _ = s.persistence_fingerprint();
+        assert!(s.fresh_fp_index().is_some());
+        assert!(s.may_find(&index));
+    }
+
+    #[test]
+    fn a_stale_fingerprint_index_is_not_used_as_the_prefilter() {
+        let mut s = ShadowPm::new();
+        s.enable_fingerprinting();
+        let _ = replay(&mut s, &[write(A, 8, 1), flush(A, 2), fence(3)]);
+        let _ = s.persistence_fingerprint();
+        let index = ReadIndex::new(&[read(A, 8, 10)]);
+        assert!(!s.may_find(&index));
+        // A sole range-less commit variable that was never written governs
+        // all of PM: every persisted store is now inconsistent, on a line
+        // the registration never touched.
+        let var = entry(
+            Op::RegisterCommitVar {
+                addr: A + 4096,
+                size: 8,
+            },
+            5,
+        );
+        let _ = replay(&mut s, &[var]);
+        assert!(s.fp_stale);
+        assert!(!s.fp.as_ref().unwrap().lines.contains_key(&(A / LINE)));
+        assert!(s.fresh_fp_index().is_none());
+        assert!(s.may_find(&index));
+        let mut out = DetectionReport::new();
+        let mut checker = s.begin_post(true);
+        checker.apply_post(&read(A, 8, 10), fp(), &mut out);
+        assert_eq!(out.findings()[0].kind, BugKind::CrossFailureSemantic);
     }
 }

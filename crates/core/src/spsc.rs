@@ -23,9 +23,10 @@
 //!   with the batch APIs ([`Sender::send_batch`], [`Receiver::recv_batch`])
 //!   that is one atomic release per *batch*, not per message,
 //! - a waiting side first spins a bounded number of iterations
-//!   ([`SPIN_LIMIT`], counted in [`RingStats::spins`]), then parks its
-//!   thread ([`RingStats::parks`]) until the other side wakes it (or a
-//!   short timeout re-checks, making lost wakeups impossible to wedge on).
+//!   ([`SPIN_LIMIT`] for the producer, `CONSUMER_SPIN_LIMIT` for the
+//!   consumer, counted in [`RingStats::spins`]), then parks its thread
+//!   ([`RingStats::parks`]) until the other side wakes it (or a short
+//!   timeout re-checks, making lost wakeups impossible to wedge on).
 //!
 //! The crate is `#![forbid(unsafe_code)]`, so slots are `Mutex<Option<T>>`
 //! rather than `UnsafeCell`s. The index protocol makes every slot lock
@@ -42,8 +43,17 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
-/// Bounded spin iterations before a waiting side parks.
+/// Bounded spin iterations before the producer parks on a full ring.
 const SPIN_LIMIT: u32 = 128;
+
+/// Bounded spin iterations before the consumer parks on an empty ring.
+/// Longer than the producer's: once the consumer parks, every send pays
+/// an unpark on the producer's thread, the critical path of a detection
+/// run. A consumer that keeps up (the checker of a pruned run, idle half
+/// the time) would otherwise park between most messages, and those
+/// unparks cost the stream driver more than the spinning costs the
+/// checker (EXPERIMENTS.md, "Suspect-line checking").
+const CONSUMER_SPIN_LIMIT: u32 = 16 * SPIN_LIMIT;
 
 /// Park timeout: an upper bound on the cost of a lost wakeup, not the
 /// wakeup mechanism (the other side unparks eagerly).
@@ -400,7 +410,7 @@ impl<T> Receiver<T> {
                 break (tail != head).then_some(tail);
             }
             spins += 1;
-            if spins <= SPIN_LIMIT {
+            if spins <= CONSUMER_SPIN_LIMIT {
                 spun += 1;
                 std::hint::spin_loop();
             } else {

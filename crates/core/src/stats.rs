@@ -93,6 +93,13 @@ pub struct RunStats {
     /// worker thread instead of the workload thread (zero for sequential and
     /// streaming runs).
     pub checks_parallelized: u64,
+    /// Failure points whose post-failure replay the checking filter
+    /// skipped: no byte the trace reads could yield a finding against the
+    /// failure point's shadow state, so only the outcome finding was
+    /// reported. Summed over every thread that checks (the workload
+    /// thread, the stream checker thread and parallel workers); at most
+    /// `failure_points`.
+    pub checks_elided: u64,
     /// Batches handed from the streaming frontend to the detection backend
     /// through the bounded trace FIFO (zero outside
     /// [`crate::run_pipelined`]).
@@ -242,6 +249,7 @@ mod tests {
         assert!(json.contains("snapshot_bytes_copied"), "{json}");
         assert!(json.contains("shadow_bytes_cloned"), "{json}");
         assert!(json.contains("checks_parallelized"), "{json}");
+        assert!(json.contains("checks_elided"), "{json}");
         assert!(json.contains("check_time"), "{json}");
         assert!(json.contains("stream_batches"), "{json}");
         assert!(json.contains("stream_stall_time"), "{json}");

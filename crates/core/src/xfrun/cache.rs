@@ -29,10 +29,15 @@
 //! ```text
 //! file    := "XFC1" version:u8 fingerprint:string digest:string
 //!            n_classes:varint class* fnv1a:u64le
-//! class   := ns:varint key:varint outcome:u8 message:string
+//! class   := ns:varint key:varint outcome:u8 completes:u8 message:string
 //!            n_post:varint entry-record*
 //! outcome := 0 completed | 1 failed | 2 panicked | 3 budget exceeded
+//! completes := 0 | 1 (the run requested completeDetection)
 //! ```
+//!
+//! Version 2 added `completes`: a warm hit of a class whose representative
+//! requested `completeDetection` stops the warm run where the cold run
+//! stopped. Version 1 files start cold.
 //!
 //! The header is checked before any class is decoded, then the FNV-1a
 //! trailer over every preceding byte. A header mismatch, a trailer
@@ -59,25 +64,25 @@ use std::sync::{Arc, Mutex};
 use xftrace::codec::{EntryCursor, EntryWriter, REC_POST};
 use xftrace::fnv::fnv1a;
 use xftrace::varint::{write_str, write_varint};
-use xftrace::TraceEntry;
 
 use crate::error::XfError;
-use crate::plan::PostOutcome;
+use crate::plan::{PostOutcome, PostTrace};
 
 const MAGIC: &[u8; 4] = b"XFC1";
 /// Format version behind [`MAGIC`]. Bumping it invalidates every existing
 /// cache file (readers treat a mismatch as a cold start).
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 /// Bytes of the FNV-1a trailer.
 const TRAILER: usize = 8;
 
 /// One warmed equivalence class: the representative's post-failure trace
-/// and outcome, ready to replay against a warm member's own shadow
-/// checkpoint.
+/// (with its `completeDetection` request) and outcome, ready to replay
+/// against a warm member's own shadow checkpoint.
 #[derive(Debug)]
 pub(crate) struct WarmClass {
-    /// Shared, so a warm hit ships the trace by refcount.
-    pub(crate) post: Arc<[TraceEntry]>,
+    /// Shared, so a warm hit ships the trace by refcount and its read
+    /// index is built once per run.
+    pub(crate) post: Arc<PostTrace>,
     /// Replayed verbatim on a warm hit, so outcome findings (errors,
     /// panics, budget kills) stay byte-identical across runs. A replayed
     /// budget kill never counts as a kill.
@@ -200,9 +205,11 @@ fn encode(fingerprint: &str, digest: &str, classes: &[(&(u64, u64), &WarmClass)]
         write_varint(&mut buf, ns).expect("vec write");
         write_varint(&mut buf, key).expect("vec write");
         buf.push(code);
+        buf.push(u8::from(class.post.completes()));
         write_str(&mut buf, message).expect("vec write");
-        write_varint(&mut buf, class.post.len() as u64).expect("vec write");
-        for e in class.post.iter() {
+        let post = class.post.entries();
+        write_varint(&mut buf, post.len() as u64).expect("vec write");
+        for e in post {
             entries
                 .write_entry(&mut buf, REC_POST, e)
                 .expect("vec write");
@@ -233,6 +240,11 @@ fn decode(buf: &[u8], fingerprint: &str, digest: &str) -> Option<Classes> {
         let ns = cur.varint().ok()?;
         let key = cur.varint().ok()?;
         let code = cur.u8().ok()?;
+        let completes = match cur.u8().ok()? {
+            0 => false,
+            1 => true,
+            _ => return None,
+        };
         let outcome = outcome_from(code, cur.str("message").ok()?)?;
         let n = cur.varint().ok()?;
         // A count larger than the bytes left is corrupt, not an
@@ -247,7 +259,7 @@ fn decode(buf: &[u8], fingerprint: &str, digest: &str) -> Option<Classes> {
             }
             post.push(cur.read_entry().ok()?);
         }
-        let post = post.into();
+        let post = Arc::new(PostTrace::new(post, completes));
         if warm
             .insert((ns, key), WarmClass { post, outcome })
             .is_some()
@@ -322,13 +334,13 @@ impl CacheHandle {
     /// Registers a newly executed class representative for export. Classes
     /// already warm (or already exported) are left alone — first wins,
     /// like the in-run prune cache.
-    pub(crate) fn export(&self, key: u64, post: &[TraceEntry], outcome: &PostOutcome) {
+    pub(crate) fn export(&self, key: u64, post: &Arc<PostTrace>, outcome: &PostOutcome) {
         if self.store.warm.contains_key(&(self.ns, key)) {
             return;
         }
         let mut export = self.store.export.lock().expect("cache export lock");
         export.entry((self.ns, key)).or_insert_with(|| WarmClass {
-            post: post.into(),
+            post: Arc::clone(post),
             outcome: outcome.clone(),
         });
     }
@@ -369,6 +381,10 @@ mod tests {
         }
     }
 
+    fn trace(entries: Vec<TraceEntry>, completes: bool) -> Arc<PostTrace> {
+        Arc::new(PostTrace::new(entries, completes))
+    }
+
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("xfcache-test-{}-{name}", std::process::id()));
@@ -384,7 +400,11 @@ mod tests {
         assert_eq!(cold.loaded(), 0);
         let h = CacheHandle::new(Arc::new(cold), 0);
         assert!(h.lookup(42).is_none());
-        h.export(42, &[entry()], &PostOutcome::Failed("boom".into()));
+        h.export(
+            42,
+            &trace(vec![entry()], true),
+            &PostOutcome::Failed("boom".into()),
+        );
         h.store.save().unwrap();
 
         let warm = ClassCache::open(&path, "fp", "digest");
@@ -392,7 +412,8 @@ mod tests {
         assert!(warm.bytes_read() > 0);
         let h = CacheHandle::new(Arc::new(warm), 0);
         let class = h.lookup(42).expect("warm class");
-        assert_eq!(class.post.len(), 1);
+        assert_eq!(class.post.entries(), [entry()]);
+        assert!(class.post.completes());
         assert_eq!(class.outcome, PostOutcome::Failed("boom".into()));
         assert_eq!(h.hits(), 1);
         std::fs::remove_file(&path).ok();
@@ -403,7 +424,11 @@ mod tests {
         let path = tmp("mismatch.xfc");
         std::fs::remove_file(&path).ok();
         let cache = Arc::new(ClassCache::open(&path, "fp-a", "d1"));
-        CacheHandle::new(Arc::clone(&cache), 0).export(1, &[], &PostOutcome::Completed);
+        CacheHandle::new(Arc::clone(&cache), 0).export(
+            1,
+            &trace(Vec::new(), false),
+            &PostOutcome::Completed,
+        );
         cache.save().unwrap();
 
         assert_eq!(ClassCache::open(&path, "fp-b", "d1").loaded(), 0);
@@ -417,7 +442,11 @@ mod tests {
         let path = tmp("ns.xfc");
         std::fs::remove_file(&path).ok();
         let cache = Arc::new(ClassCache::open(&path, "fp", "d"));
-        CacheHandle::new(Arc::clone(&cache), 0).export(9, &[], &PostOutcome::Completed);
+        CacheHandle::new(Arc::clone(&cache), 0).export(
+            9,
+            &trace(Vec::new(), false),
+            &PostOutcome::Completed,
+        );
         cache.save().unwrap();
 
         let warm = Arc::new(ClassCache::open(&path, "fp", "d"));
@@ -446,7 +475,11 @@ mod tests {
         let path = tmp("trailer.xfc");
         std::fs::remove_file(&path).ok();
         let cache = Arc::new(ClassCache::open(&path, "fp", "d"));
-        CacheHandle::new(Arc::clone(&cache), 0).export(3, &[entry()], &PostOutcome::Completed);
+        CacheHandle::new(Arc::clone(&cache), 0).export(
+            3,
+            &trace(vec![entry()], false),
+            &PostOutcome::Completed,
+        );
         cache.save().unwrap();
         let good = std::fs::read(&path).unwrap();
         assert_eq!(&good[..4], MAGIC);
@@ -464,13 +497,38 @@ mod tests {
     }
 
     #[test]
+    fn version_1_files_start_cold() {
+        let path = tmp("v1.xfc");
+        std::fs::remove_file(&path).ok();
+        let cache = Arc::new(ClassCache::open(&path, "fp", "d"));
+        CacheHandle::new(Arc::clone(&cache), 0).export(
+            3,
+            &trace(vec![entry()], false),
+            &PostOutcome::Completed,
+        );
+        cache.save().unwrap();
+        let mut old = std::fs::read(&path).unwrap();
+        old[MAGIC.len()] = 1;
+        let body = old.len() - TRAILER;
+        let sum = fnv1a(&old[..body]);
+        old[body..].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &old).unwrap();
+        assert_eq!(ClassCache::open(&path, "fp", "d").loaded(), 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn saves_leave_no_temporary_files_behind() {
         let dir = tmp("atomic-dir");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("c.xfc");
         let cache = Arc::new(ClassCache::open(&path, "fp", "d"));
-        CacheHandle::new(Arc::clone(&cache), 0).export(1, &[entry()], &PostOutcome::Completed);
+        CacheHandle::new(Arc::clone(&cache), 0).export(
+            1,
+            &trace(vec![entry()], false),
+            &PostOutcome::Completed,
+        );
         cache.save().unwrap();
         let names: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -485,14 +543,22 @@ mod tests {
         let path = tmp("no-reexport.xfc");
         std::fs::remove_file(&path).ok();
         let cache = Arc::new(ClassCache::open(&path, "fp", "d"));
-        CacheHandle::new(Arc::clone(&cache), 0).export(5, &[entry()], &PostOutcome::Completed);
+        CacheHandle::new(Arc::clone(&cache), 0).export(
+            5,
+            &trace(vec![entry()], false),
+            &PostOutcome::Completed,
+        );
         cache.save().unwrap();
         let first = std::fs::read(&path).unwrap();
 
         let warm = Arc::new(ClassCache::open(&path, "fp", "d"));
         let h = CacheHandle::new(Arc::clone(&warm), 0);
         assert!(h.lookup(5).is_some());
-        h.export(5, &[], &PostOutcome::Failed("late".into()));
+        h.export(
+            5,
+            &trace(Vec::new(), false),
+            &PostOutcome::Failed("late".into()),
+        );
         warm.save().unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), first, "first wins");
         std::fs::remove_file(&path).ok();
@@ -503,7 +569,11 @@ mod tests {
         let path = tmp("untouched.xfc");
         std::fs::remove_file(&path).ok();
         let cache = Arc::new(ClassCache::open(&path, "fp", "d"));
-        CacheHandle::new(Arc::clone(&cache), 0).export(5, &[entry()], &PostOutcome::Completed);
+        CacheHandle::new(Arc::clone(&cache), 0).export(
+            5,
+            &trace(vec![entry()], false),
+            &PostOutcome::Completed,
+        );
         cache.save().unwrap();
 
         let warm = Arc::new(ClassCache::open(&path, "fp", "d"));
@@ -518,7 +588,11 @@ mod tests {
         );
 
         // A class discovered on top of the warm set is merged and written.
-        CacheHandle::new(Arc::clone(&warm), 0).export(6, &[entry()], &PostOutcome::Completed);
+        CacheHandle::new(Arc::clone(&warm), 0).export(
+            6,
+            &trace(vec![entry()], false),
+            &PostOutcome::Completed,
+        );
         warm.save().unwrap();
         assert_eq!(ClassCache::open(&path, "fp", "d").loaded(), 2);
         std::fs::remove_file(&path).ok();
@@ -529,7 +603,11 @@ mod tests {
         let path = tmp("stale.xfc");
         std::fs::remove_file(&path).ok();
         let cache = Arc::new(ClassCache::open(&path, "fp-a", "d"));
-        CacheHandle::new(Arc::clone(&cache), 0).export(1, &[], &PostOutcome::Completed);
+        CacheHandle::new(Arc::clone(&cache), 0).export(
+            1,
+            &trace(Vec::new(), false),
+            &PostOutcome::Completed,
+        );
         cache.save().unwrap();
 
         let other = ClassCache::open(&path, "fp-b", "d");

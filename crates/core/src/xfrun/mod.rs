@@ -52,11 +52,12 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use pmem::Budget;
-use xftrace::{SourceLoc, TraceEntry};
+use xftrace::SourceLoc;
 
 use crate::concurrent::{ConcurrentWorkload, Scheduled};
 use crate::engine::{RunOutcome, Workload, XfConfig, XfDetector};
 use crate::error::{ConfigError, XfError};
+use crate::plan::PostTrace;
 use crate::prune::Pruning;
 use crate::report::{BugKind, Finding};
 use crate::stats::RunStats;
@@ -191,7 +192,12 @@ impl RunCtl {
 
     /// Registers a newly executed class representative for cross-run
     /// export (no-op without a cache).
-    pub(crate) fn cache_export(&self, key: u64, post: &[TraceEntry], outcome: &crate::PostOutcome) {
+    pub(crate) fn cache_export(
+        &self,
+        key: u64,
+        post: &Arc<PostTrace>,
+        outcome: &crate::PostOutcome,
+    ) {
         if let Some(c) = &self.cache {
             c.export(key, post, outcome);
         }
@@ -786,6 +792,7 @@ fn add_stats(acc: &mut RunStats, o: &RunStats) {
     acc.shadow_bytes_cloned += o.shadow_bytes_cloned;
     acc.shadow_resident_bytes += o.shadow_resident_bytes;
     acc.checks_parallelized += o.checks_parallelized;
+    acc.checks_elided += o.checks_elided;
     acc.stream_batches += o.stream_batches;
     acc.stream_max_depth = acc.stream_max_depth.max(o.stream_max_depth);
     acc.stream_stall_time += o.stream_stall_time;

@@ -11,6 +11,7 @@ use std::thread;
 
 use xfd::pmem::PmCtx;
 use xfd::xfdetector::{DynError, Mode, Pruning, RunOutcome, Session, Workload};
+use xfd::xftrace::SourceLoc;
 
 /// A small workload whose cache stays small enough to flip every bit of:
 /// a few persisted and unpersisted words, and a recovery that fails on
@@ -224,4 +225,87 @@ fn racing_savers_leave_one_complete_file() {
         .collect();
     assert_eq!(leftovers, ["shared.xfc"], "temporary files left behind");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// [`Torture`]'s pre-failure stage with a recovery that requests
+/// `completeDetection` (Table 2) every time: the first failure point ends
+/// testing.
+#[derive(Clone, Copy)]
+struct Completing;
+
+impl Workload for Completing {
+    fn name(&self) -> &str {
+        "cache-torture-completing"
+    }
+    fn pool_size(&self) -> u64 {
+        Torture.pool_size()
+    }
+    fn setup(&self, _ctx: &mut PmCtx) -> Result<(), DynError> {
+        Ok(())
+    }
+    fn pre_failure(&self, ctx: &mut PmCtx) -> Result<(), DynError> {
+        Torture.pre_failure(ctx)?;
+        // A redundant flush after the cut: a pre-failure finding the
+        // report keeps wherever the run stopped.
+        let a = ctx.pool().base();
+        ctx.persist_barrier(a + 64, 8)?;
+        Ok(())
+    }
+    fn post_failure(&self, ctx: &mut PmCtx) -> Result<(), DynError> {
+        const SITES: [&str; 4] = [
+            "<completing read 0>",
+            "<completing read 1>",
+            "<completing read 2>",
+            "<completing read 3>",
+        ];
+        let a = ctx.pool().base();
+        let mut persisted = 0;
+        for i in 0..3 {
+            persisted += u64::from(ctx.read_u64(a + i * 128 + 64)? != 0);
+        }
+        // A read site of its own per crash state: a failure point past the
+        // cut would add a race finding.
+        let last = a + persisted.saturating_sub(1) * 128;
+        ctx.read_u64_at(last, SourceLoc::synthetic(SITES[persisted as usize]))?;
+        ctx.complete_detection();
+        Ok(())
+    }
+}
+
+#[test]
+fn a_warm_run_stops_where_the_cold_run_completed_detection() {
+    let reference = Session::builder()
+        .pruning(Pruning::Equivalence)
+        .build()
+        .unwrap()
+        .run(Completing, Mode::Batch)
+        .unwrap();
+    assert_eq!(reference.stats.failure_points, 1);
+    assert!(reference.report.race_count() >= 1, "{:?}", reference.report);
+    assert!(reference.report.len() > reference.report.race_count());
+    let reference = report_json(&reference);
+    let path = tmp("completing.xfc");
+    for mode in MODES {
+        std::fs::remove_file(&path).ok();
+        let cached = || {
+            Session::builder()
+                .pruning(Pruning::Equivalence)
+                .class_cache(&path)
+                .build()
+                .unwrap()
+                .run(Completing, mode)
+                .unwrap()
+        };
+        let cold = cached();
+        let warm = cached();
+        assert_eq!(report_json(&cold), reference, "cold {mode:?}");
+        assert_eq!(report_json(&warm), reference, "warm {mode:?}");
+        let s = &warm.stats;
+        assert_eq!(
+            (s.failure_points, s.cache_hits, s.post_runs),
+            (1, 1, 0),
+            "{mode:?}: {s:?}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
 }

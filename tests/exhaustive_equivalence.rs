@@ -319,6 +319,10 @@ fn assert_accounting(outcome: &RunOutcome, label: &str) {
         s.accounting_holds(),
         "failure-point accounting broke ({label}): {s:?}"
     );
+    assert!(
+        s.checks_elided <= s.failure_points,
+        "more elided checks than failure points ({label}): {s:?}"
+    );
     if s.fps_pruned > 0 {
         assert!(
             s.classes_total > 0 && s.pruning_ratio >= 1.0,
