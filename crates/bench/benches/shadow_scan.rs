@@ -14,15 +14,26 @@
 //! post-failure trace: the full `PostChecker` replay against the filtered
 //! `plan::check`, whose read index is already built (as for every replay
 //! after a trace's first), with the fingerprint index as a line prefilter
-//! and with the byte scan alone.
+//! and with the byte scan alone. The `check_one_shot_` rows check a trace
+//! once, as offline analysis and pruning-off runs do: a fresh `PostTrace`
+//! per iteration, so the read index is built inside the timed body. Their
+//! trace is a real B-Tree recovery trace, checked against the shadow of
+//! its own failure point. The `offline` group times `analyze_xft` on the
+//! three uploads of the `serve` benchmark's shape: B-Tree, Hashmap-TX and
+//! C-Tree at 100 ops, recorded in batch mode under equivalence pruning.
 //!
 //! ```sh
 //! cargo bench -p xfd-bench --bench shadow_scan
 //! ```
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use xfd_workloads::bugs::{BugSet, WorkloadKind};
+use xfdetector::offline::RecordedRun;
 use xfdetector::plan::check;
-use xfdetector::{DetectionReport, FailurePoint, PersistState, PostOutcome, PostTrace, ShadowPm};
+use xfdetector::{
+    DetectionReport, FailurePoint, PersistState, PostOutcome, PostTrace, Pruning, ShadowPm,
+    XfConfig, XfDetector,
+};
 use xftrace::{FenceKind, FlushKind, Op, SourceLoc, Stage, TraceEntry};
 
 const BASE: u64 = 0x1000;
@@ -199,7 +210,88 @@ fn bench_scan(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(filtered(&plain)));
     });
 
+    // One check of a recorded recovery trace, its index built each time.
+    let (shadow, entries) = longest_recovery(&upload(WorkloadKind::Btree));
+    group.bench_function("check_one_shot_full_replay_btree", |b| {
+        b.iter(|| {
+            let mut report = DetectionReport::new();
+            let mut checker = shadow.begin_post(true);
+            for e in &entries {
+                checker.apply_post(e, fp, &mut report);
+            }
+            std::hint::black_box(report)
+        });
+    });
+    group.bench_function("check_one_shot_filtered_btree", |b| {
+        b.iter(|| {
+            let post = PostTrace::new(entries.clone(), false);
+            let mut report = DetectionReport::new();
+            let elided = check(
+                &shadow,
+                true,
+                fp,
+                &post,
+                &PostOutcome::Completed,
+                &mut report,
+            );
+            std::hint::black_box((elided, report))
+        });
+    });
+
     group.finish();
+}
+
+fn bench_offline(c: &mut Criterion) {
+    let mut group = c.benchmark_group("offline");
+    group.sample_size(20);
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    group.measurement_time(std::time::Duration::from_secs(2));
+    for (name, kind) in [
+        ("btree", WorkloadKind::Btree),
+        ("hashmap_tx", WorkloadKind::HashmapTx),
+        ("ctree", WorkloadKind::Ctree),
+    ] {
+        let bytes = xfstream::encode_recorded_run(&upload(kind)).expect("encode the upload");
+        group.bench_function(format!("analyze_xft_{name}_100_ops"), |b| {
+            b.iter(|| std::hint::black_box(xfstream::analyze_xft(&bytes, true).unwrap()));
+        });
+    }
+    group.finish();
+}
+
+/// `kind` at 100 ops, bug-free, recorded in batch mode under equivalence
+/// pruning: the shape of the `serve` benchmark's uploads.
+fn upload(kind: WorkloadKind) -> RecordedRun {
+    let cfg = XfConfig {
+        pruning: Pruning::Equivalence,
+        record_trace: true,
+        ..XfConfig::default()
+    };
+    let workload = xfd_workloads::build(kind, 100, BugSet::none());
+    let outcome = XfDetector::new(cfg).run(workload).expect("recording run");
+    outcome.recorded.expect("trace recorded")
+}
+
+/// The longest post-failure trace of `run` and the shadow PM as of its
+/// failure point.
+fn longest_recovery(run: &RecordedRun) -> (ShadowPm, Vec<TraceEntry>) {
+    let longest = run
+        .failure_points
+        .iter()
+        .map(|f| f.post.len())
+        .max()
+        .expect("the run has failure points");
+    let mut shadow = ShadowPm::with_domain(run.domain);
+    let mut report = DetectionReport::new();
+    for (pre, fp) in run.segments() {
+        for e in pre {
+            shadow.apply_pre(&e.to_entry(), &mut report);
+        }
+        if let Some(f) = fp.filter(|f| f.post.len() == longest) {
+            return (shadow, f.post.iter().map(|e| e.to_entry()).collect());
+        }
+    }
+    unreachable!("the longest trace belongs to a failure point")
 }
 
 /// A recovery-shaped post-failure trace of 170 entries over 13 persisted
@@ -248,5 +340,5 @@ fn replay_interval() -> Vec<TraceEntry> {
     entries
 }
 
-criterion_group!(benches, bench_scan);
+criterion_group!(benches, bench_scan, bench_offline);
 criterion_main!(benches);

@@ -194,8 +194,8 @@ impl Checker {
             Msg::FailurePoint { fp, post, .. } => {
                 self.record(fp, post.entries());
                 self.post_entries += post.entries().len() as u64;
-                self.ctl
-                    .append_fp(fp.id, fp.loc, &self.report.findings()[delta_start..]);
+                let delta = &self.report.findings()[delta_start..];
+                self.ctl.append_fp(fp.id, fp.loc, post.completes(), delta);
             }
         }
     }
@@ -333,7 +333,12 @@ impl<W: Workload, S: Sink> EngineHook for Frontend<W, S> {
             .elapsed()
             .saturating_sub(stats.fingerprint_time - fingerprinted);
         match plan {
-            Plan::Journaled => sink.send(Msg::Journaled(fp)),
+            Plan::Journaled => {
+                if self.ctl.journaled(fp.id).is_some_and(|j| j.completes) {
+                    ctx.complete_detection(); // the journaled run stopped here
+                }
+                sink.send(Msg::Journaled(fp));
+            }
             Plan::Warm(key) => {
                 let class = self.ctl.cache_peek(key).expect("planned from the cache");
                 if class.post.completes() {

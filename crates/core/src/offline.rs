@@ -4,15 +4,18 @@
 //! frontend and "can be attached to other tracing frameworks". This module
 //! makes that concrete: a detection run can record its traces into a
 //! serializable [`RecordedRun`] (enable [`crate::XfConfig::record_trace`]),
-//! which any process can later [`analyze`] — replaying the identical shadow
-//! PM computation without re-executing the program.
+//! which any process can later [`analyze`] without re-executing the
+//! program: [`replay`] checks each recorded failure point with
+//! [`plan::check`], as the live drivers do.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 use pmem::PersistDomain;
 use serde::{Deserialize, Serialize};
 use xftrace::{OwnedTraceEntry, SourceLoc, TraceEntry};
 
+use crate::plan::{self, PostOutcome, PostTrace};
 use crate::report::{DetectionReport, FailurePoint};
 use crate::shadow::ShadowPm;
 
@@ -79,14 +82,113 @@ impl RecordedRun {
                 .map(|f| f.post.len())
                 .sum::<usize>()
     }
+
+    /// The run in execution order: per failure point, the pre-failure
+    /// entries since the previous one, then the failure point; last, the
+    /// rest of the trace. `pre_len` is clamped, since a JSON recording is
+    /// outside input.
+    pub fn segments(
+        &self,
+    ) -> impl Iterator<Item = (&[OwnedTraceEntry], Option<&RecordedFailurePoint>)> {
+        let mut cursor = 0;
+        let fps = self.failure_points.iter().map(Some).chain([None]);
+        fps.map(move |fp| {
+            let end = fp.map_or(self.pre.len(), |f| f.pre_len.clamp(cursor, self.pre.len()));
+            let pre = &self.pre[cursor..end];
+            cursor = end;
+            (pre, fp)
+        })
+    }
 }
 
-/// Replays a recorded run through the shadow PM, producing the same
-/// trace-derived findings as the online engine.
+/// One event of a recorded run, in execution order.
+#[derive(Debug)]
+pub enum Event {
+    /// A pre-failure entry.
+    Pre(TraceEntry),
+    /// A failure point at the ordering point `loc`.
+    FailurePoint {
+        /// The ordering point.
+        loc: SourceLoc,
+        /// The failure point's post-failure trace.
+        post: Vec<TraceEntry>,
+    },
+}
+
+/// Replays `events` through a shadow PM under `domain`, checking each
+/// failure point with [`plan::check`] as a completed post-failure run.
+/// With `fingerprint`, each failure point's persistence fingerprint is
+/// taken before its check, as [`crate::plan::Planner::plan`] does.
 ///
 /// Post-failure execution *outcomes* (errors/panics) are not part of the
 /// trace, so [`crate::BugKind::PostFailureError`]/`PostFailurePanic`
 /// findings only appear in the online report.
+///
+/// # Errors
+///
+/// The first error in `events`; nothing is replayed past it.
+pub fn replay<E>(
+    events: impl IntoIterator<Item = Result<Event, E>>,
+    domain: PersistDomain,
+    first_read_only: bool,
+    fingerprint: bool,
+) -> Result<(DetectionReport, Option<Vec<u64>>), E> {
+    let mut shadow = ShadowPm::with_domain(domain);
+    let mut keys = fingerprint.then(|| {
+        shadow.enable_fingerprinting();
+        Vec::new()
+    });
+    let mut report = DetectionReport::new();
+    // The members of a pruned class recorded their representative's
+    // trace: sharing the latest trace of each length builds its read index
+    // once, at one comparison per failure point.
+    let mut traces: HashMap<usize, PostTrace> = HashMap::new();
+    let mut id = 0;
+    for event in events {
+        match event? {
+            Event::Pre(e) => shadow.apply_pre(&e, &mut report),
+            Event::FailurePoint { loc, post } => {
+                if let Some(keys) = keys.as_mut() {
+                    keys.push(shadow.persistence_fingerprint());
+                }
+                let fp = FailurePoint { id, loc };
+                id += 1;
+                let len = post.len();
+                if traces.get(&len).is_none_or(|t| t.entries() != post) {
+                    traces.insert(len, PostTrace::new(post, false));
+                }
+                let (trace, done) = (&traces[&len], PostOutcome::Completed);
+                plan::check(&shadow, first_read_only, fp, trace, &done, &mut report);
+            }
+        }
+    }
+    Ok((report, keys))
+}
+
+/// [`replay`] over a recorded run's [`RecordedRun::segments`].
+fn replay_run(
+    run: &RecordedRun,
+    first_read_only: bool,
+    domain: PersistDomain,
+    fingerprint: bool,
+) -> (DetectionReport, Option<Vec<u64>>) {
+    let events = run.segments().flat_map(|(pre, fp)| {
+        let pre = pre.iter().map(|e| Event::Pre(e.to_entry()));
+        pre.chain(fp.map(|f| Event::FailurePoint {
+            loc: SourceLoc {
+                file: xftrace::intern_file(&f.file),
+                line: f.line,
+            },
+            post: f.post.iter().map(OwnedTraceEntry::to_entry).collect(),
+        }))
+    });
+    let events = events.map(Ok::<_, Infallible>);
+    let Ok(replayed) = replay(events, domain, first_read_only, fingerprint);
+    replayed
+}
+
+/// Replays a recorded run through the shadow PM, producing the same
+/// trace-derived findings as the online engine; see [`replay`].
 #[must_use]
 pub fn analyze(run: &RecordedRun, first_read_only: bool) -> DetectionReport {
     analyze_in(run, first_read_only, run.domain)
@@ -101,33 +203,7 @@ pub fn analyze_in(
     first_read_only: bool,
     domain: PersistDomain,
 ) -> DetectionReport {
-    let mut report = DetectionReport::new();
-    let mut shadow = ShadowPm::with_domain(domain);
-    let mut cursor = 0usize;
-
-    for (id, rfp) in run.failure_points.iter().enumerate() {
-        let upto = rfp.pre_len.min(run.pre.len());
-        while cursor < upto {
-            shadow.apply_pre(&run.pre[cursor].to_entry(), &mut report);
-            cursor += 1;
-        }
-        let fp = FailurePoint {
-            id: id as u64,
-            loc: SourceLoc {
-                file: xftrace::intern_file(&rfp.file),
-                line: rfp.line,
-            },
-        };
-        let mut checker = shadow.begin_post(first_read_only);
-        for e in &rfp.post {
-            checker.apply_post(&e.to_entry(), fp, &mut report);
-        }
-    }
-    while cursor < run.pre.len() {
-        shadow.apply_pre(&run.pre[cursor].to_entry(), &mut report);
-        cursor += 1;
-    }
-    report
+    replay_run(run, first_read_only, domain, false).0
 }
 
 /// Equivalence-class structure of a recorded run: how the failure points
@@ -136,7 +212,7 @@ pub fn analyze_in(
 /// [`crate::Pruning::Equivalence`] would exploit on a live run — `xfd
 /// analyze --pruning` prints it so a recorded trace can be sized up
 /// without re-executing anything.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PruningCensus {
     /// Recorded failure points inspected.
     pub failure_points: u64,
@@ -147,6 +223,20 @@ pub struct PruningCensus {
 }
 
 impl PruningCensus {
+    /// The census of failure points with the class keys `keys`.
+    #[must_use]
+    pub fn of(keys: &[u64]) -> Self {
+        let mut classes: HashMap<u64, u64> = HashMap::new();
+        for &key in keys {
+            *classes.entry(key).or_insert(0) += 1;
+        }
+        PruningCensus {
+            failure_points: keys.len() as u64,
+            classes: classes.len() as u64,
+            largest_class: classes.values().copied().max().unwrap_or(0),
+        }
+    }
+
     /// Failure points per class — the post-failure execution reduction a
     /// pruned live run of the same trace would see.
     #[must_use]
@@ -163,20 +253,8 @@ impl PruningCensus {
 /// pruned live run of the same trace would compute.
 #[must_use]
 pub fn failure_point_fingerprints(run: &RecordedRun) -> Vec<u64> {
-    let mut shadow = ShadowPm::with_domain(run.domain);
-    shadow.enable_fingerprinting();
-    let mut scratch = DetectionReport::new();
-    let mut cursor = 0usize;
-    let mut keys = Vec::with_capacity(run.failure_points.len());
-    for rfp in &run.failure_points {
-        let upto = rfp.pre_len.min(run.pre.len());
-        while cursor < upto {
-            shadow.apply_pre(&run.pre[cursor].to_entry(), &mut scratch);
-            cursor += 1;
-        }
-        keys.push(shadow.persistence_fingerprint());
-    }
-    keys
+    let (_, keys) = replay_run(run, true, run.domain, true);
+    keys.expect("fingerprinted")
 }
 
 /// Computes the [`PruningCensus`] of a recorded run by replaying its
@@ -184,15 +262,7 @@ pub fn failure_point_fingerprints(run: &RecordedRun) -> Vec<u64> {
 /// recorded failure point.
 #[must_use]
 pub fn pruning_census(run: &RecordedRun) -> PruningCensus {
-    let mut classes: HashMap<u64, u64> = HashMap::new();
-    for key in failure_point_fingerprints(run) {
-        *classes.entry(key).or_insert(0) += 1;
-    }
-    PruningCensus {
-        failure_points: run.failure_points.len() as u64,
-        classes: classes.len() as u64,
-        largest_class: classes.values().copied().max().unwrap_or(0),
-    }
+    PruningCensus::of(&failure_point_fingerprints(run))
 }
 
 #[cfg(test)]
@@ -200,6 +270,7 @@ mod tests {
     use super::*;
     use crate::{Workload, XfConfig, XfDetector};
     use pmem::PmCtx;
+    use xftrace::{Op, Stage};
 
     /// Unpersisted publish: one reliable race.
     struct Racy;
@@ -281,6 +352,91 @@ mod tests {
     fn empty_run_analyzes_cleanly() {
         let report = analyze(&RecordedRun::default(), true);
         assert!(report.is_empty());
+    }
+
+    /// A run of `pre` pre-failure entries (each entry's line is its index)
+    /// and one failure point per `pre_lens` element (line `100 + i`).
+    fn run_with_pre_lens(pre: u32, pre_lens: &[usize]) -> RecordedRun {
+        let entry = |line| OwnedTraceEntry {
+            op: Op::Write { addr: 0, size: 8 },
+            file: "w.rs".to_owned(),
+            line,
+            tid: 0,
+            stage: Stage::Pre,
+            internal: false,
+            checked: true,
+        };
+        RecordedRun {
+            pre: (0..pre).map(entry).collect(),
+            failure_points: pre_lens
+                .iter()
+                .zip(100..)
+                .map(|(&pre_len, line)| RecordedFailurePoint {
+                    pre_len,
+                    file: "w.rs".to_owned(),
+                    line,
+                    post: Vec::new(),
+                })
+                .collect(),
+            ..RecordedRun::default()
+        }
+    }
+
+    /// The walk as line numbers: pre entries by index, failure points as
+    /// `100 + i`.
+    fn walk(run: &RecordedRun) -> Vec<u32> {
+        run.segments()
+            .flat_map(|(pre, fp)| pre.iter().map(|e| e.line).chain(fp.map(|f| f.line)))
+            .collect()
+    }
+
+    #[test]
+    fn the_walk_interleaves_failure_points_by_pre_len() {
+        let run = run_with_pre_lens(4, &[1, 3, 3]);
+        assert_eq!(walk(&run), [0, 100, 1, 2, 101, 102, 3]);
+        assert_eq!(walk(&RecordedRun::default()), [0u32; 0]);
+    }
+
+    #[test]
+    fn the_walk_tolerates_decreasing_and_oversize_pre_len() {
+        // A failure point whose `pre_len` falls below an earlier one fires
+        // at once, and one past the trace fires after all of it.
+        let run = run_with_pre_lens(4, &[2, 1, 9, 0]);
+        assert_eq!(walk(&run), [0, 1, 100, 101, 2, 3, 102, 103]);
+        let run = run_with_pre_lens(2, &[usize::MAX]);
+        assert_eq!(walk(&run), [0, 1, 100]);
+        // Every entry and failure point appears exactly once.
+        let run = run_with_pre_lens(3, &[3, 0, 7, 1]);
+        assert_eq!(walk(&run).len(), 3 + 4);
+        assert!(analyze(&run, true).is_empty());
+    }
+
+    #[test]
+    fn traces_of_one_length_are_shared_only_when_equal() {
+        // An unpersisted store at 0, then two failure points whose
+        // one-entry recoveries read an untouched word and the store.
+        let mut run = run_with_pre_lens(1, &[1, 1]);
+        for (f, addr) in run.failure_points.iter_mut().zip([64, 0]) {
+            f.post = vec![OwnedTraceEntry {
+                op: Op::Read { addr, size: 8 },
+                stage: Stage::Post,
+                ..run.pre[0].clone()
+            }];
+        }
+        let report = analyze(&run, true);
+        assert_eq!(report.race_count(), 1, "{report}");
+        assert_eq!(report.findings()[0].failure_point.map(|fp| fp.id), Some(1));
+    }
+
+    #[test]
+    fn a_fingerprinted_replay_reports_what_a_plain_one_does() {
+        let (_online, recorded) = recorded_run();
+        let (report, keys) = replay_run(&recorded, true, recorded.domain, true);
+        assert_eq!(keys.map(|k| k.len()), Some(recorded.failure_points.len()));
+        assert_eq!(
+            serde_json::to_string(&report).unwrap(),
+            serde_json::to_string(&analyze(&recorded, true)).unwrap()
+        );
     }
 
     #[test]

@@ -265,7 +265,8 @@ pub fn check(
 #[derive(Debug)]
 pub enum Plan<H> {
     /// A resumed journal recorded the failure point: merge its report
-    /// delta ([`RunCtl::journaled`]) verbatim and run nothing.
+    /// delta ([`RunCtl::journaled`]) verbatim and run nothing, then stop
+    /// if its run requested `completeDetection`.
     Journaled,
     /// A previous run executed the failure point's class: replay the
     /// class cache's trace for this key against this failure point's own

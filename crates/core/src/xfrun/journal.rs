@@ -18,20 +18,22 @@
 //! ```text
 //! header  := "XFJ1" version:u8 fingerprint:string
 //! record  := tag:u8 payload_len:varint payload checksum:varint
-//! FP_DONE := 0x01, payload = fp_id file line n_findings finding*
+//! FP_DONE := 0x01, payload = fp_id file line fp_flags:u8 n_findings finding*
 //! END     := 0xFF, payload = total_failure_points
 //! finding := kind:u8 addr size flags:u8 [reader] [writer] [fp] [message]
 //! loc     := file line      fp := id loc
 //! ```
 //!
 //! The `flags` byte marks which optional fields follow (bit 0 reader,
-//! bit 1 writer, bit 2 failure point, bit 3 message). Records are length
-//! framed, so a reader tolerates a torn tail — a run killed mid-append
-//! loses at most the record being written. Each record carries an FNV-1a
-//! checksum of its payload (format version 2): findings journaled records
-//! are merged into the final report *verbatim*, so silent single-byte
-//! corruption would flow straight into the report — a checksum mismatch
-//! is rejected as [`XfError::Journal`] instead. The fingerprint binds the
+//! bit 1 writer, bit 2 failure point, bit 3 message); `fp_flags` bit 0
+//! marks a failure point that requested `completeDetection` (format
+//! version 3). Records are length framed, so a reader tolerates a torn
+//! tail — a run killed mid-append loses at most the record being written.
+//! Each record carries an FNV-1a checksum of its payload (format version
+//! 2): findings journaled records are merged into the final report
+//! *verbatim*, so silent single-byte corruption would flow straight into
+//! the report — a checksum mismatch is rejected as [`XfError::Journal`]
+//! instead. The fingerprint binds the
 //! journal to the workload and to every configuration axis that affects
 //! the report; `max_failure_points` is deliberately excluded so a capped
 //! (killed-early) run can be resumed under the full configuration.
@@ -50,7 +52,7 @@ use crate::error::XfError;
 use crate::report::{BugKind, FailurePoint, Finding};
 
 const MAGIC: &[u8; 4] = b"XFJ1";
-const VERSION: u8 = 2;
+const VERSION: u8 = 3;
 const REC_FP_DONE: u8 = 0x01;
 const REC_END: u8 = 0xFF;
 
@@ -58,6 +60,8 @@ const FLAG_READER: u8 = 1 << 0;
 const FLAG_WRITER: u8 = 1 << 1;
 const FLAG_FAILURE_POINT: u8 = 1 << 2;
 const FLAG_MESSAGE: u8 = 1 << 3;
+
+const FP_COMPLETES: u8 = 1 << 0;
 
 /// Stable on-disk code for a [`BugKind`] (independent of declaration
 /// order, so reordering the enum cannot silently corrupt old journals).
@@ -135,6 +139,9 @@ pub struct JournalFp {
     pub file: String,
     /// Source line of the ordering point.
     pub line: u32,
+    /// Whether the failure point's post-failure run requested
+    /// `completeDetection`.
+    pub completes: bool,
     /// The findings the report accepted while processing this failure
     /// point, in acceptance order.
     pub findings: Vec<Finding>,
@@ -276,16 +283,19 @@ impl JournalWriter {
         self.w.flush()
     }
 
-    /// Appends a completed failure point and its report delta.
+    /// Appends a completed failure point, whether its post-failure run
+    /// requested `completeDetection`, and its report delta.
     pub(crate) fn record_fp(
         &mut self,
         id: u64,
         loc: SourceLoc,
+        completes: bool,
         findings: &[Finding],
     ) -> io::Result<()> {
         let mut payload = Vec::with_capacity(64);
         write_varint(&mut payload, id).expect("vec write");
         write_loc(&mut payload, loc);
+        payload.push(if completes { FP_COMPLETES } else { 0 });
         write_varint(&mut payload, findings.len() as u64).expect("vec write");
         for f in findings {
             encode_finding(&mut payload, f);
@@ -391,6 +401,8 @@ fn parse_fp(r: &mut &[u8]) -> io::Result<JournalFp> {
     let file = read_string(r)?;
     let line = u32::try_from(read_varint(r)?)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "line number overflow"))?;
+    let mut fp_flags = [0u8];
+    r.read_exact(&mut fp_flags)?;
     let n = read_varint(r)?;
     if n > 1 << 20 {
         return Err(io::Error::new(
@@ -406,6 +418,7 @@ fn parse_fp(r: &mut &[u8]) -> io::Result<JournalFp> {
         id,
         file,
         line,
+        completes: fp_flags[0] & FP_COMPLETES != 0,
         findings,
     })
 }
@@ -472,6 +485,7 @@ mod tests {
                 file: "w.rs",
                 line: 4,
             },
+            false,
             &[sample_finding(10), outcome_finding.clone()],
         )
         .unwrap();
@@ -481,6 +495,7 @@ mod tests {
                 file: "w.rs",
                 line: 5,
             },
+            true,
             &[],
         )
         .unwrap();
@@ -500,6 +515,22 @@ mod tests {
             serde_json::to_string(&vec![sample_finding(10), outcome_finding]).unwrap(),
         );
         assert!(c.fps[&1].findings.is_empty());
+        assert_eq!((fp0.completes, c.fps[&1].completes), (false, true));
+    }
+
+    #[test]
+    fn version_2_journals_are_rejected() {
+        let path = tmp("v2");
+        JournalWriter::create(&path, "fp=old").unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4] = 2;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = read_journal(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(
+            matches!(&err, XfError::Journal(m) if m.contains("version 2")),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -512,6 +543,7 @@ mod tests {
                 file: "a.rs",
                 line: 1,
             },
+            false,
             &[sample_finding(2)],
         )
         .unwrap();
@@ -521,6 +553,7 @@ mod tests {
                 file: "a.rs",
                 line: 2,
             },
+            false,
             &[sample_finding(3)],
         )
         .unwrap();
@@ -549,6 +582,7 @@ mod tests {
                 file: "a.rs",
                 line: 1,
             },
+            false,
             &[sample_finding(2)],
         )
         .unwrap();
@@ -593,6 +627,7 @@ mod tests {
                 file: "a.rs",
                 line: 1,
             },
+            false,
             &[],
         )
         .unwrap();
@@ -604,6 +639,7 @@ mod tests {
                 file: "a.rs",
                 line: 2,
             },
+            false,
             &[],
         )
         .unwrap();

@@ -150,18 +150,19 @@ impl RunCtl {
         self.skip.as_ref()?.get(&id)
     }
 
-    /// Appends a completed failure point and its report delta to the
+    /// Appends a completed failure point, whether its post-failure run
+    /// requested `completeDetection`, and its report delta to the
     /// journal (no-op without one). Write failures are latched and
     /// surfaced when the session finishes — the engine run itself is
     /// never interrupted by a journaling problem.
-    pub fn append_fp(&self, id: u64, loc: SourceLoc, findings: &[Finding]) {
+    pub fn append_fp(&self, id: u64, loc: SourceLoc, completes: bool, findings: &[Finding]) {
         let Some(journal) = &self.journal else { return };
         let Ok(mut cell) = journal.lock() else { return };
         if cell.error.is_some() {
             return;
         }
         if let Some(w) = cell.writer.as_mut() {
-            if let Err(e) = w.record_fp(id, loc, findings) {
+            if let Err(e) = w.record_fp(id, loc, completes, findings) {
                 cell.error = Some(e);
                 cell.writer = None;
             }

@@ -32,17 +32,18 @@
 //!
 //! [`XftWriter`] streams entry-by-entry, so a recorded run never has to be
 //! fully resident while it is written. Every trace is decoded by
-//! [`XftMmapReader`], a bounds-checked cursor over the loaded bytes, and
-//! [`analyze_xft`] runs the detection backend directly off it, mirroring
-//! [`xfdetector::offline::analyze`].
+//! [`XftMmapReader`], a bounds-checked cursor over the loaded bytes. Its
+//! [`XftMmapReader::events`] groups each failure point with its
+//! post-failure entries: [`read_recorded_run`] collects those events, and
+//! [`analyze_xft`] feeds them to the offline backend as they decode.
 
 use std::fmt;
 use std::io::{self, Write};
 use std::path::Path;
 
 use pmem::PersistDomain;
-use xfdetector::offline::{RecordedFailurePoint, RecordedRun};
-use xfdetector::{DetectionReport, FailurePoint, ShadowPm};
+use xfdetector::offline::{self, Event, RecordedFailurePoint, RecordedRun};
+use xfdetector::DetectionReport;
 use xftrace::codec::{DecodeError, EntryCursor, EntryWriter, REC_POST, REC_PRE};
 use xftrace::varint::{write_str, write_varint};
 use xftrace::{OwnedTraceEntry, SourceLoc, TraceEntry};
@@ -531,11 +532,59 @@ impl<B: AsRef<[u8]>> XftMmapReader<B> {
             other => Err(XftError::Corrupt(format!("unknown record tag {other:#x}"))),
         }
     }
+
+    /// The rest of the trace as the [`Event`]s
+    /// [`xfdetector::offline::replay`] consumes: each failure point grouped
+    /// with its post-failure entries.
+    pub fn events(mut self) -> impl Iterator<Item = Result<Event, XftError>> {
+        // The event read past a failure point's trace, and the longest
+        // trace so far: each trace decodes into one allocation.
+        let (mut pending, mut longest) = (None, 0);
+        std::iter::from_fn(move || self.grouped(&mut pending, &mut longest).transpose())
+    }
+
+    #[inline]
+    fn grouped(
+        &mut self,
+        pending: &mut Option<XftRefEvent>,
+        longest: &mut usize,
+    ) -> Result<Option<Event>, XftError> {
+        let Some(ev) = pending
+            .take()
+            .map_or_else(|| self.next_event(), |ev| Ok(Some(ev)))?
+        else {
+            return Ok(None);
+        };
+        Ok(Some(match ev {
+            XftRefEvent::Pre(e) => Event::Pre(e),
+            XftRefEvent::FailurePoint { file, line } => {
+                let mut post = Vec::with_capacity(*longest);
+                loop {
+                    match self.next_event()? {
+                        Some(XftRefEvent::Post(e)) => post.push(e),
+                        other => {
+                            *pending = other;
+                            break;
+                        }
+                    }
+                }
+                *longest = (*longest).max(post.len());
+                Event::FailurePoint {
+                    loc: SourceLoc { file, line },
+                    post,
+                }
+            }
+            XftRefEvent::Post(_) => {
+                return Err(XftError::Corrupt(
+                    "post-failure entry before any failure point".into(),
+                ))
+            }
+        }))
+    }
 }
 
-/// Encodes a complete [`RecordedRun`] (counts go into the header). Pre
-/// entries are interleaved with their failure points by `pre_len`, so the
-/// on-disk order is execution order.
+/// Encodes a complete [`RecordedRun`] (counts go into the header), in the
+/// execution order of [`RecordedRun::segments`].
 ///
 /// # Errors
 ///
@@ -543,21 +592,16 @@ impl<B: AsRef<[u8]>> XftMmapReader<B> {
 pub fn write_recorded_run<W: Write>(w: W, run: &RecordedRun) -> Result<W, XftError> {
     let counts = (run.entry_count() as u64, run.failure_points.len() as u64);
     let mut wr = XftWriter::new(w, Some(counts), run.threads, &run.schedule, run.domain)?;
-    let mut cursor = 0usize;
-    for rfp in &run.failure_points {
-        let upto = rfp.pre_len.min(run.pre.len());
-        while cursor < upto {
-            wr.write_pre(&run.pre[cursor])?;
-            cursor += 1;
+    for (pre, fp) in run.segments() {
+        for e in pre {
+            wr.write_pre(e)?;
         }
-        wr.begin_failure_point(&rfp.file, rfp.line)?;
-        for e in &rfp.post {
-            wr.write_post(e)?;
+        if let Some(rfp) = fp {
+            wr.begin_failure_point(&rfp.file, rfp.line)?;
+            for e in &rfp.post {
+                wr.write_post(e)?;
+            }
         }
-    }
-    while cursor < run.pre.len() {
-        wr.write_pre(&run.pre[cursor])?;
-        cursor += 1;
     }
     wr.finish()
 }
@@ -578,88 +622,39 @@ pub fn encode_recorded_run(run: &RecordedRun) -> Result<Vec<u8>, XftError> {
 /// Any decode error; post-failure entries before the first failure point
 /// are [`XftError::Corrupt`].
 pub fn read_recorded_run(bytes: &[u8]) -> Result<RecordedRun, XftError> {
-    let mut reader = XftMmapReader::from_bytes(bytes)?;
+    let reader = XftMmapReader::from_bytes(bytes)?;
     let mut run = RecordedRun {
         threads: reader.header.threads,
         schedule: reader.header.schedule.clone(),
         domain: reader.header.domain,
         ..RecordedRun::default()
     };
-    while let Some(ev) = reader.next_event()? {
-        match ev {
-            XftRefEvent::Pre(e) => run.pre.push(e.into()),
-            XftRefEvent::FailurePoint { file, line } => {
-                run.failure_points.push(RecordedFailurePoint {
-                    pre_len: run.pre.len(),
-                    file: file.to_owned(),
-                    line,
-                    post: Vec::new(),
-                });
+    for event in reader.events() {
+        match event? {
+            Event::Pre(e) => run.pre.push(e.into()),
+            Event::FailurePoint { loc, post } => {
+                run.failure_points
+                    .push(RecordedFailurePoint::new(run.pre.len(), loc, &post));
             }
-            XftRefEvent::Post(e) => match run.failure_points.last_mut() {
-                Some(fp) => fp.post.push(e.into()),
-                None => return Err(post_before_failure_point()),
-            },
         }
     }
     Ok(run)
 }
 
-fn post_before_failure_point() -> XftError {
-    XftError::Corrupt("post-failure entry before any failure point".into())
-}
-
-/// Runs the detection backend directly off an `.xft` buffer — the
-/// file-driven form of [`xfdetector::offline::analyze`], with the same
-/// findings in the same order. Entries stream through the shadow PM as
-/// they decode; no [`RecordedRun`] is ever built. The shadow PM checks
-/// under the domain stamped in the trace header.
+/// Runs the detection backend directly off an `.xft` buffer: the trace's
+/// events go through [`xfdetector::offline::replay`] as they decode, under
+/// the domain stamped in the trace header, so the findings equal
+/// [`xfdetector::offline::analyze`]'s on the decoded run. No
+/// [`RecordedRun`] is ever built.
 ///
 /// # Errors
 ///
 /// Any decode error.
 pub fn analyze_xft(bytes: &[u8], first_read_only: bool) -> Result<DetectionReport, XftError> {
-    let mut reader = XftMmapReader::from_bytes(bytes)?;
-    let mut report = DetectionReport::new();
-    let mut shadow = ShadowPm::with_domain(reader.header.domain);
-    let mut fp_id = 0u64;
-    let mut pending = reader.next_event()?;
-    while let Some(ev) = pending.take() {
-        match ev {
-            XftRefEvent::Pre(e) => {
-                shadow.apply_pre(&e, &mut report);
-                pending = reader.next_event()?;
-            }
-            XftRefEvent::FailurePoint { file, line } => {
-                let fp = FailurePoint {
-                    id: fp_id,
-                    loc: SourceLoc { file, line },
-                };
-                fp_id += 1;
-                let mut checker = shadow.begin_post(first_read_only);
-                loop {
-                    match reader.next_event()? {
-                        Some(XftRefEvent::Post(e)) => checker.apply_post(&e, fp, &mut report),
-                        other => {
-                            pending = other;
-                            break;
-                        }
-                    }
-                }
-            }
-            XftRefEvent::Post(_) => return Err(post_before_failure_point()),
-        }
-    }
+    let reader = XftMmapReader::from_bytes(bytes)?;
+    let domain = reader.header.domain;
+    let (report, _) = offline::replay(reader.events(), domain, first_read_only, false)?;
     Ok(report)
-}
-
-/// [`analyze_xft`] on the file at `path`, loaded whole.
-///
-/// # Errors
-///
-/// Any decode or I/O error.
-pub fn analyze_xft_path(path: &Path, first_read_only: bool) -> Result<DetectionReport, XftError> {
-    analyze_xft(&std::fs::read(path)?, first_read_only)
 }
 
 #[cfg(test)]
@@ -910,32 +905,40 @@ mod tests {
     }
 
     #[test]
-    fn analyze_by_path_matches_analyze_and_errors_on_missing_files() {
+    fn a_trace_file_opens_and_a_missing_one_is_not_found() {
         let bytes = encode_recorded_run(&sample_run()).unwrap();
         let mut path = std::env::temp_dir();
-        path.push(format!("xft-analyze-path-{}.xft", std::process::id()));
+        path.push(format!("xft-open-{}.xft", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
-
-        let in_memory = analyze_xft(&bytes, true).unwrap();
-        let by_path = analyze_xft_path(&path, true).unwrap();
-        assert_eq!(
-            serde_json::to_string(&in_memory).unwrap(),
-            serde_json::to_string(&by_path).unwrap()
-        );
         assert_eq!(
             XftMmapReader::open(&path).unwrap().header().version,
             VERSION
         );
         std::fs::remove_file(&path).ok();
-        for err in [
-            analyze_xft_path(&path, true).unwrap_err(),
-            XftMmapReader::open(&path).unwrap_err(),
-        ] {
-            assert!(
-                matches!(&err, XftError::Io(e) if e.kind() == io::ErrorKind::NotFound),
-                "{err}"
-            );
-        }
+        let err = XftMmapReader::open(&path).unwrap_err();
+        assert!(
+            matches!(&err, XftError::Io(e) if e.kind() == io::ErrorKind::NotFound),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn events_group_each_failure_point_with_its_trace() {
+        let run = sample_run();
+        let bytes = encode_recorded_run(&run).unwrap();
+        let events: Vec<Event> = XftMmapReader::from_bytes(&bytes[..])
+            .unwrap()
+            .events()
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let shape: Vec<usize> = events
+            .iter()
+            .map(|e| match e {
+                Event::Pre(_) => 0,
+                Event::FailurePoint { post, .. } => 1 + post.len(),
+            })
+            .collect();
+        assert_eq!(shape, [0, 0, 0, 2, 0, 0, 0]);
     }
 
     #[test]

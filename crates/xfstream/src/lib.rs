@@ -30,8 +30,8 @@ pub mod codec;
 pub mod repro;
 
 pub use codec::{
-    analyze_xft, analyze_xft_path, encode_recorded_run, read_recorded_run, write_recorded_run,
-    XftError, XftHeader, XftMmapReader, XftRefEvent, XftWriter,
+    analyze_xft, encode_recorded_run, read_recorded_run, write_recorded_run, XftError, XftHeader,
+    XftMmapReader, XftRefEvent, XftWriter,
 };
 pub use repro::write_repro_artifacts;
 pub use xfdetector::spsc::channel;

@@ -41,7 +41,7 @@ use serde::Serialize;
 use xfd::workloads::bugs::{BugId, BugSet, WorkloadKind};
 use xfd::workloads::{build_concurrent, build_with_init, validation_ops};
 use xfd::xfdetector::jobspec::{parse_domain, parse_mode, parse_pruning, parse_schedule};
-use xfd::xfdetector::offline::{self, pruning_census};
+use xfd::xfdetector::offline::{self, PruningCensus};
 use xfd::xfdetector::{
     BugKind, ConfigError, DetectionReport, JobSpec, Mode, Progress, RunOutcome, RunStats, Session,
     XfError,
@@ -174,8 +174,8 @@ CONFIG FLAGS (detector axes; defaults reproduce the paper's setup):
                           classes and run one representative post-failure
                           execution per class (reports stay byte-identical;
                           sampled re-executes an audit fraction of class
-                          hits). With `analyze`, prints the trace's
-                          equivalence-class census instead
+                          hits). With `analyze`, also prints the trace's
+                          equivalence-class census
     --domain MODEL        adr | eadr | cxl:WINDOW — the platform persistence
                           domain findings are classified under (default adr).
                           eadr treats dirty cache lines as persisted at the
@@ -661,38 +661,35 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, XfError> {
     let o = parse_work_opts(&rest)?;
     let cfg = o.spec.config()?;
 
-    // The trace is loaded once. Without `--pruning` it streams straight
-    // through the detection backend as it decodes; with it, it decodes
-    // once into a recorded run that both the backend and the census read:
-    // the census fingerprints the persistence state at every recorded
-    // failure point and reports how the trace collapses into equivalence
+    // One pass over the trace as it decodes: each failure point is checked
+    // by the detection backend and, with `--pruning`, fingerprinted first,
+    // so the census reports how the trace collapses into equivalence
     // classes — the reduction a pruned live run would see.
     let bytes = fs::read(&path).map_err(|e| io_at(&path, e))?;
-    let (report, census) = if cfg.pruning.is_enabled() {
-        let run = xfstream::read_recorded_run(&bytes).map_err(|e| codec_at(&path, e))?;
-        (
-            offline::analyze(&run, cfg.first_read_only),
-            Some(pruning_census(&run)),
-        )
-    } else {
-        let report =
-            xfstream::analyze_xft(&bytes, cfg.first_read_only).map_err(|e| codec_at(&path, e))?;
-        (report, None)
-    };
+    let reader = XftMmapReader::from_bytes(&bytes[..]).map_err(|e| codec_at(&path, e))?;
+    let domain = reader.header().domain;
+    let (report, keys) = offline::replay(
+        reader.events(),
+        domain,
+        cfg.first_read_only,
+        cfg.pruning.is_enabled(),
+    )
+    .map_err(|e| codec_at(&path, e))?;
+    let census = keys.as_deref().map(PruningCensus::of);
 
     #[derive(Serialize)]
     struct AnalyzeOut {
         report: DetectionReport,
-        pruning_census: xfd::xfdetector::offline::PruningCensus,
+        pruning_census: PruningCensus,
     }
     let json = match &census {
-        None => serde_json::to_string(&report).map_err(json_err)?,
+        None => serde_json::to_string(&report),
         Some(c) => serde_json::to_string(&AnalyzeOut {
             report: report.clone(),
             pruning_census: c.clone(),
-        })
-        .map_err(json_err)?,
-    };
+        }),
+    }
+    .map_err(json_err)?;
     if let Some(out) = &o.out {
         write_file(out, json.as_bytes())?;
     }

@@ -243,7 +243,7 @@ fn streaming_pipeline_matches_every_configuration_byte_for_byte() {
     // byte-identical report — and the byte-identical recorded run — of the
     // sequential engine.
     use xfd::xfdetector::{run_pipelined, StreamOptions};
-    use xfd::xfstream::{analyze_xft, analyze_xft_path, encode_recorded_run};
+    use xfd::xfstream::{analyze_xft, encode_recorded_run};
 
     for persist_data in [true, false] {
         let w = Publish { persist_data };
@@ -293,7 +293,9 @@ fn streaming_pipeline_matches_every_configuration_byte_for_byte() {
                             cfg.dedup_images
                         ));
                         std::fs::write(&path, &bytes).unwrap();
-                        let from_file = analyze_xft_path(&path, cfg.first_read_only).unwrap();
+                        let from_file =
+                            analyze_xft(&std::fs::read(&path).unwrap(), cfg.first_read_only)
+                                .unwrap();
                         std::fs::remove_file(&path).ok();
                         assert_eq!(
                             serde_json::to_string(&from_file).unwrap(),

@@ -10,9 +10,9 @@
 
 use xfd::workloads::bugs::{BugId, BugSet, WorkloadKind};
 use xfd::workloads::{build, validation_ops};
-use xfd::xfdetector::offline::{analyze, RecordedRun};
+use xfd::xfdetector::offline::{analyze, pruning_census, replay, PruningCensus, RecordedRun};
 use xfd::xfdetector::{BugCategory, DetectionReport, Finding, XfConfig, XfDetector};
-use xfd::xfstream::{analyze_xft, encode_recorded_run, read_recorded_run};
+use xfd::xfstream::{analyze_xft, encode_recorded_run, read_recorded_run, XftMmapReader};
 
 /// The online findings a trace replay can reproduce: everything except the
 /// post-failure execution outcomes.
@@ -65,6 +65,24 @@ fn assert_parity(kind: WorkloadKind, ops: u64, bugs: BugSet, cfg: &XfConfig, lab
         serde_json::to_string(&recorded).unwrap(),
         serde_json::to_string(&back).unwrap(),
         ".xft round trip lost information ({label})"
+    );
+
+    // `xfd analyze --pruning` makes one pass: it fingerprints each failure
+    // point as it decodes, then checks it. Its census is the decoded run's
+    // and its report the plain analysis's.
+    let reader = XftMmapReader::from_bytes(&bytes[..]).expect("header decodes");
+    let domain = reader.header().domain;
+    let (report, keys) =
+        replay(reader.events(), domain, cfg.first_read_only, true).expect("decoding succeeds");
+    assert_eq!(
+        keys.as_deref().map(PruningCensus::of),
+        Some(pruning_census(&back)),
+        "one-pass census ({label})"
+    );
+    assert_eq!(
+        serde_json::to_string(&report).unwrap(),
+        serde_json::to_string(&from_xft).unwrap(),
+        "a fingerprinted pass changed the report ({label})"
     );
 }
 

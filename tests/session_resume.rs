@@ -344,3 +344,89 @@ fn resume_preserves_budget_overrun_findings() {
     assert_eq!(report_json(&reference), report_json(&outcome));
     assert!(outcome.report.execution_failure_count() >= 1);
 }
+
+/// Six slots persisted one by one after an unpersisted word. Recovery
+/// reads the word (a race at every failure point) and requests
+/// `completeDetection` (Table 2) once three slots are written, so an
+/// uninterrupted run stops at its third failure point.
+#[derive(Clone, Copy)]
+struct StopsAtThirdSlot;
+
+impl Workload for StopsAtThirdSlot {
+    fn name(&self) -> &str {
+        "session-resume-completing"
+    }
+    fn pool_size(&self) -> u64 {
+        4096
+    }
+    fn setup(&self, _ctx: &mut PmCtx) -> Result<(), DynError> {
+        Ok(())
+    }
+    fn pre_failure(&self, ctx: &mut PmCtx) -> Result<(), DynError> {
+        let a = ctx.pool().base();
+        ctx.write_u64(a + 1024, 1)?;
+        for i in 0..6 {
+            ctx.write_u64(a + i * 64, i + 1)?;
+            ctx.persist_barrier(a + i * 64, 8)?;
+        }
+        Ok(())
+    }
+    fn post_failure(&self, ctx: &mut PmCtx) -> Result<(), DynError> {
+        let a = ctx.pool().base();
+        let _ = ctx.read_u64(a + 1024)?;
+        let mut written = 0;
+        for i in 0..6 {
+            written += u64::from(ctx.read_u64(a + i * 64)? != 0);
+        }
+        if written >= 3 {
+            ctx.complete_detection();
+        }
+        Ok(())
+    }
+}
+
+/// Resuming the journal of a run that `completeDetection` stopped stops
+/// at the same failure point: the same report byte for byte, the same
+/// failure points, all of them journaled, and no post-failure run.
+#[test]
+fn resuming_a_completed_run_stops_where_it_completed() {
+    let reference = session()
+        .build()
+        .unwrap()
+        .run(StopsAtThirdSlot, Mode::Batch)
+        .unwrap();
+    let fps = reference.stats.failure_points;
+    assert_eq!(fps, 3, "{:?}", reference.stats);
+    assert!(reference.report.race_count() >= 1, "{}", reference.report);
+    for mode in [Mode::Batch, Mode::Stream, Mode::Parallel] {
+        let path = journal_path(&format!("completing-{}", mode.name()));
+        std::fs::remove_file(&path).ok();
+        let journaled = session()
+            .journal(&path)
+            .build()
+            .unwrap()
+            .run(StopsAtThirdSlot, mode)
+            .unwrap();
+        assert_eq!(report_json(&journaled), report_json(&reference));
+        let resumed = session()
+            .resume(&path)
+            .build()
+            .unwrap()
+            .run(StopsAtThirdSlot, mode)
+            .unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            report_json(&resumed),
+            report_json(&reference),
+            "{}: a resumed completed run must reproduce its report",
+            mode.name()
+        );
+        let s = &resumed.stats;
+        assert_eq!(
+            (s.failure_points, s.journal_skipped, s.post_runs),
+            (fps, fps, 0),
+            "{}: {s:?}",
+            mode.name()
+        );
+    }
+}
