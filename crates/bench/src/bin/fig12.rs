@@ -12,7 +12,7 @@
 
 use xfd_bench::{
     geo_mean, run_baseline, run_concurrent_detection, run_detection, run_detection_with,
-    run_parallel_detection, run_streaming_detection, secs, trace_sizes, Baseline,
+    run_streaming_detection, secs, trace_sizes, Baseline,
 };
 use xfd_workloads::bugs::{BugSet, WorkloadKind};
 use xfd_workloads::{all_workloads, build, concurrent_workloads};
@@ -131,20 +131,16 @@ fn main() {
     }
 
     println!();
-    println!("Hot-path counters: work-stealing dispatch, lock-free stream ring");
+    println!("Hot-path counters: lock-free stream ring");
     println!(
-        "{:<16} {:>10} {:>11} {:>11} {:>9}",
-        "workload", "stolen@4w", "ring-spins", "ring-parks", "batches"
+        "{:<16} {:>11} {:>11} {:>9}",
+        "workload", "ring-spins", "ring-parks", "batches"
     );
     for kind in [WorkloadKind::Btree, WorkloadKind::HashmapTx] {
-        // Stolen jobs come from the 4-worker parallel dispatch, ring
-        // counters from the streaming pipeline's FIFO.
-        let par = run_parallel_detection(kind, OPS, XfConfig::default(), 4).stats;
         let stream = run_streaming_detection(kind, OPS, XfConfig::default()).stats;
         println!(
-            "{:<16} {:>10} {:>11} {:>11} {:>9}",
+            "{:<16} {:>11} {:>11} {:>9}",
             kind.to_string(),
-            par.jobs_stolen,
             stream.ring_spins,
             stream.ring_parks,
             stream.stream_batches,

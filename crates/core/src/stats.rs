@@ -116,10 +116,6 @@ pub struct RunStats {
     /// Times a ring side exhausted its spin budget and parked its thread
     /// until the other side woke it.
     pub ring_parks: u64,
-    /// Failure-point jobs a parallel worker claimed outside its static
-    /// round-robin share — the work the atomic claim index let idle workers
-    /// steal from slow ones (zero for sequential and streaming runs).
-    pub jobs_stolen: u64,
     /// Concrete schedule plans explored by a concurrent run
     /// ([`Session::run_concurrent`]): 1 for `rr`/`seed:N`, `threads^K` for
     /// `exhaustive:K`, and 0 for plain single-workload runs.
@@ -258,7 +254,6 @@ mod tests {
         assert!(json.contains("pruning_ratio"), "{json}");
         assert!(json.contains("ring_spins"), "{json}");
         assert!(json.contains("ring_parks"), "{json}");
-        assert!(json.contains("jobs_stolen"), "{json}");
         assert!(json.contains("schedules_explored"), "{json}");
         assert!(json.contains("cross_thread_findings"), "{json}");
         assert!(json.contains("cache_hits"), "{json}");

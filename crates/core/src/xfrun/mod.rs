@@ -799,7 +799,6 @@ fn add_stats(acc: &mut RunStats, o: &RunStats) {
     acc.stream_stall_time += o.stream_stall_time;
     acc.ring_spins += o.ring_spins;
     acc.ring_parks += o.ring_parks;
-    acc.jobs_stolen += o.jobs_stolen;
     acc.total_time += o.total_time;
     acc.post_exec_time += o.post_exec_time;
     acc.detect_time += o.detect_time;

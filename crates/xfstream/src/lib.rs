@@ -16,8 +16,8 @@
 //! - [`repro`] — [`write_repro_artifacts`], which exports failing failure
 //!   points as standalone `.xft` repro traces.
 //!
-//! [`session`], [`channel`] and [`run_pipelined`] are aliases of their
-//! `xfdetector` originals, kept for existing callers.
+//! [`session`] and [`channel`] are aliases of their `xfdetector`
+//! originals, kept for the benchmark harness, which still calls them.
 //!
 //! The `xfd` CLI binary wires these together: `xfd record` writes `.xft`
 //! traces, `xfd analyze` replays them through the offline backend, and
@@ -35,7 +35,6 @@ pub use codec::{
 };
 pub use repro::write_repro_artifacts;
 pub use xfdetector::spsc::channel;
-pub use xfdetector::{run_pipelined, StreamOptions};
 
 /// [`xfdetector::Session::builder`]: every session runs all three modes.
 #[must_use]

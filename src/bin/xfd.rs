@@ -618,8 +618,8 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, XfError> {
     xfstream::write_recorded_run(BufWriter::new(file), run).map_err(|e| codec_at(&out, e))?;
     let xft_bytes = fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
 
-    let json = serde_json::to_string(run).map_err(json_err)?;
     if let Some(path) = &o.json_trace {
+        let json = serde_json::to_string(run).map_err(json_err)?;
         write_file(path, json.as_bytes())?;
     }
     if let Some(path) = &o.report_path {
@@ -628,13 +628,12 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, XfError> {
     }
 
     println!(
-        "recorded {}: {} entries, {} failure points -> {} ({} bytes, {:.1}x smaller than JSON)",
+        "recorded {}: {} entries, {} failure points -> {} ({} bytes)",
         kind.slug(),
         run.entry_count(),
         run.failure_points.len(),
         out,
         xft_bytes,
-        json.len() as f64 / xft_bytes.max(1) as f64,
     );
     if o.json {
         println!(
