@@ -1,5 +1,5 @@
-//! Microbenchmarks of the trace FIFO: the lock-free SPSC ring,
-//! message-at-a-time against batched hand-off.
+//! Microbenchmarks of the trace FIFO (`xfdetector::spsc`),
+//! message-at-a-time against batched drains.
 //!
 //! The pipeline pushes one message per failure-point interval through this
 //! channel, so per-message synchronization cost is directly on the
@@ -34,8 +34,8 @@ fn run_single(capacity: usize) -> u64 {
     consumer.join().unwrap()
 }
 
-/// As [`run_single`], but draining in batches of up to 32 per cursor
-/// release on the consumer side.
+/// As [`run_single`], but draining in batches of up to 32 per wait on
+/// the consumer side.
 fn run_batched_drain(capacity: usize) -> u64 {
     let (tx, rx) = channel(capacity);
     let consumer = thread::spawn(move || {
@@ -53,51 +53,25 @@ fn run_batched_drain(capacity: usize) -> u64 {
     consumer.join().unwrap()
 }
 
-/// Batched on both sides: the producer publishes bursts of 32 with one
-/// `Release` store each, the consumer drains likewise.
-fn run_batched_both(capacity: usize) -> u64 {
-    let (tx, rx) = channel(capacity);
-    let consumer = thread::spawn(move || {
-        let mut n = 0u64;
-        let mut buf = Vec::with_capacity(32);
-        while rx.recv_batch(&mut buf, 32) {
-            n += buf.drain(..).map(|v: u64| v & 1).sum::<u64>();
-        }
-        n
-    });
-    let mut next = 0u64;
-    while next < MSGS {
-        let burst: Vec<u64> = (next..(next + 32).min(MSGS)).collect();
-        next += burst.len() as u64;
-        tx.send_batch(burst).unwrap();
-    }
-    drop(tx);
-    consumer.join().unwrap()
-}
-
 fn bench_ring(c: &mut Criterion) {
     let mut group = c.benchmark_group("ring");
     group.sample_size(20);
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
 
-    // 10k messages at the pipeline's default capacity of 64.
-    group.bench_function("lockfree_single_10k", |b| {
+    // 10k messages at a capacity of 64.
+    group.bench_function("single_10k", |b| {
         b.iter(|| std::hint::black_box(run_single(64)));
     });
 
-    // Batching amortizes the consumer's cursor release over up to 32
-    // messages.
-    group.bench_function("lockfree_batched_drain_10k", |b| {
+    // Batching amortizes the consumer's wait over up to 32 messages.
+    group.bench_function("batched_drain_10k", |b| {
         b.iter(|| std::hint::black_box(run_batched_drain(64)));
-    });
-    group.bench_function("lockfree_batched_both_10k", |b| {
-        b.iter(|| std::hint::black_box(run_batched_both(64)));
     });
 
     // Capacity 1 maximizes hand-off pressure: every message is a full
     // producer/consumer rendezvous.
-    group.bench_function("lockfree_single_cap1_10k", |b| {
+    group.bench_function("single_cap1_10k", |b| {
         b.iter(|| std::hint::black_box(run_single(1)));
     });
 

@@ -131,7 +131,7 @@ fn main() {
     }
 
     println!();
-    println!("Hot-path counters: lock-free stream ring");
+    println!("Hot-path counters: stream trace FIFO");
     println!(
         "{:<16} {:>11} {:>11} {:>9}",
         "workload", "ring-spins", "ring-parks", "batches"

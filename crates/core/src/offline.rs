@@ -176,7 +176,7 @@ fn replay_run(
         let pre = pre.iter().map(|e| Event::Pre(e.to_entry()));
         pre.chain(fp.map(|f| Event::FailurePoint {
             loc: SourceLoc {
-                file: xftrace::intern_file(&f.file),
+                file: xftrace::intern_file(&f.file).expect("file-name table full"),
                 line: f.line,
             },
             post: f.post.iter().map(OwnedTraceEntry::to_entry).collect(),
@@ -189,6 +189,12 @@ fn replay_run(
 
 /// Replays a recorded run through the shadow PM, producing the same
 /// trace-derived findings as the online engine; see [`replay`].
+///
+/// # Panics
+///
+/// If the run names a source file that the full file-name table does not
+/// hold ([`xftrace::intern_file`]). A run decoded from `.xft` holds only
+/// names its decode interned.
 #[must_use]
 pub fn analyze(run: &RecordedRun, first_read_only: bool) -> DetectionReport {
     analyze_in(run, first_read_only, run.domain)

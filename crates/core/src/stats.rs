@@ -104,17 +104,19 @@ pub struct RunStats {
     /// through the bounded trace FIFO (zero outside
     /// [`crate::run_pipelined`]).
     pub stream_batches: u64,
-    /// High-water occupancy of the trace FIFO, in batches.
+    /// High-water occupancy of the trace FIFO, in batches, at most its
+    /// capacity. The checker counts a batch after taking it, so the
+    /// reading can run ahead of the true occupancy.
     pub stream_max_depth: u64,
     /// Time the streaming frontend spent blocked on a full trace FIFO —
     /// the backpressure the paper's 2 GB shared-memory FIFO exerts on the
     /// traced program when detection falls behind (§5.1).
     pub stream_stall_time: Duration,
-    /// Bounded spin-loop iterations the streaming ring's producer and
-    /// consumer burned waiting for the other side before parking.
+    /// `try_recv` iterations the stream driver's checker spun on an empty
+    /// trace FIFO before blocking.
     pub ring_spins: u64,
-    /// Times a ring side exhausted its spin budget and parked its thread
-    /// until the other side woke it.
+    /// Times a side of the trace FIFO blocked: the frontend on a full
+    /// FIFO, or the checker on an empty one after its spin budget ran out.
     pub ring_parks: u64,
     /// Concrete schedule plans explored by a concurrent run
     /// ([`Session::run_concurrent`]): 1 for `rr`/`seed:N`, `threads^K` for

@@ -1,10 +1,11 @@
 //! The stream driver, the paper's deployment shape (§5.1, Figure 8): the
 //! frontend — workload execution, failure injection, post-failure runs —
 //! and the checker — shadow-PM replay and cross-failure checking — run on
-//! two threads joined by a bounded FIFO ([`crate::spsc`]). Detection
-//! overlaps program execution; when the checker falls behind, the FIFO
-//! fills and the frontend blocks (backpressure), like the paper's 2 GB
-//! shared-memory queue.
+//! two threads joined by a bounded FIFO ([`crate::spsc`]: std's
+//! `sync_channel` with a spinning consumer). Detection overlaps program
+//! execution; when the checker falls behind, the FIFO fills and the
+//! frontend blocks (backpressure), like the paper's 2 GB shared-memory
+//! queue.
 //!
 //! The frontend and the checker are [`crate::detect`]'s; this module adds
 //! the ring, the thread and the ring statistics. Messages arrive in
@@ -148,9 +149,8 @@ pub(crate) fn run_with_ctl<W: Workload + 'static>(
         let checker = std::thread::spawn(move || {
             let shadow = ShadowPm::with_domain(checker_config.domain);
             let mut checker = Checker::new(&checker_config, shadow, ctl);
-            // Drain in batches: one wakeup (and one head-cursor release)
-            // can hand over a whole run of messages when the checker lags,
-            // instead of one synchronization round-trip per message.
+            // Drain in batches: when the checker lags, one wait hands over
+            // a whole run of messages.
             const DRAIN_BATCH: usize = 32;
             let mut batch = Vec::with_capacity(DRAIN_BATCH);
             while rx.recv_batch(&mut batch, DRAIN_BATCH) {

@@ -203,10 +203,9 @@ fn read_loc<R: Read>(r: &mut R) -> io::Result<SourceLoc> {
     let file = read_string(r)?;
     let line = u32::try_from(read_varint(r)?)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "line number overflow"))?;
-    Ok(SourceLoc {
-        file: xftrace::intern_file(&file),
-        line,
-    })
+    let file = xftrace::intern_file(&file)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "file-name table full"))?;
+    Ok(SourceLoc { file, line })
 }
 
 fn decode_finding<R: Read>(r: &mut R) -> io::Result<Finding> {

@@ -585,22 +585,12 @@ impl Session {
             s.save()?;
         }
         if let Some(path) = &self.metrics_out {
-            let counts = ObsCounts {
-                failure_points_done: outcome.stats.failure_points,
-                post_runs: outcome.stats.post_runs,
-                images_deduped: outcome.stats.images_deduped,
-                fps_pruned: outcome.stats.fps_pruned,
-                journal_skipped: outcome.stats.journal_skipped,
-                cache_hits: outcome.stats.cache_hits,
-                budget_exceeded: outcome.stats.budget_exceeded,
-            };
             let metrics = RunMetrics::new(
                 shared.name(),
                 mode.name(),
                 outcome.report.len() as u64,
                 outcome.report.has_correctness_bugs(),
                 &outcome.stats,
-                counts,
             );
             write_json(path, &metrics)?;
         }
@@ -746,7 +736,6 @@ impl Session {
                 outcome.report.len() as u64,
                 outcome.report.has_correctness_bugs(),
                 &outcome.stats,
-                ctl.obs().snapshot(),
             );
             write_json(path, &metrics)?;
         }
@@ -1011,6 +1000,41 @@ mod tests {
         let ticks = ticks.lock().unwrap();
         assert!(ticks.len() >= 2, "first and final tick, got {ticks:?}");
         assert_eq!(ticks.last().copied(), Some(outcome.stats.failure_points));
+    }
+
+    #[test]
+    fn the_final_progress_tick_equals_the_metrics_counts() {
+        for mode in [Mode::Batch, Mode::Stream, Mode::Parallel] {
+            let cache = tmp(&format!("counts-{}.xfc", mode.name()));
+            let metrics = tmp(&format!("counts-{}.json", mode.name()));
+            std::fs::remove_file(&cache).ok();
+            for pass in ["cold", "warm"] {
+                let last = Arc::new(Mutex::new(None));
+                let seen = Arc::clone(&last);
+                let session = Session::builder()
+                    .workers(2)
+                    .pruning(Pruning::Equivalence)
+                    .class_cache(&cache)
+                    .metrics_out(&metrics)
+                    .on_progress(Duration::from_secs(30), move |p| {
+                        *seen.lock().unwrap() = Some(p.counts);
+                    })
+                    .build()
+                    .unwrap();
+                let outcome = session.run(Racy, mode).unwrap();
+                assert_eq!(
+                    outcome.stats.cache_hits > 0,
+                    pass == "warm",
+                    "{mode:?} {pass}"
+                );
+                let last = last.lock().unwrap().expect("a final tick");
+                let raw = std::fs::read_to_string(&metrics).unwrap();
+                let counts = format!("\"counts\":{}", serde_json::to_string(&last).unwrap());
+                assert!(raw.contains(&counts), "{mode:?} {pass}: {counts} in {raw}");
+            }
+            std::fs::remove_file(&cache).ok();
+            std::fs::remove_file(&metrics).ok();
+        }
     }
 
     #[test]

@@ -203,7 +203,8 @@ pub struct RunMetrics {
     pub has_correctness_bugs: bool,
     /// Stage durations, in milliseconds.
     pub stage_ms: StageMillis,
-    /// Final live-counter values.
+    /// Final counter values, worked out from `stats` (they equal the live
+    /// counters' last reading).
     pub counts: ObsCounts,
     /// The full engine statistics, verbatim.
     pub stats: RunStats,
@@ -218,7 +219,6 @@ impl RunMetrics {
         report_findings: u64,
         has_correctness_bugs: bool,
         stats: &RunStats,
-        counts: ObsCounts,
     ) -> Self {
         let ms = |d: Duration| u64::try_from(d.as_millis()).unwrap_or(u64::MAX);
         RunMetrics {
@@ -235,7 +235,15 @@ impl RunMetrics {
                 check: ms(stats.check_time),
                 stream_stall: ms(stats.stream_stall_time),
             },
-            counts,
+            counts: ObsCounts {
+                failure_points_done: stats.failure_points,
+                post_runs: stats.post_runs,
+                images_deduped: stats.images_deduped,
+                fps_pruned: stats.fps_pruned,
+                journal_skipped: stats.journal_skipped,
+                cache_hits: stats.cache_hits,
+                budget_exceeded: stats.budget_exceeded,
+            },
             stats: stats.clone(),
         }
     }
@@ -318,14 +326,7 @@ mod tests {
 
     #[test]
     fn metrics_serialize_with_schema_version() {
-        let m = RunMetrics::new(
-            "w",
-            "batch",
-            3,
-            true,
-            &RunStats::default(),
-            ObsCounts::default(),
-        );
+        let m = RunMetrics::new("w", "batch", 3, true, &RunStats::default());
         let json = serde_json::to_string(&m).unwrap();
         assert!(json.contains("\"schema_version\":1"), "{json}");
         assert!(json.contains("\"stage_ms\""), "{json}");

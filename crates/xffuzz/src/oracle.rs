@@ -564,7 +564,7 @@ pub fn oracle_report_in(
         let fp = FailurePoint {
             id: id as u64,
             loc: SourceLoc {
-                file: xftrace::intern_file(&rfp.file),
+                file: xftrace::intern_file(&rfp.file).expect("file-name table full"),
                 line: rfp.line,
             },
         };

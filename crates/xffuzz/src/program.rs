@@ -50,7 +50,7 @@ const THREAD_LINE_STRIDE: u32 = 10_000;
 #[must_use]
 pub fn op_loc(i: usize) -> SourceLoc {
     SourceLoc {
-        file: xftrace::intern_file(FUZZ_FILE),
+        file: FUZZ_FILE,
         line: i as u32 + 1,
     }
 }
@@ -59,14 +59,14 @@ pub fn op_loc(i: usize) -> SourceLoc {
 #[must_use]
 pub fn conc_op_loc(t: usize, i: usize) -> SourceLoc {
     SourceLoc {
-        file: xftrace::intern_file(FUZZ_FILE),
+        file: FUZZ_FILE,
         line: t as u32 * THREAD_LINE_STRIDE + i as u32 + 1,
     }
 }
 
 fn post_loc(slot: u32) -> SourceLoc {
     SourceLoc {
-        file: xftrace::intern_file(FUZZ_FILE),
+        file: FUZZ_FILE,
         line: POST_LINE_BASE + slot,
     }
 }

@@ -24,8 +24,7 @@ use std::time::Duration;
 use xfd_workloads::bugs::{BugId, BugSet, WorkloadKind};
 use xfd_workloads::{build_concurrent, build_with_init, validation_ops};
 use xfdetector::{
-    BugKind, ConfigError, DetectionReport, JobSpec, Mode, ObsCounts, RunMetrics, RunOutcome,
-    RunStats, XfError,
+    BugKind, ConfigError, DetectionReport, JobSpec, Mode, RunMetrics, RunOutcome, XfError,
 };
 use xffuzz::program::CONC_TEXT_HEADER;
 use xffuzz::{ConcurrentFuzzProgram, FuzzProgram};
@@ -123,26 +122,11 @@ fn finish_live<E: Emitter>(
         outcome.report.findings().len() as u64,
         outcome.report.has_correctness_bugs(),
         &outcome.stats,
-        counts_of(&outcome.stats),
     );
     emit.emit(JobEvent::Metrics {
         json: serde_json::to_string(&metrics).map_err(json_err)?,
     });
     Ok(report_exit(&outcome.report))
-}
-
-/// Reconstructs the observable counters from final run statistics (the
-/// live [`xfdetector::ObsHandle`] is internal to the session).
-fn counts_of(stats: &RunStats) -> ObsCounts {
-    ObsCounts {
-        failure_points_done: stats.failure_points,
-        post_runs: stats.post_runs,
-        images_deduped: stats.images_deduped,
-        fps_pruned: stats.fps_pruned,
-        journal_skipped: stats.journal_skipped,
-        cache_hits: stats.cache_hits,
-        budget_exceeded: stats.budget_exceeded,
-    }
 }
 
 /// Runs one job to completion, emitting `Progress`/`Report`/`Metrics`

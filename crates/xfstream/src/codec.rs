@@ -92,6 +92,9 @@ pub enum XftError {
     /// Structurally invalid input (unknown tags, count mismatches, invalid
     /// UTF-8 in the string table, …).
     Corrupt(String),
+    /// The trace names a new source file and the process-global file-name
+    /// table is full ([`xftrace::MAX_INTERNED_FILE_BYTES`]).
+    FileTableFull,
 }
 
 impl fmt::Display for XftError {
@@ -109,6 +112,7 @@ impl fmt::Display for XftError {
                 write!(f, "unknown persistence-domain code {code} in .xft header")
             }
             XftError::Corrupt(msg) => write!(f, "corrupt .xft trace: {msg}"),
+            XftError::FileTableFull => write!(f, "{}", DecodeError::FileTableFull),
         }
     }
 }
@@ -136,6 +140,7 @@ impl From<DecodeError> for XftError {
                 "unexpected end of mapped .xft buffer",
             )),
             DecodeError::Corrupt(msg) => XftError::Corrupt(msg),
+            DecodeError::FileTableFull => XftError::FileTableFull,
         }
     }
 }

@@ -4,7 +4,7 @@
 //! the program under test and a detection backend, coupled by a 2 GB
 //! shared-memory FIFO so that detection overlaps execution (§5.1,
 //! Figure 8). The in-process analogue of that deployment, the trace FIFO
-//! ([`xfdetector::spsc`]) and the stream driver
+//! ([`xfdetector::spsc`], a bounded std channel) and the stream driver
 //! ([`xfdetector::run_pipelined`], [`xfdetector::Mode::Stream`]), lives in
 //! `xfdetector`. This crate holds what persists traces outside a run:
 //!

@@ -65,6 +65,9 @@ pub enum DecodeError {
     /// Structurally invalid input: unknown codes, out-of-range values,
     /// undefined file ids, invalid UTF-8.
     Corrupt(String),
+    /// A `FileDef` names a new file and the process-global file-name table
+    /// is full ([`crate::MAX_INTERNED_FILE_BYTES`]).
+    FileTableFull,
 }
 
 impl fmt::Display for DecodeError {
@@ -72,6 +75,11 @@ impl fmt::Display for DecodeError {
         match self {
             DecodeError::Eof => f.write_str("unexpected end of buffer"),
             DecodeError::Corrupt(msg) => f.write_str(msg),
+            DecodeError::FileTableFull => write!(
+                f,
+                "file-name table full ({} bytes of names interned)",
+                crate::MAX_INTERNED_FILE_BYTES
+            ),
         }
     }
 }
@@ -449,7 +457,8 @@ impl<B: AsRef<[u8]>> EntryCursor<B> {
     ///
     /// # Errors
     ///
-    /// As [`EntryCursor::str`].
+    /// As [`EntryCursor::str`], and [`DecodeError::FileTableFull`] for a
+    /// new file name the file-name table cannot take.
     #[inline]
     pub fn next_tag(&mut self) -> Result<u8, DecodeError> {
         loop {
@@ -457,7 +466,8 @@ impl<B: AsRef<[u8]>> EntryCursor<B> {
             if tag != REC_FILE_DEF {
                 return Ok(tag);
             }
-            let name = crate::intern_file(self.str("file name")?);
+            let name =
+                crate::intern_file(self.str("file name")?).ok_or(DecodeError::FileTableFull)?;
             self.files.push(name);
         }
     }

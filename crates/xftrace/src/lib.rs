@@ -478,17 +478,20 @@ impl From<TraceEntry> for OwnedTraceEntry {
 }
 
 impl OwnedTraceEntry {
-    /// Converts back to a borrowed [`TraceEntry`], interning the file name.
+    /// Converts back to a borrowed [`TraceEntry`], interning the file name
+    /// with [`intern_file`].
     ///
-    /// File names are deduplicated in a global interner and live for the
-    /// rest of the process — the set of distinct source files is small and
-    /// bounded, so this is the standard leak-based interning trade-off.
+    /// # Panics
+    ///
+    /// If the file name is new and the file-name table is full. Decoding
+    /// a trace ([`codec`]) interns its names first and fails with a typed
+    /// error instead.
     #[must_use]
     pub fn to_entry(&self) -> TraceEntry {
         TraceEntry {
             op: self.op,
             loc: SourceLoc {
-                file: intern_file(&self.file),
+                file: intern_file(&self.file).expect("file-name table full"),
                 line: self.line,
             },
             tid: self.tid,
@@ -499,25 +502,46 @@ impl OwnedTraceEntry {
     }
 }
 
+/// The most bytes of file names [`intern_file`] keeps over the life of
+/// the process. The bundled workloads intern a few dozen names of under
+/// 100 bytes each; a server decoding uploads stops taking new names here
+/// instead of growing with every name a client sends.
+pub const MAX_INTERNED_FILE_BYTES: usize = 1 << 20;
+
+/// The process-global file-name table and the bytes it holds.
+static INTERNER: std::sync::Mutex<(Option<std::collections::HashSet<&'static str>>, usize)> =
+    std::sync::Mutex::new((None, 0));
+
 /// Interns a file name into a `&'static str` (deduplicated).
 ///
 /// This is the bridge from owned trace representations (JSON, the `.xft`
 /// binary codec) back to the borrowed [`SourceLoc`] the detector works
 /// with. Names are deduplicated in a process-global table and live for the
-/// rest of the process — the set of distinct source files is small and
-/// bounded, so this is the standard leak-based interning trade-off.
-pub fn intern_file(name: &str) -> &'static str {
-    use std::collections::HashSet;
-    use std::sync::Mutex;
-    static INTERNER: Mutex<Option<HashSet<&'static str>>> = Mutex::new(None);
+/// rest of the process. The table holds at most
+/// [`MAX_INTERNED_FILE_BYTES`]: a new name that does not fit returns
+/// `None`, and the table does not grow. A name already in it always
+/// resolves.
+pub fn intern_file(name: &str) -> Option<&'static str> {
     let mut guard = INTERNER.lock().expect("interner poisoned");
-    let set = guard.get_or_insert_with(HashSet::new);
+    let (set, bytes) = &mut *guard;
+    let set = set.get_or_insert_with(Default::default);
     if let Some(existing) = set.get(name) {
-        return existing;
+        return Some(existing);
     }
+    if *bytes + name.len() > MAX_INTERNED_FILE_BYTES {
+        return None;
+    }
+    *bytes += name.len();
     let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
     set.insert(leaked);
-    leaked
+    Some(leaked)
+}
+
+/// Bytes of file names [`intern_file`] holds, at most
+/// [`MAX_INTERNED_FILE_BYTES`].
+#[must_use]
+pub fn interned_file_bytes() -> usize {
+    INTERNER.lock().expect("interner poisoned").1
 }
 
 #[cfg(test)]
