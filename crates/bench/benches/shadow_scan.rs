@@ -10,6 +10,10 @@
 //! it is tested against (`fingerprint_from_scratch`, O(tracked bytes)).
 //! The replay rows time one failure-point interval of the pre-failure
 //! replay, with and without the fingerprint index and its query. The
+//! `frontend_btree_128_` rows replay a whole recorded B-Tree pre-failure
+//! trace at 128 ops, bug-free: the stream frontend's replica work on the
+//! `pruned-stream` benchmark, once without fingerprinting and once with
+//! one fingerprint query per failure point. The
 //! `check_` rows time one failure point's check of a bug-free 170-entry
 //! post-failure trace: the full `PostChecker` replay against the filtered
 //! `plan::check`, whose read index is already built (as for every replay
@@ -165,6 +169,44 @@ fn bench_scan(c: &mut Criterion) {
         });
     });
 
+    // The stream frontend's replica over a whole recorded program: every
+    // pre-failure entry, and with pruning one class-key query per failure
+    // point.
+    let btree = recorded(WorkloadKind::Btree, 128);
+    let segments: Vec<(Vec<TraceEntry>, bool)> = btree
+        .segments()
+        .map(|(pre, fp)| (pre.iter().map(|e| e.to_entry()).collect(), fp.is_some()))
+        .collect();
+    group.bench_function("frontend_btree_128_replay", |b| {
+        b.iter(|| {
+            let mut shadow = ShadowPm::with_domain(btree.domain);
+            let mut report = DetectionReport::new();
+            for (pre, _) in &segments {
+                for e in pre {
+                    shadow.apply_pre(e, &mut report);
+                }
+            }
+            std::hint::black_box(shadow.entries_replayed())
+        });
+    });
+    group.bench_function("frontend_btree_128_replay_fingerprint_per_fp", |b| {
+        b.iter(|| {
+            let mut shadow = ShadowPm::with_domain(btree.domain);
+            shadow.enable_fingerprinting();
+            let mut report = DetectionReport::new();
+            let mut keys = 0u64;
+            for (pre, at_fp) in &segments {
+                for e in pre {
+                    shadow.apply_pre(e, &mut report);
+                }
+                if *at_fp {
+                    keys ^= shadow.persistence_fingerprint();
+                }
+            }
+            std::hint::black_box(keys)
+        });
+    });
+
     // One failure point's check of a bug-free recovery trace.
     let post = PostTrace::new(recovery_trace(), false);
     let fp = FailurePoint {
@@ -211,7 +253,7 @@ fn bench_scan(c: &mut Criterion) {
     });
 
     // One check of a recorded recovery trace, its index built each time.
-    let (shadow, entries) = longest_recovery(&upload(WorkloadKind::Btree));
+    let (shadow, entries) = longest_recovery(&recorded(WorkloadKind::Btree, 100));
     group.bench_function("check_one_shot_full_replay_btree", |b| {
         b.iter(|| {
             let mut report = DetectionReport::new();
@@ -251,7 +293,7 @@ fn bench_offline(c: &mut Criterion) {
         ("hashmap_tx", WorkloadKind::HashmapTx),
         ("ctree", WorkloadKind::Ctree),
     ] {
-        let bytes = xfstream::encode_recorded_run(&upload(kind)).expect("encode the upload");
+        let bytes = xfstream::encode_recorded_run(&recorded(kind, 100)).expect("encode the upload");
         group.bench_function(format!("analyze_xft_{name}_100_ops"), |b| {
             b.iter(|| std::hint::black_box(xfstream::analyze_xft(&bytes, true).unwrap()));
         });
@@ -259,15 +301,16 @@ fn bench_offline(c: &mut Criterion) {
     group.finish();
 }
 
-/// `kind` at 100 ops, bug-free, recorded in batch mode under equivalence
-/// pruning: the shape of the `serve` benchmark's uploads.
-fn upload(kind: WorkloadKind) -> RecordedRun {
+/// `kind` at `ops` operations, bug-free, recorded in batch mode under
+/// equivalence pruning: at 100 ops, the shape of the `serve` benchmark's
+/// uploads.
+fn recorded(kind: WorkloadKind, ops: u64) -> RecordedRun {
     let cfg = XfConfig {
         pruning: Pruning::Equivalence,
         record_trace: true,
         ..XfConfig::default()
     };
-    let workload = xfd_workloads::build(kind, 100, BugSet::none());
+    let workload = xfd_workloads::build(kind, ops, BugSet::none());
     let outcome = XfDetector::new(cfg).run(workload).expect("recording run");
     outcome.recorded.expect("trace recorded")
 }

@@ -13,15 +13,22 @@
 //!
 //! # Representation
 //!
-//! Byte states are stored line-granularly: a dense 64-entry [`Slab`] per
-//! touched 64-byte cache line, keyed by line index, matching the persist
-//! granularity of the hardware (and of `pmem::snapshot::LineBuf` on the
-//! data side). The line map is held behind an [`Arc`] and every slab is an
-//! `Arc` of its own, so [`ShadowPm::begin_post`] is an O(1) copy-on-write
-//! checkpoint: the frontend keeps replaying the pre-failure trace and only
-//! the slabs it actually touches while a checkpoint is alive get deep-copied
-//! (counted in [`ShadowPm::bytes_cloned`]). The `WritebackPending` set is a
-//! per-slab bitmask plus a volatile set of pending line indices.
+//! Byte states are stored line-granularly: one [`Slab`] per touched 64-byte
+//! cache line, keyed by line index, matching the persist granularity of the
+//! hardware (and of `pmem::snapshot::LineBuf` on the data side). A slab is a
+//! set of bit-planes, one `u64` per fact with bit `i` for byte `i`: the
+//! tracked bytes, the three persistence states of Figure 9 and the
+//! consistency flags. Only the values a bit cannot hold (epochs, writer,
+//! threads) stay per byte. The state machine's transitions are therefore
+//! word operations, and so is the suspect predicate
+//! ([`ShadowPm::suspects`]) that the fingerprint, the checking filter and
+//! the post-failure checker share. The line map is held behind an [`Arc`]
+//! and every slab is an `Arc` of its own, so [`ShadowPm::begin_post`] is an
+//! O(1) copy-on-write checkpoint: the frontend keeps replaying the
+//! pre-failure trace and only the slabs it actually touches while a
+//! checkpoint is alive get deep-copied (counted in
+//! [`ShadowPm::bytes_cloned`]). A volatile set holds the lines with a
+//! non-empty `pending` plane, so a fence visits only those.
 //!
 //! # Fingerprint upkeep
 //!
@@ -137,24 +144,18 @@ pub enum PersistState {
     Persisted,
 }
 
-/// Shadow state of one PM byte.
+/// The per-byte values of one PM byte that a bit cannot hold. Every
+/// yes/no fact about the byte, its persistence state included, is a bit of
+/// one of its line's planes ([`Slab`]).
 #[derive(Debug, Clone, Copy)]
 struct ByteState {
-    persist: PersistState,
-    /// Whether the byte was ever stored to during the pre-failure stage.
-    written: bool,
-    /// Whether the byte belongs to a live allocation.
-    allocated: bool,
-    /// Whether that allocation was zero-initialized by the allocator.
-    zeroed_alloc: bool,
-    /// Whether the undo-log discipline protects this byte (it was `TX_ADD`ed
-    /// before its last write, or allocated in a committed transaction).
-    tx_protected: bool,
-    /// The byte was written inside a transaction without being added to it —
-    /// semantically uncommitted data under the transactional discipline.
-    unprotected_tx_write: bool,
     /// Timestamp (ordering-point epoch) of the last write.
     tlast: u32,
+    /// Timestamp of the ordering point that moved this byte to
+    /// [`PersistState::Persisted`] (meaningful only in that state). Drives
+    /// the [`PersistDomain::CxlGpf`] reorder-window check: persistence is
+    /// only conditionally durable until the byte ages out of the window.
+    tpersist: u32,
     /// Source location of the last writer (or the allocation site while
     /// unwritten).
     writer: SourceLoc,
@@ -165,89 +166,160 @@ struct ByteState {
     /// thread's write-backs (an sfence orders the issuing core's stores;
     /// it says nothing about another core's in-flight write-backs).
     flusher_tid: u32,
-    /// A fence on a *different* thread ran while this byte's write-back
-    /// was pending: its persistence now depends on cross-thread timing,
-    /// so an exposed read upgrades to a cross-thread finding.
-    xthread: bool,
-    /// Timestamp of the ordering point that moved this byte to
-    /// [`PersistState::Persisted`] (meaningful only in that state). Drives
-    /// the [`PersistDomain::CxlGpf`] reorder-window check: persistence is
-    /// only conditionally durable until the byte ages out of the window.
-    tpersist: u32,
-    /// The last store came from trusted library internals (an atomic
-    /// publication, allocator metadata). Exempt from the CXL
-    /// reorder-window check, matching the paper's function-granularity
-    /// treatment of library code (§5.3).
-    writer_internal: bool,
 }
 
 impl ByteState {
     const EMPTY: ByteState = ByteState {
-        persist: PersistState::Unmodified,
-        written: false,
-        allocated: false,
-        zeroed_alloc: false,
-        tx_protected: false,
-        unprotected_tx_write: false,
         tlast: 0,
+        tpersist: 0,
         writer: SourceLoc::synthetic("<untracked>"),
         writer_tid: 0,
         flusher_tid: 0,
-        xthread: false,
-        tpersist: 0,
-        writer_internal: false,
     };
 }
 
-/// Dense shadow state of one 64-byte cache line. `present` marks the bytes
-/// that are tracked (the per-byte map entries of the seed representation);
-/// `pending` marks tracked bytes in [`PersistState::WritebackPending`].
+/// The shadow state of one 64-byte cache line as bit-planes: bit `i` of a
+/// plane is one fact about byte `i` of the line. `present` marks the
+/// tracked bytes, and every other plane is a subset of it. Exactly one of
+/// `modified`, `pending` and `persisted` holds for a tracked byte in that
+/// [`PersistState`]; none holds for an [`PersistState::Unmodified`] one.
+/// The values a bit cannot hold live in `bytes`, meaningful for tracked
+/// bytes only.
 #[derive(Debug, Clone)]
 struct Slab {
     present: u64,
+    /// [`PersistState::Modified`]: written but not flushed.
+    modified: u64,
+    /// [`PersistState::WritebackPending`]: flushed but not fenced.
     pending: u64,
-    states: [ByteState; LINE as usize],
+    /// [`PersistState::Persisted`]: flushed and fenced.
+    persisted: u64,
+    /// Stored to during the pre-failure stage.
+    written: u64,
+    /// Part of a live allocation.
+    allocated: u64,
+    /// Part of an allocation the allocator zero-initialized.
+    zeroed_alloc: u64,
+    /// Protected by the undo-log discipline: `TX_ADD`ed before its last
+    /// write, or allocated in a committed transaction.
+    tx_protected: u64,
+    /// Written inside a transaction without being added to it —
+    /// semantically uncommitted data under the transactional discipline.
+    unprotected_tx_write: u64,
+    /// A fence on a *different* thread ran while the byte's write-back was
+    /// pending: its persistence now depends on cross-thread timing, so an
+    /// exposed read upgrades to a cross-thread finding.
+    xthread: u64,
+    /// The last store came from trusted library internals (an atomic
+    /// publication, allocator metadata). Exempt from the CXL reorder-window
+    /// check, matching the paper's function-granularity treatment of
+    /// library code (§5.3).
+    writer_internal: u64,
+    bytes: [ByteState; LINE as usize],
 }
 
 impl Slab {
     const EMPTY: Slab = Slab {
         present: 0,
+        modified: 0,
         pending: 0,
-        states: [ByteState::EMPTY; LINE as usize],
+        persisted: 0,
+        written: 0,
+        allocated: 0,
+        zeroed_alloc: 0,
+        tx_protected: 0,
+        unprotected_tx_write: 0,
+        xthread: 0,
+        writer_internal: 0,
+        bytes: [ByteState::EMPTY; LINE as usize],
     };
 
-    fn state(&self, idx: usize) -> Option<&ByteState> {
-        (self.present & (1 << idx) != 0).then(|| &self.states[idx])
+    /// Every plane, `present` first, for clearing bytes in one place.
+    fn planes_mut(&mut self) -> [&mut u64; 11] {
+        [
+            &mut self.present,
+            &mut self.modified,
+            &mut self.pending,
+            &mut self.persisted,
+            &mut self.written,
+            &mut self.allocated,
+            &mut self.zeroed_alloc,
+            &mut self.tx_protected,
+            &mut self.unprotected_tx_write,
+            &mut self.xthread,
+            &mut self.writer_internal,
+        ]
     }
 
-    /// Mask of tracked bytes currently in [`PersistState::Modified`],
-    /// scanning only the set bits of `present`.
-    fn modified_mask(&self) -> u64 {
-        let mut m = 0u64;
-        let mut bits = self.present;
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            if self.states[i].persist == PersistState::Modified {
-                m |= 1 << i;
-            }
-            bits &= bits - 1;
+    /// Untracks the bytes of `mask`: clears them from every plane.
+    fn clear(&mut self, mask: u64) {
+        for plane in self.planes_mut() {
+            *plane &= !mask;
         }
-        m
     }
 
-    /// Moves every byte in `mask` to [`PersistState::WritebackPending`],
-    /// records them in `pending`, and stamps `tid` as the issuing thread
-    /// (the fence that drains these bytes must come from the same thread).
-    fn mark_writeback_pending(&mut self, mask: u64, tid: u32) {
-        let mut bits = mask;
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            self.states[i].persist = PersistState::WritebackPending;
-            self.states[i].flusher_tid = tid;
-            bits &= bits - 1;
+    /// Persistence state of byte `i` (untracked bytes are
+    /// [`PersistState::Unmodified`]).
+    fn persist_state(&self, i: usize) -> PersistState {
+        let bit = 1u64 << i;
+        if self.modified & bit != 0 {
+            PersistState::Modified
+        } else if self.pending & bit != 0 {
+            PersistState::WritebackPending
+        } else if self.persisted & bit != 0 {
+            PersistState::Persisted
+        } else {
+            PersistState::Unmodified
         }
-        self.pending |= mask;
     }
+
+    /// Moves every [`PersistState::Modified`] byte to
+    /// [`PersistState::WritebackPending`], stamping `tid` as the issuing
+    /// thread (the fence that drains these bytes must come from the same
+    /// thread).
+    fn write_back(&mut self, tid: u32) {
+        for i in bits(self.modified) {
+            self.bytes[i].flusher_tid = tid;
+        }
+        self.pending |= self.modified;
+        self.modified = 0;
+    }
+}
+
+/// The offsets of the set bits of `mask`, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
+/// Bit `i` of `plane` as 0 or 1.
+fn bit_of(plane: u64, i: usize) -> u64 {
+    (plane >> i) & 1
+}
+
+/// The suspect predicate of one line over a set of its bytes, one bit per
+/// byte (see [`ShadowPm::suspects`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct Suspects {
+    /// Bytes a post-failure read could report: the exact mirror of
+    /// `PostChecker::check_read`.
+    potential: u64,
+    /// Bytes that contribute a fingerprint record: `potential` plus the
+    /// written, not yet persisted commit-variable bytes.
+    contributes: u64,
+    /// Bytes inside a registered commit variable.
+    commit_var: u64,
+    /// Bytes whose governing commit variable judges them consistent.
+    consistent: u64,
+    /// Bytes whose governing commit variable judges them inconsistent.
+    inconsistent: u64,
+    /// Persisted bytes still inside the CXL device's reorder window.
+    buffered: u64,
 }
 
 /// FNV-1a 64-bit offset basis and prime (the same constants the `.xft`
@@ -265,10 +337,6 @@ fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
 fn fnv_u64(h: u64, v: u64) -> u64 {
     fnv_bytes(h, &v.to_le_bytes())
 }
-
-// The suspect predicate of the fingerprint lives on `ShadowPm`
-// ([`ShadowPm::byte_has_potential`]) because it consults commit-variable
-// verdicts, mirroring `PostChecker::check_read` exactly.
 
 /// Folds byte record hashes into one fingerprint: sorted and
 /// *deduplicated*, so the result is independent both of which addresses the
@@ -355,6 +423,16 @@ fn range_mask(lo: u64, hi: u64) -> u64 {
     }
 }
 
+/// Bitmask of the bytes of line `li` inside `[start, end)`.
+fn line_span_mask(li: u64, start: u64, end: u64) -> u64 {
+    let (lo, hi) = (start.max(li * LINE), end.min((li + 1) * LINE));
+    if lo >= hi {
+        0
+    } else {
+        range_mask(lo - li * LINE, hi - li * LINE)
+    }
+}
+
 /// A registered commit variable (§3.2). `ranges` empty means the variable
 /// covers all PM locations (the paper's default).
 #[derive(Debug, Clone)]
@@ -371,10 +449,6 @@ struct CommitVar {
 }
 
 impl CommitVar {
-    fn covers_own(&self, b: u64) -> bool {
-        b >= self.addr && b < self.addr + u64::from(self.size)
-    }
-
     fn overlaps_own(&self, addr: u64, size: u64) -> bool {
         addr < self.addr + u64::from(self.size) && addr + size > self.addr
     }
@@ -553,79 +627,110 @@ impl ShadowPm {
         self.lines.len() as u64 * (SLAB_BYTES + SPINE_ENTRY_BYTES)
     }
 
-    fn byte(&self, addr: u64) -> Option<&ByteState> {
-        self.lines
-            .get(&(addr / LINE))
-            .and_then(|slab| slab.state((addr % LINE) as usize))
-    }
+    // --- the suspect predicate -------------------------------------------
 
-    // --- domain-dependent classification -------------------------------
-
-    /// Whether a crash at this moment loses byte `st`'s last store. Under
+    /// The tracked bytes of `slab` that a crash at this moment may lose: under
     /// ADR an unpersisted write is lost in some eviction interleaving — the
     /// paper's race condition. Under eADR the platform flushes the caches
     /// on power failure, so a *written* byte always reaches media and the
     /// race vanishes. CXL GPF flushes like eADR, but the flushed line
     /// enters the device's reorder buffer at the failure with no ordering
     /// guarantee — conservatively as exposed as ADR.
-    fn byte_lost(&self, st: &ByteState) -> bool {
-        st.persist != PersistState::Persisted && self.domain != PersistDomain::Eadr
+    fn lost_mask(&self, slab: &Slab) -> u64 {
+        if self.domain == PersistDomain::Eadr {
+            0
+        } else {
+            slab.present & !slab.persisted
+        }
     }
 
-    /// Whether byte `st`'s persistence is only *conditional* under
-    /// [`PersistDomain::CxlGpf`]: explicitly persisted, but within the
-    /// device's reorder window — the media commit may still be reordered
-    /// or dropped device-side. Library-internal writers (atomic
+    /// The bytes of `within` whose persistence is only *conditional* under
+    /// [`PersistDomain::CxlGpf`]: written and explicitly persisted, but
+    /// within the device's reorder window — the media commit may still be
+    /// reordered or dropped device-side. Library-internal writers (atomic
     /// publications, allocator metadata) are exempt, mirroring the trusted
     /// treatment of library code everywhere else in the checker.
-    fn byte_buffered(&self, st: &ByteState) -> bool {
+    fn buffered_mask(&self, slab: &Slab, within: u64) -> u64 {
         let PersistDomain::CxlGpf { reorder_window } = self.domain else {
-            return false;
+            return 0;
         };
-        st.persist == PersistState::Persisted
-            && st.written
-            && !st.writer_internal
-            && (self.ts.wrapping_sub(st.tpersist) as usize) <= reorder_window
+        let candidates = within & slab.persisted & slab.written & !slab.writer_internal;
+        bits(candidates)
+            .filter(|&i| (self.ts.wrapping_sub(slab.bytes[i].tpersist) as usize) <= reorder_window)
+            .fold(0, |m, i| m | 1 << i)
     }
 
-    // --- persistence-state fingerprinting (equivalence-class pruning) ----
-
-    /// Whether a post-failure read of byte `b` could produce a finding — the
-    /// exact mirror of `PostChecker::check_read`: an allocated but
-    /// never-initialized byte, an unpersisted (or unprotected-tx-written)
-    /// write, or a persisted write that is semantically inconsistent under
-    /// its governing commit variable. Commit-variable bytes, `TX_ADD`ed
-    /// ranges and consistent locations can never be reported and are
-    /// excluded, whatever their persistence state.
-    fn byte_has_potential(&self, b: u64, st: &ByteState) -> bool {
-        if self.is_commit_var_byte(b) {
-            return false;
-        }
-        if !st.written {
-            return st.allocated && !st.zeroed_alloc;
-        }
-        if st.tx_protected {
-            return false;
-        }
-        let semantic = self.governing_var(b).map(|v| v.is_consistent(st.tlast));
-        if semantic == Some(true) {
-            return false;
-        }
-        self.byte_lost(st)
-            || self.byte_buffered(st)
-            || semantic == Some(false)
-            || st.unprotected_tx_write
+    /// The bytes of line `li` inside a registered commit variable.
+    fn commit_var_mask(&self, li: u64) -> u64 {
+        self.commit_vars.iter().fold(0, |m, v| {
+            m | line_span_mask(li, v.addr, v.addr + u64::from(v.size))
+        })
     }
 
-    /// Whether byte `b` contributes a fingerprint record: it has finding
-    /// potential, or it is a written commit variable that is not yet
-    /// persisted. Commit-variable reads are benign, but an in-flight commit
-    /// write steers recovery control flow (a persisted valid flag makes
-    /// recovery walk the structure, an unpersisted one makes it start over),
-    /// so two crash states that differ there must land in different classes.
-    fn byte_contributes(&self, b: u64, st: &ByteState) -> bool {
-        self.byte_has_potential(b, st)
-            || (st.written && st.persist != PersistState::Persisted && self.is_commit_var_byte(b))
+    /// The bytes of line `li` some commit variable governs (see
+    /// [`ShadowPm::governing_var`]).
+    fn governed_mask(&self, li: u64) -> u64 {
+        match self.commit_vars.as_slice() {
+            [] => 0,
+            [only] if only.ranges.is_empty() => u64::MAX,
+            vars => vars
+                .iter()
+                .flat_map(|v| &v.ranges)
+                .fold(0, |m, &(a, s)| m | line_span_mask(li, a, a + s)),
+        }
+    }
+
+    /// The suspect predicate over the bytes of `within` on line `li`, one
+    /// bit per byte. A byte has finding potential — a post-failure read of
+    /// it reports, the exact mirror of `PostChecker::check_read` — when it
+    /// is allocated but never initialized, or written and exposed: lost,
+    /// device-buffered, written in a transaction without `TX_ADD`, or
+    /// inconsistent under its governing commit variable. Commit-variable
+    /// bytes, `TX_ADD`ed ranges and consistent locations can never be
+    /// reported and are excluded, whatever their persistence state.
+    ///
+    /// A byte contributes a fingerprint record when it has potential or is
+    /// a written commit variable that is not yet persisted. Commit-variable
+    /// reads are benign, but an in-flight commit write steers recovery
+    /// control flow (a persisted valid flag makes recovery walk the
+    /// structure, an unpersisted one makes it start over), so two crash
+    /// states that differ there must land in different classes.
+    ///
+    /// Everything is a word operation on the line's planes except two
+    /// per-byte steps: the consistency verdict, taken only for the bytes a
+    /// commit variable governs, and the CXL reorder-window age.
+    fn suspects(&self, li: u64, slab: &Slab, within: u64) -> Suspects {
+        let within = within & slab.present;
+        if within == 0 {
+            // The common case of a read the checker has seen before.
+            return Suspects::default();
+        }
+        let commit_var = self.commit_var_mask(li);
+        let uninit = within & slab.allocated & !slab.written & !slab.zeroed_alloc;
+        let exposed = within & slab.written & !slab.tx_protected;
+        let inflight_commit = within & slab.written & !slab.persisted & commit_var;
+        let (mut consistent, mut inconsistent) = (0u64, 0u64);
+        for i in bits((uninit | exposed | inflight_commit) & self.governed_mask(li)) {
+            let var = self
+                .governing_var(li * LINE + i as u64)
+                .expect("the governed mask covers only governed bytes");
+            if var.is_consistent(slab.bytes[i].tlast) {
+                consistent |= 1 << i;
+            } else {
+                inconsistent |= 1 << i;
+            }
+        }
+        let buffered = self.buffered_mask(slab, exposed);
+        let reportable = self.lost_mask(slab) | buffered | slab.unprotected_tx_write | inconsistent;
+        let potential = (uninit | exposed & !consistent & reportable) & !commit_var;
+        Suspects {
+            potential,
+            contributes: potential | inflight_commit,
+            commit_var,
+            consistent,
+            inconsistent,
+            buffered,
+        }
     }
 
     /// Enables the incremental record index used by
@@ -776,8 +881,8 @@ impl ShadowPm {
     /// The fingerprint deliberately abstracts *addresses*: pool allocators
     /// hand every loop iteration fresh lines, so a key over raw line ids
     /// would never repeat. Instead every byte with finding potential
-    /// ([`ShadowPm::byte_has_potential`], the exact mirror of the
-    /// post-failure read checker) contributes a record hash over its state
+    /// (`ShadowPm::suspects`, the exact mirror of the post-failure read
+    /// checker) contributes a record hash over its state
     /// flags, commit-variable consistency verdict and writer source location
     /// (file *contents*, not interned pointers, so fingerprints are stable
     /// across processes); the fingerprint folds the *distinct* record hashes
@@ -838,50 +943,39 @@ impl ShadowPm {
         out.dedup();
     }
 
-    /// Appends one record hash per contributing byte of line `li`
-    /// ([`ShadowPm::byte_contributes`]): the byte's state flags, consistency
-    /// verdict and writer source location. Neither the line id nor the
-    /// in-line offset participates (see
-    /// [`ShadowPm::persistence_fingerprint`]) — a finding is identified by
-    /// (kind, reader, writer) locations alone, so two bytes with equal
-    /// records have equal finding potential wherever they live.
+    /// Appends one record hash per contributing byte of line `li` (see
+    /// [`ShadowPm::suspects`]): the byte's state flags, consistency verdict
+    /// and writer source location. Neither the line id nor the in-line
+    /// offset participates (see [`ShadowPm::persistence_fingerprint`]) — a
+    /// finding is identified by (kind, reader, writer) locations alone, so
+    /// two bytes with equal records have equal finding potential wherever
+    /// they live.
     ///
     /// A run of bytes with the same flags, threads and writer (compared by
     /// the interned file pointer) shares one record, so it is hashed once
     /// and appended once; callers deduplicate anyway.
     fn byte_records(&self, li: u64, slab: &Slab, out: &mut Vec<u64>) {
+        let s = self.suspects(li, slab, u64::MAX);
         let mut prev = None;
-        let mut bits = slab.present;
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let st = &slab.states[i];
-            let b = li * LINE + i as u64;
-            if !self.byte_contributes(b, st) {
-                continue;
-            }
-            let persist_code = match st.persist {
-                PersistState::Unmodified => 0u64,
-                PersistState::Modified => 1,
-                PersistState::WritebackPending => 2,
-                PersistState::Persisted => 3,
-            };
-            let verdict_code = match self.governing_var(b).map(|v| v.is_consistent(st.tlast)) {
-                None => 0u64,
-                Some(false) => 1,
-                Some(true) => 2,
-            };
-            let pending_bit = u64::from(slab.pending & (1 << i) != 0);
+        for i in bits(s.contributes) {
+            let st = &slab.bytes[i];
+            // The persist code of the per-byte enum this record format was
+            // defined over: Unmodified 0, Modified 1, WritebackPending 2,
+            // Persisted 3.
+            let persist_code = bit_of(slab.modified, i)
+                | (bit_of(slab.pending, i) << 1)
+                | (bit_of(slab.persisted, i) * 3);
+            let verdict_code = bit_of(s.inconsistent, i) | bit_of(s.consistent, i) << 1;
             let flags = persist_code
-                | u64::from(st.written) << 2
-                | u64::from(st.allocated) << 3
-                | u64::from(st.zeroed_alloc) << 4
-                | u64::from(st.unprotected_tx_write) << 5
+                | bit_of(slab.written, i) << 2
+                | bit_of(slab.allocated, i) << 3
+                | bit_of(slab.zeroed_alloc, i) << 4
+                | bit_of(slab.unprotected_tx_write, i) << 5
                 | verdict_code << 6
-                | pending_bit << 8
-                | u64::from(self.is_commit_var_byte(b)) << 9
-                | u64::from(st.xthread) << 10
-                | u64::from(self.byte_buffered(st)) << 11;
+                | bit_of(slab.pending, i) << 8
+                | bit_of(s.commit_var, i) << 9
+                | bit_of(slab.xthread, i) << 10
+                | bit_of(s.buffered, i) << 11;
             // Thread facts participate unconditionally: constant (zero) in
             // single-threaded traces, so classes there are unaffected, but
             // two crash states differing only in which thread's fence must
@@ -937,8 +1031,11 @@ impl ShadowPm {
     /// [`PersistState::Unmodified`]).
     #[must_use]
     pub fn persist_state(&self, addr: u64) -> PersistState {
-        self.byte(addr)
-            .map_or(PersistState::Unmodified, |b| b.persist)
+        self.lines
+            .get(&(addr / LINE))
+            .map_or(PersistState::Unmodified, |slab| {
+                slab.persist_state((addr % LINE) as usize)
+            })
     }
 
     /// Whether every byte of the range is guaranteed persistent or was never
@@ -948,30 +1045,14 @@ impl ShadowPm {
         if size == 0 {
             return true;
         }
-        // Word-wise: one map lookup per covered line, then a mask test over
-        // the tracked bytes instead of a hash probe per byte. A byte is
-        // non-persisted iff it is tracked (`present`) and its state is
-        // neither `Persisted` nor `Unmodified`.
+        // One map lookup per covered line, then one mask test: a byte is
+        // non-persisted iff it is `Modified` or `WritebackPending`.
         let (first, last) = (addr / LINE, (addr + size - 1) / LINE);
-        for li in first..=last {
-            let Some(slab) = self.lines.get(&li) else {
-                continue;
-            };
-            let lo = addr.max(li * LINE) - li * LINE;
-            let hi = (addr + size).min((li + 1) * LINE) - li * LINE;
-            let mut bits = slab.present & range_mask(lo, hi);
-            while bits != 0 {
-                let i = bits.trailing_zeros() as usize;
-                if !matches!(
-                    slab.states[i].persist,
-                    PersistState::Persisted | PersistState::Unmodified
-                ) {
-                    return false;
-                }
-                bits &= bits - 1;
-            }
-        }
-        true
+        (first..=last).all(|li| {
+            self.lines.get(&li).is_none_or(|slab| {
+                (slab.modified | slab.pending) & line_span_mask(li, addr, addr + size) == 0
+            })
+        })
     }
 
     /// Replays one pre-failure trace entry, appending any performance-bug or
@@ -1039,66 +1120,55 @@ impl ShadowPm {
             Some(tx) => (addr..addr + size).all(|b| tx.protects(b)),
             None => false,
         };
-        let unprotected_tx = in_tx && !protected;
-        let state = if non_temporal {
-            PersistState::WritebackPending
-        } else {
-            PersistState::Modified
-        };
         let end = addr + size;
         let mut b = addr;
         while b < end {
             let li = b / LINE;
             let chunk_end = end.min((li + 1) * LINE);
+            let (lo, hi) = ((b - li * LINE) as usize, (chunk_end - li * LINE) as usize);
+            let mask = range_mask(lo as u64, hi as u64);
             // Per-byte protection must be resolved before the slab borrow.
             let prot_mask = match (&self.tx, protected) {
-                (Some(tx), false) => {
-                    let mut m = 0u64;
-                    for x in b..chunk_end {
-                        if tx.protects(x) {
-                            m |= 1 << (x % LINE);
-                        }
-                    }
-                    m
-                }
+                (Some(tx), false) => (b..chunk_end)
+                    .filter(|&x| tx.protects(x))
+                    .fold(0, |m, x| m | 1 << (x % LINE)),
                 _ => u64::MAX,
             };
             let slab = self.slab_mut(li);
-            for x in b..chunk_end {
-                let i = (x % LINE) as usize;
-                let bit = 1u64 << i;
-                if slab.present & bit == 0 {
-                    slab.states[i] = ByteState::EMPTY;
-                    slab.present |= bit;
+            let fresh = mask & !slab.present;
+            for (i, st) in slab.bytes[lo..hi].iter_mut().enumerate() {
+                if fresh & 1 << (lo + i) != 0 {
+                    *st = ByteState::EMPTY;
                 }
-                let protected_b = protected || prot_mask & bit != 0;
-                let st = &mut slab.states[i];
-                st.persist = state;
-                st.written = true;
                 st.tlast = ts;
                 st.writer = loc;
                 st.writer_tid = tid;
-                st.xthread = false;
-                st.writer_internal = internal;
                 if non_temporal {
                     st.flusher_tid = tid;
                 }
-                if in_tx {
-                    st.tx_protected = protected_b;
-                    st.unprotected_tx_write = unprotected_tx && !protected_b;
-                } else {
-                    st.tx_protected = false;
-                    st.unprotected_tx_write = false;
-                }
             }
-            let mask = range_mask(b % LINE, b % LINE + (chunk_end - b));
+            slab.present |= mask;
+            slab.modified &= !mask;
+            slab.pending &= !mask;
+            slab.persisted &= !mask;
             if non_temporal {
                 slab.pending |= mask;
             } else {
-                slab.pending &= !mask;
+                slab.modified |= mask;
             }
-            let pending_now = slab.pending;
-            if pending_now != 0 {
+            slab.written |= mask;
+            slab.xthread &= !mask;
+            slab.writer_internal &= !mask;
+            if internal {
+                slab.writer_internal |= mask;
+            }
+            slab.tx_protected &= !mask;
+            slab.unprotected_tx_write &= !mask;
+            if in_tx {
+                slab.tx_protected |= mask & prot_mask;
+                slab.unprotected_tx_write |= mask & !prot_mask;
+            }
+            if slab.pending != 0 {
                 self.pending_lines.insert(li);
             } else {
                 self.pending_lines.remove(&li);
@@ -1114,15 +1184,10 @@ impl ShadowPm {
             let first_line = addr / LINE;
             let last_line = (addr + size - 1) / LINE;
             for li in first_line..=last_line {
-                let modified = self
-                    .lines
-                    .get(&li)
-                    .map_or(0u64, |slab| slab.modified_mask());
-                if modified == 0 {
+                if self.lines.get(&li).is_none_or(|slab| slab.modified == 0) {
                     continue;
                 }
-                let slab = self.slab_mut(li);
-                slab.mark_writeback_pending(modified, tid);
+                self.slab_mut(li).write_back(tid);
                 self.pending_lines.insert(li);
                 self.fp_mark_dirty(li);
             }
@@ -1139,13 +1204,8 @@ impl ShadowPm {
     ) {
         let li = addr / LINE;
         // Read-only probe first: a redundant flush must not fault the slab.
-        let modified = self
-            .lines
-            .get(&li)
-            .map_or(0u64, |slab| slab.modified_mask());
-        if modified != 0 {
-            let slab = self.slab_mut(li);
-            slab.mark_writeback_pending(modified, tid);
+        if self.lines.get(&li).is_some_and(|slab| slab.modified != 0) {
+            self.slab_mut(li).write_back(tid);
             self.pending_lines.insert(li);
             // Membership is unchanged, but the records are not: the persist
             // code and the pending bit both moved.
@@ -1169,7 +1229,7 @@ impl ShadowPm {
     /// write-backs *its own thread* issued: an sfence orders the issuing
     /// core's stores and flushes, but guarantees nothing about another
     /// core's in-flight write-backs. Foreign pending bytes survive the
-    /// fence and are marked [`ByteState::xthread`] — their persistence now
+    /// fence and are marked in `Slab::xthread` — their persistence now
     /// depends on cross-thread timing, the condition the cross-thread bug
     /// kinds report. With every operation on thread 0 (the single-threaded
     /// case) this is exactly the classic drain-everything fence.
@@ -1187,21 +1247,16 @@ impl ShadowPm {
                 self.pending_lines.remove(&li);
                 continue;
             };
-            let mut pending = slab.pending;
             let mut drained = 0u64;
-            while pending != 0 {
-                let i = pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                let st = &mut slab.states[i];
-                if st.flusher_tid == tid {
-                    st.persist = PersistState::Persisted;
-                    st.tpersist = ts;
+            for i in bits(slab.pending) {
+                if slab.bytes[i].flusher_tid == tid {
+                    slab.bytes[i].tpersist = ts;
                     drained |= 1 << i;
-                } else {
-                    st.xthread = true;
                 }
             }
+            slab.xthread |= slab.pending & !drained;
             slab.pending &= !drained;
+            slab.persisted |= drained;
             if slab.pending == 0 {
                 self.pending_lines.remove(&li);
             }
@@ -1245,30 +1300,24 @@ impl ShadowPm {
         // Exception: bytes already written inside this transaction *before*
         // being added — the snapshot captures the modified data, so rolling
         // back restores a potentially inconsistent value; they stay flagged.
+        // Untracked bytes start tracked, protected and unwritten.
         let ts = self.ts;
         let end = addr + size;
         let mut b = addr;
         while b < end {
             let li = b / LINE;
             let chunk_end = end.min((li + 1) * LINE);
+            let mask = line_span_mask(li, b, chunk_end);
             let slab = self.slab_mut(li);
-            for x in b..chunk_end {
-                let i = (x % LINE) as usize;
-                let bit = 1u64 << i;
-                if slab.present & bit != 0 {
-                    if !slab.states[i].unprotected_tx_write {
-                        slab.states[i].tx_protected = true;
-                    }
-                } else {
-                    slab.states[i] = ByteState {
-                        tx_protected: true,
-                        tlast: ts,
-                        writer: loc,
-                        ..ByteState::EMPTY
-                    };
-                    slab.present |= bit;
-                }
+            for i in bits(mask & !slab.present) {
+                slab.bytes[i] = ByteState {
+                    tlast: ts,
+                    writer: loc,
+                    ..ByteState::EMPTY
+                };
             }
+            slab.present |= mask;
+            slab.tx_protected |= mask & !slab.unprotected_tx_write;
             // Newly protected bytes lose their finding potential.
             self.fp_mark_dirty(li);
             b = chunk_end;
@@ -1277,13 +1326,6 @@ impl ShadowPm {
 
     fn on_alloc(&mut self, addr: u64, size: u64, zeroed: bool, loc: SourceLoc) {
         let fresh = ByteState {
-            persist: if zeroed {
-                PersistState::Persisted
-            } else {
-                PersistState::Unmodified
-            },
-            allocated: true,
-            zeroed_alloc: zeroed,
             tlast: self.ts,
             writer: loc,
             ..ByteState::EMPTY
@@ -1293,14 +1335,19 @@ impl ShadowPm {
         while b < end {
             let li = b / LINE;
             let chunk_end = end.min((li + 1) * LINE);
-            let mask = range_mask(b % LINE, b % LINE + (chunk_end - b));
+            let (lo, hi) = ((b - li * LINE) as usize, (chunk_end - li * LINE) as usize);
+            let mask = range_mask(lo as u64, hi as u64);
             let pending_now = {
                 let slab = self.slab_mut(li);
-                for x in b..chunk_end {
-                    slab.states[(x % LINE) as usize] = fresh;
-                }
+                slab.bytes[lo..hi].fill(fresh);
+                slab.clear(mask);
                 slab.present |= mask;
-                slab.pending &= !mask;
+                slab.allocated |= mask;
+                if zeroed {
+                    // The allocator's zeroing is durable: Persisted.
+                    slab.persisted |= mask;
+                    slab.zeroed_alloc |= mask;
+                }
                 slab.pending
             };
             if pending_now == 0 {
@@ -1320,7 +1367,7 @@ impl ShadowPm {
         while b < end {
             let li = b / LINE;
             let chunk_end = end.min((li + 1) * LINE);
-            let mask = range_mask(b % LINE, b % LINE + (chunk_end - b));
+            let mask = line_span_mask(li, b, chunk_end);
             let Some(slab) = self.lines.get(&li) else {
                 b = chunk_end;
                 continue;
@@ -1330,14 +1377,10 @@ impl ShadowPm {
                 self.detach_spine();
                 Arc::make_mut(&mut self.lines).remove(&li);
                 self.pending_lines.remove(&li);
-            } else if slab.present & mask != 0 || slab.pending & mask != 0 {
-                let pending_now = {
-                    let slab = self.slab_mut(li);
-                    slab.present &= !mask;
-                    slab.pending &= !mask;
-                    slab.pending
-                };
-                if pending_now == 0 {
+            } else if slab.present & mask != 0 {
+                let slab = self.slab_mut(li);
+                slab.clear(mask);
+                if slab.pending == 0 {
                     self.pending_lines.remove(&li);
                 }
             }
@@ -1411,12 +1454,6 @@ impl ShadowPm {
         }
     }
 
-    /// Whether `b` lies inside a registered commit variable itself (reads of
-    /// commit variables are benign cross-failure races, §3.1).
-    fn is_commit_var_byte(&self, b: u64) -> bool {
-        self.commit_vars.iter().any(|v| v.covers_own(b))
-    }
-
     /// The commit variable governing `b`: an explicit range covering `b`
     /// wins; otherwise, per the paper's default rule ("if there is only one
     /// commit variable and no object is specified, it covers all PM
@@ -1448,16 +1485,15 @@ impl ShadowPm {
 
     /// Whether replaying a post-failure trace with read index `index`
     /// against this shadow can report anything: whether some byte the trace
-    /// may check is tracked and has finding potential
-    /// (`ShadowPm::byte_has_potential`, the exact mirror of
-    /// `PostChecker::check_read`). `false` proves the replay finds nothing,
-    /// under `first_read_only` or not.
+    /// may check has finding potential (`ShadowPm::suspects`, the exact
+    /// mirror of `PostChecker::check_read`). `false` proves the replay
+    /// finds nothing, under `first_read_only` or not.
     ///
     /// A fresh fingerprint index (no dirty lines, not stale) prefilters by
     /// line: its keys are the lines holding a contributing byte, a superset
     /// of the lines holding a byte with potential. A stale or dirty index
     /// may miss a line that became suspect since the last query, so then
-    /// every indexed line is scanned byte by byte.
+    /// the predicate runs on every line the trace reads.
     #[must_use]
     pub fn may_find(&self, index: &ReadIndex) -> bool {
         let suspect = self.fresh_fp_index().map(|fp| &fp.lines);
@@ -1465,18 +1501,9 @@ impl ShadowPm {
             if suspect.is_some_and(|s| !s.contains_key(&li)) {
                 return false;
             }
-            let Some(slab) = self.lines.get(&li) else {
-                return false;
-            };
-            let mut bits = mask & slab.present;
-            while bits != 0 {
-                let i = bits.trailing_zeros() as usize;
-                if self.byte_has_potential(li * LINE + i as u64, &slab.states[i]) {
-                    return true;
-                }
-                bits &= bits - 1;
-            }
-            false
+            self.lines
+                .get(&li)
+                .is_some_and(|slab| self.suspects(li, slab, mask).potential != 0)
         })
     }
 
@@ -1642,145 +1669,93 @@ impl PostChecker {
             let Some(slab) = self.shadow.lines.get(&li) else {
                 continue; // never touched pre-failure
             };
-            // Candidate bytes: not yet checked, not overwritten post-failure,
-            // tracked pre-failure. Everything else is skipped without
-            // touching per-byte state.
-            let mut cand = fresh & !self.post_written.get(&li).copied().unwrap_or(0) & slab.present;
-            while cand != 0 {
-                let i = cand.trailing_zeros() as usize;
-                cand &= cand - 1;
-                let byte_addr = li * LINE + i as u64;
-                if self.shadow.is_commit_var_byte(byte_addr) {
-                    continue; // benign cross-failure race
-                }
-                let st = &slab.states[i];
-                if !st.written {
-                    if st.allocated && !st.zeroed_alloc {
-                        out.push(Finding {
-                            kind: BugKind::UninitializedRace,
-                            addr: byte_addr,
-                            size: 1,
-                            reader: Some(loc),
-                            writer: Some(st.writer),
-                            failure_point: Some(fp),
-                            message: Some(
-                                "post-failure read of allocated but never-initialized memory"
-                                    .to_owned(),
-                            ),
-                        });
-                        reported = true; // one finding per read access
-                        break;
-                    }
-                    continue;
-                }
-                // Consistency first (§5.4): a consistent location is bug-free
-                // even if its persistence is uncertain.
-                if st.tx_protected {
-                    continue;
-                }
-                let semantic = self
-                    .shadow
-                    .governing_var(byte_addr)
-                    .map(|v| v.is_consistent(st.tlast));
-                if semantic == Some(true) {
-                    continue;
-                }
-                if self.shadow.byte_lost(st) {
-                    // A pending byte that survived a *foreign* fence is not
-                    // just unordered with the failure: its persistence
-                    // depends on which thread's fence the crash beat.
-                    let (kind, message) = if st.xthread {
-                        (
-                            BugKind::CrossThreadRace,
-                            Some("write-back persisted only via another thread's fence".to_owned()),
-                        )
-                    } else {
-                        (BugKind::CrossFailureRace, None)
-                    };
-                    out.push(Finding {
-                        kind,
-                        addr: byte_addr,
-                        size: 1,
-                        reader: Some(loc),
-                        writer: Some(st.writer),
-                        failure_point: Some(fp),
-                        message,
-                    });
-                    reported = true;
-                    break;
-                }
-                if self.shadow.byte_buffered(st) {
-                    // Persisted, but inside the CXL device's reorder window
-                    // at the failure: the media commit is not yet ordered,
-                    // so the read races the device exactly as an unflushed
-                    // store races the cache under ADR.
-                    let (kind, message) = if st.xthread {
-                        (
-                            BugKind::CrossThreadRace,
-                            Some(
-                                "device-buffered write persisted only via another thread's fence"
-                                    .to_owned(),
-                            ),
-                        )
-                    } else {
-                        (
-                            BugKind::CrossFailureRace,
-                            Some(
-                                "write still in the device reorder window at the failure"
-                                    .to_owned(),
-                            ),
-                        )
-                    };
-                    out.push(Finding {
-                        kind,
-                        addr: byte_addr,
-                        size: 1,
-                        reader: Some(loc),
-                        writer: Some(st.writer),
-                        failure_point: Some(fp),
-                        message,
-                    });
-                    reported = true;
-                    break;
-                }
-                if semantic == Some(false) || st.unprotected_tx_write {
-                    if self.first_read_only {
-                        // The per-byte checker returned here before marking
-                        // the remaining bytes of the access: roll the
-                        // chunk's mark back to the bytes up to and including
-                        // the finding.
-                        *self.checked_reads.entry(li).or_insert(0) =
-                            prev | (chunk_mask & mask_through(i));
-                    }
-                    // Commit published by one thread, governed data written
-                    // by another: the inconsistency is a cross-thread
-                    // ordering violation, not a single-thread one.
-                    let (kind, message) = match self
-                        .shadow
-                        .governing_var(byte_addr)
-                        .filter(|v| v.last_writer_tid != st.writer_tid)
-                    {
-                        Some(_) => (
-                            BugKind::CrossThreadSemantic,
-                            Some(
-                                "commit variable published by a different thread than the data writer"
-                                    .to_owned(),
-                            ),
-                        ),
-                        None => (BugKind::CrossFailureSemantic, None),
-                    };
-                    out.push(Finding {
-                        kind,
-                        addr: byte_addr,
-                        size: 1,
-                        reader: Some(loc),
-                        writer: Some(st.writer),
-                        failure_point: Some(fp),
-                        message,
-                    });
-                    return;
-                }
+            // Candidate bytes: not yet checked, not overwritten
+            // post-failure. The first of them with finding potential is the
+            // one the access reports; the others are clean.
+            let cand = fresh & !self.post_written.get(&li).copied().unwrap_or(0);
+            let suspects = self.shadow.suspects(li, slab, cand);
+            if suspects.potential == 0 {
+                continue;
             }
+            let i = suspects.potential.trailing_zeros() as usize;
+            let byte_addr = li * LINE + i as u64;
+            let st = &slab.bytes[i];
+            let finding = |kind, message: Option<&str>| Finding {
+                kind,
+                addr: byte_addr,
+                size: 1,
+                reader: Some(loc),
+                writer: Some(st.writer),
+                failure_point: Some(fp),
+                message: message.map(str::to_owned),
+            };
+            if bit_of(slab.written, i) == 0 {
+                out.push(finding(
+                    BugKind::UninitializedRace,
+                    Some("post-failure read of allocated but never-initialized memory"),
+                ));
+                reported = true; // one finding per read access
+                continue;
+            }
+            let xthread = bit_of(slab.xthread, i) != 0;
+            if bit_of(self.shadow.lost_mask(slab), i) != 0 {
+                // A pending byte that survived a *foreign* fence is not
+                // just unordered with the failure: its persistence
+                // depends on which thread's fence the crash beat.
+                out.push(if xthread {
+                    finding(
+                        BugKind::CrossThreadRace,
+                        Some("write-back persisted only via another thread's fence"),
+                    )
+                } else {
+                    finding(BugKind::CrossFailureRace, None)
+                });
+                reported = true;
+                continue;
+            }
+            if bit_of(suspects.buffered, i) != 0 {
+                // Persisted, but inside the CXL device's reorder window at
+                // the failure: the media commit is not yet ordered, so the
+                // read races the device exactly as an unflushed store races
+                // the cache under ADR.
+                out.push(if xthread {
+                    finding(
+                        BugKind::CrossThreadRace,
+                        Some("device-buffered write persisted only via another thread's fence"),
+                    )
+                } else {
+                    finding(
+                        BugKind::CrossFailureRace,
+                        Some("write still in the device reorder window at the failure"),
+                    )
+                });
+                reported = true;
+                continue;
+            }
+            // Inconsistent under its commit variable, or written in a
+            // transaction without `TX_ADD`.
+            if self.first_read_only {
+                // The per-byte checker returned here before marking the
+                // remaining bytes of the access: roll the chunk's mark back
+                // to the bytes up to and including the finding.
+                *self.checked_reads.entry(li).or_insert(0) = prev | (chunk_mask & mask_through(i));
+            }
+            // Commit published by one thread, governed data written by
+            // another: the inconsistency is a cross-thread ordering
+            // violation, not a single-thread one.
+            let cross_thread = self
+                .shadow
+                .governing_var(byte_addr)
+                .is_some_and(|v| v.last_writer_tid != st.writer_tid);
+            out.push(if cross_thread {
+                finding(
+                    BugKind::CrossThreadSemantic,
+                    Some("commit variable published by a different thread than the data writer"),
+                )
+            } else {
+                finding(BugKind::CrossFailureSemantic, None)
+            });
+            return;
         }
     }
 }

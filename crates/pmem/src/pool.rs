@@ -32,6 +32,62 @@ pub enum LineState {
     Flushing,
 }
 
+/// The [`LineState`] of every line of a pool as two line bit-sets:
+/// [`LineState::Dirty`] lines in `dirty`, [`LineState::Flushing`] lines in
+/// `flushing`, and [`LineState::Clean`] lines in neither. Words are
+/// allocated on the first store that reaches them, so a pool forked from a
+/// crash image, all clean, holds none.
+#[derive(Debug, Clone, Default)]
+struct LineStates {
+    dirty: Vec<u64>,
+    flushing: Vec<u64>,
+}
+
+impl LineStates {
+    fn get(&self, li: usize) -> LineState {
+        let bit = |set: &[u64]| set.get(li / 64).is_some_and(|w| w >> (li % 64) & 1 != 0);
+        if bit(&self.dirty) {
+            LineState::Dirty
+        } else if bit(&self.flushing) {
+            LineState::Flushing
+        } else {
+            LineState::Clean
+        }
+    }
+
+    fn set(&mut self, li: usize, state: LineState) {
+        let assign = |set: &mut Vec<u64>, on: bool| {
+            let (word, bit) = (li / 64, 1u64 << (li % 64));
+            if on {
+                if set.len() <= word {
+                    set.resize(word + 1, 0);
+                }
+                set[word] |= bit;
+            } else if let Some(w) = set.get_mut(word) {
+                *w &= !bit;
+            }
+        };
+        assign(&mut self.dirty, state == LineState::Dirty);
+        assign(&mut self.flushing, state == LineState::Flushing);
+    }
+
+    /// The lines that are not [`LineState::Clean`], ascending.
+    fn unclean(&self) -> impl Iterator<Item = usize> + '_ {
+        let words = self.dirty.len().max(self.flushing.len());
+        (0..words).flat_map(move |w| {
+            let mut m = self.dirty.get(w).copied().unwrap_or(0)
+                | self.flushing.get(w).copied().unwrap_or(0);
+            std::iter::from_fn(move || {
+                (m != 0).then(|| {
+                    let bit = m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+}
+
 /// Outcome of a flush operation, used by the detector to flag performance
 /// bugs (redundant write-backs — the yellow edges of Figure 9).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,7 +232,7 @@ pub struct PmPool {
     base: u64,
     volatile: LineBuf,
     media: LineBuf,
-    lines: Vec<LineState>,
+    lines: LineStates,
     /// Indices of lines that may be in [`LineState::Flushing`]; lets
     /// [`PmPool::fence`] run in O(pending) instead of O(pool size). May
     /// contain stale entries for lines re-dirtied after their flush.
@@ -248,7 +304,7 @@ impl PmPool {
             base,
             volatile: LineBuf::from_base(Arc::clone(&shared), generation),
             media: LineBuf::from_base(shared, generation),
-            lines: vec![LineState::Clean; len / CACHE_LINE as usize],
+            lines: LineStates::default(),
             flushing: Vec::new(),
             copied: Cell::new(0),
             epoch: 0,
@@ -269,7 +325,7 @@ impl PmPool {
             base: image.base,
             volatile: LineBuf::from_base(Arc::clone(&shared), generation),
             media: LineBuf::from_base(shared, generation),
-            lines: vec![LineState::Clean; image.bytes.len() / CACHE_LINE as usize],
+            lines: LineStates::default(),
             flushing: Vec::new(),
             copied: Cell::new(0),
             epoch: 0,
@@ -294,7 +350,7 @@ impl PmPool {
         }
         let pool = PmPool {
             base: image.base(),
-            lines: vec![LineState::Clean; volatile.len() / CACHE_LINE as usize],
+            lines: LineStates::default(),
             volatile,
             media,
             flushing: Vec::new(),
@@ -394,13 +450,13 @@ impl PmPool {
         let first = self.line_index(addr);
         let last = self.line_index(addr + data.len() as u64 - 1);
         for li in first..=last {
-            if self.lines[li] == LineState::Flushing {
+            if self.lines.get(li) == LineState::Flushing {
                 // An eager eviction commits to media between fences: it
                 // belongs to the upcoming ordering epoch.
                 self.log_reorder(li);
                 self.persist_line_to_media(li);
             }
-            self.lines[li] = LineState::Dirty;
+            self.lines.set(li, LineState::Dirty);
         }
         let faulted = self.volatile.write_at(off, data) + self.volatile.maybe_rebase();
         self.account(faulted);
@@ -422,10 +478,10 @@ impl PmPool {
         let first = self.line_index(addr);
         let last = self.line_index(addr + data.len() as u64 - 1);
         for li in first..=last {
-            if self.lines[li] != LineState::Flushing {
+            if self.lines.get(li) != LineState::Flushing {
                 self.flushing.push(li);
             }
-            self.lines[li] = LineState::Flushing;
+            self.lines.set(li, LineState::Flushing);
         }
         Ok(())
     }
@@ -439,9 +495,9 @@ impl PmPool {
     pub fn flush_line(&mut self, addr: u64) -> Result<FlushOutcome, PmError> {
         self.offset_of(addr, 1)?;
         let li = self.line_index(addr);
-        Ok(match self.lines[li] {
+        Ok(match self.lines.get(li) {
             LineState::Dirty => {
-                self.lines[li] = LineState::Flushing;
+                self.lines.set(li, LineState::Flushing);
                 self.flushing.push(li);
                 FlushOutcome::Initiated
             }
@@ -458,10 +514,10 @@ impl PmPool {
         for li in pending {
             // Stale entries (lines re-dirtied after their flush) stay in
             // whatever state the later store left them in.
-            if self.lines[li] == LineState::Flushing {
+            if self.lines.get(li) == LineState::Flushing {
                 self.log_reorder(li);
                 self.persist_line_to_media(li);
-                self.lines[li] = LineState::Clean;
+                self.lines.set(li, LineState::Clean);
             }
         }
         self.epoch += 1;
@@ -540,7 +596,7 @@ impl PmPool {
     /// Returns [`PmError::OutOfBounds`] if `addr` is outside the pool.
     pub fn line_state(&self, addr: u64) -> Result<LineState, PmError> {
         self.offset_of(addr, 1)?;
-        Ok(self.lines[self.line_index(addr)])
+        Ok(self.lines.get(self.line_index(addr)))
     }
 
     /// Persistence oracle: whether every byte of `[addr, addr + size)` is
@@ -554,17 +610,14 @@ impl PmPool {
         }
         let first = self.line_index(addr);
         let last = self.line_index(addr + size - 1);
-        (first..=last).all(|li| self.lines[li] == LineState::Clean)
+        (first..=last).all(|li| self.lines.get(li) == LineState::Clean)
     }
 
     /// Number of lines currently not guaranteed persistent (dirty or pending
     /// write-back).
     #[must_use]
     pub fn unpersisted_line_count(&self) -> usize {
-        self.lines
-            .iter()
-            .filter(|s| **s != LineState::Clean)
-            .count()
+        self.lines.unclean().count()
     }
 
     /// Snapshot of the **volatile** view — the paper's failure-point image
@@ -611,8 +664,8 @@ impl PmPool {
     {
         self.account(self.len());
         let mut bytes = self.media.to_bytes();
-        for (li, state) in self.lines.iter().enumerate() {
-            if *state != LineState::Clean && keep(li) {
+        for li in self.lines.unclean() {
+            if keep(li) {
                 let start = li * CACHE_LINE as usize;
                 let end = start + CACHE_LINE as usize;
                 bytes[start..end].copy_from_slice(self.volatile.line(li));
@@ -661,10 +714,10 @@ impl PmPool {
                 deltas.push((li as u32, copy));
             }
         };
-        for (li, state) in self.lines.iter().enumerate() {
+        for li in 0..self.media.len() / CACHE_LINE as usize {
             let start = li * CACHE_LINE as usize;
             let base_line = &self.media.base_arc()[start..start + CACHE_LINE as usize];
-            if *state != LineState::Clean && keep(li) {
+            if self.lines.get(li) != LineState::Clean && keep(li) {
                 // The line drained to media before the failure: volatile
                 // contents survive.
                 push_if_differs(li, self.volatile.line(li), base_line);
@@ -700,7 +753,7 @@ impl PmPool {
         let (shared, generation) = fresh_base(image.bytes.clone());
         self.volatile = LineBuf::from_base(Arc::clone(&shared), generation);
         self.media = LineBuf::from_base(shared, generation);
-        self.lines.fill(LineState::Clean);
+        self.lines = LineStates::default();
         self.flushing.clear();
         self.account(image.len());
         Ok(())
