@@ -2,10 +2,10 @@
 //! checking backend joined by a message stream (§5.1, Figure 8).
 //!
 //! The frontend is the ordering-point hook [`run`] installs: it ships the
-//! new pre-failure entries, plans the failure point, then journals,
-//! warm-replays, replays or executes it, and hands every result to a
-//! [`Sink`]. The [`Checker`] owns the shadow PM, the report, the
-//! recording, the journal appends and the checking time. It splits each
+//! new pre-failure entries, plans the failure point, then serves it from
+//! the post-trace store, replays or executes it, and hands every result to
+//! a [`Sink`]. The [`Checker`] owns the shadow PM, the report, the
+//! recording, the store appends and the checking time. It splits each
 //! [`Msg`] into *finding* (against the shadow as of the message) and
 //! *committing* (to the report, in program order), so the report does not
 //! depend on where or when the finding ran (§5.5).
@@ -34,9 +34,26 @@ use crate::shadow::ShadowPm;
 use crate::stats::RunStats;
 use crate::xfrun::RunCtl;
 
-/// A post-failure trace (shared with the planner and the class cache, so a
-/// replay ships a refcount) and how its execution ended.
+/// A post-failure trace (shared with the planner and the post-trace store,
+/// so a replay ships a refcount) and how its execution ended.
 pub type Traced = (Arc<PostTrace>, PostOutcome);
+
+/// What an inline sink keeps of an execution: the executing failure
+/// point's id and its trace.
+pub type Execution = (u64, Traced);
+
+/// Where a failure point's post-failure trace came from. It decides what
+/// the post-trace store records for the failure point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Origin {
+    /// The post-failure stage ran at this failure point.
+    Executed,
+    /// The trace executed at the failure point with this id stands in (a
+    /// pruned class member or a deduplicated crash image).
+    Replayed(u64),
+    /// The post-trace store served the trace of an earlier run.
+    Stored,
+}
 
 /// One message from the frontend to the checker, in program order.
 #[derive(Debug)]
@@ -47,14 +64,11 @@ pub enum Msg {
     FailurePoint {
         /// The failure point.
         fp: FailurePoint,
-        /// The post-failure trace.
-        post: Arc<PostTrace>,
-        /// How the post-failure execution ended.
-        outcome: PostOutcome,
+        /// The post-failure trace and how its execution ended.
+        traced: Traced,
+        /// Where the trace came from.
+        origin: Origin,
     },
-    /// A failure point a resumed journal already explored: the checker
-    /// merges the journal's report delta verbatim.
-    Journaled(FailurePoint),
 }
 
 /// Where the frontend hands its work: the [`Checker`] itself, a ring to a
@@ -92,11 +106,32 @@ pub trait Sink {
         false
     }
 
-    /// Ends the stream once every message is checked, after handing the
-    /// run's class representatives (`exports`, in failure-point order) to
-    /// `ctl`'s cross-run cache: the outcome, with the checker's counters
-    /// added to the frontend's `stats`.
-    fn finish(self, stats: RunStats, exports: &[(u64, Self::Rep)], ctl: &RunCtl) -> RunOutcome;
+    /// Ends the stream once every message is checked: the outcome, with
+    /// the checker's counters added to the frontend's `stats`.
+    fn finish(self, stats: RunStats) -> RunOutcome;
+}
+
+/// [`Sink::execute`] for the sinks that execute inline: run, then check
+/// the result as an execution at `fp`.
+pub(crate) fn execute_inline<S: Sink>(
+    sink: &mut S,
+    fp: FailurePoint,
+    run: impl FnOnce() -> Traced,
+) -> Execution {
+    let traced = run();
+    let origin = Origin::Executed;
+    sink.send(Msg::FailurePoint {
+        fp,
+        traced: traced.clone(),
+        origin,
+    });
+    (fp.id, traced)
+}
+
+/// [`Sink::replay`] for the sinks that execute inline.
+pub(crate) fn replay_inline<S: Sink>(sink: &mut S, fp: FailurePoint, (src, traced): Execution) {
+    let origin = Origin::Replayed(src);
+    sink.send(Msg::FailurePoint { fp, traced, origin });
 }
 
 /// The checking backend (Figure 8b): replays pre-failure entries into the
@@ -114,9 +149,9 @@ pub struct Checker {
 }
 
 impl Checker {
-    /// A checker for a run under `config` on `shadow`. It journals through
-    /// `ctl`, since only the checker knows each failure point's report
-    /// delta.
+    /// A checker for a run under `config` on `shadow`. It appends each
+    /// committed failure point to `ctl`'s post-trace store, in program
+    /// order.
     #[must_use]
     pub fn new(config: &XfConfig, shadow: ShadowPm, ctl: RunCtl) -> Self {
         Checker {
@@ -145,8 +180,9 @@ impl Checker {
                     self.shadow.apply_pre(e, &mut found);
                 }
             }
-            Msg::FailurePoint { fp, post, outcome } => return self.check(None, *fp, post, outcome),
-            Msg::Journaled(_) => {}
+            Msg::FailurePoint { fp, traced, .. } => {
+                return self.check(None, *fp, &traced.0, &traced.1)
+            }
         }
         found
     }
@@ -170,9 +206,8 @@ impl Checker {
     }
 
     /// Commits `msg` and its findings `found` to the report, in program
-    /// order, and records and journals it.
+    /// order, and records it and appends it to the post-trace store.
     pub fn commit(&mut self, msg: Msg, found: DetectionReport) {
-        let delta_start = self.report.findings().len();
         for f in found.into_findings() {
             self.report.push(f);
         }
@@ -182,20 +217,14 @@ impl Checker {
                     rec.pre.extend(pre.into_iter().map(Into::into));
                 }
             }
-            Msg::Journaled(fp) => {
-                // The pre-failure replay already regenerated everything
-                // that precedes the journaled delta, so the report stays
-                // byte-identical to an uninterrupted run.
-                for f in self.ctl.journaled(fp.id).iter().flat_map(|j| &j.findings) {
-                    self.report.push(f.clone());
+            Msg::FailurePoint { fp, traced, origin } => {
+                let post = traced.0.entries();
+                if let Some(rec) = self.recorded.as_mut() {
+                    rec.failure_points
+                        .push(RecordedFailurePoint::new(rec.pre.len(), fp.loc, post));
                 }
-                self.record(fp, &[]);
-            }
-            Msg::FailurePoint { fp, post, .. } => {
-                self.record(fp, post.entries());
-                self.post_entries += post.entries().len() as u64;
-                let delta = &self.report.findings()[delta_start..];
-                self.ctl.append_fp(fp.id, fp.loc, post.completes(), delta);
+                self.post_entries += post.len() as u64;
+                self.ctl.append(fp, origin, &traced);
             }
         }
     }
@@ -214,17 +243,10 @@ impl Checker {
             recorded: self.recorded,
         }
     }
-
-    fn record(&mut self, fp: FailurePoint, post: &[TraceEntry]) {
-        if let Some(rec) = self.recorded.as_mut() {
-            rec.failure_points
-                .push(RecordedFailurePoint::new(rec.pre.len(), fp.loc, post));
-        }
-    }
 }
 
 impl Sink for Checker {
-    type Rep = Traced;
+    type Rep = Execution;
 
     fn send(&mut self, msg: Msg) {
         let found = self.find(&msg);
@@ -235,20 +257,20 @@ impl Sink for Checker {
         &mut self.shadow
     }
 
-    fn execute(&mut self, fp: FailurePoint, _: &CowImage, run: impl FnOnce() -> Traced) -> Traced {
-        let rep = run();
-        self.replay(fp, rep.clone());
-        rep
+    fn execute(
+        &mut self,
+        fp: FailurePoint,
+        _: &CowImage,
+        run: impl FnOnce() -> Traced,
+    ) -> Execution {
+        execute_inline(self, fp, run)
     }
 
-    fn replay(&mut self, fp: FailurePoint, (post, outcome): Traced) {
-        self.send(Msg::FailurePoint { fp, post, outcome });
+    fn replay(&mut self, fp: FailurePoint, rep: Execution) {
+        replay_inline(self, fp, rep);
     }
 
-    fn finish(self, stats: RunStats, exports: &[(u64, Traced)], ctl: &RunCtl) -> RunOutcome {
-        for (key, (post, outcome)) in exports {
-            ctl.cache_export(*key, post, outcome);
-        }
+    fn finish(self, stats: RunStats) -> RunOutcome {
         self.close().stamp(stats)
     }
 }
@@ -333,20 +355,14 @@ impl<W: Workload, S: Sink> EngineHook for Frontend<W, S> {
             .elapsed()
             .saturating_sub(stats.fingerprint_time - fingerprinted);
         match plan {
-            Plan::Journaled => {
-                if self.ctl.journaled(fp.id).is_some_and(|j| j.completes) {
-                    ctx.complete_detection(); // the journaled run stopped here
-                }
-                sink.send(Msg::Journaled(fp));
-            }
-            Plan::Warm(key) => {
-                let class = self.ctl.cache_peek(key).expect("planned from the cache");
-                if class.post.completes() {
-                    // The run that cached the class stopped here.
+            Plan::Warm(id) => {
+                let traced = self.ctl.stored(id).expect("planned from the store").clone();
+                if traced.0.completes() {
+                    // The run that stored the trace stopped here.
                     ctx.complete_detection();
                 }
-                let (post, outcome) = (Arc::clone(&class.post), class.outcome.clone());
-                sink.send(Msg::FailurePoint { fp, post, outcome });
+                let origin = Origin::Stored;
+                sink.send(Msg::FailurePoint { fp, traced, origin });
             }
             Plan::Replay(rep) => sink.replay(fp, rep),
             Plan::Execute(exec) => {
@@ -412,11 +428,11 @@ where
         // still reported.
         ship_pre(&mut sink, &mut ctx, planner.stats());
     }
-    let (mut stats, exports) = planner.finish();
+    let mut stats = planner.finish();
     // The post-failure pools were accounted as they ran; the pre-failure
     // pool's copying (image capture + COW faults) is read off at the end.
     stats.snapshot_bytes_copied += ctx.pool().snapshot_bytes_copied();
-    let mut outcome = sink.finish(stats, &exports, &frontend.ctl);
+    let mut outcome = sink.finish(stats);
     pre_result.map_err(|e| EngineError::PreFailure(e.to_string()))?;
     outcome.stats.total_time = t_start.elapsed();
     Ok(outcome)

@@ -448,7 +448,7 @@ impl XfDetector {
     }
 
     /// [`XfDetector::run`] with an orchestration control handle attached:
-    /// journal skip/append, the class cache and live counters. The
+    /// the post-trace store and live counters. The
     /// [`crate::Session`] layer drives this. The checker runs inline, on the
     /// shadow the planner fingerprints.
     pub(crate) fn run_with_ctl<W: Workload + 'static>(

@@ -32,15 +32,6 @@ pub enum ConfigError {
     /// The schedule strategy expands to an unreasonable number of concrete
     /// plans (an `exhaustive:K` bound too large for the thread count).
     ScheduleTooLarge,
-    /// A cross-run class cache ([`SessionBuilder::class_cache`]) was armed
-    /// without [`Pruning::Equivalence`]: the cache reuses traces across
-    /// runs under exactly the equal-fingerprint ⇒ equal-crash-state
-    /// argument pruning makes in-run, so it is only sound (and only
-    /// meaningful) with exact equivalence pruning on.
-    ///
-    /// [`SessionBuilder::class_cache`]: crate::SessionBuilder::class_cache
-    /// [`Pruning::Equivalence`]: crate::Pruning::Equivalence
-    CacheNeedsEquivalence,
     /// A flag or job field that requires a value was given none.
     MissingValue(&'static str),
     /// A flag or job field value failed to parse.
@@ -77,8 +68,9 @@ impl ConfigError {
     /// protocol's REJECTED frame and mirrored in the README's exit-code
     /// table. Codes are append-only: new variants take new numbers, and a
     /// removed variant's number is never reused (1 belonged to the retired
-    /// dedup-requires-COW rejection, 8 to the retired rejection of a class
-    /// cache in stream mode).
+    /// dedup-requires-COW rejection, 7 to the retired rejection of a class
+    /// cache without equivalence pruning, 8 to the retired rejection of a
+    /// class cache in stream mode).
     #[must_use]
     pub fn code(&self) -> u32 {
         match self {
@@ -87,7 +79,6 @@ impl ConfigError {
             ConfigError::InvalidSamplingRate => 4,
             ConfigError::ZeroThreads => 5,
             ConfigError::ScheduleTooLarge => 6,
-            ConfigError::CacheNeedsEquivalence => 7,
             ConfigError::MissingValue(_) => 10,
             ConfigError::Invalid { .. } => 11,
             ConfigError::Unknown { .. } => 12,
@@ -117,12 +108,6 @@ impl fmt::Display for ConfigError {
                 write!(
                     f,
                     "schedule expands to too many plans (lower the exhaustive bound or thread count)"
-                )
-            }
-            ConfigError::CacheNeedsEquivalence => {
-                write!(
-                    f,
-                    "class_cache requires pruning=equivalence (cross-run reuse is keyed by exact persistence fingerprints)"
                 )
             }
             ConfigError::MissingValue(what) => {
@@ -165,10 +150,11 @@ pub enum XfError {
     PreFailure(String),
     /// The configuration was rejected at build time.
     Config(ConfigError),
-    /// An I/O failure (journal, metrics, trace files).
+    /// An I/O failure (post-trace store, metrics, trace files).
     Io(io::Error),
-    /// The run journal is malformed or does not belong to this run
-    /// (fingerprint mismatch, foreign magic, corrupt record).
+    /// A post-trace store opened to resume has a torn header or belongs
+    /// to another run or format (fingerprint, digest or version mismatch,
+    /// foreign magic).
     Journal(String),
     /// A trace codec failure, reported by the codec crate.
     Codec(String),
@@ -291,14 +277,14 @@ mod tests {
 
     #[test]
     fn config_errors_render_guidance() {
-        let msg = XfError::from(ConfigError::CacheNeedsEquivalence).to_string();
-        assert!(msg.contains("pruning=equivalence"), "{msg}");
+        let msg = XfError::from(ConfigError::InvalidSamplingRate).to_string();
+        assert!(msg.contains("[0, 1]"), "{msg}");
     }
 
     #[test]
     fn codes_are_stable_and_exit_codes_split_usage_from_runtime() {
         assert_eq!(ConfigError::ZeroStreamCapacity.code(), 2);
-        assert_eq!(ConfigError::CacheNeedsEquivalence.code(), 7);
+        assert_eq!(ConfigError::ScheduleTooLarge.code(), 6);
         assert_eq!(ConfigError::MissingValue("--job").code(), 10);
         assert_eq!(
             ConfigError::Unknown {

@@ -89,17 +89,18 @@ pub struct JobSpec {
     pub catch_panics: Option<bool>,
     /// Crash-image deduplication (default true).
     pub dedup: Option<bool>,
-    /// Write a resumable run journal to this path.
+    /// Write a fresh post-trace store (a resumable run journal) to this
+    /// path.
     pub journal: Option<String>,
-    /// Resume a killed run from this journal.
+    /// Resume a killed run from the post-trace store at this path.
     pub resume: Option<String>,
     /// Write machine-readable run metrics JSON to this path.
     pub metrics_out: Option<String>,
     /// Export failing failure points as `.xft` repro traces under this dir.
     pub repro_dir: Option<String>,
-    /// Cross-run class-cache file (requires `pruning: equivalence`).
+    /// Post-trace store file shared across runs as a cache.
     pub class_cache: Option<String>,
-    /// Caller-supplied program digest salting the class-cache key.
+    /// Caller-supplied program digest for the post-trace store header.
     pub cache_digest: Option<String>,
 }
 
@@ -388,9 +389,10 @@ impl JobSpec {
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.mode()?;
         self.config()?;
-        if self.journal.is_some() && self.resume.is_some() {
+        let stores = [&self.journal, &self.resume, &self.class_cache];
+        if stores.iter().filter(|s| s.is_some()).count() > 1 {
             return Err(ConfigError::Conflict(
-                "journal and resume are mutually exclusive",
+                "journal, resume and class_cache are mutually exclusive: each opens the one post-trace store",
             ));
         }
         let sources = [&self.workload, &self.trace, &self.program]
@@ -421,9 +423,9 @@ impl JobSpec {
     }
 
     /// A stable identity string for the program under test, used as the
-    /// default class-cache digest when the caller supplies none: two specs
-    /// with the same digest run the same pre-failure program (the config
-    /// axes are covered separately by the cache's config fingerprint).
+    /// default post-trace store digest when the caller supplies none: two
+    /// specs with the same digest run the same pre-failure program (the
+    /// config axes are covered separately by the run fingerprint).
     #[must_use]
     pub fn digest(&self) -> String {
         let mut bugs = self.bugs.clone();
@@ -440,9 +442,10 @@ impl JobSpec {
     }
 
     /// Applies the spec to a [`SessionBuilder`] — config axes, workers,
-    /// stream capacity, journal/resume, metrics, repro recording and the
-    /// cross-run class cache. The builder is returned so callers can keep
-    /// layering (e.g. a progress callback) before `build()`.
+    /// stream capacity, the post-trace store (journal, resume or class
+    /// cache, under the spec's digest), metrics and repro recording. The
+    /// builder is returned so callers can keep layering (e.g. a progress
+    /// callback) before `build()`.
     pub fn apply(&self, mut builder: SessionBuilder) -> Result<SessionBuilder, ConfigError> {
         self.validate()?;
         builder = builder.config(self.config()?);
@@ -464,9 +467,9 @@ impl JobSpec {
         builder = builder.record_repro(self.repro_dir.is_some());
         if let Some(p) = &self.class_cache {
             builder = builder.class_cache(p);
-            let digest = self.cache_digest.clone().unwrap_or_else(|| self.digest());
-            builder = builder.cache_digest(digest);
         }
+        let digest = self.cache_digest.clone().unwrap_or_else(|| self.digest());
+        builder = builder.cache_digest(digest);
         Ok(builder)
     }
 }
@@ -690,16 +693,21 @@ mod tests {
         };
         let session = Session::try_from(spec).unwrap();
         assert_eq!(session.config().pruning, Pruning::Equivalence);
-        // A cache without equivalence pruning is rejected with the same
-        // error the builder gives.
-        let bad = JobSpec {
+        // A cache serves every pruning policy; it cannot share the spec
+        // with a journal, which opens the same store.
+        let unpruned = JobSpec {
             workload: Some("btree".into()),
             class_cache: Some(cache.display().to_string()),
             ..JobSpec::default()
         };
+        assert!(Session::try_from(unpruned.clone()).is_ok());
+        let both = JobSpec {
+            journal: Some(cache.display().to_string()),
+            ..unpruned
+        };
         assert!(matches!(
-            Session::try_from(bad).unwrap_err(),
-            crate::XfError::Config(ConfigError::CacheNeedsEquivalence)
+            Session::try_from(both).unwrap_err(),
+            crate::XfError::Config(ConfigError::Conflict(_))
         ));
         let _ = std::fs::remove_dir_all(&dir);
     }

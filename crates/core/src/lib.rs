@@ -74,7 +74,7 @@ pub use shadow::{PersistState, PostChecker, ReadIndex, ShadowPm};
 pub use stats::RunStats;
 pub use stream::{run_pipelined, StreamOptions};
 pub use xfrun::{
-    run_fingerprint, JournalFp, Mode, ObsCounts, ObsHandle, Progress, RunCtl, RunMetrics, Session,
+    run_fingerprint, Mode, ObsCounts, ObsHandle, Progress, RunCtl, RunMetrics, Session,
     SessionBuilder, StageMillis, DEFAULT_STREAM_CAPACITY,
 };
 pub use xfsched::{OpSequence, SchedulePlan, ScheduleSpec, StepFn, ThreadProgram};

@@ -11,8 +11,8 @@
 //! a `(failure point, crash image, shadow checkpoint)` job on a bounded
 //! [`mpsc::sync_channel`]. A worker runs the recovery *and* checks the
 //! resulting trace against the shipped O(1) copy-on-write checkpoint of
-//! the shadow PM. Everything else (pre-failure entries, journaled, warm
-//! and replayed failure points) is checked on the workload thread against
+//! the shadow PM. Everything else (pre-failure entries, stored and
+//! replayed failure points) is checked on the workload thread against
 //! the live shadow, as in batch mode; only a failure point that replays a
 //! job still running waits, with its own checkpoint, for the job's trace.
 //! The pool commits all of it in failure-point order, so the report is
@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use pmem::{CowImage, PmCtx, PmPool};
 
-use crate::detect::{self, Checker, Msg, Sink, Traced};
+use crate::detect::{self, Checker, Msg, Origin, Sink, Traced};
 use crate::engine::{EngineError, RunOutcome, Workload, XfConfig, XfDetector};
 use crate::plan::{check, planner_shadow, PostOutcome, PostTrace};
 use crate::report::{DetectionReport, FailurePoint};
@@ -139,8 +139,7 @@ struct Pool {
     jobs: Option<mpsc::SyncSender<Job>>,
     results: mpsc::Receiver<JobResult>,
     workers: Vec<JoinHandle<()>>,
-    /// Every finished job by id: replays and the cache export read its
-    /// trace.
+    /// Every finished job by id: replays read its trace.
     done: HashMap<u64, JobResult>,
     held: VecDeque<Held>,
     /// Some finished job requested `completeDetection`: the frontend
@@ -148,7 +147,7 @@ struct Pool {
     completing: bool,
     /// The first failure point in program order whose execution
     /// requested `completeDetection`. Batch mode injects nothing after
-    /// it, so no later failure point is committed or exported.
+    /// it, so no later failure point is committed or stored.
     cut: Option<u64>,
 }
 
@@ -212,21 +211,21 @@ impl Pool {
                         self.held.push_front(Held::Job { fp, src, shadow });
                         return;
                     };
-                    let found = match shadow {
+                    let (found, origin) = match shadow {
                         None => {
                             // Only an execution completes: a replay runs
                             // no post-failure stage.
                             completes = job.post.completes().then_some(fp.id);
-                            std::mem::take(&mut job.found)
+                            (std::mem::take(&mut job.found), Origin::Executed)
                         }
-                        Some(shadow) => {
+                        Some(shadow) => (
                             self.checker
-                                .check(Some(&shadow), fp, &job.post, &job.outcome)
-                        }
+                                .check(Some(&shadow), fp, &job.post, &job.outcome),
+                            Origin::Replayed(src),
+                        ),
                     };
-                    let post = Arc::clone(&job.post);
-                    let outcome = job.outcome.clone();
-                    (Msg::FailurePoint { fp, post, outcome }, found)
+                    let traced = (Arc::clone(&job.post), job.outcome.clone());
+                    (Msg::FailurePoint { fp, traced, origin }, found)
                 }
             };
             self.commit(msg, found);
@@ -267,8 +266,9 @@ impl Sink for Pool {
     fn replay(&mut self, fp: FailurePoint, src: u64) {
         self.merge();
         if let Some(job) = self.done.get(&src) {
-            let (post, outcome) = (Arc::clone(&job.post), job.outcome.clone());
-            return self.send(Msg::FailurePoint { fp, post, outcome });
+            let traced = (Arc::clone(&job.post), job.outcome.clone());
+            let origin = Origin::Replayed(src);
+            return self.send(Msg::FailurePoint { fp, traced, origin });
         }
         let shadow = Some(self.checker.fp_shadow().clone());
         self.held.push_back(Held::Job { fp, src, shadow });
@@ -280,17 +280,12 @@ impl Sink for Pool {
         self.completing
     }
 
-    fn finish(mut self, stats: RunStats, exports: &[(u64, u64)], ctl: &RunCtl) -> RunOutcome {
+    fn finish(mut self, stats: RunStats) -> RunOutcome {
         self.jobs = None;
         for worker in self.workers.drain(..) {
             worker.join().expect("detection worker panicked");
         }
         self.merge();
-        let cut = self.cut.unwrap_or(u64::MAX);
-        for (key, src) in exports.iter().filter(|(_, src)| *src <= cut) {
-            let job = &self.done[src];
-            ctl.cache_export(*key, &job.post, &job.outcome);
-        }
         let mut outcome = self.checker.close().stamp(stats);
         let (stats, jobs) = (&mut outcome.stats, self.done.values());
         // `detect_time` is the checking left on the workload thread;
@@ -321,11 +316,11 @@ impl XfDetector {
     /// only when the job's result comes back, and it may have injected
     /// further failure points by then. Nothing past the first completing
     /// failure point in program order is committed to the report or
-    /// exported to the class cache, so the report still equals batch
+    /// appended to the post-trace store, so the report still equals batch
     /// mode's. The run's counters do count those extra failure points:
     /// `ordering_points`, `failure_points`, `post_runs`, `fps_pruned`,
     /// `classes_total`, `pruning_ratio`, `images_deduped`, `cache_hits`,
-    /// `cache_misses`, `journal_skipped`, `skipped_empty`,
+    /// `cache_misses`, `skipped_empty`,
     /// `budget_exceeded`, `checks_parallelized`, `snapshot_bytes_copied`
     /// and the times. They count the same failure points, so
     /// [`RunStats::accounting_holds`] still holds; `post_entries` counts
@@ -342,7 +337,7 @@ impl XfDetector {
     }
 
     /// [`XfDetector::run_parallel`] with an orchestration control handle:
-    /// journal elision/appends, the class cache and live counters. Driven
+    /// the post-trace store and live counters. Driven
     /// by [`crate::Session`]; the public entry point passes an inert
     /// handle.
     pub(crate) fn run_parallel_with_ctl<W>(

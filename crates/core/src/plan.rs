@@ -5,13 +5,13 @@
 //! sequence at each ordering point of the pre-failure stage: skip points
 //! with no PM activity, snapshot the crash image, run the post-failure stage
 //! on it, then replay and check its trace against the shadow PM. On top of
-//! that this reproduction has four ways to obtain a failure point's
+//! that this reproduction has three ways to obtain a failure point's
 //! post-failure trace without executing anything, tried in order:
 //!
-//! 1. a resumed run journal already recorded the failure point,
-//! 2. the cross-run class cache holds its persistence-state class,
-//! 3. an earlier member of its class executed this run (pruning),
-//! 4. an earlier failure point's crash image was byte-identical (image
+//! 1. the post-trace store holds the trace an earlier run (a killed run
+//!    being resumed, or a previous campaign) checked at this failure point,
+//! 2. an earlier member of its class executed this run (pruning),
+//! 3. an earlier failure point's crash image was byte-identical (image
 //!    dedup).
 //!
 //! [`Planner`] owns that chain and its accounting ([`RunStats`] counters
@@ -188,7 +188,7 @@ pub fn planner_shadow(config: &XfConfig) -> ShadowPm {
 /// run requested `completeDetection` (Table 2), and the trace's
 /// [`ReadIndex`], built by the first [`check`] on the checking thread and
 /// dropped with the trace. Executions, pruned replays, deduped images,
-/// pool jobs and class-cache hits all share it through one
+/// pool jobs and post-trace store hits all share it through one
 /// [`Arc`](std::sync::Arc), so a trace is indexed at most once however
 /// many failure points replay it.
 #[derive(Debug)]
@@ -264,13 +264,9 @@ pub fn check(
 /// [`Planner::plan`].
 #[derive(Debug)]
 pub enum Plan<H> {
-    /// A resumed journal recorded the failure point: merge its report
-    /// delta ([`RunCtl::journaled`]) verbatim and run nothing, then stop
-    /// if its run requested `completeDetection`.
-    Journaled,
-    /// A previous run executed the failure point's class: replay the
-    /// class cache's trace for this key against this failure point's own
-    /// shadow state.
+    /// An earlier run checked failure point `id`: replay the post-trace
+    /// store's trace for it against this failure point's own shadow
+    /// state, then stop if that run requested `completeDetection`.
     Warm(u64),
     /// An earlier failure point's execution stands in for this one
     /// (pruned class member or identical crash image): replay its trace
@@ -299,17 +295,16 @@ pub struct Planner<H> {
     max_failure_points: Option<u64>,
     dedup_images: bool,
     crash_policy: CrashPolicy,
-    rng: StdRng,
+    rng_seed: u64,
     prune: PruneCache<H>,
     images: HashMap<ImageHash, (CowImage, H)>,
-    exports: Vec<(u64, H)>,
     ctl: RunCtl,
     stats: RunStats,
 }
 
 impl<H: Clone> Planner<H> {
-    /// A planner for one run under `config`, honoring `ctl`'s journal
-    /// skip-set and class cache.
+    /// A planner for one run under `config`, serving `ctl`'s post-trace
+    /// store.
     #[must_use]
     pub fn new(config: &XfConfig, ctl: RunCtl) -> Self {
         Planner {
@@ -318,10 +313,9 @@ impl<H: Clone> Planner<H> {
             max_failure_points: config.max_failure_points,
             dedup_images: config.dedup_images,
             crash_policy: config.crash_policy,
-            rng: StdRng::seed_from_u64(config.rng_seed),
+            rng_seed: config.rng_seed,
             prune: PruneCache::new(config.pruning),
             images: HashMap::new(),
-            exports: Vec::new(),
             ctl,
             stats: RunStats::default(),
         }
@@ -358,11 +352,17 @@ impl<H: Clone> Planner<H> {
     /// pre-failure pool the crash image is captured from, unless an
     /// earlier link of the chain elides the capture.
     pub fn plan(&mut self, pool: &PmPool, id: u64, shadow: &mut ShadowPm) -> Plan<H> {
-        if self.ctl.journaled(id).is_some() {
-            self.stats.journal_skipped += 1;
-            self.ctl.obs().journal_skip();
+        // A stored trace is served before anything is fingerprinted. It is
+        // deliberately not seeded into the in-run prune cache, so the
+        // per-run cache_hits/fps_pruned split stays meaningful.
+        if self.ctl.stored(id).is_some() {
+            self.stats.cache_hits += 1;
+            self.ctl.obs().cache_hit();
             self.ctl.obs().fp_done();
-            return Plan::Journaled;
+            return Plan::Warm(id);
+        }
+        if self.ctl.has_store() {
+            self.stats.cache_misses += 1;
         }
         let class = self.prune.is_enabled().then(|| {
             let t = Instant::now();
@@ -370,24 +370,18 @@ impl<H: Clone> Planner<H> {
             self.stats.fingerprint_time += t.elapsed();
             key
         });
-        if let Some(key) = class {
-            // A class a previous run executed is served from the persisted
-            // store. It is deliberately not seeded into the in-run prune
-            // cache, so the per-run cache_hits/fps_pruned split stays
-            // meaningful.
-            if self.ctl.cache_lookup(key).is_some() {
-                self.ctl.obs().cache_hit();
-                self.ctl.obs().fp_done();
-                return Plan::Warm(key);
-            }
-            if let Some(rep) = self.prune.lookup(key, id) {
-                let rep = rep.clone();
-                self.ctl.obs().prune_hit();
-                self.ctl.obs().fp_done();
-                return Plan::Replay(rep);
-            }
+        if let Some(rep) = class.and_then(|key| self.prune.lookup(key, id)) {
+            let rep = rep.clone();
+            self.ctl.obs().prune_hit();
+            self.ctl.obs().fp_done();
+            return Plan::Replay(rep);
         }
-        let image = self.crash_policy.cow_image(pool, &mut self.rng);
+        // Each capture draws from a generator of its own, seeded by the
+        // failure-point id, so a capture's crash state does not depend on
+        // which earlier captures a stored trace elided.
+        let image = self
+            .crash_policy
+            .cow_image(pool, &mut capture_rng(self.rng_seed, id));
         let hash = self.dedup_images.then(|| image.content_hash());
         // The post-failure run is a pure function of the image, so an
         // identical image replays the earlier trace. The image is kept for
@@ -401,7 +395,7 @@ impl<H: Clone> Planner<H> {
             // The image's executor is as good a class representative as an
             // executed member; first member in wins either way.
             if let Some(key) = class {
-                self.adopt(key, &rep);
+                self.prune.insert(key, rep.clone());
             }
             self.stats.images_deduped += 1;
             self.ctl.obs().dedup_hit();
@@ -421,7 +415,7 @@ impl<H: Clone> Planner<H> {
         }
         let rep = rep();
         if let Some(key) = exec.class {
-            self.adopt(key, &rep);
+            self.prune.insert(key, rep.clone());
         }
         if let Some(hash) = exec.hash {
             self.images.insert(hash, (exec.image, rep));
@@ -444,20 +438,22 @@ impl<H: Clone> Planner<H> {
         &mut self.stats
     }
 
-    /// Ends the run: the statistics with the pruning counters filled in,
-    /// and this run's class representatives for the cross-run cache, in
-    /// failure-point order (empty without a cache).
+    /// Ends the run: the statistics with the pruning counters filled in.
     #[must_use]
-    pub fn finish(mut self) -> (RunStats, Vec<(u64, H)>) {
+    pub fn finish(mut self) -> RunStats {
         self.stats
             .finish_pruning(self.prune.classes_total(), self.prune.fps_pruned());
-        (self.stats, self.exports)
+        self.stats
     }
+}
 
-    fn adopt(&mut self, key: u64, rep: &H) {
-        self.prune.insert(key, rep.clone());
-        if self.ctl.cache_enabled() {
-            self.exports.push((key, rep.clone()));
-        }
-    }
+/// The crash-image generator of failure point `id` under `seed`: the
+/// SplitMix64 finalizer of the pair, so neighbouring ids get unrelated
+/// streams. Building it draws nothing, and only randomized crash policies
+/// draw from it.
+fn capture_rng(seed: u64, id: u64) -> StdRng {
+    let mut z = seed ^ id.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    StdRng::seed_from_u64(z ^ (z >> 31))
 }

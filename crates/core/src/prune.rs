@@ -28,8 +28,8 @@
 //!
 //! Because members are still *checked* (only the redundant execution and
 //! image capture are skipped), recorded runs contain a full post trace per
-//! failure point and the offline replayer, the fuzz oracle and journal
-//! resume all work unchanged on pruned runs. Report byte-identity against
+//! failure point and the offline replayer, the fuzz oracle and the
+//! post-trace store all work unchanged on pruned runs. Report byte-identity against
 //! exhaustive mode is additionally enforced end-to-end by the
 //! `prune-equivalence` CI job and the cross-mode equivalence tests.
 //!
@@ -68,8 +68,7 @@ pub enum Pruning {
 }
 
 impl Pruning {
-    /// Whether any pruning machinery (fingerprinting, class cache) is
-    /// active.
+    /// Whether any pruning machinery (fingerprinting) is active.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
         !matches!(self, Pruning::Off)
@@ -116,10 +115,10 @@ impl Pruning {
 /// batch and stream sinks the post trace and outcome, the parallel
 /// driver's worker pool the representative's job id).
 ///
-/// Journaled failure points neither consult nor populate the cache — a
-/// member whose would-be representative was journal-elided simply becomes
-/// the new representative on resume, mirroring how the image-dedup cache
-/// treats resumed runs.
+/// Failure points served from the post-trace store neither consult nor
+/// populate the cache — a member whose would-be representative was served
+/// from the store simply becomes the new representative, mirroring how
+/// the image-dedup cache treats them.
 #[derive(Debug)]
 pub struct PruneCache<V> {
     mode: Pruning,

@@ -42,8 +42,8 @@
 //! registration, a write to the sole range-less commit variable, or a
 //! fence under [`PersistDomain::CxlGpf`]. The fold is the one
 //! [`ShadowPm::fingerprint_from_scratch`] computes over the sorted,
-//! deduplicated records, so fingerprint values, class-cache files and
-//! journals do not depend on which path computed them.
+//! deduplicated records, so fingerprint values and pruning decisions do
+//! not depend on which path computed them.
 //!
 //! # Line hashing
 //!
@@ -911,8 +911,7 @@ impl ShadowPm {
     /// states with identical byte records may still report differently
     /// under different domains, so classes must not collapse across them.
     /// [`PersistDomain::Adr`] is the identity, keeping every ADR
-    /// fingerprint byte-identical to the pre-domain ones (cross-run class
-    /// caches and recorded journals stay valid for the default domain).
+    /// fingerprint byte-identical to the pre-domain ones.
     fn fold_domain(&self, h: u64) -> u64 {
         match self.domain {
             PersistDomain::Adr => h,

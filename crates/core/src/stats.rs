@@ -22,34 +22,31 @@ pub struct RunStats {
     /// optimization 2).
     pub skipped_empty: u64,
     /// Post-failure executions actually performed. Every other failure
-    /// point was elided by image deduplication, pruning, the resume journal
-    /// or the cross-run class cache ([`RunStats::accounting_holds`]).
+    /// point was elided by image deduplication, pruning or the post-trace
+    /// store ([`RunStats::accounting_holds`]).
     pub post_runs: u64,
     /// Failure points whose crash image was byte-identical to one already
     /// explored: the post-failure execution was skipped and the cached
     /// trace replayed at the new failure point instead.
     pub images_deduped: u64,
-    /// Failure points skipped because a resumed run journal already
-    /// recorded their completion (their journaled findings were merged
-    /// verbatim instead of re-exploring).
-    pub journal_skipped: u64,
-    /// Failure points served from the cross-run class cache
-    /// ([`SessionBuilder::class_cache`]): a previous run of the same
-    /// program and configuration already executed a representative of the
-    /// failure point's equivalence class, and its persisted trace was
-    /// replayed against this failure point's own shadow checkpoint instead
-    /// of executing anything.
+    /// Failure points served from the post-trace store
+    /// ([`SessionBuilder::resume`], [`SessionBuilder::class_cache`]): an
+    /// earlier run of the same program and configuration (a killed run
+    /// being resumed, or a previous campaign) checked this failure point,
+    /// and its stored trace was replayed against this failure point's own
+    /// shadow checkpoint instead of executing anything.
     ///
+    /// [`SessionBuilder::resume`]: crate::SessionBuilder::resume
     /// [`SessionBuilder::class_cache`]: crate::SessionBuilder::class_cache
     pub cache_hits: u64,
-    /// Cross-run cache lookups that found no warm class (the failure point
-    /// proceeded through the normal execute/dedup/prune path). Zero when
-    /// no cache is armed.
+    /// Failure points the post-trace store held no trace for (they went
+    /// through the normal prune/dedup/execute path). Zero when no store is
+    /// armed.
     pub cache_misses: u64,
-    /// Equivalence classes loaded warm from the cache file at open (zero
-    /// on a cold start or header mismatch).
+    /// Records loaded from the store file at open (zero on a fresh store
+    /// or a header mismatch).
     pub cache_classes_loaded: u64,
-    /// Bytes of cache file consumed at open.
+    /// Bytes of store file read at open.
     pub cache_bytes: u64,
     /// Distinct persistence-state equivalence classes observed when pruning
     /// is enabled ([`Pruning`]); zero with pruning off.
@@ -180,15 +177,11 @@ impl RunStats {
 
     /// The failure-point accounting identity: every failure point either
     /// executed or was elided by exactly one mechanism,
-    /// `post_runs + images_deduped + fps_pruned + journal_skipped +
-    /// cache_hits == failure_points`.
+    /// `post_runs + images_deduped + fps_pruned + cache_hits ==
+    /// failure_points`.
     #[must_use]
     pub fn accounting_holds(&self) -> bool {
-        self.post_runs
-            + self.images_deduped
-            + self.fps_pruned
-            + self.journal_skipped
-            + self.cache_hits
+        self.post_runs + self.images_deduped + self.fps_pruned + self.cache_hits
             == self.failure_points
     }
 
@@ -271,12 +264,11 @@ mod tests {
             post_runs: 3,
             images_deduped: 1,
             fps_pruned: 2,
-            journal_skipped: 1,
-            cache_hits: 3,
+            cache_hits: 4,
             ..RunStats::default()
         };
         assert!(s.accounting_holds());
-        let short = RunStats { cache_hits: 2, ..s };
+        let short = RunStats { cache_hits: 3, ..s };
         assert!(!short.accounting_holds());
     }
 

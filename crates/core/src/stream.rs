@@ -17,7 +17,7 @@ use std::thread::JoinHandle;
 
 use pmem::CowImage;
 
-use crate::detect::{self, Checked, Checker, Msg, Sink, Traced};
+use crate::detect::{self, Checked, Checker, Execution, Msg, Sink, Traced};
 use crate::engine::{EngineError, RunOutcome, Workload, XfConfig};
 use crate::plan::planner_shadow;
 use crate::report::{DetectionReport, FailurePoint};
@@ -58,7 +58,7 @@ struct Ring {
 }
 
 impl Sink for Ring {
-    type Rep = Traced;
+    type Rep = Execution;
 
     fn send(&mut self, msg: Msg) {
         if let (true, Msg::Pre(pre)) = (self.pruning, &msg) {
@@ -76,20 +76,20 @@ impl Sink for Ring {
         &mut self.replica
     }
 
-    fn execute(&mut self, fp: FailurePoint, _: &CowImage, run: impl FnOnce() -> Traced) -> Traced {
-        let rep = run();
-        self.replay(fp, rep.clone());
-        rep
+    fn execute(
+        &mut self,
+        fp: FailurePoint,
+        _: &CowImage,
+        run: impl FnOnce() -> Traced,
+    ) -> Execution {
+        detect::execute_inline(self, fp, run)
     }
 
-    fn replay(&mut self, fp: FailurePoint, (post, outcome): Traced) {
-        self.send(Msg::FailurePoint { fp, post, outcome });
+    fn replay(&mut self, fp: FailurePoint, rep: Execution) {
+        detect::replay_inline(self, fp, rep);
     }
 
-    fn finish(self, mut stats: RunStats, exports: &[(u64, Traced)], ctl: &RunCtl) -> RunOutcome {
-        for (key, (post, outcome)) in exports {
-            ctl.cache_export(*key, post, outcome);
-        }
+    fn finish(self, mut stats: RunStats) -> RunOutcome {
         // Dropping the sender ends the stream: the checker drains the FIFO
         // and returns.
         drop(self.tx);
@@ -130,9 +130,8 @@ pub fn run_pipelined<W: Workload + 'static>(
 }
 
 /// [`run_pipelined`] with an orchestration handle threaded through both
-/// stages: the frontend honors the resume skip-set, serves the class cache
-/// and drives the live counters, the checker appends completed failure
-/// points to the journal. [`crate::Session`] drives this for
+/// stages: the frontend serves the post-trace store and drives the live
+/// counters, the checker appends committed failure points to the store. [`crate::Session`] drives this for
 /// [`crate::Mode::Stream`].
 pub(crate) fn run_with_ctl<W: Workload + 'static>(
     config: &XfConfig,
@@ -333,7 +332,7 @@ mod tests {
         let outcome = resumed.run(Flag { persist: false }, Mode::Stream).unwrap();
         std::fs::remove_file(&path).ok();
 
-        assert_eq!(outcome.stats.journal_skipped, 1, "{:?}", outcome.stats);
+        assert_eq!(outcome.stats.cache_hits, 1, "{:?}", outcome.stats);
         assert_eq!(report_json(&reference), report_json(&outcome));
     }
 

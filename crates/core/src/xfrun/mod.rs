@@ -9,11 +9,11 @@
 //!   under a watchdog; a hang or unbounded mutation becomes a
 //!   [`BugKind::BudgetExceeded`](crate::BugKind::BudgetExceeded) finding
 //!   instead of a wedged run.
-//! - **Resumable run journal** (`.xfj`, see [`mod@self`] submodule docs in
-//!   `journal`): each completed failure point is appended to an
-//!   append-only journal; a killed run resumed against the same journal
-//!   skips the explored failure points and merges to a byte-identical
-//!   final report.
+//! - **Post-trace store** (`.xfj`/`.xfc`, see the `store` submodule
+//!   docs): each checked failure point's post-failure trace is appended to
+//!   an append-only store keyed by failure point; a killed run resumed
+//!   against it, or a repeat run of the same program, replays the stored
+//!   traces instead of executing and merges to a byte-identical report.
 //! - **Structured observability**: live counters drive a progress
 //!   callback, and a machine-readable [`RunMetrics`] JSON document can be
 //!   exported at the end of the run.
@@ -41,33 +41,28 @@
 //! assert!(outcome.stats.failure_points > 0);
 //! ```
 
-pub(crate) mod cache;
-mod journal;
 mod obs;
+mod store;
 
-use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use pmem::Budget;
-use xftrace::SourceLoc;
 
 use crate::concurrent::{ConcurrentWorkload, Scheduled};
+use crate::detect::{Origin, Traced};
 use crate::engine::{RunOutcome, Workload, XfConfig, XfDetector};
 use crate::error::{ConfigError, XfError};
-use crate::plan::PostTrace;
 use crate::prune::Pruning;
-use crate::report::{BugKind, Finding};
+use crate::report::{BugKind, FailurePoint};
 use crate::stats::RunStats;
 
-pub use journal::{run_fingerprint, JournalFp};
 pub use obs::{ObsCounts, ObsHandle, Progress, RunMetrics, StageMillis};
 
-use cache::{CacheHandle, ClassCache};
-use journal::JournalWriter;
 use obs::RunClock;
+use store::{Opener, Store};
 
 /// How a [`Session`] executes the detection pass.
 ///
@@ -113,60 +108,58 @@ impl Mode {
 /// more pre-failure entries in flight.
 pub const DEFAULT_STREAM_CAPACITY: usize = 1024;
 
-#[derive(Debug, Default)]
-struct JournalCell {
-    writer: Option<JournalWriter>,
-    error: Option<io::Error>,
+/// The run fingerprint: the workload plus every configuration axis that
+/// affects the final report. The post-trace store binds its file to it: a
+/// resumed run whose fingerprint differs is rejected instead of replaying
+/// another run's traces, and a class cache whose header differs starts
+/// cold.
+///
+/// Deliberately excluded: `max_failure_points` (so a truncated run resumes
+/// under the full configuration), `record_trace` and the execution mode
+/// (all report-neutral: a store written by a batch run serves parallel
+/// and stream runs). The pruning policy is included, because a stored
+/// record may name the trace an in-run prune replay borrowed.
+#[must_use]
+pub fn run_fingerprint(workload: &str, config: &XfConfig) -> String {
+    format!(
+        "workload={workload};skip_empty={};first_read_only={};inject_at_completion={};\
+         fire_on_every_write={};catch_post_panics={};crash_policy={:?};rng_seed={:#x};\
+         dedup_images={};post_budget={:?};threads={};schedule={};domain={};pruning={:?}",
+        config.skip_empty_failure_points,
+        config.first_read_only,
+        config.inject_at_completion,
+        config.fire_on_every_write,
+        config.catch_post_panics,
+        config.crash_policy,
+        config.rng_seed,
+        config.dedup_images,
+        config.post_budget,
+        config.threads,
+        config.schedule,
+        config.domain,
+        config.pruning,
+    )
 }
 
 /// The orchestration control handle threaded through an engine run.
 ///
-/// Carries the resume skip-set, the journal append side and the live
-/// observability counters. Engines call [`RunCtl::journaled`] per failure
-/// point to honor resume elision and [`RunCtl::append_fp`] after
-/// completing one; an inert handle (the default) makes every call a
-/// no-op, which is how the plain `XfDetector` entry points run.
+/// Carries the post-trace store (with the run's plan namespace in it) and
+/// the live observability counters. The planner asks it for a stored
+/// trace before anything else, and the checker appends every committed
+/// failure point to it; an inert handle (the default) has no store, which
+/// is how the plain `XfDetector` entry points run.
 #[derive(Debug, Clone, Default)]
 pub struct RunCtl {
-    skip: Option<Arc<HashMap<u64, JournalFp>>>,
-    journal: Option<Arc<Mutex<JournalCell>>>,
+    store: Option<(Arc<Store>, u64)>,
     obs: ObsHandle,
-    cache: Option<CacheHandle>,
 }
 
 impl RunCtl {
-    /// A handle with no journal and no skip-set: every method is a no-op
-    /// except the observability counters.
+    /// A handle with no store: every method is a no-op except the
+    /// observability counters.
     #[must_use]
     pub fn inert() -> Self {
         RunCtl::default()
-    }
-
-    /// The journaled record for failure point `id`, when a resumed journal
-    /// already explored it. The engine must push the record's findings
-    /// verbatim and skip the post-failure execution.
-    #[must_use]
-    pub fn journaled(&self, id: u64) -> Option<&JournalFp> {
-        self.skip.as_ref()?.get(&id)
-    }
-
-    /// Appends a completed failure point, whether its post-failure run
-    /// requested `completeDetection`, and its report delta to the
-    /// journal (no-op without one). Write failures are latched and
-    /// surfaced when the session finishes — the engine run itself is
-    /// never interrupted by a journaling problem.
-    pub fn append_fp(&self, id: u64, loc: SourceLoc, completes: bool, findings: &[Finding]) {
-        let Some(journal) = &self.journal else { return };
-        let Ok(mut cell) = journal.lock() else { return };
-        if cell.error.is_some() {
-            return;
-        }
-        if let Some(w) = cell.writer.as_mut() {
-            if let Err(e) = w.record_fp(id, loc, completes, findings) {
-                cell.error = Some(e);
-                cell.writer = None;
-            }
-        }
     }
 
     /// The live counters.
@@ -175,50 +168,25 @@ impl RunCtl {
         &self.obs
     }
 
-    /// Whether a cross-run class cache is armed on this run.
-    pub(crate) fn cache_enabled(&self) -> bool {
-        self.cache.is_some()
+    /// Whether a post-trace store is armed on this run.
+    pub(crate) fn has_store(&self) -> bool {
+        self.store.is_some()
     }
 
-    /// Looks a class fingerprint up in the warm cross-run cache, counting
-    /// the hit or miss. `None` without a cache or on a cold key.
-    pub(crate) fn cache_lookup(&self, key: u64) -> Option<&cache::WarmClass> {
-        self.cache.as_ref()?.lookup(key)
+    /// The stored trace of failure point `id`, if an earlier run checked it.
+    pub(crate) fn stored(&self, id: u64) -> Option<&Traced> {
+        let (store, ns) = self.store.as_ref()?;
+        store.get(*ns, id)
     }
 
-    /// As [`RunCtl::cache_lookup`] without touching the hit/miss counters.
-    pub(crate) fn cache_peek(&self, key: u64) -> Option<&cache::WarmClass> {
-        self.cache.as_ref()?.peek(key)
-    }
-
-    /// Registers a newly executed class representative for cross-run
-    /// export (no-op without a cache).
-    pub(crate) fn cache_export(
-        &self,
-        key: u64,
-        post: &Arc<PostTrace>,
-        outcome: &crate::PostOutcome,
-    ) {
-        if let Some(c) = &self.cache {
-            c.export(key, post, outcome);
+    /// Appends committed failure point `fp`, whose trace came from
+    /// `origin`, to the store (no-op without one). Write failures are
+    /// latched and surfaced when the run finishes; the engine run itself
+    /// is never interrupted by a store problem.
+    pub(crate) fn append(&self, fp: FailurePoint, origin: Origin, traced: &Traced) {
+        if let Some((store, ns)) = &self.store {
+            store.append(*ns, fp.id, origin, traced);
         }
-    }
-
-    /// Writes the END record (when the run saw the full failure-point
-    /// space and can vouch for a total) and surfaces any latched
-    /// journaling error.
-    fn finish(&self, total_failure_points: Option<u64>) -> io::Result<()> {
-        let Some(journal) = &self.journal else {
-            return Ok(());
-        };
-        let mut cell = journal.lock().expect("journal lock");
-        if let Some(e) = cell.error.take() {
-            return Err(e);
-        }
-        if let (Some(w), Some(total)) = (cell.writer.as_mut(), total_failure_points) {
-            w.finish(total)?;
-        }
-        Ok(())
     }
 }
 
@@ -230,12 +198,10 @@ pub struct SessionBuilder {
     config: XfConfig,
     workers: usize,
     stream_capacity: Option<usize>,
-    journal_path: Option<PathBuf>,
-    resume: bool,
+    store: Option<(PathBuf, Opener)>,
+    digest: String,
     metrics_out: Option<PathBuf>,
     record_repro: bool,
-    class_cache: Option<PathBuf>,
-    cache_digest: Option<String>,
     progress: Option<ProgressFn>,
     progress_interval: Duration,
 }
@@ -245,8 +211,7 @@ impl std::fmt::Debug for SessionBuilder {
         f.debug_struct("SessionBuilder")
             .field("config", &self.config)
             .field("workers", &self.workers)
-            .field("journal_path", &self.journal_path)
-            .field("resume", &self.resume)
+            .field("store", &self.store)
             .finish_non_exhaustive()
     }
 }
@@ -320,24 +285,28 @@ impl SessionBuilder {
         self
     }
 
-    /// Writes a fresh run journal to `path` (any existing file is
-    /// overwritten). See [`SessionBuilder::resume`] to continue one.
+    /// Writes a fresh post-trace store to `path` (any existing file is
+    /// replaced): every checked failure point's post-failure trace is
+    /// appended as the run goes. See [`SessionBuilder::resume`] to continue
+    /// one. A session has one store: the last of `journal`, `resume` and
+    /// [`class_cache`](SessionBuilder::class_cache) called opens it.
     #[must_use]
     pub fn journal<P: Into<PathBuf>>(mut self, path: P) -> Self {
-        self.journal_path = Some(path.into());
-        self.resume = false;
+        self.store = Some((path.into(), Opener::Journal));
         self
     }
 
-    /// Resumes from the journal at `path`: failure points it records are
-    /// skipped and their findings merged verbatim, and newly completed
-    /// failure points are appended to the same file. A missing file
-    /// starts a fresh journal; a fingerprint mismatch (different
-    /// workload or report-affecting configuration) is an error.
+    /// Resumes from the post-trace store at `path`: failure points it
+    /// records replay their stored traces instead of executing (counted in
+    /// [`RunStats::cache_hits`](crate::RunStats::cache_hits)), and the
+    /// others are appended to the same file. A missing file starts a fresh
+    /// store; a torn header, or one written by a different workload,
+    /// report-affecting configuration or
+    /// [`cache_digest`](SessionBuilder::cache_digest), is an
+    /// [`XfError::Journal`].
     #[must_use]
     pub fn resume<P: Into<PathBuf>>(mut self, path: P) -> Self {
-        self.journal_path = Some(path.into());
-        self.resume = true;
+        self.store = Some((path.into(), Opener::Resume));
         self
     }
 
@@ -357,28 +326,28 @@ impl SessionBuilder {
         self
     }
 
-    /// Arms the cross-run equivalence-class cache at `path`: equivalence
-    /// classes executed by previous runs of the same workload,
-    /// configuration and [`cache_digest`](SessionBuilder::cache_digest)
-    /// are served from the file instead of re-executed, and classes this
-    /// run executes are merged back in when it finishes. Requires
-    /// [`Pruning::Equivalence`]; a missing or stale file starts cold. See
+    /// Arms the post-trace store at `path` as a cross-run cache: failure
+    /// points that previous runs of the same workload, configuration and
+    /// [`cache_digest`](SessionBuilder::cache_digest) checked replay their
+    /// stored traces instead of executing, and this run appends the
+    /// others. A missing, torn or stale file starts cold. Works under every
+    /// [`Pruning`] policy; see
     /// [`RunStats::cache_hits`](crate::RunStats::cache_hits) for the
     /// accounting.
     #[must_use]
     pub fn class_cache<P: Into<PathBuf>>(mut self, path: P) -> Self {
-        self.class_cache = Some(path.into());
+        self.store = Some((path.into(), Opener::Cache));
         self
     }
 
     /// A caller-supplied digest of the *program* under analysis (operation
     /// counts and injected bugs for named workloads, a content hash for
-    /// uploaded artifacts), mixed into the class-cache header: any change
-    /// invalidates the cache even when the configuration fingerprint is
-    /// unchanged. Defaults to the empty string.
+    /// uploaded artifacts), written into the store header next to the run
+    /// fingerprint: any change invalidates the store even when the
+    /// configuration is unchanged. Defaults to the empty string.
     #[must_use]
     pub fn cache_digest<S: Into<String>>(mut self, digest: S) -> Self {
-        self.cache_digest = Some(digest.into());
+        self.digest = digest.into();
         self
     }
 
@@ -403,15 +372,11 @@ impl SessionBuilder {
     ///
     /// Any [`XfConfig::validate`] error, plus
     /// [`ConfigError::ZeroStreamCapacity`] for an explicit zero stream
-    /// capacity and [`ConfigError::CacheNeedsEquivalence`] for a class
-    /// cache without equivalence pruning.
+    /// capacity.
     pub fn build(self) -> Result<Session, ConfigError> {
         self.config.validate()?;
         if self.stream_capacity == Some(0) {
             return Err(ConfigError::ZeroStreamCapacity);
-        }
-        if self.class_cache.is_some() && !matches!(self.config.pruning, Pruning::Equivalence) {
-            return Err(ConfigError::CacheNeedsEquivalence);
         }
         let workers = if self.workers == 0 {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -422,12 +387,10 @@ impl SessionBuilder {
             config: self.config,
             workers,
             stream_capacity: self.stream_capacity,
-            journal_path: self.journal_path,
-            resume: self.resume,
+            store: self.store,
+            digest: self.digest,
             metrics_out: self.metrics_out,
             record_repro: self.record_repro,
-            class_cache: self.class_cache,
-            cache_digest: self.cache_digest,
             progress: self.progress,
             progress_interval: if self.progress_interval.is_zero() {
                 Duration::from_millis(100)
@@ -441,19 +404,17 @@ impl SessionBuilder {
 /// A configured, fault-tolerant detection session.
 ///
 /// Construct with [`Session::builder`] and execute with [`Session::run`].
-/// One session can run multiple workloads back to back, but a journal
-/// binds to a single (workload, configuration) pair — reusing a journal
-/// path across different workloads fails the fingerprint check.
+/// One session can run multiple workloads back to back, but a store binds
+/// to a single (workload, configuration, digest) triple: resuming one
+/// path across different workloads fails the header check.
 pub struct Session {
     config: XfConfig,
     workers: usize,
     stream_capacity: Option<usize>,
-    journal_path: Option<PathBuf>,
-    resume: bool,
+    store: Option<(PathBuf, Opener)>,
+    digest: String,
     metrics_out: Option<PathBuf>,
     record_repro: bool,
-    class_cache: Option<PathBuf>,
-    cache_digest: Option<String>,
     progress: Option<ProgressFn>,
     progress_interval: Duration,
 }
@@ -463,8 +424,7 @@ impl std::fmt::Debug for Session {
         f.debug_struct("Session")
             .field("config", &self.config)
             .field("workers", &self.workers)
-            .field("journal_path", &self.journal_path)
-            .field("resume", &self.resume)
+            .field("store", &self.store)
             .finish_non_exhaustive()
     }
 }
@@ -486,19 +446,13 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Any [`XfError`]: engine failures, journal I/O or fingerprint
-    /// mismatches.
+    /// Any [`XfError`]: engine failures, store I/O or header mismatches.
     pub fn run<W>(&self, workload: W, mode: Mode) -> Result<RunOutcome, XfError>
     where
         W: Workload + Send + Sync + 'static,
     {
-        let store = self.open_cache(workload.name());
-        let handle = store.as_ref().map(|s| CacheHandle::new(Arc::clone(s), 0));
-        let outcome = self.run_impl(workload, mode, false, handle)?;
-        if let Some(s) = &store {
-            s.save()?;
-        }
-        Ok(outcome)
+        let store = self.open_store(workload.name())?;
+        self.run_impl(workload, mode, false, store.map(|s| (s, 0)))
     }
 
     /// Runs a [`ConcurrentWorkload`] across every schedule plan the
@@ -506,15 +460,15 @@ impl Session {
     /// [`XfConfig::threads`] logical threads, merging the per-plan reports.
     ///
     /// With a single-plan spec ([`ScheduleSpec::RoundRobin`]) this is
-    /// exactly [`Session::run`] on the pinned [`Scheduled`] workload —
-    /// journal, resume and metrics all apply, and a recorded trace is
-    /// stamped with the thread count and the serialized plan so the
-    /// interleaving travels with the repro artifact. A multi-plan spec
-    /// (`seed:N`, `exhaustive:K`) explores each plan in expansion order:
-    /// the per-plan runs execute journal-less (different plans produce
-    /// different pre-failure traces, so one journal cannot bind to the
-    /// sweep), their reports merge through finding deduplication, and
-    /// `recorded` is `None`.
+    /// exactly [`Session::run`] on the pinned [`Scheduled`] workload, and
+    /// a recorded trace is stamped with the thread count and the
+    /// serialized plan so the interleaving travels with the repro
+    /// artifact. A multi-plan spec (`seed:N`, `exhaustive:K`) explores each
+    /// plan in expansion order: the per-plan runs share the session's
+    /// store, each under its expansion index as the plan namespace (plan
+    /// expansion is deterministic, so plan *i* of a resumed or repeated
+    /// sweep reads exactly plan *i*'s records), their reports merge
+    /// through finding deduplication, and `recorded` is `None`.
     ///
     /// [`RunStats::schedules_explored`] counts the plans explored and
     /// [`RunStats::cross_thread_findings`] the merged report's
@@ -532,38 +486,29 @@ impl Session {
         let threads = self.config.threads;
         let mut plans = self.config.schedule.expand(threads);
         let shared = Arc::new(workload);
-        // One store for the whole sweep; each plan gets its own handle
-        // namespaced by expansion index (plan expansion is deterministic,
-        // so plan i of a repeat run reuses exactly plan i's classes).
-        let store = self.open_cache(shared.name());
+        let store = self.open_store(shared.name())?;
         if plans.len() == 1 {
             let plan = plans.pop().expect("one plan");
             let schedule = plan.to_string();
-            let handle = store.as_ref().map(|s| CacheHandle::new(Arc::clone(s), 0));
+            let store = store.map(|s| (s, 0));
             let mut outcome =
-                self.run_impl(Scheduled::from_shared(shared, plan), mode, false, handle)?;
+                self.run_impl(Scheduled::from_shared(shared, plan), mode, false, store)?;
             if let Some(rec) = outcome.recorded.as_mut() {
                 rec.threads = threads;
                 rec.schedule = schedule;
             }
             finish_concurrent_stats(&mut outcome, 1);
-            if let Some(s) = &store {
-                s.save()?;
-            }
             return Ok(outcome);
         }
 
         let total = plans.len() as u64;
         let mut merged: Option<RunOutcome> = None;
         for (idx, plan) in plans.into_iter().enumerate() {
-            let handle = store
-                .as_ref()
-                .map(|s| CacheHandle::new(Arc::clone(s), idx as u64));
             let outcome = self.run_impl(
                 Scheduled::from_shared(Arc::clone(&shared), plan),
                 mode,
                 true,
-                handle,
+                store.as_ref().map(|s| (Arc::clone(s), idx as u64)),
             )?;
             merged = Some(match merged {
                 None => outcome,
@@ -581,9 +526,6 @@ impl Session {
         // has no single interleaving to attach one to.
         outcome.recorded = None;
         finish_concurrent_stats(&mut outcome, total);
-        if let Some(s) = &store {
-            s.save()?;
-        }
         if let Some(path) = &self.metrics_out {
             let metrics = RunMetrics::new(
                 shared.name(),
@@ -597,30 +539,28 @@ impl Session {
         Ok(outcome)
     }
 
-    /// Opens the session's cross-run class cache for `workload_name`, when
-    /// one is armed. The store header binds the journal fingerprint (the
-    /// workload plus every report-affecting configuration axis) and the
-    /// caller's program digest; callers save it once the run (or sweep)
-    /// completes.
-    fn open_cache(&self, workload_name: &str) -> Option<Arc<ClassCache>> {
-        let path = self.class_cache.as_ref()?;
-        let fingerprint = journal::run_fingerprint(workload_name, &self.config);
-        Some(Arc::new(ClassCache::open(
-            path,
-            &fingerprint,
-            self.cache_digest.as_deref().unwrap_or(""),
-        )))
+    /// Opens the session's post-trace store for `workload_name`, when one
+    /// is armed. Its header binds the run fingerprint (the workload plus
+    /// every report-affecting configuration axis) and the program digest.
+    fn open_store(&self, workload_name: &str) -> Result<Option<Arc<Store>>, XfError> {
+        let Some((path, opener)) = &self.store else {
+            return Ok(None);
+        };
+        let fingerprint = run_fingerprint(workload_name, &self.config);
+        let store = Store::open(path, *opener, &fingerprint, &self.digest)?;
+        Ok(Some(Arc::new(store)))
     }
 
-    /// The shared run path. `inner` marks one per-plan run of a multi-plan
-    /// [`Session::run_concurrent`] sweep: the journal and metrics artifacts
-    /// belong to the sweep, not the plan, so an inner run skips both.
+    /// The shared run path, on `store` under its plan namespace. `inner`
+    /// marks one per-plan run of a multi-plan [`Session::run_concurrent`]
+    /// sweep: the metrics belong to the sweep, not the plan, so an inner
+    /// run skips them.
     fn run_impl<W>(
         &self,
         workload: W,
         mode: Mode,
         inner: bool,
-        cache: Option<CacheHandle>,
+        store: Option<(Arc<Store>, u64)>,
     ) -> Result<RunOutcome, XfError>
     where
         W: Workload + Send + Sync + 'static,
@@ -630,45 +570,10 @@ impl Session {
             config.record_trace = true;
         }
         let workload_name = workload.name().to_owned();
-
-        // Journal: read the skip-set when resuming, then open for append.
-        let fingerprint = journal::run_fingerprint(&workload_name, &config);
-        let mut skip = None;
-        let mut total_hint = config.max_failure_points;
-        let writer = match self.journal_path.as_ref().filter(|_| !inner) {
-            None => None,
-            Some(path) => {
-                if self.resume && path.exists() {
-                    let contents = journal::read_journal(path)?;
-                    if contents.fingerprint != fingerprint {
-                        return Err(XfError::Journal(format!(
-                            "journal {} belongs to a different run \
-                             (fingerprint mismatch)",
-                            path.display()
-                        )));
-                    }
-                    if total_hint.is_none() {
-                        total_hint = contents.completed_total;
-                    }
-                    if !contents.fps.is_empty() {
-                        skip = Some(Arc::new(contents.fps));
-                    }
-                    Some(JournalWriter::append(path)?)
-                } else {
-                    Some(JournalWriter::create(path, &fingerprint)?)
-                }
-            }
-        };
+        let total_hint = config.max_failure_points;
         let ctl = RunCtl {
-            skip,
-            journal: writer.map(|w| {
-                Arc::new(Mutex::new(JournalCell {
-                    writer: Some(w),
-                    error: None,
-                }))
-            }),
+            store: store.clone(),
             obs: ObsHandle::new(),
-            cache: cache.clone(),
         };
 
         // Progress ticker: an observer thread over the shared counters. It
@@ -699,13 +604,13 @@ impl Session {
 
         let detector = XfDetector::new(config.clone());
         let result = match mode {
-            Mode::Batch => detector.run_with_ctl(workload, ctl.clone()),
-            Mode::Parallel => detector.run_parallel_with_ctl(workload, self.workers, ctl.clone()),
+            Mode::Batch => detector.run_with_ctl(workload, ctl),
+            Mode::Parallel => detector.run_parallel_with_ctl(workload, self.workers, ctl),
             Mode::Stream => crate::stream::run_with_ctl(
                 &config,
                 workload,
                 self.stream_capacity.unwrap_or(DEFAULT_STREAM_CAPACITY),
-                ctl.clone(),
+                ctl,
             ),
         };
 
@@ -715,19 +620,11 @@ impl Session {
         }
         let mut outcome = result.map_err(XfError::from)?;
 
-        // The engines only bump the live counter on a warm hit; the
-        // authoritative cache statistics are stamped here from the handle.
-        if let Some(c) = &cache {
-            outcome.stats.cache_hits = c.hits();
-            outcome.stats.cache_misses = c.misses();
-            outcome.stats.cache_classes_loaded = c.loaded();
-            outcome.stats.cache_bytes = c.bytes_read();
+        if let Some((store, _)) = &store {
+            store.flush()?;
+            outcome.stats.cache_classes_loaded = store.loaded();
+            outcome.stats.cache_bytes = store.bytes_read();
         }
-
-        // A run capped by max_failure_points never saw the full
-        // failure-point space, so its count is not the run total — omit
-        // the END record rather than mislead a resume's progress ETA.
-        ctl.finish((config.max_failure_points.is_none()).then_some(outcome.stats.failure_points))?;
 
         if let Some(path) = self.metrics_out.as_ref().filter(|_| !inner) {
             let metrics = RunMetrics::new(
@@ -768,7 +665,6 @@ fn add_stats(acc: &mut RunStats, o: &RunStats) {
     acc.skipped_empty += o.skipped_empty;
     acc.post_runs += o.post_runs;
     acc.images_deduped += o.images_deduped;
-    acc.journal_skipped += o.journal_skipped;
     acc.cache_hits += o.cache_hits;
     acc.cache_misses += o.cache_misses;
     // Sweep plans share one store, so loaded/bytes are per-store facts,
@@ -812,6 +708,7 @@ mod tests {
     use super::*;
     use pmem::PmCtx;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
 
     struct Racy;
     impl Workload for Racy {
@@ -904,7 +801,7 @@ mod tests {
         let outcome = resumed.run(Racy, Mode::Batch).unwrap();
         std::fs::remove_file(&path).ok();
 
-        assert_eq!(outcome.stats.journal_skipped, 3, "{:?}", outcome.stats);
+        assert_eq!(outcome.stats.cache_hits, 3, "{:?}", outcome.stats);
         assert_eq!(
             report_json(&reference),
             report_json(&outcome),
@@ -936,13 +833,14 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let session = Session::builder().resume(&path).build().unwrap();
         let outcome = session.run(Racy, Mode::Batch).unwrap();
-        assert_eq!(outcome.stats.journal_skipped, 0);
+        assert_eq!(outcome.stats.cache_hits, 0);
         assert!(path.exists(), "a fresh journal must have been written");
         let again = Session::builder().resume(&path).build().unwrap();
         let second = again.run(Racy, Mode::Batch).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(
-            second.stats.journal_skipped, second.stats.failure_points,
+            (second.stats.cache_hits, second.stats.post_runs),
+            (second.stats.failure_points, 0),
             "a completed journal elides everything"
         );
         assert_eq!(report_json(&outcome), report_json(&second));
@@ -1152,11 +1050,26 @@ mod tests {
     }
 
     #[test]
-    fn class_cache_requires_equivalence_pruning() {
-        assert!(matches!(
-            Session::builder().class_cache(tmp("nope.xfc")).build(),
-            Err(ConfigError::CacheNeedsEquivalence)
-        ));
+    fn the_store_serves_unpruned_runs_and_the_fingerprint_binds_pruning() {
+        let path = tmp("cache-unpruned.xfc");
+        std::fs::remove_file(&path).ok();
+        let mk = |pruning: Pruning| {
+            Session::builder()
+                .pruning(pruning)
+                .class_cache(&path)
+                .build()
+                .unwrap()
+        };
+        let cold = mk(Pruning::Off).run(Racy, Mode::Batch).unwrap();
+        let warm = mk(Pruning::Off).run(Racy, Mode::Batch).unwrap();
+        assert_eq!(warm.stats.post_runs, 0, "{:?}", warm.stats);
+        assert_eq!(warm.stats.cache_hits, warm.stats.failure_points);
+        assert_eq!(report_json(&cold), report_json(&warm));
+        // A pruned run must not read an unpruned run's records.
+        let pruned = mk(Pruning::Equivalence).run(Racy, Mode::Batch).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(pruned.stats.cache_hits, 0, "{:?}", pruned.stats);
+        assert_eq!(report_json(&cold), report_json(&pruned));
     }
 
     #[test]

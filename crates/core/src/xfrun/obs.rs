@@ -21,7 +21,6 @@ struct ObsInner {
     post_runs: AtomicU64,
     images_deduped: AtomicU64,
     fps_pruned: AtomicU64,
-    journal_skipped: AtomicU64,
     cache_hits: AtomicU64,
     budget_exceeded: AtomicU64,
 }
@@ -66,12 +65,7 @@ impl ObsHandle {
         self.inner.fps_pruned.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A failure point was elided by the resumed run journal.
-    pub fn journal_skip(&self) {
-        self.inner.journal_skipped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A failure point was served from the cross-run class cache.
+    /// A failure point was served from the post-trace store.
     pub fn cache_hit(&self) {
         self.inner.cache_hits.fetch_add(1, Ordering::Relaxed);
     }
@@ -98,7 +92,6 @@ impl ObsHandle {
             post_runs: self.inner.post_runs.load(Ordering::Relaxed),
             images_deduped: self.inner.images_deduped.load(Ordering::Relaxed),
             fps_pruned: self.inner.fps_pruned.load(Ordering::Relaxed),
-            journal_skipped: self.inner.journal_skipped.load(Ordering::Relaxed),
             cache_hits: self.inner.cache_hits.load(Ordering::Relaxed),
             budget_exceeded: self.inner.budget_exceeded.load(Ordering::Relaxed),
         }
@@ -116,9 +109,7 @@ pub struct ObsCounts {
     pub images_deduped: u64,
     /// Failure points elided by equivalence-class pruning.
     pub fps_pruned: u64,
-    /// Failure points elided by the resumed run journal.
-    pub journal_skipped: u64,
-    /// Failure points served from the cross-run class cache.
+    /// Failure points served from the post-trace store.
     pub cache_hits: u64,
     /// Post-failure executions killed by the budget watchdog.
     pub budget_exceeded: u64,
@@ -144,8 +135,7 @@ pub struct Progress {
     /// Current counter values.
     pub counts: ObsCounts,
     /// Expected failure-point total, when one is known: the configured
-    /// `max_failure_points` cap, or the total recorded by the journal of
-    /// the run being resumed.
+    /// `max_failure_points` cap.
     pub total_hint: Option<u64>,
     /// Wall-clock time since the run started.
     pub elapsed: Duration,
@@ -240,7 +230,6 @@ impl RunMetrics {
                 post_runs: stats.post_runs,
                 images_deduped: stats.images_deduped,
                 fps_pruned: stats.fps_pruned,
-                journal_skipped: stats.journal_skipped,
                 cache_hits: stats.cache_hits,
                 budget_exceeded: stats.budget_exceeded,
             },
@@ -280,7 +269,6 @@ mod tests {
         obs.post_run();
         obs.dedup_hit();
         obs.prune_hit();
-        obs.journal_skip();
         obs.cache_hit();
         obs.budget_kill();
         let c = obs.snapshot();
@@ -288,7 +276,6 @@ mod tests {
         assert_eq!(c.post_runs, 1);
         assert_eq!(c.images_deduped, 1);
         assert_eq!(c.fps_pruned, 1);
-        assert_eq!(c.journal_skipped, 1);
         assert_eq!(c.cache_hits, 1);
         assert_eq!(c.budget_exceeded, 1);
         assert!((c.dedup_hit_rate() - 0.5).abs() < 1e-9);
@@ -330,6 +317,6 @@ mod tests {
         let json = serde_json::to_string(&m).unwrap();
         assert!(json.contains("\"schema_version\":1"), "{json}");
         assert!(json.contains("\"stage_ms\""), "{json}");
-        assert!(json.contains("\"journal_skipped\""), "{json}");
+        assert!(json.contains("\"cache_hits\""), "{json}");
     }
 }

@@ -5,8 +5,8 @@
 //! Three job sources, mirroring the CLI subcommands:
 //!
 //! - a named workload (`xfd report` semantics): live detection through a
-//!   [`Session`] built by [`JobSpec::apply`], so the journal, pruning and
-//!   the cross-run class cache all participate,
+//!   [`Session`] built by [`JobSpec::apply`], so pruning and the
+//!   post-trace store (journal, resume or class cache) all participate,
 //! - an uploaded or on-disk `.xft` trace (`xfd analyze` semantics): the
 //!   offline backend replays it,
 //! - an uploaded or on-disk `.fuzz` program (`xfd fuzz --replay`

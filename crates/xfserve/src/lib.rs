@@ -8,11 +8,11 @@
 //! incrementally as length-framed, checksummed records ([`proto`]).
 //!
 //! The server's headline win over one-shot `xfd report` runs is the
-//! **cross-run class cache**: persistence-state equivalence classes
-//! (fingerprints + crash-image content hashes) are persisted per program
-//! digest, so a repeat campaign skips every already-analyzed class and
-//! re-executes only what changed. See [`server`] for the cache keying
-//! and invalidation rules.
+//! **cross-run post-trace store**: the post-failure trace checked at each
+//! failure point is persisted per program digest and configuration, so a
+//! repeat campaign replays every already-analyzed failure point instead
+//! of executing it. See [`server`] for the store keying and invalidation
+//! rules.
 //!
 //! Three layers:
 //!

@@ -22,19 +22,20 @@
 //!
 //! # Cross-run cache
 //!
-//! With a `--cache-dir`, the server arms the [`xfdetector`] class cache
-//! on every eligible job. The cache file is named by the FNV-1a hash of
-//! the job's *program digest* (workload + ops + init + bugs, or the
-//! content hash of an uploaded artifact) together with its run
-//! fingerprint ([`xfdetector::run_fingerprint`]: every report-affecting
-//! configuration axis, the same axes the cache header checks). A repeat
-//! campaign therefore loads the previous run's persistence-state
-//! equivalence classes and skips their representatives, and the same
-//! program under two configurations (ADR and eADR, say) keeps two files
-//! instead of overwriting one header with the other on every alternation.
-//! A header mismatch still falls back to a cold start. Two jobs racing to
-//! save one file is benign: each save renames a complete file into place,
-//! the last one wins, and reports are unaffected either way.
+//! With a `--cache-dir`, the server arms the [`xfdetector`] post-trace
+//! store as a class cache on every eligible job. The store file is named
+//! by the FNV-1a hash of the job's *program digest* (workload, ops, init
+//! and bugs, or the content hash of an uploaded artifact) together with
+//! its run fingerprint ([`xfdetector::run_fingerprint`]: every
+//! report-affecting configuration axis, the same axes the store header
+//! checks). A repeat campaign therefore replays the failure points the
+//! previous run checked instead of executing them, and the same program
+//! under two configurations (ADR and eADR, say) keeps two files instead of
+//! replacing one header with the other on every alternation. A header
+//! mismatch still falls back to a cold start. Two jobs appending to one
+//! file at once is benign: records are self-contained and written whole,
+//! so a race can only lose records, and reports are unaffected either
+//! way.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -61,8 +62,8 @@ pub struct ServerOptions {
     /// Number of executor threads running jobs (each job additionally
     /// shards its failure points across the session's own worker pool).
     pub exec_workers: usize,
-    /// Directory for cross-run class-cache files; `None` disables the
-    /// cache.
+    /// Directory for cross-run post-trace store files; `None` disables
+    /// the cache.
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -398,8 +399,8 @@ fn prepare(
     opts: &ServerOptions,
 ) -> Result<JobSpec, xfdetector::XfError> {
     let mut spec = JobSpec::from_json(spec_json)?;
-    // Server defaults: campaigns want wall-clock throughput and the
-    // equivalence pruning the cache is built on.
+    // Server defaults: campaigns want wall-clock throughput and
+    // equivalence pruning.
     if spec.mode.is_none() {
         spec.mode = Some("parallel".to_owned());
     }
@@ -415,9 +416,9 @@ fn prepare(
         let kind = resolve_workload(&spec)?;
         resolve_bugs(&spec, kind)?;
     }
-    // Arm the cross-run cache: keyed by the program digest (or uploaded
-    // content) and the run fingerprint, salted per schedule plan inside
-    // the cache layer. Every mode serves it, since the batch, stream and
+    // Arm the cross-run store: keyed by the program digest (or uploaded
+    // content) and the run fingerprint, namespaced per schedule plan
+    // inside the store. Every mode serves it, since the batch, stream and
     // parallel drivers share one planner. Explicit cache/journal choices
     // in the spec win over the server default.
     if let Some(dir) = &opts.cache_dir {

@@ -12,7 +12,7 @@
 //!   exact interleaving that produced it),
 //! - the **entry records** of [`xftrace::codec`]: an incremental string
 //!   table (`FileDef` records) and varint + delta encoding for the hot
-//!   fields — the same entry codec the cross-run class cache stores its
+//!   fields — the same entry codec the post-trace store keeps its
 //!   post-failure traces in,
 //! - an **`End` record** carrying the authoritative entry/failure-point
 //!   counts, so streaming writers (which cannot know counts up front) stay

@@ -59,8 +59,8 @@ pub fn write_repro_artifacts(outcome: &RunOutcome, dir: &Path) -> Result<Vec<Pat
     let mut written = Vec::with_capacity(failing.len());
     for id in failing {
         // Every fired failure point pushes one recorded entry in id order
-        // (journal-elided ones record an empty post trace), so the id
-        // indexes the recording directly.
+        // (stored ones record the trace they replayed), so the id indexes
+        // the recording directly.
         let Some(fp) = recorded.failure_points.get(id as usize) else {
             return Err(XfError::Journal(format!(
                 "recorded run has no failure point {id} (truncated recording?)"

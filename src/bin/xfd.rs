@@ -14,7 +14,7 @@
 //!   shrinking any divergence to a minimal repro,
 //! - `xfd serve`   — long-running campaign server: accepts detection jobs
 //!   over a socket, shards them across a worker pool and streams findings
-//!   back, with a cross-run class cache deduplicating repeat campaigns,
+//!   back, with a cross-run post-trace store deduplicating repeat campaigns,
 //! - `xfd submit`  — send a job to a running server and stream its results,
 //! - `xfd watch`   — re-attach to a submitted job's event stream,
 //! - `xfd info`    — inspect a `.xft` trace, or list workloads and bugs.
@@ -114,8 +114,8 @@ SERVER OPTIONS (serve / submit / watch / stop):
     --addr HOST:PORT      TCP endpoint (default 127.0.0.1:7611)
     --socket PATH         Unix-domain socket endpoint (unix only)
     --exec-workers N      Concurrent job executors (serve; default 2)
-    --cache-dir DIR       Cross-run class-cache directory (serve): repeat
-                          campaigns skip already-analyzed equivalence classes
+    --cache-dir DIR       Post-trace store directory (serve): a repeat job
+                          replays the failure points an earlier one checked
     --artifact FILE       Upload a .xft trace or .fuzz program with the job
     --no-wait             Submit without streaming results (print job id)
 
@@ -144,18 +144,23 @@ SESSION OPTIONS (fault-tolerant orchestration; record & report):
     --budget-ms N         Kill post-failure runs after N ms of wall time and
                           report them as budget-exceeded findings
     --budget-entries N    Kill post-failure runs after N trace entries
-    --journal FILE.xfj    Write a resumable run journal (overwrites FILE)
-    --resume FILE.xfj     Resume a killed run from its journal: explored
-                          failure points are skipped, findings merged
+    --journal FILE.xfj    Write a fresh post-trace store (replaces FILE):
+                          each checked failure point's post-failure trace
+                          is appended as the run goes, so it can resume
+    --resume FILE.xfj     Resume a killed run from its post-trace store:
+                          stored failure points replay their traces
+                          instead of executing, new ones are appended; a
+                          torn or foreign header is an error (exit 2)
     --metrics-out FILE    Write machine-readable run metrics JSON
     --repro-dir DIR       Export failing failure points (panics, budget
                           kills) as standalone .xft repro traces under DIR
-    --class-cache FILE    Cross-run class cache: persist equivalence-class
-                          representatives so a repeat run skips their
-                          post-failure executions (needs --pruning
-                          equivalence; reports stay byte-identical)
-    --cache-digest STR    Salt the class-cache key with a program digest
-                          (defaults to a digest of the job's source fields)
+    --class-cache FILE    Open FILE as a cross-run post-trace store: a
+                          repeat run replays the stored traces instead of
+                          executing (any --pruning; a stale file starts
+                          cold; reports stay byte-identical). --journal,
+                          --resume and --class-cache are exclusive
+    --cache-digest STR    Program digest in the store header (defaults to
+                          a digest of the job's source fields)
     --progress            Live progress line on stderr (fps done/total,
                           dedup hit rate, ETA)
 
@@ -479,12 +484,12 @@ fn progress_line(p: &Progress) {
         .eta()
         .map_or_else(String::new, |d| format!(" eta {:.1}s", d.as_secs_f64()));
     eprint!(
-        "\r[{:7.1}s] fps {}/{total} | posts {} | dedup {:.0}% | skipped {} | kills {}{eta}   ",
+        "\r[{:7.1}s] fps {}/{total} | posts {} | dedup {:.0}% | stored {} | kills {}{eta}   ",
         p.elapsed.as_secs_f64(),
         c.failure_points_done,
         c.post_runs,
         c.dedup_hit_rate() * 100.0,
-        c.journal_skipped,
+        c.cache_hits,
         c.budget_exceeded,
     );
 }
@@ -574,7 +579,7 @@ fn human_summary(report: &DetectionReport, stats: &RunStats) -> String {
     if stats.cache_hits > 0 || stats.cache_classes_loaded > 0 {
         let _ = write!(
             s,
-            "\nclass cache:    {} hits, {} misses, {} classes loaded ({} bytes)",
+            "\nstore:          {} hits, {} misses, {} records loaded ({} bytes)",
             stats.cache_hits, stats.cache_misses, stats.cache_classes_loaded, stats.cache_bytes,
         );
     }

@@ -1,16 +1,21 @@
-//! Torture tests for the cross-run class-cache file: a session pointed at
-//! a cache truncated at *every* byte offset, with *every* single bit
-//! flipped, or written by two racing savers must either start cold or
-//! serve warm classes — and in both cases produce the byte-identical
-//! report of a run without any cache. It must never panic and never
-//! produce a different report. The truncation and bit-flip sweeps run
-//! every mutated file through the batch, stream and parallel drivers.
+//! Torture tests for the post-trace store, through both of its openers. A
+//! session pointed at a store truncated at *every* byte offset, with
+//! *every* single bit flipped, written by two racing creators or appended
+//! to by two sessions at once must end in one of three ways: a typed
+//! [`XfError::Journal`] (a resume whose header is torn or foreign, and
+//! only then), a cold start, or the byte-identical report of a run without
+//! any store, served partly or fully warm. It must never panic and never
+//! produce a different report. The class-cache sweeps run every mutated
+//! file through the batch, stream and parallel drivers.
 
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 use xfd::pmem::PmCtx;
-use xfd::xfdetector::{DynError, Mode, Pruning, RunOutcome, Session, Workload};
+use xfd::xfdetector::{
+    DynError, Mode, Pruning, RunOutcome, Session, SessionBuilder, Workload, XfConfig, XfError,
+};
 use xfd::xftrace::SourceLoc;
 
 /// A small workload whose cache stays small enough to flip every bit of:
@@ -114,9 +119,9 @@ fn reference_and_cache(name: &str) -> (String, Vec<u8>) {
 }
 
 /// Runs with `bytes` as the cache file in every mode and checks each
-/// outcome: either a cold start or a warm hit, with the reference report
-/// either way. Returns whether the runs were served warm.
-fn check(path: &Path, bytes: &[u8], reference: &str, what: &str) -> bool {
+/// outcome: either a cold start or warm hits, with the reference report
+/// either way. Returns the records the runs loaded.
+fn check(path: &Path, bytes: &[u8], reference: &str, what: &str) -> u64 {
     let warm = MODES.map(|mode| {
         // A cold run saves a fresh file, so each mode gets the bytes anew.
         std::fs::write(path, bytes).unwrap();
@@ -127,14 +132,14 @@ fn check(path: &Path, bytes: &[u8], reference: &str, what: &str) -> bool {
             "{what} changed the {mode:?} report"
         );
         let s = &outcome.stats;
-        let warm = s.cache_classes_loaded > 0;
-        if !warm {
+        if s.cache_classes_loaded == 0 {
             assert_eq!(
                 s.cache_hits, 0,
-                "{what}: {mode:?} hits without loaded classes"
+                "{what}: {mode:?} hits without loaded records"
             );
         }
-        warm
+        assert!(s.accounting_holds(), "{what}: {mode:?}: {s:?}");
+        s.cache_classes_loaded
     });
     assert!(
         warm.iter().all(|&w| w == warm[0]),
@@ -147,14 +152,21 @@ fn check(path: &Path, bytes: &[u8], reference: &str, what: &str) -> bool {
 fn truncation_at_every_offset_starts_cold_or_serves_the_reference() {
     let (reference, cache) = reference_and_cache("cut");
     let path = tmp("cut.xfc");
-    let mut warm = 0;
-    for cut in 0..=cache.len() {
-        let what = format!("truncation at {cut}/{}", cache.len());
-        warm += usize::from(check(&path, &cache[..cut], &reference, &what));
-    }
+    let loaded: Vec<u64> = (0..=cache.len())
+        .map(|cut| {
+            let what = format!("truncation at {cut}/{}", cache.len());
+            check(&path, &cache[..cut], &reference, &what)
+        })
+        .collect();
     std::fs::remove_file(&path).ok();
-    // Only the untruncated file may load: the trailer covers every byte.
-    assert_eq!(warm, 1, "exactly the complete file serves warm");
+    // A torn tail loses only the torn record: every record boundary past
+    // the header loads one more record, and nothing loads out of order.
+    assert!(loaded.windows(2).all(|w| w[0] <= w[1]), "{loaded:?}");
+    assert_eq!(loaded[0], 0);
+    assert!(
+        loaded.iter().filter(|&&n| n > 0).count() > 1,
+        "prefixes must serve warm: {loaded:?}"
+    );
 }
 
 #[test]
@@ -173,7 +185,7 @@ fn every_single_bit_flip_starts_cold_or_serves_the_reference() {
             );
         }
     }
-    assert!(check(&path, &cache, &reference, "the intact file"));
+    assert!(check(&path, &cache, &reference, "the intact file") > 0);
     std::fs::remove_file(&path).ok();
 }
 
@@ -186,8 +198,9 @@ fn racing_savers_leave_one_complete_file() {
     let path = dir.join("shared.xfc");
     for round in 0..8 {
         std::fs::remove_file(&path).ok();
-        // Two cold runs under different program digests save to one path
-        // at once; whichever rename lands last owns the file.
+        // Two cold runs under different program digests create one path
+        // at once; whichever rename lands last owns the file, and the
+        // other appends to an unlinked one.
         let savers: Vec<_> = ["a", "b"]
             .into_iter()
             .map(|digest| {
@@ -198,9 +211,9 @@ fn racing_savers_leave_one_complete_file() {
         for saver in savers {
             assert_eq!(saver.join().unwrap(), reference, "round {round}");
         }
-        // The file is complete, never torn or interleaved, so it belongs
-        // to exactly one saver. Each digest probes its own copy, because a
-        // cold probe rewrites the file it opened.
+        // Each creator renames a complete file into place, so the file
+        // belongs to exactly one of them. Each digest probes its own copy,
+        // because a cold probe replaces the file it opened.
         let raced = std::fs::read(&path).unwrap();
         let warm: Vec<bool> = ["a", "b"]
             .into_iter()
@@ -305,6 +318,155 @@ fn a_warm_run_stops_where_the_cold_run_completed_detection() {
             (s.failure_points, s.cache_hits, s.post_runs),
             (1, 1, 0),
             "{mode:?}: {s:?}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A session that resumes from the store at `path` without pruning.
+fn resuming(path: &Path, max_failure_points: Option<u64>) -> SessionBuilder {
+    let config = XfConfig::builder()
+        .max_failure_points(max_failure_points)
+        .build()
+        .unwrap();
+    Session::builder().config(config).resume(path)
+}
+
+/// The unpruned reference report and the bytes of a complete store
+/// written with [`SessionBuilder::journal`].
+fn reference_and_journal(name: &str) -> (String, Vec<u8>) {
+    let reference = Session::builder()
+        .build()
+        .unwrap()
+        .run(Torture, Mode::Batch)
+        .unwrap();
+    assert!(reference.report.race_count() >= 1 && reference.stats.failure_points >= 4);
+    let path = tmp(&format!("{name}-source.xfj"));
+    Session::builder()
+        .journal(&path)
+        .build()
+        .unwrap()
+        .run(Torture, Mode::Batch)
+        .unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    (report_json(&reference), bytes)
+}
+
+/// Resumes from `bytes`: `Err` only for a header the store rejects, and the
+/// reference report otherwise.
+fn resume_from(path: &Path, bytes: &[u8], reference: &str, what: &str) -> Result<u64, XfError> {
+    std::fs::write(path, bytes).unwrap();
+    match resuming(path, None)
+        .build()
+        .unwrap()
+        .run(Torture, Mode::Batch)
+    {
+        Ok(outcome) => {
+            assert_eq!(
+                report_json(&outcome),
+                reference,
+                "{what} changed the report"
+            );
+            assert!(
+                outcome.stats.accounting_holds(),
+                "{what}: {:?}",
+                outcome.stats
+            );
+            Ok(outcome.stats.cache_hits)
+        }
+        Err(e @ XfError::Journal(_)) => Err(e),
+        Err(other) => panic!("{what} failed outside the store: {other}"),
+    }
+}
+
+#[test]
+fn truncation_at_every_offset_resumes_cleanly_or_rejects() {
+    let (reference, journal) = reference_and_journal("resume-cut");
+    let path = tmp("resume-cut.xfj");
+    let results: Vec<_> = (0..=journal.len())
+        .map(|cut| {
+            let what = format!("truncation at {cut}/{}", journal.len());
+            resume_from(&path, &journal[..cut], &reference, &what).ok()
+        })
+        .collect();
+    std::fs::remove_file(&path).ok();
+    // Only a torn header rejects: the rejections are a prefix of the cuts.
+    let header = results.iter().take_while(|r| r.is_none()).count();
+    assert!(header > 0, "a torn header must be rejected");
+    assert!(results[header..].iter().all(Option::is_some), "{results:?}");
+    let complete = results.last().copied().flatten();
+    assert!(
+        complete > Some(0),
+        "the complete store serves every failure point"
+    );
+}
+
+#[test]
+fn flipped_journal_bytes_never_corrupt_the_merged_report() {
+    let (reference, journal) = reference_and_journal("resume-flip");
+    let path = tmp("resume-flip.xfj");
+    let mut served = 0;
+    for at in 0..journal.len() {
+        for bit in 0..8 {
+            let mut mutated = journal.clone();
+            mutated[at] ^= 1 << bit;
+            let what = format!("bit {bit} of byte {at}");
+            // A flipped header rejects; a flipped record is dropped, with
+            // the records after it, and re-executes.
+            served += usize::from(resume_from(&path, &mutated, &reference, &what).is_ok());
+        }
+    }
+    std::fs::remove_file(&path).ok();
+    assert!(served > 0, "flips past the header must resume");
+}
+
+#[test]
+fn two_sessions_appending_to_one_file_lose_no_report() {
+    let (reference, _) = reference_and_journal("append");
+    let path = tmp("append.xfj");
+    for round in 0..8 {
+        // A killed run leaves the first two failure points in the store;
+        // two resumes then append the rest to it at once.
+        std::fs::remove_file(&path).ok();
+        resuming(&path, Some(2))
+            .build()
+            .unwrap()
+            .run(Torture, Mode::Batch)
+            .unwrap();
+        let start = Arc::new(Barrier::new(2));
+        let appenders: Vec<_> = [Mode::Batch, Mode::Parallel]
+            .into_iter()
+            .map(|mode| {
+                let (path, start) = (path.clone(), Arc::clone(&start));
+                thread::spawn(move || {
+                    start.wait();
+                    let outcome = resuming(&path, None)
+                        .workers(2)
+                        .build()
+                        .unwrap()
+                        .run(Torture, mode)
+                        .unwrap();
+                    report_json(&outcome)
+                })
+            })
+            .collect();
+        for appender in appenders {
+            assert_eq!(appender.join().unwrap(), reference, "round {round}");
+        }
+        // Whatever the interleaving, every record in the file is whole:
+        // a later run serves at least the killed run's records and the
+        // reference report.
+        let warm = resuming(&path, None)
+            .build()
+            .unwrap()
+            .run(Torture, Mode::Batch)
+            .unwrap();
+        assert_eq!(report_json(&warm), reference, "round {round}");
+        assert!(
+            warm.stats.cache_hits >= 2,
+            "round {round}: {:?}",
+            warm.stats
         );
     }
     std::fs::remove_file(&path).ok();

@@ -1,10 +1,14 @@
 //! Fault-tolerant orchestration, end to end: a detection run killed partway
-//! through and resumed from its journal must merge to a report
+//! through and resumed from its post-trace store must merge to a report
 //! byte-identical to an uninterrupted run — in every execution mode, on
-//! multiple workloads — and a workload that hangs its own recovery must
-//! terminate under a budget with the overrun reported as a finding.
+//! multiple workloads, under random crash images and across schedule
+//! sweeps — its recording must analyze to the same report, and a workload
+//! that hangs its own recovery must terminate under a budget with the
+//! overrun reported as a finding.
 
+use xfd::pmem::CrashPolicy;
 use xfd::prelude::*;
+use xfd::workloads::build_concurrent;
 
 /// Serialized form used for byte-identity comparisons (the same form the
 /// CLI and the cross-mode equivalence suite compare).
@@ -68,9 +72,9 @@ fn assert_resume_equivalence(kind: WorkloadKind, mode: Mode) {
     std::fs::remove_file(&path).ok();
 
     assert_eq!(
-        outcome.stats.journal_skipped,
+        outcome.stats.cache_hits,
         KILL_AFTER,
-        "{kind}/{}: resume must skip exactly the journaled failure points",
+        "{kind}/{}: resume must replay exactly the stored failure points",
         mode.name()
     );
     assert_eq!(
@@ -240,10 +244,10 @@ fn zero_workers_clamps_to_one_under_pruning() {
 }
 
 /// Resume and pruning compose: a pruned run killed partway and resumed
-/// from its journal merges to the byte-identical report of an
-/// uninterrupted pruned run. Representatives are not journaled — the
-/// prune cache rebuilds from scratch after resume, so a class whose
-/// representative fell before the kill simply elects a new one.
+/// from its store merges to the byte-identical report of an uninterrupted
+/// pruned run. Stored failure points do not seed the prune cache, so a
+/// class whose representative fell before the kill simply elects a new
+/// one.
 #[test]
 fn pruned_runs_resume_byte_identically() {
     let kind = WorkloadKind::Btree;
@@ -284,12 +288,12 @@ fn pruned_runs_resume_byte_identically() {
             .unwrap();
         std::fs::remove_file(&path).ok();
 
-        assert_eq!(outcome.stats.journal_skipped, KILL_AFTER);
+        assert_eq!(outcome.stats.cache_hits, KILL_AFTER);
         assert_eq!(
             outcome.stats.post_runs
                 + outcome.stats.images_deduped
                 + outcome.stats.fps_pruned
-                + outcome.stats.journal_skipped,
+                + outcome.stats.cache_hits,
             outcome.stats.failure_points,
             "{}: accounting broke: {:?}",
             mode.name(),
@@ -304,7 +308,7 @@ fn pruned_runs_resume_byte_identically() {
     }
 }
 
-/// A budget-killed run is itself resumable: the journaled overrun findings
+/// A budget-killed run is itself resumable: the stored overrun outcomes
 /// replay verbatim and the merged report stays byte-identical.
 #[test]
 fn resume_preserves_budget_overrun_findings() {
@@ -340,7 +344,7 @@ fn resume_preserves_budget_overrun_findings() {
         .unwrap();
     std::fs::remove_file(&path).ok();
 
-    assert_eq!(outcome.stats.journal_skipped, KILL_AFTER);
+    assert_eq!(outcome.stats.cache_hits, KILL_AFTER);
     assert_eq!(report_json(&reference), report_json(&outcome));
     assert!(outcome.report.execution_failure_count() >= 1);
 }
@@ -385,9 +389,9 @@ impl Workload for StopsAtThirdSlot {
     }
 }
 
-/// Resuming the journal of a run that `completeDetection` stopped stops
-/// at the same failure point: the same report byte for byte, the same
-/// failure points, all of them journaled, and no post-failure run.
+/// Resuming the store of a run that `completeDetection` stopped stops at
+/// the same failure point: the same report byte for byte, the same
+/// failure points, all of them stored, and no post-failure run.
 #[test]
 fn resuming_a_completed_run_stops_where_it_completed() {
     let reference = session()
@@ -423,10 +427,156 @@ fn resuming_a_completed_run_stops_where_it_completed() {
         );
         let s = &resumed.stats;
         assert_eq!(
-            (s.failure_points, s.journal_skipped, s.post_runs),
+            (s.failure_points, s.cache_hits, s.post_runs),
             (fps, fps, 0),
             "{}: {s:?}",
             mode.name()
+        );
+    }
+}
+
+/// Kill-and-resume under [`CrashPolicy::RandomEviction`]: each capture
+/// draws from a generator of its own, so the captures a resumed run
+/// replays from the store do not shift the crash states of the ones it
+/// executes. Every registry bug of the four workloads whose reports
+/// depend on the drawn evictions, in every mode.
+#[test]
+fn random_eviction_resume_is_byte_identical_in_every_mode() {
+    let kinds = [
+        WorkloadKind::Btree,
+        WorkloadKind::Ctree,
+        WorkloadKind::Rbtree,
+        WorkloadKind::HashmapTx,
+    ];
+    let random = |bug: BugId| XfConfig {
+        crash_policy: CrashPolicy::RandomEviction { survive_prob: 0.5 },
+        ..validation_config(bug)
+    };
+    for &bug in BugId::all()
+        .iter()
+        .filter(|b| kinds.contains(&b.workload()))
+    {
+        for mode in [Mode::Batch, Mode::Stream, Mode::Parallel] {
+            let path = journal_path(&format!("random-{bug:?}-{}", mode.name()));
+            std::fs::remove_file(&path).ok();
+            let run = |config: XfConfig, store: &dyn Fn(SessionBuilder) -> SessionBuilder| {
+                store(session().config(config).workers(2))
+                    .build()
+                    .unwrap()
+                    .run(build_with_bug(bug), mode)
+                    .unwrap()
+            };
+            let reference = run(random(bug), &|b| b);
+            if reference.stats.failure_points <= KILL_AFTER {
+                continue;
+            }
+            let capped = XfConfig {
+                max_failure_points: Some(KILL_AFTER),
+                ..random(bug)
+            };
+            run(capped, &|b| b.journal(&path));
+            let resumed = run(random(bug), &|b| b.resume(&path));
+            std::fs::remove_file(&path).ok();
+            assert_eq!(resumed.stats.cache_hits, KILL_AFTER, "{bug:?}/{mode:?}");
+            assert_eq!(
+                report_json(&reference),
+                report_json(&resumed),
+                "{bug:?}/{mode:?}: a resumed random-eviction run diverged"
+            );
+        }
+    }
+}
+
+/// The recording of a resumed run carries the stored traces it replayed,
+/// so analyzing it offline gives the live report's trace-derived findings
+/// exactly as an uninterrupted run's recording does.
+#[test]
+fn a_resumed_recording_analyzes_to_the_reference_report() {
+    use xfd::xfdetector::offline::analyze;
+    let trace_derived = |report: &DetectionReport| {
+        let findings: Vec<_> = report
+            .findings()
+            .iter()
+            .filter(|f| f.kind.category() != BugCategory::ExecutionFailure)
+            .collect();
+        format!("{findings:?}")
+    };
+    for bug in [
+        BugId::BtNoAddRootPtr,
+        BugId::BtOutsideTx,
+        BugId::BtNoAddHeight,
+    ] {
+        let path = journal_path(&format!("recorded-{bug:?}"));
+        std::fs::remove_file(&path).ok();
+        let run = |max: Option<u64>, store: &dyn Fn(SessionBuilder) -> SessionBuilder| {
+            let config = XfConfig {
+                max_failure_points: max,
+                ..validation_config(bug)
+            };
+            store(session().config(config).record_repro(true))
+                .build()
+                .unwrap()
+                .run(build_with_bug(bug), Mode::Batch)
+                .unwrap()
+        };
+        let reference = run(None, &|b| b);
+        run(Some(KILL_AFTER), &|b| b.journal(&path));
+        let resumed = run(None, &|b| b.resume(&path));
+        std::fs::remove_file(&path).ok();
+        assert_eq!(resumed.stats.cache_hits, KILL_AFTER, "{bug:?}");
+        let recorded = resumed.recorded.expect("the resumed run records");
+        let offline = analyze(&recorded, true);
+        assert_eq!(
+            trace_derived(&reference.report),
+            format!("{:?}", offline.findings().iter().collect::<Vec<_>>()),
+            "{bug:?}: the resumed recording lost findings"
+        );
+    }
+}
+
+/// A multi-plan schedule sweep writes its store, one plan namespace per
+/// schedule plan, and a sweep killed after a few failure points of every
+/// plan resumes to the byte-identical report of an uninterrupted sweep.
+#[test]
+fn schedule_sweeps_resume_byte_identically() {
+    let spec: ScheduleSpec = "exhaustive:2".parse().unwrap();
+    let kind = WorkloadKind::TreiberStack;
+    for mode in [Mode::Batch, Mode::Stream, Mode::Parallel] {
+        let path = journal_path(&format!("sweep-{}", mode.name()));
+        std::fs::remove_file(&path).ok();
+        let run = |max: Option<u64>, store: &dyn Fn(SessionBuilder) -> SessionBuilder| {
+            let config = XfConfig::builder()
+                .threads(2)
+                .schedule(spec)
+                .max_failure_points(max)
+                .build()
+                .unwrap();
+            store(session().config(config).workers(2))
+                .build()
+                .unwrap()
+                .run_concurrent(
+                    build_concurrent(kind, validation_ops(kind), BugSet::none()).unwrap(),
+                    mode,
+                )
+                .unwrap()
+        };
+        let reference = run(None, &|b| b);
+        assert!(reference.stats.schedules_explored > 1);
+        run(Some(KILL_AFTER), &|b| b.journal(&path));
+        assert!(path.exists(), "{mode:?}: the sweep wrote no store");
+        let resumed = run(None, &|b| b.resume(&path));
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            resumed.stats.cache_hits,
+            KILL_AFTER * reference.stats.schedules_explored,
+            "{mode:?}: {:?}",
+            resumed.stats
+        );
+        assert!(resumed.stats.accounting_holds(), "{:?}", resumed.stats);
+        assert_eq!(
+            report_json(&reference),
+            report_json(&resumed),
+            "{mode:?}: a resumed sweep diverged"
         );
     }
 }
