@@ -372,7 +372,6 @@ impl<W: Workload, S: Sink> EngineHook for Frontend<W, S> {
                     let outcome = PostOutcome::execute(
                         &mut post_ctx,
                         self.config.post_budget.as_ref(),
-                        self.config.catch_post_panics,
                         |c| self.workload.post_failure(c),
                     );
                     let entries = post_ctx.trace().drain();

@@ -92,6 +92,27 @@ impl<W: Workload + ?Sized> Workload for Box<W> {
 ///
 /// The defaults enable both §5.4 optimizations and the completion failure
 /// point; the ablation switches exist for the benchmarks in DESIGN.md §4.
+/// A post-failure panic is always quarantined and reported as a
+/// [`BugKind::PostFailurePanic`] finding (the paper's Figure 1 scenario
+/// ends in a segmentation fault; the analogue here is a panic).
+///
+/// Build a configuration with struct-update syntax over the defaults;
+/// [`XfConfig::validate`] checks what the fields cannot enforce, and
+/// building a [`Session`](crate::Session) runs it:
+///
+/// ```
+/// use xfdetector::XfConfig;
+///
+/// let cfg = XfConfig {
+///     max_failure_points: Some(16),
+///     first_read_only: false,
+///     ..XfConfig::default()
+/// };
+/// assert!(cfg.validate().is_ok());
+/// assert!(XfConfig { threads: 0, ..cfg }.validate().is_err());
+/// ```
+///
+/// [`BugKind::PostFailurePanic`]: crate::BugKind::PostFailurePanic
 #[derive(Debug, Clone)]
 pub struct XfConfig {
     /// Elide failure points at ordering points with no PM activity since the
@@ -108,10 +129,6 @@ pub struct XfConfig {
     /// Ablation: consider a failure point before every PM store instead of
     /// only before ordering points (§4.2 argues this is wasted work).
     pub fire_on_every_write: bool,
-    /// Catch panics in the post-failure stage and record them as findings
-    /// (the paper's Figure 1 scenario ends in a segmentation fault; the
-    /// analogue here is a panic).
-    pub catch_post_panics: bool,
     /// How the post-failure PM image is materialized. The paper's mode is
     /// [`CrashPolicy::FullImage`]; the eviction policies are an extension
     /// for differential testing.
@@ -134,10 +151,6 @@ pub struct XfConfig {
     /// the watchdog when it exhausts any axis, and the kill is recorded as
     /// a [`BugKind::BudgetExceeded`] finding instead of wedging the run.
     /// `None` (the default) runs unbudgeted, like the seed engine.
-    ///
-    /// When a budget is armed the engine always unwinds post-failure
-    /// overruns safely, even with [`XfConfig::catch_post_panics`] off:
-    /// the watchdog kill is a finding, never an engine crash.
     pub post_budget: Option<Budget>,
     /// Failure-point pruning policy: collapse failure points into
     /// persistence-state equivalence classes and run one representative
@@ -176,7 +189,6 @@ impl Default for XfConfig {
             inject_at_completion: true,
             max_failure_points: None,
             fire_on_every_write: false,
-            catch_post_panics: true,
             crash_policy: CrashPolicy::FullImage,
             rng_seed: 0x5eed_cafe,
             record_trace: false,
@@ -191,28 +203,14 @@ impl Default for XfConfig {
 }
 
 impl XfConfig {
-    /// Starts a builder seeded with the default configuration.
-    ///
-    /// The builder runs [`XfConfig::validate`] at [`XfConfigBuilder::build`]
-    /// time. Prefer it over struct-literal construction, which is kept
-    /// compiling for existing callers but checks nothing until a
-    /// [`Session`](crate::Session) is built from it.
-    #[must_use]
-    pub fn builder() -> XfConfigBuilder {
-        XfConfigBuilder {
-            config: XfConfig::default(),
-        }
-    }
-
     /// Checks the invariants free-field construction cannot enforce.
     ///
     /// # Errors
     ///
     /// [`ConfigError::EmptyBudget`] for a budget that limits no axis,
     /// [`ConfigError::ZeroThreads`], [`ConfigError::ScheduleTooLarge`] for
-    /// a schedule expanding to more than [`MAX_SCHEDULE_PLANS`] plans,
-    /// [`ConfigError::InvalidSamplingRate`], and [`ConfigError::Invalid`]
-    /// for an out-of-range persistence domain.
+    /// a schedule expanding to more than [`MAX_SCHEDULE_PLANS`] plans, and
+    /// [`ConfigError::Invalid`] for an out-of-range persistence domain.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.post_budget.as_ref().is_some_and(Budget::is_unlimited) {
             return Err(ConfigError::EmptyBudget);
@@ -225,7 +223,6 @@ impl XfConfig {
         if self.schedule.plan_count(self.threads) > MAX_SCHEDULE_PLANS {
             return Err(ConfigError::ScheduleTooLarge);
         }
-        self.pruning.validate()?;
         if self.domain.validate().is_err() {
             return Err(ConfigError::Invalid {
                 what: "--domain",
@@ -234,84 +231,6 @@ impl XfConfig {
             });
         }
         Ok(())
-    }
-}
-
-/// Builder for [`XfConfig`] with build-time invariant checks.
-///
-/// ```
-/// use xfdetector::XfConfig;
-///
-/// let cfg = XfConfig::builder()
-///     .max_failure_points(Some(16))
-///     .first_read_only(false)
-///     .build()
-///     .unwrap();
-/// assert_eq!(cfg.max_failure_points, Some(16));
-///
-/// // Invalid values are rejected instead of silently ignored:
-/// assert!(XfConfig::builder().threads(0).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct XfConfigBuilder {
-    config: XfConfig,
-}
-
-macro_rules! builder_setters {
-    ($($(#[$doc:meta])* $name:ident: $ty:ty),* $(,)?) => {
-        $(
-            $(#[$doc])*
-            #[must_use]
-            pub fn $name(mut self, value: $ty) -> Self {
-                self.config.$name = value;
-                self
-            }
-        )*
-    };
-}
-
-impl XfConfigBuilder {
-    builder_setters! {
-        /// See [`XfConfig::skip_empty_failure_points`].
-        skip_empty_failure_points: bool,
-        /// See [`XfConfig::first_read_only`].
-        first_read_only: bool,
-        /// See [`XfConfig::inject_at_completion`].
-        inject_at_completion: bool,
-        /// See [`XfConfig::max_failure_points`].
-        max_failure_points: Option<u64>,
-        /// See [`XfConfig::fire_on_every_write`].
-        fire_on_every_write: bool,
-        /// See [`XfConfig::catch_post_panics`].
-        catch_post_panics: bool,
-        /// See [`XfConfig::crash_policy`].
-        crash_policy: CrashPolicy,
-        /// See [`XfConfig::rng_seed`].
-        rng_seed: u64,
-        /// See [`XfConfig::record_trace`].
-        record_trace: bool,
-        /// See [`XfConfig::dedup_images`].
-        dedup_images: bool,
-        /// See [`XfConfig::post_budget`].
-        post_budget: Option<Budget>,
-        /// See [`XfConfig::pruning`].
-        pruning: Pruning,
-        /// See [`XfConfig::threads`].
-        threads: u32,
-        /// See [`XfConfig::schedule`].
-        schedule: xfsched::ScheduleSpec,
-        /// See [`XfConfig::domain`].
-        domain: PersistDomain,
-    }
-
-    /// Validates the configuration and returns it.
-    ///
-    /// # Errors
-    ///
-    /// Any [`XfConfig::validate`] error.
-    pub fn build(self) -> Result<XfConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -970,10 +889,10 @@ mod tests {
 
     #[test]
     fn budget_kills_hanging_post_failure_and_reports_it() {
-        let cfg = XfConfig::builder()
-            .post_budget(Some(Budget::default().with_max_trace_entries(10_000)))
-            .build()
-            .unwrap();
+        let cfg = XfConfig {
+            post_budget: Some(Budget::default().with_max_trace_entries(10_000)),
+            ..XfConfig::default()
+        };
         let outcome = XfDetector::new(cfg).run(Spinner).unwrap();
         assert!(outcome.stats.budget_exceeded >= 1, "{:?}", outcome.stats);
         let f = outcome
@@ -989,29 +908,14 @@ mod tests {
     }
 
     #[test]
-    fn budget_kill_is_a_finding_even_without_catch_post_panics() {
-        let cfg = XfConfig::builder()
-            .catch_post_panics(false)
-            .post_budget(Some(Budget::default().with_max_trace_entries(1_000)))
-            .build()
-            .unwrap();
-        let outcome = XfDetector::new(cfg).run(Spinner).unwrap();
-        assert!(outcome
-            .report
-            .findings()
-            .iter()
-            .any(|f| f.kind == BugKind::BudgetExceeded));
-    }
-
-    #[test]
     fn budget_does_not_disturb_well_behaved_workloads() {
         let unbudgeted = XfDetector::with_defaults()
             .run(Flag { persist: false })
             .unwrap();
-        let cfg = XfConfig::builder()
-            .post_budget(Some(Budget::default().with_max_trace_entries(1_000_000)))
-            .build()
-            .unwrap();
+        let cfg = XfConfig {
+            post_budget: Some(Budget::default().with_max_trace_entries(1_000_000)),
+            ..XfConfig::default()
+        };
         let budgeted = XfDetector::new(cfg).run(Flag { persist: false }).unwrap();
         assert_eq!(
             serde_json::to_string(&unbudgeted.report).unwrap(),
@@ -1021,19 +925,22 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_invalid_values() {
-        assert!(matches!(
-            XfConfig::builder()
-                .post_budget(Some(Budget::default()))
-                .build(),
-            Err(ConfigError::EmptyBudget)
-        ));
-        assert!(matches!(
-            XfConfig::builder().threads(0).build(),
-            Err(ConfigError::ZeroThreads)
-        ));
+    fn validate_rejects_invalid_values() {
+        let empty_budget = XfConfig {
+            post_budget: Some(Budget::default()),
+            ..XfConfig::default()
+        };
+        assert_eq!(empty_budget.validate(), Err(ConfigError::EmptyBudget));
+        let no_threads = XfConfig {
+            threads: 0,
+            ..XfConfig::default()
+        };
+        assert_eq!(no_threads.validate(), Err(ConfigError::ZeroThreads));
         // Dedup needs no other switch: COW capture is the only snapshot form.
-        let cfg = XfConfig::builder().dedup_images(false).build().unwrap();
-        assert!(!cfg.dedup_images);
+        let no_dedup = XfConfig {
+            dedup_images: false,
+            ..XfConfig::default()
+        };
+        assert_eq!(no_dedup.validate(), Ok(()));
     }
 }

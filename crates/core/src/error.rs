@@ -14,8 +14,9 @@ use pmem::PmError;
 
 use crate::engine::EngineError;
 
-/// A configuration rejected by [`XfConfig::builder`](crate::XfConfig::builder)
-/// or [`Session::builder`](crate::Session::builder) at build time.
+/// A configuration rejected by [`XfConfig::validate`](crate::XfConfig::validate),
+/// [`Session::builder`](crate::Session::builder) at build time, or the
+/// [`JobSpec`](crate::JobSpec) and CLI parsers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {
@@ -23,9 +24,6 @@ pub enum ConfigError {
     ZeroStreamCapacity,
     /// An execution budget was supplied with no limit on any axis.
     EmptyBudget,
-    /// A [`Pruning::Sampled`](crate::Pruning::Sampled) audit rate outside
-    /// `[0, 1]` (or NaN).
-    InvalidSamplingRate,
     /// `threads` must be at least 1 (thread 0 is the single-threaded
     /// degenerate case).
     ZeroThreads,
@@ -68,15 +66,15 @@ impl ConfigError {
     /// protocol's REJECTED frame and mirrored in the README's exit-code
     /// table. Codes are append-only: new variants take new numbers, and a
     /// removed variant's number is never reused (1 belonged to the retired
-    /// dedup-requires-COW rejection, 7 to the retired rejection of a class
-    /// cache without equivalence pruning, 8 to the retired rejection of a
-    /// class cache in stream mode).
+    /// dedup-requires-COW rejection, 4 to the retired rejection of a sampled
+    /// pruning audit rate outside `[0, 1]`, 7 to the retired rejection of a
+    /// class cache without equivalence pruning, 8 to the retired rejection
+    /// of a class cache in stream mode).
     #[must_use]
     pub fn code(&self) -> u32 {
         match self {
             ConfigError::ZeroStreamCapacity => 2,
             ConfigError::EmptyBudget => 3,
-            ConfigError::InvalidSamplingRate => 4,
             ConfigError::ZeroThreads => 5,
             ConfigError::ScheduleTooLarge => 6,
             ConfigError::MissingValue(_) => 10,
@@ -97,9 +95,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::EmptyBudget => {
                 write!(f, "a post-failure budget must limit at least one axis")
-            }
-            ConfigError::InvalidSamplingRate => {
-                write!(f, "sampled pruning audit rate must lie in [0, 1]")
             }
             ConfigError::ZeroThreads => {
                 write!(f, "threads must be at least 1")
@@ -277,8 +272,8 @@ mod tests {
 
     #[test]
     fn config_errors_render_guidance() {
-        let msg = XfError::from(ConfigError::InvalidSamplingRate).to_string();
-        assert!(msg.contains("[0, 1]"), "{msg}");
+        let msg = XfError::from(ConfigError::ZeroThreads).to_string();
+        assert!(msg.contains("at least 1"), "{msg}");
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! [`JobSpec`] is the single wire form: a flat JSON object whose fields are
 //! all optional (absent ⇒ default), with typed accessors that parse the
 //! stringly axes (`mode`, `pruning`, `schedule`) into their engine types
-//! and reject malformed values with the same [`ConfigError`]s the builders
-//! use. `TryFrom<JobSpec> for Session` turns a validated spec into a
-//! runnable [`Session`] in one step.
+//! and reject malformed values with the same [`ConfigError`]s that
+//! [`XfConfig::validate`] and the session builder use.
+//! `TryFrom<JobSpec> for Session` turns a validated spec into a runnable
+//! [`Session`] in one step.
 //!
 //! The codec is deliberately forgiving on *absence* (a hand-written
 //! `{"workload": "btree"}` is a complete job) and strict on *content*
@@ -64,8 +65,7 @@ pub struct JobSpec {
     pub threads: Option<u32>,
     /// Interleaving schedule: `rr`, `seed:N` or `exhaustive:K`.
     pub schedule: Option<String>,
-    /// Failure-point pruning: `off`, `equivalence` or
-    /// `sampled:RATE[:SEED]` (absent: off).
+    /// Failure-point pruning: `off` or `equivalence` (absent: off).
     pub pruning: Option<String>,
     /// Persistence domain: `adr`, `eadr` or `cxl:WINDOW` (absent: adr).
     pub domain: Option<String>,
@@ -85,8 +85,6 @@ pub struct JobSpec {
     pub completion_fp: Option<bool>,
     /// Ablation: failure point before every PM store.
     pub fire_on_every_write: Option<bool>,
-    /// Catch post-failure panics as findings (default true).
-    pub catch_panics: Option<bool>,
     /// Crash-image deduplication (default true).
     pub dedup: Option<bool>,
     /// Write a fresh post-trace store (a resumable run journal) to this
@@ -128,7 +126,6 @@ const FIELDS: &[&str] = &[
     "skip_empty",
     "completion_fp",
     "fire_on_every_write",
-    "catch_panics",
     "dedup",
     "journal",
     "resume",
@@ -182,7 +179,6 @@ impl Deserialize for JobSpec {
             skip_empty: opt(v, "skip_empty")?,
             completion_fp: opt(v, "completion_fp")?,
             fire_on_every_write: opt(v, "fire_on_every_write")?,
-            catch_panics: opt(v, "catch_panics")?,
             dedup: opt(v, "dedup")?,
             journal: opt(v, "journal")?,
             resume: opt(v, "resume")?,
@@ -208,37 +204,19 @@ pub fn parse_mode(v: &str) -> Result<Mode, ConfigError> {
     }
 }
 
-/// Parses a `pruning` string (`off`, `equivalence`, `sampled:RATE[:SEED]`).
+/// Parses a `pruning` string (`off`, `equivalence`).
 pub fn parse_pruning(v: &str) -> Result<Pruning, ConfigError> {
     if v.eq_ignore_ascii_case("off") {
-        return Ok(Pruning::Off);
+        Ok(Pruning::Off)
+    } else if v.eq_ignore_ascii_case("equivalence") {
+        Ok(Pruning::Equivalence)
+    } else {
+        Err(ConfigError::Invalid {
+            what: "pruning",
+            value: v.to_owned(),
+            expected: "off|equivalence",
+        })
     }
-    if v.eq_ignore_ascii_case("equivalence") {
-        return Ok(Pruning::Equivalence);
-    }
-    let invalid = || ConfigError::Invalid {
-        what: "pruning",
-        value: v.to_owned(),
-        expected: "off|equivalence|sampled:RATE[:SEED]",
-    };
-    if let Some(rest) = v.strip_prefix("sampled:") {
-        let mut parts = rest.splitn(2, ':');
-        let rate: f64 = parts
-            .next()
-            .filter(|s| !s.is_empty())
-            .ok_or_else(invalid)?
-            .parse()
-            .map_err(|_| invalid())?;
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(ConfigError::InvalidSamplingRate);
-        }
-        let seed = match parts.next() {
-            Some(s) => s.parse().map_err(|_| invalid())?,
-            None => 0,
-        };
-        return Ok(Pruning::Sampled { rate, seed });
-    }
-    Err(invalid())
 }
 
 /// Parses a `domain` string (`adr`, `eadr`, `cxl:WINDOW`).
@@ -342,43 +320,29 @@ impl JobSpec {
         self.threads.is_some_and(|t| t > 1) || self.schedule.is_some()
     }
 
-    /// Assembles the detector configuration from the spec's config axes.
+    /// Assembles the detector configuration from the spec's config axes
+    /// and checks it with [`XfConfig::validate`].
     pub fn config(&self) -> Result<XfConfig, ConfigError> {
-        let mut b = XfConfig::builder()
-            .pruning(self.pruning()?)
-            .domain(self.domain()?)
-            .post_budget(self.budget()?);
-        if let Some(all) = self.all_reads {
-            b = b.first_read_only(!all);
-        }
-        if let Some(on) = self.skip_empty {
-            b = b.skip_empty_failure_points(on);
-        }
-        if let Some(on) = self.completion_fp {
-            b = b.inject_at_completion(on);
-        }
-        if self.max_failure_points.is_some() {
-            b = b.max_failure_points(self.max_failure_points);
-        }
-        if let Some(on) = self.fire_on_every_write {
-            b = b.fire_on_every_write(on);
-        }
-        if let Some(on) = self.catch_panics {
-            b = b.catch_post_panics(on);
-        }
-        if let Some(on) = self.dedup {
-            b = b.dedup_images(on);
-        }
-        if let Some(seed) = self.seed {
-            b = b.rng_seed(seed);
-        }
-        if let Some(threads) = self.threads {
-            b = b.threads(threads);
-        }
-        if let Some(spec) = self.schedule()? {
-            b = b.schedule(spec);
-        }
-        b.build()
+        let (pruning, domain) = (self.pruning()?, self.domain()?);
+        let (post_budget, schedule) = (self.budget()?, self.schedule()?);
+        let d = XfConfig::default();
+        let config = XfConfig {
+            skip_empty_failure_points: self.skip_empty.unwrap_or(d.skip_empty_failure_points),
+            first_read_only: self.all_reads.map_or(d.first_read_only, |all| !all),
+            inject_at_completion: self.completion_fp.unwrap_or(d.inject_at_completion),
+            max_failure_points: self.max_failure_points,
+            fire_on_every_write: self.fire_on_every_write.unwrap_or(d.fire_on_every_write),
+            rng_seed: self.seed.unwrap_or(d.rng_seed),
+            dedup_images: self.dedup.unwrap_or(d.dedup_images),
+            post_budget,
+            pruning,
+            threads: self.threads.unwrap_or(d.threads),
+            schedule: schedule.unwrap_or(d.schedule),
+            domain,
+            ..d
+        };
+        config.validate()?;
+        Ok(config)
     }
 
     /// Semantic validation beyond parse-time structure: every stringly
@@ -587,10 +551,6 @@ mod tests {
     fn stringly_axes_parse_into_engine_types() {
         assert_eq!(parse_mode("STREAM").unwrap(), Mode::Stream);
         assert_eq!(parse_pruning("equivalence").unwrap(), Pruning::Equivalence);
-        assert!(matches!(
-            parse_pruning("sampled:0.5:7").unwrap(),
-            Pruning::Sampled { seed: 7, .. }
-        ));
         assert_eq!(
             parse_schedule("rr").unwrap(),
             xfsched::ScheduleSpec::RoundRobin
@@ -604,8 +564,11 @@ mod tests {
             ConfigError::Invalid { what: "mode", .. }
         ));
         assert!(matches!(
-            parse_pruning("sampled:2.0").unwrap_err(),
-            ConfigError::InvalidSamplingRate
+            parse_pruning("sampled:0.5").unwrap_err(),
+            ConfigError::Invalid {
+                what: "pruning",
+                ..
+            }
         ));
         assert!(matches!(
             parse_schedule("chaos").unwrap_err(),

@@ -62,8 +62,7 @@ mod xfrun;
 
 pub use concurrent::{ConcurrentWorkload, Scheduled};
 pub use engine::{
-    DynError, EngineError, RunOutcome, Workload, XfConfig, XfConfigBuilder, XfDetector,
-    MAX_SCHEDULE_PLANS,
+    DynError, EngineError, RunOutcome, Workload, XfConfig, XfDetector, MAX_SCHEDULE_PLANS,
 };
 pub use error::{ConfigError, XfError};
 pub use jobspec::JobSpec;

@@ -67,13 +67,10 @@ impl Job {
         // Each worker builds its own post context from the image; nothing
         // non-Send crosses threads.
         let mut post_ctx = PmCtx::new_post(PmPool::from_cow(&image));
-        // Workers always quarantine: a panic is confined to this failure
-        // point and reported as a finding — it never takes down the pool,
-        // so the run continues past the failing job even with
-        // `catch_post_panics` off.
+        // A panic is confined to this failure point and reported as a
+        // finding: it never takes down the pool.
         let budget = config.post_budget.as_ref();
-        let outcome =
-            PostOutcome::execute(&mut post_ctx, budget, true, |c| workload.post_failure(c));
+        let outcome = PostOutcome::execute(&mut post_ctx, budget, |c| workload.post_failure(c));
         let entries = post_ctx.trace().drain();
         let post = Arc::new(PostTrace::new(entries, post_ctx.is_detection_complete()));
         let exec_time = t_exec.elapsed();

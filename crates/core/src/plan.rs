@@ -64,31 +64,22 @@ pub enum PostOutcome {
 
 impl PostOutcome {
     /// Runs the post-failure stage `post` on `ctx` under the quarantine
-    /// every driver shares: the `budget` is armed first, and a budget
-    /// overrun — delivered by unwinding out of the traced operation — is
-    /// always caught. Workload panics become [`PostOutcome::Panicked`] when
-    /// `catch_panics` is set and are re-raised otherwise.
-    pub fn execute<F>(
-        ctx: &mut PmCtx,
-        budget: Option<&Budget>,
-        catch_panics: bool,
-        post: F,
-    ) -> PostOutcome
+    /// every driver shares: the `budget` is armed first, and any unwind out
+    /// of the stage is caught. A budget overrun (delivered by unwinding out
+    /// of the traced operation) becomes [`PostOutcome::BudgetExceeded`],
+    /// any other panic [`PostOutcome::Panicked`].
+    pub fn execute<F>(ctx: &mut PmCtx, budget: Option<&Budget>, post: F) -> PostOutcome
     where
         F: FnOnce(&mut PmCtx) -> Result<(), DynError>,
     {
         if let Some(budget) = budget {
             ctx.arm_budget(budget.clone());
         }
-        if !catch_panics && budget.is_none() {
-            return post(ctx).into();
-        }
         match catch_unwind(AssertUnwindSafe(|| post(ctx))) {
             Ok(r) => r.into(),
             Err(payload) => match payload.downcast::<BudgetOverrun>() {
                 Ok(overrun) => PostOutcome::BudgetExceeded(overrun.to_string()),
-                Err(payload) if catch_panics => PostOutcome::Panicked(panic_message(&*payload)),
-                Err(payload) => std::panic::resume_unwind(payload),
+                Err(payload) => PostOutcome::Panicked(panic_message(&*payload)),
             },
         }
     }
@@ -370,7 +361,7 @@ impl<H: Clone> Planner<H> {
             self.stats.fingerprint_time += t.elapsed();
             key
         });
-        if let Some(rep) = class.and_then(|key| self.prune.lookup(key, id)) {
+        if let Some(rep) = class.and_then(|key| self.prune.lookup(key)) {
             let rep = rep.clone();
             self.ctl.obs().prune_hit();
             self.ctl.obs().fp_done();

@@ -279,10 +279,14 @@ mod tests {
                 panic!("segfault analogue");
             }
         }
+        // Every driver quarantines a panicking recovery as a finding, so
+        // all three produce the same report.
         let cfg = XfConfig::default();
         let seq = XfDetector::new(cfg.clone()).run(Panicking).unwrap();
         let pipe = run_pipelined(&cfg, Panicking, &StreamOptions::default()).unwrap();
+        let par = XfDetector::new(cfg).run_parallel(Panicking, 2).unwrap();
         assert_eq!(report_json(&seq), report_json(&pipe));
+        assert_eq!(report_json(&seq), report_json(&par));
         assert!(pipe
             .report
             .findings()

@@ -45,7 +45,7 @@ mod obs;
 mod store;
 
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -119,17 +119,20 @@ pub const DEFAULT_STREAM_CAPACITY: usize = 1024;
 /// (all report-neutral: a store written by a batch run serves parallel
 /// and stream runs). The pruning policy is included, because a stored
 /// record may name the trace an in-run prune replay borrowed.
+///
+/// The `catch_post_panics=true` term names a retired switch: post-failure
+/// panics are now always findings. It stays, frozen, so stores and server
+/// cache files written before the switch went keep their fingerprint.
 #[must_use]
 pub fn run_fingerprint(workload: &str, config: &XfConfig) -> String {
     format!(
         "workload={workload};skip_empty={};first_read_only={};inject_at_completion={};\
-         fire_on_every_write={};catch_post_panics={};crash_policy={:?};rng_seed={:#x};\
+         fire_on_every_write={};catch_post_panics=true;crash_policy={:?};rng_seed={:#x};\
          dedup_images={};post_budget={:?};threads={};schedule={};domain={};pruning={:?}",
         config.skip_empty_failure_points,
         config.first_read_only,
         config.inject_at_completion,
         config.fire_on_every_write,
-        config.catch_post_panics,
         config.crash_policy,
         config.rng_seed,
         config.dedup_images,
@@ -218,9 +221,8 @@ impl std::fmt::Debug for SessionBuilder {
 
 impl SessionBuilder {
     /// Uses `config` for the detection pass (defaults to
-    /// [`XfConfig::default`]). Build it with [`XfConfig::builder`] for
-    /// validated construction; [`SessionBuilder::build`] re-checks the
-    /// invariants either way.
+    /// [`XfConfig::default`]); [`SessionBuilder::build`] checks it with
+    /// [`XfConfig::validate`].
     #[must_use]
     pub fn config(mut self, config: XfConfig) -> Self {
         self.config = config;
@@ -451,24 +453,29 @@ impl Session {
     where
         W: Workload + Send + Sync + 'static,
     {
-        let store = self.open_store(workload.name())?;
-        self.run_impl(workload, mode, false, store.map(|s| (s, 0)))
+        let name = workload.name().to_owned();
+        let store = self.open_store(&name)?;
+        let outcome = self.run_impl(workload, mode, store.map(|s| (s, 0)))?;
+        self.write_metrics(&name, mode, &outcome)?;
+        Ok(outcome)
     }
 
     /// Runs a [`ConcurrentWorkload`] across every schedule plan the
     /// session's [`XfConfig::schedule`] expands to for
     /// [`XfConfig::threads`] logical threads, merging the per-plan reports.
     ///
-    /// With a single-plan spec ([`ScheduleSpec::RoundRobin`]) this is
-    /// exactly [`Session::run`] on the pinned [`Scheduled`] workload, and
-    /// a recorded trace is stamped with the thread count and the
-    /// serialized plan so the interleaving travels with the repro
-    /// artifact. A multi-plan spec (`seed:N`, `exhaustive:K`) explores each
-    /// plan in expansion order: the per-plan runs share the session's
-    /// store, each under its expansion index as the plan namespace (plan
-    /// expansion is deterministic, so plan *i* of a resumed or repeated
-    /// sweep reads exactly plan *i*'s records), their reports merge
-    /// through finding deduplication, and `recorded` is `None`.
+    /// Each plan is explored in expansion order: the per-plan runs share
+    /// the session's store, each under its expansion index as the plan
+    /// namespace (plan expansion is deterministic, so plan *i* of a resumed
+    /// or repeated sweep reads exactly plan *i*'s records), and their
+    /// reports merge through finding deduplication. With a single-plan
+    /// spec ([`ScheduleSpec::RoundRobin`]) this is [`Session::run`] on the
+    /// pinned [`Scheduled`] workload, and a recorded trace is stamped with
+    /// the thread count and the serialized plan so the interleaving
+    /// travels with the repro artifact; a multi-plan sweep (`seed:N`,
+    /// `exhaustive:K`) has no single interleaving to attach a recording
+    /// to, so its `recorded` is `None`. The metrics file, if any, is
+    /// written once, after the sweep's counters are final.
     ///
     /// [`RunStats::schedules_explored`] counts the plans explored and
     /// [`RunStats::cross_thread_findings`] the merged report's
@@ -484,30 +491,16 @@ impl Session {
         W: ConcurrentWorkload + Send + Sync + 'static,
     {
         let threads = self.config.threads;
-        let mut plans = self.config.schedule.expand(threads);
+        let plans = self.config.schedule.expand(threads);
+        let total = plans.len() as u64;
+        let schedule = (total == 1).then(|| plans[0].to_string());
         let shared = Arc::new(workload);
         let store = self.open_store(shared.name())?;
-        if plans.len() == 1 {
-            let plan = plans.pop().expect("one plan");
-            let schedule = plan.to_string();
-            let store = store.map(|s| (s, 0));
-            let mut outcome =
-                self.run_impl(Scheduled::from_shared(shared, plan), mode, false, store)?;
-            if let Some(rec) = outcome.recorded.as_mut() {
-                rec.threads = threads;
-                rec.schedule = schedule;
-            }
-            finish_concurrent_stats(&mut outcome, 1);
-            return Ok(outcome);
-        }
-
-        let total = plans.len() as u64;
         let mut merged: Option<RunOutcome> = None;
         for (idx, plan) in plans.into_iter().enumerate() {
             let outcome = self.run_impl(
                 Scheduled::from_shared(Arc::clone(&shared), plan),
                 mode,
-                true,
                 store.as_ref().map(|s| (Arc::clone(s), idx as u64)),
             )?;
             merged = Some(match merged {
@@ -522,20 +515,17 @@ impl Session {
             });
         }
         let mut outcome = merged.expect("expand yields at least one plan");
-        // A recorded trace is per-interleaving evidence; a multi-plan sweep
-        // has no single interleaving to attach one to.
-        outcome.recorded = None;
-        finish_concurrent_stats(&mut outcome, total);
-        if let Some(path) = &self.metrics_out {
-            let metrics = RunMetrics::new(
-                shared.name(),
-                mode.name(),
-                outcome.report.len() as u64,
-                outcome.report.has_correctness_bugs(),
-                &outcome.stats,
-            );
-            write_json(path, &metrics)?;
+        match schedule {
+            Some(schedule) => {
+                if let Some(rec) = outcome.recorded.as_mut() {
+                    rec.threads = threads;
+                    rec.schedule = schedule;
+                }
+            }
+            None => outcome.recorded = None,
         }
+        finish_concurrent_stats(&mut outcome, total);
+        self.write_metrics(shared.name(), mode, &outcome)?;
         Ok(outcome)
     }
 
@@ -551,15 +541,13 @@ impl Session {
         Ok(Some(Arc::new(store)))
     }
 
-    /// The shared run path, on `store` under its plan namespace. `inner`
-    /// marks one per-plan run of a multi-plan [`Session::run_concurrent`]
-    /// sweep: the metrics belong to the sweep, not the plan, so an inner
-    /// run skips them.
+    /// The shared run path, on `store` under its plan namespace. The
+    /// caller writes the metrics: those of a [`Session::run_concurrent`]
+    /// sweep belong to the sweep, not to one plan.
     fn run_impl<W>(
         &self,
         workload: W,
         mode: Mode,
-        inner: bool,
         store: Option<(Arc<Store>, u64)>,
     ) -> Result<RunOutcome, XfError>
     where
@@ -569,7 +557,6 @@ impl Session {
         if self.record_repro {
             config.record_trace = true;
         }
-        let workload_name = workload.name().to_owned();
         let total_hint = config.max_failure_points;
         let ctl = RunCtl {
             store: store.clone(),
@@ -626,17 +613,32 @@ impl Session {
             outcome.stats.cache_bytes = store.bytes_read();
         }
 
-        if let Some(path) = self.metrics_out.as_ref().filter(|_| !inner) {
-            let metrics = RunMetrics::new(
-                &workload_name,
-                mode.name(),
-                outcome.report.len() as u64,
-                outcome.report.has_correctness_bugs(),
-                &outcome.stats,
-            );
-            write_json(path, &metrics)?;
-        }
         Ok(outcome)
+    }
+
+    /// Writes `outcome`'s [`RunMetrics`] to the session's metrics path,
+    /// when one is set.
+    fn write_metrics(
+        &self,
+        workload: &str,
+        mode: Mode,
+        outcome: &RunOutcome,
+    ) -> Result<(), XfError> {
+        let Some(path) = &self.metrics_out else {
+            return Ok(());
+        };
+        let metrics = RunMetrics::new(
+            workload,
+            mode.name(),
+            outcome.report.len() as u64,
+            outcome.report.has_correctness_bugs(),
+            &outcome.stats,
+        );
+        let json = serde_json::to_string(&metrics).map_err(serialization_failed)?;
+        let mut f = std::fs::File::create(path)?;
+        f.write_all(json.as_bytes())?;
+        f.write_all(b"\n")?;
+        Ok(())
     }
 }
 
@@ -694,19 +696,20 @@ fn add_stats(acc: &mut RunStats, o: &RunStats) {
     acc.finish_pruning(classes, pruned);
 }
 
-fn write_json<T: serde::Serialize>(path: &Path, value: &T) -> Result<(), XfError> {
-    let json = serde_json::to_string(value)
-        .map_err(|e| XfError::Journal(format!("metrics serialization failed: {e}")))?;
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(json.as_bytes())?;
-    f.write_all(b"\n")?;
-    Ok(())
+/// A metrics document that failed to serialize: an I/O failure of the
+/// metrics write, like any other.
+fn serialization_failed(e: serde_json::Error) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("metrics serialization failed: {e}"),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pmem::PmCtx;
+    use std::path::Path;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
@@ -785,12 +788,10 @@ mod tests {
 
         // "Kill" after 3 failure points: a capped run writing the journal.
         let killed = Session::builder()
-            .config(
-                XfConfig::builder()
-                    .max_failure_points(Some(3))
-                    .build()
-                    .unwrap(),
-            )
+            .config(XfConfig {
+                max_failure_points: Some(3),
+                ..XfConfig::default()
+            })
             .journal(&path)
             .build()
             .unwrap();
@@ -818,7 +819,10 @@ mod tests {
 
         // Different report-affecting configuration → rejected.
         let other = Session::builder()
-            .config(XfConfig::builder().first_read_only(false).build().unwrap())
+            .config(XfConfig {
+                first_read_only: false,
+                ..XfConfig::default()
+            })
             .resume(&path)
             .build()
             .unwrap();
@@ -859,6 +863,93 @@ mod tests {
         assert!(raw.contains("\"mode\":\"batch\""), "{raw}");
         assert!(raw.contains("\"stage_ms\""), "{raw}");
         assert!(raw.contains("\"failure_points\""), "{raw}");
+    }
+
+    /// Two roles under `rr` over two threads: thread 0 stores and flushes,
+    /// thread 1 reads elsewhere and then fences, so the flush is ordered
+    /// only by a foreign fence.
+    struct ForeignFence;
+    impl crate::ConcurrentWorkload for ForeignFence {
+        fn name(&self) -> &str {
+            "foreign-fence"
+        }
+        fn pool_size(&self) -> u64 {
+            64 * 1024
+        }
+        fn setup(&self, _ctx: &mut PmCtx) -> Result<(), crate::DynError> {
+            Ok(())
+        }
+        fn roles(&self, base: u64) -> Vec<Box<dyn xfsched::ThreadProgram>> {
+            let a = base + 128;
+            vec![
+                Box::new(xfsched::OpSequence::new(vec![
+                    Box::new(move |c: &mut PmCtx| {
+                        c.write_u64(a, 7)?;
+                        Ok(())
+                    }),
+                    Box::new(move |c: &mut PmCtx| {
+                        c.clwb(a)?;
+                        Ok(())
+                    }),
+                ])),
+                Box::new(xfsched::OpSequence::new(vec![
+                    Box::new(move |c: &mut PmCtx| {
+                        c.read_u64(base + 256)?;
+                        Ok(())
+                    }),
+                    Box::new(|c: &mut PmCtx| {
+                        c.sfence();
+                        Ok(())
+                    }),
+                ])),
+            ]
+        }
+        fn post_failure(&self, ctx: &mut PmCtx) -> Result<(), crate::DynError> {
+            let _ = ctx.read_u64(ctx.pool().base() + 128)?;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_plan_concurrent_metrics_carry_the_final_stats() {
+        let path = tmp("one-plan-metrics.json");
+        std::fs::remove_file(&path).ok();
+        let outcome = Session::builder()
+            .config(XfConfig {
+                threads: 2,
+                ..XfConfig::default()
+            })
+            .metrics_out(&path)
+            .build()
+            .unwrap()
+            .run_concurrent(ForeignFence, Mode::Batch)
+            .unwrap();
+        let raw = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(outcome.stats.schedules_explored, 1);
+        assert!(
+            outcome.stats.cross_thread_findings >= 1,
+            "{}",
+            outcome.report
+        );
+        assert!(raw.contains("\"schedules_explored\":1,"), "{raw}");
+        let crossing = format!(
+            "\"cross_thread_findings\":{},",
+            outcome.stats.cross_thread_findings
+        );
+        assert!(raw.contains(&crossing), "{raw}");
+    }
+
+    #[test]
+    fn metrics_serialization_failures_are_io_errors() {
+        let cause = serde_json::Error::from(serde::Error::custom("unrepresentable"));
+        let err = XfError::from(serialization_failed(cause));
+        assert!(matches!(err, XfError::Io(_)), "{err:?}");
+        assert_eq!(err.code(), 103);
+        assert!(
+            err.to_string().contains("metrics serialization failed"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1132,13 +1223,11 @@ mod tests {
         // A report-affecting config change (first_read_only) must start
         // cold, not serve the stale classes.
         let other = Session::builder()
-            .config(
-                XfConfig::builder()
-                    .first_read_only(false)
-                    .pruning(Pruning::Equivalence)
-                    .build()
-                    .unwrap(),
-            )
+            .config(XfConfig {
+                first_read_only: false,
+                pruning: Pruning::Equivalence,
+                ..XfConfig::default()
+            })
             .class_cache(&path)
             .build()
             .unwrap()

@@ -30,17 +30,6 @@ pub enum PmError {
         /// The rejected base address.
         base: u64,
     },
-    /// An image restore was attempted with mismatched geometry.
-    ImageMismatch {
-        /// Base address recorded in the image.
-        image_base: u64,
-        /// Length recorded in the image.
-        image_len: u64,
-        /// Base address of the receiving pool.
-        pool_base: u64,
-        /// Length of the receiving pool.
-        pool_len: u64,
-    },
     /// An access size of zero bytes was requested.
     ZeroSize {
         /// The access address.
@@ -67,15 +56,6 @@ impl fmt::Display for PmError {
             PmError::BadBaseAlignment { base } => {
                 write!(f, "pool base {base:#x} is not cache-line aligned")
             }
-            PmError::ImageMismatch {
-                image_base,
-                image_len,
-                pool_base,
-                pool_len,
-            } => write!(
-                f,
-                "image geometry {image_base:#x}+{image_len} does not match pool {pool_base:#x}+{pool_len}"
-            ),
             PmError::ZeroSize { addr } => write!(f, "zero-sized access at {addr:#x}"),
         }
     }

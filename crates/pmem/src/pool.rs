@@ -141,57 +141,6 @@ impl PmImage {
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
     }
-
-    /// Writes the image to a pool file: a 24-byte header (magic, base,
-    /// length) followed by the raw contents — the stand-in for a DAX pool
-    /// file on a PM filesystem.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_to_file(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        use std::io::Write;
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(&Self::FILE_MAGIC.to_le_bytes())?;
-        f.write_all(&self.base.to_le_bytes())?;
-        f.write_all(&(self.bytes.len() as u64).to_le_bytes())?;
-        f.write_all(&self.bytes)?;
-        f.flush()
-    }
-
-    /// Reads an image back from a pool file written by
-    /// [`PmImage::write_to_file`].
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` for a bad magic value or a truncated file, and
-    /// propagates I/O errors.
-    pub fn read_from_file(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        use std::io::Read;
-        let mut f = std::fs::File::open(path)?;
-        let mut hdr = [0u8; 24];
-        f.read_exact(&mut hdr)?;
-        let magic = u64::from_le_bytes(hdr[0..8].try_into().expect("8 bytes"));
-        if magic != Self::FILE_MAGIC {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "not a pmem pool file (bad magic)",
-            ));
-        }
-        let base = u64::from_le_bytes(hdr[8..16].try_into().expect("8 bytes"));
-        let len = u64::from_le_bytes(hdr[16..24].try_into().expect("8 bytes"));
-        let mut bytes = vec![
-            0u8;
-            usize::try_from(len).map_err(|_| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "image too large")
-            })?
-        ];
-        f.read_exact(&mut bytes)?;
-        Ok(PmImage { base, bytes })
-    }
-
-    /// Magic value identifying pool files ("PMIMAGE1").
-    const FILE_MAGIC: u64 = u64::from_le_bytes(*b"PMIMAGE1");
 }
 
 /// A simulated persistent-memory pool.
@@ -735,30 +684,6 @@ impl PmPool {
         )
     }
 
-    /// Overwrites the pool from `image` and marks everything clean.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmError::ImageMismatch`] if the image geometry differs from
-    /// the pool's.
-    pub fn restore(&mut self, image: &PmImage) -> Result<(), PmError> {
-        if image.base != self.base || image.len() != self.len() {
-            return Err(PmError::ImageMismatch {
-                image_base: image.base,
-                image_len: image.len(),
-                pool_base: self.base,
-                pool_len: self.len(),
-            });
-        }
-        let (shared, generation) = fresh_base(image.bytes.clone());
-        self.volatile = LineBuf::from_base(Arc::clone(&shared), generation);
-        self.media = LineBuf::from_base(shared, generation);
-        self.lines = LineStates::default();
-        self.flushing.clear();
-        self.account(image.len());
-        Ok(())
-    }
-
     /// Reads a little-endian `u64` from the volatile view.
     ///
     /// # Errors
@@ -946,22 +871,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_checks_geometry() {
-        let mut p = pool();
-        let other = PmPool::new(8192).unwrap();
-        let img = other.full_image();
-        assert!(matches!(
-            p.restore(&img),
-            Err(PmError::ImageMismatch { .. })
-        ));
-        let ok = p.full_image();
-        p.write_u64(p.base(), 9).unwrap();
-        p.restore(&ok).unwrap();
-        assert_eq!(p.read_u64(p.base()).unwrap(), 0);
-        assert_eq!(p.unpersisted_line_count(), 0);
-    }
-
-    #[test]
     fn crash_image_with_selects_lines() {
         let mut p = pool();
         let a0 = p.base(); // line 0
@@ -974,29 +883,6 @@ mod tests {
             u64::from_le_bytes(img.bytes()[64..72].try_into().unwrap()),
             20
         );
-    }
-
-    #[test]
-    fn image_file_round_trip() {
-        let mut p = pool();
-        p.write_u64(p.base() + 192, 0xfeed).unwrap();
-        let img = p.full_image();
-        let path = std::env::temp_dir().join(format!("pmem_pool_{}.img", std::process::id()));
-        img.write_to_file(&path).unwrap();
-        let back = PmImage::read_from_file(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(back, img);
-        let q = PmPool::from_image(&back);
-        assert_eq!(q.read_u64(q.base() + 192).unwrap(), 0xfeed);
-    }
-
-    #[test]
-    fn image_file_rejects_garbage() {
-        let path = std::env::temp_dir().join(format!("pmem_bad_{}.img", std::process::id()));
-        std::fs::write(&path, b"definitely not a pool file").unwrap();
-        let err = PmImage::read_from_file(&path).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -1115,16 +1001,16 @@ mod tests {
     }
 
     #[test]
-    fn restore_after_rebase_keeps_views_consistent() {
+    fn cow_image_survives_a_rebase() {
         let mut p = PmPool::new(256).unwrap(); // 4 lines: rebases quickly
-        let snapshot = p.full_image();
+        let snapshot = p.cow_full_image();
         for i in 0..4 {
             p.write_u64(p.base() + i * 64, i + 1).unwrap(); // forces a rebase
         }
-        p.restore(&snapshot).unwrap();
-        assert_eq!(p.read_u64(p.base()).unwrap(), 0);
-        assert_eq!(p.media_image(), p.full_image());
-        assert_eq!(p.unpersisted_line_count(), 0);
+        let q = PmPool::from_cow(&snapshot);
+        assert_eq!(q.read_u64(q.base()).unwrap(), 0);
+        assert_eq!(q.media_image(), q.full_image());
+        assert_eq!(q.unpersisted_line_count(), 0);
     }
 
     #[test]

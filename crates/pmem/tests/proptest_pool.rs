@@ -130,19 +130,21 @@ proptest! {
         }
     }
 
-    /// Restore from the full image reproduces the volatile view and leaves
-    /// the pool fully persistent.
+    /// A pool rebuilt from the copy-on-write full image (the path the
+    /// engine forks post-failure pools through) reproduces the volatile
+    /// view and is fully persistent, however the source pool moves on.
     #[test]
     fn restore_round_trip(steps in prop::collection::vec(step_strategy(), 0..150)) {
         let mut pool = PmPool::new(POOL).unwrap();
         apply(&mut pool, &steps);
-        let snapshot = pool.full_image();
-        // Keep mutating, then restore.
+        let expected = pool.full_image();
+        let snapshot = pool.cow_full_image();
+        // Keep mutating the source, then rebuild from the snapshot.
         pool.write(pool.base(), &[0xAB; 64]).unwrap();
-        pool.restore(&snapshot).unwrap();
-        prop_assert_eq!(pool.full_image(), snapshot.clone());
-        prop_assert_eq!(pool.media_image(), snapshot);
-        prop_assert_eq!(pool.unpersisted_line_count(), 0);
+        let restored = PmPool::from_cow(&snapshot);
+        prop_assert_eq!(restored.full_image(), expected.clone());
+        prop_assert_eq!(restored.media_image(), expected);
+        prop_assert_eq!(restored.unpersisted_line_count(), 0);
     }
 
     /// Reads always return the latest write to each location (the volatile

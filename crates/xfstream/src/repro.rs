@@ -15,7 +15,7 @@ use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
 use xfdetector::offline::RecordedRun;
-use xfdetector::{BugKind, RunOutcome, XfError};
+use xfdetector::{BugKind, ConfigError, RunOutcome, XfError};
 
 use crate::codec::write_recorded_run;
 
@@ -33,9 +33,10 @@ use crate::codec::write_recorded_run;
 ///
 /// # Errors
 ///
-/// [`XfError::Setup`] when the outcome has failing findings but no
-/// recorded run, [`XfError::Io`] on filesystem failures and
-/// [`XfError::Codec`] if encoding fails.
+/// [`XfError::Config`] when the outcome has failing findings but no
+/// recorded run, [`XfError::Codec`] when the recording lacks a failing
+/// failure point or encoding fails, and [`XfError::Io`] on filesystem
+/// failures.
 pub fn write_repro_artifacts(outcome: &RunOutcome, dir: &Path) -> Result<Vec<PathBuf>, XfError> {
     let failing: BTreeSet<u64> = outcome
         .report
@@ -48,11 +49,10 @@ pub fn write_repro_artifacts(outcome: &RunOutcome, dir: &Path) -> Result<Vec<Pat
         return Ok(Vec::new());
     }
     let Some(recorded) = &outcome.recorded else {
-        return Err(XfError::Setup(
+        return Err(XfError::Config(ConfigError::Conflict(
             "repro export needs a recorded run: enable XfConfig::record_trace \
-             or SessionBuilder::record_repro"
-                .to_owned(),
-        ));
+             or SessionBuilder::record_repro",
+        )));
     };
 
     std::fs::create_dir_all(dir)?;
@@ -62,7 +62,7 @@ pub fn write_repro_artifacts(outcome: &RunOutcome, dir: &Path) -> Result<Vec<Pat
         // (stored ones record the trace they replayed), so the id indexes
         // the recording directly.
         let Some(fp) = recorded.failure_points.get(id as usize) else {
-            return Err(XfError::Journal(format!(
+            return Err(XfError::Codec(format!(
                 "recorded run has no failure point {id} (truncated recording?)"
             )));
         };
@@ -156,10 +156,35 @@ mod tests {
     }
 
     #[test]
-    fn missing_recording_is_a_structured_error() {
+    fn missing_recording_is_a_configuration_error() {
         let outcome = XfDetector::with_defaults().run(Panicking).unwrap();
         let err = write_repro_artifacts(&outcome, &tmpdir("missing")).unwrap_err();
-        assert!(matches!(err, XfError::Setup(_)), "{err:?}");
+        assert!(
+            matches!(err, XfError::Config(ConfigError::Conflict(_))),
+            "{err:?}"
+        );
+        assert_eq!(err.code(), 13);
+    }
+
+    #[test]
+    fn a_recording_without_the_failing_point_is_a_codec_error() {
+        let cfg = XfConfig {
+            record_trace: true,
+            ..XfConfig::default()
+        };
+        let mut outcome = XfDetector::new(cfg).run(Panicking).unwrap();
+        outcome
+            .recorded
+            .as_mut()
+            .expect("recorded")
+            .failure_points
+            .clear();
+        let dir = tmpdir("truncated");
+        std::fs::remove_dir_all(&dir).ok();
+        let err = write_repro_artifacts(&outcome, &dir).unwrap_err();
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(matches!(err, XfError::Codec(_)), "{err:?}");
+        assert_eq!(err.code(), 106);
     }
 
     struct CleanWorkload;

@@ -325,10 +325,10 @@ fn a_warm_run_stops_where_the_cold_run_completed_detection() {
 
 /// A session that resumes from the store at `path` without pruning.
 fn resuming(path: &Path, max_failure_points: Option<u64>) -> SessionBuilder {
-    let config = XfConfig::builder()
-        .max_failure_points(max_failure_points)
-        .build()
-        .unwrap();
+    let config = XfConfig {
+        max_failure_points,
+        ..XfConfig::default()
+    };
     Session::builder().config(config).resume(path)
 }
 

@@ -8,12 +8,16 @@
 //! the ordered key sequence against a constant. The constants were taken
 //! from the full-rescan fingerprint that preceded the incremental record
 //! index.
+//!
+//! The run fingerprint string is pinned the same way: it names the
+//! post-trace store a run may reuse and the campaign server's cache files,
+//! so it must stay byte-identical for every configuration still accepted.
 
 use xfd::pmem::PersistDomain;
 use xfd::workloads::bugs::{BugSet, WorkloadKind};
 use xfd::workloads::build;
 use xfd::xfdetector::offline::failure_point_fingerprints;
-use xfd::xfdetector::{XfConfig, XfDetector};
+use xfd::xfdetector::{run_fingerprint, Pruning, XfConfig, XfDetector};
 
 const OPS: u64 = 100;
 
@@ -97,4 +101,37 @@ fn fingerprint_values_match_the_full_rescan() {
         "fingerprints moved:\n{}",
         mismatches.join("\n")
     );
+}
+
+#[test]
+fn run_fingerprint_strings_match_the_pinned_values() {
+    // The `catch_post_panics=true` term names a retired switch and is kept
+    // verbatim so existing stores and server cache files stay warm.
+    const PREFIX: &str = "workload=btree;skip_empty=true;first_read_only=true;\
+        inject_at_completion=true;fire_on_every_write=false;catch_post_panics=true;\
+        crash_policy=FullImage;rng_seed=0x5eedcafe;dedup_images=true;post_budget=None;\
+        threads=1;schedule=rr;";
+    let golden = [
+        (XfConfig::default(), "domain=adr;pruning=Off"),
+        (
+            XfConfig {
+                pruning: Pruning::Equivalence,
+                ..XfConfig::default()
+            },
+            "domain=adr;pruning=Equivalence",
+        ),
+        (
+            XfConfig {
+                domain: PersistDomain::Eadr,
+                ..XfConfig::default()
+            },
+            "domain=eadr;pruning=Off",
+        ),
+    ];
+    for (config, suffix) in golden {
+        assert_eq!(
+            run_fingerprint("btree", &config),
+            format!("{PREFIX}{suffix}")
+        );
+    }
 }

@@ -56,12 +56,10 @@ fn assert_resume_equivalence(kind: WorkloadKind, mode: Mode) {
     );
 
     let killed = session()
-        .config(
-            XfConfig::builder()
-                .max_failure_points(Some(KILL_AFTER))
-                .build()
-                .unwrap(),
-        )
+        .config(XfConfig {
+            max_failure_points: Some(KILL_AFTER),
+            ..XfConfig::default()
+        })
         .journal(&path)
         .build()
         .unwrap();
@@ -266,12 +264,10 @@ fn pruned_runs_resume_byte_identically() {
         assert!(reference.stats.fps_pruned >= 1, "{:?}", reference.stats);
 
         session()
-            .config(
-                XfConfig::builder()
-                    .max_failure_points(Some(KILL_AFTER))
-                    .build()
-                    .unwrap(),
-            )
+            .config(XfConfig {
+                max_failure_points: Some(KILL_AFTER),
+                ..XfConfig::default()
+            })
             .pruning(Pruning::Equivalence)
             .journal(&path)
             .build()
@@ -545,12 +541,12 @@ fn schedule_sweeps_resume_byte_identically() {
         let path = journal_path(&format!("sweep-{}", mode.name()));
         std::fs::remove_file(&path).ok();
         let run = |max: Option<u64>, store: &dyn Fn(SessionBuilder) -> SessionBuilder| {
-            let config = XfConfig::builder()
-                .threads(2)
-                .schedule(spec)
-                .max_failure_points(max)
-                .build()
-                .unwrap();
+            let config = XfConfig {
+                threads: 2,
+                schedule: spec,
+                max_failure_points: max,
+                ..XfConfig::default()
+            };
             store(session().config(config).workers(2))
                 .build()
                 .unwrap()
