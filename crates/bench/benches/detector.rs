@@ -1,10 +1,15 @@
 //! Criterion measurement behind Figure 12a: one full detection run per
 //! workload (one insertion plus its per-failure-point recovery), and the
-//! Figure 12b baselines (trace-only and original execution).
+//! Figure 12b baselines (trace-only and original execution). The
+//! `pruned_btree_128` rows time one B-Tree run of 128 operations under
+//! equivalence pruning in the batch and the stream driver, so the cost of
+//! the stream driver's second thread stays visible.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use xfd_bench::{run_baseline, run_detection, Baseline};
-use xfd_workloads::all_workloads;
+use xfd_workloads::bugs::{BugSet, WorkloadKind};
+use xfd_workloads::{all_workloads, build};
+use xfdetector::{run_pipelined, Pruning, StreamOptions, XfConfig, XfDetector};
 
 fn bench_detection(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig12a_detection");
@@ -35,5 +40,33 @@ fn bench_baselines(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_detection, bench_baselines);
+fn bench_pruned_modes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pruned_btree_128");
+    group.sample_size(20);
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    group.measurement_time(std::time::Duration::from_secs(2));
+    let cfg = XfConfig {
+        pruning: Pruning::Equivalence,
+        ..XfConfig::default()
+    };
+    let workload = || build(WorkloadKind::Btree, 128, BugSet::none());
+    group.bench_function("batch", |b| {
+        let detector = XfDetector::new(cfg.clone());
+        b.iter(|| std::hint::black_box(detector.run(workload()).expect("batch run")));
+    });
+    group.bench_function("stream", |b| {
+        let opts = StreamOptions::default();
+        b.iter(|| {
+            std::hint::black_box(run_pipelined(&cfg, workload(), &opts).expect("stream run"))
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_detection,
+    bench_baselines,
+    bench_pruned_modes
+);
 criterion_main!(benches);

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use pmem::PersistDomain;
 use xfd_workloads::bugs::{BugId, BugSet, BugSuite};
 use xfd_workloads::{build_concurrent, build_with_bug, validation_config, validation_ops};
-use xfdetector::{BugCategory, Mode, Session, XfDetector};
+use xfdetector::{BugCategory, Mode, Session, XfConfig, XfDetector};
 
 fn main() {
     // (workload, suite) -> [detected R, detected S, detected P, total]
@@ -28,8 +28,10 @@ fn main() {
             let w = build_concurrent(kind, validation_ops(kind), BugSet::single(bug))
                 .expect("concurrent-suite bugs live in concurrent workloads");
             Session::builder()
-                .config(validation_config(bug))
-                .threads(2)
+                .config(XfConfig {
+                    threads: 2,
+                    ..validation_config(bug)
+                })
                 .build()
                 .expect("session")
                 .run_concurrent(w, Mode::Batch)

@@ -57,8 +57,11 @@ pub fn run_concurrent_detection(
     let w = build_concurrent(kind, ops, BugSet::none())
         .unwrap_or_else(|| panic!("{kind} is not a concurrent workload"));
     Session::builder()
-        .threads(threads)
-        .schedule(schedule)
+        .config(XfConfig {
+            threads,
+            schedule,
+            ..XfConfig::default()
+        })
         .build()
         .expect("session")
         .run_concurrent(w, Mode::Batch)

@@ -71,6 +71,12 @@ pub enum Msg {
     },
 }
 
+/// Most entries a pre-failure buffer may hold room for and still be
+/// reused by [`Sink::spare`]. One failure-point interval of the shipped
+/// programs traces well under this, so their buffers never regrow; a
+/// longer interval's buffer is freed instead of pinning its size.
+pub(crate) const SPARE_ENTRIES: usize = 256;
+
 /// Where the frontend hands its work: the [`Checker`] itself, a ring to a
 /// checker on another thread, or the parallel driver's worker pool.
 pub trait Sink {
@@ -80,6 +86,11 @@ pub trait Sink {
 
     /// Hands `msg` to the checker.
     fn send(&mut self, msg: Msg);
+
+    /// The buffer of an applied [`Msg::Pre`] for the trace to record the
+    /// next interval into (see `TraceBuf::drain_into`, which clears it),
+    /// or an unallocated one when none is back yet.
+    fn spare(&mut self) -> Vec<TraceEntry>;
 
     /// The shadow the planner fingerprints. It must hold every pre-failure
     /// entry sent so far.
@@ -141,6 +152,10 @@ pub struct Checker {
     shadow: ShadowPm,
     report: DetectionReport,
     recorded: Option<RecordedRun>,
+    /// The buffer of the last committed [`Msg::Pre`], if it holds room for
+    /// at most [`SPARE_ENTRIES`]. It keeps its entries until the trace
+    /// drains into it, which clears it first.
+    spare: Vec<TraceEntry>,
     first_read_only: bool,
     ctl: RunCtl,
     detect_time: Duration,
@@ -161,6 +176,7 @@ impl Checker {
                 domain: config.domain,
                 ..RecordedRun::default()
             }),
+            spare: Vec::new(),
             first_read_only: config.first_read_only,
             ctl,
             detect_time: Duration::ZERO,
@@ -212,9 +228,12 @@ impl Checker {
             self.report.push(f);
         }
         match msg {
-            Msg::Pre(pre) => {
+            Msg::Pre(mut pre) => {
                 if let Some(rec) = self.recorded.as_mut() {
-                    rec.pre.extend(pre.into_iter().map(Into::into));
+                    rec.pre.extend(pre.drain(..).map(Into::into));
+                }
+                if pre.capacity() <= SPARE_ENTRIES {
+                    self.spare = pre;
                 }
             }
             Msg::FailurePoint { fp, traced, origin } => {
@@ -251,6 +270,10 @@ impl Sink for Checker {
     fn send(&mut self, msg: Msg) {
         let found = self.find(&msg);
         self.commit(msg, found);
+    }
+
+    fn spare(&mut self) -> Vec<TraceEntry> {
+        std::mem::take(&mut self.spare)
     }
 
     fn fp_shadow(&mut self) -> &mut ShadowPm {
@@ -319,13 +342,15 @@ struct Frontend<W, S: Sink> {
 }
 
 /// Ships the pre-failure entries produced since the last failure point
-/// (§5.4: incremental tracing).
+/// (§5.4: incremental tracing). The trace records on into a spare buffer
+/// of the sink's, so the frontend does not grow a new one per interval.
 fn ship_pre<S: Sink>(sink: &mut S, ctx: &mut PmCtx, stats: &mut RunStats) {
-    let pre = ctx.trace().drain();
-    stats.pre_entries += pre.len() as u64;
-    if !pre.is_empty() {
-        sink.send(Msg::Pre(pre));
+    if ctx.trace().is_empty() {
+        return;
     }
+    let pre = ctx.trace().drain_into(sink.spare());
+    stats.pre_entries += pre.len() as u64;
+    sink.send(Msg::Pre(pre));
 }
 
 impl<W: Workload, S: Sink> EngineHook for Frontend<W, S> {

@@ -41,6 +41,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pmem::{CowImage, PmCtx, PmPool};
+use xftrace::TraceEntry;
 
 use crate::detect::{self, Checker, Msg, Origin, Sink, Traced};
 use crate::engine::{EngineError, RunOutcome, Workload, XfConfig, XfDetector};
@@ -242,6 +243,10 @@ impl Sink for Pool {
         } else {
             self.held.push_back(Held::Found(msg, found));
         }
+    }
+
+    fn spare(&mut self) -> Vec<TraceEntry> {
+        self.checker.spare()
     }
 
     fn fp_shadow(&mut self) -> &mut ShadowPm {

@@ -37,7 +37,10 @@
 //! record ([`ShadowPm::enable_fingerprinting`]). A mutation only marks the
 //! lines it touches dirty; [`ShadowPm::persistence_fingerprint`] re-derives
 //! each dirty line's records once, then folds the distinct records without
-//! scanning another byte. The index is re-seeded in full only when a change
+//! scanning another byte. A line's records are found run by run, word by
+//! word, and each distinct record is hashed once through a memo kept with
+//! the index ([`ShadowPm::byte_records`]). The index is re-seeded in full
+//! only when a change
 //! reaches lines the mutation never touched: a commit-variable
 //! registration, a write to the sole range-less commit variable, or a
 //! fence under [`PersistDomain::CxlGpf`]. The fold is the one
@@ -302,6 +305,37 @@ fn bit_of(plane: u64, i: usize) -> u64 {
     (plane >> i) & 1
 }
 
+/// The record key of byte `i` of `slab`, whose suspect predicate is `s`
+/// (see [`ShadowPm::byte_records`]).
+fn record_key(slab: &Slab, s: &Suspects, i: usize) -> RecordKey {
+    // The persist code of the per-byte enum this record format was
+    // defined over: Unmodified 0, Modified 1, WritebackPending 2,
+    // Persisted 3.
+    let persist_code =
+        bit_of(slab.modified, i) | (bit_of(slab.pending, i) << 1) | (bit_of(slab.persisted, i) * 3);
+    let verdict_code = bit_of(s.inconsistent, i) | bit_of(s.consistent, i) << 1;
+    let flags = persist_code
+        | bit_of(slab.written, i) << 2
+        | bit_of(slab.allocated, i) << 3
+        | bit_of(slab.zeroed_alloc, i) << 4
+        | bit_of(slab.unprotected_tx_write, i) << 5
+        | verdict_code << 6
+        | bit_of(slab.pending, i) << 8
+        | bit_of(s.commit_var, i) << 9
+        | bit_of(slab.xthread, i) << 10
+        | bit_of(s.buffered, i) << 11;
+    let st = &slab.bytes[i];
+    // Thread facts participate unconditionally: constant (zero) in
+    // single-threaded traces, so classes there are unaffected, but two
+    // crash states differing only in which thread's fence must still land
+    // may report different kinds and must not collapse.
+    RecordKey {
+        flags,
+        tids: u64::from(st.writer_tid) << 32 | u64::from(st.flusher_tid),
+        writer: st.writer,
+    }
+}
+
 /// The suspect predicate of one line over a set of its bytes, one bit per
 /// byte (see [`ShadowPm::suspects`]).
 #[derive(Debug, Clone, Copy, Default)]
@@ -358,6 +392,74 @@ fn fold_distinct(count: usize, ascending: impl Iterator<Item = u64>) -> u64 {
     ascending.fold(fnv_u64(FNV_OFFSET, count as u64), fnv_u64)
 }
 
+/// A [`RecordKey`] with its file name by address: flags, threads, file
+/// address, file length, line.
+type RecordIdentity = (u64, u64, u64, u64, u64);
+
+/// What a byte record hashes (see [`ShadowPm::byte_records`]): its state
+/// flags, its writer and flusher threads, and its writer's location.
+#[derive(Debug, Clone, Copy)]
+struct RecordKey {
+    flags: u64,
+    tids: u64,
+    writer: SourceLoc,
+}
+
+impl RecordKey {
+    /// The record hash: FNV-1a over the flags, the threads, the writer's
+    /// file name *contents* and its line, so it is stable across processes.
+    fn hash(&self) -> u64 {
+        let mut h = fnv_u64(FNV_OFFSET, self.flags);
+        h = fnv_u64(h, self.tids);
+        h = fnv_bytes(h, self.writer.file.as_bytes());
+        fnv_u64(h, u64::from(self.writer.line))
+    }
+
+    /// The key's identity in [`RecordMemo`]: the file name by address and
+    /// length. A file name is a `&'static str`, from `file!()` or the
+    /// leaked, never-freed table of `xftrace::intern_file`, so an address
+    /// names one unchanging content for the life of the process. Equal
+    /// contents at two addresses are two memo entries of one hash.
+    fn identity(&self) -> RecordIdentity {
+        let file = self.writer.file;
+        (
+            self.flags,
+            self.tids,
+            file.as_ptr() as u64,
+            file.len() as u64,
+            u64::from(self.writer.line),
+        )
+    }
+}
+
+/// Most records [`RecordMemo`] holds before it starts over. A run of the
+/// shipped programs has tens of distinct records, so the memo never
+/// clears there; a trace with many writer locations (an upload to the
+/// server) costs a re-hash per clear instead of unbounded memory.
+const MEMO_RECORDS: usize = 1024;
+
+/// Record hashes by key, so the fingerprint index hashes a writer's file
+/// name once per distinct record rather than once per line re-derivation.
+/// The hash is a pure function of the key, so a memoized value is always
+/// the one [`RecordKey::hash`] computes.
+#[derive(Debug, Default)]
+struct RecordMemo(HashMap<RecordIdentity, u64, LineHasher>);
+
+impl RecordMemo {
+    fn hash(&mut self, key: &RecordKey) -> u64 {
+        let identity = key.identity();
+        if let Some(&h) = self.0.get(&identity) {
+            return h;
+        }
+        if self.0.len() >= MEMO_RECORDS {
+            self.0.clear();
+        }
+        let h = key.hash();
+        self.0.insert(identity, h);
+        h
+    }
+}
+
 /// The incremental fingerprint index (see
 /// [`ShadowPm::enable_fingerprinting`]): the distinct record hashes of
 /// every suspect line, and how many lines hold each record. The keys of
@@ -369,6 +471,8 @@ struct FpIndex {
     lines: LineMap<Box<[u64]>>,
     /// Record → number of suspect lines holding it.
     counts: BTreeMap<u64, u32>,
+    /// The hashes of the records derived so far; kept across re-seeds.
+    memo: RecordMemo,
 }
 
 impl FpIndex {
@@ -751,10 +855,13 @@ impl ShadowPm {
     /// [`ShadowPm::fingerprint_from_scratch`] computes, so the values are
     /// identical whichever path produced them.
     pub fn enable_fingerprinting(&mut self) {
-        let mut index = FpIndex::default();
+        let mut index = FpIndex {
+            memo: self.fp.take().map(|index| index.memo).unwrap_or_default(),
+            ..FpIndex::default()
+        };
         let mut records = std::mem::take(&mut self.fp_records);
         for (&li, slab) in self.lines.iter() {
-            self.line_records(li, slab, &mut records);
+            self.line_records(li, slab, &mut index.memo, &mut records);
             index.set_line(li, &records);
         }
         self.fp_records = records;
@@ -823,16 +930,18 @@ impl ShadowPm {
         dirty.sort_unstable();
         dirty.dedup();
         let mut records = std::mem::take(&mut self.fp_records);
+        let mut index = self
+            .fp
+            .take()
+            .expect("lines are marked dirty only while indexing");
         for &li in &dirty {
             match self.lines.get(&li) {
-                Some(slab) => self.line_records(li, slab, &mut records),
+                Some(slab) => self.line_records(li, slab, &mut index.memo, &mut records),
                 None => records.clear(),
             }
-            self.fp
-                .as_mut()
-                .expect("lines are marked dirty only while indexing")
-                .set_line(li, &records);
+            index.set_line(li, &records);
         }
+        self.fp = Some(index);
         self.fp_records = records;
         dirty.clear();
         self.fp_dirty = dirty;
@@ -923,26 +1032,28 @@ impl ShadowPm {
     }
 
     /// [`ShadowPm::persistence_fingerprint`] computed by scanning every
-    /// tracked line, ignoring the incremental index — the ground truth the
-    /// index is tested against.
+    /// tracked line, ignoring the incremental index and hashing every
+    /// record afresh, without the memo — the ground truth the index is
+    /// tested against.
     #[must_use]
     pub fn fingerprint_from_scratch(&self) -> u64 {
         let mut records = Vec::new();
         for (&li, slab) in self.lines.iter() {
-            self.byte_records(li, slab, &mut records);
+            self.byte_records(li, slab, None, &mut records);
         }
         self.fold_domain(fold_records(&mut records))
     }
 
-    /// Line `li`'s distinct records, ascending, into `out` (cleared first).
-    fn line_records(&self, li: u64, slab: &Slab, out: &mut Vec<u64>) {
+    /// Line `li`'s distinct records, ascending, into `out` (cleared first),
+    /// hashed through `memo`.
+    fn line_records(&self, li: u64, slab: &Slab, memo: &mut RecordMemo, out: &mut Vec<u64>) {
         out.clear();
-        self.byte_records(li, slab, out);
+        self.byte_records(li, slab, Some(memo), out);
         out.sort_unstable();
         out.dedup();
     }
 
-    /// Appends one record hash per contributing byte of line `li` (see
+    /// Appends the record hash of every contributing byte of line `li` (see
     /// [`ShadowPm::suspects`]): the byte's state flags, consistency verdict
     /// and writer source location. Neither the line id nor the in-line
     /// offset participates (see [`ShadowPm::persistence_fingerprint`]) — a
@@ -950,47 +1061,58 @@ impl ShadowPm {
     /// two bytes with equal records have equal finding potential wherever
     /// they live.
     ///
-    /// A run of bytes with the same flags, threads and writer (compared by
-    /// the interned file pointer) shares one record, so it is hashed once
-    /// and appended once; callers deduplicate anyway.
-    fn byte_records(&self, li: u64, slab: &Slab, out: &mut Vec<u64>) {
+    /// A run of adjacent contributing bytes with equal records is hashed
+    /// and appended once; callers deduplicate the rest. A byte starts a run
+    /// where a plane that enters its flags flips against the byte before
+    /// (`p ^ p << 1`, one word operation per plane), or where its writer,
+    /// writer thread or flusher thread differs. Only the run starts build
+    /// a flags word, and `memo`, when given, hashes each distinct record
+    /// once.
+    fn byte_records(
+        &self,
+        li: u64,
+        slab: &Slab,
+        mut memo: Option<&mut RecordMemo>,
+        out: &mut Vec<u64>,
+    ) {
         let s = self.suspects(li, slab, u64::MAX);
-        let mut prev = None;
-        for i in bits(s.contributes) {
-            let st = &slab.bytes[i];
-            // The persist code of the per-byte enum this record format was
-            // defined over: Unmodified 0, Modified 1, WritebackPending 2,
-            // Persisted 3.
-            let persist_code = bit_of(slab.modified, i)
-                | (bit_of(slab.pending, i) << 1)
-                | (bit_of(slab.persisted, i) * 3);
-            let verdict_code = bit_of(s.inconsistent, i) | bit_of(s.consistent, i) << 1;
-            let flags = persist_code
-                | bit_of(slab.written, i) << 2
-                | bit_of(slab.allocated, i) << 3
-                | bit_of(slab.zeroed_alloc, i) << 4
-                | bit_of(slab.unprotected_tx_write, i) << 5
-                | verdict_code << 6
-                | bit_of(slab.pending, i) << 8
-                | bit_of(s.commit_var, i) << 9
-                | bit_of(slab.xthread, i) << 10
-                | bit_of(s.buffered, i) << 11;
-            // Thread facts participate unconditionally: constant (zero) in
-            // single-threaded traces, so classes there are unaffected, but
-            // two crash states differing only in which thread's fence must
-            // still land may report different kinds and must not collapse.
-            let tids = u64::from(st.writer_tid) << 32 | u64::from(st.flusher_tid);
-            let file = st.writer.file;
-            let key = (flags, tids, file.as_ptr(), file.len(), st.writer.line);
-            if prev == Some(key) {
-                continue;
+        // `written` is left out: on a contributing byte it holds exactly
+        // when the byte is not Unmodified (the one unwritten contributor is
+        // an uninitialized allocation), so it flips only where a
+        // persistence plane does.
+        let planes = [
+            s.contributes,
+            slab.modified,
+            slab.pending,
+            slab.persisted,
+            slab.allocated,
+            slab.zeroed_alloc,
+            slab.unprotected_tx_write,
+            s.inconsistent,
+            s.consistent,
+            s.commit_var,
+            slab.xthread,
+            s.buffered,
+        ];
+        let mut starts = planes.iter().fold(0, |m, &p| m | (p ^ p << 1));
+        // Bit 0 of `contributes` is a start, so `i - 1` is a contributing
+        // byte of the same run so far.
+        for i in bits(s.contributes & !starts) {
+            let (prev, st) = (&slab.bytes[i - 1], &slab.bytes[i]);
+            if !std::ptr::eq(prev.writer.file, st.writer.file)
+                || prev.writer.line != st.writer.line
+                || prev.writer_tid != st.writer_tid
+                || prev.flusher_tid != st.flusher_tid
+            {
+                starts |= 1 << i;
             }
-            prev = Some(key);
-            let mut h = fnv_u64(FNV_OFFSET, flags);
-            h = fnv_u64(h, tids);
-            h = fnv_bytes(h, file.as_bytes());
-            h = fnv_u64(h, u64::from(st.writer.line));
-            out.push(h);
+        }
+        for i in bits(s.contributes & starts) {
+            let key = record_key(slab, &s, i);
+            out.push(match memo.as_deref_mut() {
+                Some(memo) => memo.hash(&key),
+                None => key.hash(),
+            });
         }
     }
 
@@ -2886,5 +3008,232 @@ mod tests {
         let mut checker = s.begin_post(true);
         checker.apply_post(&read(A, 8, 10), fp(), &mut out);
         assert_eq!(out.findings()[0].kind, BugKind::CrossFailureSemantic);
+    }
+}
+
+/// The run-wise fingerprint records against an independent per-byte
+/// derivation: one flags word and one hash per contributing byte, with
+/// no run detection and no memo.
+#[cfg(test)]
+mod record_oracle {
+    use super::*;
+    use proptest::prelude::*;
+    use xftrace::{FenceKind, FlushKind, Stage};
+
+    const BASE: u64 = 0x1000;
+    const LINES: u64 = 4;
+    const POOL: u64 = LINES * LINE;
+    /// Commit variables sit at one of a few fixed slots, so ranges find a
+    /// registered variable and writes move variables often.
+    const VAR_SLOTS: u64 = 4;
+    const VAR_STRIDE: u64 = POOL / VAR_SLOTS;
+    /// Writer files: two names, so runs split on the file as well as on
+    /// the line.
+    const FILES: [&str; 2] = ["oracle-a.rs", "oracle-b.rs"];
+
+    impl ShadowPm {
+        /// Line `li`'s distinct records, one derived per contributing byte
+        /// the way the per-byte loop this format was defined over does.
+        fn per_byte_records(&self, li: u64, slab: &Slab) -> Vec<u64> {
+            let s = self.suspects(li, slab, u64::MAX);
+            let mut out = Vec::new();
+            for i in 0..LINE as usize {
+                if s.contributes >> i & 1 == 0 {
+                    continue;
+                }
+                let bit = |plane: u64| (plane >> i) & 1;
+                let persist_code = if bit(slab.modified) == 1 {
+                    1
+                } else if bit(slab.pending) == 1 {
+                    2
+                } else if bit(slab.persisted) == 1 {
+                    3
+                } else {
+                    0
+                };
+                let verdict_code = if bit(s.inconsistent) == 1 {
+                    1
+                } else if bit(s.consistent) == 1 {
+                    2
+                } else {
+                    0
+                };
+                let flags = persist_code
+                    | bit(slab.written) << 2
+                    | bit(slab.allocated) << 3
+                    | bit(slab.zeroed_alloc) << 4
+                    | bit(slab.unprotected_tx_write) << 5
+                    | verdict_code << 6
+                    | bit(slab.pending) << 8
+                    | bit(s.commit_var) << 9
+                    | bit(slab.xthread) << 10
+                    | bit(s.buffered) << 11;
+                let st = &slab.bytes[i];
+                let tids = u64::from(st.writer_tid) << 32 | u64::from(st.flusher_tid);
+                let mut h = fnv_u64(FNV_OFFSET, flags);
+                h = fnv_u64(h, tids);
+                h = fnv_bytes(h, st.writer.file.as_bytes());
+                out.push(fnv_u64(h, u64::from(st.writer.line)));
+            }
+            out.sort_unstable();
+            out.dedup();
+            out
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Write { off: u64, size: u32, nt: bool },
+        Flush { off: u64 },
+        Fence,
+        TxBegin,
+        TxAdd { off: u64, size: u32 },
+        TxCommit,
+        Alloc { off: u64, size: u32, zeroed: bool },
+        Free { off: u64, size: u32 },
+        RegisterVar { slot: u64 },
+        RegisterRange { slot: u64, off: u64, size: u32 },
+    }
+
+    /// A step, the thread and writer location that issue it, and whether
+    /// it comes from library internals.
+    type Issued = (Step, u32, SourceLoc, bool);
+
+    fn step() -> impl Strategy<Value = Step> {
+        let off = 0..POOL;
+        let size = 1..=24u32;
+        prop_oneof![
+            6 => (off.clone(), size.clone(), (0..100u32).prop_map(|p| p < 15))
+                .prop_map(|(off, size, nt)| Step::Write { off, size, nt }),
+            3 => off.clone().prop_map(|off| Step::Flush { off }),
+            3 => Just(Step::Fence),
+            1 => Just(Step::TxBegin),
+            1 => (off.clone(), size.clone()).prop_map(|(off, size)| Step::TxAdd { off, size }),
+            1 => Just(Step::TxCommit),
+            1 => (off.clone(), size.clone(), any::<bool>())
+                .prop_map(|(off, size, zeroed)| Step::Alloc { off, size, zeroed }),
+            1 => (off.clone(), size).prop_map(|(off, size)| Step::Free { off, size }),
+            1 => (0..VAR_SLOTS).prop_map(|slot| Step::RegisterVar { slot }),
+            1 => (0..VAR_SLOTS, off, 1..=128u32)
+                .prop_map(|(slot, off, size)| Step::RegisterRange { slot, off, size }),
+        ]
+    }
+
+    fn issued() -> impl Strategy<Value = Issued> {
+        let internal = (0..10u32).prop_map(|p| p == 0);
+        ((step(), 0..2u32), (0..FILES.len(), 1..=3u32, internal)).prop_map(
+            |((step, tid), (file, line, internal))| {
+                let loc = SourceLoc {
+                    file: FILES[file],
+                    line,
+                };
+                (step, tid, loc, internal)
+            },
+        )
+    }
+
+    fn domain() -> impl Strategy<Value = PersistDomain> {
+        prop_oneof![
+            Just(PersistDomain::Adr),
+            Just(PersistDomain::Eadr),
+            (1..=8usize).prop_map(|reorder_window| PersistDomain::CxlGpf { reorder_window }),
+        ]
+    }
+
+    fn entry((step, tid, loc, internal): &Issued) -> TraceEntry {
+        let op = match *step {
+            Step::Write { off, size, nt } => {
+                let addr = BASE + off;
+                if nt {
+                    Op::NtWrite { addr, size }
+                } else {
+                    Op::Write { addr, size }
+                }
+            }
+            Step::Flush { off } => Op::Flush {
+                addr: BASE + off,
+                kind: FlushKind::Clwb,
+            },
+            Step::Fence => Op::Fence {
+                kind: FenceKind::Sfence,
+            },
+            Step::TxBegin => Op::TxBegin,
+            Step::TxAdd { off, size } => Op::TxAdd {
+                addr: BASE + off,
+                size,
+            },
+            Step::TxCommit => Op::TxCommit,
+            Step::Alloc { off, size, zeroed } => Op::Alloc {
+                addr: BASE + off,
+                size,
+                zeroed,
+            },
+            Step::Free { off, size } => Op::Free {
+                addr: BASE + off,
+                size,
+            },
+            Step::RegisterVar { slot } => Op::RegisterCommitVar {
+                addr: BASE + slot * VAR_STRIDE,
+                size: 8,
+            },
+            Step::RegisterRange { slot, off, size } => Op::RegisterCommitRange {
+                var_addr: BASE + slot * VAR_STRIDE,
+                addr: BASE + off,
+                size,
+            },
+        };
+        TraceEntry::new(op, *loc, Stage::Pre, *internal, true).with_tid(*tid)
+    }
+
+    /// Line by line, the run-wise records (memo off, and through `memo`,
+    /// which outlives the step) must equal the per-byte ones.
+    fn assert_records_match(shadow: &ShadowPm, memo: &mut RecordMemo) -> Result<(), TestCaseError> {
+        for (&li, slab) in shadow.lines.iter() {
+            let expected = shadow.per_byte_records(li, slab);
+            let mut plain = Vec::new();
+            shadow.byte_records(li, slab, None, &mut plain);
+            plain.sort_unstable();
+            plain.dedup();
+            prop_assert_eq!(&plain, &expected, "line {} without the memo", li);
+            let mut memoized = Vec::new();
+            shadow.line_records(li, slab, memo, &mut memoized);
+            prop_assert_eq!(&memoized, &expected, "line {} through the memo", li);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// After every replayed entry, every line's run-wise record set
+        /// equals the per-byte oracle's, with the memo on and off.
+        #[test]
+        fn run_wise_records_equal_the_per_byte_oracle(
+            steps in prop::collection::vec(issued(), 0..120),
+            domain in domain(),
+        ) {
+            let mut shadow = ShadowPm::with_domain(domain);
+            let mut memo = RecordMemo::default();
+            let mut found = DetectionReport::new();
+            for issued in &steps {
+                shadow.apply_pre(&entry(issued), &mut found);
+                assert_records_match(&shadow, &mut memo)?;
+            }
+        }
+    }
+
+    #[test]
+    fn the_memo_starts_over_past_its_bound_and_keeps_hashing_right() {
+        let mut memo = RecordMemo::default();
+        for line in 0..3 * MEMO_RECORDS as u32 {
+            let key = RecordKey {
+                flags: u64::from(line % 7),
+                tids: 0,
+                writer: SourceLoc {
+                    file: FILES[0],
+                    line,
+                },
+            };
+            assert_eq!(memo.hash(&key), key.hash());
+            assert!(memo.0.len() <= MEMO_RECORDS);
+        }
     }
 }

@@ -13,9 +13,11 @@
 //! [`run_pipelined`]'s serialized [`DetectionReport`]s are byte-identical
 //! to [`crate::XfDetector::run`]'s (enforced by the equivalence tests).
 
+use std::sync::mpsc;
 use std::thread::JoinHandle;
 
 use pmem::CowImage;
+use xftrace::TraceEntry;
 
 use crate::detect::{self, Checked, Checker, Execution, Msg, Sink, Traced};
 use crate::engine::{EngineError, RunOutcome, Workload, XfConfig};
@@ -43,12 +45,22 @@ impl Default for StreamOptions {
     }
 }
 
+/// Most applied pre-failure buffers on their way back from the checker
+/// thread to the frontend. The frontend takes one per failure-point
+/// interval and the checker returns one per applied interval, so a few
+/// cover the FIFO's jitter; a full return path frees the buffer on the
+/// checker thread instead, which bounds the memory the buffers pin.
+const SPARES: usize = 4;
+
 /// The frontend's end of the FIFO: the sink the stream driver hands the
 /// detection loop. `finish` joins the checker. A frontend that unwinds
 /// drops the sender first, so the checker drains the FIFO and ends on its
 /// own.
 struct Ring {
     tx: Sender<Msg>,
+    /// The return path of the checker's applied pre-failure buffers (see
+    /// [`Sink::spare`]). Neither side blocks on it.
+    spares: mpsc::Receiver<Vec<TraceEntry>>,
     /// With pruning on, the planner fingerprints this replica of the
     /// checker's shadow, fed each pre batch before it ships. Its findings
     /// are discarded: the checker owns the report.
@@ -70,6 +82,10 @@ impl Sink for Ring {
         // A send only fails when the checker died mid-run; `finish`
         // surfaces its panic, so the error is swallowed here.
         let _ = self.tx.send(msg);
+    }
+
+    fn spare(&mut self) -> Vec<TraceEntry> {
+        self.spares.try_recv().unwrap_or_default()
     }
 
     fn fp_shadow(&mut self) -> &mut ShadowPm {
@@ -141,6 +157,7 @@ pub(crate) fn run_with_ctl<W: Workload + 'static>(
 ) -> Result<RunOutcome, EngineError> {
     detect::run(config, workload, ctl.clone(), |_| {
         let (tx, rx) = channel(capacity);
+        let (spare_tx, spares) = mpsc::sync_channel(SPARES);
         let checker_config = config.clone();
         // The checker's shadow and report are allocated and freed on its
         // thread, never on the frontend's heap: freeing them on the
@@ -155,12 +172,19 @@ pub(crate) fn run_with_ctl<W: Workload + 'static>(
             while rx.recv_batch(&mut batch, DRAIN_BATCH) {
                 for msg in batch.drain(..) {
                     checker.send(msg);
+                    // Hand an applied pre-failure buffer back to the thread
+                    // that allocated it, rather than free it here.
+                    let spare = checker.spare();
+                    if spare.capacity() > 0 {
+                        let _ = spare_tx.try_send(spare);
+                    }
                 }
             }
             (checker.close(), rx.stats())
         });
         Ring {
             tx,
+            spares,
             replica: planner_shadow(config),
             pruning: config.pruning.is_enabled(),
             checker,
@@ -256,6 +280,113 @@ mod tests {
         assert_eq!(json(&seq), json(&pipe));
     }
 
+    /// Failure-point intervals that alternate between longer than a
+    /// reusable buffer may be and a single store, each store to an
+    /// address of its own: reused buffers must carry no entry of an
+    /// earlier interval into a later one.
+    struct Alternating;
+
+    /// Stores in a long interval.
+    const LONG: u64 = crate::detect::SPARE_ENTRIES as u64 + 44;
+    const ROUNDS: u64 = 6;
+
+    impl Alternating {
+        fn slot(ctx: &mut PmCtx, i: u64) -> u64 {
+            ctx.pool().base() + 8 * i
+        }
+    }
+
+    impl Workload for Alternating {
+        fn name(&self) -> &str {
+            "alternating"
+        }
+        fn pool_size(&self) -> u64 {
+            8 * LONG * ROUNDS + 4096
+        }
+        fn setup(&self, _ctx: &mut PmCtx) -> Result<(), DynError> {
+            Ok(())
+        }
+        fn pre_failure(&self, ctx: &mut PmCtx) -> Result<(), DynError> {
+            let mut next = 0;
+            for round in 0..ROUNDS {
+                let stores = if round % 2 == 0 { LONG } else { 1 };
+                for _ in 0..stores {
+                    let a = Self::slot(ctx, next);
+                    ctx.write_u64(a, next + 1)?;
+                    next += 1;
+                }
+                // Persists the interval's first store only: the rest are
+                // races a recovery read can find.
+                let a = Self::slot(ctx, next - stores);
+                ctx.persist_barrier(a, 8)?;
+            }
+            Ok(())
+        }
+        fn post_failure(&self, ctx: &mut PmCtx) -> Result<(), DynError> {
+            for i in [1, LONG - 1, LONG + 1, 2 * LONG] {
+                let a = Self::slot(ctx, i);
+                let _ = ctx.read_u64(a)?;
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn reused_pre_buffers_never_carry_a_stale_entry() {
+        use crate::Pruning;
+        let mut reports = Vec::new();
+        for pruning in [Pruning::Off, Pruning::Equivalence] {
+            let modes = |record_trace| {
+                let cfg = XfConfig {
+                    record_trace,
+                    pruning,
+                    ..XfConfig::default()
+                };
+                let detector = XfDetector::new(cfg.clone());
+                [
+                    detector.run(Alternating).unwrap(),
+                    run_pipelined(&cfg, Alternating, &StreamOptions::default()).unwrap(),
+                    detector.run_parallel(Alternating, 2).unwrap(),
+                ]
+            };
+            let runs = modes(true);
+            let recorded = |o: &RunOutcome| serde_json::to_string(o.recorded.as_ref().unwrap());
+            for run in &runs[1..] {
+                assert_eq!(
+                    recorded(&runs[0]).unwrap(),
+                    recorded(run).unwrap(),
+                    "{pruning:?}"
+                );
+            }
+            // Without a recording the checker keeps buffers it did not
+            // drain: every mode must still ship exactly the recorded
+            // entries and report the same.
+            let traced = runs[0].recorded.as_ref().unwrap().pre.len() as u64;
+            for run in runs.iter().chain(&modes(false)) {
+                assert_eq!(run.stats.pre_entries, traced, "{pruning:?}");
+                assert_eq!(report_json(&runs[0]), report_json(run), "{pruning:?}");
+            }
+            // Every store is recorded once, in program order.
+            let stores: Vec<u64> = runs[0]
+                .recorded
+                .as_ref()
+                .unwrap()
+                .pre
+                .iter()
+                .filter_map(|e| match e.op {
+                    xftrace::Op::Write { addr, .. } => Some(addr),
+                    _ => None,
+                })
+                .collect();
+            let expected = (ROUNDS / 2) * (LONG + 1);
+            assert_eq!(stores.len() as u64, expected, "{pruning:?}");
+            assert!(stores.windows(2).all(|w| w[0] + 8 == w[1]), "{pruning:?}");
+            assert!(!runs[0].report.findings().is_empty());
+            reports.push(report_json(&runs[0]));
+        }
+        assert_eq!(reports[0], reports[1]);
+    }
+
     #[test]
     fn post_failure_outcome_findings_survive_the_pipeline() {
         struct Panicking;
@@ -348,14 +479,20 @@ mod tests {
         std::fs::remove_file(&path).ok();
 
         let batch = crate::Session::builder()
-            .pruning(Pruning::Equivalence)
+            .config(XfConfig {
+                pruning: Pruning::Equivalence,
+                ..XfConfig::default()
+            })
             .build()
             .unwrap()
             .run(Flag { persist: false }, Mode::Batch)
             .unwrap();
         let cached = || {
             crate::Session::builder()
-                .pruning(Pruning::Equivalence)
+                .config(XfConfig {
+                    pruning: Pruning::Equivalence,
+                    ..XfConfig::default()
+                })
                 .class_cache(&path)
                 .build()
                 .unwrap()

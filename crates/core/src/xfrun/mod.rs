@@ -49,13 +49,10 @@ use std::path::PathBuf;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use pmem::Budget;
-
 use crate::concurrent::{ConcurrentWorkload, Scheduled};
 use crate::detect::{Origin, Traced};
 use crate::engine::{RunOutcome, Workload, XfConfig, XfDetector};
 use crate::error::{ConfigError, XfError};
-use crate::prune::Pruning;
 use crate::report::{BugKind, FailurePoint};
 use crate::stats::RunStats;
 
@@ -229,54 +226,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Arms an execution budget on every post-failure context (shorthand
-    /// for setting [`XfConfig::post_budget`]).
-    #[must_use]
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.config.post_budget = Some(budget);
-        self
-    }
-
     /// Worker threads for [`Mode::Parallel`]. `0` (the default) means all
     /// available parallelism; the builder clamps it at build time.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Failure-point pruning policy (shorthand for setting
-    /// [`XfConfig::pruning`]): collapse failure points into
-    /// persistence-state equivalence classes and execute one
-    /// representative per class. All three [`Mode`]s honor it and stay
-    /// report-equivalent.
-    #[must_use]
-    pub fn pruning(mut self, pruning: Pruning) -> Self {
-        self.config.pruning = pruning;
-        self
-    }
-
-    /// Logical thread count for [`Session::run_concurrent`] (shorthand for
-    /// setting [`XfConfig::threads`]).
-    #[must_use]
-    pub fn threads(mut self, threads: u32) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Interleaving schedule for [`Session::run_concurrent`] (shorthand
-    /// for setting [`XfConfig::schedule`]).
-    #[must_use]
-    pub fn schedule(mut self, schedule: xfsched::ScheduleSpec) -> Self {
-        self.config.schedule = schedule;
-        self
-    }
-
-    /// Persistence domain findings are classified under (shorthand for
-    /// setting [`XfConfig::domain`]).
-    #[must_use]
-    pub fn domain(mut self, domain: pmem::PersistDomain) -> Self {
-        self.config.domain = domain;
         self
     }
 
@@ -708,7 +662,8 @@ fn serialization_failed(e: serde_json::Error) -> std::io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem::PmCtx;
+    use crate::prune::Pruning;
+    use pmem::{Budget, PmCtx};
     use std::path::Path;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
@@ -1002,7 +957,10 @@ mod tests {
                 let seen = Arc::clone(&last);
                 let session = Session::builder()
                     .workers(2)
-                    .pruning(Pruning::Equivalence)
+                    .config(XfConfig {
+                        pruning: Pruning::Equivalence,
+                        ..XfConfig::default()
+                    })
                     .class_cache(&cache)
                     .metrics_out(&metrics)
                     .on_progress(Duration::from_secs(30), move |p| {
@@ -1078,7 +1036,10 @@ mod tests {
     #[test]
     fn run_concurrent_single_plan_stamps_the_recording() {
         let session = Session::builder()
-            .threads(2)
+            .config(XfConfig {
+                threads: 2,
+                ..XfConfig::default()
+            })
             .record_repro(true)
             .build()
             .unwrap();
@@ -1093,8 +1054,11 @@ mod tests {
     fn run_concurrent_exhaustive_merges_and_counts_cross_thread_findings() {
         let spec: crate::ScheduleSpec = "exhaustive:3".parse().unwrap();
         let session = Session::builder()
-            .threads(2)
-            .schedule(spec)
+            .config(XfConfig {
+                threads: 2,
+                schedule: spec,
+                ..XfConfig::default()
+            })
             .build()
             .unwrap();
         let outcome = session.run_concurrent(RacyRoles, Mode::Batch).unwrap();
@@ -1119,8 +1083,11 @@ mod tests {
         let spec: crate::ScheduleSpec = "seed:42".parse().unwrap();
         let mk = || {
             Session::builder()
-                .threads(2)
-                .schedule(spec)
+                .config(XfConfig {
+                    threads: 2,
+                    schedule: spec,
+                    ..XfConfig::default()
+                })
                 .build()
                 .unwrap()
                 .run_concurrent(RacyRoles, Mode::Batch)
@@ -1134,7 +1101,10 @@ mod tests {
 
     fn cached_session(path: &Path) -> Session {
         Session::builder()
-            .pruning(Pruning::Equivalence)
+            .config(XfConfig {
+                pruning: Pruning::Equivalence,
+                ..XfConfig::default()
+            })
             .class_cache(path)
             .build()
             .unwrap()
@@ -1146,7 +1116,10 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let mk = |pruning: Pruning| {
             Session::builder()
-                .pruning(pruning)
+                .config(XfConfig {
+                    pruning,
+                    ..XfConfig::default()
+                })
                 .class_cache(&path)
                 .build()
                 .unwrap()
@@ -1169,7 +1142,10 @@ mod tests {
         std::fs::remove_file(&path).ok();
 
         let reference = Session::builder()
-            .pruning(Pruning::Equivalence)
+            .config(XfConfig {
+                pruning: Pruning::Equivalence,
+                ..XfConfig::default()
+            })
             .build()
             .unwrap()
             .run(Racy, Mode::Batch)
@@ -1202,7 +1178,10 @@ mod tests {
         // A batch-written cache serves a parallel run (and vice versa): the
         // header fingerprint excludes the execution mode on purpose.
         let warm = Session::builder()
-            .pruning(Pruning::Equivalence)
+            .config(XfConfig {
+                pruning: Pruning::Equivalence,
+                ..XfConfig::default()
+            })
             .class_cache(&path)
             .workers(2)
             .build()
@@ -1245,7 +1224,10 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let mk = |digest: &str| {
             Session::builder()
-                .pruning(Pruning::Equivalence)
+                .config(XfConfig {
+                    pruning: Pruning::Equivalence,
+                    ..XfConfig::default()
+                })
                 .class_cache(&path)
                 .cache_digest(digest)
                 .build()
@@ -1267,17 +1249,23 @@ mod tests {
         let spec: crate::ScheduleSpec = "exhaustive:2".parse().unwrap();
         let mk = || {
             Session::builder()
-                .threads(2)
-                .schedule(spec)
-                .pruning(Pruning::Equivalence)
+                .config(XfConfig {
+                    threads: 2,
+                    schedule: spec,
+                    pruning: Pruning::Equivalence,
+                    ..XfConfig::default()
+                })
                 .class_cache(&path)
                 .build()
                 .unwrap()
         };
         let reference = Session::builder()
-            .threads(2)
-            .schedule(spec)
-            .pruning(Pruning::Equivalence)
+            .config(XfConfig {
+                threads: 2,
+                schedule: spec,
+                pruning: Pruning::Equivalence,
+                ..XfConfig::default()
+            })
             .build()
             .unwrap()
             .run_concurrent(RacyRoles, Mode::Batch)
@@ -1302,9 +1290,12 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let mk = || {
             Session::builder()
-                .pruning(Pruning::Equivalence)
+                .config(XfConfig {
+                    pruning: Pruning::Equivalence,
+                    post_budget: Some(Budget::default().with_max_trace_entries(4)),
+                    ..XfConfig::default()
+                })
                 .class_cache(&path)
-                .budget(Budget::default().with_max_trace_entries(4))
                 .build()
                 .unwrap()
         };
@@ -1326,12 +1317,23 @@ mod tests {
     #[test]
     fn builder_rejects_zero_threads_and_oversized_schedules() {
         assert!(matches!(
-            Session::builder().threads(0).build(),
+            Session::builder()
+                .config(XfConfig {
+                    threads: 0,
+                    ..XfConfig::default()
+                })
+                .build(),
             Err(ConfigError::ZeroThreads)
         ));
         let spec: crate::ScheduleSpec = "exhaustive:16".parse().unwrap();
         assert!(matches!(
-            Session::builder().threads(4).schedule(spec).build(),
+            Session::builder()
+                .config(XfConfig {
+                    threads: 4,
+                    schedule: spec,
+                    ..XfConfig::default()
+                })
+                .build(),
             Err(ConfigError::ScheduleTooLarge)
         ));
     }

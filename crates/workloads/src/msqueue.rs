@@ -214,11 +214,14 @@ impl ConcurrentWorkload for MsQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xfdetector::{BugKind, Mode, Session};
+    use xfdetector::{BugKind, Mode, Session, XfConfig};
 
     fn run(bugs: BugSet, threads: u32) -> xfdetector::RunOutcome {
         Session::builder()
-            .threads(threads)
+            .config(XfConfig {
+                threads,
+                ..XfConfig::default()
+            })
             .build()
             .unwrap()
             .run_concurrent(MsQueue::new(2).with_bugs(bugs), Mode::Batch)

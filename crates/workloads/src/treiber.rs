@@ -190,11 +190,14 @@ impl ConcurrentWorkload for TreiberStack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xfdetector::{BugKind, Mode, Session};
+    use xfdetector::{BugKind, Mode, Session, XfConfig};
 
     fn run(bugs: BugSet, threads: u32) -> xfdetector::RunOutcome {
         Session::builder()
-            .threads(threads)
+            .config(XfConfig {
+                threads,
+                ..XfConfig::default()
+            })
             .build()
             .unwrap()
             .run_concurrent(TreiberStack::new(2).with_bugs(bugs), Mode::Batch)

@@ -28,7 +28,9 @@ use std::path::PathBuf;
 
 use pmem::PersistDomain;
 use xfdetector::offline::{analyze, analyze_in, RecordedRun};
-use xfdetector::{BugCategory, BugKind, DetectionReport, Finding, Mode, Pruning, Session, XfError};
+use xfdetector::{
+    BugCategory, BugKind, DetectionReport, Finding, Mode, Pruning, Session, XfConfig, XfError,
+};
 use xftrace::fnv;
 
 use crate::gen::{generate, generate_concurrent};
@@ -225,16 +227,21 @@ fn apply_fault(report: DetectionReport, fault: EngineFault) -> DetectionReport {
 }
 
 fn session(cfg: &DiffConfig, threads: u32) -> Result<Session, XfError> {
-    let mut builder = Session::builder()
+    let post_budget = cfg
+        .budget_entries
+        .map(|entries| pmem::Budget::default().with_max_trace_entries(entries));
+    Session::builder()
         .record_repro(true)
         .workers(2)
-        .pruning(cfg.pruning)
-        .domain(cfg.domain)
-        .threads(threads);
-    if let Some(entries) = cfg.budget_entries {
-        builder = builder.budget(pmem::Budget::default().with_max_trace_entries(entries));
-    }
-    builder.build().map_err(XfError::from)
+        .config(XfConfig {
+            pruning: cfg.pruning,
+            domain: cfg.domain,
+            threads,
+            post_budget,
+            ..XfConfig::default()
+        })
+        .build()
+        .map_err(XfError::from)
 }
 
 /// Runs one program through all engines and both trace replays, returning

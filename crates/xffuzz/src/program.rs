@@ -790,12 +790,15 @@ mod tests {
 
     #[test]
     fn concurrent_sample_runs_through_every_engine_identically() {
-        use xfdetector::Mode;
+        use xfdetector::{Mode, XfConfig};
         let reports: Vec<String> = [Mode::Batch, Mode::Parallel, Mode::Stream]
             .into_iter()
             .map(|mode| {
                 let outcome = xfdetector::Session::builder()
-                    .threads(2)
+                    .config(XfConfig {
+                        threads: 2,
+                        ..XfConfig::default()
+                    })
                     .build()
                     .unwrap()
                     .run_concurrent(conc_sample(), mode)

@@ -431,6 +431,16 @@ impl TraceBuf {
         std::mem::take(&mut *self.inner.borrow_mut())
     }
 
+    /// [`TraceBuf::drain`] that hands the buffer `spare` to the trace in
+    /// place of the drained one, so recording reuses its allocation.
+    /// `spare` is cleared first: the returned buffer holds exactly the
+    /// entries recorded since the previous drain.
+    #[must_use]
+    pub fn drain_into(&self, mut spare: Vec<TraceEntry>) -> Vec<TraceEntry> {
+        spare.clear();
+        std::mem::replace(&mut *self.inner.borrow_mut(), spare)
+    }
+
     /// Returns a copy of the buffered entries without draining them.
     #[must_use]
     pub fn snapshot(&self) -> Vec<TraceEntry> {
@@ -638,6 +648,42 @@ mod tests {
                 }
             );
         }
+    }
+
+    #[test]
+    fn drain_into_returns_exactly_the_new_entries_and_clears_the_spare() {
+        let entry = |addr| {
+            TraceEntry::new(
+                Op::Write { addr, size: 8 },
+                SourceLoc::caller(),
+                Stage::Pre,
+                false,
+                true,
+            )
+        };
+        let buf = TraceBuf::new();
+        buf.record(entry(0));
+        buf.record(entry(8));
+        let first = buf.drain_into(Vec::new());
+        assert_eq!(first.len(), 2);
+        assert!(buf.is_empty());
+
+        // A stale spare: its old entries must not leak into the trace.
+        let mut spare = first;
+        spare.push(entry(16));
+        let allocation = spare.as_ptr();
+        buf.record(entry(24));
+        let second = buf.drain_into(spare);
+        assert_eq!(second.len(), 1);
+        assert_eq!(second[0].op, Op::Write { addr: 24, size: 8 });
+
+        buf.record(entry(32));
+        let third = buf.drain_into(second);
+        assert_eq!(third.len(), 1);
+        assert_eq!(third[0].op, Op::Write { addr: 32, size: 8 });
+        // The trace recorded into the spare's allocation.
+        assert_eq!(third.as_ptr(), allocation);
+        assert_eq!(buf.len(), 0);
     }
 
     #[test]

@@ -69,7 +69,10 @@ fn report_json(o: &RunOutcome) -> String {
 }
 
 fn run_in(cache: Option<(&Path, &str)>, mode: Mode) -> RunOutcome {
-    let mut builder = Session::builder().pruning(Pruning::Equivalence);
+    let mut builder = Session::builder().config(XfConfig {
+        pruning: Pruning::Equivalence,
+        ..XfConfig::default()
+    });
     if let Some((path, digest)) = cache {
         builder = builder.class_cache(path).cache_digest(digest);
     }
@@ -89,7 +92,10 @@ const MODES: [Mode; 3] = [Mode::Batch, Mode::Stream, Mode::Parallel];
 /// run.
 fn reference_and_cache(name: &str) -> (String, Vec<u8>) {
     let reference = Session::builder()
-        .pruning(Pruning::Equivalence)
+        .config(XfConfig {
+            pruning: Pruning::Equivalence,
+            ..XfConfig::default()
+        })
         .build()
         .unwrap()
         .run(Torture, Mode::Batch)
@@ -288,7 +294,10 @@ impl Workload for Completing {
 #[test]
 fn a_warm_run_stops_where_the_cold_run_completed_detection() {
     let reference = Session::builder()
-        .pruning(Pruning::Equivalence)
+        .config(XfConfig {
+            pruning: Pruning::Equivalence,
+            ..XfConfig::default()
+        })
         .build()
         .unwrap()
         .run(Completing, Mode::Batch)
@@ -302,7 +311,10 @@ fn a_warm_run_stops_where_the_cold_run_completed_detection() {
         std::fs::remove_file(&path).ok();
         let cached = || {
             Session::builder()
-                .pruning(Pruning::Equivalence)
+                .config(XfConfig {
+                    pruning: Pruning::Equivalence,
+                    ..XfConfig::default()
+                })
                 .class_cache(&path)
                 .build()
                 .unwrap()

@@ -56,8 +56,7 @@ fn run_under(bug: BugId, domain: PersistDomain, pruning: Pruning, mode: Mode) ->
         let w = build_concurrent(kind, validation_ops(kind), BugSet::single(bug))
             .expect("Concurrent-suite bugs live in concurrent workloads");
         xfd::xfdetector::Session::builder()
-            .config(cfg)
-            .threads(2)
+            .config(XfConfig { threads: 2, ..cfg })
             .build()
             .unwrap()
             .run_concurrent(w, mode)

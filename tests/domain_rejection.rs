@@ -49,12 +49,15 @@ fn malformed_domains_are_invalid_config_everywhere_in_process() {
             "{value:?}: JobSpec and flag parsing must reject identically"
         );
 
-        // The session-builder path (`.domain()` takes a parsed value, so
+        // The session-builder path (its config takes a parsed domain, so
         // only the window range can be wrong at this level).
         if let Some(window) = value.strip_prefix("cxl:").and_then(|w| w.parse().ok()) {
             let err = xfd::xfdetector::Session::builder()
-                .domain(PersistDomain::CxlGpf {
-                    reorder_window: window,
+                .config(xfd::xfdetector::XfConfig {
+                    domain: PersistDomain::CxlGpf {
+                        reorder_window: window,
+                    },
+                    ..Default::default()
                 })
                 .build()
                 .expect_err("out-of-range window must not build");

@@ -411,7 +411,10 @@ fn warm_cache_runs_account_for_every_failure_point() {
         std::fs::remove_file(&path).ok();
         let session = || {
             Session::builder()
-                .pruning(Pruning::Equivalence)
+                .config(XfConfig {
+                    pruning: Pruning::Equivalence,
+                    ..XfConfig::default()
+                })
                 .class_cache(&path)
                 .workers(2)
                 .build()
@@ -545,8 +548,11 @@ fn concurrent_runs_are_engine_equivalent_for_every_thread_and_schedule() {
         ] {
             let run = |mode: Mode| {
                 xfd::xfdetector::Session::builder()
-                    .threads(threads)
-                    .schedule(spec)
+                    .config(XfConfig {
+                        threads,
+                        schedule: spec,
+                        ..XfConfig::default()
+                    })
                     .build()
                     .unwrap()
                     .run_concurrent(build_concurrent(kind, 2, BugSet::none()).unwrap(), mode)
@@ -591,9 +597,9 @@ fn recorded_concurrent_runs_round_trip_through_xft_v2() {
         let outcome = xfd::xfdetector::Session::builder()
             .config(XfConfig {
                 record_trace: true,
+                threads: 2,
                 ..XfConfig::default()
             })
-            .threads(2)
             .build()
             .unwrap()
             .run_concurrent(

@@ -133,9 +133,11 @@ fn recorded_schedule_stamp_replays_the_exact_interleaving() {
     };
     for kind in concurrent_workloads() {
         let outcome = Session::builder()
-            .config(record_cfg.clone())
-            .threads(3)
-            .schedule(ScheduleSpec::Seeded(0xa11ce))
+            .config(XfConfig {
+                threads: 3,
+                schedule: ScheduleSpec::Seeded(0xa11ce),
+                ..record_cfg.clone()
+            })
             .build()
             .expect("session")
             .run_concurrent(

@@ -144,7 +144,7 @@ fn hanging_recovery_terminates_under_budget_with_findings() {
 }
 
 /// The same hang, killed by the deterministic trace-entry axis through the
-/// explicit [`SessionBuilder::budget`] knob, across the parallel engine —
+/// explicit [`XfConfig::post_budget`] knob, across the parallel engine —
 /// the quarantine path must report the identical findings as batch.
 #[test]
 fn budget_kills_are_identical_across_batch_and_parallel() {
@@ -152,7 +152,10 @@ fn budget_kills_are_identical_across_batch_and_parallel() {
     let budget = Budget::default().with_max_trace_entries(20_000);
     let run = |mode: Mode| {
         session()
-            .budget(budget.clone())
+            .config(XfConfig {
+                post_budget: Some(budget.clone()),
+                ..XfConfig::default()
+            })
             .build()
             .unwrap()
             .run(build_with_bug(bug), mode)
@@ -175,8 +178,11 @@ fn budget_kills_count_representative_executions_only() {
     let budget = Budget::default().with_max_trace_entries(20_000);
     let run = |pruning: Pruning, mode: Mode| {
         session()
-            .budget(budget.clone())
-            .pruning(pruning)
+            .config(XfConfig {
+                post_budget: Some(budget.clone()),
+                pruning,
+                ..XfConfig::default()
+            })
             .build()
             .unwrap()
             .run(build_with_bug(bug), mode)
@@ -225,8 +231,11 @@ fn zero_workers_clamps_to_one_under_pruning() {
     let budget = Budget::default().with_max_trace_entries(20_000);
     let run = |workers: usize| {
         session()
-            .budget(budget.clone())
-            .pruning(Pruning::Equivalence)
+            .config(XfConfig {
+                post_budget: Some(budget.clone()),
+                pruning: Pruning::Equivalence,
+                ..XfConfig::default()
+            })
             .workers(workers)
             .build()
             .unwrap()
@@ -256,7 +265,10 @@ fn pruned_runs_resume_byte_identically() {
         std::fs::remove_file(&path).ok();
 
         let reference = session()
-            .pruning(Pruning::Equivalence)
+            .config(XfConfig {
+                pruning: Pruning::Equivalence,
+                ..XfConfig::default()
+            })
             .build()
             .unwrap()
             .run(build_workload(), mode)
@@ -266,9 +278,9 @@ fn pruned_runs_resume_byte_identically() {
         session()
             .config(XfConfig {
                 max_failure_points: Some(KILL_AFTER),
+                pruning: Pruning::Equivalence,
                 ..XfConfig::default()
             })
-            .pruning(Pruning::Equivalence)
             .journal(&path)
             .build()
             .unwrap()
@@ -276,7 +288,10 @@ fn pruned_runs_resume_byte_identically() {
             .unwrap();
 
         let outcome = session()
-            .pruning(Pruning::Equivalence)
+            .config(XfConfig {
+                pruning: Pruning::Equivalence,
+                ..XfConfig::default()
+            })
             .resume(&path)
             .build()
             .unwrap()

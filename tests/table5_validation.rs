@@ -5,7 +5,9 @@
 use xfd::pmem::PersistDomain;
 use xfd::workloads::bugs::{BugId, BugSet, BugSuite, WorkloadKind};
 use xfd::workloads::{build, build_concurrent, build_with_bug, validation_config, validation_ops};
-use xfd::xfdetector::{BugCategory, BugKind, Mode, Pruning, RunOutcome, Session, XfDetector};
+use xfd::xfdetector::{
+    BugCategory, BugKind, Mode, Pruning, RunOutcome, Session, XfConfig, XfDetector,
+};
 
 /// Runs a Concurrent-suite bug through the multi-threaded session path
 /// (two threads, the configured pruning) — the sequential `build` path
@@ -18,8 +20,7 @@ fn run_concurrent_bug(bug: BugId, pruning: Pruning) -> RunOutcome {
     let mut cfg = validation_config(bug);
     cfg.pruning = pruning;
     Session::builder()
-        .config(cfg)
-        .threads(2)
+        .config(XfConfig { threads: 2, ..cfg })
         .build()
         .unwrap()
         .run_concurrent(w, Mode::Batch)
@@ -217,7 +218,10 @@ fn concurrent_workloads_are_clean_without_injected_bugs() {
         for threads in [1, 2, 4] {
             let w = build_concurrent(kind, validation_ops(kind), BugSet::none()).unwrap();
             let outcome = Session::builder()
-                .threads(threads)
+                .config(XfConfig {
+                    threads,
+                    ..XfConfig::default()
+                })
                 .build()
                 .unwrap()
                 .run_concurrent(w, Mode::Batch)
@@ -245,7 +249,10 @@ fn cross_thread_bugs_require_multiple_threads() {
         let run = |threads| {
             let w = build_concurrent(kind, validation_ops(kind), BugSet::single(bug)).unwrap();
             Session::builder()
-                .threads(threads)
+                .config(XfConfig {
+                    threads,
+                    ..XfConfig::default()
+                })
                 .build()
                 .unwrap()
                 .run_concurrent(w, Mode::Batch)
