@@ -3,11 +3,14 @@
 //! Figure 12b baselines (trace-only and original execution). The
 //! `pruned_btree_128` rows time one B-Tree run of 128 operations under
 //! equivalence pruning in the batch and the stream driver, so the cost of
-//! the stream driver's second thread stays visible.
+//! the stream driver's second thread stays visible; the
+//! `pruned_btree_128_bug` rows do the same with `BtNoAddLeafInsert`
+//! injected, where most failure points replay a trace and the checker
+//! thread has work to overlap.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use xfd_bench::{run_baseline, run_detection, Baseline};
-use xfd_workloads::bugs::{BugSet, WorkloadKind};
+use xfd_workloads::bugs::{BugId, BugSet, WorkloadKind};
 use xfd_workloads::{all_workloads, build};
 use xfdetector::{run_pipelined, Pruning, StreamOptions, XfConfig, XfDetector};
 
@@ -41,26 +44,37 @@ fn bench_baselines(c: &mut Criterion) {
 }
 
 fn bench_pruned_modes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pruned_btree_128");
-    group.sample_size(20);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    let cfg = XfConfig {
-        pruning: Pruning::Equivalence,
-        ..XfConfig::default()
-    };
-    let workload = || build(WorkloadKind::Btree, 128, BugSet::none());
-    group.bench_function("batch", |b| {
-        let detector = XfDetector::new(cfg.clone());
-        b.iter(|| std::hint::black_box(detector.run(workload()).expect("batch run")));
-    });
-    group.bench_function("stream", |b| {
-        let opts = StreamOptions::default();
-        b.iter(|| {
-            std::hint::black_box(run_pipelined(&cfg, workload(), &opts).expect("stream run"))
+    // Clean, every check is elided: the frontend is the critical path.
+    // With `BtNoAddLeafInsert` most checks replay, and the overlap the
+    // stream driver buys shows.
+    for (name, bugs) in [
+        ("pruned_btree_128", BugSet::none()),
+        (
+            "pruned_btree_128_bug",
+            BugSet::single(BugId::BtNoAddLeafInsert),
+        ),
+    ] {
+        let mut group = c.benchmark_group(name);
+        group.sample_size(20);
+        group.warm_up_time(std::time::Duration::from_millis(500));
+        group.measurement_time(std::time::Duration::from_secs(2));
+        let cfg = XfConfig {
+            pruning: Pruning::Equivalence,
+            ..XfConfig::default()
+        };
+        let workload = || build(WorkloadKind::Btree, 128, bugs.clone());
+        group.bench_function("batch", |b| {
+            let detector = XfDetector::new(cfg.clone());
+            b.iter(|| std::hint::black_box(detector.run(workload()).expect("batch run")));
         });
-    });
-    group.finish();
+        group.bench_function("stream", |b| {
+            let opts = StreamOptions::default();
+            b.iter(|| {
+                std::hint::black_box(run_pipelined(&cfg, workload(), &opts).expect("stream run"))
+            });
+        });
+        group.finish();
+    }
 }
 
 criterion_group!(

@@ -133,17 +133,17 @@ fn main() {
     println!();
     println!("Hot-path counters: stream trace FIFO");
     println!(
-        "{:<16} {:>11} {:>11} {:>9}",
-        "workload", "ring-spins", "ring-parks", "batches"
+        "{:<16} {:>11} {:>9} {:>9}",
+        "workload", "ring-parks", "windows", "max-depth"
     );
     for kind in [WorkloadKind::Btree, WorkloadKind::HashmapTx] {
         let stream = run_streaming_detection(kind, OPS, XfConfig::default()).stats;
         println!(
-            "{:<16} {:>11} {:>11} {:>9}",
+            "{:<16} {:>11} {:>9} {:>9}",
             kind.to_string(),
-            stream.ring_spins,
             stream.ring_parks,
             stream.stream_batches,
+            stream.stream_max_depth,
         );
     }
 

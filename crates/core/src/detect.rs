@@ -87,9 +87,9 @@ pub trait Sink {
     /// Hands `msg` to the checker.
     fn send(&mut self, msg: Msg);
 
-    /// The buffer of an applied [`Msg::Pre`] for the trace to record the
-    /// next interval into (see `TraceBuf::drain_into`, which clears it),
-    /// or an unallocated one when none is back yet.
+    /// The buffer of a [`Msg::Pre`] the sink is done with, for the trace
+    /// to record the next interval into (see `TraceBuf::drain_into`, which
+    /// clears it), or an unallocated one when none is free yet.
     fn spare(&mut self) -> Vec<TraceEntry>;
 
     /// The shadow the planner fingerprints. It must hold every pre-failure
@@ -189,18 +189,37 @@ impl Checker {
     /// pre-failure message advances the shadow, a failure point is checked
     /// against it.
     pub fn find(&mut self, msg: &Msg) -> DetectionReport {
-        let mut found = DetectionReport::new();
         match msg {
-            Msg::Pre(pre) => {
-                for e in pre {
-                    self.shadow.apply_pre(e, &mut found);
-                }
-            }
-            Msg::FailurePoint { fp, traced, .. } => {
-                return self.check(None, *fp, &traced.0, &traced.1)
-            }
+            Msg::Pre(pre) => self.apply(pre),
+            Msg::FailurePoint { fp, traced, .. } => self.check(None, *fp, &traced.0, &traced.1),
+        }
+    }
+
+    /// The findings of pre-failure entries `pre`, which advance the
+    /// shadow.
+    fn apply(&mut self, pre: &[TraceEntry]) -> DetectionReport {
+        let mut found = DetectionReport::new();
+        for e in pre {
+            self.shadow.apply_pre(e, &mut found);
         }
         found
+    }
+
+    /// Applies and commits pre-failure entries held in a buffer the
+    /// checker does not keep: the stream driver's windows hold the entries
+    /// of all their intervals in one buffer.
+    pub fn send_pre(&mut self, pre: &[TraceEntry]) {
+        let found = self.apply(pre);
+        self.push(found);
+        if let Some(rec) = self.recorded.as_mut() {
+            rec.pre.extend(pre.iter().copied().map(Into::into));
+        }
+    }
+
+    fn push(&mut self, found: DetectionReport) {
+        for f in found.into_findings() {
+            self.report.push(f);
+        }
     }
 
     /// The findings of failure point `fp` against `shadow`, or against the
@@ -224,9 +243,7 @@ impl Checker {
     /// Commits `msg` and its findings `found` to the report, in program
     /// order, and records it and appends it to the post-trace store.
     pub fn commit(&mut self, msg: Msg, found: DetectionReport) {
-        for f in found.into_findings() {
-            self.report.push(f);
-        }
+        self.push(found);
         match msg {
             Msg::Pre(mut pre) => {
                 if let Some(rec) = self.recorded.as_mut() {

@@ -58,7 +58,7 @@ pub struct JobSpec {
     pub mode: Option<String>,
     /// Worker threads for parallel mode (absent/0: all cores).
     pub workers: Option<u64>,
-    /// Trace-FIFO capacity in batches for stream mode (absent:
+    /// Trace-FIFO capacity in messages for stream mode (absent:
     /// [`crate::DEFAULT_STREAM_CAPACITY`]).
     pub capacity: Option<u64>,
     /// Logical threads for concurrent workloads (absent: 1).

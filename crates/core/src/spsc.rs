@@ -8,32 +8,22 @@
 //! detection overlaps program execution instead of following it. This
 //! module is the in-process analogue, with instrumentation ([`RingStats`])
 //! for the queue-depth high-water mark, the producer's stall time and how
-//! often either side had to wait. Capacity is counted in *messages*, not
-//! bytes; the pipeline batches trace entries into messages (one batch per
-//! failure-point interval) so a small message capacity still bounds a
-//! large number of in-flight entries.
+//! often either side had to wait. Capacity is counted in items, not
+//! bytes. The stream driver's items are windows of failure-point messages,
+//! each interval's trace entries in one batch, so a small capacity still
+//! bounds a large number of in-flight entries; it sizes the channel so
+//! that the windows hold at most its capacity in messages.
 //!
 //! The queue is `std::sync::mpsc::sync_channel(capacity)`. A full channel
-//! blocks the producer in `send`; each such wait is counted as a park and
-//! timed as producer stall. An empty channel first makes the consumer spin
-//! on `try_recv` for up to `CONSUMER_SPIN_LIMIT` iterations (counted in
-//! [`RingStats::spins`]) before it blocks in `recv` (a park). See DESIGN.md
-//! §4h for why the consumer spins.
+//! blocks the producer in `send`; an empty one blocks the consumer in
+//! `recv`. Each such wait is counted as a park, and the producer's is
+//! timed as producer stall. The stream driver sends windows of messages,
+//! so the consumer does not spin (DESIGN.md §4h).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// `try_recv` iterations before the consumer blocks on an empty channel.
-/// Once the consumer blocks, every send pays a wakeup on the producer's
-/// thread, the critical path of a detection run. A consumer that keeps up
-/// (the checker of a pruned run, idle half the time) would otherwise block
-/// between most messages, and those wakeups cost the stream driver more
-/// than the spinning costs the checker: with a 128-iteration budget
-/// `pruned-stream` was ~5 % slower (EXPERIMENTS.md, "Suspect-line
-/// checking").
-const CONSUMER_SPIN_LIMIT: u32 = 2048;
 
 /// Instrumentation counters of one channel, mirroring what the paper's FIFO
 /// would expose: occupancy high-water mark and the producer's stall time.
@@ -45,10 +35,8 @@ pub struct RingStats {
     pub max_depth: u64,
     /// Total time the producer spent blocked on a full queue.
     pub producer_stall: Duration,
-    /// `try_recv` iterations the consumer spun on an empty queue.
-    pub spins: u64,
     /// Times a side blocked: the producer on a full queue, or the consumer
-    /// on an empty one after its spin budget ran out.
+    /// on an empty one.
     pub parks: u64,
 }
 
@@ -62,7 +50,6 @@ struct Counters {
     recvs: AtomicU64,
     max_depth: AtomicU64,
     producer_stall_ns: AtomicU64,
-    spins: AtomicU64,
     parks: AtomicU64,
 }
 
@@ -163,27 +150,17 @@ impl<T> Receiver<T> {
         true
     }
 
-    /// The next message: spins on `try_recv`, then blocks in `recv`.
+    /// The next message, blocking in `recv` (a park) on an empty channel.
     /// `None` once the channel is closed and drained.
     fn wait(&self) -> Option<T> {
-        let c = &*self.counters;
-        let mut spun = 0u32;
-        let msg = loop {
-            match self.rx.try_recv() {
-                Ok(msg) => break Some(msg),
-                Err(TryRecvError::Disconnected) => break None,
-                Err(TryRecvError::Empty) if spun < CONSUMER_SPIN_LIMIT => {
-                    spun += 1;
-                    std::hint::spin_loop();
-                }
-                Err(TryRecvError::Empty) => {
-                    c.parks.fetch_add(1, Ordering::Relaxed);
-                    break self.rx.recv().ok();
-                }
+        match self.rx.try_recv() {
+            Ok(msg) => Some(msg),
+            Err(TryRecvError::Disconnected) => None,
+            Err(TryRecvError::Empty) => {
+                self.counters.parks.fetch_add(1, Ordering::Relaxed);
+                self.rx.recv().ok()
             }
-        };
-        c.spins.fetch_add(u64::from(spun), Ordering::Relaxed);
-        msg
+        }
     }
 
     /// A snapshot of the channel's instrumentation counters.
@@ -194,7 +171,6 @@ impl<T> Receiver<T> {
             sends: c.sends.load(Ordering::Relaxed),
             max_depth: c.max_depth.load(Ordering::Relaxed),
             producer_stall: Duration::from_nanos(c.producer_stall_ns.load(Ordering::Relaxed)),
-            spins: c.spins.load(Ordering::Relaxed),
             parks: c.parks.load(Ordering::Relaxed),
         }
     }
@@ -315,26 +291,6 @@ mod tests {
         let stats = rx.stats();
         assert_eq!(stats.parks, 1, "{stats:?}");
         assert!(stats.producer_stall > Duration::ZERO);
-    }
-
-    #[test]
-    fn an_idle_consumer_spins_then_parks() {
-        let (tx, rx) = channel::<u32>(1);
-        let consumer = thread::spawn(move || {
-            let got = rx.recv();
-            (got, rx.stats())
-        });
-        // Long past the spin budget, unless the consumer thread has not
-        // run yet: then it takes the message while spinning.
-        thread::sleep(Duration::from_millis(20));
-        tx.send(1).unwrap();
-        let (got, stats) = consumer.join().unwrap();
-        assert_eq!(got, Some(1));
-        let limit = u64::from(CONSUMER_SPIN_LIMIT);
-        assert!(
-            (stats.parks == 1 && stats.spins == limit) || (stats.parks == 0 && stats.spins < limit),
-            "the consumer parks exactly when its spin budget runs out: {stats:?}"
-        );
     }
 
     #[test]

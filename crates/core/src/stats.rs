@@ -97,23 +97,22 @@ pub struct RunStats {
     /// thread, the stream checker thread and parallel workers); at most
     /// `failure_points`.
     pub checks_elided: u64,
-    /// Batches handed from the streaming frontend to the detection backend
-    /// through the bounded trace FIFO (zero outside
-    /// [`crate::run_pipelined`]).
+    /// Channel sends from the streaming frontend to the detection backend
+    /// through the bounded trace FIFO, one per window of up to 64
+    /// messages (zero outside [`crate::run_pipelined`]).
     pub stream_batches: u64,
-    /// High-water occupancy of the trace FIFO, in batches, at most its
-    /// capacity. The checker counts a batch after taking it, so the
-    /// reading can run ahead of the true occupancy.
+    /// High-water occupancy of the trace FIFO, in messages, at most its
+    /// capacity: the most windows queued at once times the window size.
+    /// The checker counts a window after taking it, and a run's last
+    /// window counts as full, so the reading can run ahead of the true
+    /// occupancy.
     pub stream_max_depth: u64,
     /// Time the streaming frontend spent blocked on a full trace FIFO —
     /// the backpressure the paper's 2 GB shared-memory FIFO exerts on the
     /// traced program when detection falls behind (§5.1).
     pub stream_stall_time: Duration,
-    /// `try_recv` iterations the stream driver's checker spun on an empty
-    /// trace FIFO before blocking.
-    pub ring_spins: u64,
     /// Times a side of the trace FIFO blocked: the frontend on a full
-    /// FIFO, or the checker on an empty one after its spin budget ran out.
+    /// FIFO, or the checker on an empty one.
     pub ring_parks: u64,
     /// Concrete schedule plans explored by a concurrent run
     /// ([`Session::run_concurrent`]): 1 for `rr`/`seed:N`, `threads^K` for
@@ -247,7 +246,6 @@ mod tests {
         assert!(json.contains("classes_total"), "{json}");
         assert!(json.contains("fps_pruned"), "{json}");
         assert!(json.contains("pruning_ratio"), "{json}");
-        assert!(json.contains("ring_spins"), "{json}");
         assert!(json.contains("ring_parks"), "{json}");
         assert!(json.contains("schedules_explored"), "{json}");
         assert!(json.contains("cross_thread_findings"), "{json}");

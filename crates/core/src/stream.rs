@@ -1,11 +1,11 @@
 //! The stream driver, the paper's deployment shape (§5.1, Figure 8): the
 //! frontend — workload execution, failure injection, post-failure runs —
 //! and the checker — shadow-PM replay and cross-failure checking — run on
-//! two threads joined by a bounded FIFO ([`crate::spsc`]: std's
-//! `sync_channel` with a spinning consumer). Detection overlaps program
-//! execution; when the checker falls behind, the FIFO fills and the
-//! frontend blocks (backpressure), like the paper's 2 GB shared-memory
-//! queue.
+//! two threads joined by a bounded FIFO ([`crate::spsc`], std's
+//! `sync_channel`). The frontend ships its messages in windows, one
+//! channel send per window. Detection overlaps program execution; when the
+//! checker falls behind, the FIFO fills and the frontend blocks
+//! (backpressure), like the paper's 2 GB shared-memory queue.
 //!
 //! The frontend and the checker are [`crate::detect`]'s; this module adds
 //! the ring, the thread and the ring statistics. Messages arrive in
@@ -19,7 +19,7 @@ use std::thread::JoinHandle;
 use pmem::CowImage;
 use xftrace::TraceEntry;
 
-use crate::detect::{self, Checked, Checker, Execution, Msg, Sink, Traced};
+use crate::detect::{self, Checked, Checker, Execution, Msg, Sink, Traced, SPARE_ENTRIES};
 use crate::engine::{EngineError, RunOutcome, Workload, XfConfig};
 use crate::plan::planner_shadow;
 use crate::report::{DetectionReport, FailurePoint};
@@ -31,9 +31,10 @@ use crate::xfrun::RunCtl;
 /// Tuning knobs of the streaming pipeline.
 #[derive(Debug, Clone)]
 pub struct StreamOptions {
-    /// FIFO capacity in *batches* (one batch per failure-point interval),
-    /// the analogue of the paper's FIFO size. Small values exercise
-    /// backpressure; large values decouple the stages further.
+    /// FIFO capacity in *messages* (a failure-point interval ships up to
+    /// two: its pre-failure entries and the failure point), the analogue
+    /// of the paper's FIFO size. Small values exercise backpressure;
+    /// large values decouple the stages further.
     pub capacity: usize,
 }
 
@@ -45,22 +46,84 @@ impl Default for StreamOptions {
     }
 }
 
-/// Most applied pre-failure buffers on their way back from the checker
-/// thread to the frontend. The frontend takes one per failure-point
-/// interval and the checker returns one per applied interval, so a few
-/// cover the FIFO's jitter; a full return path frees the buffer on the
-/// checker thread instead, which bounds the memory the buffers pin.
-const SPARES: usize = 4;
+/// Messages per window, the unit the FIFO carries. Each channel send moves
+/// the channel's shared state between the two threads' cores, and the
+/// frontend, which pays for it, is a pruned run's critical path: one send
+/// per message kept the stream driver slower than batch. On `xfbench
+/// --workload pruned-stream` windows of 32, 64 and 128 messages read
+/// median verdicts of 1.76, 1.71 and 1.72 ms (EXPERIMENTS.md, "Windowed
+/// trace FIFO"). A capacity below this shrinks the window to the
+/// capacity.
+const WINDOW: usize = 64;
+
+/// Applied windows on their way back from the checker thread to the
+/// frontend, which fills them again. Two cover the FIFO's jitter; a full
+/// return path frees the window on the checker thread instead, which
+/// bounds the memory the windows pin.
+const RETURNED_WINDOWS: usize = 2;
+
+/// One channel send: up to a window's messages, in program order. The
+/// entries of its `Pre` messages share one buffer, so the frontend's trace
+/// buffer never leaves its thread and a window is two allocations.
+#[derive(Debug)]
+struct Window {
+    /// The pre-failure entries of the window's intervals, back to back.
+    pre: Vec<TraceEntry>,
+    /// The messages, each `Pre` message as its entry count in `pre`.
+    msgs: Vec<Part>,
+}
+
+/// A message as a window holds it.
+#[derive(Debug)]
+enum Part {
+    /// A `Pre` message: this many entries of the window's `pre`.
+    Pre(usize),
+    /// Any other message.
+    Msg(Msg),
+}
+
+impl Window {
+    fn new(window: usize) -> Self {
+        Window {
+            pre: Vec::new(),
+            msgs: Vec::with_capacity(window),
+        }
+    }
+
+    /// Applies the window's messages to `checker`, in order, and leaves
+    /// the window empty.
+    fn apply_to(&mut self, checker: &mut Checker) {
+        let mut at = 0;
+        for part in self.msgs.drain(..) {
+            match part {
+                Part::Pre(n) => {
+                    checker.send_pre(&self.pre[at..at + n]);
+                    at += n;
+                }
+                Part::Msg(msg) => checker.send(msg),
+            }
+        }
+        self.pre.clear();
+    }
+}
 
 /// The frontend's end of the FIFO: the sink the stream driver hands the
-/// detection loop. `finish` joins the checker. A frontend that unwinds
-/// drops the sender first, so the checker drains the FIFO and ends on its
-/// own.
+/// detection loop. It collects messages into a window and ships each full
+/// window; `finish` ships the last one and joins the checker. A frontend
+/// that unwinds drops its pending window with the sender, so the checker
+/// drains the FIFO and ends on its own.
 struct Ring {
-    tx: Sender<Msg>,
-    /// The return path of the checker's applied pre-failure buffers (see
-    /// [`Sink::spare`]). Neither side blocks on it.
-    spares: mpsc::Receiver<Vec<TraceEntry>>,
+    tx: Sender<Window>,
+    /// The window being filled.
+    pending: Window,
+    /// Messages per window: [`WINDOW`], or the capacity if it is smaller.
+    window: usize,
+    /// Applied windows back from the checker, to fill again. Neither side
+    /// blocks on the return path.
+    returned: mpsc::Receiver<Window>,
+    /// The trace buffer of the last shipped interval (see
+    /// [`Sink::spare`]), if it holds room for at most [`SPARE_ENTRIES`].
+    spare: Vec<TraceEntry>,
     /// With pruning on, the planner fingerprints this replica of the
     /// checker's shadow, fed each pre batch before it ships. Its findings
     /// are discarded: the checker owns the report.
@@ -69,23 +132,46 @@ struct Ring {
     checker: JoinHandle<(Checked, RingStats)>,
 }
 
+impl Ring {
+    /// Sends the pending window. A send only fails when the checker died
+    /// mid-run; `finish` surfaces its panic, so the error is swallowed.
+    fn ship(&mut self) {
+        let next = self
+            .returned
+            .try_recv()
+            .unwrap_or_else(|_| Window::new(self.window));
+        let window = std::mem::replace(&mut self.pending, next);
+        let _ = self.tx.send(window);
+    }
+}
+
 impl Sink for Ring {
     type Rep = Execution;
 
     fn send(&mut self, msg: Msg) {
-        if let (true, Msg::Pre(pre)) = (self.pruning, &msg) {
-            let mut discarded = DetectionReport::new();
-            for e in pre {
-                self.replica.apply_pre(e, &mut discarded);
+        match msg {
+            Msg::Pre(pre) => {
+                if self.pruning {
+                    let mut discarded = DetectionReport::new();
+                    for e in &pre {
+                        self.replica.apply_pre(e, &mut discarded);
+                    }
+                }
+                self.pending.pre.extend_from_slice(&pre);
+                self.pending.msgs.push(Part::Pre(pre.len()));
+                if pre.capacity() <= SPARE_ENTRIES {
+                    self.spare = pre;
+                }
             }
+            msg => self.pending.msgs.push(Part::Msg(msg)),
         }
-        // A send only fails when the checker died mid-run; `finish`
-        // surfaces its panic, so the error is swallowed here.
-        let _ = self.tx.send(msg);
+        if self.pending.msgs.len() == self.window {
+            self.ship();
+        }
     }
 
     fn spare(&mut self) -> Vec<TraceEntry> {
-        self.spares.try_recv().unwrap_or_default()
+        std::mem::take(&mut self.spare)
     }
 
     fn fp_shadow(&mut self) -> &mut ShadowPm {
@@ -105,15 +191,19 @@ impl Sink for Ring {
         detect::replay_inline(self, fp, rep);
     }
 
-    fn finish(self, mut stats: RunStats) -> RunOutcome {
+    fn finish(mut self, mut stats: RunStats) -> RunOutcome {
+        if !self.pending.msgs.is_empty() {
+            self.ship();
+        }
         // Dropping the sender ends the stream: the checker drains the FIFO
         // and returns.
         drop(self.tx);
         let (checked, ring) = self.checker.join().expect("detection checker panicked");
         stats.stream_batches = ring.sends;
-        stats.stream_max_depth = ring.max_depth;
+        // The channel holds at most `capacity / window` windows, so this
+        // is at most the capacity.
+        stats.stream_max_depth = ring.max_depth * self.window as u64;
         stats.stream_stall_time = ring.producer_stall;
-        stats.ring_spins = ring.spins;
         stats.ring_parks = ring.parks;
         checked.stamp(stats)
     }
@@ -135,8 +225,9 @@ impl Sink for Ring {
 ///
 /// # Panics
 ///
-/// Propagates a panic of the checker thread (which only panics on internal
-/// invariant violations, never on workload behavior).
+/// Panics if `opts.capacity` is zero. Propagates a panic of the checker
+/// thread (which only panics on internal invariant violations, never on
+/// workload behavior).
 pub fn run_pipelined<W: Workload + 'static>(
     config: &XfConfig,
     workload: W,
@@ -155,9 +246,12 @@ pub(crate) fn run_with_ctl<W: Workload + 'static>(
     capacity: usize,
     ctl: RunCtl,
 ) -> Result<RunOutcome, EngineError> {
+    assert!(capacity > 0, "stream capacity must be non-zero");
+    let window = WINDOW.min(capacity);
     detect::run(config, workload, ctl.clone(), |_| {
-        let (tx, rx) = channel(capacity);
-        let (spare_tx, spares) = mpsc::sync_channel(SPARES);
+        // At most `capacity` messages wait in full windows.
+        let (tx, rx) = channel::<Window>(capacity / window);
+        let (returns, returned) = mpsc::sync_channel(RETURNED_WINDOWS);
         let checker_config = config.clone();
         // The checker's shadow and report are allocated and freed on its
         // thread, never on the frontend's heap: freeing them on the
@@ -165,26 +259,23 @@ pub(crate) fn run_with_ctl<W: Workload + 'static>(
         let checker = std::thread::spawn(move || {
             let shadow = ShadowPm::with_domain(checker_config.domain);
             let mut checker = Checker::new(&checker_config, shadow, ctl);
-            // Drain in batches: when the checker lags, one wait hands over
-            // a whole run of messages.
-            const DRAIN_BATCH: usize = 32;
-            let mut batch = Vec::with_capacity(DRAIN_BATCH);
-            while rx.recv_batch(&mut batch, DRAIN_BATCH) {
-                for msg in batch.drain(..) {
-                    checker.send(msg);
-                    // Hand an applied pre-failure buffer back to the thread
-                    // that allocated it, rather than free it here.
-                    let spare = checker.spare();
-                    if spare.capacity() > 0 {
-                        let _ = spare_tx.try_send(spare);
-                    }
+            while let Some(mut applied) = rx.recv() {
+                applied.apply_to(&mut checker);
+                // Hand the window back to the thread that allocated it,
+                // rather than free it here, unless its entries outgrew
+                // the reuse bound.
+                if applied.pre.capacity() <= SPARE_ENTRIES * window {
+                    let _ = returns.try_send(applied);
                 }
             }
             (checker.close(), rx.stats())
         });
         Ring {
             tx,
-            spares,
+            pending: Window::new(window),
+            window,
+            returned,
+            spare: Vec::new(),
             replica: planner_shadow(config),
             pruning: config.pruning.is_enabled(),
             checker,
@@ -385,6 +476,178 @@ mod tests {
             reports.push(report_json(&runs[0]));
         }
         assert_eq!(reports[0], reports[1]);
+    }
+
+    /// `INTERVALS` failure points, several windows' worth of messages.
+    /// Interval `i` stores a data word and a flag word on lines of their
+    /// own and persists the flag, and the data only for even `i`. The
+    /// recovery reads interval 0 and, at `complete_at`, requests
+    /// `completeDetection` once that interval's flag is persisted. The
+    /// pre-failure stage fails at `fail_at`.
+    #[derive(Clone, Copy)]
+    struct Intervals {
+        fail_at: Option<u64>,
+        complete_at: Option<u64>,
+    }
+
+    const INTERVALS: u64 = 100;
+
+    impl Intervals {
+        const PLAIN: Intervals = Intervals {
+            fail_at: None,
+            complete_at: None,
+        };
+
+        fn line(ctx: &mut PmCtx, i: u64) -> u64 {
+            ctx.pool().base() + 64 * i
+        }
+    }
+
+    impl Workload for Intervals {
+        fn name(&self) -> &str {
+            "intervals"
+        }
+        fn pool_size(&self) -> u64 {
+            64 * 2 * INTERVALS + 4096
+        }
+        fn setup(&self, _ctx: &mut PmCtx) -> Result<(), DynError> {
+            Ok(())
+        }
+        fn pre_failure(&self, ctx: &mut PmCtx) -> Result<(), DynError> {
+            for i in 0..INTERVALS {
+                if self.fail_at == Some(i) {
+                    return Err("pre blew up mid-window".into());
+                }
+                let (data, flag) = (Self::line(ctx, 2 * i), Self::line(ctx, 2 * i + 1));
+                ctx.write_u64(data, i + 1)?;
+                if i % 2 == 0 {
+                    ctx.persist_barrier(data, 8)?;
+                }
+                ctx.write_u64(flag, 1)?;
+                ctx.persist_barrier(flag, 8)?;
+            }
+            Ok(())
+        }
+        fn post_failure(&self, ctx: &mut PmCtx) -> Result<(), DynError> {
+            let (data, flag) = (Self::line(ctx, 0), Self::line(ctx, 1));
+            if ctx.read_u64(flag)? == 1 {
+                let _ = ctx.read_u64(data)?;
+            }
+            if let Some(k) = self.complete_at {
+                let flag = Self::line(ctx, 2 * k + 1);
+                if ctx.read_u64(flag)? == 1 {
+                    ctx.complete_detection();
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// Capacities at the window's edges: one message per send, a window
+    /// shrunk to the capacity, exactly one window in the FIFO, one window
+    /// with a message's slack, and the default.
+    const EDGES: [usize; 5] = [
+        1,
+        WINDOW - 1,
+        WINDOW,
+        WINDOW + 1,
+        crate::DEFAULT_STREAM_CAPACITY,
+    ];
+
+    /// Stream runs of `w` at every [`EDGES`] capacity, with pruning off
+    /// and on, report and record byte for byte what the batch driver does.
+    fn assert_windows_match_batch(w: Intervals) {
+        use crate::Pruning;
+        let recorded =
+            |o: &RunOutcome| serde_json::to_string(o.recorded.as_ref().unwrap()).unwrap();
+        for pruning in [Pruning::Off, Pruning::Equivalence] {
+            let cfg = XfConfig {
+                record_trace: true,
+                pruning,
+                ..XfConfig::default()
+            };
+            let batch = XfDetector::new(cfg.clone()).run(w).unwrap();
+            assert!(!batch.report.findings().is_empty());
+            for capacity in EDGES {
+                let stream = run_pipelined(&cfg, w, &StreamOptions { capacity }).unwrap();
+                let label = format!("{pruning:?} capacity={capacity}");
+                assert_eq!(report_json(&batch), report_json(&stream), "{label}");
+                assert_eq!(recorded(&batch), recorded(&stream), "{label}");
+                let s = &stream.stats;
+                assert!(s.stream_max_depth as usize <= capacity, "{label}: {s:?}");
+                assert_eq!(s.failure_points, batch.stats.failure_points, "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn window_edges_match_batch_byte_for_byte() {
+        assert_windows_match_batch(Intervals::PLAIN);
+        let o = run_pipelined(
+            &XfConfig::default(),
+            Intervals::PLAIN,
+            &StreamOptions::default(),
+        )
+        .unwrap();
+        assert!(o.stats.failure_points > WINDOW as u64, "{:?}", o.stats);
+        // Two messages per failure point, one send per full window.
+        assert!(o.stats.stream_batches > 2, "{:?}", o.stats);
+        assert!(o.stats.stream_batches <= 2 * o.stats.failure_points / WINDOW as u64 + 1);
+    }
+
+    #[test]
+    fn complete_detection_mid_window_matches_batch() {
+        let w = Intervals {
+            complete_at: Some(70),
+            ..Intervals::PLAIN
+        };
+        assert_windows_match_batch(w);
+        let full = XfDetector::new(XfConfig::default())
+            .run(Intervals::PLAIN)
+            .unwrap();
+        let stopped = run_pipelined(&XfConfig::default(), w, &StreamOptions::default()).unwrap();
+        let fps = stopped.stats.failure_points;
+        assert!(fps < full.stats.failure_points, "{:?}", stopped.stats);
+        assert!(2 * fps % WINDOW as u64 != 0, "stops mid-window: {fps}");
+    }
+
+    #[test]
+    fn a_pre_failure_error_mid_window_returns_once_the_checker_drained() {
+        use crate::{Mode, XfError};
+        let w = Intervals {
+            fail_at: Some(70),
+            ..Intervals::PLAIN
+        };
+        for capacity in EDGES {
+            let err = run_pipelined(&XfConfig::default(), w, &StreamOptions { capacity });
+            assert!(matches!(err, Err(EngineError::PreFailure(_))), "{capacity}");
+        }
+        // Every failure point executes with pruning off, and its store
+        // record is written when the checker commits it: a stream run
+        // whose error returned before the checker drained the pending
+        // window would leave a shorter file than the batch run's.
+        let journal = |mode: Mode, capacity: usize| {
+            let mut path = std::env::temp_dir();
+            path.push(format!(
+                "stream-window-error-{}-{}-{capacity}.xfj",
+                std::process::id(),
+                mode.name()
+            ));
+            let session = crate::Session::builder()
+                .stream_capacity(capacity)
+                .journal(&path)
+                .build()
+                .unwrap();
+            let err = session.run(w, mode);
+            assert!(matches!(err, Err(XfError::PreFailure(_))), "{capacity}");
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            bytes
+        };
+        let batch = journal(Mode::Batch, 1);
+        for capacity in EDGES {
+            assert_eq!(journal(Mode::Stream, capacity), batch, "{capacity}");
+        }
     }
 
     #[test]

@@ -91,15 +91,15 @@ impl Mode {
     }
 }
 
-/// Trace-FIFO capacity, in batches, of a [`Mode::Stream`] run that sets
+/// Trace-FIFO capacity, in messages, of a [`Mode::Stream`] run that sets
 /// none ([`SessionBuilder::stream_capacity`]).
 ///
-/// A failure-point interval ships up to two batches (its pre-failure
+/// A failure-point interval ships up to two messages (its pre-failure
 /// entries, then the failure point), so with pruning on, where most
-/// failure points skip their post-failure run, 1024 batches are ~10 ms of
+/// failure points skip their post-failure run, 1024 messages are ~10 ms of
 /// frontend work on the bundled workloads at ~100 ops: enough to ride out
 /// a backend thread that loses its CPU for a scheduler time slice. 64
-/// batches hold under a millisecond, which stalls the frontend whenever
+/// messages hold under a millisecond, which stalls the frontend whenever
 /// the backend is descheduled. A post-failure trace travels as an `Arc`
 /// shared with the planner's representatives, so a deeper FIFO holds only
 /// more pre-failure entries in flight.
@@ -234,7 +234,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Trace-FIFO capacity (in batches) for [`Mode::Stream`].
+    /// Trace-FIFO capacity (in messages) for [`Mode::Stream`].
     #[must_use]
     pub fn stream_capacity(mut self, capacity: usize) -> Self {
         self.stream_capacity = Some(capacity);
@@ -638,7 +638,6 @@ fn add_stats(acc: &mut RunStats, o: &RunStats) {
     acc.stream_batches += o.stream_batches;
     acc.stream_max_depth = acc.stream_max_depth.max(o.stream_max_depth);
     acc.stream_stall_time += o.stream_stall_time;
-    acc.ring_spins += o.ring_spins;
     acc.ring_parks += o.ring_parks;
     acc.total_time += o.total_time;
     acc.post_exec_time += o.post_exec_time;

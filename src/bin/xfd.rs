@@ -186,7 +186,7 @@ CONFIG FLAGS (detector axes; defaults reproduce the paper's setup):
                           Recorded traces carry the domain in the .xft
                           header and `xfd analyze` replays under it
     --seed N              RNG seed for randomized crash policies
-    --capacity N          Trace-FIFO capacity in batches (stream mode;
+    --capacity N          Trace-FIFO capacity in messages (stream mode;
                           default 1024)
     --workers N           Worker threads (parallel mode; 0 = all cores)
 
@@ -582,7 +582,7 @@ fn human_summary(report: &DetectionReport, stats: &RunStats) -> String {
     if stats.stream_batches > 0 {
         let _ = write!(
             s,
-            "\nstream FIFO:    {} batches, max depth {}, {:.3}s frontend stall",
+            "\nstream FIFO:    {} windows, max depth {} messages, {:.3}s frontend stall",
             stats.stream_batches,
             stats.stream_max_depth,
             stats.stream_stall_time.as_secs_f64(),

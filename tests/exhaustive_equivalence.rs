@@ -254,7 +254,7 @@ fn streaming_pipeline_matches_every_configuration_byte_for_byte() {
                     ..base.clone()
                 };
                 let seq = XfDetector::new(cfg.clone()).run(w).unwrap();
-                for capacity in [1, 64] {
+                for capacity in [1, 64, 65] {
                     let pipe = run_pipelined(&cfg, w, &StreamOptions { capacity }).unwrap();
                     assert_eq!(
                         report_json(&pipe),
@@ -380,7 +380,7 @@ fn pruned_runs_match_exhaustive_byte_for_byte_across_every_engine() {
                 assert_eq!(par.stats.fps_pruned, seq.stats.fps_pruned, "{l}");
             }
 
-            for capacity in [1, 64] {
+            for capacity in [1, 64, 65] {
                 let pipe = run_pipelined(&cfg, w, &StreamOptions { capacity }).unwrap();
                 let l = format!("{} capacity={capacity}", label("streaming"));
                 assert_eq!(report_json(&pipe), expected, "{l}");
