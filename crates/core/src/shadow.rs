@@ -18,17 +18,22 @@
 //! hardware (and of `pmem::snapshot::LineBuf` on the data side). A slab is a
 //! set of bit-planes, one `u64` per fact with bit `i` for byte `i`: the
 //! tracked bytes, the three persistence states of Figure 9 and the
-//! consistency flags. Only the values a bit cannot hold (epochs, writer,
-//! threads) stay per byte. The state machine's transitions are therefore
-//! word operations, and so is the suspect predicate
+//! consistency flags. Only the values a bit cannot hold stay per byte, in
+//! a 16-byte record: two epochs, a writer id and the flusher thread. The
+//! id indexes the shadow's writer table, one entry per distinct (source
+//! location, thread) pair; a store interns its pair once, whatever the
+//! number of bytes it covers. The state machine's transitions are
+//! therefore word operations, and so is the suspect predicate
 //! ([`ShadowPm::suspects`]) that the fingerprint, the checking filter and
 //! the post-failure checker share. The line map is held behind an [`Arc`]
 //! and every slab is an `Arc` of its own, so [`ShadowPm::begin_post`] is an
 //! O(1) copy-on-write checkpoint: the frontend keeps replaying the
 //! pre-failure trace and only the slabs it actually touches while a
 //! checkpoint is alive get deep-copied (counted in
-//! [`ShadowPm::bytes_cloned`]). A volatile set holds the lines with a
-//! non-empty `pending` plane, so a fence visits only those.
+//! [`ShadowPm::bytes_cloned`]). The writer table is shared the same way
+//! and copied only when a new pair is interned while a checkpoint is
+//! alive. A volatile set holds the lines with a non-empty `pending` plane,
+//! so a fence visits only those.
 //!
 //! # Fingerprint upkeep
 //!
@@ -72,6 +77,16 @@ const LINE: u64 = 64;
 /// Bytes accounted per deep-copied slab (the dense states plus its
 /// bitmasks).
 const SLAB_BYTES: u64 = std::mem::size_of::<Slab>() as u64;
+
+// Eleven planes and 64 records of 16 bytes: a copy-on-write fault copies
+// no more than this.
+const _: () = assert!(SLAB_BYTES <= 1_112);
+
+/// Bytes accounted per writer-table entry when the table is detached from
+/// a shared checkpoint (the pair plus its map entry).
+const WRITER_ENTRY_BYTES: u64 = (std::mem::size_of::<Writer>()
+    + std::mem::size_of::<WriterKey>()
+    + std::mem::size_of::<u32>()) as u64;
 
 /// Bytes accounted per spine entry when the line map itself is detached
 /// from a shared checkpoint (key plus `Arc` pointer).
@@ -159,11 +174,10 @@ struct ByteState {
     /// the [`PersistDomain::CxlGpf`] reorder-window check: persistence is
     /// only conditionally durable until the byte ages out of the window.
     tpersist: u32,
-    /// Source location of the last writer (or the allocation site while
-    /// unwritten).
-    writer: SourceLoc,
-    /// Thread that issued the last write.
-    writer_tid: u32,
+    /// The last writer, as an id into the shadow's [`WriterTable`]: the
+    /// source location and thread of the last write (or of the allocation
+    /// or `TX_ADD` that started tracking the byte, on thread 0).
+    writer: u32,
     /// Thread that issued the write-back moving this byte to
     /// [`PersistState::WritebackPending`]. Fences drain only their own
     /// thread's write-backs (an sfence orders the issuing core's stores;
@@ -175,10 +189,85 @@ impl ByteState {
     const EMPTY: ByteState = ByteState {
         tlast: 0,
         tpersist: 0,
-        writer: SourceLoc::synthetic("<untracked>"),
-        writer_tid: 0,
+        writer: UNTRACKED_WRITER,
         flusher_tid: 0,
     };
+}
+
+/// The id of the `<untracked>` writer on thread 0, the first entry of
+/// every [`WriterTable`] and the writer of [`ByteState::EMPTY`].
+const UNTRACKED_WRITER: u32 = 0;
+
+/// One distinct writer: the source location of a store, allocation or
+/// `TX_ADD`, and the thread it is attributed to.
+#[derive(Debug, Clone, Copy)]
+struct Writer {
+    loc: SourceLoc,
+    tid: u32,
+}
+
+/// A [`Writer`]'s key in [`WriterTable`]: its file name by address and
+/// length, its line and its thread. A file name is a `&'static str`, from
+/// `file!()` or the leaked, never-freed table of `xftrace::intern_file`,
+/// so an address names one unchanging content for the life of the
+/// process. Equal contents at two addresses are two writers with one
+/// record hash ([`RecordKey::hash`] reads the contents).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+struct WriterKey {
+    file: usize,
+    len: usize,
+    line: u32,
+    tid: u32,
+}
+
+impl WriterKey {
+    fn new(loc: SourceLoc, tid: u32) -> Self {
+        WriterKey {
+            file: loc.file.as_ptr() as usize,
+            len: loc.file.len(),
+            line: loc.line,
+            tid,
+        }
+    }
+}
+
+/// The distinct writers of one shadow, indexed by the ids its byte
+/// records hold. It grows with the distinct (site, thread) pairs of the
+/// trace, never with its stores, and ids are never reused, so a
+/// checkpoint sharing an older table resolves every id it holds.
+#[derive(Debug, Clone)]
+struct WriterTable {
+    writers: Vec<Writer>,
+    ids: HashMap<WriterKey, u32, LineHasher>,
+}
+
+impl Default for WriterTable {
+    fn default() -> Self {
+        let mut table = WriterTable {
+            writers: Vec::new(),
+            ids: HashMap::default(),
+        };
+        let untracked = table.push(Writer {
+            loc: SourceLoc::synthetic("<untracked>"),
+            tid: 0,
+        });
+        debug_assert_eq!(untracked, UNTRACKED_WRITER);
+        table
+    }
+}
+
+impl WriterTable {
+    fn get(&self, id: u32) -> Writer {
+        self.writers[id as usize]
+    }
+
+    /// Appends a writer not in the table yet and returns its id.
+    fn push(&mut self, writer: Writer) -> u32 {
+        let id = u32::try_from(self.writers.len()).expect("fewer than 2^32 distinct writers");
+        self.writers.push(writer);
+        self.ids.insert(WriterKey::new(writer.loc, writer.tid), id);
+        id
+    }
 }
 
 /// The shadow state of one 64-byte cache line as bit-planes: bit `i` of a
@@ -325,13 +414,9 @@ fn record_key(slab: &Slab, s: &Suspects, i: usize) -> RecordKey {
         | bit_of(slab.xthread, i) << 10
         | bit_of(s.buffered, i) << 11;
     let st = &slab.bytes[i];
-    // Thread facts participate unconditionally: constant (zero) in
-    // single-threaded traces, so classes there are unaffected, but two
-    // crash states differing only in which thread's fence must still land
-    // may report different kinds and must not collapse.
     RecordKey {
         flags,
-        tids: u64::from(st.writer_tid) << 32 | u64::from(st.flusher_tid),
+        flusher_tid: st.flusher_tid,
         writer: st.writer,
     }
 }
@@ -392,43 +477,32 @@ fn fold_distinct(count: usize, ascending: impl Iterator<Item = u64>) -> u64 {
     ascending.fold(fnv_u64(FNV_OFFSET, count as u64), fnv_u64)
 }
 
-/// A [`RecordKey`] with its file name by address: flags, threads, file
-/// address, file length, line.
-type RecordIdentity = (u64, u64, u64, u64, u64);
-
 /// What a byte record hashes (see [`ShadowPm::byte_records`]): its state
-/// flags, its writer and flusher threads, and its writer's location.
-#[derive(Debug, Clone, Copy)]
+/// flags, its flusher thread, and its writer, an id into the shadow's
+/// [`WriterTable`]. The key itself is the record's identity in
+/// [`RecordMemo`]: two writer ids are two entries, also where their file
+/// names have equal contents and so one hash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct RecordKey {
     flags: u64,
-    tids: u64,
-    writer: SourceLoc,
+    flusher_tid: u32,
+    writer: u32,
 }
 
 impl RecordKey {
-    /// The record hash: FNV-1a over the flags, the threads, the writer's
-    /// file name *contents* and its line, so it is stable across processes.
-    fn hash(&self) -> u64 {
+    /// The record hash: FNV-1a over the flags, the writer and flusher
+    /// threads, the writer's file name *contents* and its line, so it is
+    /// stable across processes. Thread facts participate unconditionally:
+    /// constant (zero) in single-threaded traces, so classes there are
+    /// unaffected, but two crash states differing only in which thread's
+    /// fence must still land may report different kinds and must not
+    /// collapse.
+    fn hash(&self, writers: &WriterTable) -> u64 {
+        let writer = writers.get(self.writer);
         let mut h = fnv_u64(FNV_OFFSET, self.flags);
-        h = fnv_u64(h, self.tids);
-        h = fnv_bytes(h, self.writer.file.as_bytes());
-        fnv_u64(h, u64::from(self.writer.line))
-    }
-
-    /// The key's identity in [`RecordMemo`]: the file name by address and
-    /// length. A file name is a `&'static str`, from `file!()` or the
-    /// leaked, never-freed table of `xftrace::intern_file`, so an address
-    /// names one unchanging content for the life of the process. Equal
-    /// contents at two addresses are two memo entries of one hash.
-    fn identity(&self) -> RecordIdentity {
-        let file = self.writer.file;
-        (
-            self.flags,
-            self.tids,
-            file.as_ptr() as u64,
-            file.len() as u64,
-            u64::from(self.writer.line),
-        )
+        h = fnv_u64(h, u64::from(writer.tid) << 32 | u64::from(self.flusher_tid));
+        h = fnv_bytes(h, writer.loc.file.as_bytes());
+        fnv_u64(h, u64::from(writer.loc.line))
     }
 }
 
@@ -440,22 +514,23 @@ const MEMO_RECORDS: usize = 1024;
 
 /// Record hashes by key, so the fingerprint index hashes a writer's file
 /// name once per distinct record rather than once per line re-derivation.
-/// The hash is a pure function of the key, so a memoized value is always
-/// the one [`RecordKey::hash`] computes.
+/// The hash is a pure function of the key and of the writer table, which
+/// only grows, so a memoized value is always the one [`RecordKey::hash`]
+/// computes. The memo lives with one shadow's index and is only ever
+/// consulted with that shadow's table.
 #[derive(Debug, Default)]
-struct RecordMemo(HashMap<RecordIdentity, u64, LineHasher>);
+struct RecordMemo(HashMap<RecordKey, u64, LineHasher>);
 
 impl RecordMemo {
-    fn hash(&mut self, key: &RecordKey) -> u64 {
-        let identity = key.identity();
-        if let Some(&h) = self.0.get(&identity) {
+    fn hash(&mut self, key: RecordKey, writers: &WriterTable) -> u64 {
+        if let Some(&h) = self.0.get(&key) {
             return h;
         }
         if self.0.len() >= MEMO_RECORDS {
             self.0.clear();
         }
-        let h = key.hash();
-        self.0.insert(identity, h);
+        let h = key.hash(writers);
+        self.0.insert(key, h);
         h
     }
 }
@@ -631,6 +706,13 @@ pub struct ShadowPm {
     /// Line index → dense per-line byte states, doubly `Arc`-shared so a
     /// clone is an O(1) checkpoint and mutation faults only touched slabs.
     lines: Arc<LineMap<Arc<Slab>>>,
+    /// The writers the byte records' ids index, shared with checkpoints
+    /// and copied only when a new writer is interned while one is alive.
+    writers: Arc<WriterTable>,
+    /// The last writer interned and its id, so a run of stores from one
+    /// site on one thread skips the map. The default key's null address
+    /// names no file.
+    last_writer: (WriterKey, u32),
     /// Lines whose slab has a non-empty `pending` bitmask.
     pending_lines: LineSet,
     /// Global timestamp, incremented after each ordering point (§5.4).
@@ -662,6 +744,8 @@ impl Clone for ShadowPm {
     fn clone(&self) -> Self {
         ShadowPm {
             lines: Arc::clone(&self.lines),
+            writers: Arc::clone(&self.writers),
+            last_writer: self.last_writer,
             pending_lines: self.pending_lines.clone(),
             ts: self.ts,
             commit_vars: self.commit_vars.clone(),
@@ -716,7 +800,8 @@ impl ShadowPm {
     }
 
     /// Bytes deep-copied so far by copy-on-write faults: mutations that hit
-    /// a slab (or the line map itself) still shared with a live checkpoint.
+    /// a slab (or the line map, or the writer table) still shared with a
+    /// live checkpoint.
     /// Zero when every checkpoint is dropped before the next mutation, as in
     /// the sequential engine.
     #[must_use]
@@ -1064,10 +1149,9 @@ impl ShadowPm {
     /// A run of adjacent contributing bytes with equal records is hashed
     /// and appended once; callers deduplicate the rest. A byte starts a run
     /// where a plane that enters its flags flips against the byte before
-    /// (`p ^ p << 1`, one word operation per plane), or where its writer,
-    /// writer thread or flusher thread differs. Only the run starts build
-    /// a flags word, and `memo`, when given, hashes each distinct record
-    /// once.
+    /// (`p ^ p << 1`, one word operation per plane), or where its writer
+    /// id or flusher thread differs. Only the run starts build a flags
+    /// word, and `memo`, when given, hashes each distinct record once.
     fn byte_records(
         &self,
         li: u64,
@@ -1099,19 +1183,15 @@ impl ShadowPm {
         // byte of the same run so far.
         for i in bits(s.contributes & !starts) {
             let (prev, st) = (&slab.bytes[i - 1], &slab.bytes[i]);
-            if !std::ptr::eq(prev.writer.file, st.writer.file)
-                || prev.writer.line != st.writer.line
-                || prev.writer_tid != st.writer_tid
-                || prev.flusher_tid != st.flusher_tid
-            {
+            if prev.writer != st.writer || prev.flusher_tid != st.flusher_tid {
                 starts |= 1 << i;
             }
         }
         for i in bits(s.contributes & starts) {
             let key = record_key(slab, &s, i);
             out.push(match memo.as_deref_mut() {
-                Some(memo) => memo.hash(&key),
-                None => key.hash(),
+                Some(memo) => memo.hash(key, &self.writers),
+                None => key.hash(&self.writers),
             });
         }
     }
@@ -1138,6 +1218,27 @@ impl ShadowPm {
         }
         let map = Arc::make_mut(&mut self.lines);
         Arc::make_mut(map.entry(li).or_insert_with(|| Arc::new(Slab::EMPTY)))
+    }
+
+    /// The id of writer `(loc, tid)`, interning it on first sight: through
+    /// the last-writer cache, then the table's map. A new writer copies
+    /// the table if a checkpoint shares it, accounting the copy.
+    fn writer_id(&mut self, loc: SourceLoc, tid: u32) -> u32 {
+        let key = WriterKey::new(loc, tid);
+        if self.last_writer.0 == key {
+            return self.last_writer.1;
+        }
+        let id = match self.writers.ids.get(&key) {
+            Some(&id) => id,
+            None => {
+                if Arc::strong_count(&self.writers) > 1 {
+                    self.bytes_cloned += self.writers.writers.len() as u64 * WRITER_ENTRY_BYTES;
+                }
+                Arc::make_mut(&mut self.writers).push(Writer { loc, tid })
+            }
+        };
+        self.last_writer = (key, id);
+        id
     }
 
     /// As [`ShadowPm::slab_mut`] but never creates an absent slab.
@@ -1236,6 +1337,7 @@ impl ShadowPm {
             // on lines this store never touches.
             self.fp_commit_moved(addr, size);
         }
+        let writer = self.writer_id(loc, tid);
         let in_tx = self.tx.is_some();
         let protected = match &self.tx {
             Some(tx) => (addr..addr + size).all(|b| tx.protects(b)),
@@ -1262,8 +1364,7 @@ impl ShadowPm {
                     *st = ByteState::EMPTY;
                 }
                 st.tlast = ts;
-                st.writer = loc;
-                st.writer_tid = tid;
+                st.writer = writer;
                 if non_temporal {
                     st.flusher_tid = tid;
                 }
@@ -1422,7 +1523,11 @@ impl ShadowPm {
         // being added — the snapshot captures the modified data, so rolling
         // back restores a potentially inconsistent value; they stay flagged.
         // Untracked bytes start tracked, protected and unwritten.
-        let ts = self.ts;
+        let fresh = ByteState {
+            tlast: self.ts,
+            writer: self.writer_id(loc, 0),
+            ..ByteState::EMPTY
+        };
         let end = addr + size;
         let mut b = addr;
         while b < end {
@@ -1431,11 +1536,7 @@ impl ShadowPm {
             let mask = line_span_mask(li, b, chunk_end);
             let slab = self.slab_mut(li);
             for i in bits(mask & !slab.present) {
-                slab.bytes[i] = ByteState {
-                    tlast: ts,
-                    writer: loc,
-                    ..ByteState::EMPTY
-                };
+                slab.bytes[i] = fresh;
             }
             slab.present |= mask;
             slab.tx_protected |= mask & !slab.unprotected_tx_write;
@@ -1448,7 +1549,7 @@ impl ShadowPm {
     fn on_alloc(&mut self, addr: u64, size: u64, zeroed: bool, loc: SourceLoc) {
         let fresh = ByteState {
             tlast: self.ts,
-            writer: loc,
+            writer: self.writer_id(loc, 0),
             ..ByteState::EMPTY
         };
         let end = addr + size;
@@ -1800,13 +1901,13 @@ impl PostChecker {
             }
             let i = suspects.potential.trailing_zeros() as usize;
             let byte_addr = li * LINE + i as u64;
-            let st = &slab.bytes[i];
+            let writer = self.shadow.writers.get(slab.bytes[i].writer);
             let finding = |kind, message: Option<&str>| Finding {
                 kind,
                 addr: byte_addr,
                 size: 1,
                 reader: Some(loc),
-                writer: Some(st.writer),
+                writer: Some(writer.loc),
                 failure_point: Some(fp),
                 message: message.map(str::to_owned),
             };
@@ -1867,7 +1968,7 @@ impl PostChecker {
             let cross_thread = self
                 .shadow
                 .governing_var(byte_addr)
-                .is_some_and(|v| v.last_writer_tid != st.writer_tid);
+                .is_some_and(|v| v.last_writer_tid != writer.tid);
             out.push(if cross_thread {
                 finding(
                     BugKind::CrossThreadSemantic,
@@ -2542,6 +2643,80 @@ mod tests {
         );
     }
 
+    // --- the writer table ----------------------------------------------------
+
+    #[test]
+    fn a_checkpoint_keeps_its_writers_when_the_live_table_is_copied() {
+        // Thread 0 writes the data, thread 1 publishes the commit variable
+        // in the same epoch: a cross-thread semantic finding naming line 1.
+        let mut s = ShadowPm::new();
+        let var = Op::RegisterCommitVar {
+            addr: 0x110,
+            size: 4,
+        };
+        let _ = replay(
+            &mut s,
+            &[
+                tentry(var, 0, 0),
+                twrite(0x100, 8, 1, 0),
+                twrite(0x110, 4, 2, 1),
+                tflush(0x100, 3, 0),
+                tfence(4, 0),
+                tflush(0x110, 5, 1),
+                tfence(6, 1),
+            ],
+        );
+        let mut post = s.begin_post(true);
+        let table_at_checkpoint = s.writers.writers.len();
+        let cloned_before = s.bytes_cloned();
+        // New writers on the live shadow, the data overwritten by thread 1
+        // among them: the first new one copies the shared table.
+        let stores: Vec<TraceEntry> = (0..100)
+            .map(|i| twrite(0x1000 + i * 8, 8, 100 + i as u32, (i % 2) as u32))
+            .chain([twrite(0x100, 8, 50, 1)])
+            .collect();
+        let _ = replay(&mut s, &stores);
+        assert!(!Arc::ptr_eq(&s.writers, &post.shadow.writers));
+        assert_eq!(post.shadow.writers.writers.len(), table_at_checkpoint);
+        assert_eq!(s.writers.writers.len(), table_at_checkpoint + 101);
+        assert_eq!(
+            s.bytes_cloned() - cloned_before,
+            SPINE_ENTRY_BYTES + SLAB_BYTES + table_at_checkpoint as u64 * WRITER_ENTRY_BYTES,
+            "the one-line spine, the data line and the table, once each"
+        );
+        let mut out = DetectionReport::new();
+        post.apply_post(&read(0x100, 8, 7), fp(), &mut out);
+        let f = &out.findings()[0];
+        assert_eq!(f.kind, BugKind::CrossThreadSemantic, "{out}");
+        assert_eq!(f.writer.unwrap().line, 1, "the checkpoint's writer");
+        // The live shadow sees thread 1's write, on the publishing thread.
+        let mut live = s.begin_post(true);
+        let mut out = DetectionReport::new();
+        live.apply_post(&read(0x100, 8, 7), fp(), &mut out);
+        assert_eq!(out.findings()[0].kind, BugKind::CrossFailureRace, "{out}");
+        assert_eq!(out.findings()[0].writer.unwrap().line, 50);
+    }
+
+    #[test]
+    fn the_writer_table_grows_with_sites_not_stores() {
+        let mut s = ShadowPm::new();
+        let mut out = DetectionReport::new();
+        for i in 0..100_000u64 {
+            s.apply_pre(&twrite(A + i % 512 * 8, 8, 7, (i % 2) as u32), &mut out);
+        }
+        let w = &s.writers.writers;
+        assert_eq!(
+            w.len(),
+            3,
+            "<untracked> plus one site on two threads: {w:?}"
+        );
+        assert_eq!(w[UNTRACKED_WRITER as usize].loc.file, "<untracked>");
+        assert_eq!(
+            (w[1].loc.line, w[1].tid, w[2].loc.line, w[2].tid),
+            (7, 0, 7, 1)
+        );
+    }
+
     // --- persistence-state fingerprints ------------------------------------
 
     #[test]
@@ -3028,8 +3203,13 @@ mod record_oracle {
     const VAR_SLOTS: u64 = 4;
     const VAR_STRIDE: u64 = POOL / VAR_SLOTS;
     /// Writer files: two names, so runs split on the file as well as on
-    /// the line.
-    const FILES: [&str; 2] = ["oracle-a.rs", "oracle-b.rs"];
+    /// the line, and a copy of the first at another address, so two
+    /// writer ids share one record hash.
+    fn files() -> [&'static str; 3] {
+        static COPY: OnceLock<&'static str> = OnceLock::new();
+        let copy = *COPY.get_or_init(|| Box::leak(String::from("oracle-a.rs").into_boxed_str()));
+        ["oracle-a.rs", "oracle-b.rs", copy]
+    }
 
     impl ShadowPm {
         /// Line `li`'s distinct records, one derived per contributing byte
@@ -3069,11 +3249,12 @@ mod record_oracle {
                     | bit(slab.xthread) << 10
                     | bit(s.buffered) << 11;
                 let st = &slab.bytes[i];
-                let tids = u64::from(st.writer_tid) << 32 | u64::from(st.flusher_tid);
+                let writer = self.writers.get(st.writer);
+                let tids = u64::from(writer.tid) << 32 | u64::from(st.flusher_tid);
                 let mut h = fnv_u64(FNV_OFFSET, flags);
                 h = fnv_u64(h, tids);
-                h = fnv_bytes(h, st.writer.file.as_bytes());
-                out.push(fnv_u64(h, u64::from(st.writer.line)));
+                h = fnv_bytes(h, writer.loc.file.as_bytes());
+                out.push(fnv_u64(h, u64::from(writer.loc.line)));
             }
             out.sort_unstable();
             out.dedup();
@@ -3121,10 +3302,10 @@ mod record_oracle {
 
     fn issued() -> impl Strategy<Value = Issued> {
         let internal = (0..10u32).prop_map(|p| p == 0);
-        ((step(), 0..2u32), (0..FILES.len(), 1..=3u32, internal)).prop_map(
+        ((step(), 0..2u32), (0..files().len(), 1..=3u32, internal)).prop_map(
             |((step, tid), (file, line, internal))| {
                 let loc = SourceLoc {
-                    file: FILES[file],
+                    file: files()[file],
                     line,
                 };
                 (step, tid, loc, internal)
@@ -3223,17 +3404,63 @@ mod record_oracle {
     #[test]
     fn the_memo_starts_over_past_its_bound_and_keeps_hashing_right() {
         let mut memo = RecordMemo::default();
+        let mut writers = WriterTable::default();
         for line in 0..3 * MEMO_RECORDS as u32 {
+            let loc = SourceLoc {
+                file: files()[0],
+                line,
+            };
             let key = RecordKey {
                 flags: u64::from(line % 7),
-                tids: 0,
-                writer: SourceLoc {
-                    file: FILES[0],
-                    line,
-                },
+                flusher_tid: 0,
+                writer: writers.push(Writer { loc, tid: 0 }),
             };
-            assert_eq!(memo.hash(&key), key.hash());
+            assert_eq!(memo.hash(key, &writers), key.hash(&writers));
             assert!(memo.0.len() <= MEMO_RECORDS);
         }
+    }
+
+    #[test]
+    fn equal_file_names_at_two_addresses_are_two_writers_of_one_hash() {
+        let [name, _, copy] = files();
+        assert_eq!(name, copy);
+        assert!(!std::ptr::eq(name, copy));
+        let mut s = ShadowPm::new();
+        s.enable_fingerprinting();
+        let at = |file, line, tid| {
+            TraceEntry::new(
+                Op::Write {
+                    addr: BASE,
+                    size: 8,
+                },
+                SourceLoc { file, line },
+                Stage::Pre,
+                false,
+                true,
+            )
+            .with_tid(tid)
+        };
+        let mut found = DetectionReport::new();
+        s.apply_pre(&at(name, 1, 1), &mut found);
+        let first = s.lines[&(BASE / LINE)].bytes[0].writer;
+        let one = s.persistence_fingerprint();
+        s.apply_pre(&at(copy, 1, 1), &mut found);
+        let second = s.lines[&(BASE / LINE)].bytes[0].writer;
+        assert_ne!(first, second, "two addresses, two ids");
+        assert_eq!(s.persistence_fingerprint(), one, "one contents, one hash");
+        assert_eq!(s.fingerprint_from_scratch(), one);
+        let key = |writer| RecordKey {
+            flags: 1,
+            flusher_tid: 0,
+            writer,
+        };
+        assert_eq!(key(first).hash(&s.writers), key(second).hash(&s.writers));
+        let memo = &s.fp.as_ref().expect("fingerprinting is on").memo.0;
+        let hashes: HashSet<u64> = memo.values().copied().collect();
+        assert_eq!(
+            (memo.len(), hashes.len()),
+            (2, 1),
+            "two entries, one hash: {memo:?}"
+        );
     }
 }

@@ -51,6 +51,10 @@ struct Counters {
     max_depth: AtomicU64,
     producer_stall_ns: AtomicU64,
     parks: AtomicU64,
+    /// Runs in `send` once the message is enqueued, before the depth is
+    /// read, so a test can make the consumer take and count it first.
+    #[cfg(test)]
+    after_enqueue: std::sync::OnceLock<Box<dyn Fn() + Send + Sync>>,
 }
 
 /// The producing endpoint. Dropping it closes the channel; the consumer
@@ -97,6 +101,10 @@ impl<T> Sender<T> {
     /// receiver drops while this send is blocked.
     pub fn send(&self, msg: T) -> Result<(), T> {
         let c = &*self.counters;
+        // Read before enqueueing: the consumer may take and count this
+        // message before the send returns, and the reading must still
+        // count it.
+        let recvs = c.recvs.load(Ordering::Relaxed);
         match self.tx.try_send(msg) {
             Ok(()) => {}
             Err(TrySendError::Disconnected(msg)) => return Err(msg),
@@ -109,12 +117,17 @@ impl<T> Sender<T> {
                 sent.map_err(|e| e.0)?;
             }
         }
+        #[cfg(test)]
+        if let Some(hook) = c.after_enqueue.get() {
+            hook();
+        }
         let sends = c.sends.fetch_add(1, Ordering::Relaxed) + 1;
-        // The consumer counts a message after taking it, so this reading
-        // can exceed the true occupancy, never the capacity.
-        let depth = sends
-            .saturating_sub(c.recvs.load(Ordering::Relaxed))
-            .min(self.capacity);
+        // Every message counted in `recvs` was sent, and counted in
+        // `sends`, before this one, so the reading is at least 1. The
+        // consumer counts a message after taking it and `recvs` may be
+        // older than a blocked send, so it can exceed the true occupancy,
+        // never the capacity.
+        let depth = sends.saturating_sub(recvs).min(self.capacity);
         c.max_depth.fetch_max(depth, Ordering::Relaxed);
         Ok(())
     }
@@ -272,6 +285,31 @@ mod tests {
         let _ = rx.recv();
         tx.send(5).unwrap();
         assert_eq!(rx.stats().max_depth, 5, "depth 5 is the high-water mark");
+    }
+
+    #[test]
+    fn a_send_the_consumer_takes_at_once_still_counts_itself() {
+        // Each send waits, after enqueueing, until the consumer has taken
+        // and counted the message: the depth is read with the queue empty.
+        let (tx, rx) = channel(4);
+        let taken = Arc::new(std::sync::Barrier::new(2));
+        let hook = Arc::clone(&taken);
+        let set = tx.counters.after_enqueue.set(Box::new(move || {
+            hook.wait();
+        }));
+        assert!(set.is_ok());
+        let consumer = thread::spawn(move || {
+            while rx.recv().is_some() {
+                taken.wait();
+            }
+            rx.stats()
+        });
+        for i in 0..50u32 {
+            tx.send(i).unwrap();
+        }
+        drop(tx);
+        let stats = consumer.join().unwrap();
+        assert_eq!((stats.sends, stats.max_depth), (50, 1), "{stats:?}");
     }
 
     #[test]

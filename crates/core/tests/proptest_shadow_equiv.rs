@@ -18,8 +18,14 @@
 //! mid-sequence are held alive across later mutations and re-verified at
 //! the end, so copy-on-write isolation is exercised under the same
 //! arbitrary traces.
+//!
+//! Writers name one file at two addresses with equal contents. The shadow
+//! keeps them as two writers, and their records must hash as one: the
+//! fingerprint of every run equals the one of the same run with a single
+//! address.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
@@ -36,6 +42,17 @@ const POOL: u64 = LINES * LINE;
 /// ranges find a registered variable and writes move variables often.
 const VAR_SLOTS: u64 = 4;
 const VAR_STRIDE: u64 = POOL / VAR_SLOTS;
+
+/// The writers' file name, at its literal's address or, with `copy`, at a
+/// second address holding the same contents.
+fn file(copy: bool) -> &'static str {
+    static COPY: OnceLock<&'static str> = OnceLock::new();
+    if copy {
+        COPY.get_or_init(|| Box::leak(String::from("p.rs").into_boxed_str()))
+    } else {
+        "p.rs"
+    }
+}
 
 /// The reference model's state of one tracked byte.
 #[derive(Debug, Clone, Copy)]
@@ -380,8 +397,11 @@ enum Step {
     },
 }
 
+/// A step and whether its writer names the file's second address.
+type Issued = (Step, bool);
+
 impl Step {
-    fn entry(&self, line: u32) -> TraceEntry {
+    fn entry(&self, line: u32, copy: bool) -> TraceEntry {
         let (op, tid, internal) = match *self {
             Step::Write {
                 off,
@@ -466,7 +486,10 @@ impl Step {
         };
         TraceEntry::new(
             op,
-            SourceLoc { file: "p.rs", line },
+            SourceLoc {
+                file: file(copy),
+                line,
+            },
             Stage::Pre,
             internal,
             true,
@@ -500,6 +523,13 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         1 => (0..VAR_SLOTS, span)
             .prop_map(|(slot, (off, size))| Step::RegisterRange { slot, off, size }),
     ]
+}
+
+fn issued_strategy() -> impl Strategy<Value = Issued> {
+    (
+        step_strategy(),
+        prop_oneof![2 => Just(false), 1 => Just(true)],
+    )
 }
 
 fn domain_strategy() -> impl Strategy<Value = PersistDomain> {
@@ -536,7 +566,9 @@ fn read_findings(shadow: &ShadowPm) -> Vec<Option<(BugKind, u32)>> {
                 [] => None,
                 [f] => {
                     assert_eq!((f.addr, f.size), (b, 1), "a finding names the byte read");
-                    Some((f.kind, f.writer.expect("read findings name a writer").line))
+                    let writer = f.writer.expect("read findings name a writer");
+                    assert_eq!(writer.file, "p.rs");
+                    Some((f.kind, writer.line))
                 }
                 more => panic!("one finding per read access, got {more:?}"),
             }
@@ -590,29 +622,43 @@ proptest! {
 
     /// The bit-plane shadow is observationally equivalent to the per-byte
     /// reference model, and checkpoints held across later mutations stay
-    /// frozen at their capture point (copy-on-write isolation).
+    /// frozen at their capture point (copy-on-write isolation). A twin
+    /// replaying every writer at the file's first address keeps the same
+    /// fingerprint throughout.
     #[test]
     fn line_slab_shadow_equals_per_byte_model(
-        steps in prop::collection::vec(step_strategy(), 0..200),
+        steps in prop::collection::vec(issued_strategy(), 0..200),
         checkpoint_every in 13..40usize,
         domain in domain_strategy(),
     ) {
         let mut shadow = ShadowPm::with_domain(domain);
+        let mut one_address = ShadowPm::with_domain(domain);
+        shadow.enable_fingerprinting();
+        one_address.enable_fingerprinting();
         let mut model = RefModel::new(domain);
         let mut report = DetectionReport::new();
         let mut checkpoints: Vec<(usize, ShadowPm, RefModel)> = Vec::new();
 
-        for (i, s) in steps.iter().enumerate() {
+        for (i, (s, copy)) in steps.iter().enumerate() {
             if i % checkpoint_every == checkpoint_every - 1 {
                 // Held alive across the rest of the run, like in-flight
                 // parallel jobs.
                 checkpoints.push((i, shadow.clone(), model.clone()));
+                prop_assert_eq!(
+                    shadow.persistence_fingerprint(),
+                    one_address.persistence_fingerprint(),
+                    "fingerprint before step {}", i
+                );
             }
-            let e = s.entry(i as u32 + 1);
+            let e = s.entry(i as u32 + 1, *copy);
             shadow.apply_pre(&e, &mut report);
+            one_address.apply_pre(&s.entry(i as u32 + 1, false), &mut report);
             model.apply(&e);
         }
 
+        let fingerprint = shadow.persistence_fingerprint();
+        prop_assert_eq!(fingerprint, one_address.persistence_fingerprint());
+        prop_assert_eq!(fingerprint, shadow.fingerprint_from_scratch());
         assert_equivalent(&shadow, &model, "live shadow")?;
         for (i, cp_shadow, cp_model) in &checkpoints {
             assert_equivalent(cp_shadow, cp_model, &format!("checkpoint@{i}"))?;
@@ -629,22 +675,22 @@ proptest! {
     /// nowhere.
     #[test]
     fn checkpoint_then_diverge(
-        prefix in prop::collection::vec(step_strategy(), 0..60),
-        suffix in prop::collection::vec(step_strategy(), 1..60),
+        prefix in prop::collection::vec(issued_strategy(), 0..60),
+        suffix in prop::collection::vec(issued_strategy(), 1..60),
         domain in domain_strategy(),
     ) {
         let mut shadow = ShadowPm::with_domain(domain);
         let mut model = RefModel::new(domain);
         let mut report = DetectionReport::new();
-        for (i, s) in prefix.iter().enumerate() {
-            let e = s.entry(i as u32 + 1);
+        for (i, (s, copy)) in prefix.iter().enumerate() {
+            let e = s.entry(i as u32 + 1, *copy);
             shadow.apply_pre(&e, &mut report);
             model.apply(&e);
         }
         let frozen = shadow.clone();
         let frozen_model = model.clone();
-        for (i, s) in suffix.iter().enumerate() {
-            let e = s.entry(1000 + i as u32);
+        for (i, (s, copy)) in suffix.iter().enumerate() {
+            let e = s.entry(1000 + i as u32, *copy);
             shadow.apply_pre(&e, &mut report);
             model.apply(&e);
         }
@@ -659,14 +705,14 @@ proptest! {
 #[test]
 fn the_generated_programs_reach_every_read_finding_kind() {
     use proptest::test_runner::TestRng;
-    let steps = prop::collection::vec(step_strategy(), 0..200);
+    let steps = prop::collection::vec(issued_strategy(), 0..200);
     let mut seen: HashMap<Option<BugKind>, usize> = HashMap::new();
     for case in 0..256 {
         let mut rng = TestRng::for_case("shadow-equiv-coverage", case);
         let domain = domain_strategy().generate(&mut rng);
         let mut model = RefModel::new(domain);
-        for (i, s) in steps.generate(&mut rng).iter().enumerate() {
-            model.apply(&s.entry(i as u32 + 1));
+        for (i, (s, copy)) in steps.generate(&mut rng).iter().enumerate() {
+            model.apply(&s.entry(i as u32 + 1, *copy));
         }
         for b in BASE..BASE + POOL {
             *seen
